@@ -171,6 +171,19 @@ func (c *Chain) ForEach(fn func(b []byte)) {
 	}
 }
 
+// AppendSegments appends each non-empty mbuf's data slice to dst, in order,
+// and returns the extended slice — the allocation-free iterator a gather
+// send (iovecs, net.Buffers) is built from. The slices alias chain storage:
+// the chain must stay un-freed until the caller is done with them.
+func (c *Chain) AppendSegments(dst [][]byte) [][]byte {
+	for m := c.head; m != nil; m = m.next {
+		if m.dlen > 0 {
+			dst = append(dst, m.Data())
+		}
+	}
+	return dst
+}
+
 // Clusters returns the number of cluster mbufs in the chain; the NIC model
 // uses this to decide how much data page-remapping can avoid copying.
 func (c *Chain) Clusters() (count, bytes int) {

@@ -244,6 +244,40 @@ func TestCopyTo(t *testing.T) {
 	}
 }
 
+// TestAppendSegments pins the gather iterator: one slice per non-empty
+// mbuf, in order, aliasing chain storage (a loaned block comes back as the
+// very bytes that were lent), appended after what dst already held, with no
+// bytes counted as copied and no allocation once dst has the capacity.
+func TestAppendSegments(t *testing.T) {
+	hdr := bytes.Repeat([]byte{0xAB}, 96)
+	block := bytes.Repeat([]byte{0xCD}, 8192)
+	c := &Chain{}
+	c.Append(hdr)
+	c.AppendExt(block)
+	c.Append([]byte{1, 2, 3, 4})
+	defer c.Free()
+
+	mark := []byte{0x80, 0, 0, 0}
+	segs := make([][]byte, 0, 8)
+	copied := Stats.CopiedBytes.Load()
+	segs = c.AppendSegments(append(segs, mark))
+	if got := Stats.CopiedBytes.Load() - copied; got != 0 {
+		t.Errorf("AppendSegments counted %d copied bytes, want 0", got)
+	}
+	if len(segs) != 1+c.Segments() || &segs[0][0] != &mark[0] {
+		t.Fatalf("%d segments after the mark, want %d behind it", len(segs)-1, c.Segments())
+	}
+	if &segs[2][0] != &block[0] || len(segs[2]) != len(block) {
+		t.Error("loaned segment does not alias the lent block")
+	}
+	if got := bytes.Join(segs[1:], nil); !bytes.Equal(got, c.Bytes()) {
+		t.Error("segments do not concatenate to the chain's bytes")
+	}
+	if n := testing.AllocsPerRun(100, func() { segs = c.AppendSegments(segs[:0]) }); n != 0 {
+		t.Errorf("AppendSegments allocates %.1f per call with capacity in hand, want 0", n)
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	c := FromBytes([]byte("original"))
 	cl := c.Clone()

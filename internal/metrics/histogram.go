@@ -57,12 +57,18 @@ func NewHistogram() *Histogram {
 	return h
 }
 
-// bucketOf maps a value to its bucket index.
+// bucketOf maps a value to its bucket index: ceil(log2(v/histFirstBound)),
+// read off the float's exponent. Frexp gives v/histFirstBound = frac·2^exp
+// with frac in [0.5, 1), so the ceiling is exp — except exactly on a bucket
+// boundary (frac == 0.5, the value is 2^(exp-1)), where it is exp-1.
 func bucketOf(v float64) int {
 	if v <= histFirstBound {
 		return 0
 	}
-	i := int(math.Ceil(math.Log2(v/histFirstBound))) + 0
+	frac, i := math.Frexp(v / histFirstBound)
+	if frac == 0.5 {
+		i--
+	}
 	if i >= histBuckets {
 		i = histBuckets - 1
 	}

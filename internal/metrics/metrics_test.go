@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -77,6 +78,56 @@ func TestHistogramExtremes(t *testing.T) {
 	}
 	if got := s.Quantile(100); got != 1e12 {
 		t.Fatalf("p100 = %v, want clamped max 1e12", got)
+	}
+}
+
+// bucketOfLog2 is the formula bucketOf replaced (a Log2 and a Ceil per
+// observation), kept as the reference the exponent-based one must match.
+func bucketOfLog2(v float64) int {
+	if v <= histFirstBound {
+		return 0
+	}
+	i := int(math.Ceil(math.Log2(v / histFirstBound)))
+	if i >= histBuckets {
+		i = histBuckets - 1
+	}
+	return i
+}
+
+// TestBucketOfMatchesLog2 holds the Frexp bucket index to the Log2 formula
+// on every exact bucket boundary, one ulp below each, and a million seeded
+// values spread log-uniformly across (and past both ends of) the bucket
+// range. One ulp above a boundary is pinned to the definition instead
+// (bucket i is (bound[i-1], bound[i]]): there the Log2 sum rounds back onto
+// the boundary and files the value one bucket low.
+func TestBucketOfMatchesLog2(t *testing.T) {
+	check := func(v float64) {
+		t.Helper()
+		if got, want := bucketOf(v), bucketOfLog2(v); got != want {
+			t.Fatalf("bucketOf(%v) = %d, Log2 formula gives %d", v, got, want)
+		}
+	}
+	for i, b := range histBounds() {
+		if got := bucketOf(b); got != i {
+			t.Fatalf("bound %d (%v) lands in bucket %d", i, b, got)
+		}
+		check(b)
+		check(math.Nextafter(b, 0))
+		above := i + 1
+		if above >= histBuckets {
+			above = histBuckets - 1
+		}
+		if got := bucketOf(math.Nextafter(b, math.Inf(1))); got != above {
+			t.Fatalf("one ulp above bound %d lands in bucket %d, want %d", i, got, above)
+		}
+	}
+	check(0)
+	check(-1)
+	check(1e300)
+	rng := rand.New(rand.NewSource(1991))
+	for i := 0; i < 1_000_000; i++ {
+		// 2^-12 .. 2^28 ms: 1/4 µs up to ~3 days, past the catch-all.
+		check(math.Exp2(-12 + 40*rng.Float64()))
 	}
 }
 

@@ -30,6 +30,13 @@
 // coalesced sendmmsg batches — while everything else (and any fast-path
 // fallback) takes the generic mbuf/ring/nfsd route unchanged. Workers
 // coalesce their reply sends the same way when a burst is in the ring.
+//
+// Generic replies are never linearized on the way out (DESIGN.md §3.4,
+// "gather send"): the reply mbuf chain itself is handed to the socket — as
+// one iovec per segment through sendmsg/sendmmsg on UDP, as one writev of
+// [record mark, segments…] on TCP — and freed after the send returns. The
+// 8 KB block memfs loaned into a READ reply therefore reaches the kernel
+// without a user-space copy.
 package nfsnet
 
 import (
@@ -346,9 +353,13 @@ func (s *Server) closing() bool {
 }
 
 // dispatch runs one request (which the callee consumes) through the core
-// under the crash gate and returns the linearized reply bytes, or nil when
-// the call produced no reply (garbage, crash window, in-flight duplicate).
-func (s *Server) dispatch(peer string, req *mbuf.Chain, sp *metrics.Span) []byte {
+// under the crash gate and returns the reply chain, or nil when the call
+// produced no reply (garbage, crash window, in-flight duplicate). The
+// caller owns the chain: it sends its segments as they lie and frees it
+// after the send returns. A loaned file block in it outlives the crash
+// gate safely — loaned blocks are immutable (memfs replaces, never
+// modifies, a block that is out on loan).
+func (s *Server) dispatch(peer string, req *mbuf.Chain, sp *metrics.Span) *mbuf.Chain {
 	crashSite.RLock(&s.crashMu, sp)
 	defer s.crashMu.RUnlock()
 	if s.srv.Down() {
@@ -360,16 +371,12 @@ func (s *Server) dispatch(peer string, req *mbuf.Chain, sp *metrics.Span) []byte
 	rep := s.srv.HandleCallSpan(nil, peer, req, sp)
 	s.busyCount.Add(-1)
 	// The request chain is ours (built from the socket read buffer) and the
-	// call is finished with it; recycle its mbufs. The reply is linearized
-	// for the socket, so its mbufs can go back too.
+	// call is finished with it; recycle its mbufs.
 	req.Free()
-	if rep == nil {
-		return nil
+	if rep != nil {
+		sp.Stamp(metrics.StageEncode)
 	}
-	out := rep.Bytes()
-	rep.Free()
-	sp.Stamp(metrics.StageEncode)
-	return out
+	return rep
 }
 
 // SetDown makes the frontends silently drop requests (true) or serve
@@ -548,7 +555,7 @@ func (s *Server) nfsd(id int) {
 		busyUS.Add(time.Since(start).Microseconds())
 		calls.Inc()
 		if rep != nil {
-			batch.add(rep, job.addr, &sp)
+			batch.addChain(rep, job.addr, &sp)
 		} else {
 			s.stages.Record(&sp)
 		}
@@ -601,6 +608,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// serving has no pool slot; trace dumps put it on a shared track).
 	var sp metrics.Span
 	var scan rpc.RecordScanner
+	var w recordWriter
 	buf := make([]byte, 65536)
 	for {
 		n, err := conn.Read(buf)
@@ -621,9 +629,9 @@ func (s *Server) serveConn(conn net.Conn) {
 				s.stages.Record(&sp)
 				continue
 			}
-			var mark [4]byte
-			binary.BigEndian.PutUint32(mark[:], 0x80000000|uint32(len(rep)))
-			if _, err := conn.Write(append(mark[:], rep...)); err != nil {
+			err := w.write(conn, rep)
+			rep.Free()
+			if err != nil {
 				s.stages.Record(&sp)
 				return
 			}
@@ -631,6 +639,28 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.stages.Record(&sp)
 		}
 	}
+}
+
+// recordWriter sends reply chains on one TCP connection as record-marked
+// gathers: [record mark, segments…] in a single writev (net.Buffers), so
+// the reply is neither linearized nor copied behind its mark. All backing
+// is per connection and reused — writing a record allocates nothing.
+type recordWriter struct {
+	mark [4]byte
+	segs [][]byte
+	// bufs is the net.Buffers header WriteTo consumes; a field so that it
+	// is not re-boxed per record.
+	bufs net.Buffers
+}
+
+// write sends rep as one last-fragment record. The caller still owns rep
+// and frees it after write returns.
+func (w *recordWriter) write(conn net.Conn, rep *mbuf.Chain) error {
+	binary.BigEndian.PutUint32(w.mark[:], 0x80000000|uint32(rep.Len()))
+	w.segs = rep.AppendSegments(append(w.segs[:0], w.mark[:]))
+	w.bufs = w.segs
+	_, err := w.bufs.WriteTo(conn)
+	return err
 }
 
 // --- Client ---------------------------------------------------------------
@@ -648,6 +678,9 @@ type Client struct {
 	Timeout time.Duration
 	Retries int
 	scan    rpc.RecordScanner
+	// rbuf is the receive buffer, reused across calls (guarded by mu; a
+	// reply is copied into its own chain before the call returns).
+	rbuf []byte
 }
 
 // DialUDP connects a UDP client.
@@ -692,7 +725,10 @@ func (c *Client) CallProgram(prog, vers, proc uint32, args func(e *xdr.Encoder))
 		rpc.AddRecordMark(msg)
 	}
 	wire := msg.Bytes()
-	buf := make([]byte, 65536)
+	if c.rbuf == nil {
+		c.rbuf = make([]byte, 65536)
+	}
+	buf := c.rbuf
 	for attempt := 0; attempt <= c.Retries; attempt++ {
 		if _, err := c.conn.Write(wire); err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"net"
 	"net/netip"
 
+	"renonfs/internal/mbuf"
 	"renonfs/internal/metrics"
 	"renonfs/internal/server"
 )
@@ -19,6 +20,14 @@ import (
 // Nothing is held across an idle socket: a flush always happens before the
 // owner blocks again, so coalescing adds microseconds of queueing inside a
 // burst and zero latency outside one.
+//
+// Gather send. A generic reply is staged as its mbuf chain, not as bytes:
+// the Linux writer lays the chain's segments out as consecutive iovecs and
+// the kernel gathers them, so an 8 KB READ payload that memfs loaned into
+// the chain is never copied in user space. The batch owns a staged chain
+// and frees it after the send returns. Holding a loaned file block that
+// long is safe because a loaned block is immutable — a later WRITE
+// replaces the block (copy-on-write), it never modifies it.
 
 // maxPeerCache bounds a peer-label interning table; past it the table is
 // reset so a peer-churn storm cannot pin unbounded label memory.
@@ -41,16 +50,19 @@ func (pc *peerCache) get(addr netip.AddrPort) string {
 	return s
 }
 
-// batchMsg is one reply staged for a coalesced send.
+// batchMsg is one reply staged for a coalesced send: flat bytes in the
+// arena (buf, fast path) or a reply chain the batch owns (chain, generic
+// path) — exactly one of the two is set.
 type batchMsg struct {
-	buf  []byte
-	addr netip.AddrPort
+	buf   []byte
+	chain *mbuf.Chain
+	addr  netip.AddrPort
 }
 
 // sendBatch accumulates replies leaving on one socket. Readers carry one
 // with an arena (fast-path replies are encoded straight into it); workers
-// carry one without (generic replies already own their buffers). The spans
-// ride along so StageSend is stamped at the actual send.
+// carry one without (generic replies are chains). The spans ride along so
+// StageSend is stamped at the actual send.
 type sendBatch struct {
 	conn  *net.UDPConn
 	msgs  []batchMsg
@@ -59,8 +71,10 @@ type sendBatch struct {
 	// the staged replies within it.
 	arena []byte
 	off   int
-	// mm is reusable platform scratch for the sendmmsg writer.
-	mm mmsgState
+	// mm is reusable platform scratch for the sendmmsg writer; lin the
+	// reusable buffer the portable writer linearizes a chain into.
+	mm  mmsgState
+	lin []byte
 	// batches counts send syscalls issued; batched the replies sent through
 	// the writer — batches/batched is the syscalls-per-reply ratio.
 	batches, batched *metrics.Counter
@@ -93,28 +107,42 @@ func (b *sendBatch) scratch() []byte {
 	return b.arena[b.off:b.off]
 }
 
-// add stages one reply and a copy of its span. buf must be the slice
-// returned by the service call: for arena batches it extends the scratch
-// region, and off advances past it.
+// add stages one fast-path reply and a copy of its span. buf must be the
+// slice the service call returned: it extends the scratch region of the
+// arena, and off advances past it.
 func (b *sendBatch) add(buf []byte, addr netip.AddrPort, sp *metrics.Span) {
-	if b.arena != nil {
-		b.off += len(buf)
-	} else if len(b.msgs) == cap(b.msgs) {
-		b.flush()
-	}
+	b.off += len(buf)
 	b.msgs = append(b.msgs, batchMsg{buf: buf, addr: addr})
 	b.spans = append(b.spans, *sp)
 }
 
-// flush sends every staged reply, then stamps and records their spans.
+// addChain stages one generic reply as its chain, and a copy of its span.
+// The batch takes ownership: the chain is freed once the flush has sent it.
+func (b *sendBatch) addChain(rep *mbuf.Chain, addr netip.AddrPort, sp *metrics.Span) {
+	if len(b.msgs) == cap(b.msgs) {
+		b.flush()
+	}
+	b.msgs = append(b.msgs, batchMsg{chain: rep, addr: addr})
+	b.spans = append(b.spans, *sp)
+}
+
+// flush sends every staged reply, stamps and records their spans, and only
+// then frees the staged chains — the kernel has copied the bytes out by the
+// time the send syscall returns, not before.
 func (b *sendBatch) flush() {
 	if len(b.msgs) > 0 {
-		sys := sendMulti(b.conn, b.msgs, &b.mm)
+		sys := b.sendMulti()
 		b.batches.Add(int64(sys))
 		b.batched.Add(int64(len(b.msgs)))
 		for i := range b.spans {
 			b.spans[i].Stamp(metrics.StageSend)
 			b.stages.Record(&b.spans[i])
+		}
+		for i := range b.msgs {
+			if c := b.msgs[i].chain; c != nil {
+				c.Free()
+				b.msgs[i].chain = nil
+			}
 		}
 		b.msgs = b.msgs[:0]
 		b.spans = b.spans[:0]
@@ -122,11 +150,28 @@ func (b *sendBatch) flush() {
 	b.off = 0
 }
 
-// sendLoop is the portable writer: one syscall per reply. Send errors are
-// ignored, as they are for unbatched replies — UDP owes nobody delivery.
-func sendLoop(conn *net.UDPConn, msgs []batchMsg) int {
+// sendLoop is the portable writer, and the mop-up for whatever a failed or
+// partial sendmmsg left unsent: one syscall per reply, a chain linearized
+// into the batch's reusable scratch first. Send errors are ignored, as they
+// are for unbatched replies — UDP owes nobody delivery.
+func (b *sendBatch) sendLoop(msgs []batchMsg) int {
 	for i := range msgs {
-		conn.WriteToUDPAddrPort(msgs[i].buf, msgs[i].addr)
+		m := &msgs[i]
+		buf := m.buf
+		if m.chain != nil {
+			n := m.chain.Len()
+			if cap(b.lin) < n {
+				b.lin = make([]byte, n)
+			}
+			buf = b.lin[:n]
+			m.chain.CopyTo(buf)
+		}
+		b.conn.WriteToUDPAddrPort(buf, m.addr)
 	}
 	return len(msgs)
 }
+
+// sendmmsgLimit is a test hook: when positive, the raw sendmmsg writer
+// stops after that many messages of a flush, the way a partial send would,
+// so the rest take the sendLoop mop-up on a platform that never needs it.
+var sendmmsgLimit int

@@ -11,9 +11,12 @@ import (
 
 // The sendmmsg(2) batch writer: one syscall delivers a whole sendBatch.
 // Linux has had it since 3.0; it is to sendto what the ingest path's
-// batched drain is to recvfrom. The headers, iovecs and raw sockaddrs are
-// kept in reusable per-batch scratch (mmsgState) so a steady stream of
-// flushes allocates nothing.
+// batched drain is to recvfrom. Each message is a gather: a flat reply is
+// one iovec, a reply chain one iovec per mbuf segment (msg_iovlen = segment
+// count), so a loaned payload goes from the file block to the socket with
+// no user-space copy. The headers, iovecs and raw sockaddrs are kept in
+// reusable per-batch scratch (mmsgState) so a steady stream of flushes
+// allocates nothing.
 
 // mmsghdr mirrors struct mmsghdr: a msghdr plus the kernel's bytes-sent
 // out-parameter. Go's alignment rules reproduce the C layout on every
@@ -29,7 +32,10 @@ type mmsghdr struct {
 // to zero steady-state allocations.
 type mmsgState struct {
 	hdrs []mmsghdr
+	// iovs holds every message's iovecs back to back; segs is the scratch
+	// a chain's segments are listed into on their way there.
 	iovs []syscall.Iovec
+	segs [][]byte
 	sa4  []syscall.RawSockaddrInet4
 	sa6  []syscall.RawSockaddrInet6
 
@@ -79,12 +85,10 @@ func (st *mmsgState) init(conn *net.UDPConn) bool {
 func (st *mmsgState) grow(n int) {
 	if cap(st.hdrs) < n {
 		st.hdrs = make([]mmsghdr, n)
-		st.iovs = make([]syscall.Iovec, n)
 		st.sa4 = make([]syscall.RawSockaddrInet4, n)
 		st.sa6 = make([]syscall.RawSockaddrInet6, n)
 	}
 	st.hdrs = st.hdrs[:n]
-	st.iovs = st.iovs[:n]
 	st.sa4 = st.sa4[:n]
 	st.sa6 = st.sa6[:n]
 }
@@ -94,22 +98,42 @@ func putPort(dst *uint16, p uint16) {
 	*(*[2]byte)(unsafe.Pointer(dst)) = [2]byte{byte(p >> 8), byte(p)}
 }
 
+// addIov appends one iovec covering b.
+func (st *mmsgState) addIov(b []byte) {
+	iov := syscall.Iovec{Base: &b[0]}
+	iov.SetLen(len(b))
+	st.iovs = append(st.iovs, iov)
+}
+
+// setIovlen stores n in a msghdr's msg_iovlen, whose width is per-arch.
+func setIovlen[T uint32 | uint64](dst *T, n int) { *dst = T(n) }
+
 // sendMulti sends every staged reply and returns the number of send
-// syscalls it took. Singleton batches skip straight to the plain writer;
-// failures degrade to the portable loop for whatever remains unsent.
-func sendMulti(conn *net.UDPConn, msgs []batchMsg, st *mmsgState) int {
-	if len(msgs) == 1 || sysSendmmsg == 0 || !st.init(conn) {
-		return sendLoop(conn, msgs)
+// syscalls it took. A lone flat reply skips straight to the plain writer
+// (one WriteToUDPAddrPort, the path meta_udp's unbatched fast replies have
+// always taken); a lone chain still goes through the raw gather send.
+// Failures degrade to the portable loop for whatever remains unsent.
+func (b *sendBatch) sendMulti() int {
+	msgs, st := b.msgs, &b.mm
+	if (len(msgs) == 1 && msgs[0].chain == nil) || sysSendmmsg == 0 || !st.init(b.conn) {
+		return b.sendLoop(msgs)
 	}
 	st.grow(len(msgs))
+	st.iovs = st.iovs[:0]
 	for i := range msgs {
 		m := &msgs[i]
-		st.iovs[i] = syscall.Iovec{Base: &m.buf[0]}
-		st.iovs[i].SetLen(len(m.buf))
 		h := &st.hdrs[i]
 		*h = mmsghdr{}
-		h.hdr.Iov = &st.iovs[i]
-		h.hdr.Iovlen = 1
+		first := len(st.iovs)
+		if m.chain != nil {
+			st.segs = m.chain.AppendSegments(st.segs[:0])
+			for _, seg := range st.segs {
+				st.addIov(seg)
+			}
+		} else {
+			st.addIov(m.buf)
+		}
+		setIovlen(&h.hdr.Iovlen, len(st.iovs)-first)
 		if a := m.addr.Addr(); a.Is4() {
 			sa := &st.sa4[i]
 			sa.Family = syscall.AF_INET
@@ -126,11 +150,24 @@ func sendMulti(conn *net.UDPConn, msgs []batchMsg, st *mmsgState) int {
 			h.hdr.Namelen = syscall.SizeofSockaddrInet6
 		}
 	}
+	// Point the headers at their iovec runs only now: iovs may have been
+	// reallocated while it grew.
+	first := 0
+	for i := range st.hdrs {
+		h := &st.hdrs[i].hdr
+		if h.Iovlen > 0 {
+			h.Iov = &st.iovs[first]
+			first += int(h.Iovlen)
+		}
+	}
 	st.want, st.sent, st.syscalls = len(msgs), 0, 0
+	if sendmmsgLimit > 0 && st.want > sendmmsgLimit {
+		st.want = sendmmsgLimit
+	}
 	werr := st.rc.Write(st.fn)
 	runtime.KeepAlive(st)
 	if st.sent < len(msgs) || werr != nil {
-		st.syscalls += sendLoop(conn, msgs[st.sent:])
+		st.syscalls += b.sendLoop(msgs[st.sent:])
 	}
 	return st.syscalls
 }

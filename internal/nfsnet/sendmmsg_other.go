@@ -2,12 +2,8 @@
 
 package nfsnet
 
-import "net"
-
 // mmsgState is empty where there is no batch send syscall.
 type mmsgState struct{}
 
 // sendMulti degrades to one send syscall per reply off Linux.
-func sendMulti(conn *net.UDPConn, msgs []batchMsg, _ *mmsgState) int {
-	return sendLoop(conn, msgs)
-}
+func (b *sendBatch) sendMulti() int { return b.sendLoop(b.msgs) }

@@ -63,6 +63,9 @@ func TestSpanPipelineConcurrent(t *testing.T) {
 		}(c%2 == 0)
 	}
 	wg.Wait()
+	// A span is recorded after its reply is sent, so the last client can be
+	// done before the last span lands; Close drains every serving goroutine.
+	s.Close()
 
 	s.PublishStats()
 	snap := core.Metrics.Snapshot()
