@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race chaos fuzz-smoke vet bench bench-smoke profile scaling scaling-smoke fleet fleet-smoke
+.PHONY: build test race chaos fuzz-smoke vet loc bench bench-smoke profile scaling scaling-smoke fleet fleet-smoke
 
 build:
 	$(GO) build ./...
@@ -21,13 +21,21 @@ race:
 chaos:
 	$(GO) test -race -run 'TestChaos' -v .
 
-# 30-second native-fuzz smoke over the two network-facing decoders.
+# 30-second native-fuzz smokes: the two network-facing decoders, and the
+# differential that holds the shallow dispatch path to the generic one
+# (same reply bytes, same side effects, any datagram sequence).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRPCDecode -fuzztime=30s ./internal/rpc
 	$(GO) test -fuzz=FuzzXDRDecode -fuzztime=30s ./internal/xdr
+	$(GO) test -fuzz=FuzzFastVsGeneric -fuzztime=30s ./internal/server
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines of the library, the commands and the root package: the
+# number a simplification PR reports before and after.
+loc:
+	@{ find internal cmd -name '*.go' ! -name '*_test.go'; ls *.go | grep -v _test.go; } | xargs cat | wc -l
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime 1x ./...

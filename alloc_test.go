@@ -8,6 +8,7 @@ package renonfs_test
 // per-call garbage the paper's §3 profile complains about.
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -29,9 +30,15 @@ const (
 	read8KAllocBudget = 8
 	// The shallow dispatch path decodes from and encodes into flat caller
 	// scratch — its only steady-state allocation is the LOOKUP name string
-	// (GETATTR has none). One alloc of headroom, like the budgets above.
-	fastLookupAllocBudget  = 2
-	fastGetattrAllocBudget = 2
+	// (GETATTR has none). These counts are deterministic, so the budgets are
+	// the counts: no headroom.
+	fastLookupAllocBudget  = 1
+	fastGetattrAllocBudget = 0
+	// A generic READDIR streams its entries from the core's window onto the
+	// reply chain: what it allocates does not grow with the listing beyond
+	// memfs's one snapshot of it (no []DirEntry, no per-entry garbage).
+	// Measured 4, plus the pooled paths' one alloc of headroom.
+	readdirAllocBudget = 5
 )
 
 // warmServer builds a server with one 8 KB file, runs a few calls of each
@@ -129,6 +136,39 @@ func TestAllocBudgetRead8K(t *testing.T) {
 	t.Logf("8 KB READ round trip: %.1f allocs/op (budget %d)", got, read8KAllocBudget)
 	if got > read8KAllocBudget {
 		t.Errorf("8 KB READ round trip allocates %.1f/op, budget is %d", got, read8KAllocBudget)
+	}
+}
+
+// TestAllocBudgetReaddirDispatch pins the generic READDIR's server side —
+// request build, dispatch, reply chain; the reply is not dissected, since
+// decoding a listing allocates per entry on the client's account.
+func TestAllocBudgetReaddirDispatch(t *testing.T) {
+	s, root, _ := warmServer(t)
+	for i := 0; i < 30; i++ {
+		if _, err := s.FS.Create(nil, s.FS.Root(), fmt.Sprintf("entry-%02d", i), 0644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	xid := uint32(0)
+	readdirOnce := func() {
+		xid++
+		req := &mbuf.Chain{}
+		rpc.EncodeCall(req, &rpc.Call{XID: xid, Prog: nfsproto.Program, Vers: nfsproto.Version, Proc: nfsproto.ProcReaddir})
+		(&nfsproto.ReaddirArgs{Dir: root, Count: nfsproto.MaxData}).Encode(xdr.NewEncoder(req))
+		rep := s.HandleCall(nil, "alloc-peer", req)
+		if rep == nil || rep.Len() < 30*16 {
+			t.Fatal("short READDIR reply")
+		}
+		req.Free()
+		rep.Free()
+	}
+	for i := 0; i < 64; i++ {
+		readdirOnce()
+	}
+	got := testing.AllocsPerRun(200, readdirOnce)
+	t.Logf("32-entry READDIR dispatch: %.1f allocs/op (budget %d)", got, readdirAllocBudget)
+	if got > readdirAllocBudget {
+		t.Errorf("READDIR dispatch allocates %.1f/op, budget is %d", got, readdirAllocBudget)
 	}
 }
 

@@ -27,20 +27,19 @@ import (
 
 // fleetOpts carries the parsed -fleet* flags.
 type fleetOpts struct {
-	clients    int
-	shards     int
-	rps        []float64
-	scenarios  []fleet.Kind
-	real       bool
-	strict     bool
-	noFastPath bool
-	seed       int64
-	warmup     time.Duration
-	horizon    time.Duration
-	timeout    time.Duration
-	slo        fleet.SLO
-	sloSpec    string
-	out        string
+	clients   int
+	shards    int
+	rps       []float64
+	scenarios []fleet.Kind
+	real      bool
+	strict    bool
+	seed      int64
+	warmup    time.Duration
+	horizon   time.Duration
+	timeout   time.Duration
+	slo       fleet.SLO
+	sloSpec   string
+	out       string
 }
 
 // fleetPoint is one row of the latency-vs-offered-load curve.
@@ -141,7 +140,7 @@ func runFleet(o fleetOpts) bool {
 	base := fleet.Config{
 		Seed: o.seed, Clients: o.clients, Shards: o.shards,
 		Warmup: o.warmup, Horizon: o.horizon, Timeout: o.timeout,
-		Readers: 0, Strict: o.strict, NoFastPath: o.noFastPath,
+		Readers: 0, Strict: o.strict,
 	}
 
 	fmt.Printf("== fleet: open-loop latency vs offered load (%s engine, %d clients, %d shards, %v horizon)\n\n",

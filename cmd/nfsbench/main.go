@@ -63,7 +63,6 @@ func main() {
 		clients    = flag.Int("clients", 0, "real-socket mode: this many concurrent clients (0: simulated experiments)")
 		scaling    = flag.Bool("scaling", false, "real-socket mode: 1/2/4/8-client scaling curve")
 		nfsds      = flag.Int("nfsds", 8, "size of the nfsd worker pool in the real-socket modes")
-		fastpath   = flag.String("fastpath", "on", "shallow dispatch path in the real-socket modes: on or off (the escape hatch, and the 'before' leg of fast-path comparisons)")
 		readers    = flag.Int("readers", 0, "sharded UDP ingest readers in -clients mode (0 = one per GOMAXPROCS; -scaling sweeps 1 and GOMAXPROCS itself)")
 		dur        = flag.Duration("dur", 2*time.Second, "per-point measurement duration in the real-socket and fleet modes")
 		warmup     = flag.Duration("warmup", 500*time.Millisecond, "per-point warmup excluded from ops/s and percentiles (real-socket and fleet modes)")
@@ -116,10 +115,6 @@ func main() {
 	if *warmup < 0 {
 		fatalf("-warmup %v: must be >= 0", *warmup)
 	}
-	if *fastpath != "on" && *fastpath != "off" {
-		fatalf("-fastpath %q: must be on or off", *fastpath)
-	}
-	noFast := *fastpath == "off"
 
 	if *mutexProf != "" {
 		runtime.SetMutexProfileFraction(1)
@@ -155,7 +150,7 @@ func main() {
 		ok := runFleet(fleetOpts{
 			clients: *fleetClients, shards: *fleetShards,
 			rps: rates, scenarios: kinds,
-			real: *fleetReal, strict: *fleetStrict, seed: *seed, noFastPath: noFast,
+			real: *fleetReal, strict: *fleetStrict, seed: *seed,
 			warmup: *warmup, horizon: *dur, timeout: *fleetTimeout,
 			slo: slo, sloSpec: *fleetSLO, out: *fleetOut,
 		})
@@ -165,11 +160,11 @@ func main() {
 		return
 	}
 	if *scaling {
-		runScaling(*nfsds, noFast, *warmup, *dur, *scalingOut, *tracePath)
+		runScaling(*nfsds, *warmup, *dur, *scalingOut, *tracePath)
 		return
 	}
 	if *clients > 0 {
-		runClients(*clients, *nfsds, *readers, noFast, *warmup, *dur, *tracePath)
+		runClients(*clients, *nfsds, *readers, *warmup, *dur, *tracePath)
 		return
 	}
 

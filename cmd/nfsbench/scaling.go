@@ -73,12 +73,11 @@ type pointResult struct {
 // completed during warmup are not counted toward ops/s, and the stage
 // histograms are reported as the delta over the measurement window, so
 // cold caches and socket setup never pollute the curve.
-func measureClients(n, nfsds, readers int, noFast bool, warmup, dur time.Duration) (*pointResult, error) {
+func measureClients(n, nfsds, readers int, warmup, dur time.Duration) (*pointResult, error) {
 	fs := memfs.New(1, nil, nil)
 	opts := server.Reno()
 	opts.NFSDs = nfsds
 	opts.Readers = readers
-	opts.NoFastPath = noFast
 	srv := server.New(fs, opts)
 	s, err := nfsnet.Serve(srv, "127.0.0.1:0", "127.0.0.1:0")
 	if err != nil {
@@ -169,8 +168,8 @@ func measureClients(n, nfsds, readers int, noFast bool, warmup, dur time.Duratio
 
 // runClients serves the -clients N mode: one point, printed with its stage
 // breakdown; with tracePath the slowest spans dump as Chrome trace JSON.
-func runClients(n, nfsds, readers int, noFast bool, warmup, dur time.Duration, tracePath string) {
-	res, err := measureClients(n, nfsds, readers, noFast, warmup, dur)
+func runClients(n, nfsds, readers int, warmup, dur time.Duration, tracePath string) {
+	res, err := measureClients(n, nfsds, readers, warmup, dur)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "nfsbench: -clients: %v\n", err)
 		os.Exit(1)
@@ -178,9 +177,6 @@ func runClients(n, nfsds, readers int, noFast bool, warmup, dur time.Duration, t
 	rdesc := fmt.Sprintf("%d reader(s)", readers)
 	if readers == 0 {
 		rdesc = fmt.Sprintf("%d reader(s) [GOMAXPROCS]", runtime.GOMAXPROCS(0))
-	}
-	if noFast {
-		rdesc += ", fastpath off"
 	}
 	fmt.Printf("%d client(s) x %v (+%v warmup) against %d nfsds, %s: %.0f ops/s (READ 8K + LOOKUP)\n",
 		n, dur, warmup, nfsds, rdesc, res.opsPerS)
@@ -226,7 +222,7 @@ func writeTrace(path string, spans []metrics.Span) {
 // the machine's cores still run (the OS just time-slices) so the record is
 // comparable across hosts, but the report carries NumCPU so consumers know
 // whether parallel speedup was physically possible.
-func runScaling(nfsds int, noFast bool, warmup, dur time.Duration, out, tracePath string) {
+func runScaling(nfsds int, warmup, dur time.Duration, out, tracePath string) {
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)
 	ncpu := runtime.NumCPU()
@@ -254,7 +250,7 @@ func runScaling(nfsds int, noFast bool, warmup, dur time.Duration, out, tracePat
 			run := scalingRun{GOMAXPROCS: procs, Readers: readers}
 			var base float64
 			for _, n := range []int{1, 2, 4, 8} {
-				res, err := measureClients(n, nfsds, readers, noFast, warmup, dur)
+				res, err := measureClients(n, nfsds, readers, warmup, dur)
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "nfsbench: -scaling (%d procs, %d readers, %d clients): %v\n",
 						procs, readers, n, err)

@@ -176,7 +176,7 @@ func printFinal(s *nfsnet.Server) {
 	tb := stats.NewTable("per-procedure totals",
 		"proc", "calls", "svc mean ms", "p50", "p99", "max")
 	for proc := uint32(0); proc < nfsproto.NumProcsExt; proc++ {
-		n := srv.Stats.Calls[proc].Load()
+		n := snap.Counters["nfs.calls."+nfsproto.ProcName(proc)]
 		if n == 0 {
 			continue
 		}
@@ -189,8 +189,8 @@ func printFinal(s *nfsnet.Server) {
 	}
 	fmt.Print(tb.String())
 	fmt.Printf("totals: %d calls, %d errors, %d duplicate replays suppressed, %d bytes in, %d bytes out\n",
-		srv.Stats.Total(), srv.Stats.Errors.Load(), srv.Stats.DupHits.Load(),
-		srv.Stats.BytesIn.Load(), srv.Stats.BytesOut.Load())
+		snap.Counters["nfs.calls"], snap.Counters["nfs.errors"], snap.Counters["nfs.dup_hits"],
+		snap.Counters["nfs.bytes_in"], snap.Counters["nfs.bytes_out"])
 	fmt.Printf("mbuf: %d bytes copied, %d bytes loaned, pool %d hits / %d misses\n",
 		snap.Counters["mbuf.copied_bytes"], snap.Counters["mbuf.loaned_bytes"],
 		snap.Counters["mbuf.pool_hits"], snap.Counters["mbuf.pool_misses"])

@@ -84,7 +84,7 @@ func main() {
 		g.Close(p)
 		fmt.Printf("  reader sees: %q\n", buf[:n])
 		fmt.Printf("  writer was evicted %d time(s); server sent %d notice(s)\n",
-			writer.Stats.LeaseEvictions, r.Server.Stats.Evictions.Load())
+			writer.Stats.LeaseEvictions, r.Server.Metrics.Counter("lease.evictions").Value())
 	})
 	r.Env.Run(10 * time.Minute)
 }

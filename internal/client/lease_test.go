@@ -179,7 +179,7 @@ func TestLeaseSharingEvictsWriter(t *testing.T) {
 		if writer.Stats.RPCCount(nfsproto.ProcWrite) == 0 {
 			t.Error("eviction did not flush the writer's dirty data")
 		}
-		if r.srv.Stats.Evictions.Load() == 0 {
+		if r.srv.Metrics.Counter("lease.evictions").Value() == 0 {
 			t.Error("server sent no eviction notices")
 		}
 	})

@@ -63,7 +63,6 @@ type Config struct {
 	// Real-socket engine only.
 	Readers     int  // sharded ingest readers (0: GOMAXPROCS)
 	NoReusePort bool // force shared-socket ingest so retransmits cross readers
-	NoFastPath  bool // disable the shallow dispatch path (before/after benchmarks)
 }
 
 func (c Config) withDefaults() Config {

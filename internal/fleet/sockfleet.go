@@ -36,7 +36,6 @@ func RunSock(cfg Config) (*Result, error) {
 	opts.Readers = cfg.Readers
 	opts.DupCacheSize = cfg.DupCacheSize
 	opts.NoReusePort = cfg.NoReusePort
-	opts.NoFastPath = cfg.NoFastPath
 	srv := server.New(fsys, opts)
 	epoch := time.Now()
 	aud := check.New(func() time.Duration { return time.Since(epoch) })

@@ -158,7 +158,7 @@ func TestFastPathRetransmitExactlyOnce(t *testing.T) {
 		t.Error(err)
 	}
 
-	if hits := srv.Stats.DupHits.Load(); hits == 0 {
+	if hits := srv.Metrics.Counter("nfs.dup_hits").Value(); hits == 0 {
 		t.Error("retransmitted REMOVEs produced zero duplicate cache hits")
 	}
 	if v := aud.Finish(); len(v) != 0 {

@@ -100,8 +100,8 @@ type Server struct {
 	// histograms and keeps the slowest spans for trace dumps.
 	stages *metrics.StageStats
 
-	// fastOff disables the shallow dispatch path (Opts.NoFastPath); the
-	// counters account it: fastCalls datagrams serviced inline on a reader,
+	// fastOff disables the shallow dispatch path (several readers sharing
+	// one socket, see Serve); the counters account it: fastCalls datagrams serviced inline on a reader,
 	// fastFallbacks datagrams classified eligible but punted to the generic
 	// path, sendBatches send syscalls issued by the coalescing writers and
 	// sendMsgs replies sent through them.
@@ -230,7 +230,7 @@ func Serve(srv *server.Server, udpAddr, tcpAddr string) (*Server, error) {
 		// (starving its siblings) and serialize all header-only service on
 		// one goroutine. Reuseport sockets (each reader owns one) and the
 		// single-reader fallback have no such contention.
-		fastOff: srv.Opts.NoFastPath || (!reuse && nreaders > 1),
+		fastOff: !reuse && nreaders > 1,
 	}
 	s.fastCalls = srv.Metrics.Counter("rpc.fastpath.calls")
 	s.fastFallbacks = srv.Metrics.Counter("rpc.fastpath.fallbacks")

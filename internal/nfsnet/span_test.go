@@ -18,16 +18,16 @@ import (
 // other here.
 func TestSpanPipelineConcurrent(t *testing.T) {
 	fs := memfs.New(1, nil, nil)
-	opts := server.Reno()
-	// Pin the generic pipeline: with the shallow path on, UDP LOOKUPs are
-	// serviced inline and never ride the job queue, so the queue-stage
-	// assertions below would see nothing. Fast-path span accounting has its
-	// own test (TestFastPathSpans).
-	opts.NoFastPath = true
-	core := server.New(fs, opts)
-	if _, err := fs.Create(nil, fs.Root(), "f", 0644); err != nil {
+	core := server.New(fs, server.Reno())
+	f, err := fs.Create(nil, fs.Root(), "f", 0644)
+	if err != nil {
 		t.Fatal(err)
 	}
+	// READ is the probe: a header-only procedure would be serviced inline on
+	// the UDP reader (the shallow path) and never ride the job queue the
+	// queue-stage assertions below look at. Fast-path span accounting has
+	// its own test (TestFastPathSpans).
+	fileFH := fs.FH(f)
 	s, err := Serve(core, "127.0.0.1:0", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -53,9 +53,8 @@ func TestSpanPipelineConcurrent(t *testing.T) {
 				return
 			}
 			defer cl.Close()
-			root := core.RootFH()
 			for i := 0; i < callsPerClient; i++ {
-				if _, err := cl.Lookup(root, "f"); err != nil {
+				if _, err := cl.Read(fileFH, 0, 512); err != nil {
 					t.Error(err)
 					return
 				}
@@ -84,7 +83,7 @@ func TestSpanPipelineConcurrent(t *testing.T) {
 			t.Errorf("%s count = %d, want >= %d", name, h.Count, want)
 		}
 	}
-	// LOOKUP is idempotent: the dupcheck stage must never be entered.
+	// READ is idempotent: the dupcheck stage must never be entered.
 	if h := snap.Histograms["rpc.stage.dupcheck.us"]; h.Count != 0 {
 		t.Errorf("dupcheck recorded %d observations for idempotent calls", h.Count)
 	}
@@ -93,8 +92,8 @@ func TestSpanPipelineConcurrent(t *testing.T) {
 		t.Fatal("slow-span ring is empty after traffic")
 	}
 	for _, sp := range ring.Slowest() {
-		if sp.Proc != nfsproto.ProcLookup {
-			t.Errorf("ring span proc = %d, want LOOKUP", sp.Proc)
+		if sp.Proc != nfsproto.ProcRead {
+			t.Errorf("ring span proc = %d, want READ", sp.Proc)
 		}
 		if sp.TotalNS() <= 0 {
 			t.Error("ring span with non-positive total")

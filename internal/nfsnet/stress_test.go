@@ -266,7 +266,7 @@ func TestRetransmitStormExactlyOnce(t *testing.T) {
 		t.Error(err)
 	}
 
-	if hits := srv.Stats.DupHits.Load(); hits == 0 {
+	if hits := srv.Metrics.Counter("nfs.dup_hits").Value(); hits == 0 {
 		t.Error("retransmit storm produced zero duplicate cache hits")
 	}
 	if v := aud.Finish(); len(v) != 0 {

@@ -3,11 +3,12 @@ package nfsproto
 import "renonfs/internal/xdr"
 
 // Flat-buffer encoders for the shallow dispatch path. Each EncodeBytes
-// mirrors its chain-based Encode byte-for-byte — the fast path's golden
-// equivalence test pins that — but appends to a caller-provided buffer via
-// xdr.ByteWriter instead of assembling an mbuf chain. Only the result
-// types a header-only procedure can produce get one; payload-bearing
-// results (READ, WRITE) stay on the chain path where loaning lives.
+// mirrors its chain-based Encode byte-for-byte — internal/server's
+// FuzzFastVsGeneric holds the pair together — but appends to a
+// caller-provided buffer via xdr.ByteWriter instead of assembling an mbuf
+// chain. Only the result types a header-only procedure can produce get
+// one; payload-bearing results (READ, WRITE) stay on the chain path where
+// loaning lives.
 
 func putTimeBytes(w *xdr.ByteWriter, t Time) {
 	w.PutUint32(t.Sec)
@@ -49,9 +50,6 @@ func (r *DiropRes) EncodeBytes(w *xdr.ByteWriter) {
 	}
 }
 
-// EncodeBytes marshals the bare-status result into w.
-func (r *StatusRes) EncodeBytes(w *xdr.ByteWriter) { w.PutUint32(uint32(r.Status)) }
-
 // EncodeBytes marshals the READLINK result into w.
 func (r *ReadlinkRes) EncodeBytes(w *xdr.ByteWriter) {
 	w.PutUint32(uint32(r.Status))
@@ -60,20 +58,18 @@ func (r *ReadlinkRes) EncodeBytes(w *xdr.ByteWriter) {
 	}
 }
 
-// EncodeBytes marshals the READDIR result into w.
-func (r *ReaddirRes) EncodeBytes(w *xdr.ByteWriter) {
-	w.PutUint32(uint32(r.Status))
-	if r.Status != OK {
-		return
-	}
-	for i := range r.Entries {
-		w.PutBool(true) // entry follows
-		w.PutUint32(r.Entries[i].FileID)
-		w.PutString(r.Entries[i].Name)
-		w.PutUint32(r.Entries[i].Cookie)
-	}
+// EncodeBytes marshals one element of READDIR's entry list into w.
+func (ent *DirEntry) EncodeBytes(w *xdr.ByteWriter) {
+	w.PutBool(true) // entry follows
+	w.PutUint32(ent.FileID)
+	w.PutString(ent.Name)
+	w.PutUint32(ent.Cookie)
+}
+
+// EncodeDirEndBytes is EncodeDirEnd for the flat buffer.
+func EncodeDirEndBytes(w *xdr.ByteWriter, eof bool) {
 	w.PutBool(false) // no more entries
-	w.PutBool(r.EOF)
+	w.PutBool(eof)
 }
 
 // EncodeBytes marshals the STATFS result into w.

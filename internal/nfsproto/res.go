@@ -168,6 +168,22 @@ type DirEntry struct {
 	Cookie uint32 // cookie of the *next* entry position
 }
 
+// Encode marshals one element of READDIR's XDR linked list, so a server can
+// stream a listing without materializing a ReaddirRes; EncodeDirEnd closes
+// the list.
+func (ent *DirEntry) Encode(e *xdr.Encoder) {
+	e.PutBool(true) // entry follows
+	e.PutUint32(ent.FileID)
+	e.PutString(ent.Name)
+	e.PutUint32(ent.Cookie)
+}
+
+// EncodeDirEnd terminates a streamed entry list and appends the EOF flag.
+func EncodeDirEnd(e *xdr.Encoder, eof bool) {
+	e.PutBool(false) // no more entries
+	e.PutBool(eof)
+}
+
 // ReaddirRes is the READDIR result.
 type ReaddirRes struct {
 	Status  Status
@@ -182,13 +198,9 @@ func (r *ReaddirRes) Encode(e *xdr.Encoder) {
 		return
 	}
 	for i := range r.Entries {
-		e.PutBool(true) // entry follows
-		e.PutUint32(r.Entries[i].FileID)
-		e.PutString(r.Entries[i].Name)
-		e.PutUint32(r.Entries[i].Cookie)
+		r.Entries[i].Encode(e)
 	}
-	e.PutBool(false) // no more entries
-	e.PutBool(r.EOF)
+	EncodeDirEnd(e, r.EOF)
 }
 
 // DecodeReaddirRes unmarshals the READDIR result.

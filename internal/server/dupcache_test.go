@@ -78,8 +78,8 @@ func TestDupCacheReplayAcrossChurn(t *testing.T) {
 	if res, _ := nfsproto.DecodeStatusRes(d); res.Status != nfsproto.OK {
 		t.Fatalf("warm replay not served from cache: %v", res.Status)
 	}
-	if s.Stats.DupHits.Load() != 1 {
-		t.Fatalf("DupHits = %d, want 1", s.Stats.DupHits.Load())
+	if s.cDupHits.Value() != 1 {
+		t.Fatalf("DupHits = %d, want 1", s.cDupHits.Value())
 	}
 	// Churn the cache full of other xids.
 	for i := 0; i < opts.DupCacheSize; i++ {
@@ -99,8 +99,8 @@ func TestDupCacheReplayAcrossChurn(t *testing.T) {
 	if res, _ := nfsproto.DecodeStatusRes(d); res.Status != nfsproto.ErrNoEnt {
 		t.Fatalf("cold replay status = %v, want ErrNoEnt (re-executed)", res.Status)
 	}
-	if s.Stats.DupHits.Load() != 1 {
-		t.Fatalf("DupHits = %d after cold replay, want still 1", s.Stats.DupHits.Load())
+	if s.cDupHits.Value() != 1 {
+		t.Fatalf("DupHits = %d after cold replay, want still 1", s.cDupHits.Value())
 	}
 	if s.dupc.len() > opts.DupCacheSize {
 		t.Fatalf("dup cache len %d exceeds cap %d", s.dupc.len(), opts.DupCacheSize)

@@ -1,10 +1,7 @@
 package server
 
 import (
-	"time"
-
 	"renonfs/internal/mbuf"
-	"renonfs/internal/memfs"
 	"renonfs/internal/metrics"
 	"renonfs/internal/nfsproto"
 	"renonfs/internal/rpc"
@@ -12,15 +9,18 @@ import (
 )
 
 // The shallow dispatch path (DESIGN.md §3.4). Header-only procedures —
-// NULL, GETATTR, LOOKUP, small READDIRs, STATFS and the MOUNT herd — carry
-// their whole request in one datagram and produce a small bounded reply,
-// so the mbuf chain assembly, the full RPC decoder and the chain encoder
-// that payload-bearing procedures need are pure overhead for them. The
-// ingest readers classify each datagram with rpc.PeekCallHeader and, when
-// FastEligible says so, call HandleCallFast to service it in place: flat
-// byte-slice argument decode, the same cache/lease/FS internals as the
-// generic handlers, and a flat reply encode into a caller-provided scratch
-// region.
+// NULL, GETATTR, SETATTR, LOOKUP, READLINK, small READDIRs, STATFS and the
+// MOUNT herd — carry their whole request in one datagram and produce a
+// small bounded reply, so the mbuf chain assembly, the full RPC decoder and
+// the chain encoder that payload-bearing procedures need are pure overhead
+// for them. The ingest readers classify each datagram with
+// rpc.PeekCallHeader and, when FastEligible says so, call HandleCallFast to
+// service it in place. What the shallow path skips is data movement — the
+// chain, the ring hop — never logic: this file holds only the flat codec's
+// wrappers (xdr.ByteReader -> core -> EncodeBytes); every decision lives in
+// the procedure cores and the call frame (procs.go) the generic handlers
+// run too, and FuzzFastVsGeneric holds the two codecs to the same bytes
+// and the same side effects.
 //
 // Fallback discipline: HandleCallFast decodes arguments and validates
 // bounds BEFORE touching any counter, cache or table. If anything is off —
@@ -28,8 +28,7 @@ import (
 // it returns ok=false having had no side effects, and the caller stages
 // the datagram onto the generic path, which re-runs the full decode and
 // owns the error reply. A datagram is therefore counted and serviced
-// exactly once whichever path it ends on, and the equivalence test pins
-// the replies byte-for-byte against HandleCall's.
+// exactly once whichever path it ends on.
 
 const (
 	// FastReplyMax bounds a fast-path reply. The largest producer is a
@@ -78,43 +77,8 @@ func (s *Server) HandleCallFast(peer string, req []byte, h *rpc.PeekedCall, argO
 	var w xdr.ByteWriter
 	w.ResetBytes(out)
 
-	// MOUNT program: mirrors HandleCallSpan's mount branch — bytes counters
-	// only, no per-proc stats, no service histogram, no tracer emit.
-	if h.Prog == nfsproto.MountProgram {
-		switch h.Proc {
-		case nfsproto.MountProcNull:
-			rpc.AppendReplyHeader(&w, h.XID, rpc.Success)
-		case nfsproto.MountProcMnt:
-			b := r.Opaque(nfsproto.MountMaxPath)
-			if !r.OK() {
-				return nil, false
-			}
-			path := string(b)
-			rpc.AppendReplyHeader(&w, h.XID, rpc.Success)
-			n, status := s.lookupExportPath(path)
-			if status != mntOK {
-				(&nfsproto.MntRes{Status: uint32(status)}).EncodeBytes(&w)
-				break
-			}
-			st := s.mountState()
-			st.mu.Lock()
-			st.mounts[peer+" "+path] = nfsproto.MountEntry{Host: peer, Dir: path}
-			st.mu.Unlock()
-			(&nfsproto.MntRes{Status: mntOK, File: s.FS.FH(n)}).EncodeBytes(&w)
-		default:
-			return nil, false
-		}
-		sp.Stamp(metrics.StageService)
-		sp.Stamp(metrics.StageEncode)
-		s.Stats.BytesIn.Add(int64(len(req)))
-		s.cBytesIn.Add(int64(len(req)))
-		s.Stats.BytesOut.Add(int64(w.Len() - len(out)))
-		s.cBytesOut.Add(int64(w.Len() - len(out)))
-		return w.Bytes(), true
-	}
-
-	// NFS program: decode arguments first (pure — a fallback from here has
-	// executed nothing), then mirror HandleCallSpan's counter ordering.
+	// Decode arguments and check bounds first: a fallback from here has
+	// touched no counter, cache or table.
 	var (
 		fh     nfsproto.FH
 		name   string
@@ -123,13 +87,34 @@ func (s *Server) HandleCallFast(peer string, req []byte, h *rpc.PeekedCall, argO
 		sattr  nfsproto.Sattr
 		hint   *nfsproto.LeaseHint
 	)
+	if h.Prog == nfsproto.MountProgram {
+		switch h.Proc {
+		case nfsproto.MountProcNull:
+		case nfsproto.MountProcMnt:
+			name = string(r.Opaque(nfsproto.MountMaxPath))
+		default:
+			return nil, false
+		}
+		if !r.OK() {
+			return nil, false
+		}
+		// The MOUNT program sits outside the NFS call frame on both paths:
+		// byte counters only.
+		s.cBytesIn.Add(int64(len(req)))
+		rpc.AppendReplyHeader(&w, h.XID, rpc.Success)
+		if h.Proc == nfsproto.MountProcMnt {
+			res := s.mnt(peer, name)
+			res.EncodeBytes(&w)
+		}
+		sp.Stamp(metrics.StageService)
+		sp.Stamp(metrics.StageEncode)
+		s.cBytesOut.Add(int64(w.Len() - len(out)))
+		return w.Bytes(), true
+	}
 	switch h.Proc {
 	case nfsproto.ProcNull:
 	case nfsproto.ProcGetattr, nfsproto.ProcStatfs, nfsproto.ProcReadlink:
 		copy(fh[:], r.FixedOpaque(nfsproto.FHSize))
-		if !r.OK() {
-			return nil, false
-		}
 	case nfsproto.ProcSetattr:
 		copy(fh[:], r.FixedOpaque(nfsproto.FHSize))
 		sattr.Mode = r.Uint32()
@@ -138,234 +123,99 @@ func (s *Server) HandleCallFast(peer string, req []byte, h *rpc.PeekedCall, argO
 		sattr.Size = r.Uint32()
 		sattr.Atime = nfsproto.Time{Sec: r.Uint32(), USec: r.Uint32()}
 		sattr.Mtime = nfsproto.Time{Sec: r.Uint32(), USec: r.Uint32()}
-		if !r.OK() {
-			return nil, false
-		}
 	case nfsproto.ProcLookup:
 		copy(fh[:], r.FixedOpaque(nfsproto.FHSize))
-		b := r.Opaque(nfsproto.MaxNameLen)
-		if !r.OK() {
-			return nil, false
-		}
-		name = string(b)
+		name = string(r.Opaque(nfsproto.MaxNameLen))
 	case nfsproto.ProcReaddir:
 		copy(fh[:], r.FixedOpaque(nfsproto.FHSize))
 		cookie = r.Uint32()
 		count = r.Uint32()
-		if !r.OK() || count == 0 || count > fastReaddirMax {
+		if count == 0 || count > fastReaddirMax {
 			return nil, false
 		}
 	default:
+		return nil, false
+	}
+	if !r.OK() {
 		return nil, false
 	}
 	if g, ok := nfsproto.DecodeLeaseHintBytes(&r); ok {
 		hint = &g
 	}
 
-	s.Stats.BytesIn.Add(int64(len(req)))
 	s.cBytesIn.Add(int64(len(req)))
-
-	// SETATTR is non-idempotent: mirror the generic path's dupcache
-	// discipline exactly — claim before execution, replay the committed
-	// bytes on a retransmission (Calls/BytesOut untouched, like the generic
-	// dup hit), and consume in-flight duplicates without a reply.
-	var dkey dupKey
-	if nonIdempotent[h.Proc] {
-		dkey = dupKey{peer: peer, xid: h.XID, proc: h.Proc}
-		cached, inflight := s.dupc.begin(dkey, sp)
-		sp.Stamp(metrics.StageDupcheck)
-		if inflight {
-			sp.SetErr()
+	f := callFrame{peer: peer, xid: h.XID, proc: h.Proc}
+	replay, run := s.admit(nil, &f, len(req), sp)
+	if !run {
+		if replay == nil {
 			return nil, true
 		}
-		if cached != nil {
-			s.Stats.DupHits.Add(1)
-			s.cDupHits.Add(1)
-			metrics.Emit(s.Tracer, metrics.DupCacheHit{Proc: h.Proc})
-			w.PutFixedOpaque(cached.Bytes())
-			return w.Bytes(), true
-		}
+		w.PutFixedOpaque(replay.Bytes())
+		s.cBytesOut.Add(int64(w.Len() - len(out)))
+		return w.Bytes(), true
 	}
-
-	s.Stats.Calls[h.Proc].Add(1)
-	s.cCalls.Add(1)
-	s.procCalls[h.Proc].Add(1)
-	begin := time.Since(s.epoch)
 
 	rpc.AppendReplyHeader(&w, h.XID, rpc.Success)
 	switch h.Proc {
-	case nfsproto.ProcNull:
 	case nfsproto.ProcGetattr:
-		s.fastGetattr(peer, fh, hint, &w)
+		var res procResult
+		s.getattrCore(nil, peer, fh, hint, &res)
+		res.encodeAttrBytes(&w)
 	case nfsproto.ProcSetattr:
-		s.fastSetattr(peer, fh, sattr, &w)
+		var res procResult
+		s.setattrCore(nil, peer, fh, sattr, &res)
+		res.encodeAttrBytes(&w)
 	case nfsproto.ProcReadlink:
-		s.fastReadlink(fh, &w)
+		res := s.readlinkCore(nil, fh)
+		res.EncodeBytes(&w)
 	case nfsproto.ProcLookup:
-		s.fastLookup(peer, fh, name, hint, &w, sp)
+		var res procResult
+		s.lookupCore(nil, peer, fh, name, hint, sp, &res)
+		res.encodeDiropBytes(&w)
 	case nfsproto.ProcReaddir:
-		s.fastReaddir(fh, cookie, count, &w, sp)
+		res := s.readdirCore(nil, fh, cookie, count, sp)
+		res.encodeBytes(&w)
 	case nfsproto.ProcStatfs:
-		res := s.FS.Statfs()
+		res := s.statfsCore(nil)
 		res.EncodeBytes(&w)
 	}
 	sp.Stamp(metrics.StageService)
 	sp.Stamp(metrics.StageEncode)
 
-	svc := time.Since(s.epoch) - begin
-	s.procSvc[h.Proc].ObserveDuration(svc)
-	if s.Tracer != nil { // guard: boxing the event allocates even when untraced
-		metrics.Emit(s.Tracer, metrics.ServerCall{
-			Proc: h.Proc, Peer: peer, XID: h.XID,
-			NonIdempotent: nonIdempotent[h.Proc],
-			Service:       svc,
-		})
-	}
+	var saved *mbuf.Chain
 	if nonIdempotent[h.Proc] {
 		// The scratch region is the reader's reusable arena; the cached
 		// reply needs its own storage (mbuf.FromBytes aliases its argument).
-		rep := append([]byte(nil), w.Bytes()...)
-		s.dupc.commit(dkey, mbuf.FromBytes(rep), sp)
+		saved = mbuf.FromBytes(append([]byte(nil), w.Bytes()...))
 	}
-	s.Stats.BytesOut.Add(int64(w.Len() - len(out)))
-	s.cBytesOut.Add(int64(w.Len() - len(out)))
+	n := w.Len() - len(out)
+	s.finish(nil, &f, n, false, saved, sp)
+	s.cBytesOut.Add(int64(n))
 	return w.Bytes(), true
 }
 
-func (s *Server) fastGetattr(peer string, fh nfsproto.FH, hint *nfsproto.LeaseHint, w *xdr.ByteWriter) {
-	if s.leaseConflict(nil, fh, false, peer) {
-		(&nfsproto.AttrRes{Status: nfsproto.ErrTryLater}).EncodeBytes(w)
-		return
+func (r *procResult) encodeAttrBytes(w *xdr.ByteWriter) {
+	(&nfsproto.AttrRes{Status: r.status, Attr: &r.attr}).EncodeBytes(w)
+	if r.granted {
+		r.grant.EncodeBytes(w)
 	}
-	n, err := s.FS.Resolve(fh)
-	if err != nil {
-		(&nfsproto.AttrRes{Status: errStatus(err)}).EncodeBytes(w)
-		return
-	}
-	attr := s.FS.Attr(n)
-	(&nfsproto.AttrRes{Status: nfsproto.OK, Attr: &attr}).EncodeBytes(w)
-	s.piggybackBytes(w, peer, fh, attr.Type, hint)
 }
 
-// fastSetattr mirrors the generic setattr handler (its caller has already
-// run the dupcache discipline the generic path applies around dispatch).
-func (s *Server) fastSetattr(peer string, fh nfsproto.FH, sa nfsproto.Sattr, w *xdr.ByteWriter) {
-	if s.leaseConflict(nil, fh, true, peer) {
-		(&nfsproto.AttrRes{Status: nfsproto.ErrTryLater}).EncodeBytes(w)
-		return
+func (r *procResult) encodeDiropBytes(w *xdr.ByteWriter) {
+	(&nfsproto.DiropRes{Status: r.status, File: r.file, Attr: &r.attr}).EncodeBytes(w)
+	if r.granted {
+		r.grant.EncodeBytes(w)
 	}
-	n, err := s.FS.Resolve(fh)
-	if err != nil {
-		(&nfsproto.AttrRes{Status: errStatus(err)}).EncodeBytes(w)
-		return
-	}
-	s.FS.Setattr(nil, n, sa)
-	attr := s.FS.Attr(n)
-	(&nfsproto.AttrRes{Status: nfsproto.OK, Attr: &attr}).EncodeBytes(w)
 }
 
-func (s *Server) fastReadlink(fh nfsproto.FH, w *xdr.ByteWriter) {
-	n, err := s.FS.Resolve(fh)
-	if err != nil {
-		(&nfsproto.ReadlinkRes{Status: errStatus(err)}).EncodeBytes(w)
+func (d *dirWindow) encodeBytes(w *xdr.ByteWriter) {
+	w.PutUint32(uint32(d.status))
+	if d.status != nfsproto.OK {
 		return
 	}
-	target, err := s.FS.Readlink(n)
-	if err != nil {
-		(&nfsproto.ReadlinkRes{Status: errStatus(err)}).EncodeBytes(w)
-		return
+	for i := d.first; i < d.end; i++ {
+		ent := d.entry(i)
+		ent.EncodeBytes(w)
 	}
-	(&nfsproto.ReadlinkRes{Status: nfsproto.OK, Path: target}).EncodeBytes(w)
-}
-
-func (s *Server) fastLookup(peer string, dirFH nfsproto.FH, name string, hint *nfsproto.LeaseHint, w *xdr.ByteWriter, sp *metrics.Span) {
-	dir, err := s.FS.Resolve(dirFH)
-	if err != nil {
-		(&nfsproto.DiropRes{Status: errStatus(err)}).EncodeBytes(w)
-		return
-	}
-	if s.namec.Enabled() {
-		if vn, vgen, neg, found := s.namec.Lookup(dir.Ino, dir.Gen, name, sp); found {
-			if neg {
-				(&nfsproto.DiropRes{Status: nfsproto.ErrNoEnt}).EncodeBytes(w)
-				return
-			}
-			if n, err := s.FS.Get(vn, vgen); err == nil {
-				if s.leaseConflict(nil, s.FS.FH(n), false, peer) {
-					(&nfsproto.DiropRes{Status: nfsproto.ErrTryLater}).EncodeBytes(w)
-					return
-				}
-				attr := s.FS.Attr(n)
-				(&nfsproto.DiropRes{Status: nfsproto.OK, File: s.FS.FH(n), Attr: &attr}).EncodeBytes(w)
-				s.piggybackBytes(w, peer, s.FS.FH(n), attr.Type, hint)
-				return
-			}
-			s.namec.Remove(dir.Ino, dir.Gen, name)
-		}
-	}
-	s.scanDirectory(nil, dir, sp)
-	n, err := s.FS.Lookup(dir, name)
-	if err != nil {
-		if err == memfs.ErrNoEnt {
-			s.namec.EnterNegative(dir.Ino, dir.Gen, name, sp)
-		}
-		s.countErr()
-		(&nfsproto.DiropRes{Status: errStatus(err)}).EncodeBytes(w)
-		return
-	}
-	s.namec.Enter(dir.Ino, dir.Gen, name, n.Ino, n.Gen, sp)
-	if s.leaseConflict(nil, s.FS.FH(n), false, peer) {
-		(&nfsproto.DiropRes{Status: nfsproto.ErrTryLater}).EncodeBytes(w)
-		return
-	}
-	attr := s.FS.Attr(n)
-	(&nfsproto.DiropRes{Status: nfsproto.OK, File: s.FS.FH(n), Attr: &attr}).EncodeBytes(w)
-	s.piggybackBytes(w, peer, s.FS.FH(n), attr.Type, hint)
-}
-
-// fastReaddir streams the entry list straight into w — same walk, same
-// budget arithmetic and same wire bytes as the generic readdir, minus its
-// scratch entry slice.
-func (s *Server) fastReaddir(dirFH nfsproto.FH, cookie, count uint32, w *xdr.ByteWriter, sp *metrics.Span) {
-	dir, err := s.FS.Resolve(dirFH)
-	if err != nil {
-		(&nfsproto.ReaddirRes{Status: errStatus(err)}).EncodeBytes(w)
-		return
-	}
-	if dir.Type != nfsproto.TypeDir {
-		(&nfsproto.ReaddirRes{Status: nfsproto.ErrNotDir}).EncodeBytes(w)
-		return
-	}
-	s.scanDirectory(nil, dir, sp)
-	ents := s.FS.DirEntries(dir)
-	w.PutUint32(uint32(nfsproto.OK))
-	budget := int(count) // caller bounds it to (0, fastReaddirMax]
-	used := 16           // status + eof + terminator
-	eof := true
-	total := len(ents) + 2
-	for i := int(cookie); i < total; i++ {
-		var fileID, next uint32
-		var name string
-		switch i {
-		case 0:
-			fileID, name, next = dir.Ino, ".", 1
-		case 1:
-			fileID, name, next = dir.Ino, "..", 2
-		default:
-			de := ents[i-2]
-			fileID, name, next = de.Ino, de.Name, uint32(i+1)
-		}
-		sz := 16 + len(name)
-		if used+sz > budget {
-			eof = false
-			break
-		}
-		w.PutBool(true) // entry follows
-		w.PutUint32(fileID)
-		w.PutString(name)
-		w.PutUint32(next)
-		used += sz
-	}
-	w.PutBool(false) // no more entries
-	w.PutBool(eof)
+	nfsproto.EncodeDirEndBytes(w, d.eof)
 }

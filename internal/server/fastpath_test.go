@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"renonfs/internal/mbuf"
+	"renonfs/internal/memfs"
 	"renonfs/internal/nfsproto"
 	"renonfs/internal/rpc"
 	"renonfs/internal/xdr"
@@ -52,126 +54,259 @@ func genericReply(t *testing.T, s *Server, peer string, wire []byte) []byte {
 	return b
 }
 
-// assertEquiv services wire on both paths — shallow first, so it sees the
-// same cache state — and pins the replies byte-for-byte.
-func assertEquiv(t *testing.T, s *Server, peer, label string, wire []byte) {
+// fuzzPeer is a peer tag leases can be granted to (parsePeerNode needs the
+// simulator's udp:<node>:<port> form), so hinted seeds reach piggyGrant.
+const fuzzPeer = "udp:7:900"
+
+// fuzzHandles are the fixture's file handles; the fixture is built the same
+// way every time, so they are the same on every server newFuzzServer makes.
+type fuzzHandles struct{ root, file, link, sub nfsproto.FH }
+
+// newFuzzServer builds the differential fixture: a lease-enabled Reno
+// server over a root holding a file, 40 bulk files (more than one READDIR
+// window), a symlink and a subdirectory. memfs's tick clock stamps files
+// from a counter, so two servers fed the same calls stay bit-identical.
+func newFuzzServer(t testing.TB) (*Server, fuzzHandles) {
 	t.Helper()
-	fb, okFast := fastReply(t, s, peer, wire)
-	if !okFast {
-		t.Fatalf("%s: fast path refused an eligible call", label)
+	fs := memfs.New(1, nil, nil)
+	opts := Reno()
+	opts.Leases = true
+	s := New(fs, opts)
+	must := func(n *memfs.Inode, err error) *memfs.Inode {
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
 	}
-	gb := genericReply(t, s, peer, wire)
-	if !bytes.Equal(fb, gb) {
-		t.Errorf("%s: replies diverge\n fast    %x\n generic %x", label, fb, gb)
+	root := fs.Root()
+	h := fuzzHandles{root: fs.FH(root)}
+	h.file = fs.FH(must(fs.Create(nil, root, "f", 0644)))
+	for i := 0; i < 40; i++ {
+		must(fs.Create(nil, root, fmt.Sprintf("bulk-%02d", i), 0644))
 	}
+	h.link = fs.FH(must(fs.Symlink(nil, root, "ln", "f", 0777)))
+	h.sub = fs.FH(must(fs.Mkdir(nil, root, "sub", 0755)))
+	return s, h
 }
 
-// TestFastPathReplyEquivalence pins the shallow path's replies
-// byte-for-byte against the generic dispatcher for every fast-eligible
-// procedure, including the error paths.
-func TestFastPathReplyEquivalence(t *testing.T) {
-	s := newServer()
-	root := s.RootFH()
-	fileFH := mustCreate(t, s, root, "f")
-	for i := 0; i < 40; i++ {
-		mustCreate(t, s, root, fmt.Sprintf("bulk-%02d", i))
-	}
-	const peer = "udp:127.0.0.1:9999"
-	var stale nfsproto.FH
-	stale[0] = 0xde
-	stale[31] = 0xad
+// maxFuzzDatagrams bounds one input's sequence so a fuzz iteration stays
+// in the microseconds.
+const maxFuzzDatagrams = 64
 
-	nfs := func(xid, proc uint32, args func(e *xdr.Encoder)) []byte {
+// packDatagrams frames a datagram sequence as one fuzz input: each datagram
+// behind a big-endian uint16 length.
+func packDatagrams(dgrams ...[]byte) []byte {
+	var out []byte
+	for _, d := range dgrams {
+		out = append(out, byte(len(d)>>8), byte(len(d)))
+		out = append(out, d...)
+	}
+	return out
+}
+
+// unpackDatagrams is packDatagrams' total inverse: any byte string is some
+// sequence (a length running past the end takes what is left).
+func unpackDatagrams(in []byte) [][]byte {
+	var out [][]byte
+	for len(in) >= 2 && len(out) < maxFuzzDatagrams {
+		n := int(in[0])<<8 | int(in[1])
+		in = in[2:]
+		if n > len(in) {
+			n = len(in)
+		}
+		out = append(out, in[:n])
+		in = in[n:]
+	}
+	return out
+}
+
+// shallowThenGeneric services one datagram the way nfsnet's UDP reader
+// does: peek, classify, shallow path, and the generic path for whatever
+// the shallow path declines.
+func shallowThenGeneric(s *Server, peer string, wire, scratch []byte) []byte {
+	var h rpc.PeekedCall
+	if argOff, ok := rpc.PeekCallHeader(wire, &h); ok && FastEligible(&h) {
+		if rep, ok := s.HandleCallFast(peer, wire, &h, argOff, scratch, nil); ok {
+			return rep
+		}
+	}
+	return genericOnly(s, peer, wire)
+}
+
+func genericOnly(s *Server, peer string, wire []byte) []byte {
+	// HandleCall may keep views of its request; give it a private copy.
+	rep := s.HandleCall(nil, peer, mbuf.FromBytes(append([]byte(nil), wire...)))
+	if rep == nil {
+		return nil
+	}
+	defer rep.Free()
+	return rep.Bytes()
+}
+
+// sideEffects is everything observable a datagram sequence leaves behind
+// short of the file contents: every registry counter, how many service
+// times each histogram took, both caches' statistics, the lease table and
+// the mount table.
+type sideEffects struct {
+	Counters   map[string]int64
+	Observed   map[string]int64
+	NameCache  any
+	BufCache   any
+	Leases     int
+	Mounts     []nfsproto.MountEntry
+	Attributes map[nfsproto.FH]string
+}
+
+func observe(s *Server, touched []nfsproto.FH) sideEffects {
+	snap := s.Metrics.Snapshot()
+	se := sideEffects{
+		Counters: snap.Counters, Observed: map[string]int64{},
+		NameCache: s.NameCacheStats(), BufCache: s.BufCacheStats(),
+		Leases: s.Leases(), Mounts: s.MountsFor(),
+		Attributes: map[nfsproto.FH]string{},
+	}
+	for name, h := range snap.Histograms {
+		se.Observed[name] = int64(h.Count)
+	}
+	// Last, because the follow-up GETATTRs move counters themselves.
+	for i, fh := range touched {
+		wire := encodeWire(0xfeed0000+uint32(i), nfsproto.Program, nfsproto.Version, nfsproto.ProcGetattr,
+			func(e *xdr.Encoder) { (&nfsproto.GetattrArgs{File: fh}).Encode(e) })
+		se.Attributes[fh] = string(genericOnly(s, "observer", wire))
+	}
+	return se
+}
+
+// FuzzFastVsGeneric is the differential test that holds the two codecs —
+// and the wrappers around the shared procedure cores — together. Two
+// identically built servers take the same datagram sequence, A through the
+// shallow path with generic fallback, B through the generic path only;
+// every reply must match byte for byte and so must everything the sequence
+// left behind. The seeds are the cases the hand-kept equivalence test used
+// to enumerate (errors, stale handles, negative name cache, truncated and
+// cookied READDIR, SETATTR and its replay, READLINK, MNT), so they still
+// run under plain go test.
+func FuzzFastVsGeneric(f *testing.F) {
+	_, h := newFuzzServer(f)
+	var stale nfsproto.FH
+	stale[0], stale[31] = 0xde, 0xad
+	var xid uint32 = 100
+	nfs := func(proc uint32, args func(e *xdr.Encoder)) []byte {
+		xid++
 		return encodeWire(xid, nfsproto.Program, nfsproto.Version, proc, args)
 	}
-
-	assertEquiv(t, s, peer, "null", nfs(101, nfsproto.ProcNull, nil))
-	assertEquiv(t, s, peer, "getattr ok", nfs(102, nfsproto.ProcGetattr, func(e *xdr.Encoder) {
-		(&nfsproto.GetattrArgs{File: fileFH}).Encode(e)
-	}))
-	assertEquiv(t, s, peer, "getattr stale", nfs(103, nfsproto.ProcGetattr, func(e *xdr.Encoder) {
-		(&nfsproto.GetattrArgs{File: stale}).Encode(e)
-	}))
-	assertEquiv(t, s, peer, "lookup ok", nfs(104, nfsproto.ProcLookup, func(e *xdr.Encoder) {
-		(&nfsproto.DiropArgs{Dir: root, Name: "f"}).Encode(e)
-	}))
-	// Twice: the second pass answers from the name cache on both paths.
-	assertEquiv(t, s, peer, "lookup cached", nfs(105, nfsproto.ProcLookup, func(e *xdr.Encoder) {
-		(&nfsproto.DiropArgs{Dir: root, Name: "f"}).Encode(e)
-	}))
-	// ENOENT twice: the second pass hits the negative name cache.
-	for i, label := range []string{"lookup enoent", "lookup negcache"} {
-		assertEquiv(t, s, peer, label, nfs(uint32(106+i), nfsproto.ProcLookup, func(e *xdr.Encoder) {
-			(&nfsproto.DiropArgs{Dir: root, Name: "missing"}).Encode(e)
-		}))
-	}
-	assertEquiv(t, s, peer, "lookup notdir", nfs(108, nfsproto.ProcLookup, func(e *xdr.Encoder) {
-		(&nfsproto.DiropArgs{Dir: fileFH, Name: "x"}).Encode(e)
-	}))
-	assertEquiv(t, s, peer, "lookup stale dir", nfs(109, nfsproto.ProcLookup, func(e *xdr.Encoder) {
-		(&nfsproto.DiropArgs{Dir: stale, Name: "f"}).Encode(e)
-	}))
-	assertEquiv(t, s, peer, "readdir full", nfs(110, nfsproto.ProcReaddir, func(e *xdr.Encoder) {
-		(&nfsproto.ReaddirArgs{Dir: root, Count: 2048}).Encode(e)
-	}))
-	// A small budget truncates the listing (eof=false) identically.
-	assertEquiv(t, s, peer, "readdir truncated", nfs(111, nfsproto.ProcReaddir, func(e *xdr.Encoder) {
-		(&nfsproto.ReaddirArgs{Dir: root, Count: 256}).Encode(e)
-	}))
-	// Resume from a mid-listing cookie.
-	assertEquiv(t, s, peer, "readdir cookie", nfs(112, nfsproto.ProcReaddir, func(e *xdr.Encoder) {
-		(&nfsproto.ReaddirArgs{Dir: root, Cookie: 7, Count: 512}).Encode(e)
-	}))
-	assertEquiv(t, s, peer, "readdir notdir", nfs(113, nfsproto.ProcReaddir, func(e *xdr.Encoder) {
-		(&nfsproto.ReaddirArgs{Dir: fileFH, Count: 512}).Encode(e)
-	}))
-	assertEquiv(t, s, peer, "readdir stale", nfs(114, nfsproto.ProcReaddir, func(e *xdr.Encoder) {
-		(&nfsproto.ReaddirArgs{Dir: stale, Count: 512}).Encode(e)
-	}))
-	assertEquiv(t, s, peer, "statfs", nfs(115, nfsproto.ProcStatfs, func(e *xdr.Encoder) {
-		(&nfsproto.GetattrArgs{File: root}).Encode(e)
-	}))
-
-	// SETATTR is non-idempotent: the fast path commits its reply to the
-	// dupcache, so assertEquiv's generic pass (same peer, same xid) is a
-	// retransmission and must replay the fast reply verbatim. That replay
-	// IS the equivalence being pinned — a fresh execution would advance
-	// ctime and legitimately differ.
-	assertEquiv(t, s, peer, "setattr ok", nfs(116, nfsproto.ProcSetattr, func(e *xdr.Encoder) {
-		sa := nfsproto.NewSattr()
-		sa.Mode = 0600
-		(&nfsproto.SetattrArgs{File: fileFH, Attr: sa}).Encode(e)
-	}))
-	assertEquiv(t, s, peer, "setattr stale", nfs(117, nfsproto.ProcSetattr, func(e *xdr.Encoder) {
-		(&nfsproto.SetattrArgs{File: stale, Attr: nfsproto.NewSattr()}).Encode(e)
-	}))
-
-	// READLINK needs a symlink in the fixture; plant it via the generic path.
-	genericReply(t, s, peer, nfs(130, nfsproto.ProcSymlink, func(e *xdr.Encoder) {
-		(&nfsproto.SymlinkArgs{From: nfsproto.DiropArgs{Dir: root, Name: "ln"},
-			To: "f", Attr: nfsproto.NewSattr()}).Encode(e)
-	}))
-	linkFH := mustLookup(t, s, root, "ln").File
-	assertEquiv(t, s, peer, "readlink ok", nfs(118, nfsproto.ProcReadlink, func(e *xdr.Encoder) {
-		(&nfsproto.GetattrArgs{File: linkFH}).Encode(e)
-	}))
-	assertEquiv(t, s, peer, "readlink notlink", nfs(119, nfsproto.ProcReadlink, func(e *xdr.Encoder) {
-		(&nfsproto.GetattrArgs{File: fileFH}).Encode(e)
-	}))
-	assertEquiv(t, s, peer, "readlink stale", nfs(131, nfsproto.ProcReadlink, func(e *xdr.Encoder) {
-		(&nfsproto.GetattrArgs{File: stale}).Encode(e)
-	}))
-
-	mnt := func(xid, proc uint32, args func(e *xdr.Encoder)) []byte {
+	mnt := func(proc uint32, args func(e *xdr.Encoder)) []byte {
+		xid++
 		return encodeWire(xid, nfsproto.MountProgram, nfsproto.MountVersion, proc, args)
 	}
-	assertEquiv(t, s, peer, "mount null", mnt(120, nfsproto.MountProcNull, nil))
-	assertEquiv(t, s, peer, "mnt ok", mnt(121, nfsproto.MountProcMnt, func(e *xdr.Encoder) {
-		(&nfsproto.MntArgs{DirPath: "/"}).Encode(e)
-	}))
-	assertEquiv(t, s, peer, "mnt enoent", mnt(122, nfsproto.MountProcMnt, func(e *xdr.Encoder) {
-		(&nfsproto.MntArgs{DirPath: "/no-such-export"}).Encode(e)
-	}))
+	getattr := func(fh nfsproto.FH) []byte {
+		return nfs(nfsproto.ProcGetattr, func(e *xdr.Encoder) { (&nfsproto.GetattrArgs{File: fh}).Encode(e) })
+	}
+	lookup := func(dir nfsproto.FH, name string) []byte {
+		return nfs(nfsproto.ProcLookup, func(e *xdr.Encoder) { (&nfsproto.DiropArgs{Dir: dir, Name: name}).Encode(e) })
+	}
+	readdir := func(dir nfsproto.FH, cookie, count uint32) []byte {
+		return nfs(nfsproto.ProcReaddir, func(e *xdr.Encoder) {
+			(&nfsproto.ReaddirArgs{Dir: dir, Cookie: cookie, Count: count}).Encode(e)
+		})
+	}
+	setattr := func(fh nfsproto.FH, mode uint32) []byte {
+		return nfs(nfsproto.ProcSetattr, func(e *xdr.Encoder) {
+			sa := nfsproto.NewSattr()
+			sa.Mode = mode
+			(&nfsproto.SetattrArgs{File: fh, Attr: sa}).Encode(e)
+		})
+	}
+	readlink := func(fh nfsproto.FH) []byte {
+		return nfs(nfsproto.ProcReadlink, func(e *xdr.Encoder) { (&nfsproto.GetattrArgs{File: fh}).Encode(e) })
+	}
+	hinted := func(proc uint32, mode uint32, args func(e *xdr.Encoder)) []byte {
+		return nfs(proc, func(e *xdr.Encoder) {
+			args(e)
+			(&nfsproto.LeaseHint{Mode: mode, Duration: 10, CallbackPort: 901}).Encode(e)
+		})
+	}
+	setattrOK := setattr(h.file, 0600)
+	mntOK := mnt(nfsproto.MountProcMnt, func(e *xdr.Encoder) { (&nfsproto.MntArgs{DirPath: "/"}).Encode(e) })
+	seeds := [][]byte{
+		nfs(nfsproto.ProcNull, nil),
+		getattr(h.file),
+		getattr(stale),
+		// Twice: the second answers from the name cache on both servers.
+		lookup(h.root, "f"),
+		lookup(h.root, "f"),
+		// ENOENT twice: the second hits the negative name cache.
+		lookup(h.root, "missing"),
+		lookup(h.root, "missing"),
+		lookup(h.file, "x"), // not a directory
+		lookup(stale, "f"),
+		readdir(h.root, 0, 2048),
+		readdir(h.root, 0, 256),              // a small budget truncates the listing
+		readdir(h.root, 7, 512),              // resume from a mid-listing cookie
+		readdir(h.root, 0, nfsproto.MaxData), // past the shallow window: falls back
+		readdir(h.file, 0, 512),
+		readdir(stale, 0, 512),
+		nfs(nfsproto.ProcStatfs, func(e *xdr.Encoder) { (&nfsproto.GetattrArgs{File: h.root}).Encode(e) }),
+		// SETATTR is non-idempotent: the retransmission must replay the
+		// committed reply on both paths, not advance ctime again.
+		setattrOK,
+		setattrOK,
+		setattr(stale, nfsproto.NoValue),
+		readlink(h.link),
+		readlink(h.file), // not a symlink
+		readlink(stale),
+		mnt(nfsproto.MountProcNull, nil),
+		mntOK,
+		mnt(nfsproto.MountProcMnt, func(e *xdr.Encoder) { (&nfsproto.MntArgs{DirPath: "/no-such-export"}).Encode(e) }),
+		mnt(nfsproto.MountProcDump, nil),
+		// Piggybacked leases: grant, renew, share, and the conflicting hint
+		// that goes unanswered.
+		hinted(nfsproto.ProcGetattr, nfsproto.LeaseRead, func(e *xdr.Encoder) { (&nfsproto.GetattrArgs{File: h.file}).Encode(e) }),
+		hinted(nfsproto.ProcLookup, nfsproto.LeaseRead, func(e *xdr.Encoder) { (&nfsproto.DiropArgs{Dir: h.root, Name: "f"}).Encode(e) }),
+		hinted(nfsproto.ProcLookup, nfsproto.LeaseWrite, func(e *xdr.Encoder) { (&nfsproto.DiropArgs{Dir: h.root, Name: "bulk-03"}).Encode(e) }),
+		hinted(nfsproto.ProcLookup, nfsproto.LeaseRead, func(e *xdr.Encoder) { (&nfsproto.DiropArgs{Dir: h.root, Name: "sub"}).Encode(e) }),
+		// Generic-only procedures between shallow ones: the caches the two
+		// paths share must see the same history.
+		nfs(nfsproto.ProcCreate, func(e *xdr.Encoder) {
+			(&nfsproto.CreateArgs{Where: nfsproto.DiropArgs{Dir: h.root, Name: "missing"}, Attr: nfsproto.NewSattr()}).Encode(e)
+		}),
+		lookup(h.root, "missing"),
+		nfs(nfsproto.ProcRemove, func(e *xdr.Encoder) { (&nfsproto.DiropArgs{Dir: h.root, Name: "f"}).Encode(e) }),
+		lookup(h.root, "f"),
+		getattr(h.file),
+		// Header errors the shallow classifier must leave to the generic path.
+		encodeWire(900, nfsproto.Program, nfsproto.Version+1, nfsproto.ProcNull, nil),
+		encodeWire(901, nfsproto.Program+7, nfsproto.Version, nfsproto.ProcNull, nil),
+		encodeWire(902, nfsproto.Program, nfsproto.Version, nfsproto.NumProcsExt, nil),
+		lookup(h.root, "f")[:60], // truncated arguments
+	}
+	for _, wire := range seeds {
+		f.Add(packDatagrams(wire))
+	}
+	f.Add(packDatagrams(seeds...)) // and the whole history in order
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		a, h := newFuzzServer(t)
+		b, _ := newFuzzServer(t)
+		touched := []nfsproto.FH{h.root, h.file, h.link, h.sub}
+		scratch := make([]byte, 0, FastReplyMax)
+		for i, wire := range unpackDatagrams(in) {
+			ra := shallowThenGeneric(a, fuzzPeer, wire, scratch)
+			rb := genericOnly(b, fuzzPeer, wire)
+			if !bytes.Equal(ra, rb) {
+				t.Fatalf("datagram %d (%x): replies diverge\n shallow %x\n generic %x", i, wire, ra, rb)
+			}
+			var pk rpc.PeekedCall
+			if off, ok := rpc.PeekCallHeader(wire, &pk); ok && off+nfsproto.FHSize <= len(wire) {
+				var fh nfsproto.FH
+				copy(fh[:], wire[off:])
+				touched = append(touched, fh)
+			}
+		}
+		if ea, eb := observe(a, touched), observe(b, touched); !reflect.DeepEqual(ea, eb) {
+			t.Fatalf("side effects diverge\n shallow %+v\n generic %+v", ea, eb)
+		}
+	})
 }
 
 // TestFastPathDupcacheIndependence pins that the shallow path — which only
@@ -213,7 +348,7 @@ func TestFastPathDupcacheIndependence(t *testing.T) {
 	if replay := genericReply(t, s, peer, createWire); !bytes.Equal(replay, createRep) {
 		t.Errorf("CREATE retransmit not replayed verbatim after fast-path traffic:\n got  %x\n want %x", replay, createRep)
 	}
-	if hits := s.Stats.DupHits.Load(); hits == 0 {
+	if hits := s.cDupHits.Value(); hits == 0 {
 		t.Error("CREATE retransmit produced no dupcache hit")
 	}
 }
@@ -244,14 +379,13 @@ func TestFastPathFallbacks(t *testing.T) {
 		if !okPeek || !FastEligible(&h) {
 			t.Fatalf("%s: call did not reach HandleCallFast", label)
 		}
-		before := s.cCalls.Value()
-		bytesIn := s.Stats.BytesIn.Load()
+		before := s.Metrics.Snapshot().Counters
 		rep, ok := s.HandleCallFast("p", wire, &h, argOff, make([]byte, 0, FastReplyMax), nil)
 		if ok || rep != nil {
 			t.Errorf("%s: fast path serviced a call that must punt", label)
 		}
-		if s.cCalls.Value() != before || s.Stats.BytesIn.Load() != bytesIn {
-			t.Errorf("%s: punted call moved counters", label)
+		if after := s.Metrics.Snapshot().Counters; !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: punted call moved counters: %v -> %v", label, before, after)
 		}
 	}
 

@@ -97,9 +97,7 @@ func (s *Server) sendEviction(p *sim.Proc, to holderAddr, fh nfsproto.FH) {
 	e.PutUint32(nfsproto.EvictionMagic)
 	e.PutFixedOpaque(fh[:])
 	s.cbSock.Send(p, to.node, to.port, c)
-	s.Stats.Evictions.Add(1)
 	s.cLeaseEvict.Inc()
-	s.Metrics.Counter("nfs.lease_evictions").Add(1)
 }
 
 // collectEvictions marks the lease as being vacated and returns the
@@ -255,21 +253,6 @@ func (s *Server) piggyGrant(peer string, fh nfsproto.FH, ftype nfsproto.FileType
 	g.Mode = mode
 	g.Duration = uint32(dur / time.Second)
 	return g, true
-}
-
-// piggyback appends a grant to a successful generic reply when the call
-// carried a hint the server can honor.
-func (s *Server) piggyback(e *xdr.Encoder, peer string, fh nfsproto.FH, ftype nfsproto.FileType, hint *nfsproto.LeaseHint) {
-	if g, ok := s.piggyGrant(peer, fh, ftype, hint); ok {
-		g.Encode(e)
-	}
-}
-
-// piggybackBytes is piggyback's flat-buffer twin for the shallow path.
-func (s *Server) piggybackBytes(w *xdr.ByteWriter, peer string, fh nfsproto.FH, ftype nfsproto.FileType, hint *nfsproto.LeaseHint) {
-	if g, ok := s.piggyGrant(peer, fh, ftype, hint); ok {
-		g.EncodeBytes(w)
-	}
 }
 
 func (s *Server) now() sim.Time {

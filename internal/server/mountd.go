@@ -104,6 +104,20 @@ func (s *Server) lookupExportPath(path string) (*memfs.Inode, uint32) {
 	return n, mntOK
 }
 
+// mnt is the MNT procedure body, shared by dispatchMount and the shallow
+// path: resolve the export and record the mount.
+func (s *Server) mnt(peer, path string) nfsproto.MntRes {
+	n, status := s.lookupExportPath(path)
+	if status != mntOK {
+		return nfsproto.MntRes{Status: status}
+	}
+	st := s.mountState()
+	st.mu.Lock()
+	st.mounts[peer+" "+path] = nfsproto.MountEntry{Host: peer, Dir: path}
+	st.mu.Unlock()
+	return nfsproto.MntRes{Status: mntOK, File: s.FS.FH(n)}
+}
+
 // dispatchMount serves one MOUNT-program procedure.
 func (s *Server) dispatchMount(p *sim.Proc, proc uint32, peer string, d *xdr.Decoder, e *xdr.Encoder) error {
 	s.charge(p, "nfs", costDispatch)
@@ -116,15 +130,8 @@ func (s *Server) dispatchMount(p *sim.Proc, proc uint32, peer string, d *xdr.Dec
 		if err != nil {
 			return err
 		}
-		n, status := s.lookupExportPath(args.DirPath)
-		if status != mntOK {
-			(&nfsproto.MntRes{Status: status}).Encode(e)
-			return nil
-		}
-		st.mu.Lock()
-		st.mounts[peer+" "+args.DirPath] = nfsproto.MountEntry{Host: peer, Dir: args.DirPath}
-		st.mu.Unlock()
-		(&nfsproto.MntRes{Status: mntOK, File: s.FS.FH(n)}).Encode(e)
+		res := s.mnt(peer, args.DirPath)
+		res.Encode(e)
 		return nil
 	case nfsproto.MountProcDump:
 		nfsproto.EncodeMountList(e, s.MountsFor())

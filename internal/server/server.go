@@ -75,10 +75,6 @@ type Options struct {
 	// they spread across readers — the hostile cross-reader path the
 	// fleet rig's herd and storm scenarios exist to exercise.
 	NoReusePort bool
-	// NoFastPath disables the real-socket frontend's shallow dispatch path
-	// (fastpath.go): every datagram takes the generic mbuf/full-decode
-	// route. Escape hatch and the "before" leg of the fast-path benchmarks.
-	NoFastPath bool
 	// Leases enables the NQNFS-style cache lease extension (procedures
 	// LEASE/VACATED) from the paper's Future Directions.
 	Leases bool
@@ -113,28 +109,6 @@ func Ultrix() Options {
 	}
 }
 
-// Stats counts server activity. The fields are atomics so that the
-// real-socket frontends (which serve each connection on its own goroutine)
-// can record calls without holding the nfsnet kernel lock, and so readers
-// like the nfsd stats endpoint can snapshot them concurrently.
-type Stats struct {
-	Calls     [nfsproto.NumProcsExt]atomic.Int64
-	Errors    atomic.Int64
-	DupHits   atomic.Int64
-	BytesIn   atomic.Int64
-	BytesOut  atomic.Int64
-	Evictions atomic.Int64 // lease eviction notices sent
-}
-
-// Total returns the total call count.
-func (s *Stats) Total() int64 {
-	var n int64
-	for i := range s.Calls {
-		n += s.Calls[i].Load()
-	}
-	return n
-}
-
 // Server is an NFS server instance.
 //
 // Concurrency: HandleCall is safe to call from many goroutines at once —
@@ -156,7 +130,6 @@ type Server struct {
 	// stripes is the cache lock-stripe count: 1 until a concurrent
 	// frontend calls EnableConcurrentDispatch (before serving traffic).
 	stripes int
-	Stats   Stats
 
 	// Metrics is the server's registry: per-procedure service-time
 	// histograms plus call/byte counters, safe to snapshot concurrently
@@ -341,11 +314,8 @@ func (s *Server) BufCacheStats() vfs.CacheStats { return s.bufc.Stats() }
 // RootFH returns the exported root file handle.
 func (s *Server) RootFH() nfsproto.FH { return s.FS.FH(s.FS.Root()) }
 
-// countErr records one NFS-level failure in both counter surfaces.
-func (s *Server) countErr() {
-	s.Stats.Errors.Add(1)
-	s.cErrors.Add(1)
-}
+// countErr records one NFS-level failure.
+func (s *Server) countErr() { s.cErrors.Inc() }
 
 // svcNow reads the clock used for service-time measurement: virtual time
 // under the simulator, wall clock when serving real sockets (p == nil).
@@ -416,9 +386,8 @@ func (s *Server) HandleCall(p *sim.Proc, peer string, req *mbuf.Chain) *mbuf.Cha
 // to this request. sp may be nil (the simulator and tests pass nil), and
 // every stamp below is nil-safe.
 func (s *Server) HandleCallSpan(p *sim.Proc, peer string, req *mbuf.Chain, sp *metrics.Span) *mbuf.Chain {
-	s.Stats.BytesIn.Add(int64(req.Len()))
-	s.cBytesIn.Add(int64(req.Len()))
 	reqLen := req.Len()
+	s.cBytesIn.Add(int64(reqLen))
 	d := xdr.NewDecoder(req)
 	var call rpc.Call
 	if err := rpc.DecodeCallInto(d, &call); err != nil {
@@ -427,18 +396,25 @@ func (s *Server) HandleCallSpan(p *sim.Proc, peer string, req *mbuf.Chain, sp *m
 	}
 	sp.SetCall(call.XID, call.Proc)
 	sp.Stamp(metrics.StageDecode)
+	out := s.serve(p, peer, &call, reqLen, d, sp)
+	if out != nil {
+		// Every reply that leaves counts: accept-stat rejections and
+		// dupcache replays as much as fresh results.
+		s.cBytesOut.Add(int64(out.Len()))
+	}
+	return out
+}
+
+// serve routes a decoded call header to its program and builds the reply;
+// nil means the call is dropped without one.
+func (s *Server) serve(p *sim.Proc, peer string, call *rpc.Call, reqLen int, d *xdr.Decoder, sp *metrics.Span) *mbuf.Chain {
 	if call.Prog == nfsproto.MountProgram && call.Vers == nfsproto.MountVersion &&
 		call.Proc <= nfsproto.MountProcExport {
-		out := &mbuf.Chain{}
-		e := xdr.NewEncoder(out)
-		rpc.EncodeReply(out, call.XID, rpc.Success)
-		if err := s.dispatchMount(p, call.Proc, peer, d, e); err != nil {
+		out := newReply(call.XID, rpc.Success)
+		if err := s.dispatchMount(p, call.Proc, peer, d, xdr.NewEncoder(out)); err != nil {
 			out.Free()
-			out = &mbuf.Chain{}
-			rpc.EncodeReply(out, call.XID, rpc.GarbageArgs)
+			out = newReply(call.XID, rpc.GarbageArgs)
 		}
-		s.Stats.BytesOut.Add(int64(out.Len()))
-		s.cBytesOut.Add(int64(out.Len()))
 		return out
 	}
 	unavailable := call.Proc >= nfsproto.NumProcsExt ||
@@ -450,69 +426,37 @@ func (s *Server) HandleCallSpan(p *sim.Proc, peer string, req *mbuf.Chain, sp *m
 		} else if call.Vers != nfsproto.Version {
 			stat = rpc.ProgMismatch
 		}
-		out := &mbuf.Chain{}
-		rpc.EncodeReply(out, call.XID, stat)
-		return out
+		return newReply(call.XID, stat)
 	}
-	s.charge(p, "nfs", costDispatch)
-	if s.Opts.XDRCopyLayer {
-		s.charge(p, "xdr_layer", costXDRCall+costXDRByte*float64(reqLen))
-	}
-	// Duplicate request cache for non-idempotent procedures. begin claims
-	// the key before execution: a retransmission racing the original call
-	// on another nfsd is dropped (the client retransmits again and finds
-	// the committed reply) instead of executed a second time.
-	dkey := dupKey{peer: peer, xid: call.XID, proc: call.Proc}
-	if nonIdempotent[call.Proc] {
-		cached, inflight := s.dupc.begin(dkey, sp)
-		sp.Stamp(metrics.StageDupcheck)
-		if inflight {
-			sp.SetErr()
+	f := callFrame{peer: peer, xid: call.XID, proc: call.Proc}
+	replay, run := s.admit(p, &f, reqLen, sp)
+	if !run {
+		if replay == nil {
 			return nil
 		}
-		if cached != nil {
-			s.Stats.DupHits.Add(1)
-			s.cDupHits.Add(1)
-			metrics.Emit(s.Tracer, metrics.DupCacheHit{Proc: call.Proc})
-			return cached.Clone()
-		}
+		return replay.Clone()
 	}
-	s.Stats.Calls[call.Proc].Add(1)
-	s.cCalls.Add(1)
-	s.procCalls[call.Proc].Add(1)
-	begin := s.svcNow(p)
-
-	out := &mbuf.Chain{}
-	e := xdr.NewEncoder(out)
-	rpc.EncodeReply(out, call.XID, rpc.Success)
-	err := s.dispatch(p, call.Proc, peer, d, e, sp)
+	out := newReply(call.XID, rpc.Success)
+	err := s.dispatch(p, call.Proc, peer, d, xdr.NewEncoder(out), sp)
 	sp.Stamp(metrics.StageService)
 	if err != nil {
-		sp.SetErr()
 		// Argument decode failure: garbage args.
+		sp.SetErr()
 		out.Free()
-		out = &mbuf.Chain{}
-		rpc.EncodeReply(out, call.XID, rpc.GarbageArgs)
+		out = newReply(call.XID, rpc.GarbageArgs)
 	}
-	// Service time spans decode through dispatch: simulated CPU charges and
-	// disk sleeps under the simulator, real elapsed time over sockets.
-	svc := s.svcNow(p) - begin
-	s.procSvc[call.Proc].ObserveDuration(svc)
-	if s.Tracer != nil { // guard: boxing the event allocates even when untraced
-		metrics.Emit(s.Tracer, metrics.ServerCall{
-			Proc: call.Proc, Peer: peer, XID: call.XID,
-			NonIdempotent: nonIdempotent[call.Proc],
-			Service:       svc, Error: err != nil,
-		})
-	}
-	if s.Opts.XDRCopyLayer {
-		s.charge(p, "xdr_layer", costXDRByte*float64(out.Len()))
-	}
+	var saved *mbuf.Chain
 	if nonIdempotent[call.Proc] {
-		s.dupc.commit(dkey, out.Clone(), sp)
+		saved = out.Clone()
 	}
-	s.Stats.BytesOut.Add(int64(out.Len()))
-	s.cBytesOut.Add(int64(out.Len()))
+	s.finish(p, &f, out.Len(), err != nil, saved, sp)
+	return out
+}
+
+// newReply starts a reply chain with the RPC header for acceptStat.
+func newReply(xid, acceptStat uint32) *mbuf.Chain {
+	out := &mbuf.Chain{}
+	rpc.EncodeReply(out, xid, acceptStat)
 	return out
 }
 
@@ -556,7 +500,7 @@ func (s *Server) dispatch(p *sim.Proc, proc uint32, peer string, d *xdr.Decoder,
 	case nfsproto.ProcRmdir:
 		return s.rmdir(p, d, e)
 	case nfsproto.ProcReaddir:
-		return s.readdir(p, d, e)
+		return s.readdir(p, d, e, sp)
 	case nfsproto.ProcStatfs:
 		return s.statfs(p, d, e)
 	default:
@@ -566,26 +510,44 @@ func (s *Server) dispatch(p *sim.Proc, proc uint32, peer string, d *xdr.Decoder,
 	}
 }
 
+// The header-only procedures are wrappers: decode, run the core (procs.go),
+// encode. The shallow path (fastpath.go) wraps the same cores in the flat
+// codec.
+
+func (r *procResult) encodeAttr(e *xdr.Encoder) {
+	(&nfsproto.AttrRes{Status: r.status, Attr: &r.attr}).Encode(e)
+	if r.granted {
+		r.grant.Encode(e)
+	}
+}
+
+func (r *procResult) encodeDirop(e *xdr.Encoder) {
+	(&nfsproto.DiropRes{Status: r.status, File: r.file, Attr: &r.attr}).Encode(e)
+	if r.granted {
+		r.grant.Encode(e)
+	}
+}
+
+func (w *dirWindow) encode(e *xdr.Encoder) {
+	e.PutUint32(uint32(w.status))
+	if w.status != nfsproto.OK {
+		return
+	}
+	for i := w.first; i < w.end; i++ {
+		ent := w.entry(i)
+		ent.Encode(e)
+	}
+	nfsproto.EncodeDirEnd(e, w.eof)
+}
+
 func (s *Server) getattr(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.Encoder) error {
 	args, err := nfsproto.DecodeGetattrArgs(d)
 	if err != nil {
 		return err
 	}
-	hint := nfsproto.DecodeLeaseHint(d)
-	s.charge(p, "nfs", costVOP)
-	// Attributes of a write-leased file live on the holder; evict first.
-	if s.leaseConflict(p, args.File, false, peer) {
-		(&nfsproto.AttrRes{Status: nfsproto.ErrTryLater}).Encode(e)
-		return nil
-	}
-	n, err := s.FS.Resolve(args.File)
-	if err != nil {
-		(&nfsproto.AttrRes{Status: errStatus(err)}).Encode(e)
-		return nil
-	}
-	attr := s.FS.Attr(n)
-	(&nfsproto.AttrRes{Status: nfsproto.OK, Attr: &attr}).Encode(e)
-	s.piggyback(e, peer, args.File, attr.Type, hint)
+	var r procResult
+	s.getattrCore(p, peer, args.File, nfsproto.DecodeLeaseHint(d), &r)
+	r.encodeAttr(e)
 	return nil
 }
 
@@ -594,19 +556,9 @@ func (s *Server) setattr(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.Encode
 	if err != nil {
 		return err
 	}
-	s.charge(p, "nfs", costVOP)
-	if s.leaseConflict(p, args.File, true, peer) {
-		(&nfsproto.AttrRes{Status: nfsproto.ErrTryLater}).Encode(e)
-		return nil
-	}
-	n, err := s.FS.Resolve(args.File)
-	if err != nil {
-		(&nfsproto.AttrRes{Status: errStatus(err)}).Encode(e)
-		return nil
-	}
-	s.FS.Setattr(p, n, args.Attr)
-	attr := s.FS.Attr(n)
-	(&nfsproto.AttrRes{Status: nfsproto.OK, Attr: &attr}).Encode(e)
+	var r procResult
+	s.setattrCore(p, peer, args.File, args.Attr, &r)
+	r.encodeAttr(e)
 	return nil
 }
 
@@ -640,52 +592,9 @@ func (s *Server) lookup(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.Encoder
 	if err != nil {
 		return err
 	}
-	hint := nfsproto.DecodeLeaseHint(d)
-	s.charge(p, "nfs", costVOP)
-	dir, err := s.FS.Resolve(args.Dir)
-	if err != nil {
-		(&nfsproto.DiropRes{Status: errStatus(err)}).Encode(e)
-		return nil
-	}
-	// Name cache first (when the personality has one).
-	if s.namec.Enabled() {
-		s.charge(p, "namecache", costNameCacheHit)
-		if vn, vgen, neg, found := s.namec.Lookup(dir.Ino, dir.Gen, args.Name, sp); found {
-			if neg {
-				(&nfsproto.DiropRes{Status: nfsproto.ErrNoEnt}).Encode(e)
-				return nil
-			}
-			if n, err := s.FS.Get(vn, vgen); err == nil {
-				if s.leaseConflict(p, s.FS.FH(n), false, peer) {
-					(&nfsproto.DiropRes{Status: nfsproto.ErrTryLater}).Encode(e)
-					return nil
-				}
-				attr := s.FS.Attr(n)
-				(&nfsproto.DiropRes{Status: nfsproto.OK, File: s.FS.FH(n), Attr: &attr}).Encode(e)
-				s.piggyback(e, peer, s.FS.FH(n), attr.Type, hint)
-				return nil
-			}
-			s.namec.Remove(dir.Ino, dir.Gen, args.Name)
-		}
-	}
-	s.scanDirectory(p, dir, sp)
-	n, err := s.FS.Lookup(dir, args.Name)
-	if err != nil {
-		if err == memfs.ErrNoEnt {
-			s.namec.EnterNegative(dir.Ino, dir.Gen, args.Name, sp)
-		}
-		s.countErr()
-		(&nfsproto.DiropRes{Status: errStatus(err)}).Encode(e)
-		return nil
-	}
-	s.namec.Enter(dir.Ino, dir.Gen, args.Name, n.Ino, n.Gen, sp)
-	if s.leaseConflict(p, s.FS.FH(n), false, peer) {
-		(&nfsproto.DiropRes{Status: nfsproto.ErrTryLater}).Encode(e)
-		return nil
-	}
-	attr := s.FS.Attr(n)
-	(&nfsproto.DiropRes{Status: nfsproto.OK, File: s.FS.FH(n), Attr: &attr}).Encode(e)
-	s.piggyback(e, peer, s.FS.FH(n), attr.Type, hint)
+	var r procResult
+	s.lookupCore(p, peer, args.Dir, args.Name, nfsproto.DecodeLeaseHint(d), sp, &r)
+	r.encodeDirop(e)
 	return nil
 }
 
@@ -694,18 +603,8 @@ func (s *Server) readlink(p *sim.Proc, d *xdr.Decoder, e *xdr.Encoder) error {
 	if err != nil {
 		return err
 	}
-	s.charge(p, "nfs", costVOP)
-	n, err := s.FS.Resolve(args.File)
-	if err != nil {
-		(&nfsproto.ReadlinkRes{Status: errStatus(err)}).Encode(e)
-		return nil
-	}
-	target, err := s.FS.Readlink(n)
-	if err != nil {
-		(&nfsproto.ReadlinkRes{Status: errStatus(err)}).Encode(e)
-		return nil
-	}
-	(&nfsproto.ReadlinkRes{Status: nfsproto.OK, Path: target}).Encode(e)
+	res := s.readlinkCore(p, args.File)
+	res.Encode(e)
 	return nil
 }
 
@@ -822,9 +721,9 @@ func (s *Server) write(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.Encoder,
 	} else if b := s.bufc.Peek(key); b == nil {
 		s.bufc.Insert(key)
 	}
-	attr := s.FS.Attr(n)
-	(&nfsproto.AttrRes{Status: nfsproto.OK, Attr: &attr}).Encode(e)
-	s.piggyback(e, peer, args.File, attr.Type, hint)
+	var r procResult
+	s.okResult(&r, peer, args.File, n, hint)
+	r.encodeAttr(e)
 	return nil
 }
 
@@ -868,12 +767,12 @@ func (s *Server) create(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.Encoder
 		s.FS.Setattr(p, n, trunc)
 	}
 	s.namec.Enter(dir.Ino, dir.Gen, args.Where.Name, n.Ino, n.Gen, sp)
-	attr := s.FS.Attr(n)
-	(&nfsproto.DiropRes{Status: nfsproto.OK, File: s.FS.FH(n), Attr: &attr}).Encode(e)
 	// The grant that kills the §5 ladder's explicit LEASE RPC: a hinted
 	// CREATE leaves with a write lease, so the writes that follow stay in
 	// the client's cache and close pushes nothing.
-	s.piggyback(e, peer, s.FS.FH(n), attr.Type, hint)
+	var r procResult
+	s.okResult(&r, peer, s.FS.FH(n), n, hint)
+	r.encodeDirop(e)
 	return nil
 }
 
@@ -1037,60 +936,13 @@ func (s *Server) rmdir(p *sim.Proc, d *xdr.Decoder, e *xdr.Encoder) error {
 	return nil
 }
 
-func (s *Server) readdir(p *sim.Proc, d *xdr.Decoder, e *xdr.Encoder) error {
+func (s *Server) readdir(p *sim.Proc, d *xdr.Decoder, e *xdr.Encoder, sp *metrics.Span) error {
 	args, err := nfsproto.DecodeReaddirArgs(d)
 	if err != nil {
 		return err
 	}
-	s.charge(p, "nfs", costVOP)
-	dir, rerr := s.FS.Resolve(args.Dir)
-	if rerr != nil {
-		(&nfsproto.ReaddirRes{Status: errStatus(rerr)}).Encode(e)
-		return nil
-	}
-	if dir.Type != nfsproto.TypeDir {
-		(&nfsproto.ReaddirRes{Status: nfsproto.ErrNotDir}).Encode(e)
-		return nil
-	}
-	s.scanDirectory(p, dir, nil)
-	ents := s.FS.DirEntries(dir)
-	res := &nfsproto.ReaddirRes{Status: nfsproto.OK}
-	// Cookie 0 starts with "." and ".."; synthetic cookies count entries
-	// emitted so far.
-	budget := int(args.Count)
-	if budget <= 0 || budget > nfsproto.MaxData {
-		budget = nfsproto.MaxData
-	}
-	// Entries are synthesized on the fly — "." and ".." first, then the
-	// directory list — rather than materializing the whole directory into a
-	// scratch slice per call.
-	used := 16 // status + eof + terminator
-	total := len(ents) + 2
-	if start := int(args.Cookie); start < total {
-		res.Entries = make([]nfsproto.DirEntry, 0, total-start)
-	}
-	for i := int(args.Cookie); i < total; i++ {
-		var ent nfsproto.DirEntry
-		switch i {
-		case 0:
-			ent = nfsproto.DirEntry{FileID: dir.Ino, Name: ".", Cookie: 1}
-		case 1:
-			ent = nfsproto.DirEntry{FileID: dir.Ino, Name: "..", Cookie: 2}
-		default:
-			de := ents[i-2]
-			ent = nfsproto.DirEntry{FileID: de.Ino, Name: de.Name, Cookie: uint32(i + 1)}
-		}
-		sz := 16 + len(ent.Name)
-		if used+sz > budget {
-			res.EOF = false
-			res.Encode(e)
-			return nil
-		}
-		res.Entries = append(res.Entries, ent)
-		used += sz
-	}
-	res.EOF = true
-	res.Encode(e)
+	w := s.readdirCore(p, args.Dir, args.Cookie, args.Count, sp)
+	w.encode(e)
 	return nil
 }
 
@@ -1098,8 +950,7 @@ func (s *Server) statfs(p *sim.Proc, d *xdr.Decoder, e *xdr.Encoder) error {
 	if _, err := nfsproto.DecodeGetattrArgs(d); err != nil {
 		return err
 	}
-	s.charge(p, "nfs", costVOP)
-	res := s.FS.Statfs()
+	res := s.statfsCore(p)
 	res.Encode(e)
 	return nil
 }

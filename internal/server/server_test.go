@@ -176,11 +176,11 @@ func TestDupCacheSuppressesReplay(t *testing.T) {
 	if res1.File != res2.File {
 		t.Fatal("replayed create returned a different file")
 	}
-	if s.Stats.DupHits.Load() != 1 {
-		t.Fatalf("DupHits = %d", s.Stats.DupHits.Load())
+	if s.cDupHits.Value() != 1 {
+		t.Fatalf("DupHits = %d", s.cDupHits.Value())
 	}
-	if s.Stats.Calls[nfsproto.ProcCreate].Load() != 1 {
-		t.Fatalf("create executed %d times", s.Stats.Calls[nfsproto.ProcCreate].Load())
+	if s.procCalls[nfsproto.ProcCreate].Value() != 1 {
+		t.Fatalf("create executed %d times", s.procCalls[nfsproto.ProcCreate].Value())
 	}
 	// A different peer with the same xid is NOT a duplicate.
 	_, d = callPeer(t, s, "client-b", 777, nfsproto.ProcCreate, func(e *xdr.Encoder) {
@@ -190,8 +190,8 @@ func TestDupCacheSuppressesReplay(t *testing.T) {
 	if res3.Status != nfsproto.OK {
 		t.Fatalf("other peer create: %v", res3.Status)
 	}
-	if s.Stats.Calls[nfsproto.ProcCreate].Load() != 2 {
-		t.Fatalf("create count = %d", s.Stats.Calls[nfsproto.ProcCreate].Load())
+	if s.procCalls[nfsproto.ProcCreate].Value() != 2 {
+		t.Fatalf("create count = %d", s.procCalls[nfsproto.ProcCreate].Value())
 	}
 }
 
@@ -320,16 +320,37 @@ func TestStatfs(t *testing.T) {
 	}
 }
 
-func TestBadProgramRejected(t *testing.T) {
+// TestRejectionsAnsweredAndCounted covers the four accept-stat error
+// replies: each must carry its status, and each must advance nfs.bytes_out
+// by the bytes that left — a rejection is traffic like any other reply.
+func TestRejectionsAnsweredAndCounted(t *testing.T) {
 	s := newServer()
-	req := &mbuf.Chain{}
-	// 100005 is now served (the MOUNT protocol); 100099 is nobody.
-	rpc.EncodeCall(req, &rpc.Call{XID: 1, Prog: 100099, Vers: 1, Proc: 0})
-	rep := s.HandleCall(nil, "x", req)
-	d := xdr.NewDecoder(rep)
-	r, err := rpc.DecodeReply(d)
-	if err != nil || r.AcceptStat != rpc.ProgUnavail {
-		t.Fatalf("reply: %+v %v", r, err)
+	for _, tc := range []struct {
+		name             string
+		prog, vers, proc uint32
+		want             uint32
+	}{
+		// 100005 is served (the MOUNT protocol); 100099 is nobody.
+		{"prog unavail", 100099, 1, 0, rpc.ProgUnavail},
+		{"prog mismatch", nfsproto.Program, nfsproto.Version + 1, nfsproto.ProcNull, rpc.ProgMismatch},
+		{"proc unavail", nfsproto.Program, nfsproto.Version, nfsproto.NumProcsExt, rpc.ProcUnavail},
+		// LOOKUP with no arguments at all.
+		{"garbage args", nfsproto.Program, nfsproto.Version, nfsproto.ProcLookup, rpc.GarbageArgs},
+	} {
+		req := &mbuf.Chain{}
+		rpc.EncodeCall(req, &rpc.Call{XID: 1, Prog: tc.prog, Vers: tc.vers, Proc: tc.proc})
+		before := s.cBytesOut.Value()
+		rep := s.HandleCall(nil, "x", req)
+		if rep == nil {
+			t.Fatalf("%s: no reply", tc.name)
+		}
+		if got := s.cBytesOut.Value() - before; got != int64(rep.Len()) {
+			t.Errorf("%s: bytes_out advanced %d for a %d-byte reply", tc.name, got, rep.Len())
+		}
+		r, err := rpc.DecodeReply(xdr.NewDecoder(rep))
+		if err != nil || r.AcceptStat != tc.want {
+			t.Errorf("%s: reply %+v %v, want accept stat %d", tc.name, r, err, tc.want)
+		}
 	}
 }
 
