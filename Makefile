@@ -45,13 +45,14 @@ bench:
 # BENCH_baseline.json, a fast-path LOOKUP slower than the generic dispatch
 # it bypasses (BENCH_fastpath.json), and a leased Create-Delete falling
 # below 3x the full-consistency time or losing write-RPC parity with the
-# no-consistency bound (BENCH_leases.json). The second line is the gather-send
-# gate on real sockets: an 8 KB READ over loopback UDP and TCP copies no
-# payload byte in user space, and the batched sendmmsg / TCP writev writers
-# allocate nothing per reply.
+# no-consistency bound (BENCH_leases.json). The second line is the zero-copy
+# gate on real sockets: an 8 KB READ over loopback UDP and TCP and an 8 KB
+# WRITE over UDP copy no payload byte through mbufs in user space, the
+# batched sendmmsg / TCP writev writers allocate nothing per reply, and a
+# data RPC served on the reader stays inside its allocation budget.
 bench-smoke:
 	$(GO) test -run 'TestAllocBudget|TestReadReplyZeroCopy|TestFastpathLookupGate|TestLeaseCreateDeleteGate' -bench=. -benchmem -benchtime 1x .
-	$(GO) test -run 'TestRealSocketReadZeroCopy|TestAllocBudget' -v ./internal/nfsnet
+	$(GO) test -run 'TestRealSocketReadZeroCopy|TestRealSocketWriteZeroCopy|TestAllocBudget' -v ./internal/nfsnet
 
 # The lease-coherence sweep: the two-client close-to-open model, the
 # randomized-IO model under the lease personality, the concurrent

@@ -27,7 +27,9 @@
 // records the curves — with per-stage p99 breakdowns — in
 // BENCH_scaling.json (`make scaling` wraps this). Each point runs -warmup
 // of unmeasured traffic first; ops/s and the stage percentiles cover only
-// the measurement window. -trace FILE dumps the slowest spans of the last
+// the measurement window; -clients also prints how the window's datagrams
+// were dispatched (shallow path, inline on the reader, spilled to the
+// pool). -trace FILE dumps the slowest spans of the last
 // point as Chrome trace JSON, and -mutexprofile/-blockprofile enable the
 // Go runtime's contention profilers (the lock-serialization view
 // `make profile` starts from).

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,6 +66,9 @@ type pointResult struct {
 	stageP99 map[string]float64
 	lockP99  float64
 	spans    []metrics.Span
+	// How the window's UDP datagrams were dispatched: on the reader (shallow
+	// path, generic inline) or spilled to the nfsd pool.
+	fast, inline, spilled int64
 }
 
 // measureClients runs one point: n concurrent UDP clients against a fresh
@@ -163,6 +167,17 @@ func measureClients(n, nfsds, readers int, warmup, dur time.Duration) (*pointRes
 	if h, ok := snap.Histograms["rpc.stage.lockwait.us"]; ok && h.Count > 0 {
 		res.lockP99 = h.Quantile(99)
 	}
+	for name, v := range snap.Counters {
+		switch {
+		case strings.HasPrefix(name, "rpc.nfsd.") && strings.HasSuffix(name, ".calls"):
+			res.spilled += v
+		case !strings.HasPrefix(name, "rpc.reader."):
+		case strings.HasSuffix(name, ".fast"):
+			res.fast += v
+		case strings.HasSuffix(name, ".inline"):
+			res.inline += v
+		}
+	}
 	return res, nil
 }
 
@@ -181,6 +196,10 @@ func runClients(n, nfsds, readers int, warmup, dur time.Duration, tracePath stri
 	fmt.Printf("%d client(s) x %v (+%v warmup) against %d nfsds, %s: %.0f ops/s (READ 8K + LOOKUP)\n",
 		n, dur, warmup, nfsds, rdesc, res.opsPerS)
 	printStageP99(res)
+	if all := res.fast + res.inline + res.spilled; all > 0 {
+		fmt.Printf("  dispatch: %.1f%% shallow path, %.1f%% inline on the reader, %.1f%% spilled to the nfsd pool\n",
+			100*float64(res.fast)/float64(all), 100*float64(res.inline)/float64(all), 100*float64(res.spilled)/float64(all))
+	}
 	writeTrace(tracePath, res.spans)
 }
 

@@ -213,8 +213,10 @@ func printFinal(s *nfsnet.Server) {
 }
 
 // printReaders renders the per-reader ingest spread: how many datagrams
-// each sharded reader staged, how many it consumed inline on the shallow
-// dispatch path, and how often it woke from a blocking read.
+// each sharded reader read, how many of them it served itself — on the
+// shallow dispatch path (fast) or through the generic dispatch (inline);
+// the rest, reads - fast - inline, it spilled to the nfsd pool — and how
+// often it woke from a blocking read.
 func printReaders(snap *metrics.Snapshot, s *nfsnet.Server) {
 	n := s.Readers()
 	if n <= 1 {
@@ -225,11 +227,12 @@ func printReaders(snap *metrics.Snapshot, s *nfsnet.Server) {
 		mode = "SO_REUSEPORT"
 	}
 	tb := stats.NewTable(fmt.Sprintf("udp ingest (%d readers, %s)", n, mode),
-		"reader", "reads", "fast", "wakeups")
+		"reader", "reads", "fast", "inline", "wakeups")
 	for i := 0; i < n; i++ {
 		tb.AddRow(i,
 			snap.Counters[fmt.Sprintf("rpc.reader.%d.reads", i)],
 			snap.Counters[fmt.Sprintf("rpc.reader.%d.fast", i)],
+			snap.Counters[fmt.Sprintf("rpc.reader.%d.inline", i)],
 			snap.Counters[fmt.Sprintf("rpc.reader.%d.wakeups", i)])
 	}
 	fmt.Print(tb.String())

@@ -12,10 +12,11 @@
 //	nfsstat -json                    dump the raw JSON snapshot
 //
 // Besides the per-procedure table it renders the parallel-dispatch view:
-// the sharded UDP ingest frontend (rpc.reader.<id>.reads/.fast/.wakeups and
-// the socket strategy), the shallow-dispatch and reply-coalescing counters
-// (rpc.fastpath.calls/.fallbacks, rpc.send.batches/.batched_msgs — the
-// batches/msgs ratio is send syscalls per reply), the lease extension's
+// the sharded UDP ingest frontend (rpc.reader.<id>.reads/.fast/.inline/
+// .wakeups and the socket strategy), the shallow-dispatch and
+// reply-coalescing counters (rpc.fastpath.calls/.fallbacks,
+// rpc.send.batches/.batched_msgs — the batches/msgs ratio is send
+// syscalls per reply), the lease extension's
 // traffic when any were granted (lease.grants/.piggy_grants/.renewals,
 // the trylater/eviction/vacate/expiry conflict counters and the live
 // lease.active gauge), the nfsd worker pool
@@ -223,11 +224,13 @@ func renderLocks(snap *metrics.Snapshot) {
 }
 
 // renderReaders prints the sharded UDP ingest view: one row per reader
-// (rpc.reader.<id>.reads / .fast / .wakeups), showing how evenly datagrams
-// spread across the frontend and how many each reader consumed inline on
-// the shallow dispatch path — with SO_REUSEPORT sockets the kernel's
-// 4-tuple hash does the spreading; on a shared socket the readers rotate on
-// the fd read lock (and the fast path is off).
+// (rpc.reader.<id>.reads / .fast / .inline / .wakeups), showing how evenly
+// datagrams spread across the frontend and how many each reader served
+// itself, on the shallow dispatch path (fast) or through the generic
+// dispatch (inline) — the rest, reads - fast - inline, it spilled to the
+// nfsd pool. With SO_REUSEPORT sockets the kernel's 4-tuple hash does the
+// spreading; on a shared socket the readers rotate on the fd read lock (and
+// spill everything).
 func renderReaders(snap *metrics.Snapshot) {
 	ids := make([]string, 0, 8)
 	for name := range snap.Counters {
@@ -251,11 +254,12 @@ func renderReaders(snap *metrics.Snapshot) {
 		mode = "SO_REUSEPORT"
 	}
 	tb := stats.NewTable(fmt.Sprintf("udp ingest (%d readers, %s)", len(ids), mode),
-		"reader", "reads", "fast", "wakeups")
+		"reader", "reads", "fast", "inline", "wakeups")
 	for _, id := range ids {
 		tb.AddRow("reader."+id,
 			snap.Counters["rpc.reader."+id+".reads"],
 			snap.Counters["rpc.reader."+id+".fast"],
+			snap.Counters["rpc.reader."+id+".inline"],
 			snap.Counters["rpc.reader."+id+".wakeups"])
 	}
 	fmt.Print(tb.String())

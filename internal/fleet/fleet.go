@@ -679,10 +679,11 @@ type Result struct {
 	Violations  []check.Violation
 	AuditCounts map[string]int
 
-	// Real-socket drain counters: every datagram read was either serviced
-	// inline on its reader or dispatched to a worker (Σ reader reads ==
-	// Σ nfsd calls + Σ reader fast after Close).
-	ReaderReads, ReaderFast, NfsdCalls int64
+	// Real-socket drain counters: every datagram read was serviced inline
+	// on its reader — on the shallow path (fast) or through the generic
+	// dispatch (inline) — or dispatched to a worker (Σ reader reads ==
+	// Σ nfsd calls + Σ reader fast + Σ reader inline after Close).
+	ReaderReads, ReaderFast, ReaderInline, NfsdCalls int64
 	// PerReaderReads breaks ReaderReads down by ingest shard (the herd
 	// test's cross-reader spread assertion).
 	PerReaderReads []int64

@@ -71,12 +71,13 @@ func TestFleetShutdownNoLeaks(t *testing.T) {
 		t.Errorf("sim fleet held %d clients, want 10000", simOut.r.Clients)
 	}
 	// Drain equality: everything read was either serviced inline on its
-	// reader (shallow path) or dispatched to a worker before Close returned
-	// (the crash window drops datagrams *after* the read counter, where the
-	// fast counter also books them, so the equality survives the reboot).
-	if sockOut.r.ReaderReads != sockOut.r.NfsdCalls+sockOut.r.ReaderFast {
-		t.Errorf("drain counters diverge: readers read %d, nfsds dispatched %d, fast-serviced %d",
-			sockOut.r.ReaderReads, sockOut.r.NfsdCalls, sockOut.r.ReaderFast)
+	// reader (shallow path or generic dispatch) or dispatched to a worker
+	// before Close returned (the crash window drops datagrams *after* the
+	// read counter, where the fast and inline counters also book them, so
+	// the equality survives the reboot).
+	if r := sockOut.r; r.ReaderReads != r.NfsdCalls+r.ReaderFast+r.ReaderInline {
+		t.Errorf("drain counters diverge: readers read %d, nfsds dispatched %d, fast-serviced %d, inline %d",
+			r.ReaderReads, r.NfsdCalls, r.ReaderFast, r.ReaderInline)
 	}
 	if sockOut.r.ReaderReads == 0 {
 		t.Error("reader counters never advanced")

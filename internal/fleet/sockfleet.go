@@ -215,6 +215,8 @@ func RunSock(cfg Config) (*Result, error) {
 			res.ReaderReads += v
 		case strings.HasPrefix(name, "rpc.reader.") && strings.HasSuffix(name, ".fast"):
 			res.ReaderFast += v
+		case strings.HasPrefix(name, "rpc.reader.") && strings.HasSuffix(name, ".inline"):
+			res.ReaderInline += v
 		case strings.HasPrefix(name, "rpc.nfsd.") && strings.HasSuffix(name, ".calls"):
 			res.NfsdCalls += v
 		}

@@ -251,11 +251,8 @@ func (c *Chain) Append(b []byte) {
 // chain without copying — the analogue of lending a buffer-cache page to the
 // network code. The caller must not modify b afterwards.
 func (c *Chain) AppendCluster(b []byte) {
-	m := newHdr()
-	m.buf, m.dlen, m.cluster, m.ext = b, len(b), true, true
-	m.refs.Store(1)
 	Stats.ClusterAllocs.Add(1)
-	c.appendMbuf(m)
+	c.appendExt(b)
 }
 
 // AppendExt loans caller-owned storage into the chain without copying: the
@@ -268,10 +265,26 @@ func (c *Chain) AppendExt(b []byte) {
 	if len(b) == 0 {
 		return
 	}
+	Stats.LoanedBytes.Add(int64(len(b)))
+	c.appendExt(b)
+}
+
+// Wrap appends b to the chain as one external-storage segment, uncounted:
+// neither a copy nor a loan, because nothing is lent out — the chain is a
+// borrowed view of a receive buffer that its own reader goes on to reuse.
+// A frontend that serves a request to completion before its next read wraps
+// the read buffer instead of copying it into clusters. The wrapper must
+// free the chain, and every view carved from it, before b changes.
+func (c *Chain) Wrap(b []byte) {
+	if len(b) > 0 {
+		c.appendExt(b)
+	}
+}
+
+func (c *Chain) appendExt(b []byte) {
 	m := newHdr()
 	m.buf, m.dlen, m.cluster, m.ext = b, len(b), true, true
 	m.refs.Store(1)
-	Stats.LoanedBytes.Add(int64(len(b)))
 	c.appendMbuf(m)
 }
 

@@ -113,6 +113,45 @@ func TestAppendExtLoansWithoutCopy(t *testing.T) {
 	c.Free() // must not panic or pool the caller's page
 }
 
+// TestWrapIsUncounted: a wrapped receive buffer is one aliasing segment that
+// moves no counter — not a copy, not a loan, not a cluster allocation — the
+// whole message dissects without a straddle copy, and a Chain value can be
+// wrapped, freed and wrapped again.
+func TestWrapIsUncounted(t *testing.T) {
+	buf := bytes.Repeat([]byte{0x42}, 8400)
+	var c Chain
+	c.Wrap(buf[:0]) // an empty datagram wraps to an empty chain
+	if !c.Empty() {
+		t.Fatal("wrapping no bytes grew the chain")
+	}
+	for round := byte(0); round < 2; round++ {
+		Stats.Reset()
+		buf[200] = round
+		c.Wrap(buf)
+		if c.Len() != len(buf) || c.Segments() != 1 {
+			t.Fatalf("wrap: len %d in %d segments, want %d in 1", c.Len(), c.Segments(), len(buf))
+		}
+		d := NewDissector(&c)
+		hdr, err := d.Next(200)
+		if err != nil || &hdr[0] != &buf[0] {
+			t.Fatalf("header read does not alias the wrapped buffer (err %v)", err)
+		}
+		view, err := d.NextChain(8192)
+		if err != nil || view.head.Data()[0] != round {
+			t.Fatalf("payload view does not alias the wrapped buffer (err %v)", err)
+		}
+		view.Free()
+		c.Free()
+		if !c.Empty() {
+			t.Fatal("Free left the wrapped chain non-empty")
+		}
+		snap := Stats.Snapshot()
+		if snap.CopiedBytes != 0 || snap.LoanedBytes != 0 || snap.ClusterAllocs != 0 || snap.SmallAllocs != 0 {
+			t.Fatalf("wrap moved counters: %+v", snap)
+		}
+	}
+}
+
 // TestDissectorNextChainZeroCopy: carving a payload out of a message as a
 // chain view moves no bytes even when the range spans mbufs.
 func TestDissectorNextChainZeroCopy(t *testing.T) {

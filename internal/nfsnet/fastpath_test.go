@@ -168,16 +168,8 @@ func TestFastPathRetransmitExactlyOnce(t *testing.T) {
 	if fc := snap.Counters["rpc.fastpath.calls"]; fc == 0 {
 		t.Error("rpc.fastpath.calls never advanced: LOOKUP storm did not ride the shallow path")
 	}
-	var reads, fast, dispatched int64
-	for i := 0; i < s.Readers(); i++ {
-		reads += snap.Counters[fmt.Sprintf("rpc.reader.%d.reads", i)]
-		fast += snap.Counters[fmt.Sprintf("rpc.reader.%d.fast", i)]
-	}
-	for i := 0; i < opts.NFSDs; i++ {
-		dispatched += snap.Counters[fmt.Sprintf("rpc.nfsd.%d.calls", i)]
-	}
-	if reads != dispatched+fast {
-		t.Errorf("drain counters diverge: reads %d, dispatched %d, fast %d", reads, dispatched, fast)
+	if d := drainOf(snap); d.reads != d.nfsd+d.fast+d.inline {
+		t.Errorf("drain counters diverge: %+v", d)
 	}
 	// Every file must actually be gone — each REMOVE executed (once).
 	for w := 0; w < workers; w++ {

@@ -53,9 +53,10 @@ func blockPattern(seed byte) []byte {
 // TestRealSocketReadZeroCopy is the ROADMAP gate on real sockets: once
 // warm, an 8 KB READ over loopback UDP and over loopback TCP moves no
 // payload byte in user space on the server. mbuf.Stats.CopiedBytes may
-// advance only by the request ingest (the ~84-byte call copied from the
-// socket buffer into mbufs), LoanedBytes by exactly the block memfs lent,
-// and the payload must arrive intact. The client below is a bare socket
+// advance by no more than the request (the ~84-byte call, which a reader
+// that has to spill copies into mbufs; served in place it is wrapped, and
+// the wrap is not a loan either), LoanedBytes by exactly the block memfs
+// lent, and the payload must arrive intact. The client below is a bare socket
 // speaking pre-encoded bytes — nfsnet.Client moves its messages through
 // mbufs in this same process and would pollute the counters.
 func TestRealSocketReadZeroCopy(t *testing.T) {
@@ -140,17 +141,7 @@ func TestRealSocketReadZeroCopy(t *testing.T) {
 	defer uc.Close()
 	measure("udp", func(xid uint32, blk int) {
 		t.Helper()
-		req := reqs[blk]
-		binary.BigEndian.PutUint32(req, xid)
-		uc.SetDeadline(time.Now().Add(timeout))
-		if _, err := uc.Write(req); err != nil {
-			t.Fatal(err)
-		}
-		n, err := uc.Read(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		verify(buf[:n], xid, blk)
+		verify(udpRoundTrip(t, uc, reqs[blk], buf, xid), xid, blk)
 	})
 
 	tc, err := net.Dial("tcp", s.TCPAddr())
@@ -182,6 +173,167 @@ func TestRealSocketReadZeroCopy(t *testing.T) {
 		}
 		verify(buf[:n], xid, blk)
 	})
+}
+
+// encodeWrite builds the wire bytes of one WRITE call.
+func encodeWrite(xid uint32, fh nfsproto.FH, off uint32, data []byte) []byte {
+	msg := callChain(xid, nfsproto.ProcWrite, func(e *xdr.Encoder) {
+		(&nfsproto.WriteArgs{File: fh, Offset: off, Data: mbuf.FromBytes(data)}).Encode(e)
+	})
+	out := msg.Bytes()
+	msg.Free()
+	return out
+}
+
+// udpRoundTrip sends one pre-encoded call from a bare socket, patching in
+// the XID, and returns the reply (valid until the next round trip). It
+// allocates nothing, so whatever the process allocates meanwhile is the
+// server's.
+func udpRoundTrip(t *testing.T, conn net.Conn, req, buf []byte, xid uint32) []byte {
+	t.Helper()
+	binary.BigEndian.PutUint32(req, xid)
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write(req); err != nil {
+		t.Fatal(err)
+	}
+	n, err := conn.Read(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n < 28 || binary.BigEndian.Uint32(buf) != xid || binary.BigEndian.Uint32(buf[24:]) != uint32(nfsproto.OK) {
+		t.Fatalf("xid %#x: %d-byte reply %x", xid, n, buf[:min(n, 28)])
+	}
+	return buf[:n]
+}
+
+// TestRealSocketWriteZeroCopy is the receive half of the same gate: once
+// warm, an 8 KB WRITE over loopback UDP is served out of the reader's own
+// buffer — the request chain wraps it, the payload view goes straight into
+// memfs's block copy — so the server copies no payload byte through mbufs
+// and draws no cluster to hold one. CopiedBytes may advance only by the
+// small fields of the reply; the blocks must read back as last written.
+func TestRealSocketWriteZeroCopy(t *testing.T) {
+	const (
+		blocks = 4
+		warm   = 16
+		ops    = 64
+		repMax = 128 // copy budget per op: the attrstat reply's fields
+	)
+	fs := memfs.New(1, nil, nil)
+	srv := server.New(fs, server.Reno())
+	f, err := fs.Create(nil, fs.Root(), "data", 0644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fh := fs.FH(f)
+	s, err := Serve(srv, "127.0.0.1:0", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	uc, err := net.Dial("udp", s.UDPAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer uc.Close()
+
+	// Two generations of every block: the warm-up writes one, the measured
+	// run overwrites it with the other, the read-back wants the other.
+	var reqs [2][blocks][]byte
+	var want [blocks][]byte
+	for i := range want {
+		want[i] = blockPattern(byte(31*i + 5))
+		reqs[0][i] = encodeWrite(0, fh, uint32(i)*memfs.BlockSize, blockPattern(byte(31*i+6)))
+		reqs[1][i] = encodeWrite(0, fh, uint32(i)*memfs.BlockSize, want[i])
+	}
+	buf := make([]byte, 65536)
+	for i := 0; i < warm; i++ {
+		udpRoundTrip(t, uc, reqs[0][i%blocks], buf, uint32(1000+i))
+	}
+	before := mbuf.Stats.Snapshot()
+	for i := 0; i < ops; i++ {
+		udpRoundTrip(t, uc, reqs[1][i%blocks], buf, uint32(2000+i))
+	}
+	after := mbuf.Stats.Snapshot()
+	copied := after.CopiedBytes - before.CopiedBytes
+	clusters := after.ClusterAllocs - before.ClusterAllocs
+	t.Logf("udp: %d WRITEs copied %d B/op, drew %d clusters", ops, copied/ops, clusters)
+	if copied > ops*repMax {
+		t.Errorf("server copied %d bytes over %d WRITEs (%d B/op), want <= %d B/op (the reply only)",
+			copied, ops, copied/ops, repMax)
+	}
+	if clusters != 0 {
+		t.Errorf("server drew %d mbuf clusters over %d WRITEs, want 0 (no ingest copy)", clusters, ops)
+	}
+	if d := drainOf(srv.Metrics.Snapshot()); d.inline != warm+ops {
+		t.Errorf("%d WRITEs, one at a time: %+v, want all served on the reader", warm+ops, d)
+	}
+	for i := range want {
+		rep := udpRoundTrip(t, uc, encodeRead(0, fh, uint32(i)*memfs.BlockSize, memfs.BlockSize), buf, uint32(3000+i))
+		if !bytes.HasSuffix(rep, want[i]) {
+			t.Errorf("block %d does not read back as last written", i)
+		}
+	}
+}
+
+// TestAllocBudgetInline pins what a data RPC served on the reader costs the
+// allocator: an 8 KB READ and an 8 KB WRITE, socket to socket, once warm.
+// The request chain, its one wrapping header, the span and the send scratch
+// are all reused; what is left is the core's own per-call garbage (decoder,
+// reply chain, encoder), the same count the in-process budgets in the root
+// package pin. Budgets are the measured counts plus one of headroom for a
+// pool that a GC cycle emptied.
+func TestAllocBudgetInline(t *testing.T) {
+	fs := memfs.New(1, nil, nil)
+	opts := server.Reno()
+	opts.Readers = 1 // one reader, no pool worker ever woken: the process's allocations are the reader's
+	srv := server.New(fs, opts)
+	f, err := fs.Create(nil, fs.Root(), "data", 0644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteAt(nil, f, 0, blockPattern(1), 0); err != nil {
+		t.Fatal(err)
+	}
+	fh := fs.FH(f)
+	s, err := Serve(srv, "127.0.0.1:0", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	uc, err := net.Dial("udp", s.UDPAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer uc.Close()
+	buf := make([]byte, 65536)
+	xid := uint32(0)
+	for _, tc := range []struct {
+		name   string
+		req    []byte
+		budget float64
+	}{
+		{"read8k", encodeRead(0, fh, 0, memfs.BlockSize), 3},   // measured 2
+		{"write8k", encodeWrite(0, fh, 0, blockPattern(2)), 4}, // measured 3
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			once := func() {
+				xid++
+				udpRoundTrip(t, uc, tc.req, buf, xid)
+			}
+			for i := 0; i < 64; i++ {
+				once()
+			}
+			got := testing.AllocsPerRun(200, once)
+			t.Logf("inline %s: %.1f allocs/op (budget %.0f)", tc.name, got, tc.budget)
+			if got > tc.budget && !raceEnabled {
+				t.Errorf("inline %s allocates %.1f/op, budget is %.0f", tc.name, got, tc.budget)
+			}
+		})
+	}
+	if d := drainOf(srv.Metrics.Snapshot()); d.nfsd != 0 || d.inline == 0 {
+		t.Errorf("%+v: the calls measured were not served on the reader", d)
+	}
 }
 
 // coreCall runs one call through the server core (no sockets) and returns

@@ -5,38 +5,51 @@
 // paper claims for the implementation: nothing in the protocol code knows
 // whether its bytes ride a simulated internetwork or a real socket.
 //
-// Dispatch is genuinely parallel: a pool of Opts.NFSDs worker goroutines
-// drains per-reader UDP ingest rings, and every TCP connection is served
-// on its own goroutine, all calling the core's concurrent-safe HandleCall.
-// The giant "kernel lock" of earlier revisions survives only as a read/write
-// quiesce gate: every dispatch holds the read side (concurrently with all
-// others), and Crash takes the write side to swap the volatile state with
-// no call in flight.
+// Dispatch is run-to-completion when the server is idle and pooled when it
+// is not (DESIGN.md §3.3/§3.4). A UDP reader serves the datagram it just
+// read where it stands: header-only procedures (NULL, GETATTR, LOOKUP,
+// small READDIRs, STATFS, the MOUNT herd) through the shallow path,
+// server.HandleCallFast, flat datagram in, reply encoded into a per-reader
+// arena; everything else — READ, WRITE, the non-idempotent procedures, any
+// shallow-path fallback — through the ordinary HandleCall, the request
+// chain wrapping the read buffer itself (mbuf.Chain.Wrap: no ingest copy,
+// sound because the call finishes before the next read). No goroutine is
+// woken, no ring crossed, and such a call's span has no queue stage. TCP
+// connections work the same way, one goroutine each, records served in
+// order out of the scanner's buffer. Every dispatch holds the read side of
+// a quiesce gate (what is left of the giant "kernel lock" of earlier
+// revisions) concurrently with all others; Crash takes the write side to
+// swap the volatile state with no call in flight.
 //
-// Ingest is sharded too (DESIGN.md §3.3): Opts.Readers reader goroutines
-// stage datagrams into bounded per-reader rings. On Linux each reader owns
-// its own SO_REUSEPORT socket bound to the one service port, so the kernel
-// spreads flows across sockets and readers never contend on a descriptor;
-// elsewhere (or when reuseport binding fails) the readers share one socket
-// and merely pipeline staging against the descriptor's read lock. Each
-// wakeup drains a batch of queued datagrams (recvmmsg-style) into pooled
-// mbufs drawn from a per-reader mbuf.Cache.
+// The pool of Opts.NFSDs workers behind the per-reader ingest rings is the
+// overflow path, entered only on backlog the reader can see at no extra
+// syscall: its ring already holds calls (the pool is awake and behind), the
+// recvmmsg fill it is serving holds more datagrams behind this one, or
+// several readers share one socket (inline service there would hog the
+// descriptor's read lock). A spilled datagram outlives the read buffer, so
+// it is copied into pooled mbufs from a per-reader mbuf.Cache and queued,
+// the way the BSD network interrupt handed mbuf chains to sleeping nfsds.
+// Only a reader that owns its socket runs the drain that shows it a fill; a
+// lone reader (Readers 1) takes plain blocking reads, sees no backlog and
+// serves every call itself, pool or no pool (DESIGN.md §3.3 has what was
+// measured of that, and what was not).
 //
-// Dispatch itself is split in two (DESIGN.md §3.4). Before staging a
-// datagram, the reader peeks its CALL header: header-only procedures
-// (NULL, GETATTR, LOOKUP, small READDIRs, STATFS, the MOUNT herd) are
-// serviced inline on the reader via server.HandleCallFast — no mbuf chain,
-// no ring hop, replies encoded into a per-reader arena and flushed in
-// coalesced sendmmsg batches — while everything else (and any fast-path
-// fallback) takes the generic mbuf/ring/nfsd route unchanged. Workers
-// coalesce their reply sends the same way when a burst is in the ring.
+// Ingest is sharded (DESIGN.md §3.3): Opts.Readers reader goroutines. On
+// Linux each owns its own SO_REUSEPORT socket bound to the one service
+// port, so the kernel spreads flows across sockets, readers never contend
+// on a descriptor, and each wakeup drains what the kernel has already
+// queued (recvmmsg-style); elsewhere (or when reuseport binding fails) the
+// readers share one socket and pipeline staging against its read lock.
 //
-// Generic replies are never linearized on the way out (DESIGN.md §3.4,
-// "gather send"): the reply mbuf chain itself is handed to the socket — as
-// one iovec per segment through sendmsg/sendmmsg on UDP, as one writev of
-// [record mark, segments…] on TCP — and freed after the send returns. The
-// 8 KB block memfs loaned into a READ reply therefore reaches the kernel
-// without a user-space copy.
+// Replies coalesce in per-goroutine send batches, flushed before the owner
+// blocks again, and generic replies are never linearized on the way out
+// (DESIGN.md §3.4, "gather send"): the reply mbuf chain itself is handed to
+// the socket — one iovec per segment through sendmsg/sendmmsg on UDP, one
+// writev of [record mark, segments…] on TCP — and freed after the send
+// returns. An 8 KB READ or WRITE served in place therefore moves no payload
+// byte through mbufs in either direction: the block memfs loaned into a
+// READ reply reaches the kernel uncopied, and WRITE's one copy is memfs's,
+// from the read buffer into the file block.
 package nfsnet
 
 import (
@@ -100,11 +113,12 @@ type Server struct {
 	// histograms and keeps the slowest spans for trace dumps.
 	stages *metrics.StageStats
 
-	// fastOff disables the shallow dispatch path (several readers sharing
-	// one socket, see Serve); the counters account it: fastCalls datagrams serviced inline on a reader,
-	// fastFallbacks datagrams classified eligible but punted to the generic
-	// path, sendBatches send syscalls issued by the coalescing writers and
-	// sendMsgs replies sent through them.
+	// fastOff turns inline service off, shallow and generic alike (several
+	// readers sharing one socket, see Serve). The counters: fastCalls
+	// datagrams served on the shallow path, fastFallbacks datagrams
+	// classified eligible but punted to the generic dispatch, sendBatches
+	// send syscalls issued by the coalescing writers and sendMsgs replies
+	// sent through them.
 	fastOff                  bool
 	fastCalls, fastFallbacks *metrics.Counter
 	sendBatches, sendMsgs    *metrics.Counter
@@ -114,8 +128,8 @@ type Server struct {
 // dispatch stalled behind a Crash (or the gate itself became a bottleneck).
 var crashSite = lockstat.NewSite("nfsnet.crashgate")
 
-// udpJob is one datagram awaiting an nfsd: the request already lives in
-// (pooled) mbufs, so the reader's socket buffer is immediately reusable.
+// udpJob is one spilled datagram awaiting an nfsd: the request was copied
+// into (pooled) mbufs, so the reader's socket buffer is immediately reusable.
 type udpJob struct {
 	addr netip.AddrPort
 	req  *mbuf.Chain
@@ -125,25 +139,28 @@ type udpJob struct {
 	readNS int64
 }
 
-// udpReader is one ingest shard: a reader goroutine staging datagrams from
-// conn into ring, and the subset of nfsds that drain the ring (worker i
-// serves ring i%len(readers)). Replies go back out on the shard's conn —
-// under reuseport every socket is bound to the same local port, so the
-// reply's source address is identical whichever socket sends it.
+// udpReader is one ingest shard: a reader goroutine serving datagrams from
+// conn inline or spilling them into ring, and the subset of nfsds that
+// drain the ring (worker i serves ring i%len(readers)). Replies go back out
+// on the shard's conn — under reuseport every socket is bound to the same
+// local port, so the reply's source address is identical whichever socket
+// sends it.
 type udpReader struct {
 	id   int
 	conn *net.UDPConn
 	ring chan udpJob
 	// reads counts every datagram the reader pulled off its socket
-	// (rpc.reader.<id>.reads), fast-path and staged alike; fast counts the
-	// subset consumed inline on the shallow path (rpc.reader.<id>.fast) —
-	// so Σreads == Σnfsd calls + Σfast is the drain invariant. wakeups
-	// counts blocking-read returns that yielded at least one datagram
-	// (rpc.reader.<id>.wakeups) — reads/wakeups is the mean drain batch.
-	// batched counts the datagrams the recvmmsg probe delivered beyond the
-	// first of each fill (rpc.reader.<id>.batched_reads) — reads the
-	// batching saved a receive syscall for.
-	reads, fast, wakeups, batched *metrics.Counter
+	// (rpc.reader.<id>.reads). Each is consumed exactly one of three ways:
+	// fast counts those served inline on the shallow path
+	// (rpc.reader.<id>.fast), inline those served inline through the generic
+	// dispatch (rpc.reader.<id>.inline), and the rest ride the ring to an
+	// nfsd — so Σreads == Σnfsd calls + Σfast + Σinline is the drain
+	// invariant. wakeups counts blocking-read returns that yielded at least
+	// one datagram (rpc.reader.<id>.wakeups) — reads/wakeups is the mean
+	// drain batch. batched counts the datagrams the recvmmsg probe delivered
+	// beyond the first of each fill (rpc.reader.<id>.batched_reads) — reads
+	// the batching saved a receive syscall for.
+	reads, fast, inline, wakeups, batched *metrics.Counter
 }
 
 // Reader deadlines. A reader that owns its socket re-arms a bounded
@@ -223,13 +240,13 @@ func Serve(srv *server.Server, udpAddr, tcpAddr string) (*Server, error) {
 		conns:  make(map[net.Conn]struct{}),
 		busy:   srv.Metrics.Gauge("rpc.nfsd.busy"),
 		stages: metrics.NewStageStats(srv.Metrics, metrics.DefaultSlowSpans),
-		// The shallow path services requests inline on the reader, which
-		// is only sound when readers cannot contend for datagrams: a
-		// fast-serving reader on a multi-reader *shared* socket never
-		// blocks on its ring, so it would hog the descriptor's read lock
-		// (starving its siblings) and serialize all header-only service on
-		// one goroutine. Reuseport sockets (each reader owns one) and the
-		// single-reader fallback have no such contention.
+		// Serving requests inline on the reader is only sound when readers
+		// cannot contend for datagrams: an inline-serving reader on a
+		// multi-reader *shared* socket never blocks on its ring, so it
+		// would hog the descriptor's read lock (starving its siblings) and
+		// serialize all service on one goroutine. Reuseport sockets (each
+		// reader owns one) and the single-reader fallback have no such
+		// contention.
 		fastOff: !reuse && nreaders > 1,
 	}
 	s.fastCalls = srv.Metrics.Counter("rpc.fastpath.calls")
@@ -263,6 +280,7 @@ func Serve(srv *server.Server, udpAddr, tcpAddr string) (*Server, error) {
 			ring:    make(chan udpJob, slots),
 			reads:   srv.Metrics.Counter(fmt.Sprintf("rpc.reader.%d.reads", i)),
 			fast:    srv.Metrics.Counter(fmt.Sprintf("rpc.reader.%d.fast", i)),
+			inline:  srv.Metrics.Counter(fmt.Sprintf("rpc.reader.%d.inline", i)),
 			wakeups: srv.Metrics.Counter(fmt.Sprintf("rpc.reader.%d.wakeups", i)),
 			batched: srv.Metrics.Counter(fmt.Sprintf("rpc.reader.%d.batched_reads", i)),
 		})
@@ -370,8 +388,8 @@ func (s *Server) dispatch(peer string, req *mbuf.Chain, sp *metrics.Span) *mbuf.
 	s.busyCount.Add(1)
 	rep := s.srv.HandleCallSpan(nil, peer, req, sp)
 	s.busyCount.Add(-1)
-	// The request chain is ours (built from the socket read buffer) and the
-	// call is finished with it; recycle its mbufs.
+	// The request chain is ours (copied from, or wrapping, the socket read
+	// buffer) and the call is finished with it; recycle its mbufs.
 	req.Free()
 	if rep != nil {
 		sp.Stamp(metrics.StageEncode)
@@ -392,18 +410,44 @@ func (s *Server) Crash() {
 	s.srv.Crash()
 }
 
-// readUDP is one sharded socket reader. Each datagram is first offered to
-// the shallow dispatch path (tryFast): header-only procedures are serviced
-// right here, their replies coalescing in the reader's send batch. Every
-// other datagram moves into pooled mbufs (drawn from a per-reader batch
-// cache) and queues on the ring for the nfsd pool, the way the BSD network
-// interrupt handed mbuf chains to sleeping nfsds. A reader that owns its
-// socket (reuseport) drains the kernel backlog per wakeup through the
-// non-blocking drainRead probe — take what's queued, never wait for more —
-// so the batch flushes the instant the backlog is dry and coalescing never
-// holds a reply while the socket idles. Readers sharing one socket take
-// plain blocking reads — they pipeline staging against the descriptor's
-// read lock but must leave the shared deadline alone.
+// scribbleServed is a test hook: when set, a buffer served in place is
+// overwritten the instant its dispatch returns — what the next read would do
+// to it, done at once — so anything the core or a staged reply still points
+// into it shows up as 0xA5 bytes.
+var scribbleServed bool
+
+// dispatchInPlace serves a request straight out of the buffer it was read
+// into: req (empty, reusable — dispatch frees it) wraps b instead of copying
+// it into mbufs. Only for callers that run the call to completion before b
+// is written again. Nothing the call leaves behind may alias b: arguments
+// are copied out as they are decoded, WRITE data is copied into file blocks,
+// and replies are built from fresh mbufs and loaned file blocks.
+func (s *Server) dispatchInPlace(peer string, req *mbuf.Chain, b []byte, sp *metrics.Span) *mbuf.Chain {
+	req.Wrap(b)
+	sp.Stamp(metrics.StageRead)
+	rep := s.dispatch(peer, req, sp)
+	if scribbleServed {
+		for i := range b {
+			b[i] = 0xA5
+		}
+	}
+	return rep
+}
+
+// readUDP is one sharded socket reader, and the server's first-choice
+// dispatcher: it serves each datagram to completion where it stands —
+// tryFast for header-only procedures, dispatchInPlace for the rest — with the
+// replies coalescing in its send batch, and hands a datagram to the nfsd
+// pool only on backlog it can already see. A reader that owns its socket
+// (reuseport) drains the kernel backlog per wakeup through the non-blocking
+// drainRead probe — take what's queued, never wait for more — so the batch
+// flushes the instant the backlog is dry and coalescing never holds a reply
+// while the socket idles. Readers sharing one socket take plain blocking
+// reads and spill everything — they pipeline staging against the
+// descriptor's read lock but must leave the shared deadline alone. A lone
+// reader takes plain blocking reads too and serves everything itself: with
+// no drain it holds no evidence of backlog, and a probe to get some costs
+// more than the pool returns wherever that was measured (EXPERIMENTS.md).
 func (s *Server) readUDP(r *udpReader) {
 	defer s.readerWG.Done()
 	defer close(r.ring)
@@ -415,9 +459,11 @@ func (s *Server) readUDP(r *udpReader) {
 	var peers peerCache
 	var probe recvProbe
 	probe.batched = r.batched
-	// One span, reused per fast-path datagram (add copies it by value);
-	// a per-datagram span would escape through the call chain.
+	// One span and one request chain, reused per inline datagram (the batch
+	// copies the span by value, dispatch empties the chain); per-datagram
+	// ones would escape through the call chain.
 	var sp metrics.Span
+	var wrap mbuf.Chain
 	buf := make([]byte, 65536)
 	for {
 		// Checked on the success path too: under a continuous flood reads
@@ -438,18 +484,38 @@ func (s *Server) readUDP(r *udpReader) {
 		}
 		r.wakeups.Inc()
 		// pkt aliases either buf or a probe-owned batch buffer; both stay
-		// intact until the next drainRead, and both consumers below finish
+		// intact until the next drainRead, and every consumer below finishes
 		// with the bytes synchronously (inline service or mbuf copy).
 		pkt := buf[:n]
 		for nread := 0; ; {
 			t0 := time.Now()
 			r.reads.Inc()
-			if !s.tryFast(r, batch, &peers, pkt, addr, t0, &sp) {
+			switch {
+			case s.tryFast(r, batch, &peers, pkt, addr, t0, &sp):
+				// Served on the shallow path.
+			case s.fastOff || len(r.ring) > 0 || probe.pending() > 0:
+				// Backlog: readers share the socket, the pool is already
+				// awake and behind, or the current recvmmsg fill holds more
+				// datagrams behind this one (the last of a fill is served
+				// here). Evidence the reader holds anyway — no syscall asks.
 				req := cache.FromBytes(pkt)
 				r.ring <- udpJob{addr: addr, req: req, t0: t0, readNS: int64(time.Since(t0))}
+			default:
+				sp.Reset(t0)
+				sp.Peer = peers.get(addr)
+				rep := s.dispatchInPlace(sp.Peer, &wrap, pkt, &sp)
+				r.inline.Inc()
+				if rep != nil {
+					batch.addChain(rep, addr, &sp)
+				} else {
+					s.stages.Record(&sp)
+				}
 			}
 			nread++
-			if !owned || nread >= maxBatch {
+			// A fill is always served out: a datagram left inside the probe
+			// would wait until the next one arrived to wake the reader, and
+			// would make that one look like it had company on the socket.
+			if probe.pending() == 0 && (!owned || nread >= maxBatch) {
 				break
 			}
 			var more bool
@@ -475,9 +541,9 @@ func drainReadDeadline(conn *net.UDPConn, b *sendBatch, buf []byte) (int, netip.
 // tryFast offers one datagram to the shallow dispatch path. True means the
 // datagram was consumed here — serviced inline (reply staged in b) or
 // dropped by the crash window, exactly as the generic path would have
-// dropped it. False means the caller must stage it for the generic pool;
-// when the datagram had been classified fast-eligible that punt is counted
-// as a fallback.
+// dropped it. False means the caller must put it through the generic
+// dispatch; when the datagram had been classified fast-eligible that punt is
+// counted as a fallback.
 func (s *Server) tryFast(r *udpReader, b *sendBatch, peers *peerCache, pkt []byte, addr netip.AddrPort, t0 time.Time, sp *metrics.Span) bool {
 	if s.fastOff {
 		return false
@@ -519,11 +585,12 @@ func (s *Server) tryFast(r *udpReader, b *sendBatch, peers *peerCache, pkt []byt
 	return true
 }
 
-// nfsd is one worker of the dispatch pool, permanently attached to the
+// nfsd is one worker of the overflow pool, permanently attached to the
 // ingest ring of reader id%len(readers) (replies leave on that shard's
-// socket). Its per-worker counters (rpc.nfsd.<id>.calls,
-// rpc.nfsd.<id>.busy_us) expose how evenly the rings spread load, and the
-// shared rpc.nfsd.busy gauge the pool's utilization.
+// socket); it sleeps unless its reader spills. Its per-worker counters
+// (rpc.nfsd.<id>.calls, rpc.nfsd.<id>.busy_us) expose how evenly the rings
+// spread load, and the shared rpc.nfsd.busy gauge how many dispatches —
+// pooled, inline or TCP — are inside the core.
 func (s *Server) nfsd(id int) {
 	defer s.workerWG.Done()
 	r := s.readers[id%len(s.readers)]
@@ -607,6 +674,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	// Per-connection span, reused across records (Worker stays -1: TCP
 	// serving has no pool slot; trace dumps put it on a shared track).
 	var sp metrics.Span
+	var wrap mbuf.Chain
 	var scan rpc.RecordScanner
 	var w recordWriter
 	buf := make([]byte, 65536)
@@ -622,9 +690,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		for _, rec := range recs {
 			sp.Reset(time.Now())
 			sp.Peer = peer
-			req := mbuf.FromBytes(rec)
-			sp.Stamp(metrics.StageRead)
-			rep := s.dispatch(peer, req, &sp)
+			// A record is the scanner's own bytes and stays put until the
+			// next Feed, which is after this loop: serve it in place.
+			rep := s.dispatchInPlace(peer, &wrap, rec, &sp)
 			if rep == nil {
 				s.stages.Record(&sp)
 				continue

@@ -149,6 +149,10 @@ func (p *recvProbe) sourceAt(i int) netip.AddrPort {
 	return netip.AddrPort{}
 }
 
+// pending is how many datagrams of the current fill are still unserved —
+// calls known to be waiting behind the one the drain loop holds.
+func (p *recvProbe) pending() int { return p.got - p.next }
+
 // drainRead serves the next datagram the kernel already queued, without
 // waiting: (packet, source, true), or ok=false the instant the queue is
 // empty. The packet slice aliases a probe-owned buffer that stays intact

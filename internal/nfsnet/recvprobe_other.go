@@ -16,6 +16,9 @@ type recvProbe struct {
 	batched *metrics.Counter
 }
 
+// pending is always 0: the portable drain reads one datagram at a time.
+func (p *recvProbe) pending() int { return 0 }
+
 // drainRead degrades to the portable flush-then-deadline drain off Linux.
 func drainRead(conn *net.UDPConn, p *recvProbe, b *sendBatch) ([]byte, netip.AddrPort, bool) {
 	if p.buf == nil {

@@ -2,29 +2,20 @@ package server
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"testing"
 
 	"renonfs/internal/mbuf"
 	"renonfs/internal/memfs"
 	"renonfs/internal/nfsproto"
+	"renonfs/internal/nfstest"
 	"renonfs/internal/rpc"
 	"renonfs/internal/xdr"
 )
 
 // encodeWire flattens one RPC call to the raw datagram bytes the UDP
 // readers would peek at.
-func encodeWire(xid, prog, vers, proc uint32, args func(e *xdr.Encoder)) []byte {
-	req := &mbuf.Chain{}
-	rpc.EncodeCall(req, &rpc.Call{XID: xid, Prog: prog, Vers: vers, Proc: proc})
-	if args != nil {
-		args(xdr.NewEncoder(req))
-	}
-	wire := append([]byte(nil), req.Bytes()...)
-	req.Free()
-	return wire
-}
+var encodeWire = nfstest.EncodeWire
 
 // fastReply runs wire through the shallow path. ok=false means it punted
 // to the generic path.
@@ -58,35 +49,18 @@ func genericReply(t *testing.T, s *Server, peer string, wire []byte) []byte {
 // simulator's udp:<node>:<port> form), so hinted seeds reach piggyGrant.
 const fuzzPeer = "udp:7:900"
 
-// fuzzHandles are the fixture's file handles; the fixture is built the same
-// way every time, so they are the same on every server newFuzzServer makes.
-type fuzzHandles struct{ root, file, link, sub nfsproto.FH }
-
 // newFuzzServer builds the differential fixture: a lease-enabled Reno
-// server over a root holding a file, 40 bulk files (more than one READDIR
-// window), a symlink and a subdirectory. memfs's tick clock stamps files
-// from a counter, so two servers fed the same calls stay bit-identical.
-func newFuzzServer(t testing.TB) (*Server, fuzzHandles) {
+// server over nfstest's tree (the same handles on every server it makes).
+func newFuzzServer(t testing.TB) (*Server, nfstest.Handles) {
 	t.Helper()
 	fs := memfs.New(1, nil, nil)
 	opts := Reno()
 	opts.Leases = true
-	s := New(fs, opts)
-	must := func(n *memfs.Inode, err error) *memfs.Inode {
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n
+	h, err := nfstest.Tree(fs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	root := fs.Root()
-	h := fuzzHandles{root: fs.FH(root)}
-	h.file = fs.FH(must(fs.Create(nil, root, "f", 0644)))
-	for i := 0; i < 40; i++ {
-		must(fs.Create(nil, root, fmt.Sprintf("bulk-%02d", i), 0644))
-	}
-	h.link = fs.FH(must(fs.Symlink(nil, root, "ln", "f", 0777)))
-	h.sub = fs.FH(must(fs.Mkdir(nil, root, "sub", 0755)))
-	return s, h
+	return New(fs, opts), h
 }
 
 // maxFuzzDatagrams bounds one input's sequence so a fuzz iteration stays
@@ -188,98 +162,7 @@ func observe(s *Server, touched []nfsproto.FH) sideEffects {
 // run under plain go test.
 func FuzzFastVsGeneric(f *testing.F) {
 	_, h := newFuzzServer(f)
-	var stale nfsproto.FH
-	stale[0], stale[31] = 0xde, 0xad
-	var xid uint32 = 100
-	nfs := func(proc uint32, args func(e *xdr.Encoder)) []byte {
-		xid++
-		return encodeWire(xid, nfsproto.Program, nfsproto.Version, proc, args)
-	}
-	mnt := func(proc uint32, args func(e *xdr.Encoder)) []byte {
-		xid++
-		return encodeWire(xid, nfsproto.MountProgram, nfsproto.MountVersion, proc, args)
-	}
-	getattr := func(fh nfsproto.FH) []byte {
-		return nfs(nfsproto.ProcGetattr, func(e *xdr.Encoder) { (&nfsproto.GetattrArgs{File: fh}).Encode(e) })
-	}
-	lookup := func(dir nfsproto.FH, name string) []byte {
-		return nfs(nfsproto.ProcLookup, func(e *xdr.Encoder) { (&nfsproto.DiropArgs{Dir: dir, Name: name}).Encode(e) })
-	}
-	readdir := func(dir nfsproto.FH, cookie, count uint32) []byte {
-		return nfs(nfsproto.ProcReaddir, func(e *xdr.Encoder) {
-			(&nfsproto.ReaddirArgs{Dir: dir, Cookie: cookie, Count: count}).Encode(e)
-		})
-	}
-	setattr := func(fh nfsproto.FH, mode uint32) []byte {
-		return nfs(nfsproto.ProcSetattr, func(e *xdr.Encoder) {
-			sa := nfsproto.NewSattr()
-			sa.Mode = mode
-			(&nfsproto.SetattrArgs{File: fh, Attr: sa}).Encode(e)
-		})
-	}
-	readlink := func(fh nfsproto.FH) []byte {
-		return nfs(nfsproto.ProcReadlink, func(e *xdr.Encoder) { (&nfsproto.GetattrArgs{File: fh}).Encode(e) })
-	}
-	hinted := func(proc uint32, mode uint32, args func(e *xdr.Encoder)) []byte {
-		return nfs(proc, func(e *xdr.Encoder) {
-			args(e)
-			(&nfsproto.LeaseHint{Mode: mode, Duration: 10, CallbackPort: 901}).Encode(e)
-		})
-	}
-	setattrOK := setattr(h.file, 0600)
-	mntOK := mnt(nfsproto.MountProcMnt, func(e *xdr.Encoder) { (&nfsproto.MntArgs{DirPath: "/"}).Encode(e) })
-	seeds := [][]byte{
-		nfs(nfsproto.ProcNull, nil),
-		getattr(h.file),
-		getattr(stale),
-		// Twice: the second answers from the name cache on both servers.
-		lookup(h.root, "f"),
-		lookup(h.root, "f"),
-		// ENOENT twice: the second hits the negative name cache.
-		lookup(h.root, "missing"),
-		lookup(h.root, "missing"),
-		lookup(h.file, "x"), // not a directory
-		lookup(stale, "f"),
-		readdir(h.root, 0, 2048),
-		readdir(h.root, 0, 256),              // a small budget truncates the listing
-		readdir(h.root, 7, 512),              // resume from a mid-listing cookie
-		readdir(h.root, 0, nfsproto.MaxData), // past the shallow window: falls back
-		readdir(h.file, 0, 512),
-		readdir(stale, 0, 512),
-		nfs(nfsproto.ProcStatfs, func(e *xdr.Encoder) { (&nfsproto.GetattrArgs{File: h.root}).Encode(e) }),
-		// SETATTR is non-idempotent: the retransmission must replay the
-		// committed reply on both paths, not advance ctime again.
-		setattrOK,
-		setattrOK,
-		setattr(stale, nfsproto.NoValue),
-		readlink(h.link),
-		readlink(h.file), // not a symlink
-		readlink(stale),
-		mnt(nfsproto.MountProcNull, nil),
-		mntOK,
-		mnt(nfsproto.MountProcMnt, func(e *xdr.Encoder) { (&nfsproto.MntArgs{DirPath: "/no-such-export"}).Encode(e) }),
-		mnt(nfsproto.MountProcDump, nil),
-		// Piggybacked leases: grant, renew, share, and the conflicting hint
-		// that goes unanswered.
-		hinted(nfsproto.ProcGetattr, nfsproto.LeaseRead, func(e *xdr.Encoder) { (&nfsproto.GetattrArgs{File: h.file}).Encode(e) }),
-		hinted(nfsproto.ProcLookup, nfsproto.LeaseRead, func(e *xdr.Encoder) { (&nfsproto.DiropArgs{Dir: h.root, Name: "f"}).Encode(e) }),
-		hinted(nfsproto.ProcLookup, nfsproto.LeaseWrite, func(e *xdr.Encoder) { (&nfsproto.DiropArgs{Dir: h.root, Name: "bulk-03"}).Encode(e) }),
-		hinted(nfsproto.ProcLookup, nfsproto.LeaseRead, func(e *xdr.Encoder) { (&nfsproto.DiropArgs{Dir: h.root, Name: "sub"}).Encode(e) }),
-		// Generic-only procedures between shallow ones: the caches the two
-		// paths share must see the same history.
-		nfs(nfsproto.ProcCreate, func(e *xdr.Encoder) {
-			(&nfsproto.CreateArgs{Where: nfsproto.DiropArgs{Dir: h.root, Name: "missing"}, Attr: nfsproto.NewSattr()}).Encode(e)
-		}),
-		lookup(h.root, "missing"),
-		nfs(nfsproto.ProcRemove, func(e *xdr.Encoder) { (&nfsproto.DiropArgs{Dir: h.root, Name: "f"}).Encode(e) }),
-		lookup(h.root, "f"),
-		getattr(h.file),
-		// Header errors the shallow classifier must leave to the generic path.
-		encodeWire(900, nfsproto.Program, nfsproto.Version+1, nfsproto.ProcNull, nil),
-		encodeWire(901, nfsproto.Program+7, nfsproto.Version, nfsproto.ProcNull, nil),
-		encodeWire(902, nfsproto.Program, nfsproto.Version, nfsproto.NumProcsExt, nil),
-		lookup(h.root, "f")[:60], // truncated arguments
-	}
+	seeds := nfstest.Seeds(h)
 	for _, wire := range seeds {
 		f.Add(packDatagrams(wire))
 	}
@@ -288,7 +171,7 @@ func FuzzFastVsGeneric(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		a, h := newFuzzServer(t)
 		b, _ := newFuzzServer(t)
-		touched := []nfsproto.FH{h.root, h.file, h.link, h.sub}
+		touched := []nfsproto.FH{h.Root, h.File, h.Link, h.Sub}
 		scratch := make([]byte, 0, FastReplyMax)
 		for i, wire := range unpackDatagrams(in) {
 			ra := shallowThenGeneric(a, fuzzPeer, wire, scratch)
