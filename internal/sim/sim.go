@@ -1,11 +1,19 @@
+//go:build go1.23
+
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel advances a virtual clock and executes events in (time, sequence)
-// order. Simulated activities run as ordinary goroutines ("processes") that
-// hand control back to the scheduler whenever they block on a simulated
-// primitive (Sleep, Queue.Recv, Resource.Acquire, ...). Exactly one process
-// runs at a time, so simulated code needs no locking and every run with the
-// same seed is bit-for-bit reproducible.
+// order. Simulated activities ("processes") are coroutines (iter.Pull): a
+// process runs on the scheduler's own thread of control until it blocks on a
+// simulated primitive (Sleep, Queue.Recv, Resource.Acquire, ...), which
+// switches straight back to the scheduler; its resume event switches straight
+// back in. Exactly one process runs at a time, so simulated code needs no
+// locking and every run with the same seed is bit-for-bit reproducible.
+//
+// A panic in a process body surfaces from Run or RunAll in the caller's
+// goroutine, where it can be recovered; the process is then dead and the
+// environment should be closed. Close unwinds the processes still parked one
+// at a time in spawn order, running their deferred functions.
 //
 // The kernel is the substrate for the network and host models in
 // internal/netsim; nothing in it is NFS-specific.
@@ -13,7 +21,9 @@ package sim
 
 import (
 	"container/heap"
+	"container/list"
 	"fmt"
+	"iter"
 	"math/rand"
 	"time"
 )
@@ -21,15 +31,16 @@ import (
 // Time is virtual time since the start of the simulation.
 type Time = time.Duration
 
-// event is a scheduled callback. Events with equal when fire in seq order.
-type event struct {
+// Timer is a scheduled callback — the heap entry itself, so scheduling costs
+// one allocation — and the handle At returns to cancel it. Timers with equal
+// when fire in seq order.
+type Timer struct {
 	when Time
 	seq  uint64
-	fn   func()
-	idx  int // heap index, -1 when cancelled or popped
+	fn   func() // nil once fired or cancelled
 }
 
-type eventHeap []*event
+type eventHeap []*Timer
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
@@ -38,45 +49,31 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx, h[j].idx = i, j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*event)
-	e.idx = len(*h)
-	*h = append(*h, e)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Timer)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
-	e := old[n-1]
+	t := old[n-1]
 	old[n-1] = nil
-	e.idx = -1
 	*h = old[:n-1]
-	return e
+	return t
 }
 
 // Env is a simulation environment: a clock, an event queue and a set of
 // processes. Create one with New, populate it with Spawn, then call Run.
 type Env struct {
-	now     Time
-	seq     uint64
-	events  eventHeap
-	rng     *rand.Rand
-	parked  chan struct{} // signalled when the running process parks or exits
-	stop    chan struct{} // closed by Close to unwind parked processes
-	closed  bool
-	current *Proc
+	now    Time
+	seq    uint64
+	events eventHeap
+	rng    *rand.Rand
+	live   list.List // *Proc, started and not yet returned, in spawn order
+	closed bool
 }
 
 // New returns an empty environment whose random source is seeded with seed.
 func New(seed int64) *Env {
-	return &Env{
-		rng:    rand.New(rand.NewSource(seed)),
-		parked: make(chan struct{}),
-		stop:   make(chan struct{}),
-	}
+	return &Env{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -86,25 +83,18 @@ func (e *Env) Now() Time { return e.now }
 // be used from simulation context (process bodies and event callbacks).
 func (e *Env) Rand() *rand.Rand { return e.rng }
 
-// Timer is a handle to a scheduled callback.
-type Timer struct {
-	ev *event
-}
-
 // Stop cancels the timer if it has not fired. It reports whether the timer
 // was still pending.
 func (t *Timer) Stop() bool {
-	if t == nil || t.ev == nil || t.ev.idx < 0 || t.ev.fn == nil {
+	if !t.Pending() {
 		return false
 	}
-	t.ev.fn = nil
+	t.fn = nil
 	return true
 }
 
 // Pending reports whether the timer is still scheduled and uncancelled.
-func (t *Timer) Pending() bool {
-	return t != nil && t.ev != nil && t.ev.idx >= 0 && t.ev.fn != nil
-}
+func (t *Timer) Pending() bool { return t != nil && t.fn != nil }
 
 // At schedules fn to run at virtual time when (clamped to now). The callback
 // runs in scheduler context and must not block on simulation primitives;
@@ -113,10 +103,10 @@ func (e *Env) At(when Time, fn func()) *Timer {
 	if when < e.now {
 		when = e.now
 	}
-	ev := &event{when: when, seq: e.seq, fn: fn}
+	t := &Timer{when: when, seq: e.seq, fn: fn}
 	e.seq++
-	heap.Push(&e.events, ev)
-	return &Timer{ev: ev}
+	heap.Push(&e.events, t)
+	return t
 }
 
 // After schedules fn to run d from now.
@@ -125,9 +115,12 @@ func (e *Env) After(d Time, fn func()) *Timer { return e.At(e.now+d, fn) }
 // Proc is a simulated process. The pointer is passed to the process body and
 // is the handle through which the body blocks on simulated primitives.
 type Proc struct {
-	env  *Env
-	name string
-	wake chan struct{}
+	env    *Env
+	name   string
+	resume func()              // scheduler side: switch into the body until it parks
+	stop   func()              // scheduler side: unwind a parked body
+	yield  func(struct{}) bool // body side: switch back to the scheduler
+	elem   *list.Element       // in env.live
 }
 
 // Env returns the environment the process belongs to.
@@ -148,58 +141,36 @@ type stopSim struct{}
 
 // park hands control back to the scheduler until the process is resumed.
 func (p *Proc) park() {
-	e := p.env
-	e.current = nil
-	e.parked <- struct{}{}
-	select {
-	case <-p.wake:
-		e.current = p
-	case <-e.stop:
+	if !p.yield(struct{}{}) {
 		panic(stopSim{})
 	}
 }
 
-// resumeAt schedules the process to resume at time when.
-func (e *Env) resumeAt(when Time, p *Proc) *Timer {
-	return e.At(when, func() { e.runProc(p) })
-}
-
-// runProc wakes p and waits until it parks again or exits. Must be called
-// from scheduler context only.
-func (e *Env) runProc(p *Proc) {
-	p.wake <- struct{}{}
-	<-e.parked
-}
+// resumeAt schedules the process to resume at time when. The event is
+// p.resume itself, made once per process, so it costs the Timer and no more.
+func (e *Env) resumeAt(when Time, p *Proc) { e.At(when, p.resume) }
 
 // Spawn starts fn as a new process at the current virtual time. fn begins
 // executing when the scheduler reaches the spawn event.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, wake: make(chan struct{})}
+	p := &Proc{env: e, name: name}
 	e.At(e.now, func() {
-		go func() {
+		var next func() (struct{}, bool)
+		next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
 			defer func() {
+				e.live.Remove(p.elem)
 				if r := recover(); r != nil {
-					if _, ok := r.(stopSim); ok {
-						// Unwound by Close: the scheduler is not waiting,
-						// and shared state must not be touched — every
-						// parked goroutine unwinds concurrently.
-						return
+					if _, ok := r.(stopSim); !ok {
+						panic(r) // out of next, in whoever called Run
 					}
-					panic(r)
 				}
-				e.current = nil
-				e.parked <- struct{}{}
 			}()
-			// Wait for the scheduler's first handoff.
-			select {
-			case <-p.wake:
-				e.current = p
-			case <-e.stop:
-				panic(stopSim{})
-			}
 			fn(p)
-		}()
-		e.runProc(p)
+		})
+		p.resume = func() { next() }
+		p.elem = e.live.PushBack(p)
+		p.resume()
 	})
 	return p
 }
@@ -228,19 +199,11 @@ func (e *Env) Run(until Time) Time {
 		panic("sim: Run after Close")
 	}
 	for len(e.events) > 0 {
-		ev := e.events[0]
-		if ev.when > until {
+		if e.events[0].when > until {
 			e.now = until
 			return e.now
 		}
-		heap.Pop(&e.events)
-		if ev.fn == nil {
-			continue // cancelled
-		}
-		e.now = ev.when
-		fn := ev.fn
-		ev.fn = nil
-		fn()
+		e.step()
 	}
 	if e.now < until {
 		e.now = until
@@ -255,26 +218,29 @@ func (e *Env) RunAll() Time {
 		panic("sim: RunAll after Close")
 	}
 	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*event)
-		if ev.fn == nil {
-			continue
-		}
-		e.now = ev.when
-		fn := ev.fn
-		ev.fn = nil
-		fn()
+		e.step()
 	}
 	return e.now
 }
 
-// Close unwinds all parked processes so their goroutines exit. The
-// environment must not be used afterwards. It is safe to call more than once.
-func (e *Env) Close() {
-	if e.closed {
-		return
+// step pops the earliest event and, unless it was cancelled, fires it.
+func (e *Env) step() {
+	t := heap.Pop(&e.events).(*Timer)
+	if fn := t.fn; fn != nil {
+		t.fn = nil
+		e.now = t.when
+		fn()
 	}
+}
+
+// Close unwinds every process still parked, one at a time in spawn order, so
+// their deferred functions run and their coroutines exit. The environment
+// must not be used afterwards. It is safe to call more than once.
+func (e *Env) Close() {
 	e.closed = true
-	close(e.stop)
+	for el := e.live.Front(); el != nil; el = e.live.Front() {
+		el.Value.(*Proc).stop()
+	}
 }
 
 // String implements fmt.Stringer for debugging.

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -366,15 +368,140 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// Close unwinds parked processes one at a time in spawn order, running their
+// deferred functions, and leaves no goroutine behind; it is safe before a
+// spawn event has fired, twice, and after every process has exited.
 func TestCloseUnwindsProcesses(t *testing.T) {
 	e := New(1)
 	q := NewQueue[int](e, "q")
-	e.Spawn("stuck", func(p *Proc) {
-		q.Recv(p) // blocks forever
+	r := NewResource(e, "r", 1)
+	var unwound []string
+	stuck := func(name string, block func(p *Proc)) {
+		e.Spawn(name, func(p *Proc) {
+			defer func() { unwound = append(unwound, name) }()
+			block(p)
+			t.Errorf("%s ran past its park", name)
+		})
+	}
+	stuck("recv", func(p *Proc) { q.Recv(p) })
+	e.Spawn("done", func(p *Proc) {
+		defer func() { unwound = append(unwound, "done") }()
+		p.Sleep(ms)
 	})
+	stuck("sleep", func(p *Proc) { r.Acquire(p); p.Sleep(time.Hour) })
+	stuck("acquire", func(p *Proc) { r.Acquire(p) })
 	e.Run(10 * ms)
+	e.Spawn("unstarted", func(p *Proc) { t.Error("a process whose spawn event never fired ran") })
+	parked := runtime.NumGoroutine() // three of them coroutines
 	e.Close()
+	if want := []string{"done", "recv", "sleep", "acquire"}; !slices.Equal(unwound, want) {
+		t.Fatalf("deferred functions ran in order %v, want %v", unwound, want)
+	}
+	// At most: a finished test's goroutine may still be on its way out.
+	if got := runtime.NumGoroutine(); got > parked-3 {
+		t.Fatalf("%d goroutines after Close, %d before it with three processes parked", got, parked)
+	}
 	e.Close() // idempotent
+
+	e = New(1)
+	e.Spawn("unstarted", func(p *Proc) { t.Error("ran after Close") })
+	e.Close() // before the spawn event fired
+	e = New(1)
+	e.Spawn("short", func(p *Proc) { p.Sleep(ms) })
+	e.RunAll()
+	e.Close() // after every process exited
+	if got := runtime.NumGoroutine(); got > parked-3 {
+		t.Fatalf("%d goroutines at the end, want the baseline %d", got, parked-3)
+	}
+}
+
+// A panic in a process body surfaces from Run in the goroutine that called
+// it, where the caller can recover; the other processes still unwind on Close.
+func TestProcessPanicSurfacesFromRun(t *testing.T) {
+	e := New(1)
+	cleaned := false
+	e.Spawn("bystander", func(p *Proc) {
+		defer func() { cleaned = true }()
+		p.Sleep(time.Hour)
+	})
+	e.Spawn("bad", func(p *Proc) {
+		p.Sleep(ms)
+		panic("boom")
+	})
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("recovered %v from Run, want boom", r)
+			}
+		}()
+		e.Run(time.Second)
+		t.Error("Run returned past a panicking process")
+	}()
+	e.Close()
+	if !cleaned {
+		t.Error("Close after a process panic did not unwind the bystander")
+	}
+}
+
+// One allocation per Sleep: the resume event. (A count, so a legitimate gate.)
+func TestAllocBudgetSleep(t *testing.T) {
+	e := New(1)
+	defer e.Close()
+	e.Spawn("sleeper", func(p *Proc) {
+		for {
+			p.Sleep(ms)
+		}
+	})
+	e.Run(10 * ms) // past the spawn and the heap's first growth
+	horizon := e.Now()
+	if got := testing.AllocsPerRun(1000, func() {
+		horizon += ms
+		e.Run(horizon)
+	}); got > 1 {
+		t.Fatalf("%.1f allocations per Sleep and resume, budget 1", got)
+	}
+}
+
+// BenchmarkSleepResume is the kernel's floor: one process sleeping b.N times,
+// so each iteration is one heap push and pop and one switch in and out.
+func BenchmarkSleepResume(b *testing.B) {
+	e := New(1)
+	defer e.Close()
+	e.Spawn("sleeper", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(ms)
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.RunAll()
+}
+
+// BenchmarkQueuePingPong bounces a token between two processes through two
+// queues: per iteration two Sends, two blocking Recvs and two resumes.
+func BenchmarkQueuePingPong(b *testing.B) {
+	e := New(1)
+	defer e.Close()
+	ping, pong := NewQueue[int](e, "ping"), NewQueue[int](e, "pong")
+	e.Spawn("echo", func(p *Proc) {
+		for {
+			v, ok := ping.Recv(p)
+			if !ok {
+				return
+			}
+			pong.Send(v)
+		}
+	})
+	e.Spawn("driver", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			ping.Send(i)
+			pong.Recv(p)
+		}
+		ping.Close()
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.RunAll()
 }
 
 // Property: for any set of delays, events fire in nondecreasing time order

@@ -127,17 +127,22 @@ func (t *TCP) Close() {
 		return
 	}
 	t.closed = true
-	for _, pc := range t.pending {
-		if pc.done.IsSet() {
-			continue
-		}
-		pc.err = ErrClosed
-		metrics.Emit(t.Tracer, metrics.CallFailed{Proc: pc.proc, XID: pc.xid, Reason: "closed"})
-		pc.done.Set()
-	}
+	t.failPending(ErrClosed, "closed")
 	t.pending = make(map[uint32]*tcpPending)
 	if t.conn != nil {
 		t.conn.Close()
+	}
+}
+
+// failPending fails every unanswered call, waking the callers in XID order.
+func (t *TCP) failPending(err error, reason string) {
+	for _, pc := range byXID(t.pending) {
+		if pc.done.IsSet() {
+			continue
+		}
+		pc.err = err
+		metrics.Emit(t.Tracer, metrics.CallFailed{Proc: pc.proc, XID: pc.xid, Reason: reason})
+		pc.done.Set()
 	}
 }
 
@@ -235,19 +240,12 @@ func (t *TCP) rxLoop(p *sim.Proc, conn *tcpsim.Conn) {
 			break
 		}
 		if attempt+1 >= tcpReconnectAttempts {
-			for _, pc := range t.pending {
-				if pc.done.IsSet() {
-					continue
-				}
-				pc.err = connErr
-				metrics.Emit(t.Tracer, metrics.CallFailed{Proc: pc.proc, XID: pc.xid, Reason: "reconnect-failed"})
-				pc.done.Set()
-			}
+			t.failPending(connErr, "reconnect-failed")
 			return
 		}
 		p.Sleep(time.Second)
 	}
-	for _, pc := range t.pending {
+	for _, pc := range byXID(t.pending) {
 		if !pc.done.IsSet() {
 			t.stats.Retries++
 			metrics.Emit(t.Tracer, metrics.Retransmit{Proc: pc.proc, XID: pc.xid, Backoff: 1})

@@ -15,6 +15,7 @@ package transport
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"renonfs/internal/mbuf"
@@ -178,6 +179,23 @@ func buildCall(xid, prog, vers, proc uint32, args func(e *xdr.Encoder)) *mbuf.Ch
 		args(xdr.NewEncoder(c))
 	}
 	return c
+}
+
+// byXID returns the calls of a pending table in XID order. Map order is
+// random, and wherever walking the table has side effects — retransmissions,
+// window halvings, wake-ups — their order decides what the simulation does
+// next, so a run would not repeat.
+func byXID[T any](pending map[uint32]T) []T {
+	xids := make([]uint32, 0, len(pending))
+	for xid := range pending {
+		xids = append(xids, xid)
+	}
+	slices.Sort(xids)
+	calls := make([]T, len(xids))
+	for i, xid := range xids {
+		calls[i] = pending[xid]
+	}
+	return calls
 }
 
 // decodeReply validates the RPC reply header and returns a decoder at the

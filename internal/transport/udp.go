@@ -1,7 +1,9 @@
 package transport
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"renonfs/internal/metrics"
@@ -160,7 +162,7 @@ func (t *UDP) Close() {
 		return
 	}
 	t.closed = true
-	for _, pc := range t.pending {
+	for _, pc := range byXID(t.pending) {
 		if pc.done.IsSet() {
 			continue
 		}
@@ -235,12 +237,8 @@ func (t *UDP) CallProgram(p *sim.Proc, prog, vers, proc uint32, args func(e *xdr
 	return pc.reply, nil
 }
 
-// send (re)transmits a request and stamps its deadline.
-func (t *UDP) send(p *sim.Proc, pc *udpPending) {
-	rc := t.chains[pc.xid]
-	if rc == nil {
-		return
-	}
+// backedOff is pc's class timeout under its exponential backoff.
+func (t *UDP) backedOff(pc *udpPending) sim.Time {
 	rto := t.rtoFor(pc.class)
 	if pc.backoff > 0 {
 		rto *= sim.Time(uint(1) << uint(min(pc.backoff, 10)))
@@ -248,6 +246,16 @@ func (t *UDP) send(p *sim.Proc, pc *udpPending) {
 			rto = MaxRTO
 		}
 	}
+	return rto
+}
+
+// send (re)transmits a request and stamps its deadline.
+func (t *UDP) send(p *sim.Proc, pc *udpPending) {
+	rc := t.chains[pc.xid]
+	if rc == nil {
+		return
+	}
+	rto := t.backedOff(pc)
 	pc.rtoAtTx = rto
 	pc.deadline = t.env.Now() + rto
 	msg := buildCall(pc.xid, rc.prog, rc.vers, rc.proc, rc.args)
@@ -320,31 +328,23 @@ func dgProc(t *UDP, xid uint32) uint32 {
 }
 
 // timerLoop is the NFS client timer: every tick it scans pending requests
-// and retransmits the expired, recomputing deadlines from the freshest
-// estimates (unless the ablation pins them at send time).
+// and retransmits the expired in XID order (see byXID), recomputing deadlines
+// from the freshest estimates (unless the ablation pins them at send time).
 func (t *UDP) timerLoop(p *sim.Proc) {
+	var expired []*udpPending
 	for !t.closed {
 		p.Sleep(NFSTick)
 		now := p.Now()
+		expired = expired[:0]
 		for _, pc := range t.pending {
+			if !pc.done.IsSet() && now >= t.deadlineOf(pc) {
+				expired = append(expired, pc)
+			}
+		}
+		slices.SortFunc(expired, func(a, b *udpPending) int { return cmp.Compare(a.xid, b.xid) })
+		for _, pc := range expired {
 			if pc.done.IsSet() {
-				continue
-			}
-			deadline := pc.deadline
-			if t.cfg.Dynamic && !t.cfg.RecalcAtSendOnly {
-				// Refresh from the current estimator so the newest A and D
-				// are used (§4's second retry-rate fix).
-				rto := t.rtoFor(pc.class)
-				if pc.backoff > 0 {
-					rto *= sim.Time(uint(1) << uint(min(pc.backoff, 10)))
-					if rto > MaxRTO {
-						rto = MaxRTO
-					}
-				}
-				deadline = pc.sentAt + rto
-			}
-			if now < deadline {
-				continue
+				continue // answered while an earlier retransmission was going out
 			}
 			if pc.backoff >= t.cfg.Retrans {
 				pc.err = ErrCallTimeout
@@ -378,4 +378,14 @@ func (t *UDP) timerLoop(p *sim.Proc) {
 			}
 		}
 	}
+}
+
+// deadlineOf is when the timer gives up waiting on pc's last transmission.
+func (t *UDP) deadlineOf(pc *udpPending) sim.Time {
+	if !t.cfg.Dynamic || t.cfg.RecalcAtSendOnly {
+		return pc.deadline
+	}
+	// Refresh from the current estimator so the newest A and D are used
+	// (§4's second retry-rate fix).
+	return pc.sentAt + t.backedOff(pc)
 }
