@@ -21,11 +21,14 @@ race:
 chaos:
 	$(GO) test -race -run 'TestChaos' -v .
 
-# 30-second native-fuzz smokes: the two network-facing decoders, and the
-# differential that holds the shallow dispatch path to the generic one
-# (same reply bytes, same side effects, any datagram sequence).
+# 30-second native-fuzz smokes: the two network-facing decoders, the
+# in-place record scanner against a whole-stream reference splitter (any
+# stream, any chunking), and the differential that holds the shallow
+# dispatch path to the generic one (same reply bytes, same side effects,
+# any datagram sequence).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRPCDecode -fuzztime=30s ./internal/rpc
+	$(GO) test -fuzz=FuzzRecordScanner -fuzztime=30s ./internal/rpc
 	$(GO) test -fuzz=FuzzXDRDecode -fuzztime=30s ./internal/xdr
 	$(GO) test -fuzz=FuzzFastVsGeneric -fuzztime=30s ./internal/server
 
@@ -48,11 +51,13 @@ bench:
 # no-consistency bound (BENCH_leases.json). The second line is the zero-copy
 # gate on real sockets: an 8 KB READ over loopback UDP and TCP and an 8 KB
 # WRITE over UDP copy no payload byte through mbufs in user space, the
-# batched sendmmsg / TCP writev writers allocate nothing per reply, and a
-# data RPC served on the reader stays inside its allocation budget.
+# batched sendmmsg / TCP writev writers allocate nothing per reply, a data
+# RPC served on the reader stays inside its allocation budget, a TCP GETATTR
+# round trip allocates nothing (LOOKUP: the name string), and record ingest
+# neither allocates nor moves a byte per whole record.
 bench-smoke:
 	$(GO) test -run 'TestAllocBudget|TestReadReplyZeroCopy|TestFastpathLookupGate|TestLeaseCreateDeleteGate' -bench=. -benchmem -benchtime 1x .
-	$(GO) test -run 'TestRealSocketReadZeroCopy|TestRealSocketWriteZeroCopy|TestAllocBudget' -v ./internal/nfsnet
+	$(GO) test -run 'TestRealSocketReadZeroCopy|TestRealSocketWriteZeroCopy|TestAllocBudget' -v ./internal/nfsnet ./internal/rpc
 
 # The lease-coherence sweep: the two-client close-to-open model, the
 # randomized-IO model under the lease personality, the concurrent

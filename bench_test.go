@@ -310,8 +310,8 @@ func BenchmarkRecordScanner(b *testing.B) {
 	var s rpc.RecordScanner
 	b.SetBytes(int64(len(wire)))
 	for i := 0; i < b.N; i++ {
-		recs, err := s.Feed(wire)
-		if err != nil || len(recs) != 1 {
+		s.Feed(wire)
+		if rec, err := s.Next(); err != nil || len(rec) != 600 {
 			b.Fatal("bad scan")
 		}
 	}

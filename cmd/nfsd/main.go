@@ -194,11 +194,11 @@ func printFinal(s *nfsnet.Server) {
 	fmt.Printf("mbuf: %d bytes copied, %d bytes loaned, pool %d hits / %d misses\n",
 		snap.Counters["mbuf.copied_bytes"], snap.Counters["mbuf.loaned_bytes"],
 		snap.Counters["mbuf.pool_hits"], snap.Counters["mbuf.pool_misses"])
-	if msgs := snap.Counters["rpc.send.batched_msgs"]; msgs > 0 {
-		fmt.Printf("fastpath: %d calls, %d fallbacks; batched sends: %d syscalls / %d replies (%.3f per reply)\n",
+	if msgs := snap.Counters["rpc.send.batched_msgs"]; msgs+snap.Counters["rpc.fastpath.calls"] > 0 {
+		fmt.Printf("fastpath (udp+tcp): %d calls, %d fallbacks; batched udp sends: %d syscalls / %d replies (%.3f per reply)\n",
 			snap.Counters["rpc.fastpath.calls"], snap.Counters["rpc.fastpath.fallbacks"],
 			snap.Counters["rpc.send.batches"], msgs,
-			float64(snap.Counters["rpc.send.batches"])/float64(msgs))
+			float64(snap.Counters["rpc.send.batches"])/float64(max(msgs, 1)))
 	}
 	if grants := snap.Counters["lease.grants"]; grants > 0 {
 		fmt.Printf("leases: %d grants (%d piggybacked, %d renewals), %d trylater, %d evictions, %d vacates, %d expiries, %.0f active\n",

@@ -13,10 +13,11 @@
 //
 // Besides the per-procedure table it renders the parallel-dispatch view:
 // the sharded UDP ingest frontend (rpc.reader.<id>.reads/.fast/.inline/
-// .wakeups and the socket strategy), the shallow-dispatch and
-// reply-coalescing counters (rpc.fastpath.calls/.fallbacks,
-// rpc.send.batches/.batched_msgs — the batches/msgs ratio is send
-// syscalls per reply), the lease extension's
+// .wakeups and the socket strategy), the shallow-dispatch counters
+// (rpc.fastpath.calls/.fallbacks — UDP datagrams and TCP records both, so
+// calls exceeds the readers' fast column by the TCP share) and the UDP
+// reply-coalescing counters (rpc.send.batches/.batched_msgs — the
+// batches/msgs ratio is send syscalls per reply), the lease extension's
 // traffic when any were granted (lease.grants/.piggy_grants/.renewals,
 // the trylater/eviction/vacate/expiry conflict counters and the live
 // lease.active gauge), the nfsd worker pool
@@ -136,11 +137,11 @@ func render(snap *metrics.Snapshot, delta bool) {
 		snap.Counters["nfs.calls"], snap.Counters["nfs.errors"],
 		snap.Counters["nfs.dup_hits"], snap.Counters["nfs.bytes_in"],
 		snap.Counters["nfs.bytes_out"])
-	if msgs := snap.Counters["rpc.send.batched_msgs"]; msgs > 0 {
-		fmt.Printf("fastpath %d calls  %d fallbacks  batched sends %d syscalls / %d replies (%.3f per reply)\n",
+	if msgs := snap.Counters["rpc.send.batched_msgs"]; msgs+snap.Counters["rpc.fastpath.calls"] > 0 {
+		fmt.Printf("fastpath (udp+tcp) %d calls  %d fallbacks  batched udp sends %d syscalls / %d replies (%.3f per reply)\n",
 			snap.Counters["rpc.fastpath.calls"], snap.Counters["rpc.fastpath.fallbacks"],
 			snap.Counters["rpc.send.batches"], msgs,
-			float64(snap.Counters["rpc.send.batches"])/float64(msgs))
+			float64(snap.Counters["rpc.send.batches"])/float64(max(msgs, 1)))
 	}
 	renderLeases(snap)
 	renderStages(snap, delta)

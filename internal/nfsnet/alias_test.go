@@ -2,9 +2,7 @@ package nfsnet
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"reflect"
 	"testing"
@@ -73,18 +71,10 @@ func (r *aliasRig) call(t *testing.T, wire []byte) []byte {
 		}
 		return append([]byte(nil), r.buf[:n]...)
 	}
-	rec := binary.BigEndian.AppendUint32(r.buf[:0], 0x80000000|uint32(len(wire)))
-	if _, err := r.conn.Write(append(rec, wire...)); err != nil {
+	if _, err := r.conn.Write(mark(wire)); err != nil {
 		t.Fatalf("%s: %v", r.name, err)
 	}
-	if _, err := io.ReadFull(r.conn, r.buf[:4]); err != nil {
-		t.Fatalf("%s: %v", r.name, err)
-	}
-	n := int(binary.BigEndian.Uint32(r.buf) &^ 0x80000000)
-	if _, err := io.ReadFull(r.conn, r.buf[:n]); err != nil {
-		t.Fatalf("%s: %v", r.name, err)
-	}
-	return append([]byte(nil), r.buf[:n]...)
+	return append([]byte(nil), readRecord(t, r.conn, r.buf)...)
 }
 
 // TestServedInPlaceLeavesNoAlias is the soundness test of serving a request
@@ -92,13 +82,14 @@ func (r *aliasRig) call(t *testing.T, wire []byte) []byte {
 // keeps — dupcache entry, name-cache key, directory entry, symlink target,
 // file block, mount table row — and no reply, staged or sent, may point
 // into that buffer. With scribbleServed armed every such buffer turns to
-// 0xA5 the instant its dispatch returns. The same history then goes, call
-// by call, to a UDP server that serves inline, to a TCP connection, and to
-// a reference whose readers share one socket and therefore copy every
-// datagram into mbufs and hand it to the pool; every reply must match the
-// reference byte for byte, the follow-up reads included. The history is
-// FuzzFastVsGeneric's corpus followed by every procedure that carries data
-// or names into the server's state, each non-idempotent one retransmitted.
+// 0xA5 the instant its dispatch — generic or shallow — returns. The same
+// history then goes, call by call, to a UDP server that serves inline, to a
+// TCP connection, and to a reference whose readers share one socket and
+// therefore copy every datagram into mbufs and hand it to the pool; every
+// reply must match the reference byte for byte, the follow-up reads
+// included. The history is FuzzFastVsGeneric's corpus followed by every
+// procedure that carries data or names into the server's state, each
+// non-idempotent one retransmitted.
 func TestServedInPlaceLeavesNoAlias(t *testing.T) {
 	scribbleServed = true
 	t.Cleanup(func() { scribbleServed = false }) // registered first: runs after the servers have closed
@@ -245,6 +236,12 @@ func TestServedInPlaceLeavesNoAlias(t *testing.T) {
 	// no call through its pool, the reference put every call through it.
 	if d := drainOf(rigs[0].core.Metrics.Snapshot()); d.nfsd != 0 || d.inline == 0 || d.fast == 0 {
 		t.Errorf("inline server: %+v, want every call served on the reader", d)
+	}
+	// The TCP connection took both of its arms too: shallow replies, encoded
+	// flat beside the scribbled read buffer, and generic ones.
+	if snap := rigs[1].core.Metrics.Snapshot(); snap.Counters["rpc.fastpath.calls"] < 20 || snap.Counters["rpc.fastpath.fallbacks"] == 0 {
+		t.Errorf("tcp server: %d shallow calls, %d fallbacks; want most of the corpus and the oversize READDIRs",
+			snap.Counters["rpc.fastpath.calls"], snap.Counters["rpc.fastpath.fallbacks"])
 	}
 	if d := drainOf(ref.core.Metrics.Snapshot()); d.inline != 0 || d.fast != 0 || d.nfsd == 0 {
 		t.Errorf("reference server: %+v, want every call copied and spilled", d)

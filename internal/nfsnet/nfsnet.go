@@ -15,11 +15,14 @@
 // chain wrapping the read buffer itself (mbuf.Chain.Wrap: no ingest copy,
 // sound because the call finishes before the next read). No goroutine is
 // woken, no ring crossed, and such a call's span has no queue stage. TCP
-// connections work the same way, one goroutine each, records served in
-// order out of the scanner's buffer. Every dispatch holds the read side of
-// a quiesce gate (what is left of the giant "kernel lock" of earlier
-// revisions) concurrently with all others; Crash takes the write side to
-// swap the volatile state with no call in flight.
+// connections work the same way, one goroutine each: the socket is read
+// into the record scanner's buffer and each record is served in order where
+// the read put it, through the same two arms (fastEligible and serveFast
+// are shared; only a record split across reads is moved, and a record is
+// valid until the next read). Every dispatch holds the read side of a quiesce gate (what is left
+// of the giant "kernel lock" of earlier revisions) concurrently with all
+// others; Crash takes the write side to swap the volatile state with no
+// call in flight.
 //
 // The pool of Opts.NFSDs workers behind the per-reader ingest rings is the
 // overflow path, entered only on backlog the reader can see at no extra
@@ -46,7 +49,8 @@
 // (DESIGN.md §3.4, "gather send"): the reply mbuf chain itself is handed to
 // the socket — one iovec per segment through sendmsg/sendmmsg on UDP, one
 // writev of [record mark, segments…] on TCP — and freed after the send
-// returns. An 8 KB READ or WRITE served in place therefore moves no payload
+// returns. (A shallow reply is flat already: it leaves from the arena it
+// was encoded into, on TCP behind its own record mark in one Write.) An 8 KB READ or WRITE served in place therefore moves no payload
 // byte through mbufs in either direction: the block memfs loaned into a
 // READ reply reaches the kernel uncopied, and WRITE's one copy is memfs's,
 // from the read buffer into the file block.
@@ -349,7 +353,9 @@ func (s *Server) Close() {
 		s.acceptWG.Wait()
 		s.connMu.Lock()
 		for c := range s.conns {
-			c.SetReadDeadline(time.Now())
+			// Both directions: a connection whose peer stopped reading is
+			// parked in a reply write, which a read deadline never wakes.
+			c.SetDeadline(time.Now())
 		}
 		s.connMu.Unlock()
 		s.connWG.Wait()
@@ -416,6 +422,17 @@ func (s *Server) Crash() {
 // into it shows up as 0xA5 bytes.
 var scribbleServed bool
 
+// declineFast is a test hook: when set, fastEligible declines every call, so
+// the same traffic can be replayed down the generic path for comparison.
+var declineFast bool
+
+// scribble does to a served buffer what the next read would.
+func scribble(b []byte) {
+	for i := range b {
+		b[i] = 0xA5
+	}
+}
+
 // dispatchInPlace serves a request straight out of the buffer it was read
 // into: req (empty, reusable — dispatch frees it) wraps b instead of copying
 // it into mbufs. Only for callers that run the call to completion before b
@@ -427,9 +444,7 @@ func (s *Server) dispatchInPlace(peer string, req *mbuf.Chain, b []byte, sp *met
 	sp.Stamp(metrics.StageRead)
 	rep := s.dispatch(peer, req, sp)
 	if scribbleServed {
-		for i := range b {
-			b[i] = 0xA5
-		}
+		scribble(b)
 	}
 	return rep
 }
@@ -538,50 +553,68 @@ func drainReadDeadline(conn *net.UDPConn, b *sendBatch, buf []byte) (int, netip.
 	return n, addr, err == nil
 }
 
-// tryFast offers one datagram to the shallow dispatch path. True means the
-// datagram was consumed here — serviced inline (reply staged in b) or
-// dropped by the crash window, exactly as the generic path would have
-// dropped it. False means the caller must put it through the generic
-// dispatch; when the datagram had been classified fast-eligible that punt is
-// counted as a fallback.
+// fastEligible peeks at one call — a UDP datagram or a TCP record, still in
+// the buffer it was read into — and reports whether the shallow dispatch path
+// may be offered it, with the offset of its arguments.
+func fastEligible(pkt []byte, h *rpc.PeekedCall) (argOff int, ok bool) {
+	argOff, ok = rpc.PeekCallHeader(pkt, h)
+	return argOff, ok && server.FastEligible(h) && !declineFast
+}
+
+// serveFast puts an eligible call through the shallow path, the reply
+// encoded flat onto out (len 0, cap >= server.FastReplyMax). done means the
+// call was consumed here: rep is its reply, or nil when there is none to send
+// (dropped by the crash window exactly as the generic path would have dropped
+// it, or a non-idempotent call's in-flight duplicate). The caller sends rep
+// and records sp. Not done means the caller must put the call through the
+// generic dispatch, nothing having happened to it but the count of a fallback.
+func (s *Server) serveFast(peer string, pkt []byte, h *rpc.PeekedCall, argOff int, out []byte, t0 time.Time, sp *metrics.Span) (rep []byte, done bool) {
+	sp.Reset(t0)
+	sp.Stamp(metrics.StageRead)
+	sp.SetCall(h.XID, h.Proc)
+	sp.Stamp(metrics.StageDecode)
+	sp.Peer = peer
+	crashSite.RLock(&s.crashMu, sp)
+	if s.srv.Down() {
+		s.crashMu.RUnlock()
+		sp.SetErr()
+		return nil, true // crashed: the request vanishes, like the generic drop
+	}
+	rep, ok := s.srv.HandleCallFast(peer, pkt, h, argOff, out, sp)
+	s.crashMu.RUnlock()
+	if !ok {
+		s.fastFallbacks.Inc()
+		return nil, false
+	}
+	s.fastCalls.Inc()
+	if scribbleServed {
+		scribble(pkt)
+	}
+	return rep, true
+}
+
+// tryFast offers one datagram to the shallow path, staging the reply in b.
+// True means the datagram was consumed here; false that the caller must put
+// it through the generic dispatch.
 func (s *Server) tryFast(r *udpReader, b *sendBatch, peers *peerCache, pkt []byte, addr netip.AddrPort, t0 time.Time, sp *metrics.Span) bool {
 	if s.fastOff {
 		return false
 	}
 	var h rpc.PeekedCall
-	argOff, ok := rpc.PeekCallHeader(pkt, &h)
-	if !ok || !server.FastEligible(&h) {
+	argOff, ok := fastEligible(pkt, &h)
+	if !ok {
 		return false
 	}
-	sp.Reset(t0)
-	sp.Stamp(metrics.StageRead)
-	sp.SetCall(h.XID, h.Proc)
-	sp.Stamp(metrics.StageDecode)
-	crashSite.RLock(&s.crashMu, sp)
-	if s.srv.Down() {
-		s.crashMu.RUnlock()
-		r.fast.Inc()
-		sp.SetErr()
-		s.stages.Record(sp)
-		return true // crashed: the request vanishes, like the generic drop
-	}
-	peer := peers.get(addr)
-	sp.Peer = peer
-	rep, ok := s.srv.HandleCallFast(peer, pkt, &h, argOff, b.scratch(), sp)
-	s.crashMu.RUnlock()
-	if !ok {
-		s.fastFallbacks.Inc()
+	rep, done := s.serveFast(peers.get(addr), pkt, &h, argOff, b.scratch(), t0, sp)
+	if !done {
 		return false
 	}
 	r.fast.Inc()
-	s.fastCalls.Inc()
 	if rep == nil {
-		// Consumed with no reply: a non-idempotent call's in-flight
-		// duplicate, dropped exactly as the generic path drops it.
 		s.stages.Record(sp)
-		return true
+	} else {
+		b.add(rep, addr, sp)
 	}
-	b.add(rep, addr, sp)
 	return true
 }
 
@@ -659,9 +692,15 @@ func (s *Server) serveTCP() {
 	}
 }
 
-// serveConn serves one TCP connection: requests on a connection execute in
-// order (as the record stream demands), but connections run concurrently
-// with each other and with the UDP pool.
+// serveConn serves one TCP connection, the stream-shaped twin of readUDP's
+// inline arms: conn.Read fills the record scanner's buffer and every record
+// that arrived whole is served where the read put it (only a record split
+// across reads is moved, once; a record is valid until the next read).
+// Header-only procedures take the shallow path, serveFast, their reply
+// encoded flat behind its own record mark and sent with one Write; the rest
+// go through dispatchInPlace and leave as a gather (recordWriter). Requests
+// on a connection execute in order (as the record stream demands), but
+// connections run concurrently with each other and with the UDP readers.
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.connWG.Done()
 	defer func() {
@@ -677,34 +716,51 @@ func (s *Server) serveConn(conn net.Conn) {
 	var wrap mbuf.Chain
 	var scan rpc.RecordScanner
 	var w recordWriter
-	buf := make([]byte, 65536)
+	var h rpc.PeekedCall
+	flat := make([]byte, 4+server.FastReplyMax) // record mark + one shallow reply
 	for {
-		n, err := conn.Read(buf)
+		n, err := conn.Read(scan.Space(1))
 		if err != nil {
 			return
 		}
-		recs, err := scan.Feed(buf[:n])
-		if err != nil {
-			return
-		}
-		for _, rec := range recs {
-			sp.Reset(time.Now())
-			sp.Peer = peer
-			// A record is the scanner's own bytes and stays put until the
-			// next Feed, which is after this loop: serve it in place.
-			rep := s.dispatchInPlace(peer, &wrap, rec, &sp)
-			if rep == nil {
-				s.stages.Record(&sp)
-				continue
-			}
-			err := w.write(conn, rep)
-			rep.Free()
+		scan.Fill(n)
+		// A record's span begins when its bytes became available: at the
+		// read's return for the first of a fill, at the previous record's
+		// last stamp after that — so the scan is inside the read stage.
+		for t0 := time.Now(); ; t0 = sp.Begin.Add(time.Duration(sp.TotalNS())) {
+			rec, err := scan.Next()
 			if err != nil {
-				s.stages.Record(&sp)
+				return // a record past MaxRecord: the stream is desynchronized
+			}
+			if rec == nil {
+				break
+			}
+			var rep []byte
+			sent, done := false, false
+			if argOff, ok := fastEligible(rec, &h); ok {
+				rep, done = s.serveFast(peer, rec, &h, argOff, flat[4:4], t0, &sp)
+			}
+			switch {
+			case rep != nil:
+				binary.BigEndian.PutUint32(flat, 0x80000000|uint32(len(rep)))
+				_, err = conn.Write(flat[:4+len(rep)])
+				sent = true
+			case !done:
+				sp.Reset(t0)
+				sp.Peer = peer
+				if chain := s.dispatchInPlace(peer, &wrap, rec, &sp); chain != nil {
+					err = w.write(conn, chain)
+					chain.Free()
+					sent = true
+				}
+			}
+			if sent && err == nil {
+				sp.Stamp(metrics.StageSend)
+			}
+			s.stages.Record(&sp)
+			if err != nil {
 				return
 			}
-			sp.Stamp(metrics.StageSend)
-			s.stages.Record(&sp)
 		}
 	}
 }
@@ -745,9 +801,10 @@ type Client struct {
 	// Timeout and Retries govern UDP retransmission.
 	Timeout time.Duration
 	Retries int
-	scan    rpc.RecordScanner
-	// rbuf is the receive buffer, reused across calls (guarded by mu; a
-	// reply is copied into its own chain before the call returns).
+	// scan holds the TCP receive stream, rbuf is the UDP receive buffer;
+	// both are reused across calls (guarded by mu; a reply is copied into
+	// its own chain before the call returns).
+	scan rpc.RecordScanner
 	rbuf []byte
 }
 
@@ -793,10 +850,9 @@ func (c *Client) CallProgram(prog, vers, proc uint32, args func(e *xdr.Encoder))
 		rpc.AddRecordMark(msg)
 	}
 	wire := msg.Bytes()
-	if c.rbuf == nil {
+	if c.rbuf == nil && !c.tcp {
 		c.rbuf = make([]byte, 65536)
 	}
-	buf := c.rbuf
 	for attempt := 0; attempt <= c.Retries; attempt++ {
 		if _, err := c.conn.Write(wire); err != nil {
 			return nil, err
@@ -804,32 +860,12 @@ func (c *Client) CallProgram(prog, vers, proc uint32, args func(e *xdr.Encoder))
 		deadline := time.Now().Add(c.Timeout)
 		for {
 			c.conn.SetReadDeadline(deadline)
-			var rec []byte
-			if c.tcp {
-				n, err := c.conn.Read(buf)
-				if err != nil {
-					if isTimeout(err) {
-						break
-					}
-					return nil, err
+			rec, err := c.recv()
+			if err != nil {
+				if isTimeout(err) {
+					break
 				}
-				recs, err := c.scan.Feed(buf[:n])
-				if err != nil {
-					return nil, err
-				}
-				if len(recs) == 0 {
-					continue
-				}
-				rec = recs[0]
-			} else {
-				n, err := c.conn.Read(buf)
-				if err != nil {
-					if isTimeout(err) {
-						break
-					}
-					return nil, err
-				}
-				rec = buf[:n]
+				return nil, err
 			}
 			chain := mbuf.FromBytes(rec)
 			got, err := rpc.PeekXID(chain)
@@ -848,6 +884,26 @@ func (c *Client) CallProgram(prog, vers, proc uint32, args func(e *xdr.Encoder))
 		}
 	}
 	return nil, ErrTimeout
+}
+
+// recv returns the next message from the server: a datagram, or the next
+// record of the TCP stream. The bytes are valid until the next recv.
+func (c *Client) recv() ([]byte, error) {
+	if !c.tcp {
+		n, err := c.conn.Read(c.rbuf)
+		return c.rbuf[:n], err
+	}
+	for {
+		rec, err := c.scan.Next()
+		if rec != nil || err != nil {
+			return rec, err
+		}
+		n, err := c.conn.Read(c.scan.Space(1))
+		if err != nil {
+			return nil, err
+		}
+		c.scan.Fill(n)
+	}
 }
 
 func isTimeout(err error) bool {

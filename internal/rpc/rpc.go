@@ -286,8 +286,8 @@ func PeekXID(c *mbuf.Chain) (uint32, error) {
 // lastFrag is the high bit of a record mark, set on the final fragment.
 const lastFrag = 0x80000000
 
-// MaxRecord bounds a record-marked message; larger records indicate stream
-// desynchronization.
+// MaxRecord bounds a record-marked message — the assembled record, however
+// many fragments carry it; larger records indicate stream desynchronization.
 const MaxRecord = 1 << 20
 
 // AddRecordMark prepends a single-fragment record mark to the message.
@@ -297,43 +297,95 @@ func AddRecordMark(c *mbuf.Chain) {
 	c.Prepend(hdr[:])
 }
 
-// RecordScanner incrementally reassembles record-marked messages from a
-// byte stream. Feed it stream data as it arrives; it returns any complete
-// records. It tolerates arbitrary segmentation, including marks split
-// across reads and multi-fragment records.
+// recordBuf is a scanner's initial buffer: one full-size read, several 8 KB
+// WRITE records. A larger record grows it (to at most twice MaxRecord).
+const recordBuf = 64 << 10
+
+// RecordScanner reassembles record-marked messages from a byte stream, in
+// place. It owns the stream buffer: the transport reads straight into
+// Space() and reports the count with Fill (Feed copies in bytes that arrived
+// in somebody else's buffer), then takes the complete records one at a time
+// from Next. A single-fragment record that arrived whole is returned as the
+// bytes the read put there — nothing is copied, nothing allocated. Only two
+// things move: the fragments of a multi-fragment record, each closed up over
+// the mark that separated it from the one before, and the incomplete tail of
+// a fill, which the next Space slides to the front of the buffer once. It
+// tolerates arbitrary segmentation, including marks split across reads.
+//
+// Lifetime rule: a record is valid until the next Space or Feed — "until the
+// next read". Next itself never disturbs a record already handed out.
 type RecordScanner struct {
-	buf []byte // unconsumed stream bytes
-	rec []byte // fragments of the record under assembly
+	buf []byte
+	// buf[r:w] is the stream not yet scanned, r at a record mark. The record
+	// under assembly is buf[rec:rec+n], fragments already closed up, with
+	// rec+n <= r; while n is 0 nothing is held and rec is meaningless.
+	r, w, rec, n int
+	// moved counts bytes copied within (or between) buffers, for the tests
+	// that pin ingest to zero moves per whole record.
+	moved int
 }
 
-// ErrRecordTooBig reports a record mark exceeding MaxRecord.
+// ErrRecordTooBig reports a record that would exceed MaxRecord once assembled.
 var ErrRecordTooBig = errors.New("rpc: record exceeds maximum size")
 
-// Feed appends stream data and returns the complete records now available.
-func (s *RecordScanner) Feed(p []byte) ([][]byte, error) {
-	s.buf = append(s.buf, p...)
-	var out [][]byte
-	for {
-		if len(s.buf) < 4 {
-			return out, nil
-		}
-		mark := binary.BigEndian.Uint32(s.buf[:4])
-		n := int(mark &^ lastFrag)
-		if n > MaxRecord {
-			return out, ErrRecordTooBig
-		}
-		if len(s.buf) < 4+n {
-			return out, nil
-		}
-		frag := s.buf[4 : 4+n]
-		s.buf = append([]byte(nil), s.buf[4+n:]...)
-		s.rec = append(s.rec, frag...)
-		if mark&lastFrag != 0 {
-			out = append(out, s.rec)
-			s.rec = nil
-		}
+// Space returns the buffer's free tail, at least need bytes long, for the
+// caller to read stream data into; Fill then says how much arrived. It
+// invalidates every record Next has returned.
+func (s *RecordScanner) Space(need int) []byte {
+	if s.n == 0 {
+		s.rec = s.r
 	}
+	if s.rec > 0 || s.rec+s.n < s.r {
+		// Slide what is live to the front: the assembled fragments, then the
+		// unscanned tail (often empty) right behind them.
+		s.moved += copy(s.buf, s.buf[s.rec:s.rec+s.n])
+		s.moved += copy(s.buf[s.n:], s.buf[s.r:s.w])
+		s.r, s.w, s.rec = s.n, s.n+s.w-s.r, 0
+	}
+	if len(s.buf)-s.w < need {
+		size := max(2*len(s.buf), s.w+need, recordBuf)
+		s.moved += s.w
+		s.buf = append(make([]byte, 0, size), s.buf[:s.w]...)[:size]
+	}
+	return s.buf[s.w:]
 }
 
-// Buffered returns the number of unconsumed stream bytes held.
-func (s *RecordScanner) Buffered() int { return len(s.buf) + len(s.rec) }
+// Fill records that n bytes were read into the slice Space returned.
+func (s *RecordScanner) Fill(n int) { s.w += n }
+
+// Feed appends a copy of p to the stream.
+func (s *RecordScanner) Feed(p []byte) {
+	s.Fill(copy(s.Space(len(p)), p))
+}
+
+// Next returns the next complete record, or nil when the buffered stream
+// holds none (an empty record is a non-nil empty slice).
+func (s *RecordScanner) Next() ([]byte, error) {
+	for s.w-s.r >= 4 {
+		mark := binary.BigEndian.Uint32(s.buf[s.r:])
+		m := int(mark &^ lastFrag)
+		if m > MaxRecord-s.n {
+			return nil, ErrRecordTooBig
+		}
+		if s.w-s.r < 4+m {
+			break
+		}
+		if s.n == 0 {
+			s.rec = s.r + 4
+		} else {
+			s.moved += copy(s.buf[s.rec+s.n:], s.buf[s.r+4:s.r+4+m])
+		}
+		s.n += m
+		s.r += 4 + m
+		if mark&lastFrag != 0 {
+			rec := s.buf[s.rec : s.rec+s.n : s.rec+s.n]
+			s.n = 0
+			return rec, nil
+		}
+	}
+	return nil, nil
+}
+
+// Buffered returns the number of stream bytes held that no returned record
+// has accounted for: assembled fragments plus unscanned stream.
+func (s *RecordScanner) Buffered() int { return s.n + s.w - s.r }

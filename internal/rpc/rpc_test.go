@@ -1,11 +1,7 @@
 package rpc
 
 import (
-	"bytes"
-	"encoding/binary"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"renonfs/internal/mbuf"
 	"renonfs/internal/xdr"
@@ -104,101 +100,6 @@ func TestPeekXID(t *testing.T) {
 	// Peeking must not consume the chain.
 	if _, err := DecodeCall(xdr.NewDecoder(c)); err != nil {
 		t.Fatalf("decode after peek: %v", err)
-	}
-}
-
-func TestRecordMarkSingle(t *testing.T) {
-	c := mbuf.FromBytes([]byte("hello rpc"))
-	AddRecordMark(c)
-	var s RecordScanner
-	recs, err := s.Feed(c.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || string(recs[0]) != "hello rpc" {
-		t.Fatalf("recs = %q", recs)
-	}
-	if s.Buffered() != 0 {
-		t.Fatalf("buffered = %d", s.Buffered())
-	}
-}
-
-func TestRecordScannerArbitrarySegmentation(t *testing.T) {
-	f := func(msgs [][]byte, seed int64) bool {
-		// Build a stream of record-marked messages.
-		var stream []byte
-		var want [][]byte
-		for _, m := range msgs {
-			if len(m) > 5000 {
-				m = m[:5000]
-			}
-			c := mbuf.FromBytes(m)
-			AddRecordMark(c)
-			stream = append(stream, c.Bytes()...)
-			want = append(want, append([]byte(nil), m...))
-		}
-		// Feed in random-size pieces.
-		rng := rand.New(rand.NewSource(seed))
-		var s RecordScanner
-		var got [][]byte
-		for len(stream) > 0 {
-			n := 1 + rng.Intn(len(stream))
-			recs, err := s.Feed(stream[:n])
-			if err != nil {
-				return false
-			}
-			got = append(got, recs...)
-			stream = stream[n:]
-		}
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if !bytes.Equal(got[i], want[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRecordScannerMultiFragment(t *testing.T) {
-	// A record split into 3 fragments: only the last carries the flag.
-	var stream []byte
-	frag := func(p []byte, last bool) {
-		var hdr [4]byte
-		mark := uint32(len(p))
-		if last {
-			mark |= 0x80000000
-		}
-		binary.BigEndian.PutUint32(hdr[:], mark)
-		stream = append(stream, hdr[:]...)
-		stream = append(stream, p...)
-	}
-	frag([]byte("one-"), false)
-	frag([]byte("two-"), false)
-	frag([]byte("three"), true)
-	frag([]byte("next"), true)
-
-	var s RecordScanner
-	recs, err := s.Feed(stream)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || string(recs[0]) != "one-two-three" || string(recs[1]) != "next" {
-		t.Fatalf("recs = %q", recs)
-	}
-}
-
-func TestRecordTooBig(t *testing.T) {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], 0x80000000|uint32(MaxRecord+1))
-	var s RecordScanner
-	if _, err := s.Feed(hdr[:]); err != ErrRecordTooBig {
-		t.Fatalf("err = %v, want ErrRecordTooBig", err)
 	}
 }
 

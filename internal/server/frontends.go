@@ -103,13 +103,19 @@ func (s *Server) ServeTCP(stack *tcpsim.Stack, port int) {
 						delete(s.conns, conn)
 						return
 					}
-					recs, err := scan.Feed(b)
-					if err != nil {
-						conn.Abort()
-						delete(s.conns, conn)
-						return
-					}
-					for _, rec := range recs {
+					scan.Feed(b)
+					for {
+						rec, err := scan.Next()
+						if err != nil {
+							conn.Abort()
+							delete(s.conns, conn)
+							return
+						}
+						if rec == nil {
+							break
+						}
+						// The job outlives the record (valid only until the
+						// next Feed): copy it into its own chain.
 						req := mbuf.FromBytes(rec)
 						jobs.Send(job{
 							peer:  peer,

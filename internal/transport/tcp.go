@@ -190,17 +190,22 @@ func (t *TCP) sendOne(p *sim.Proc, pc *tcpPending) error {
 // On EOF it reconnects and replays everything pending.
 func (t *TCP) rxLoop(p *sim.Proc, conn *tcpsim.Conn) {
 	var scan rpc.RecordScanner
+rx:
 	for {
 		b, ok := conn.Recv(p)
 		if !ok {
 			break
 		}
-		recs, err := scan.Feed(b)
-		if err != nil {
-			conn.Abort()
-			break
-		}
-		for _, rec := range recs {
+		scan.Feed(b)
+		for {
+			rec, err := scan.Next()
+			if err != nil {
+				conn.Abort()
+				break rx
+			}
+			if rec == nil {
+				break
+			}
 			msg := mbuf.FromBytes(rec)
 			xid, err := rpc.PeekXID(msg)
 			if err != nil {
