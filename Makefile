@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race chaos fuzz-smoke vet loc bench bench-smoke profile scaling scaling-smoke fleet fleet-smoke
+.PHONY: build test race chaos fuzz-smoke vet loc bench bench-smoke profile scaling-smoke fleet fleet-smoke
 
 build:
 	$(GO) build ./...
@@ -43,12 +43,12 @@ loc:
 bench:
 	$(GO) test -bench=. -benchmem -benchtime 1x ./...
 
-# One iteration of every benchmark plus the allocation-budget tests and the
-# regression gates: per-call allocation or copy regressions against
-# BENCH_baseline.json, a fast-path LOOKUP slower than the generic dispatch
-# it bypasses (BENCH_fastpath.json), and a leased Create-Delete falling
+# One iteration of every benchmark plus the deterministic regression gates:
+# per-call allocation and copy budgets (the shallow LOOKUP allocates 1, the
+# generic one up to 8), and a leased Create-Delete in simulated time falling
 # below 3x the full-consistency time or losing write-RPC parity with the
-# no-consistency bound (BENCH_leases.json). The second line is the zero-copy
+# no-consistency bound. Timing comparisons belong to
+# `bash benchmark/run.sh -compare`, not here. The second line is the zero-copy
 # gate on real sockets: an 8 KB READ over loopback UDP and TCP and an 8 KB
 # WRITE over UDP copy no payload byte through mbufs in user space, the
 # batched sendmmsg / TCP writev writers allocate nothing per reply, a data
@@ -56,7 +56,7 @@ bench:
 # round trip allocates nothing (LOOKUP: the name string), and record ingest
 # neither allocates nor moves a byte per whole record.
 bench-smoke:
-	$(GO) test -run 'TestAllocBudget|TestReadReplyZeroCopy|TestFastpathLookupGate|TestLeaseCreateDeleteGate' -bench=. -benchmem -benchtime 1x .
+	$(GO) test -run 'TestAllocBudget|TestReadReplyZeroCopy|TestLeaseCreateDeleteGate' -bench=. -benchmem -benchtime 1x .
 	$(GO) test -run 'TestRealSocketReadZeroCopy|TestRealSocketWriteZeroCopy|TestAllocBudget' -v ./internal/nfsnet ./internal/rpc
 
 # The lease-coherence sweep: the two-client close-to-open model, the
@@ -69,16 +69,6 @@ lease-sweep:
 	$(GO) test -race -run 'TestLeaseCallbackStormRace|TestLeaseWorkloadCleanUnderAuditor' ./internal/server
 	$(GO) test -run 'TestChaosLeaseSweep' .
 
-# Real-socket scaling curves: GOMAXPROCS 1/2/4/8 x 1/2/4/8 concurrent
-# clients against the parallel nfsd worker pool — each GOMAXPROCS setting
-# measured with 1 ingest reader (the legacy single-socket baseline) and
-# with readers=GOMAXPROCS (the sharded frontend) — with per-stage p99
-# breakdowns, recorded in BENCH_scaling.json (each run carries a "readers"
-# field). Needs real cores to show real parallelism (the JSON carries
-# num_cpu so a 1-core record is identifiable).
-scaling:
-	$(GO) run ./cmd/nfsbench -scaling
-
 # The CI multicore gate: measures both ingest configurations — readers=1
 # (legacy baseline, reported) and readers=GOMAXPROCS (sharded, gated) —
 # printing the per-stage p99 table for each. Fails if the sharded config's
@@ -90,17 +80,17 @@ scaling-smoke:
 # Open-loop fleet rig (DESIGN.md §10): 10k simulated mounts sweeping
 # offered RPS for the latency-vs-load curve, then the hostile scenario
 # scripts (flash crowd, remount herd, retransmit storm) under the strict
-# exactly-once auditor. Writes BENCH_fleet.json; audit violations fail.
+# exactly-once auditor. Prints the curve and the scenario table; audit
+# violations fail.
 fleet:
 	$(GO) run ./cmd/nfsbench -fleet -dur 3s
 
 # CI-sized fleet run: 1k simulated clients for 2s — exercises the SLO
 # parser, both curve and scenario paths, and exits nonzero if any scenario
-# breaks the exactly-once audit. No JSON artifact.
+# breaks the exactly-once audit.
 fleet-smoke:
 	$(GO) run ./cmd/nfsbench -fleet -fleet-clients 1000 -fleet-shards 8 \
-		-fleet-rps 150,300 -dur 2s -fleet-slo p50=250ms,p99=2s,p999=5s,timeouts=0.25 \
-		-fleet-out ""
+		-fleet-rps 150,300 -dur 2s -fleet-slo p50=250ms,p99=2s,p999=5s,timeouts=0.25
 
 # Profile a representative experiment run with pprof; start perf work here,
 # the way the paper's tuning started from kernel profiles. Alongside the

@@ -23,8 +23,8 @@ import (
 
 // Budgets are measured steady-state counts plus one alloc of headroom.
 // For reference, the pre-pooling substrate measured 15 allocs/op for the
-// LOOKUP dispatch and 17 for the 8 KB READ round trip (see
-// BENCH_baseline.json), so these budgets also document the win.
+// LOOKUP dispatch and 17 for the 8 KB READ round trip (EXPERIMENTS.md,
+// "Zero-copy buffer path"), so these budgets also document the win.
 const (
 	lookupAllocBudget = 8
 	read8KAllocBudget = 8

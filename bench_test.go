@@ -348,7 +348,8 @@ func fastpathWire(xid, proc uint32, args func(e *xdr.Encoder)) []byte {
 // BenchmarkServerLookupFastpath measures the shallow dispatch path against
 // BenchmarkServerLookupDispatch above: peek, classify and service the same
 // LOOKUP into reused scratch, the way an ingest reader does per datagram.
-// The CI gate (TestFastpathLookupGate) holds this below the generic path.
+// TestAllocBudgetFastPath pins what it allocates (1, against the generic
+// path's ≤ 8); a timing comparison belongs to benchmark/run.sh -compare.
 func BenchmarkServerLookupFastpath(b *testing.B) {
 	fs := memfs.New(1, nil, nil)
 	srv := server.New(fs, server.Reno())

@@ -6,8 +6,8 @@ package main
 // scenario (flash crowd, remount herd, retransmit storm, ...) at the
 // first RPS of the list under the strict exactly-once auditor. Everything
 // — curve points, scenario fingerprints, SLO verdicts, audit outcomes —
-// is printed as a table and recorded in BENCH_fleet.json (`make fleet`
-// wraps this; `make fleet-smoke` is the CI-sized run).
+// is printed as a table (`make fleet` wraps this; `make fleet-smoke` is the
+// CI-sized run).
 //
 // SLO failures are reported per point but do not fail the run (the curve
 // is supposed to find the knee, which means driving points past it);
@@ -15,7 +15,6 @@ package main
 // bugs, not saturation.
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"strconv"
@@ -38,54 +37,6 @@ type fleetOpts struct {
 	horizon   time.Duration
 	timeout   time.Duration
 	slo       fleet.SLO
-	sloSpec   string
-	out       string
-}
-
-// fleetPoint is one row of the latency-vs-offered-load curve.
-type fleetPoint struct {
-	OfferedRPS  float64  `json:"offered_rps"`
-	AchievedRPS float64  `json:"achieved_rps"`
-	GoodputRPS  float64  `json:"goodput_rps"`
-	P50MS       float64  `json:"p50_ms"`
-	P99MS       float64  `json:"p99_ms"`
-	P999MS      float64  `json:"p999_ms"`
-	WSent       int64    `json:"window_sent"`
-	WReplies    int64    `json:"window_replies"`
-	WTimeouts   int64    `json:"window_timeouts"`
-	TimeoutFrac float64  `json:"timeout_frac"`
-	SLOFails    []string `json:"slo_fails,omitempty"`
-}
-
-// fleetScenario is one hostile-script verdict.
-type fleetScenario struct {
-	Kind         string   `json:"kind"`
-	Schedule     string   `json:"schedule"`
-	ScheduleFP   string   `json:"schedule_fp"`
-	ResultFP     string   `json:"result_fp"`
-	Sent         int64    `json:"sent"`
-	Replies      int64    `json:"replies"`
-	Timeouts     int64    `json:"timeouts"`
-	Late         int64    `json:"late"`
-	Mounts       int64    `json:"mounts"`
-	Retransmits  int      `json:"retransmits"`
-	DupCacheHits int      `json:"dupcache_hits"`
-	Violations   int      `json:"violations"`
-	ViolationSam []string `json:"violation_samples,omitempty"`
-	SLOFails     []string `json:"slo_fails,omitempty"`
-}
-
-// fleetReport is the BENCH_fleet.json document.
-type fleetReport struct {
-	Engine    string          `json:"engine"` // "sim" or "sock"
-	Clients   int             `json:"clients"`
-	Shards    int             `json:"shards"`
-	Seed      int64           `json:"seed"`
-	WarmupS   float64         `json:"warmup_s"`
-	HorizonS  float64         `json:"horizon_s"`
-	SLO       string          `json:"slo"`
-	Curve     []fleetPoint    `json:"curve"`
-	Scenarios []fleetScenario `json:"scenarios"`
 }
 
 // parseFleetRPS parses the -fleet-rps comma list into positive rates.
@@ -134,9 +85,6 @@ func runFleet(o fleetOpts) bool {
 		engine = "sock"
 		run = fleet.RunSock
 	}
-	rep := fleetReport{Engine: engine, Clients: o.clients, Shards: o.shards,
-		Seed: o.seed, WarmupS: o.warmup.Seconds(), HorizonS: o.horizon.Seconds(),
-		SLO: o.sloSpec}
 	base := fleet.Config{
 		Seed: o.seed, Clients: o.clients, Shards: o.shards,
 		Warmup: o.warmup, Horizon: o.horizon, Timeout: o.timeout,
@@ -163,12 +111,6 @@ func runFleet(o fleetOpts) bool {
 		fmt.Printf("  %9.0f %9.0f %9.0f %9.2f %9.2f %9.2f %8.2f  %s\n",
 			r.Offered, r.AchievedRPS, r.GoodputRPS, r.P50, r.P99, r.P999,
 			100*r.TimeoutFrac(), verdict)
-		rep.Curve = append(rep.Curve, fleetPoint{
-			OfferedRPS: r.Offered, AchievedRPS: r.AchievedRPS, GoodputRPS: r.GoodputRPS,
-			P50MS: r.P50, P99MS: r.P99, P999MS: r.P999,
-			WSent: r.WSent, WReplies: r.WReplies, WTimeouts: r.WTimeouts,
-			TimeoutFrac: r.TimeoutFrac(), SLOFails: fails,
-		})
 	}
 
 	clean := true
@@ -197,36 +139,7 @@ func runFleet(o fleetOpts) bool {
 			if len(fails) > 0 {
 				fmt.Printf("  %-16s slo: %s\n", "", strings.Join(fails, "; "))
 			}
-			fs := fleetScenario{
-				Kind: kind.String(), Schedule: sc.String(),
-				ScheduleFP: sc.Fingerprint(), ResultFP: r.Fingerprint(),
-				Sent: r.Sent, Replies: r.Replies, Timeouts: r.Timeouts,
-				Late: r.Late, Mounts: r.Mounts,
-				Retransmits:  r.AuditCounts["event.retransmit"],
-				DupCacheHits: r.AuditCounts["event.dup_hit"],
-				Violations:   len(r.Violations), SLOFails: fails,
-			}
-			for i, v := range r.Violations {
-				if i == 4 {
-					break
-				}
-				fs.ViolationSam = append(fs.ViolationSam, v.String())
-			}
-			rep.Scenarios = append(rep.Scenarios, fs)
 		}
-	}
-
-	if o.out != "" {
-		data, err := json.MarshalIndent(&rep, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "nfsbench: -fleet: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(o.out, append(data, '\n'), 0644); err != nil {
-			fmt.Fprintf(os.Stderr, "nfsbench: -fleet: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %s\n", o.out)
 	}
 	return clean
 }

@@ -10,8 +10,7 @@
 //	nfsbench -exp graph1 -cpuprofile cpu.pprof -memprofile mem.pprof
 //	nfsbench -clients 4 -mutexprofile mutex.pprof -blockprofile block.pprof
 //	nfsbench -clients 4             # real-socket load: 4 concurrent clients
-//	nfsbench -scaling               # 1/2/4/8-client curve -> BENCH_scaling.json
-//	nfsbench -fleet                 # open-loop 10k-client rig -> BENCH_fleet.json
+//	nfsbench -fleet                 # open-loop 10k-client rig
 //	nfsbench -fleet -fleet-real -fleet-clients 1000   # same, over real sockets
 //
 // Output is plain text, one table per experiment, in the same shape as the
@@ -20,26 +19,23 @@
 // profiles of the run (`make profile` wraps this), so perf work starts from
 // a profile the way the paper's did.
 //
-// -clients and -scaling leave the simulator entirely: they drive the
-// real-socket frontend (internal/nfsnet) with concurrent UDP clients to
-// measure how the parallel nfsd worker pool scales with offered
-// concurrency. -scaling sweeps GOMAXPROCS 1/2/4/8 × 1/2/4/8 clients and
-// records the curves — with per-stage p99 breakdowns — in
-// BENCH_scaling.json (`make scaling` wraps this). Each point runs -warmup
-// of unmeasured traffic first; ops/s and the stage percentiles cover only
-// the measurement window; -clients also prints how the window's datagrams
-// were dispatched (shallow path, inline on the reader, spilled to the
-// pool). -trace FILE dumps the slowest spans of the last
-// point as Chrome trace JSON, and -mutexprofile/-blockprofile enable the
-// Go runtime's contention profilers (the lock-serialization view
-// `make profile` starts from).
+// -clients leaves the simulator entirely: it drives the real-socket
+// frontend (internal/nfsnet) with concurrent UDP clients against the
+// parallel nfsd worker pool. The point runs -warmup of unmeasured traffic
+// first; ops/s and the per-stage p99s cover only the measurement window,
+// and it prints how the window's datagrams were dispatched (shallow path,
+// inline on the reader, spilled to the pool). -trace FILE dumps the
+// slowest spans as Chrome trace JSON, and -mutexprofile/-blockprofile
+// enable the Go runtime's contention profilers (the lock-serialization
+// view `make profile` starts from). The benchmark of record is
+// `bash benchmark/run.sh`, not this mode.
 //
 // -fleet is the open-loop load rig (internal/fleet, DESIGN.md §10): it
 // sweeps -fleet-rps to produce the latency-vs-offered-load curve, replays
 // the -fleet-scenarios hostile scripts under the strict exactly-once
-// auditor, and records everything in BENCH_fleet.json (`make fleet`;
-// `make fleet-smoke` is the CI-sized run). Scenario audit violations exit
-// nonzero; SLO misses on curve points are reported but don't fail the run.
+// auditor, and prints both (`make fleet`; `make fleet-smoke` is the
+// CI-sized run). Scenario audit violations exit nonzero; SLO misses on
+// curve points are reported but don't fail the run.
 package main
 
 import (
@@ -63,13 +59,11 @@ func main() {
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
 		clients    = flag.Int("clients", 0, "real-socket mode: this many concurrent clients (0: simulated experiments)")
-		scaling    = flag.Bool("scaling", false, "real-socket mode: 1/2/4/8-client scaling curve")
-		nfsds      = flag.Int("nfsds", 8, "size of the nfsd worker pool in the real-socket modes")
-		readers    = flag.Int("readers", 0, "sharded UDP ingest readers in -clients mode (0 = one per GOMAXPROCS; -scaling sweeps 1 and GOMAXPROCS itself)")
-		dur        = flag.Duration("dur", 2*time.Second, "per-point measurement duration in the real-socket and fleet modes")
-		warmup     = flag.Duration("warmup", 500*time.Millisecond, "per-point warmup excluded from ops/s and percentiles (real-socket and fleet modes)")
-		scalingOut = flag.String("scaling-out", "BENCH_scaling.json", "where -scaling writes its JSON curve (empty: don't write)")
-		tracePath  = flag.String("trace", "", "write the slowest spans as Chrome trace JSON to this file (socket modes)")
+		nfsds      = flag.Int("nfsds", 8, "size of the nfsd worker pool in -clients mode")
+		readers    = flag.Int("readers", 0, "sharded UDP ingest readers in -clients mode (0 = one per GOMAXPROCS)")
+		dur        = flag.Duration("dur", 2*time.Second, "per-point measurement duration in the -clients and -fleet modes")
+		warmup     = flag.Duration("warmup", 500*time.Millisecond, "per-point warmup excluded from ops/s and percentiles (-clients and -fleet modes)")
+		tracePath  = flag.String("trace", "", "write the slowest spans as Chrome trace JSON to this file (-clients mode)")
 		mutexProf  = flag.String("mutexprofile", "", "write a mutex contention profile to this file on exit")
 		blockProf  = flag.String("blockprofile", "", "write a blocking profile to this file on exit")
 
@@ -82,7 +76,6 @@ func main() {
 		fleetStrict    = flag.Bool("fleet-strict", true, "strict exactly-once audit; violations exit 1")
 		fleetTimeout   = flag.Duration("fleet-timeout", time.Second, "pending-call expiry in -fleet mode")
 		fleetSLO       = flag.String("fleet-slo", "", "SLO spec, e.g. p50=5ms,p99=50ms,p999=250ms,timeouts=0.01 (empty: knee-finding defaults)")
-		fleetOut       = flag.String("fleet-out", "BENCH_fleet.json", "where -fleet writes its JSON report (empty: don't write)")
 	)
 	flag.Parse()
 
@@ -93,14 +86,8 @@ func main() {
 	// Mode flags are mutually exclusive, and shared knobs must be sane, so a
 	// typo'd invocation dies with a message instead of measuring the wrong
 	// thing.
-	modes := 0
-	for _, on := range []bool{*fleetMode, *scaling, *clients > 0} {
-		if on {
-			modes++
-		}
-	}
-	if modes > 1 {
-		fatalf("-fleet, -scaling and -clients are mutually exclusive (pick one mode)")
+	if *fleetMode && *clients > 0 {
+		fatalf("-fleet and -clients are mutually exclusive (pick one mode)")
 	}
 	if *clients < 0 {
 		fatalf("-clients %d: must be >= 0", *clients)
@@ -154,15 +141,11 @@ func main() {
 			rps: rates, scenarios: kinds,
 			real: *fleetReal, strict: *fleetStrict, seed: *seed,
 			warmup: *warmup, horizon: *dur, timeout: *fleetTimeout,
-			slo: slo, sloSpec: *fleetSLO, out: *fleetOut,
+			slo: slo,
 		})
 		if !ok {
 			os.Exit(1)
 		}
-		return
-	}
-	if *scaling {
-		runScaling(*nfsds, *warmup, *dur, *scalingOut, *tracePath)
 		return
 	}
 	if *clients > 0 {

@@ -28,9 +28,8 @@
 //
 // -tracedump FILE writes the same Chrome trace JSON to FILE at shutdown.
 //
-// On ^C the server prints a per-procedure summary table, the stage-level
-// "where the microsecond goes" breakdown, and the lock-contention sites
-// before exiting.
+// On ^C the server prints the same tables cmd/nfsstat renders from /stats
+// (nfsnet.RenderStats, cumulative) before exiting.
 package main
 
 import (
@@ -42,13 +41,11 @@ import (
 	"os/signal"
 	"strings"
 
-	"renonfs/internal/lockstat"
 	"renonfs/internal/memfs"
 	"renonfs/internal/metrics"
 	"renonfs/internal/nfsnet"
 	"renonfs/internal/nfsproto"
 	"renonfs/internal/server"
-	"renonfs/internal/stats"
 )
 
 func main() {
@@ -112,7 +109,7 @@ func main() {
 	signal.Notify(ch, os.Interrupt)
 	<-ch
 	fmt.Println()
-	printFinal(s)
+	nfsnet.RenderStats(os.Stdout, snapshot(s), false)
 	if *traceDump != "" {
 		if err := writeTrace(*traceDump, s); err != nil {
 			fmt.Fprintf(os.Stderr, "nfsd: trace dump: %v\n", err)
@@ -132,28 +129,28 @@ func writeTrace(path string, s *nfsnet.Server) error {
 	return metrics.WriteChromeTrace(f, s.Stages().Ring().Slowest(), nfsproto.ProcName)
 }
 
-// serveStats exposes the registry over HTTP. Snapshots read atomics only,
-// so serving concurrently with request handling needs no locking; the mbuf
-// pool/copy counters, the lazily published nfsd-pool gauge and the lockstat
-// site counters are refreshed on each request so nfsstat sees live numbers.
-func serveStats(addr string, s *nfsnet.Server) {
+// snapshot refreshes the lazily published metrics — the mbuf pool/copy
+// counters, the lease table size, the nfsd-pool gauge and the lockstat site
+// counters — and copies the registry. It reads atomics only, so it runs
+// concurrently with request handling without locking.
+func snapshot(s *nfsnet.Server) *metrics.Snapshot {
 	srv := s.Core()
-	reg := srv.Metrics
-	refresh := func() {
-		srv.PublishMbufStats()
-		srv.PublishLeaseStats()
-		s.PublishStats()
-	}
+	srv.PublishMbufStats()
+	srv.PublishLeaseStats()
+	s.PublishStats()
+	return srv.Metrics.Snapshot()
+}
+
+// serveStats exposes a fresh snapshot per request over HTTP.
+func serveStats(addr string, s *nfsnet.Server) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		refresh()
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(reg.Snapshot())
+		json.NewEncoder(w).Encode(snapshot(s))
 	})
 	mux.HandleFunc("/stats.txt", func(w http.ResponseWriter, r *http.Request) {
-		refresh()
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		reg.Snapshot().WriteText(w)
+		snapshot(s).WriteText(w)
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -161,119 +158,5 @@ func serveStats(addr string, s *nfsnet.Server) {
 	})
 	if err := http.ListenAndServe(addr, mux); err != nil {
 		fmt.Fprintf(os.Stderr, "nfsd: stats endpoint: %v\n", err)
-	}
-}
-
-// printFinal renders the shutdown summary: one row per procedure that was
-// called, with its service-time distribution, the stage-level latency
-// breakdown, the lock-contention sites and the totals.
-func printFinal(s *nfsnet.Server) {
-	srv := s.Core()
-	srv.PublishMbufStats()
-	srv.PublishLeaseStats()
-	s.PublishStats()
-	snap := srv.Metrics.Snapshot()
-	tb := stats.NewTable("per-procedure totals",
-		"proc", "calls", "svc mean ms", "p50", "p99", "max")
-	for proc := uint32(0); proc < nfsproto.NumProcsExt; proc++ {
-		n := snap.Counters["nfs.calls."+nfsproto.ProcName(proc)]
-		if n == 0 {
-			continue
-		}
-		h := snap.Histograms["nfs.service_ms."+nfsproto.ProcName(proc)]
-		tb.AddRow(nfsproto.ProcName(proc), n,
-			fmt.Sprintf("%.3f", h.Mean()),
-			fmt.Sprintf("%.3f", h.Quantile(50)),
-			fmt.Sprintf("%.3f", h.Quantile(99)),
-			fmt.Sprintf("%.3f", h.Max))
-	}
-	fmt.Print(tb.String())
-	fmt.Printf("totals: %d calls, %d errors, %d duplicate replays suppressed, %d bytes in, %d bytes out\n",
-		snap.Counters["nfs.calls"], snap.Counters["nfs.errors"], snap.Counters["nfs.dup_hits"],
-		snap.Counters["nfs.bytes_in"], snap.Counters["nfs.bytes_out"])
-	fmt.Printf("mbuf: %d bytes copied, %d bytes loaned, pool %d hits / %d misses\n",
-		snap.Counters["mbuf.copied_bytes"], snap.Counters["mbuf.loaned_bytes"],
-		snap.Counters["mbuf.pool_hits"], snap.Counters["mbuf.pool_misses"])
-	if msgs := snap.Counters["rpc.send.batched_msgs"]; msgs+snap.Counters["rpc.fastpath.calls"] > 0 {
-		fmt.Printf("fastpath (udp+tcp): %d calls, %d fallbacks; batched udp sends: %d syscalls / %d replies (%.3f per reply)\n",
-			snap.Counters["rpc.fastpath.calls"], snap.Counters["rpc.fastpath.fallbacks"],
-			snap.Counters["rpc.send.batches"], msgs,
-			float64(snap.Counters["rpc.send.batches"])/float64(max(msgs, 1)))
-	}
-	if grants := snap.Counters["lease.grants"]; grants > 0 {
-		fmt.Printf("leases: %d grants (%d piggybacked, %d renewals), %d trylater, %d evictions, %d vacates, %d expiries, %.0f active\n",
-			grants, snap.Counters["lease.piggy_grants"], snap.Counters["lease.renewals"],
-			snap.Counters["lease.trylater"], snap.Counters["lease.evictions"],
-			snap.Counters["lease.vacates"], snap.Counters["lease.expiries"],
-			snap.Gauges["lease.active"])
-	}
-	printReaders(snap, s)
-	printStages(snap)
-	printLocks()
-}
-
-// printReaders renders the per-reader ingest spread: how many datagrams
-// each sharded reader read, how many of them it served itself — on the
-// shallow dispatch path (fast) or through the generic dispatch (inline);
-// the rest, reads - fast - inline, it spilled to the nfsd pool — and how
-// often it woke from a blocking read.
-func printReaders(snap *metrics.Snapshot, s *nfsnet.Server) {
-	n := s.Readers()
-	if n <= 1 {
-		return
-	}
-	mode := "shared socket"
-	if s.ReusePort() {
-		mode = "SO_REUSEPORT"
-	}
-	tb := stats.NewTable(fmt.Sprintf("udp ingest (%d readers, %s)", n, mode),
-		"reader", "reads", "fast", "inline", "wakeups")
-	for i := 0; i < n; i++ {
-		tb.AddRow(i,
-			snap.Counters[fmt.Sprintf("rpc.reader.%d.reads", i)],
-			snap.Counters[fmt.Sprintf("rpc.reader.%d.fast", i)],
-			snap.Counters[fmt.Sprintf("rpc.reader.%d.inline", i)],
-			snap.Counters[fmt.Sprintf("rpc.reader.%d.wakeups", i)])
-	}
-	fmt.Print(tb.String())
-}
-
-// printStages renders the per-stage pipeline latency table from the
-// rpc.stage.* histograms.
-func printStages(snap *metrics.Snapshot) {
-	tb := stats.NewTable("where the microsecond goes (per-stage, µs)",
-		"stage", "count", "p50", "p95", "p99", "max")
-	names := metrics.StageNames()
-	rows := append(names[:], "lockwait", "total")
-	shown := false
-	for _, st := range rows {
-		h, ok := snap.Histograms["rpc.stage."+st+".us"]
-		if !ok || h.Count == 0 {
-			continue
-		}
-		shown = true
-		tb.AddRow(st, h.Count,
-			fmt.Sprintf("%.1f", h.Quantile(50)),
-			fmt.Sprintf("%.1f", h.Quantile(95)),
-			fmt.Sprintf("%.1f", h.Quantile(99)),
-			fmt.Sprintf("%.1f", h.Max))
-	}
-	if shown {
-		fmt.Print(tb.String())
-	}
-}
-
-// printLocks renders the lockstat sites that saw contention.
-func printLocks() {
-	shown := false
-	for _, st := range lockstat.Stats() {
-		if st.Contended == 0 {
-			continue
-		}
-		if !shown {
-			fmt.Println("lock contention (waits/total wait):")
-			shown = true
-		}
-		fmt.Printf("  %-20s %8d waits  %10.3f ms\n", st.Name, st.Contended, float64(st.WaitNS)/1e6)
 	}
 }

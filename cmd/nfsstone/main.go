@@ -122,7 +122,7 @@ func main() {
 			continue
 		}
 		t.AddRow(nfsproto.ProcName(proc), fmt.Sprintf("%.1f", res.ProcRate[proc]),
-			s.Mean(), s.Percentile(95), res.Hist[proc].Quantile(99), s.Max)
+			s.Mean(), res.Hist[proc].Quantile(95), res.Hist[proc].Quantile(99), s.Max)
 	}
 	fmt.Println(t.String())
 }

@@ -44,9 +44,8 @@ func main() {
 		})
 		r.Env.Run(30 * time.Minute)
 		if res != nil {
-			s := res.RTT[nfsproto.ProcLookup]
 			table.AddRow(kind.String(), 4.0, fmt.Sprintf("%.1f", res.Achieved),
-				s.Mean(), s.Percentile(95), res.Retries)
+				res.RTT[nfsproto.ProcLookup].Mean(), res.Hist[nfsproto.ProcLookup].Quantile(95), res.Retries)
 		}
 		r.Close()
 	}

@@ -85,7 +85,7 @@ func expSaturation(cfg ExpConfig) []*stats.Table {
 		})
 		env.Run(cfg.warmup() + cfg.window() + 30*time.Minute)
 		achieved := 0.0
-		rtt := stats.NewSummary(0)
+		var rtt stats.Summary
 		var lookupHist metrics.HistogramSnapshot
 		for _, res := range results {
 			if res == nil {

@@ -200,8 +200,8 @@ func TestReusePortShardsIngest(t *testing.T) {
 	if active < 2 {
 		t.Errorf("reuseport delivered all flows to %d reader(s); want spread across >= 2", active)
 	}
-	if snap.Counters["rpc.reader.reuseport"] != 1 || snap.Counters["rpc.readers"] != 4 {
-		t.Errorf("ingest counters wrong: reuseport=%d readers=%d",
-			snap.Counters["rpc.reader.reuseport"], snap.Counters["rpc.readers"])
+	if snap.Gauges["rpc.reader.reuseport"] != 1 || snap.Gauges["rpc.readers"] != 4 {
+		t.Errorf("ingest gauges wrong: reuseport=%v readers=%v",
+			snap.Gauges["rpc.reader.reuseport"], snap.Gauges["rpc.readers"])
 	}
 }

@@ -257,9 +257,9 @@ func Serve(srv *server.Server, udpAddr, tcpAddr string) (*Server, error) {
 	s.fastFallbacks = srv.Metrics.Counter("rpc.fastpath.fallbacks")
 	s.sendBatches = srv.Metrics.Counter("rpc.send.batches")
 	s.sendMsgs = srv.Metrics.Counter("rpc.send.batched_msgs")
-	srv.Metrics.Counter("rpc.readers").Store(int64(nreaders))
+	srv.Metrics.Gauge("rpc.readers").Set(float64(nreaders))
 	if reuse {
-		srv.Metrics.Counter("rpc.reader.reuseport").Store(1)
+		srv.Metrics.Gauge("rpc.reader.reuseport").Set(1)
 	}
 	for i := 0; i < nreaders; i++ {
 		conn := socks[0]

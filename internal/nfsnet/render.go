@@ -1,0 +1,157 @@
+package nfsnet
+
+import (
+	"fmt"
+	"io"
+	"slices"
+	"sort"
+	"strings"
+
+	"renonfs/internal/metrics"
+	"renonfs/internal/stats"
+)
+
+// RenderStats writes a registry snapshot as the nfsstat tables; nfsstat
+// and nfsd's shutdown summary both print through it. Sections the snapshot
+// has nothing for are left out: the per-procedure service times
+// (nfs.calls.<proc>, nfs.service_ms.<proc>), the totals and mbuf copy lines,
+// the shallow-dispatch and send-coalescing line (rpc.fastpath.*,
+// rpc.send.*), the lease traffic, "where the microsecond goes" per stage
+// (rpc.stage.<name>.us), the UDP ingest readers (rpc.readers and
+// rpc.reader.reuseport are gauges, so they survive a Delta), the nfsd pool,
+// the dupcache shards and the contended lock sites (lock.<site>.*).
+//
+// delta labels a Snapshot.Delta view — nfsstat -z's interval: counters and
+// histogram counts cover the interval, but a histogram's max is all-time
+// (HistogramSnapshot.Sub keeps it), and the max columns say so.
+func RenderStats(w io.Writer, snap *metrics.Snapshot, delta bool) {
+	c := snap.Counters
+	view, maxCol := "cumulative", "max"
+	if delta {
+		view, maxCol = "interval delta", "max (all-time)"
+	}
+
+	tb := stats.NewTable("nfs server per-procedure ("+view+")",
+		"proc", "calls", "svc mean ms", "p50", "p95", "p99", maxCol)
+	procs := make([]string, 0, 8)
+	for name := range c {
+		if p, ok := strings.CutPrefix(name, "nfs.calls."); ok {
+			procs = append(procs, p)
+		}
+	}
+	sort.Strings(procs)
+	for _, p := range procs {
+		calls := c["nfs.calls."+p]
+		if calls == 0 {
+			continue
+		}
+		h := snap.Histograms["nfs.service_ms."+p]
+		tb.AddRow(p, calls,
+			fmt.Sprintf("%.3f", h.Mean()),
+			fmt.Sprintf("%.3f", h.Quantile(50)),
+			fmt.Sprintf("%.3f", h.Quantile(95)),
+			fmt.Sprintf("%.3f", h.Quantile(99)),
+			fmt.Sprintf("%.3f", h.Max))
+	}
+	fmt.Fprint(w, tb.String())
+	fmt.Fprintf(w, "calls %d  errors %d  dup hits %d  bytes in %d  bytes out %d\n",
+		c["nfs.calls"], c["nfs.errors"], c["nfs.dup_hits"], c["nfs.bytes_in"], c["nfs.bytes_out"])
+	if _, ok := c["mbuf.copied_bytes"]; ok {
+		fmt.Fprintf(w, "mbuf: %d bytes copied  %d bytes loaned  pool %d hits / %d misses\n",
+			c["mbuf.copied_bytes"], c["mbuf.loaned_bytes"], c["mbuf.pool_hits"], c["mbuf.pool_misses"])
+	}
+	if msgs := c["rpc.send.batched_msgs"]; msgs+c["rpc.fastpath.calls"] > 0 {
+		fmt.Fprintf(w, "fastpath (udp+tcp) %d calls  %d fallbacks  batched udp sends %d syscalls / %d replies (%.3f per reply)\n",
+			c["rpc.fastpath.calls"], c["rpc.fastpath.fallbacks"], c["rpc.send.batches"], msgs,
+			float64(c["rpc.send.batches"])/float64(max(msgs, 1)))
+	}
+	if grants := c["lease.grants"]; grants > 0 {
+		fmt.Fprintf(w, "leases: %d grants (%d piggybacked, %d renewals)  %d trylater  %d evictions  %d vacates  %d expiries  %.0f active\n",
+			grants, c["lease.piggy_grants"], c["lease.renewals"], c["lease.trylater"],
+			c["lease.evictions"], c["lease.vacates"], c["lease.expiries"], snap.Gauges["lease.active"])
+	}
+
+	tb = stats.NewTable("where the microsecond goes (per-stage, µs, "+view+")",
+		"stage", "count", "p50", "p95", "p99", maxCol)
+	stages := metrics.StageNames()
+	for _, st := range append(stages[:], "lockwait", "total") {
+		if h := snap.Histograms["rpc.stage."+st+".us"]; h.Count > 0 {
+			tb.AddRow(st, h.Count,
+				fmt.Sprintf("%.1f", h.Quantile(50)),
+				fmt.Sprintf("%.1f", h.Quantile(95)),
+				fmt.Sprintf("%.1f", h.Quantile(99)),
+				fmt.Sprintf("%.1f", h.Max))
+		}
+	}
+	if len(tb.Rows) > 0 {
+		fmt.Fprint(w, tb.String())
+	}
+
+	// The sharded UDP ingest: how evenly datagrams spread across readers and
+	// how many each served itself, on the shallow path (fast) or through the
+	// generic dispatch (inline) — the rest, reads - fast - inline, it spilled
+	// to the nfsd pool.
+	if ids := counterIDs(c, "rpc.reader.", ".reads"); len(ids) > 0 {
+		mode := "shared socket"
+		if snap.Gauges["rpc.reader.reuseport"] != 0 {
+			mode = "SO_REUSEPORT"
+		}
+		tb = stats.NewTable(fmt.Sprintf("udp ingest (%.0f readers, %s)", snap.Gauges["rpc.readers"], mode),
+			"reader", "reads", "fast", "inline", "wakeups")
+		for _, id := range ids {
+			p := "rpc.reader." + id
+			tb.AddRow("reader."+id, c[p+".reads"], c[p+".fast"], c[p+".inline"], c[p+".wakeups"])
+		}
+		fmt.Fprint(w, tb.String())
+	}
+
+	if ids := counterIDs(c, "rpc.nfsd.", ".calls"); len(ids) > 0 {
+		tb = stats.NewTable(fmt.Sprintf("nfsd worker pool (%d workers, %.0f busy now)",
+			len(ids), snap.Gauges["rpc.nfsd.busy"]),
+			"nfsd", "calls", "busy ms")
+		for _, id := range ids {
+			tb.AddRow("nfsd."+id, c["rpc.nfsd."+id+".calls"],
+				fmt.Sprintf("%.1f", float64(c["rpc.nfsd."+id+".busy_us"])/1000))
+		}
+		fmt.Fprint(w, tb.String())
+	}
+	if hits, ok := c["server.dupc.shard_hits"]; ok {
+		fmt.Fprintf(w, "dupcache shards: %d hits  %d lock contentions  %d in-flight drops\n",
+			hits, c["server.dupc.contended"], c["server.dupc.inflight_drops"])
+	}
+
+	// Lock sites that saw contention, longest total wait first.
+	sites := counterIDs(c, "lock.", ".contended")
+	sites = slices.DeleteFunc(sites, func(s string) bool { return c["lock."+s+".contended"] == 0 })
+	if len(sites) > 0 {
+		sort.SliceStable(sites, func(i, j int) bool {
+			return c["lock."+sites[i]+".wait_us"] > c["lock."+sites[j]+".wait_us"]
+		})
+		tb = stats.NewTable("lock contention", "site", "waits", "wait ms")
+		for _, s := range sites {
+			tb.AddRow(s, c["lock."+s+".contended"], fmt.Sprintf("%.3f", float64(c["lock."+s+".wait_us"])/1000))
+		}
+		fmt.Fprint(w, tb.String())
+	}
+	fmt.Fprintln(w)
+}
+
+// counterIDs returns the <id>s of the counters named prefix+<id>+suffix,
+// numeric ids in numeric order.
+func counterIDs(c map[string]int64, prefix, suffix string) []string {
+	var ids []string
+	for name := range c {
+		if rest, ok := strings.CutPrefix(name, prefix); ok {
+			if id, ok := strings.CutSuffix(rest, suffix); ok {
+				ids = append(ids, id)
+			}
+		}
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		if len(ids[i]) != len(ids[j]) {
+			return len(ids[i]) < len(ids[j])
+		}
+		return ids[i] < ids[j]
+	})
+	return ids
+}

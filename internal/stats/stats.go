@@ -1,65 +1,35 @@
 // Package stats provides the small measurement toolkit the experiments
-// use: streaming summaries, sampled percentiles, time series for the
-// paper's graphs, and a plain-text table writer for the harness output.
+// use: an exact streaming summary for the tables' mean/min/max cells and a
+// plain-text table writer for the harness output. Percentiles come from
+// metrics.Histogram, the repo's one percentile engine.
 package stats
 
 import (
 	"fmt"
-	"math"
-	"math/rand"
-	"sort"
 	"strings"
 	"time"
 )
 
-// Summary accumulates a stream of values.
+// Summary accumulates a stream of values exactly: count, sum, min and max.
+// The zero value is ready to use. (metrics.Histogram would round every
+// observation to its 1 µs fixed-point sum; the tables' means stay exact.)
 type Summary struct {
-	Count   int
-	Sum     float64
-	Min     float64
-	Max     float64
-	samples []float64
-	cap     int
-	rng     *rand.Rand
-}
-
-// NewSummary returns a summary retaining up to capacity samples for
-// percentile queries (0 keeps everything).
-func NewSummary(capacity int) *Summary {
-	// The reservoir RNG is seeded with a fixed constant so experiment runs
-	// stay reproducible; independence between summaries is irrelevant here.
-	return &Summary{
-		Min: math.Inf(1), Max: math.Inf(-1), cap: capacity,
-		rng: rand.New(rand.NewSource(0x4e4653)),
-	}
+	Count int
+	Sum   float64
+	Min   float64
+	Max   float64
 }
 
 // Add folds in one observation.
 func (s *Summary) Add(v float64) {
-	s.Count++
-	s.Sum += v
-	if v < s.Min {
+	if s.Count == 0 || v < s.Min {
 		s.Min = v
 	}
-	if v > s.Max {
+	if s.Count == 0 || v > s.Max {
 		s.Max = v
 	}
-	if s.cap == 0 || len(s.samples) < s.cap {
-		s.samples = append(s.samples, v)
-		return
-	}
-	// Vitter's Algorithm R: keep the n-th observation with probability
-	// cap/n, evicting a uniformly random resident. Every observation ends
-	// up retained with equal probability cap/n, so the percentile queries
-	// see an unbiased sample of the whole stream. (The previous
-	// Count%len(samples) replacement was deterministic and overweighted the
-	// tail of the stream.)
-	if s.rng == nil { // zero-value Summary, not via NewSummary
-		s.rng = rand.New(rand.NewSource(0x4e4653))
-	}
-	if j := s.rng.Intn(s.Count); j < len(s.samples) {
-		s.samples[j] = v
-	}
+	s.Count++
+	s.Sum += v
 }
 
 // AddDuration folds in a duration in milliseconds.
@@ -74,49 +44,6 @@ func (s *Summary) Mean() float64 {
 	}
 	return s.Sum / float64(s.Count)
 }
-
-// Percentile returns the p-th percentile (0 < p <= 100) of retained
-// samples.
-func (s *Summary) Percentile(p float64) float64 {
-	if len(s.samples) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), s.samples...)
-	sort.Float64s(sorted)
-	idx := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
-}
-
-// String summarizes for logs.
-func (s *Summary) String() string {
-	if s.Count == 0 {
-		return "n=0"
-	}
-	return fmt.Sprintf("n=%d mean=%.2f min=%.2f p95=%.2f max=%.2f",
-		s.Count, s.Mean(), s.Min, s.Percentile(95), s.Max)
-}
-
-// Point is one (x, y) sample of a graph series.
-type Point struct {
-	X float64
-	Y float64
-}
-
-// Series is a named sequence of points — one line on one of the paper's
-// graphs.
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// Add appends a point.
-func (s *Series) Add(x, y float64) { s.Points = append(s.Points, Point{x, y}) }
 
 // Table renders rows of labelled columns as aligned text, the harness's
 // output format for the paper's tables and graph data.

@@ -7,124 +7,51 @@ import (
 )
 
 func TestSummaryBasics(t *testing.T) {
-	s := NewSummary(0)
-	for _, v := range []float64{1, 2, 3, 4, 5} {
+	var s Summary
+	for _, v := range []float64{3, 1, 5, 2, 4} {
 		s.Add(v)
 	}
-	if s.Count != 5 || s.Mean() != 3 || s.Min != 1 || s.Max != 5 {
+	if s.Count != 5 || s.Sum != 15 || s.Mean() != 3 || s.Min != 1 || s.Max != 5 {
 		t.Fatalf("summary = %+v", s)
-	}
-	if p := s.Percentile(50); p != 3 {
-		t.Fatalf("p50 = %v", p)
-	}
-	if p := s.Percentile(100); p != 5 {
-		t.Fatalf("p100 = %v", p)
 	}
 }
 
 func TestSummaryEmpty(t *testing.T) {
-	s := NewSummary(4)
-	if s.Mean() != 0 || s.Percentile(50) != 0 {
-		t.Fatal("empty summary not zero")
-	}
-	if !strings.Contains(s.String(), "n=0") {
-		t.Fatal("bad empty string")
-	}
-}
-
-func TestSummaryReservoirBounded(t *testing.T) {
-	s := NewSummary(10)
-	for i := 0; i < 1000; i++ {
-		s.Add(float64(i))
-	}
-	if len(s.samples) != 10 {
-		t.Fatalf("samples = %d", len(s.samples))
-	}
-	if s.Count != 1000 || s.Max != 999 {
-		t.Fatalf("stats lost: %+v", s)
+	var s Summary
+	if s.Count != 0 || s.Mean() != 0 {
+		t.Fatalf("empty summary not zero: %+v", s)
 	}
 }
 
 func TestSummarySingleSample(t *testing.T) {
-	s := NewSummary(8)
+	var s Summary
 	s.Add(3.7)
-	for _, p := range []float64{1, 50, 99, 100} {
-		if got := s.Percentile(p); got != 3.7 {
-			t.Fatalf("p%v = %v, want 3.7", p, got)
-		}
-	}
 	if s.Min != 3.7 || s.Max != 3.7 || s.Mean() != 3.7 {
 		t.Fatalf("summary = %+v", s)
 	}
 }
 
-func TestSummaryReservoirUnbiased(t *testing.T) {
-	// Feed a stream whose first half is 0 and second half is 1. An
-	// unbiased reservoir retains roughly half of each; the old
-	// Count%len(samples) replacement kept only the tail of the stream.
-	s := NewSummary(100)
-	for i := 0; i < 10000; i++ {
-		v := 0.0
-		if i >= 5000 {
-			v = 1.0
-		}
-		s.Add(v)
-	}
-	ones := 0
-	for _, v := range s.samples {
-		if v == 1.0 {
-			ones++
-		}
-	}
-	// Binomial(100, 0.5): outside [20, 80] is astronomically unlikely.
-	if ones < 20 || ones > 80 {
-		t.Fatalf("reservoir kept %d/100 tail samples, want ~50", ones)
-	}
-}
-
-func TestSummaryReservoirDeterministic(t *testing.T) {
-	run := func() []float64 {
-		s := NewSummary(16)
-		for i := 0; i < 1000; i++ {
-			s.Add(float64(i))
-		}
-		return append([]float64(nil), s.samples...)
-	}
-	a, b := run(), run()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("runs diverge at %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-}
-
 func TestSummaryZeroValue(t *testing.T) {
-	// A zero-value Summary (not via NewSummary) with a capacity set by
-	// hand must not crash when the reservoir overflows.
-	s := Summary{cap: 4}
-	for i := 0; i < 100; i++ {
-		s.Add(float64(i))
+	// The zero value must not report its own zeros as observations: a
+	// stream of positives keeps a positive min, negatives a negative max.
+	var pos, neg Summary
+	for i := 1; i <= 100; i++ {
+		pos.Add(float64(i))
+		neg.Add(-float64(i))
 	}
-	if len(s.samples) != 4 || s.Count != 100 {
-		t.Fatalf("summary = %+v", s)
+	if pos.Count != 100 || pos.Min != 1 || pos.Max != 100 {
+		t.Fatalf("positive stream = %+v", pos)
+	}
+	if neg.Min != -100 || neg.Max != -1 {
+		t.Fatalf("negative stream = %+v", neg)
 	}
 }
 
 func TestAddDuration(t *testing.T) {
-	s := NewSummary(0)
+	var s Summary
 	s.AddDuration(250 * time.Millisecond)
 	if s.Mean() != 250 {
 		t.Fatalf("mean = %v ms", s.Mean())
-	}
-}
-
-func TestSeries(t *testing.T) {
-	var sr Series
-	sr.Name = "tcp"
-	sr.Add(1, 10)
-	sr.Add(2, 20)
-	if len(sr.Points) != 2 || sr.Points[1].Y != 20 {
-		t.Fatalf("series = %+v", sr)
 	}
 }
 

@@ -124,17 +124,16 @@ func (l *LocalFS) WaitIdle(p *sim.Proc) {
 // CreateDeleteResult is the mean iteration time for one configuration and
 // size.
 type CreateDeleteResult struct {
-	Config  string
-	Size    int
-	MeanMS  float64
-	Summary *stats.Summary
+	Config string
+	Size   int
+	MeanMS float64
 }
 
 // RunCreateDelete measures the Ousterhout Create-Delete benchmark: each
 // iteration creates a file, writes size bytes in 4 KB chunks, closes it and
 // deletes it.
 func RunCreateDelete(p *sim.Proc, fs BenchFS, config string, size, iters int) (*CreateDeleteResult, error) {
-	sum := stats.NewSummary(0)
+	var sum stats.Summary
 	chunk := make([]byte, 4096)
 	for i := range chunk {
 		chunk[i] = byte(i)
@@ -163,5 +162,5 @@ func RunCreateDelete(p *sim.Proc, fs BenchFS, config string, size, iters int) (*
 		}
 		sum.AddDuration(p.Now() - start)
 	}
-	return &CreateDeleteResult{Config: config, Size: size, MeanMS: sum.Mean(), Summary: sum}, nil
+	return &CreateDeleteResult{Config: config, Size: size, MeanMS: sum.Mean()}, nil
 }

@@ -75,11 +75,10 @@ func FullMix() map[uint32]float64 {
 
 // NhfsstoneResult reports what the generator measured.
 type NhfsstoneResult struct {
-	// RTT per procedure, milliseconds.
+	// RTT per procedure, milliseconds: exact count, mean, min and max.
 	RTT map[uint32]*stats.Summary
-	// Hist per procedure: the same RTTs in log-bucket histograms, whose
-	// interpolated tail quantiles (p99) do not depend on reservoir luck
-	// the way the Summary's sampled percentiles do.
+	// Hist per procedure: the same RTTs in log-bucket histograms, the
+	// source of every percentile (p95, p99) the tables print.
 	Hist map[uint32]*metrics.Histogram
 	// Achieved is the measured aggregate call rate.
 	Achieved float64
@@ -233,7 +232,7 @@ func (n *Nhfsstone) Run(p *sim.Proc) *NhfsstoneResult {
 	for _, proc := range procs {
 		acc += n.Cfg.Mix[proc]
 		cum = append(cum, acc)
-		res.RTT[proc] = stats.NewSummary(4096)
+		res.RTT[proc] = new(stats.Summary)
 		res.Hist[proc] = metrics.NewHistogram()
 	}
 	measuring := false
