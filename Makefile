@@ -2,10 +2,16 @@
 
 GO ?= go
 
-.PHONY: build test race chaos fuzz-smoke vet loc bench bench-smoke profile scaling-smoke fleet fleet-smoke
+.PHONY: build test race chaos fuzz-smoke vet loc bench bench-smoke profile scaling-smoke fleet fleet-smoke examples
 
 build:
 	$(GO) build ./...
+
+# Run every program under examples/ to completion; a non-zero exit fails the
+# target. `go build` only compiles them, and they drive the Rig and the
+# simulated network's tracer the way a user would.
+examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
 
 # Fast tier: every package's unit/integration tests plus a 2-seed chaos
 # smoke (the -short sweep).

@@ -39,6 +39,11 @@ const (
 	// memfs's one snapshot of it (no []DirEntry, no per-entry garbage).
 	// Measured 4, plus the pooled paths' one alloc of headroom.
 	readdirAllocBudget = 5
+	// A simulated GETATTR through a Rig: the dynamic-UDP transport, the
+	// simulated network and the server core together, with no tracer
+	// installed anywhere. Measured 81.5 (93.5 while the Rig re-counted every
+	// lifecycle event into the server registry); the budget is that plus 2.
+	rigGetattrAllocBudget = 83.5
 )
 
 // warmServer builds a server with one 8 KB file, runs a few calls of each
@@ -243,6 +248,20 @@ func TestAllocBudgetSpanRecording(t *testing.T) {
 	}
 	if gotRead > read8KAllocBudget {
 		t.Errorf("spanned 8 KB READ allocates %.1f/op, budget is %d", gotRead, read8KAllocBudget)
+	}
+}
+
+// TestAllocBudgetRigGetattr pins the cost of the simulator's round trip, and
+// with it the rule that an untraced lifecycle event costs a branch and no
+// allocation.
+func TestAllocBudgetRigGetattr(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector adds allocations")
+	}
+	_, got := rigGetattrs(t, 100, 2000)
+	t.Logf("simulated GETATTR round trip: %.1f allocs/op (budget %.1f)", got, rigGetattrAllocBudget)
+	if got > rigGetattrAllocBudget {
+		t.Errorf("simulated GETATTR round trip allocates %.1f/op, budget is %.1f", got, rigGetattrAllocBudget)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"renonfs/internal/check"
 	"renonfs/internal/client"
 	"renonfs/internal/faultplan"
-	"renonfs/internal/metrics"
 	"renonfs/internal/server"
 	"renonfs/internal/sim"
 	"renonfs/internal/tcpsim"
@@ -332,7 +331,7 @@ func runChaos(kind renonfs.TransportKind, topo renonfs.Topology, seed int64, lea
 	defer rig.Close()
 	env := rig.Env
 	aud := check.New(func() time.Duration { return time.Duration(env.Now()) })
-	rig.Server.Tracer = metrics.MultiTracer{rig.Tracer(), aud.Tracer("server")}
+	rig.Server.Tracer = aud.Tracer("server")
 	sched := faultplan.Generate(seed, faultplan.Options{})
 	sched.Apply(rig.Net, rig.Server)
 
@@ -340,7 +339,7 @@ func runChaos(kind renonfs.TransportKind, topo renonfs.Topology, seed int64, lea
 	// (including reconnects) draws a fresh ephemeral port from it.
 	var stack *tcpsim.Stack
 	dial := func(p *sim.Proc, source string) (transport.Transport, error) {
-		tracer := metrics.MultiTracer{rig.Tracer(), aud.Tracer(source)}
+		tracer := aud.Tracer(source)
 		switch kind {
 		case renonfs.UDPFixed, renonfs.UDPDynamic:
 			var cfg transport.UDPConfig

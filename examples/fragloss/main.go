@@ -2,8 +2,9 @@
 // packet. An 8 KB NFS read over the 56 Kbit/s path is ~9 IP fragments;
 // lose any one and the whole datagram is gone, and a fixed-RTO client just
 // sits through a full timeout before resending all of it ("fragmentation
-// considered harmful", [Kent87b]). The simulator's tcpdump-style tracer
-// shows the fragments, the loss, the silence, and the retransmission.
+// considered harmful", [Kent87b]). The simulated network's packet events —
+// tcpdump-style lines delivered on the same metrics.Tracer the transports
+// use — show the fragments, the loss, the silence, and the retransmission.
 package main
 
 import (
@@ -12,6 +13,7 @@ import (
 
 	"renonfs"
 	"renonfs/internal/mbuf"
+	"renonfs/internal/metrics"
 	"renonfs/internal/netsim"
 	"renonfs/internal/nfsproto"
 	"renonfs/internal/sim"
@@ -23,8 +25,7 @@ func main() {
 	r := renonfs.NewRig(renonfs.RigConfig{Seed: 11, Topology: renonfs.TopoSlow})
 	defer r.Close()
 
-	var trace netsim.CollectTracer
-	var events []netsim.TraceEvent
+	var trace, events []netsim.TraceEvent
 	r.Env.Spawn("demo", func(p *sim.Proc) {
 		cfg := transport.FixedUDP() // the classic client: 1s RTO
 		tr := r.DialUDPConfig(cfg)
@@ -45,15 +46,17 @@ func main() {
 		})
 
 		// Now trace 8K reads until we catch one that loses a fragment.
-		r.Net.Net.SetTracer(&trace)
+		r.Net.Net.SetTracer(metrics.FuncTracer(func(ev metrics.Event) {
+			trace = append(trace, ev.(netsim.TraceEvent))
+		}))
 		for attempt := 0; attempt < 60; attempt++ {
-			before := len(trace.Events)
+			before := len(trace)
 			retriesBefore := tr.Stats().Retries
 			tr.Call(p, nfsproto.ProcRead, func(e *xdr.Encoder) {
 				(&nfsproto.ReadArgs{File: res.File, Offset: 0, Count: 8192}).Encode(e)
 			})
 			if tr.Stats().Retries > retriesBefore {
-				events = append([]netsim.TraceEvent(nil), trace.Events[before:]...)
+				events = trace[before:]
 				break
 			}
 		}
@@ -71,12 +74,12 @@ func main() {
 	for _, ev := range events {
 		// Show the serial-link hops and any losses; elide the quiet
 		// Ethernet/router legs so the story stays readable.
-		if ev.Kind == netsim.TraceLoss || ev.Kind == netsim.TraceQDrop ||
+		if ev.Op == netsim.TraceLoss || ev.Op == netsim.TraceQDrop ||
 			ev.Where == "serial" || ev.Where == "client" || ev.Where == "server" {
 			fmt.Println(" ", ev)
 			shown++
 		}
-		if ev.Kind == netsim.TraceLoss || ev.Kind == netsim.TraceQDrop {
+		if ev.Op == netsim.TraceLoss || ev.Op == netsim.TraceQDrop {
 			losses++
 		}
 		if shown > 60 {

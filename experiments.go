@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"renonfs/internal/metrics"
 	"renonfs/internal/netsim"
 	"renonfs/internal/nfsproto"
 	"renonfs/internal/sim"
@@ -239,11 +240,21 @@ func expGraph7(cfg ExpConfig) []*stats.Table {
 	rigCfg := RigConfig{Seed: cfg.seed(), Topology: TopoSlow}
 	r := NewRig(rigCfg)
 	defer r.Close()
-	var trace []transport.TracePoint
+	// The plot is the transport's own event stream: every READ reply, when
+	// it arrived, with its RTT and the RTO its transmission went out with.
+	type point struct {
+		at  sim.Time
+		rep metrics.Reply
+	}
+	var trace []point
 	var start sim.Time
 	r.Env.Spawn("bench", func(p *sim.Proc) {
 		ucfg := transport.DynamicUDP()
-		ucfg.TraceProc = nfsproto.ProcRead
+		ucfg.Tracer = metrics.FuncTracer(func(ev metrics.Event) {
+			if rep, ok := ev.(metrics.Reply); ok && rep.Proc == nfsproto.ProcRead {
+				trace = append(trace, point{r.Env.Now(), rep})
+			}
+		})
 		tr := r.DialUDPConfig(ucfg)
 		nh := &workload.Nhfsstone{
 			Cfg: workload.NhfsstoneConfig{
@@ -260,7 +271,6 @@ func expGraph7(cfg ExpConfig) []*stats.Table {
 		}
 		start = p.Now()
 		nh.Run(p)
-		trace = tr.Stats().Trace
 	})
 	r.Env.Run(cfg.warmup() + cfg.window() + 20*time.Minute)
 	t := stats.NewTable("Graph #7: read RPC trace (RTT and RTO = A+4D)",
@@ -271,7 +281,7 @@ func expGraph7(cfg ExpConfig) []*stats.Table {
 	}
 	for i := 0; i < maxRows; i++ {
 		tp := trace[i]
-		t.AddRow(fmt.Sprintf("%.1f", float64(tp.At-start)/1e9), tp.RTT, tp.RTO)
+		t.AddRow(fmt.Sprintf("%.1f", float64(tp.at-start)/1e9), tp.rep.RTT, tp.rep.RTO)
 	}
 	return []*stats.Table{t}
 }

@@ -23,7 +23,6 @@ import (
 	"strings"
 	"time"
 
-	"renonfs/internal/metrics"
 	"renonfs/internal/netsim"
 	"renonfs/internal/nfsproto"
 	"renonfs/internal/sim"
@@ -120,10 +119,6 @@ type Options struct {
 	// "adjust the size dynamically, based on the IP fragment drop rate"
 	// further-work item.
 	AdaptiveRsize bool
-	// Tracer, when set, receives a ClientCall lifecycle event per RPC the
-	// mount issues (syscall-level latency, including transport queueing
-	// and retransmissions).
-	Tracer metrics.Tracer
 }
 
 // Reno returns the tuned 4.3BSD Reno client personality.
@@ -348,13 +343,7 @@ func (m *Mount) charge(p *sim.Proc, bucket string, us float64) {
 // call issues one RPC, counting it.
 func (m *Mount) call(p *sim.Proc, proc uint32, args func(e *xdr.Encoder)) (*xdr.Decoder, error) {
 	m.Stats.Calls[proc]++
-	if m.Opts.Tracer == nil || p == nil {
-		return m.tr.Call(p, proc, args)
-	}
-	start := p.Now()
-	d, err := m.tr.Call(p, proc, args)
-	metrics.Emit(m.Opts.Tracer, metrics.ClientCall{Proc: proc, RTT: p.Now() - start, Err: err != nil})
-	return d, err
+	return m.tr.Call(p, proc, args)
 }
 
 // getVnode interns a vnode for a handle.

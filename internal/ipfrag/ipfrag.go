@@ -9,10 +9,7 @@
 // network simulator supplies actual delivery and loss.
 package ipfrag
 
-import (
-	"renonfs/internal/metrics"
-	"renonfs/internal/sim"
-)
+import "renonfs/internal/sim"
 
 // Frag describes one fragment of a datagram: payload bytes [Off, Off+Len).
 type Frag struct {
@@ -165,10 +162,6 @@ type Reassembler struct {
 	// Expired counts datagrams abandoned by timeout (IP "reassembly
 	// timeouts" — each one is a silently lost RPC for fixed-RTO UDP).
 	Expired int
-	// Tracer, when set, receives a FragDrop lifecycle event per abandoned
-	// datagram — the observability hook that makes fragmentation-amplified
-	// loss visible outside the simulator's own counters.
-	Tracer metrics.Tracer
 }
 
 // NewReassembler returns a tracker with the given fragment timeout.
@@ -191,7 +184,6 @@ func (r *Reassembler) Add(k Key, f Frag, now sim.Time) bool {
 		// starts a fresh attempt (e.g. a retransmitted UDP RPC reusing
 		// nothing — IDs are unique, so in practice this is rare).
 		r.Expired++
-		metrics.Emit(r.Tracer, metrics.FragDrop{Expired: 1})
 		st = &state{total: -1, deadline: now + r.Timeout}
 		r.pending[k] = st
 	}
@@ -218,8 +210,5 @@ func (r *Reassembler) Expire(now sim.Time) int {
 		}
 	}
 	r.Expired += n
-	if n > 0 {
-		metrics.Emit(r.Tracer, metrics.FragDrop{Expired: n})
-	}
 	return n
 }

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestHistogramEmpty(t *testing.T) {
@@ -224,47 +223,5 @@ func TestRegistrySnapshotDeltaAndJSON(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("text encoding missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestMetricsTracer(t *testing.T) {
-	r := NewRegistry()
-	tr := &MetricsTracer{R: r, ProcName: func(p uint32) string { return "lookup" }}
-	var m MultiTracer = []Tracer{tr, FuncTracer(func(Event) {})}
-	Emit(m, CallSent{Proc: 4, XID: 1})
-	Emit(m, Retransmit{Proc: 4, XID: 1, Backoff: 1, RTO: time.Second})
-	Emit(m, RTTSample{Proc: 4, Class: "lookup", RTT: 5 * time.Millisecond, SRTT: 4 * time.Millisecond, RTO: 20 * time.Millisecond})
-	Emit(m, CwndChange{Cwnd: 3})
-	Emit(m, FragDrop{Expired: 2})
-	Emit(m, Reply{Proc: 4, XID: 1, RTT: 6 * time.Millisecond})
-	Emit(m, DupCacheHit{Proc: 4})
-	Emit(m, ServerCall{Proc: 4, Service: time.Millisecond, Error: true})
-	Emit(m, ClientCall{Proc: 4, RTT: 7 * time.Millisecond})
-	Emit(nil, CallSent{}) // nil tracer must be a no-op, not a panic
-
-	s := r.Snapshot()
-	checks := map[string]int64{
-		"rpc.calls":        1,
-		"rpc.calls.lookup": 1,
-		"rpc.retransmits":  1,
-		"ip.frag_timeouts": 2,
-		"rpc.replies":      1,
-		"nfs.dup_hits":     1,
-		"nfs.calls.lookup": 1,
-		"nfs.errors":       1,
-	}
-	for name, want := range checks {
-		if got := s.Counters[name]; got != want {
-			t.Errorf("counter %s = %d, want %d", name, got, want)
-		}
-	}
-	if s.Gauges["rpc.cwnd"] != 3 {
-		t.Errorf("cwnd gauge = %v", s.Gauges["rpc.cwnd"])
-	}
-	if s.Histograms["nfs.service_ms.lookup"].Count != 1 {
-		t.Errorf("service histogram not recorded")
-	}
-	if s.Histograms["client.call_ms.lookup"].Count != 1 {
-		t.Errorf("client call histogram not recorded")
 	}
 }

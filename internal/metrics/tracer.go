@@ -1,14 +1,13 @@
 package metrics
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
-// Tracer receives typed RPC lifecycle events. The transports, the client,
-// the server and the IP reassembler all emit through one of these when
-// configured; implementations must be cheap and must not block (inside
-// the simulator they run on the simulation's critical path).
+// Tracer receives typed RPC lifecycle events — the one event stream. The
+// transports, the server and the simulated network emit through one of
+// these when configured; the invariant auditor in internal/check and the
+// tests read it. Counting is the Registry's job, not a tracer's.
+// Implementations must be cheap and must not block (inside the simulator
+// they run on the simulation's critical path).
 //
 // A nil Tracer everywhere is the default: tracing costs nothing unless
 // someone is watching.
@@ -36,40 +35,14 @@ type Retransmit struct {
 	RTO     time.Duration
 }
 
-// RTOBackoff: the transport backed a call's timer off exponentially.
-type RTOBackoff struct {
-	Proc    uint32
-	Backoff int
-	RTO     time.Duration
-}
-
-// RTTSample: an unambiguous reply produced a round-trip sample and the
-// estimator's new state (A, D and RTO = A + kD in the paper's terms).
-type RTTSample struct {
-	Proc  uint32
-	Class string
-	RTT   time.Duration
-	SRTT  time.Duration
-	RTO   time.Duration
-}
-
-// CwndChange: the congestion window moved (opened by a reply, halved by a
-// retransmit).
-type CwndChange struct {
-	Cwnd float64
-}
-
-// FragDrop: IP reassembly abandoned datagrams by timeout — each one a
-// silently lost RPC for fixed-RTO UDP, the §4 failure amplifier.
-type FragDrop struct {
-	Expired int
-}
-
-// Reply: a matching reply completed a call at the transport.
+// Reply: a matching reply completed a call at the transport. RTO is the
+// timeout the answered transmission went out with (0 on TCP), so a trace
+// of replies is the paper's Graph 7 RTT/RTO plot.
 type Reply struct {
 	Proc uint32
 	XID  uint32
 	RTT  time.Duration
+	RTO  time.Duration
 }
 
 // CallFailed: a call resolved without a reply — the transport gave up
@@ -127,20 +100,8 @@ type ServerCall struct {
 	Error         bool
 }
 
-// ClientCall: a client mount completed one RPC (syscall-level latency,
-// including transport queueing and retransmissions).
-type ClientCall struct {
-	Proc uint32
-	RTT  time.Duration
-	Err  bool
-}
-
 func (CallSent) Kind() string    { return "call_sent" }
 func (Retransmit) Kind() string  { return "retransmit" }
-func (RTOBackoff) Kind() string  { return "rto_backoff" }
-func (RTTSample) Kind() string   { return "rtt_sample" }
-func (CwndChange) Kind() string  { return "cwnd" }
-func (FragDrop) Kind() string    { return "frag_drop" }
 func (Reply) Kind() string       { return "reply" }
 func (CallFailed) Kind() string  { return "call_failed" }
 func (DupCacheHit) Kind() string { return "dup_hit" }
@@ -148,11 +109,11 @@ func (ServerCrash) Kind() string { return "server_crash" }
 func (LeaseGrant) Kind() string  { return "lease_grant" }
 func (LeaseVacate) Kind() string { return "lease_vacate" }
 func (ServerCall) Kind() string  { return "server_call" }
-func (ClientCall) Kind() string  { return "client_call" }
 
-// Emit sends ev to tr when a tracer is installed; the nil check lives
-// here so call sites stay one line.
-func Emit(tr Tracer, ev Event) {
+// Emit sends ev to tr when a tracer is installed. It is generic so the
+// event is boxed into an interface only inside the nil check: an untraced
+// Emit costs one branch and no allocation, and call sites stay one line.
+func Emit[E Event](tr Tracer, ev E) {
 	if tr != nil {
 		tr.Event(ev)
 	}
@@ -163,82 +124,3 @@ type FuncTracer func(ev Event)
 
 // Event implements Tracer.
 func (f FuncTracer) Event(ev Event) { f(ev) }
-
-// MultiTracer fans events out to several tracers.
-type MultiTracer []Tracer
-
-// Event implements Tracer.
-func (m MultiTracer) Event(ev Event) {
-	for _, t := range m {
-		if t != nil {
-			t.Event(ev)
-		}
-	}
-}
-
-// MetricsTracer folds lifecycle events into a Registry: counters for the
-// discrete events, gauges for levels, histograms for the timed ones. It
-// is how the transports and server publish into the nfsd stats endpoint
-// without knowing the registry's naming scheme themselves.
-type MetricsTracer struct {
-	R *Registry
-	// ProcName renders a procedure number for metric names; nil falls
-	// back to "procN". Wiring this to nfsproto.ProcName keeps this
-	// package protocol-agnostic.
-	ProcName func(proc uint32) string
-}
-
-func (t *MetricsTracer) proc(p uint32) string {
-	if t.ProcName != nil {
-		return t.ProcName(p)
-	}
-	return fmt.Sprintf("proc%d", p)
-}
-
-// Event implements Tracer.
-func (t *MetricsTracer) Event(ev Event) {
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	switch e := ev.(type) {
-	case CallSent:
-		t.R.Counter("rpc.calls").Inc()
-		t.R.Counter("rpc.calls." + t.proc(e.Proc)).Inc()
-	case Retransmit:
-		t.R.Counter("rpc.retransmits").Inc()
-		t.R.Counter("rpc.retransmits." + t.proc(e.Proc)).Inc()
-	case RTOBackoff:
-		t.R.Counter("rpc.backoffs").Inc()
-	case RTTSample:
-		t.R.Histogram("rpc.rtt_ms." + t.proc(e.Proc)).Observe(ms(e.RTT))
-		t.R.Gauge("rpc.srtt_ms." + e.Class).Set(ms(e.SRTT))
-		t.R.Gauge("rpc.rto_ms." + e.Class).Set(ms(e.RTO))
-	case CwndChange:
-		t.R.Gauge("rpc.cwnd").Set(e.Cwnd)
-	case FragDrop:
-		t.R.Counter("ip.frag_timeouts").Add(int64(e.Expired))
-	case Reply:
-		t.R.Counter("rpc.replies").Inc()
-		t.R.Histogram("rpc.call_ms." + t.proc(e.Proc)).Observe(ms(e.RTT))
-	case CallFailed:
-		t.R.Counter("rpc.failures").Inc()
-		t.R.Counter("rpc.failures." + t.proc(e.Proc)).Inc()
-	case DupCacheHit:
-		t.R.Counter("nfs.dup_hits").Inc()
-	case ServerCrash:
-		t.R.Counter("nfs.server_crashes").Inc()
-	case LeaseGrant:
-		t.R.Counter("nfs.lease_grants").Inc()
-	case LeaseVacate:
-		t.R.Counter("nfs.lease_vacates").Inc()
-	case ServerCall:
-		t.R.Counter("nfs.calls." + t.proc(e.Proc)).Inc()
-		t.R.Histogram("nfs.service_ms." + t.proc(e.Proc)).Observe(ms(e.Service))
-		if e.Error {
-			t.R.Counter("nfs.errors").Inc()
-		}
-	case ClientCall:
-		t.R.Histogram("client.call_ms." + t.proc(e.Proc)).Observe(ms(e.RTT))
-		if e.Err {
-			t.R.Counter("client.call_errors").Inc()
-		}
-	}
-}

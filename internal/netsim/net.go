@@ -101,7 +101,6 @@ type NodeStats struct {
 	DgramsOut         int
 	DgramsIn          int
 	Forwarded         int
-	ReasmExpired      int
 	NoPortDrops       int
 	// ChecksumDrops counts reassembled datagrams rejected because fault
 	// injection corrupted a fragment in flight (UDP and TCP checksums both
@@ -139,10 +138,9 @@ type portKey struct {
 // Net is a collection of nodes and links sharing one simulation
 // environment.
 type Net struct {
-	Env        *sim.Env
-	nodes      []*Node
-	tracer     Tracer
-	fragTracer metrics.Tracer
+	Env    *sim.Env
+	nodes  []*Node
+	tracer metrics.Tracer
 }
 
 // New returns an empty network bound to env.
@@ -184,7 +182,6 @@ func (nt *Net) AddNode(cfg NodeConfig) *Node {
 		ports:   make(map[portKey]*sim.Queue[*Datagram]),
 		profile: make(map[string]sim.Time),
 	}
-	n.reasm.Tracer = nt.fragTracer
 	nt.nodes = append(nt.nodes, n)
 	nt.Env.Spawn(cfg.Name+".softnet", n.softnet)
 	return n
@@ -444,7 +441,7 @@ func (n *Node) softnet(p *sim.Proc) {
 		n.ChargeCPU(p, "ip", m.Cost(m.IPPkt))
 		key := ipfrag.Key{Src: int(pk.dg.Src), ID: pk.dg.ID}
 		if !n.reasm.Add(key, pk.frag, p.Now()) {
-			n.Stats.ReasmExpired += n.reasm.Expire(p.Now())
+			n.reasm.Expire(p.Now())
 			continue
 		}
 		// Datagram complete: transport processing, checksum, demux.

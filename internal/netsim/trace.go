@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"io"
 
 	"renonfs/internal/metrics"
 	"renonfs/internal/sim"
@@ -37,11 +36,13 @@ func (k TraceKind) String() string {
 	}
 }
 
-// TraceEvent describes one packet-level occurrence, tcpdump-style.
+// TraceEvent describes one packet-level occurrence, tcpdump-style. It is a
+// metrics.Event of kind "packet", so the network reports on the same
+// lifecycle Tracer the transports and server use.
 type TraceEvent struct {
 	At    sim.Time
 	Where string // node or link name
-	Kind  TraceKind
+	Op    TraceKind
 	Proto uint8
 	Src   NodeID
 	SPort int
@@ -52,6 +53,9 @@ type TraceEvent struct {
 	More             bool
 	DgramID          uint32
 }
+
+// Kind implements metrics.Event.
+func (TraceEvent) Kind() string { return "packet" }
 
 // String renders the event as one tcpdump-like line.
 func (ev TraceEvent) String() string {
@@ -64,49 +68,21 @@ func (ev TraceEvent) String() string {
 		frag = fmt.Sprintf(" frag@%d%s", ev.FragOff, map[bool]string{true: "+", false: ""}[ev.More])
 	}
 	return fmt.Sprintf("%12.6f %-8s %-5s %s %d:%d > %d:%d len %d id %d%s",
-		float64(ev.At)/1e9, ev.Where, ev.Kind, proto,
+		float64(ev.At)/1e9, ev.Where, ev.Op, proto,
 		ev.Src, ev.SPort, ev.Dst, ev.DPort, ev.FragLen, ev.DgramID, frag)
 }
 
-// Tracer receives packet events. Implementations must not block on
-// simulation primitives.
-type Tracer interface {
-	Packet(ev TraceEvent)
-}
-
-// WriterTracer prints each event as a line to W.
-type WriterTracer struct{ W io.Writer }
-
-// Packet implements Tracer.
-func (t WriterTracer) Packet(ev TraceEvent) { fmt.Fprintln(t.W, ev.String()) }
-
-// CollectTracer accumulates events in memory (tests).
-type CollectTracer struct{ Events []TraceEvent }
-
-// Packet implements Tracer.
-func (t *CollectTracer) Packet(ev TraceEvent) { t.Events = append(t.Events, ev) }
-
 // SetTracer installs a packet tracer on every node and link of the
 // network (nil uninstalls). Install before traffic starts.
-func (nt *Net) SetTracer(tr Tracer) { nt.tracer = tr }
-
-// SetFragTracer installs an RPC lifecycle tracer on every node's IP
-// reassembler (existing and future), surfacing reassembly-timeout drops
-// as FragDrop events. Nil uninstalls.
-func (nt *Net) SetFragTracer(tr metrics.Tracer) {
-	nt.fragTracer = tr
-	for _, n := range nt.nodes {
-		n.reasm.Tracer = tr
-	}
-}
+func (nt *Net) SetTracer(tr metrics.Tracer) { nt.tracer = tr }
 
 // trace emits an event if a tracer is installed.
-func (nt *Net) trace(at sim.Time, where string, kind TraceKind, pk *packet) {
+func (nt *Net) trace(at sim.Time, where string, op TraceKind, pk *packet) {
 	if nt.tracer == nil {
 		return
 	}
-	nt.tracer.Packet(TraceEvent{
-		At: at, Where: where, Kind: kind,
+	nt.tracer.Event(TraceEvent{
+		At: at, Where: where, Op: op,
 		Proto: pk.dg.Proto,
 		Src:   pk.dg.Src, SPort: pk.dg.SrcPort,
 		Dst: pk.dg.Dst, DPort: pk.dg.DstPort,

@@ -1,14 +1,24 @@
 package netsim
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 	"time"
 
 	"renonfs/internal/mbuf"
+	"renonfs/internal/metrics"
 	"renonfs/internal/sim"
 )
+
+// collect installs a FuncTracer on nt that appends every packet event to
+// the returned slice.
+func collect(nt *Net) *[]TraceEvent {
+	var evs []TraceEvent
+	nt.SetTracer(metrics.FuncTracer(func(ev metrics.Event) {
+		evs = append(evs, ev.(TraceEvent))
+	}))
+	return &evs
+}
 
 func TestTracerSeesLookupExchange(t *testing.T) {
 	env := sim.New(1)
@@ -18,8 +28,7 @@ func TestTracerSeesLookupExchange(t *testing.T) {
 	b := nt.AddNode(NodeConfig{Name: "b"})
 	nt.Connect(a, b, quietEthernet("eth"))
 	nt.ComputeRoutes()
-	var tr CollectTracer
-	nt.SetTracer(&tr)
+	events := collect(nt)
 
 	sa := a.UDPSocket(1001)
 	sb := b.UDPSocket(2049)
@@ -36,8 +45,8 @@ func TestTracerSeesLookupExchange(t *testing.T) {
 
 	// Expect send(a), recv(b), send(b), recv(a) in order.
 	var kinds []string
-	for _, ev := range tr.Events {
-		kinds = append(kinds, ev.Where+":"+ev.Kind.String())
+	for _, ev := range *events {
+		kinds = append(kinds, ev.Where+":"+ev.Op.String())
 	}
 	want := []string{"a:send", "b:recv", "b:send", "a:recv"}
 	if len(kinds) != len(want) {
@@ -49,8 +58,8 @@ func TestTracerSeesLookupExchange(t *testing.T) {
 		}
 	}
 	// Timestamps are nondecreasing.
-	for i := 1; i < len(tr.Events); i++ {
-		if tr.Events[i].At < tr.Events[i-1].At {
+	for i := 1; i < len(*events); i++ {
+		if (*events)[i].At < (*events)[i-1].At {
 			t.Fatal("trace times not monotone")
 		}
 	}
@@ -60,8 +69,7 @@ func TestTracerForwardAndFragments(t *testing.T) {
 	env := sim.New(2)
 	defer env.Close()
 	tb := Build(env, TopoRing, NodeConfig{}, NodeConfig{})
-	var tr CollectTracer
-	tb.Net.SetTracer(&tr)
+	events := collect(tb.Net)
 	sc := tb.Client.UDPSocket(1001)
 	ss := tb.Server.UDPSocket(2049)
 	env.Spawn("rx", func(p *sim.Proc) { ss.Recv(p) })
@@ -71,8 +79,8 @@ func TestTracerForwardAndFragments(t *testing.T) {
 	env.Run(10 * time.Second)
 
 	sends, fwds, recvs, frags := 0, 0, 0, 0
-	for _, ev := range tr.Events {
-		switch ev.Kind {
+	for _, ev := range *events {
+		switch ev.Op {
 		case TraceSend:
 			sends++
 		case TraceFwd:
@@ -95,15 +103,16 @@ func TestTracerForwardAndFragments(t *testing.T) {
 	}
 }
 
-func TestWriterTracerFormat(t *testing.T) {
-	var buf bytes.Buffer
-	wt := WriterTracer{W: &buf}
-	wt.Packet(TraceEvent{
-		At: 1500 * time.Millisecond, Where: "eth0", Kind: TraceLoss,
+func TestTraceEventString(t *testing.T) {
+	ev := TraceEvent{
+		At: 1500 * time.Millisecond, Where: "eth0", Op: TraceLoss,
 		Proto: ProtoUDP, Src: 0, SPort: 1001, Dst: 1, DPort: 2049,
 		FragOff: 2960, FragLen: 1480, More: true, DgramID: 42,
-	})
-	line := buf.String()
+	}
+	if ev.Kind() != "packet" {
+		t.Fatalf("Kind() = %q, want packet", ev.Kind())
+	}
+	line := ev.String()
 	for _, want := range []string{"1.500000", "eth0", "loss", "udp", "0:1001 > 1:2049", "frag@2960+"} {
 		if !strings.Contains(line, want) {
 			t.Fatalf("line %q missing %q", line, want)

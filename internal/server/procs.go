@@ -236,13 +236,11 @@ func (s *Server) finish(p *sim.Proc, f *callFrame, replyLen int, garbage bool, s
 	// disk sleeps under the simulator, real elapsed time over sockets.
 	svc := s.svcNow(p) - f.begin
 	s.procSvc[f.proc].ObserveDuration(svc)
-	if s.Tracer != nil { // guard: boxing the event allocates even when untraced
-		metrics.Emit(s.Tracer, metrics.ServerCall{
-			Proc: f.proc, Peer: f.peer, XID: f.xid,
-			NonIdempotent: nonIdempotent[f.proc],
-			Service:       svc, Error: garbage,
-		})
-	}
+	metrics.Emit(s.Tracer, metrics.ServerCall{
+		Proc: f.proc, Peer: f.peer, XID: f.xid,
+		NonIdempotent: nonIdempotent[f.proc],
+		Service:       svc, Error: garbage,
+	})
 	if s.Opts.XDRCopyLayer {
 		s.charge(p, "xdr_layer", costXDRByte*float64(replyLen))
 	}

@@ -42,8 +42,6 @@ type TCP struct {
 	pending map[uint32]*tcpPending
 	closed  bool
 	stats   Stats
-	// TraceProc mirrors UDPConfig.TraceProc.
-	TraceProc int
 	// Tracer mirrors UDPConfig.Tracer: typed RPC lifecycle events (calls,
 	// replies, replays after a reconnect).
 	Tracer metrics.Tracer
@@ -72,7 +70,6 @@ func NewTCP(p *sim.Proc, stack *tcpsim.Stack, server netsim.NodeID, port int) (*
 		server:       server,
 		port:         port,
 		pending:      make(map[uint32]*tcpPending),
-		TraceProc:    -1,
 		ReplyTimeout: DefaultReplyTimeout,
 	}
 	if err := t.connect(p); err != nil {
@@ -163,7 +160,6 @@ func (t *TCP) CallProgram(p *sim.Proc, prog, vers, proc uint32, args func(e *xdr
 	}
 	t.pending[pc.xid] = pc
 	t.stats.Calls++
-	t.stats.ByClass[ClassOf(proc)]++
 	metrics.Emit(t.Tracer, metrics.CallSent{Proc: proc, XID: pc.xid})
 	if err := t.sendOne(p, pc); err != nil {
 		delete(t.pending, pc.xid)
@@ -218,11 +214,6 @@ rx:
 			dec, err := decodeReply(msg)
 			if err != nil {
 				continue
-			}
-			if int(pc.proc) == t.TraceProc {
-				t.stats.Trace = append(t.stats.Trace, TracePoint{
-					At: p.Now(), Proc: pc.proc, RTT: p.Now() - pc.sentAt,
-				})
 			}
 			t.stats.Replies++
 			metrics.Emit(t.Tracer, metrics.Reply{Proc: pc.proc, XID: xid, RTT: p.Now() - pc.sentAt})

@@ -66,39 +66,13 @@ func ClassOf(proc uint32) Class {
 // RTT variance demanded A+4D instead of A+2D.
 func (c Class) Big() bool { return c == ClassRead || c == ClassWrite }
 
-func (c Class) String() string {
-	switch c {
-	case ClassGetattr:
-		return "getattr"
-	case ClassLookup:
-		return "lookup"
-	case ClassRead:
-		return "read"
-	case ClassWrite:
-		return "write"
-	default:
-		return "other"
-	}
-}
-
-// TracePoint is one sample for the Graph 7 style RTT/RTO trace.
-type TracePoint struct {
-	At   sim.Time
-	Proc uint32
-	RTT  sim.Time
-	RTO  sim.Time
-}
-
 // Stats counts transport behaviour.
 type Stats struct {
 	Calls      int
 	Replies    int
 	Retries    int
 	Failures   int
-	ByClass    [NumClasses]int
 	RetryClass [NumClasses]int
-	// Trace collects per-reply samples for procedures in TraceProcs.
-	Trace []TracePoint
 }
 
 // Transport issues NFS RPCs. Call blocks the calling process until the
@@ -140,14 +114,6 @@ func (e *estimator) sample(rtt sim.Time) {
 		delta = -delta
 	}
 	e.rttvar += (delta - e.rttvar) / 4
-}
-
-// sampleTraced folds in one measurement and returns the estimator's new
-// state (smoothed RTT and the RTO it now implies) so callers can emit an
-// RTTSample lifecycle event without re-deriving it.
-func (e *estimator) sampleTraced(rtt, def, min, max sim.Time) (srtt, rto sim.Time) {
-	e.sample(rtt)
-	return e.srtt, e.rto(def, min, max)
 }
 
 // rto returns A + factor*D, or def before any sample, clamped.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"renonfs/internal/memfs"
+	"renonfs/internal/metrics"
 	"renonfs/internal/netsim"
 	"renonfs/internal/nfsproto"
 	"renonfs/internal/server"
@@ -331,11 +332,32 @@ func TestConcurrentCallersMatchedCorrectly(t *testing.T) {
 	}
 }
 
+// TestTraceRecording reads the Graph 7 trace off the event stream: each READ
+// Reply carries its RTT and the RTO its transmission went out with. The
+// expected RTO is taken when the call is sent (the first transmission uses
+// the class timeout the estimator holds then) and moved by any Retransmit.
 func TestTraceRecording(t *testing.T) {
 	r := newRig(t, 17, netsim.TopoLAN, nil)
 	cfg := DynamicUDP()
-	cfg.TraceProc = nfsproto.ProcRead
-	tr := NewUDP(r.tb.Client, 1001, r.tb.Server.ID, server.NFSPort, cfg)
+	var tr *UDP
+	var reads []metrics.Reply
+	txRTO := map[uint32]sim.Time{}
+	cfg.Tracer = metrics.FuncTracer(func(ev metrics.Event) {
+		switch ev := ev.(type) {
+		case metrics.CallSent:
+			txRTO[ev.XID] = tr.rtoFor(ClassOf(ev.Proc))
+		case metrics.Retransmit:
+			txRTO[ev.XID] = ev.RTO
+		case metrics.Reply:
+			if ev.Proc == nfsproto.ProcRead {
+				reads = append(reads, ev)
+				if ev.RTO != txRTO[ev.XID] {
+					t.Errorf("read xid %d: reply RTO %v, its transmission used %v", ev.XID, ev.RTO, txRTO[ev.XID])
+				}
+			}
+		}
+	})
+	tr = NewUDP(r.tb.Client, 1001, r.tb.Server.ID, server.NFSPort, cfg)
 	r.env.Spawn("client", func(p *sim.Proc) {
 		proc, args := lookupCall(r, "file-03")
 		d, err := tr.Call(p, proc, args)
@@ -349,12 +371,12 @@ func TestTraceRecording(t *testing.T) {
 		}
 	})
 	r.env.Run(time.Minute)
-	if len(tr.Stats().Trace) != 5 {
-		t.Fatalf("trace points = %d, want 5 (reads only)", len(tr.Stats().Trace))
+	if len(reads) != 5 {
+		t.Fatalf("trace points = %d, want 5 (reads only)", len(reads))
 	}
-	for _, tp := range tr.Stats().Trace {
-		if tp.RTT <= 0 || tp.RTO <= 0 {
-			t.Fatalf("bad trace point: %+v", tp)
+	for _, rep := range reads {
+		if rep.RTT <= 0 || rep.RTO <= 0 {
+			t.Fatalf("bad trace point: %+v", rep)
 		}
 	}
 }

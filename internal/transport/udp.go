@@ -40,23 +40,21 @@ type UDPConfig struct {
 	// CwndInit and CwndMax bound the congestion window (requests).
 	CwndInit float64
 	CwndMax  float64
-	// TraceProc records TracePoints for this procedure (e.g. ProcRead for
-	// Graph 7); negative disables tracing.
-	TraceProc int
-	// Tracer, when set, receives typed RPC lifecycle events (call sent,
-	// retransmit, RTT sample with the new SRTT/RTO, cwnd changes, reply).
+	// Tracer, when set, receives the transport's RPC lifecycle events: call
+	// sent, retransmit, reply (with its RTT and the RTO its transmission
+	// used — Graph 7 is a trace of READ replies) and call failed.
 	Tracer metrics.Tracer
 }
 
 // FixedUDP returns the classic configuration.
 func FixedUDP() UDPConfig {
-	return UDPConfig{Dynamic: false, Timeo: time.Second, BigFactor: 4, SmallFactor: 2, TraceProc: -1}
+	return UDPConfig{Dynamic: false, Timeo: time.Second, BigFactor: 4, SmallFactor: 2}
 }
 
 // DynamicUDP returns the paper's tuned configuration.
 func DynamicUDP() UDPConfig {
 	return UDPConfig{Dynamic: true, Timeo: time.Second, BigFactor: 4, SmallFactor: 2,
-		CwndInit: 4, CwndMax: 32, TraceProc: -1}
+		CwndInit: 4, CwndMax: 32}
 }
 
 // udpPending is one in-flight request. Retransmission re-encodes from the
@@ -213,7 +211,6 @@ func (t *UDP) CallProgram(p *sim.Proc, prog, vers, proc uint32, args func(e *xdr
 	xid := t.xid
 	class := ClassOf(proc)
 	t.stats.Calls++
-	t.stats.ByClass[class]++
 	metrics.Emit(t.cfg.Tracer, metrics.CallSent{Proc: proc, XID: xid})
 	pc := &udpPending{
 		xid:    xid,
@@ -287,11 +284,7 @@ func (t *UDP) rxLoop(p *sim.Proc) {
 			if !pc.retried {
 				switch pc.class {
 				case ClassGetattr, ClassLookup, ClassRead, ClassWrite:
-					srtt, newRTO := t.est[pc.class].sampleTraced(rtt, t.cfg.Timeo, MinRTO, MaxRTO)
-					metrics.Emit(t.cfg.Tracer, metrics.RTTSample{
-						Proc: dgProc(t, xid), Class: pc.class.String(),
-						RTT: rtt, SRTT: srtt, RTO: newRTO,
-					})
+					t.est[pc.class].sample(rtt)
 				}
 			}
 			// Congestion window opens by one request per window's worth of
@@ -304,16 +297,10 @@ func (t *UDP) rxLoop(p *sim.Proc) {
 			if t.cwnd > t.cfg.CwndMax {
 				t.cwnd = t.cfg.CwndMax
 			}
-			metrics.Emit(t.cfg.Tracer, metrics.CwndChange{Cwnd: t.cwnd})
 			t.waiters.Broadcast()
 		}
-		if int(dgProc(t, xid)) == t.cfg.TraceProc {
-			t.stats.Trace = append(t.stats.Trace, TracePoint{
-				At: p.Now(), Proc: uint32(t.cfg.TraceProc), RTT: rtt, RTO: pc.rtoAtTx,
-			})
-		}
 		t.stats.Replies++
-		metrics.Emit(t.cfg.Tracer, metrics.Reply{Proc: dgProc(t, xid), XID: xid, RTT: rtt})
+		metrics.Emit(t.cfg.Tracer, metrics.Reply{Proc: dgProc(t, xid), XID: xid, RTT: rtt, RTO: pc.rtoAtTx})
 		pc.reply = dec
 		pc.done.Set()
 	}
@@ -362,20 +349,11 @@ func (t *UDP) timerLoop(p *sim.Proc) {
 				if t.cwnd < 1 {
 					t.cwnd = 1
 				}
-				metrics.Emit(t.cfg.Tracer, metrics.CwndChange{Cwnd: t.cwnd})
 			}
 			t.send(p, pc)
-			proc := dgProc(t, pc.xid)
 			metrics.Emit(t.cfg.Tracer, metrics.Retransmit{
-				Proc: proc, XID: pc.xid, Backoff: pc.backoff, RTO: pc.rtoAtTx,
+				Proc: dgProc(t, pc.xid), XID: pc.xid, Backoff: pc.backoff, RTO: pc.rtoAtTx,
 			})
-			if pc.backoff > 1 {
-				// The exponential timer backoff only bites from the second
-				// retransmission on (backoff 1 retransmits at the base RTO).
-				metrics.Emit(t.cfg.Tracer, metrics.RTOBackoff{
-					Proc: proc, Backoff: pc.backoff, RTO: pc.rtoAtTx,
-				})
-			}
 		}
 	}
 }

@@ -22,7 +22,6 @@ import (
 
 	"renonfs/internal/client"
 	"renonfs/internal/memfs"
-	"renonfs/internal/metrics"
 	"renonfs/internal/netsim"
 	"renonfs/internal/nfsproto"
 	"renonfs/internal/server"
@@ -91,16 +90,10 @@ type RigConfig struct {
 // Rig is a built testbed: simulated network, NFS server (serving both UDP
 // and TCP), and factories for transports and client mounts.
 type Rig struct {
-	Env    *sim.Env
-	Net    *netsim.Testbed
-	Server *server.Server
-	FS     *memfs.FS
-	// Metrics aggregates RPC lifecycle events from every transport the rig
-	// dials, the server core, and the IP reassemblers: rpc.* counters and
-	// latency histograms, nfs.* server-side counters and service times,
-	// ip.frag_timeouts. Snapshot it (or Snapshot().Delta(prev)) to read.
-	Metrics *metrics.Registry
-	tracer  metrics.Tracer
+	Env     *sim.Env
+	Net     *netsim.Testbed
+	Server  *server.Server
+	FS      *memfs.FS
 	nextUDP int
 }
 
@@ -134,14 +127,7 @@ func NewRig(cfg RigConfig) *Rig {
 	srv.AttachNode(tb.Server)
 	srv.ServeUDP(server.NFSPort)
 	srv.ServeTCP(tcpsim.NewStack(tb.Server), server.NFSPort)
-	// One registry observes the whole testbed: the server's own registry
-	// doubles as the rig-wide one, and a MetricsTracer folds the lifecycle
-	// events from transports and reassemblers into it.
-	tracer := &metrics.MetricsTracer{R: srv.Metrics, ProcName: nfsproto.ProcName}
-	srv.Tracer = tracer
-	tb.Net.SetFragTracer(tracer)
-	return &Rig{Env: env, Net: tb, Server: srv, FS: fs,
-		Metrics: srv.Metrics, tracer: tracer, nextUDP: 1000}
+	return &Rig{Env: env, Net: tb, Server: srv, FS: fs, nextUDP: 1000}
 }
 
 // DialTransport creates a transport of the given kind from the client
@@ -150,33 +136,19 @@ func NewRig(cfg RigConfig) *Rig {
 func (r *Rig) DialTransport(p *sim.Proc, kind TransportKind) (transport.Transport, error) {
 	switch kind {
 	case UDPFixed:
-		cfg := transport.FixedUDP()
-		cfg.Tracer = r.tracer
-		r.nextUDP++
-		return transport.NewUDP(r.Net.Client, r.nextUDP, r.Net.Server.ID, server.NFSPort, cfg), nil
+		return r.DialUDPConfig(transport.FixedUDP()), nil
 	case UDPDynamic:
-		cfg := transport.DynamicUDP()
-		cfg.Tracer = r.tracer
-		r.nextUDP++
-		return transport.NewUDP(r.Net.Client, r.nextUDP, r.Net.Server.ID, server.NFSPort, cfg), nil
+		return r.DialUDPConfig(transport.DynamicUDP()), nil
 	case TCP:
-		t, err := transport.NewTCP(p, tcpsim.NewStack(r.Net.Client), r.Net.Server.ID, server.NFSPort)
-		if t != nil {
-			t.Tracer = r.tracer
-		}
-		return t, err
+		return transport.NewTCP(p, tcpsim.NewStack(r.Net.Client), r.Net.Server.ID, server.NFSPort)
 	default:
 		panic("renonfs: unknown transport kind")
 	}
 }
 
 // DialUDPConfig creates a UDP transport with an explicit configuration
-// (for the ablation experiments). The rig tracer is installed unless the
-// config brings its own.
+// (for the ablation experiments).
 func (r *Rig) DialUDPConfig(cfg transport.UDPConfig) *transport.UDP {
-	if cfg.Tracer == nil {
-		cfg.Tracer = r.tracer
-	}
 	r.nextUDP++
 	return transport.NewUDP(r.Net.Client, r.nextUDP, r.Net.Server.ID, server.NFSPort, cfg)
 }
@@ -190,11 +162,6 @@ func (r *Rig) Mount(p *sim.Proc, kind TransportKind, opts client.Options) (*clie
 	}
 	return client.NewMount(r.Net.Client, tr, r.Server.RootFH(), opts), nil
 }
-
-// Tracer returns the rig-wide lifecycle tracer, so callers can compose it
-// with their own (e.g. the invariant auditor in internal/check) via
-// metrics.MultiTracer when wiring transports by hand.
-func (r *Rig) Tracer() metrics.Tracer { return r.tracer }
 
 // Run advances the simulation to the horizon.
 func (r *Rig) Run(d sim.Time) sim.Time { return r.Env.Run(d) }
