@@ -82,5 +82,5 @@ func main() {
 	if _, err := udp.Remove(dir.File, "today.txt"); err != nil {
 		log.Fatalf("remove: %v", err)
 	}
-	fmt.Printf("server handled %d RPCs\n", srv.Metrics.Counter("nfs.calls").Value())
+	fmt.Printf("server handled %d RPCs\n", srv.Calls())
 }

@@ -659,12 +659,6 @@ func (f *File) Close(p *sim.Proc) error {
 	return nil
 }
 
-// Fsync flushes the file's dirty blocks and waits.
-func (f *File) Fsync(p *sim.Proc) error {
-	f.m.flushVnode(p, f.vn, true)
-	return nil
-}
-
 // Size returns the client's view of the file size.
 func (f *File) Size() uint32 { return f.vn.size }
 

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -348,9 +347,4 @@ func (m *Mount) ReadDirLook(p *sim.Proc, path string) ([]nfsproto.DirEntry, erro
 	vn.dirCache = all
 	vn.dirCacheMtime = vn.attr.Mtime
 	return all, nil
-}
-
-// leaseString summarizes lease state for debugging.
-func (m *Mount) leaseString() string {
-	return fmt.Sprintf("%d leases held", len(m.leases))
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"renonfs/internal/mbuf"
 	"renonfs/internal/memfs"
 	"renonfs/internal/netsim"
 	"renonfs/internal/server"
@@ -263,8 +264,10 @@ func runModel(t *testing.T, opts Options, envSeed, opSeed int64) {
 				if ino.Size != uint32(len(want)) {
 					t.Fatalf("%s: server size %d, shadow %d", name, ino.Size, len(want))
 				}
-				got := make([]byte, len(want))
-				fs.ReadAt(nil, ino, 0, got, true)
+				var data mbuf.Chain
+				fs.ReadLoan(nil, ino, 0, ino.Size, true, &data, nil)
+				got := data.Bytes()
+				data.Free()
 				if !bytes.Equal(got, want) {
 					for i := range got {
 						if got[i] != want[i] {

@@ -476,7 +476,7 @@ func (fs *fleetState) buildOps(sh *shard, ci int, ops []op) []op {
 
 	xid := sh.xidOf(ci)
 	o := op{proc: proc, xid: xid, dups: 1}
-	if sh.stormDups > 1 && nonIdempotentProc(proc) {
+	if sh.stormDups > 1 && nfsproto.NonIdempotent[proc] {
 		o.dups = sh.stormDups
 	}
 	fh := pre.files[st.file]
@@ -539,17 +539,6 @@ func (fs *fleetState) buildOps(sh *shard, ci int, ops []op) []op {
 		})
 	}
 	return append(ops, o)
-}
-
-// nonIdempotentProc mirrors the server's dupcache admission set.
-func nonIdempotentProc(p uint32) bool {
-	switch p {
-	case nfsproto.ProcSetattr, nfsproto.ProcCreate, nfsproto.ProcRemove,
-		nfsproto.ProcRename, nfsproto.ProcLink, nfsproto.ProcSymlink,
-		nfsproto.ProcMkdir, nfsproto.ProcRmdir:
-		return true
-	}
-	return false
 }
 
 // recordSend books one call (and its storm duplicates) before any datagram

@@ -175,7 +175,7 @@ func RunSim(cfg Config) (*Result, error) {
 		sh.sweep(time.Duration(1 << 62))
 	}
 	res := fst.finish("sim", aud)
-	res.NfsdCalls = srv.Metrics.Counter("nfs.calls").Value()
+	res.NfsdCalls = srv.Calls()
 	return res, nil
 }
 

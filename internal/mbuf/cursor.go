@@ -165,7 +165,6 @@ func (d *Dissector) NextChain(n int) (*Chain, error) {
 	if n > d.remain {
 		return nil, ErrShort
 	}
-	Stats.Views.Add(1)
 	out := &Chain{}
 	for n > 0 {
 		for d.m != nil && d.off >= d.m.dlen {

@@ -46,9 +46,6 @@ type Counters struct {
 	// LoanedBytes counts bytes of external storage grafted into chains by
 	// AppendExt without copying (the cluster-loaning path).
 	LoanedBytes atomic.Int64
-	// Views counts zero-copy range references created by Chain.Range and
-	// Dissector.NextChain.
-	Views atomic.Int64
 }
 
 // Stats is the package-wide counter instance.
@@ -62,7 +59,6 @@ func (c *Counters) Reset() {
 	c.PoolHits.Store(0)
 	c.PoolMisses.Store(0)
 	c.LoanedBytes.Store(0)
-	c.Views.Store(0)
 }
 
 // StatsSnapshot is a plain-value copy of the package counters, for metrics
@@ -74,7 +70,6 @@ type StatsSnapshot struct {
 	PoolHits      int64
 	PoolMisses    int64
 	LoanedBytes   int64
-	Views         int64
 }
 
 // Snapshot reads every counter atomically (each value individually, the
@@ -87,7 +82,6 @@ func (c *Counters) Snapshot() StatsSnapshot {
 		PoolHits:      c.PoolHits.Load(),
 		PoolMisses:    c.PoolMisses.Load(),
 		LoanedBytes:   c.LoanedBytes.Load(),
-		Views:         c.Views.Load(),
 	}
 }
 
@@ -115,9 +109,6 @@ type Mbuf struct {
 
 // Len returns the number of valid data bytes in the mbuf.
 func (m *Mbuf) Len() int { return m.dlen }
-
-// Cluster reports whether the mbuf is a page cluster.
-func (m *Mbuf) Cluster() bool { return m.cluster }
 
 // Data returns the valid data bytes. The slice aliases the mbuf storage.
 func (m *Mbuf) Data() []byte { return m.buf[m.off : m.off+m.dlen] }
@@ -363,7 +354,6 @@ func (c *Chain) Range(off, n int) *Chain {
 	if off < 0 || n < 0 || off+n > c.length {
 		panic("mbuf: Range out of bounds")
 	}
-	Stats.Views.Add(1)
 	out := &Chain{}
 	m := c.head
 	// Skip to the mbuf containing off.

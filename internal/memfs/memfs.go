@@ -44,7 +44,6 @@ var (
 	inodeSite = lockstat.NewSite("memfs.inode")
 )
 
-
 // BlockSize is the filesystem block size (matches the NFS transfer size).
 const BlockSize = vfs.BlockSize
 
@@ -153,8 +152,8 @@ type Inode struct {
 	dir    []DirEnt // directory entries, sorted by name
 	target string   // symlink target
 
-	// mu orders file-data access: readers (ReadAt/ReadLoan/Attr) share it,
-	// writers (WriteAt/WriteAtChain/Setattr) hold it exclusively.
+	// mu orders file-data access: readers (ReadLoan/Attr) share it, writers
+	// (WriteAtChain/Setattr) hold it exclusively.
 	mu sync.RWMutex
 	// metaMu covers timestamps and the loaned map, which read-side
 	// operations mutate while holding only mu.RLock (every READ touches
@@ -609,52 +608,6 @@ func (fs *FS) truncate(n *Inode, size uint32) {
 	n.metaMu.Unlock()
 }
 
-// ReadAt reads up to len(dst) bytes at off; short reads happen at EOF.
-// cached=false charges a disk read. The size is fixed before the disk
-// charge (which may park) and the copy runs after it, both under the read
-// lock — so readers of one file proceed in parallel with each other.
-func (fs *FS) ReadAt(p *sim.Proc, n *Inode, off uint32, dst []byte, cached bool) (int, error) {
-	if n.Type == nfsproto.TypeDir {
-		return 0, ErrIsDir
-	}
-	inodeSite.RLock(&n.mu, nil)
-	size := n.Size
-	n.mu.RUnlock()
-	if off >= size {
-		return 0, nil
-	}
-	want := uint32(len(dst))
-	if off+want > size {
-		want = size - off
-	}
-	if !cached {
-		fs.Disk.Read(p, int(want)) // parks under the simulator; no lock held
-	}
-	inodeSite.RLock(&n.mu, nil)
-	got := uint32(0)
-	for got < want {
-		b := (off + got) / BlockSize
-		bo := (off + got) % BlockSize
-		nn := BlockSize - bo
-		if nn > want-got {
-			nn = want - got
-		}
-		blk := n.blocks[b]
-		if blk == nil {
-			// Hole: zeros.
-			for i := uint32(0); i < nn; i++ {
-				dst[got+i] = 0
-			}
-		} else {
-			copy(dst[got:got+nn], blk[bo:bo+nn])
-		}
-		got += nn
-	}
-	n.mu.RUnlock()
-	fs.touch(n, false)
-	return int(got), nil
-}
-
 // zeroBlock backs holes in loaned reads: a shared, never-written page of
 // zeros every hole can reference without allocating.
 var zeroBlock [BlockSize]byte
@@ -664,7 +617,9 @@ var zeroBlock [BlockSize]byte
 // are marked so a later write replaces rather than mutates them
 // (writableBlock); holes reference the shared zero page. Returns the number
 // of bytes appended; short reads happen at EOF. cached=false charges a disk
-// read, as in ReadAt.
+// read. The size is fixed before the disk charge (which may park) and the
+// blocks are loaned after it, both under the read lock — so readers of one
+// file proceed in parallel with each other.
 func (fs *FS) ReadLoan(p *sim.Proc, n *Inode, off, count uint32, cached bool, c *mbuf.Chain, sp *metrics.Span) (int, error) {
 	if n.Type == nfsproto.TypeDir {
 		return 0, ErrIsDir
@@ -739,42 +694,23 @@ func (fs *FS) writableBlock(n *Inode, b uint32) []byte {
 	return blk
 }
 
-// WriteAt writes src at off, growing the file as needed. diskWrites charges
-// that many synchronous disk operations (NFS v2 demands the data and
-// metadata be stable before the reply; §5 counts 1-3 per write RPC).
+// WriteAt is WriteAtChain for a caller holding a plain slice (the
+// preloaders): src is wrapped, not copied, and the wrapper freed after.
 func (fs *FS) WriteAt(p *sim.Proc, n *Inode, off uint32, src []byte, diskWrites int) error {
-	if n.Type == nfsproto.TypeDir {
-		return ErrIsDir
-	}
-	if int(off)+len(src) > int(fs.TotalBlocks)*BlockSize {
-		return ErrNoSpc
-	}
-	inodeSite.WLock(&n.mu, nil)
-	done := uint32(0)
-	for done < uint32(len(src)) {
-		b := (off + done) / BlockSize
-		bo := (off + done) % BlockSize
-		nn := uint32(BlockSize) - bo
-		if nn > uint32(len(src))-done {
-			nn = uint32(len(src)) - done
-		}
-		blk := fs.writableBlock(n, b)
-		copy(blk[bo:], src[done:done+nn])
-		done += nn
-	}
-	if off+done > n.Size {
-		n.Size = off + done
-	}
-	n.mu.Unlock()
-	fs.touch(n, true)
-	fs.chargeWrite(p, len(src), diskWrites)
-	return nil
+	var c mbuf.Chain
+	c.Wrap(src)
+	err := fs.WriteAtChain(p, n, off, &c, diskWrites, nil)
+	c.Free()
+	return err
 }
 
-// WriteAtChain writes the contents of src at off without linearizing it: the
-// payload flows segment by segment from the request chain (a zero-copy view
-// of the wire data) straight into file blocks — the buffer-cache side of the
-// paper's copy-avoidance path. Disk-charge semantics match WriteAt.
+// WriteAtChain writes the contents of src at off without linearizing it,
+// growing the file as needed: the payload flows segment by segment from the
+// request chain (a zero-copy view of the wire data) straight into file
+// blocks — the buffer-cache side of the paper's copy-avoidance path.
+// diskWrites charges that many synchronous disk operations (NFS v2 demands
+// the data and metadata be stable before the reply; §5 counts 1-3 per write
+// RPC).
 func (fs *FS) WriteAtChain(p *sim.Proc, n *Inode, off uint32, src *mbuf.Chain, diskWrites int, sp *metrics.Span) error {
 	if n.Type == nfsproto.TypeDir {
 		return ErrIsDir

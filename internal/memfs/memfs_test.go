@@ -6,11 +6,22 @@ import (
 	"testing/quick"
 	"time"
 
+	"renonfs/internal/mbuf"
 	"renonfs/internal/nfsproto"
 	"renonfs/internal/sim"
 )
 
 func newFS() *FS { return New(1, nil, nil) }
+
+// readAt reads len(dst) bytes at off through ReadLoan, the one read path,
+// and copies the loaned bytes out into dst.
+func readAt(fs *FS, n *Inode, off uint32, dst []byte) (int, error) {
+	var c mbuf.Chain
+	got, err := fs.ReadLoan(nil, n, off, uint32(len(dst)), true, &c, nil)
+	c.CopyTo(dst)
+	c.Free()
+	return got, err
+}
 
 func TestCreateLookupRemove(t *testing.T) {
 	fs := newFS()
@@ -51,7 +62,7 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		t.Fatalf("size = %d", f.Size)
 	}
 	dst := make([]byte, 20000)
-	n, err := fs.ReadAt(nil, f, 0, dst, true)
+	n, err := readAt(fs, f, 0, dst)
 	if err != nil || n != 20000 {
 		t.Fatalf("read = %d, %v", n, err)
 	}
@@ -69,7 +80,7 @@ func TestReadAtEOFAndHoles(t *testing.T) {
 	}
 	// The hole reads as zeros.
 	dst := make([]byte, 100)
-	n, _ := fs.ReadAt(nil, f, BlockSize, dst, true)
+	n, _ := readAt(fs, f, BlockSize, dst)
 	if n != 100 {
 		t.Fatalf("hole read = %d", n)
 	}
@@ -79,10 +90,10 @@ func TestReadAtEOFAndHoles(t *testing.T) {
 		}
 	}
 	// Reads past EOF are empty; reads crossing EOF are short.
-	if n, _ := fs.ReadAt(nil, f, f.Size+10, dst, true); n != 0 {
+	if n, _ := readAt(fs, f, f.Size+10, dst); n != 0 {
 		t.Fatalf("read past EOF = %d", n)
 	}
-	if n, _ := fs.ReadAt(nil, f, f.Size-2, dst, true); n != 2 {
+	if n, _ := readAt(fs, f, f.Size-2, dst); n != 2 {
 		t.Fatalf("read across EOF = %d", n)
 	}
 }
@@ -113,7 +124,7 @@ func TestWriteReadProperty(t *testing.T) {
 			return false
 		}
 		dst := make([]byte, maxEnd)
-		n, err := fs.ReadAt(nil, fi, 0, dst, true)
+		n, err := readAt(fs, fi, 0, dst)
 		if err != nil || uint32(n) != maxEnd {
 			return false
 		}
@@ -223,7 +234,7 @@ func TestSetattrTruncate(t *testing.T) {
 	s2.Size = 200
 	fs.Setattr(nil, f, s2)
 	dst := make([]byte, 100)
-	fs.ReadAt(nil, f, 100, dst, true)
+	readAt(fs, f, 100, dst)
 	for _, b := range dst {
 		if b != 0 {
 			t.Fatal("stale data after re-extend")

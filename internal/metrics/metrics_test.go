@@ -181,17 +181,17 @@ func TestHistogramConcurrent(t *testing.T) {
 
 func TestRegistrySnapshotDeltaAndJSON(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("nfs.calls").Add(7)
+	r.Counter("nfs.bytes_in").Add(7)
 	r.Gauge("rpc.cwnd").Set(4.5)
 	r.Histogram("nfs.service_ms.lookup").Observe(2)
 	first := r.Snapshot()
-	r.Counter("nfs.calls").Add(3)
+	r.Counter("nfs.bytes_in").Add(3)
 	r.Histogram("nfs.service_ms.lookup").Observe(8)
 	second := r.Snapshot()
 
 	d := second.Delta(first)
-	if d.Counters["nfs.calls"] != 3 {
-		t.Fatalf("delta counter = %d, want 3", d.Counters["nfs.calls"])
+	if d.Counters["nfs.bytes_in"] != 3 {
+		t.Fatalf("delta counter = %d, want 3", d.Counters["nfs.bytes_in"])
 	}
 	if d.Histograms["nfs.service_ms.lookup"].Count != 1 {
 		t.Fatalf("delta hist count = %d, want 1", d.Histograms["nfs.service_ms.lookup"].Count)
@@ -209,8 +209,8 @@ func TestRegistrySnapshotDeltaAndJSON(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Counters["nfs.calls"] != 10 {
-		t.Fatalf("round-tripped counter = %d", back.Counters["nfs.calls"])
+	if back.Counters["nfs.bytes_in"] != 10 {
+		t.Fatalf("round-tripped counter = %d", back.Counters["nfs.bytes_in"])
 	}
 	if got := back.Histograms["nfs.service_ms.lookup"].Quantile(100); got != 8 {
 		t.Fatalf("round-tripped p100 = %v, want 8", got)
@@ -219,7 +219,7 @@ func TestRegistrySnapshotDeltaAndJSON(t *testing.T) {
 	var b bytes.Buffer
 	second.WriteText(&b)
 	out := b.String()
-	for _, want := range []string{"nfs.calls", "rpc.cwnd", "nfs.service_ms.lookup", "p99"} {
+	for _, want := range []string{"nfs.bytes_in", "rpc.cwnd", "nfs.service_ms.lookup", "p99"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("text encoding missing %q:\n%s", want, out)
 		}

@@ -146,9 +146,6 @@ type Net struct {
 // New returns an empty network bound to env.
 func New(env *sim.Env) *Net { return &Net{Env: env} }
 
-// Nodes returns all nodes in creation order.
-func (nt *Net) Nodes() []*Node { return nt.nodes }
-
 // Links returns every unidirectional link in the network, grouped by node
 // creation order (each node's outgoing links in attachment order). The
 // fault-injection layer uses this to install hooks.

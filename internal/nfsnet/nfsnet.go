@@ -161,10 +161,8 @@ type udpReader struct {
 	// nfsd — so Σreads == Σnfsd calls + Σfast + Σinline is the drain
 	// invariant. wakeups counts blocking-read returns that yielded at least
 	// one datagram (rpc.reader.<id>.wakeups) — reads/wakeups is the mean
-	// drain batch. batched counts the datagrams the recvmmsg probe delivered
-	// beyond the first of each fill (rpc.reader.<id>.batched_reads) — reads
-	// the batching saved a receive syscall for.
-	reads, fast, inline, wakeups, batched *metrics.Counter
+	// drain batch.
+	reads, fast, inline, wakeups *metrics.Counter
 }
 
 // Reader deadlines. A reader that owns its socket re-arms a bounded
@@ -286,7 +284,6 @@ func Serve(srv *server.Server, udpAddr, tcpAddr string) (*Server, error) {
 			fast:    srv.Metrics.Counter(fmt.Sprintf("rpc.reader.%d.fast", i)),
 			inline:  srv.Metrics.Counter(fmt.Sprintf("rpc.reader.%d.inline", i)),
 			wakeups: srv.Metrics.Counter(fmt.Sprintf("rpc.reader.%d.wakeups", i)),
-			batched: srv.Metrics.Counter(fmt.Sprintf("rpc.reader.%d.batched_reads", i)),
 		})
 	}
 	for i := 0; i < nfsds; i++ {
@@ -473,7 +470,6 @@ func (s *Server) readUDP(r *udpReader) {
 	defer batch.flush()
 	var peers peerCache
 	var probe recvProbe
-	probe.batched = r.batched
 	// One span and one request chain, reused per inline datagram (the batch
 	// copies the span by value, dispatch empties the chain); per-datagram
 	// ones would escape through the call chain.

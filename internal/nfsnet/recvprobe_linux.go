@@ -8,8 +8,6 @@ import (
 	"runtime"
 	"syscall"
 	"unsafe"
-
-	"renonfs/internal/metrics"
 )
 
 // The non-blocking drain probe: recvmmsg(MSG_DONTWAIT) through a cached
@@ -60,10 +58,6 @@ type recvProbe struct {
 	// fallback is the portable drain's buffer, allocated only when raw
 	// access is unavailable.
 	fallback []byte
-	// batched counts datagrams beyond the first in each multi-datagram
-	// fill — the reads the batching saved a syscall for
-	// (rpc.reader.<id>.batched_reads).
-	batched *metrics.Counter
 }
 
 // init readies the cached raw connection, buffers and callback. false
@@ -174,9 +168,6 @@ func drainRead(conn *net.UDPConn, p *recvProbe, b *sendBatch) ([]byte, netip.Add
 		runtime.KeepAlive(p)
 		if err != nil || p.got == 0 {
 			return nil, netip.AddrPort{}, false
-		}
-		if p.got > 1 && p.batched != nil {
-			p.batched.Add(int64(p.got - 1))
 		}
 	}
 	i := p.next

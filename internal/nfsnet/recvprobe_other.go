@@ -5,15 +5,12 @@ package nfsnet
 import (
 	"net"
 	"net/netip"
-
-	"renonfs/internal/metrics"
 )
 
 // recvProbe carries only the drain buffer where there is no raw
-// non-blocking receive; batched stays nil-safe and unused.
+// non-blocking receive.
 type recvProbe struct {
-	buf     []byte
-	batched *metrics.Counter
+	buf []byte
 }
 
 // pending is always 0: the portable drain reads one datagram at a time.

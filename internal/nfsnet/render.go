@@ -13,13 +13,15 @@ import (
 
 // RenderStats writes a registry snapshot as the nfsstat tables; nfsstat
 // and nfsd's shutdown summary both print through it. Sections the snapshot
-// has nothing for are left out: the per-procedure service times
-// (nfs.calls.<proc>, nfs.service_ms.<proc>), the totals and mbuf copy lines,
+// has nothing for are left out: the per-procedure calls and service times
+// (nfs.service_ms.<proc>; a histogram's count is the procedure's call count,
+// and their sum the calls total), the totals and mbuf copy lines,
 // the shallow-dispatch and send-coalescing line (rpc.fastpath.*,
 // rpc.send.*), the lease traffic, "where the microsecond goes" per stage
 // (rpc.stage.<name>.us), the UDP ingest readers (rpc.readers and
 // rpc.reader.reuseport are gauges, so they survive a Delta), the nfsd pool,
-// the dupcache shards and the contended lock sites (lock.<site>.*).
+// the dupcache's in-flight drops and the contended lock sites
+// (lock.<site>.*).
 //
 // delta labels a Snapshot.Delta view — nfsstat -z's interval: counters and
 // histogram counts cover the interval, but a histogram's max is all-time
@@ -34,19 +36,17 @@ func RenderStats(w io.Writer, snap *metrics.Snapshot, delta bool) {
 	tb := stats.NewTable("nfs server per-procedure ("+view+")",
 		"proc", "calls", "svc mean ms", "p50", "p95", "p99", maxCol)
 	procs := make([]string, 0, 8)
-	for name := range c {
-		if p, ok := strings.CutPrefix(name, "nfs.calls."); ok {
+	for name, h := range snap.Histograms {
+		if p, ok := strings.CutPrefix(name, "nfs.service_ms."); ok && h.Count > 0 {
 			procs = append(procs, p)
 		}
 	}
 	sort.Strings(procs)
+	var calls int64
 	for _, p := range procs {
-		calls := c["nfs.calls."+p]
-		if calls == 0 {
-			continue
-		}
 		h := snap.Histograms["nfs.service_ms."+p]
-		tb.AddRow(p, calls,
+		calls += h.Count
+		tb.AddRow(p, h.Count,
 			fmt.Sprintf("%.3f", h.Mean()),
 			fmt.Sprintf("%.3f", h.Quantile(50)),
 			fmt.Sprintf("%.3f", h.Quantile(95)),
@@ -55,7 +55,7 @@ func RenderStats(w io.Writer, snap *metrics.Snapshot, delta bool) {
 	}
 	fmt.Fprint(w, tb.String())
 	fmt.Fprintf(w, "calls %d  errors %d  dup hits %d  bytes in %d  bytes out %d\n",
-		c["nfs.calls"], c["nfs.errors"], c["nfs.dup_hits"], c["nfs.bytes_in"], c["nfs.bytes_out"])
+		calls, c["nfs.errors"], c["nfs.dup_hits"], c["nfs.bytes_in"], c["nfs.bytes_out"])
 	if _, ok := c["mbuf.copied_bytes"]; ok {
 		fmt.Fprintf(w, "mbuf: %d bytes copied  %d bytes loaned  pool %d hits / %d misses\n",
 			c["mbuf.copied_bytes"], c["mbuf.loaned_bytes"], c["mbuf.pool_hits"], c["mbuf.pool_misses"])
@@ -115,9 +115,8 @@ func RenderStats(w io.Writer, snap *metrics.Snapshot, delta bool) {
 		}
 		fmt.Fprint(w, tb.String())
 	}
-	if hits, ok := c["server.dupc.shard_hits"]; ok {
-		fmt.Fprintf(w, "dupcache shards: %d hits  %d lock contentions  %d in-flight drops\n",
-			hits, c["server.dupc.contended"], c["server.dupc.inflight_drops"])
+	if drops, ok := c["server.dupc.inflight_drops"]; ok {
+		fmt.Fprintf(w, "dupcache: %d in-flight drops\n", drops)
 	}
 
 	// Lock sites that saw contention, longest total wait first.

@@ -63,6 +63,20 @@ func ProcName(proc uint32) string {
 	return fmt.Sprintf("proc%d", proc)
 }
 
+// NonIdempotent marks the procedures whose repetition corrupts state: the
+// server answers their retransmissions from its duplicate request cache,
+// and load generators that replay calls on purpose pick them from here.
+var NonIdempotent = [NumProcsExt]bool{
+	ProcSetattr: true,
+	ProcCreate:  true,
+	ProcRemove:  true,
+	ProcRename:  true,
+	ProcLink:    true,
+	ProcSymlink: true,
+	ProcMkdir:   true,
+	ProcRmdir:   true,
+}
+
 // Status codes (RFC 1094 §2.3.1, "stat").
 type Status uint32
 

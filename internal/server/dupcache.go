@@ -10,8 +10,7 @@ import (
 )
 
 // dupcSite attributes shard-lock waits to the "server.dupc" lockstat site
-// (and to the caller's span). The legacy server.dupc.contended counter is
-// kept alongside for the existing churn tests and dashboards.
+// (lock.server.dupc.*) and to the caller's span.
 var dupcSite = lockstat.NewSite("server.dupc")
 
 // dupKey identifies one RPC for duplicate detection: who sent it, its
@@ -42,10 +41,9 @@ type dupCache struct {
 	shards []dupShard
 	mask   uint32
 
-	// Aggregate observability, wired by the server (nil in bare tests):
-	// shard hits, lock contention seen by begin/commit, and retransmissions
-	// dropped because the original call was still in flight.
-	cHits, cContended, cDrops *metrics.Counter
+	// cDrops counts retransmissions dropped because the original call was
+	// still in flight (server.dupc.inflight_drops; nil in bare tests).
+	cDrops *metrics.Counter
 }
 
 type dupShard struct {
@@ -83,29 +81,12 @@ func newDupCache(capacity int) *dupCache {
 	return c
 }
 
-// instrument attaches the server's counters (safe to leave nil).
-func (c *dupCache) instrument(hits, contended, drops *metrics.Counter) {
-	c.cHits, c.cContended, c.cDrops = hits, contended, drops
-}
-
 func (c *dupCache) shard(key dupKey) *dupShard {
 	h := key.xid*0x9e3779b1 ^ key.proc*0x85ebca77
 	for i := 0; i < len(key.peer); i++ {
 		h = h*16777619 ^ uint32(key.peer[i])
 	}
 	return &c.shards[(h>>16^h)&c.mask]
-}
-
-// lock takes the shard lock, counting contention when it has to wait and
-// charging the wait to the lockstat site and the request's span.
-func (c *dupCache) lock(sh *dupShard, sp *metrics.Span) {
-	if sh.mu.TryLock() {
-		return
-	}
-	if c.cContended != nil {
-		c.cContended.Add(1)
-	}
-	dupcSite.Lock(&sh.mu, sp)
 }
 
 // begin claims key before executing its call. Exactly one case holds:
@@ -119,7 +100,7 @@ func (c *dupCache) lock(sh *dupShard, sp *metrics.Span) {
 //     execute the call and commit the reply.
 func (c *dupCache) begin(key dupKey, sp *metrics.Span) (cached *mbuf.Chain, inflight bool) {
 	sh := c.shard(key)
-	c.lock(sh, sp)
+	dupcSite.Lock(&sh.mu, sp)
 	if e := sh.entries[key]; e != nil {
 		ent := e.Value.(*dupEntry)
 		if !ent.done {
@@ -131,9 +112,6 @@ func (c *dupCache) begin(key dupKey, sp *metrics.Span) (cached *mbuf.Chain, infl
 		}
 		sh.order.MoveToFront(e)
 		sh.mu.Unlock()
-		if c.cHits != nil {
-			c.cHits.Add(1)
-		}
 		return ent.reply, false
 	}
 	sh.insertLocked(&dupEntry{key: key})
@@ -144,7 +122,7 @@ func (c *dupCache) begin(key dupKey, sp *metrics.Span) (cached *mbuf.Chain, infl
 // commit stores the reply for a key claimed by begin.
 func (c *dupCache) commit(key dupKey, reply *mbuf.Chain, sp *metrics.Span) {
 	sh := c.shard(key)
-	c.lock(sh, sp)
+	dupcSite.Lock(&sh.mu, sp)
 	if e := sh.entries[key]; e != nil {
 		ent := e.Value.(*dupEntry)
 		ent.reply = reply
@@ -185,38 +163,4 @@ func (c *dupCache) len() int {
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// get returns the cached reply for key, or nil. Retained for tests; the
-// serving path uses begin/commit.
-func (c *dupCache) get(key dupKey) *mbuf.Chain {
-	sh := c.shard(key)
-	c.lock(sh, nil)
-	defer sh.mu.Unlock()
-	e := sh.entries[key]
-	if e == nil {
-		return nil
-	}
-	ent := e.Value.(*dupEntry)
-	if !ent.done {
-		return nil
-	}
-	sh.order.MoveToFront(e)
-	return ent.reply
-}
-
-// put stores a completed reply directly (tests; the serving path commits).
-func (c *dupCache) put(key dupKey, reply *mbuf.Chain) {
-	sh := c.shard(key)
-	c.lock(sh, nil)
-	if e := sh.entries[key]; e != nil {
-		ent := e.Value.(*dupEntry)
-		ent.reply = reply
-		ent.done = true
-		sh.order.MoveToFront(e)
-		sh.mu.Unlock()
-		return
-	}
-	sh.insertLocked(&dupEntry{key: key, reply: reply, done: true})
-	sh.mu.Unlock()
 }

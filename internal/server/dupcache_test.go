@@ -10,6 +10,16 @@ import (
 	"renonfs/internal/xdr"
 )
 
+// execute files reply under key the way the serving path does for a fresh
+// non-idempotent call: begin claims the key, commit stores the reply.
+func execute(t *testing.T, c *dupCache, key dupKey, reply *mbuf.Chain) {
+	t.Helper()
+	if cached, inflight := c.begin(key, nil); cached != nil || inflight {
+		t.Fatalf("begin(%v) on a fresh key: cached=%v inflight=%v", key, cached != nil, inflight)
+	}
+	c.commit(key, reply, nil)
+}
+
 // TestDupCacheChurnStaysBounded hammers the cache with far more distinct
 // (peer, xid) keys than it can hold and checks the size invariant after
 // every insertion: the cache must never exceed its capacity no matter how
@@ -20,7 +30,7 @@ func TestDupCacheChurnStaysBounded(t *testing.T) {
 	reply := &mbuf.Chain{}
 	for peer := 0; peer < 16; peer++ {
 		for xid := 0; xid < 2000; xid++ {
-			c.put(dupKey{peer: fmt.Sprintf("p%d", peer), xid: uint32(xid), proc: 10}, reply)
+			execute(t, c, dupKey{peer: fmt.Sprintf("p%d", peer), xid: uint32(xid), proc: 10}, reply)
 			if c.len() > cap {
 				t.Fatalf("cache grew to %d entries (cap %d) at peer %d xid %d",
 					c.len(), cap, peer, xid)
@@ -39,21 +49,21 @@ func TestDupCacheLRUKeepsHotEntries(t *testing.T) {
 	c := newDupCache(8)
 	hot := &mbuf.Chain{}
 	hotKey := dupKey{peer: "hot", xid: 1, proc: 10}
-	c.put(hotKey, hot)
+	execute(t, c, hotKey, hot)
 	for i := 0; i < 100; i++ {
-		c.put(dupKey{peer: "cold", xid: uint32(i), proc: 10}, &mbuf.Chain{})
-		if c.get(hotKey) != hot {
+		execute(t, c, dupKey{peer: "cold", xid: uint32(i), proc: 10}, &mbuf.Chain{})
+		if cached, _ := c.begin(hotKey, nil); cached != hot {
 			t.Fatalf("hot entry evicted after %d cold insertions", i+1)
 		}
 	}
-	if c.get(dupKey{peer: "cold", xid: 0, proc: 10}) != nil {
-		t.Fatal("cold0 should have been evicted long ago")
-	}
-	// Overwriting an existing key must not grow the cache.
+	// Committing over an existing key must not grow the cache.
 	n := c.len()
-	c.put(hotKey, &mbuf.Chain{})
+	c.commit(hotKey, &mbuf.Chain{}, nil)
 	if c.len() != n {
 		t.Fatalf("overwrite grew cache from %d to %d", n, c.len())
+	}
+	if cached, _ := c.begin(dupKey{peer: "cold", xid: 0, proc: 10}, nil); cached != nil {
+		t.Fatal("cold0 should have been evicted long ago")
 	}
 }
 

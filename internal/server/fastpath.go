@@ -183,7 +183,7 @@ func (s *Server) HandleCallFast(peer string, req []byte, h *rpc.PeekedCall, argO
 	sp.Stamp(metrics.StageEncode)
 
 	var saved *mbuf.Chain
-	if nonIdempotent[h.Proc] {
+	if nfsproto.NonIdempotent[h.Proc] {
 		// The scratch region is the reader's reusable arena; the cached
 		// reply needs its own storage (mbuf.FromBytes aliases its argument).
 		saved = mbuf.FromBytes(append([]byte(nil), w.Bytes()...))

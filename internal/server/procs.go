@@ -197,18 +197,19 @@ type callFrame struct {
 func (f *callFrame) dupKey() dupKey { return dupKey{peer: f.peer, xid: f.xid, proc: f.proc} }
 
 // admit is everything between "the header names a procedure we serve" and
-// the procedure body: the dispatch charges, the duplicate-request claim for
-// non-idempotent procedures, and the call counters. run=false means the
-// body must not execute: replay is the committed reply of an earlier
-// execution (owned by the cache — Clone or copy it), or nil when the
-// original is still in flight on another nfsd and this retransmission is
-// dropped (the client retransmits again and finds the committed reply).
+// the procedure body: the dispatch charges and the duplicate-request claim
+// for non-idempotent procedures. run=false means the body must not
+// execute: replay is the committed reply of an earlier execution (owned by
+// the cache — Clone or copy it), or nil when the original is still in
+// flight on another nfsd and this retransmission is dropped (the client
+// retransmits again and finds the committed reply). Every admitted call
+// reaches finish, which counts it.
 func (s *Server) admit(p *sim.Proc, f *callFrame, reqLen int, sp *metrics.Span) (replay *mbuf.Chain, run bool) {
 	s.charge(p, "nfs", costDispatch)
 	if s.Opts.XDRCopyLayer {
 		s.charge(p, "xdr_layer", costXDRCall+costXDRByte*float64(reqLen))
 	}
-	if nonIdempotent[f.proc] {
+	if nfsproto.NonIdempotent[f.proc] {
 		cached, inflight := s.dupc.begin(f.dupKey(), sp)
 		sp.Stamp(metrics.StageDupcheck)
 		if inflight {
@@ -221,16 +222,15 @@ func (s *Server) admit(p *sim.Proc, f *callFrame, reqLen int, sp *metrics.Span) 
 			return cached, false
 		}
 	}
-	s.cCalls.Inc()
-	s.procCalls[f.proc].Inc()
 	f.begin = s.svcNow(p)
 	return nil, true
 }
 
-// finish closes the frame admit opened: service-time histogram, ServerCall
-// event, the reference port's per-byte reply charge, and the dupcache
-// commit. saved is the caller's private copy of the reply for the cache —
-// non-nil exactly when the procedure is non-idempotent.
+// finish closes the frame admit opened: the service-time histogram (its
+// count is the procedure's call count), the ServerCall event, the reference
+// port's per-byte reply charge, and the dupcache commit. saved is the
+// caller's private copy of the reply for the cache — non-nil exactly when
+// the procedure is non-idempotent.
 func (s *Server) finish(p *sim.Proc, f *callFrame, replyLen int, garbage bool, saved *mbuf.Chain, sp *metrics.Span) {
 	// Service time spans decode through dispatch: simulated CPU charges and
 	// disk sleeps under the simulator, real elapsed time over sockets.
@@ -238,7 +238,7 @@ func (s *Server) finish(p *sim.Proc, f *callFrame, replyLen int, garbage bool, s
 	s.procSvc[f.proc].ObserveDuration(svc)
 	metrics.Emit(s.Tracer, metrics.ServerCall{
 		Proc: f.proc, Peer: f.peer, XID: f.xid,
-		NonIdempotent: nonIdempotent[f.proc],
+		NonIdempotent: nfsproto.NonIdempotent[f.proc],
 		Service:       svc, Error: garbage,
 	})
 	if s.Opts.XDRCopyLayer {

@@ -132,19 +132,19 @@ type Server struct {
 	stripes int
 
 	// Metrics is the server's registry: per-procedure service-time
-	// histograms plus call/byte counters, safe to snapshot concurrently
-	// (the nfsd stats endpoint and nfsstat read it live).
+	// histograms (whose counts are the call counts) plus byte, error and
+	// dupcache counters, safe to snapshot concurrently (the nfsd stats
+	// endpoint and nfsstat read it live).
 	Metrics *metrics.Registry
 	// Hot-path metric handles, interned once in New: looking a counter up
 	// by name costs a map probe plus a string concatenation per call
 	// otherwise.
-	cCalls, cBytesIn, cBytesOut, cDupHits, cErrors *metrics.Counter
+	cBytesIn, cBytesOut, cDupHits, cErrors *metrics.Counter
 	// Lease protocol counters (lease.*), interned for the piggyback path
 	// which runs on every hinted call.
 	cLeaseGrants, cLeasePiggy, cLeaseRenewals     *metrics.Counter
 	cLeaseTryLater, cLeaseVacates, cLeaseExpiries *metrics.Counter
 	cLeaseEvict                                   *metrics.Counter
-	procCalls                                     [nfsproto.NumProcsExt]*metrics.Counter
 	procSvc                                       [nfsproto.NumProcsExt]*metrics.Histogram
 	// Tracer, when set, receives ServerCall and DupCacheHit lifecycle
 	// events for every RPC handled.
@@ -205,11 +205,7 @@ func (s *Server) resetCaches() {
 	s.namec = vfs.NewStripedNameCache(s.stripes)
 	s.namec.SetEnabled(s.Opts.NameCache)
 	s.dupc = newDupCache(s.Opts.DupCacheSize)
-	s.dupc.instrument(
-		s.Metrics.Counter("server.dupc.shard_hits"),
-		s.Metrics.Counter("server.dupc.contended"),
-		s.Metrics.Counter("server.dupc.inflight_drops"),
-	)
+	s.dupc.cDrops = s.Metrics.Counter("server.dupc.inflight_drops")
 }
 
 // EnableConcurrentDispatch widens the cache lock striping for a pool of
@@ -264,7 +260,6 @@ func New(fs *memfs.FS, opts Options) *Server {
 	s.resetCaches()
 	// Eager so concurrent first calls never race the lazy allocation.
 	s.mounts = newMountState()
-	s.cCalls = s.Metrics.Counter("nfs.calls")
 	s.cBytesIn = s.Metrics.Counter("nfs.bytes_in")
 	s.cBytesOut = s.Metrics.Counter("nfs.bytes_out")
 	s.cDupHits = s.Metrics.Counter("nfs.dup_hits")
@@ -277,11 +272,20 @@ func New(fs *memfs.FS, opts Options) *Server {
 	s.cLeaseExpiries = s.Metrics.Counter("lease.expiries")
 	s.cLeaseEvict = s.Metrics.Counter("lease.evictions")
 	for proc := uint32(0); proc < nfsproto.NumProcsExt; proc++ {
-		name := nfsproto.ProcName(proc)
-		s.procCalls[proc] = s.Metrics.Counter("nfs.calls." + name)
-		s.procSvc[proc] = s.Metrics.Histogram("nfs.service_ms." + name)
+		s.procSvc[proc] = s.Metrics.Histogram("nfs.service_ms." + nfsproto.ProcName(proc))
 	}
 	return s
+}
+
+// Calls returns how many NFS calls the server has executed: the sum of the
+// per-procedure service-time histogram counts, since every executed call
+// lands in exactly one (dupcache replays and dropped duplicates in none).
+func (s *Server) Calls() int64 {
+	var n int64
+	for _, h := range s.procSvc {
+		n += h.Count()
+	}
+	return n
 }
 
 // PublishMbufStats mirrors the mbuf package's pool/copy counters into the
@@ -295,7 +299,6 @@ func (s *Server) PublishMbufStats() {
 	s.Metrics.Counter("mbuf.pool_hits").Store(ms.PoolHits)
 	s.Metrics.Counter("mbuf.pool_misses").Store(ms.PoolMisses)
 	s.Metrics.Counter("mbuf.loaned_bytes").Store(ms.LoanedBytes)
-	s.Metrics.Counter("mbuf.views").Store(ms.Views)
 }
 
 // AttachNode binds the server to a simulated host for CPU accounting.
@@ -332,19 +335,6 @@ func (s *Server) charge(p *sim.Proc, bucket string, us float64) {
 		return
 	}
 	s.Node.ChargeCPU(p, bucket, s.Node.Model.Cost(us))
-}
-
-// nonIdempotent marks the procedures whose repetition corrupts state; their
-// replies go through the duplicate request cache.
-var nonIdempotent = [nfsproto.NumProcsExt]bool{
-	nfsproto.ProcSetattr: true,
-	nfsproto.ProcCreate:  true,
-	nfsproto.ProcRemove:  true,
-	nfsproto.ProcRename:  true,
-	nfsproto.ProcLink:    true,
-	nfsproto.ProcSymlink: true,
-	nfsproto.ProcMkdir:   true,
-	nfsproto.ProcRmdir:   true,
 }
 
 // errStatus maps memfs errors to NFS status codes.
@@ -446,7 +436,7 @@ func (s *Server) serve(p *sim.Proc, peer string, call *rpc.Call, reqLen int, d *
 		out = newReply(call.XID, rpc.GarbageArgs)
 	}
 	var saved *mbuf.Chain
-	if nonIdempotent[call.Proc] {
+	if nfsproto.NonIdempotent[call.Proc] {
 		saved = out.Clone()
 	}
 	s.finish(p, &f, out.Len(), err != nil, saved, sp)
@@ -564,24 +554,16 @@ func (s *Server) setattr(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.Encode
 
 // scanDirectory walks the directory's blocks through the buffer cache,
 // charging CPU for the buffers examined and the disk for misses. This is
-// where the Reno/Ultrix lookup gap of Graphs 8-9 comes from.
+// where the Reno/Ultrix lookup gap of Graphs 8-9 comes from. Probe and
+// reserve are one critical section, so two nfsds scanning the same
+// directory never double-insert; the charge and the disk sleep come after.
 func (s *Server) scanDirectory(p *sim.Proc, dir *memfs.Inode, sp *metrics.Span) {
 	nblocks := s.FS.DirBlocks(dir)
 	for b := 0; b < nblocks; b++ {
 		key := vfs.BufKey{Vnode: dir.Ino, Gen: dir.Gen, Block: uint32(b)}
-		if p == nil {
-			// Concurrent frontends (no CPU/disk model): probe and reserve
-			// must be one critical section, or two nfsds scanning the same
-			// directory double-insert.
-			s.bufc.LookupOrReserve(key, sp)
-			continue
-		}
-		buf, scanned := s.bufc.Lookup(key)
+		hit, scanned := s.bufc.LookupOrReserve(key, sp)
 		s.charge(p, "dirscan", costDirScanBuf*float64(scanned+1))
-		if buf == nil {
-			// Reserve the buffer before sleeping on the disk so another
-			// nfsd scanning the same directory does not double-insert.
-			s.bufc.Insert(key)
+		if !hit {
 			s.FS.Disk.Read(p, memfs.BlockSize)
 		}
 	}
@@ -633,17 +615,10 @@ func (s *Server) read(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.Encoder, 
 	cached := true
 	for b := first; b <= last; b++ {
 		key := vfs.BufKey{Vnode: n.Ino, Gen: n.Gen, Block: b}
-		if p == nil {
-			if hit, _ := s.bufc.LookupOrReserve(key, sp); !hit {
-				cached = false
-			}
-			continue
-		}
-		buf, scanned := s.bufc.Lookup(key)
+		hit, scanned := s.bufc.LookupOrReserve(key, sp)
 		s.charge(p, "dirscan", costDirScanBuf*float64(scanned+1))
-		if buf == nil {
+		if !hit {
 			cached = false
-			s.bufc.Insert(key)
 		}
 	}
 	// File blocks are loaned straight into the reply chain — no staging
@@ -715,12 +690,7 @@ func (s *Server) write(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.Encoder,
 		return nil
 	}
 	// The written block is now cached.
-	key := vfs.BufKey{Vnode: n.Ino, Gen: n.Gen, Block: args.Offset / memfs.BlockSize}
-	if p == nil {
-		s.bufc.EnsureResident(key, sp)
-	} else if b := s.bufc.Peek(key); b == nil {
-		s.bufc.Insert(key)
-	}
+	s.bufc.EnsureResident(vfs.BufKey{Vnode: n.Ino, Gen: n.Gen, Block: args.Offset / memfs.BlockSize}, sp)
 	var r procResult
 	s.okResult(&r, peer, args.File, n, hint)
 	r.encodeAttr(e)

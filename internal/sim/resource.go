@@ -82,9 +82,6 @@ func (r *Resource) Use(p *Proc, d Time) {
 // QueueLen returns the number of processes waiting for a slot.
 func (r *Resource) QueueLen() int { return len(r.waiters) }
 
-// InUse returns the number of busy slots.
-func (r *Resource) InUse() int { return r.inUse }
-
 // ResetStats starts a new utilization accounting window at the current time.
 func (r *Resource) ResetStats() {
 	r.account()

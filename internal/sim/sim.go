@@ -184,13 +184,6 @@ func (p *Proc) Sleep(d Time) {
 	p.park()
 }
 
-// Yield reschedules the process at the current time, letting every other
-// event already scheduled for this instant run first.
-func (p *Proc) Yield() {
-	p.env.resumeAt(p.env.now, p)
-	p.park()
-}
-
 // Run executes events until the queue empties or the clock would pass until.
 // It returns the virtual time at which it stopped. Run may be called
 // repeatedly with increasing horizons.

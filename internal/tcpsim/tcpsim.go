@@ -297,9 +297,6 @@ func (st *Stack) Dial(p *sim.Proc, remote netsim.NodeID, rport int) (*Conn, erro
 // MSS returns the negotiated (path-MTU derived) maximum segment size.
 func (c *Conn) MSS() int { return c.mss }
 
-// LocalPort returns the local port number.
-func (c *Conn) LocalPort() int { return c.localPort }
-
 // kick wakes the connection process; multiple kicks coalesce.
 func (c *Conn) kick() {
 	if !c.kicked {
@@ -583,9 +580,6 @@ func (c *Conn) updateRTT(sample sim.Time) {
 
 // RTO returns the current retransmit timeout (A + 4D, clamped).
 func (c *Conn) RTO() sim.Time { return c.curRTO() }
-
-// SRTT returns the smoothed RTT estimate.
-func (c *Conn) SRTT() sim.Time { return c.srtt }
 
 // processAck handles the acknowledgment field of an arriving segment.
 func (c *Conn) processAck(p *sim.Proc, m *seg, payloadLen int) {

@@ -45,9 +45,6 @@ type Buf struct {
 	elem *list.Element // LRU position
 }
 
-// HasData reports whether the buffer carries actual block data.
-func (b *Buf) HasData() bool { return b.Data != nil }
-
 // EnsureData allocates the data block if absent.
 func (b *Buf) EnsureData() []byte {
 	if b.Data == nil {
@@ -293,14 +290,4 @@ func (c *BufCache) DirtyBufs(vn, gen uint32) []*Buf {
 // VnodeBufs returns all resident buffers of a vnode.
 func (c *BufCache) VnodeBufs(vn, gen uint32) []*Buf {
 	return append([]*Buf(nil), c.chains[uint64(vn)<<32|uint64(gen)]...)
-}
-
-// AnyDirty reports whether any buffer in the cache is dirty.
-func (c *BufCache) AnyDirty() bool {
-	for e := c.lru.Front(); e != nil; e = e.Next() {
-		if e.Value.(*Buf).Dirty {
-			return true
-		}
-	}
-	return false
 }

@@ -21,9 +21,10 @@ var (
 // routed by vnode (buffer cache) or by (dir, name) hash (name cache), so
 // every per-vnode operation — chained lookups, invalidation, dirty scans —
 // touches exactly one stripe. With a single stripe the behaviour (LRU order,
-// eviction victims, stats) is bit-for-bit the legacy single-cache behaviour,
-// which is what the simulator path uses to stay deterministic; the socket
-// path asks for more stripes so the nfsd pool stops serializing on one lock.
+// eviction victims, stats) is bit-for-bit one BufCache's, which is what the
+// simulator runs to stay deterministic; the socket frontends ask for more
+// stripes so the nfsd pool stops serializing on one lock. Both call the
+// same methods.
 //
 // The stripe count is rounded down to a power of two for cheap masking, and
 // the configured capacity is divided evenly among stripes. The linear-scan
@@ -86,8 +87,9 @@ func (c *StripedBufCache) NumStripes() int { return len(c.stripes) }
 
 // LookupOrReserve finds block k, or reserves a presence-only buffer for it,
 // in one critical section — two nfsds missing on the same block must not
-// both insert it (the legacy Lookup-then-Insert pair panics on the second).
-// Stats accounting is identical to Lookup followed by Insert on a miss.
+// both insert it (BufCache.Insert panics on the second). Stats accounting is
+// BufCache.Lookup's, plus an Insert on a miss; scanned is what the caller
+// charges the search.
 func (c *StripedBufCache) LookupOrReserve(k BufKey, sp *metrics.Span) (hit bool, scanned int) {
 	st := c.stripe(k.Vnode, k.Gen)
 	bufSite.Lock(&st.mu, sp)
@@ -99,38 +101,9 @@ func (c *StripedBufCache) LookupOrReserve(k BufKey, sp *metrics.Span) (hit bool,
 	return b != nil, scanned
 }
 
-// Lookup probes for block k; semantics match BufCache.Lookup. The simulator
-// path uses the split Lookup/Insert pair so the CPU charge (which parks the
-// calling proc) lands between probe and reserve exactly where the legacy
-// code put it; concurrent frontends use LookupOrReserve instead.
-func (c *StripedBufCache) Lookup(k BufKey) (b *Buf, scanned int) {
-	st := c.stripe(k.Vnode, k.Gen)
-	bufSite.Lock(&st.mu, nil)
-	b, scanned = st.c.Lookup(k)
-	st.mu.Unlock()
-	return b, scanned
-}
-
-// Insert reserves a buffer for k, which must not be resident.
-func (c *StripedBufCache) Insert(k BufKey) {
-	st := c.stripe(k.Vnode, k.Gen)
-	bufSite.Lock(&st.mu, nil)
-	st.c.Insert(k)
-	st.mu.Unlock()
-}
-
-// Peek finds a resident buffer without LRU refresh or scan accounting.
-func (c *StripedBufCache) Peek(k BufKey) *Buf {
-	st := c.stripe(k.Vnode, k.Gen)
-	bufSite.Lock(&st.mu, nil)
-	b := st.c.Peek(k)
-	st.mu.Unlock()
-	return b
-}
-
 // EnsureResident makes k resident without LRU refresh or scan accounting
-// (the write path: the just-written block is now cached). Equivalent to the
-// legacy Peek-then-Insert pair, made atomic.
+// (the write path: the just-written block is now cached): BufCache.Peek,
+// then Insert if absent, in one critical section.
 func (c *StripedBufCache) EnsureResident(k BufKey, sp *metrics.Span) {
 	st := c.stripe(k.Vnode, k.Gen)
 	bufSite.Lock(&st.mu, sp)

@@ -94,9 +94,6 @@ type NhfsstoneResult struct {
 // ReadRate returns the measured read RPCs per second.
 func (r *NhfsstoneResult) ReadRate() float64 { return r.ProcRate[nfsproto.ProcRead] }
 
-// LookupRate returns the measured lookup RPCs per second.
-func (r *NhfsstoneResult) LookupRate() float64 { return r.ProcRate[nfsproto.ProcLookup] }
-
 // Nhfsstone drives the load. The caller provides the environment, the
 // transport to exercise, and the exported root handle; Preload must have
 // been run first (it returns the target file handles).

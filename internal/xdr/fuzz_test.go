@@ -21,7 +21,7 @@ func FuzzXDRDecode(f *testing.F) {
 	e.PutFixedOpaque(make([]byte, 32))
 	f.Add(valid.Bytes())
 	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff})                      // huge opaque length
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})                         // huge opaque length
 	f.Add([]byte{0x7f, 0xff, 0xff, 0xff, 0x00, 0x00, 0x00, 0x01}) // length > remaining
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDecoder(mbuf.FromBytes(data))
