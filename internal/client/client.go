@@ -18,8 +18,10 @@
 package client
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -239,6 +241,7 @@ type Mount struct {
 	env    *sim.Env
 	root   *vnode
 	vns    map[vnKey]*vnode
+	byID   []*vnode // vns's values in (fileid, gen) order; neither shrinks
 	bufc   *vfs.BufCache
 	namec  *vfs.NameCache
 	biodQs []*sim.Queue[flushJob] // per-biod queues; write jobs hash by block
@@ -296,7 +299,7 @@ func NewMount(node *netsim.Node, tr transport.Transport, rootFH nfsproto.FH, opt
 	m.root = &vnode{fh: rootFH, fileid: fileid, gen: gen,
 		inFlight: make(map[uint32]int), flushDone: sim.NewCond(env)}
 	m.root.attr.Type = nfsproto.TypeDir
-	m.vns[vnKey{fileid, gen}] = m.root
+	m.addVnode(m.root)
 	m.rsize = vfs.BlockSize
 	for i := 0; i < opts.Biods; i++ {
 		q := sim.NewQueue[flushJob](env, fmt.Sprintf("%s.biodq%d", opts.Name, i))
@@ -355,8 +358,17 @@ func (m *Mount) getVnode(fh nfsproto.FH) *vnode {
 	}
 	vn := &vnode{fh: fh, fileid: fileid, gen: gen,
 		inFlight: make(map[uint32]int), flushDone: sim.NewCond(m.env)}
-	m.vns[k] = vn
+	m.addVnode(vn)
 	return vn
+}
+
+// addVnode enters vn in the table and in its ordered view.
+func (m *Mount) addVnode(vn *vnode) {
+	m.vns[vnKey{vn.fileid, vn.gen}] = vn
+	i, _ := slices.BinarySearchFunc(m.byID, vn, func(a, b *vnode) int {
+		return cmp.Or(cmp.Compare(a.fileid, b.fileid), cmp.Compare(a.gen, b.gen))
+	})
+	m.byID = slices.Insert(m.byID, i, vn)
 }
 
 // updateAttrs folds a server-provided fattr into the attribute cache.

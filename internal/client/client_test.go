@@ -2,7 +2,9 @@ package client
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -458,6 +460,56 @@ func TestUpdateDaemonFlushes(t *testing.T) {
 			t.Error("update daemon never pushed the delayed writes")
 		}
 	})
+}
+
+// TestVnodeTableStaysOrdered checks that byID holds exactly the vnode table's
+// values in (fileid, gen) order, which the update daemon's sweep relies on.
+// memfs never reuses an inode number, so after a create, remove, create
+// workload the test also interns the handles a server that recycles inodes
+// would return: old fileids with a newer gen, arriving out of order.
+func TestVnodeTableStaysOrdered(t *testing.T) {
+	r := newRig(t, 16)
+	m := r.mount(Reno())
+	r.run(t, func(p *sim.Proc) {
+		for _, name := range []string{"a", "b", "c"} {
+			writeFile(t, p, m, name, pattern(100))
+		}
+		if err := m.Remove(p, "a"); err != nil {
+			t.Fatalf("remove: %v", err)
+		}
+		writeFile(t, p, m, "a", pattern(100))
+	})
+	byName := func(name string) *vnode {
+		vid, vgen, _, _ := m.namec.Lookup(m.root.fileid, m.root.gen, name)
+		return m.vns[vnKey{vid, vgen}]
+	}
+	fsid, _, _ := m.root.fh.Parts()
+	for _, old := range []*vnode{byName("c"), byName("b"), byName("c")} {
+		m.getVnode(nfsproto.MakeFH(fsid, old.fileid, old.gen+2))
+		m.getVnode(nfsproto.MakeFH(fsid, old.fileid, old.gen+1))
+	}
+
+	keys := make([]vnKey, 0, len(m.vns))
+	for k := range m.vns {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b vnKey) int {
+		if a.fileid != b.fileid {
+			return cmp.Compare(a.fileid, b.fileid)
+		}
+		return cmp.Compare(a.gen, b.gen)
+	})
+	if len(keys) != 9 { // root, b, c, both a's, two newer gens each of b and c
+		t.Fatalf("vnode table holds %d entries, want 9", len(keys))
+	}
+	if len(m.byID) != len(keys) {
+		t.Fatalf("byID holds %d vnodes, table %d", len(m.byID), len(keys))
+	}
+	for i, k := range keys {
+		if m.byID[i] != m.vns[k] {
+			t.Errorf("byID[%d] = (%d,%d), want (%d,%d)", i, m.byID[i].fileid, m.byID[i].gen, k.fileid, k.gen)
+		}
+	}
 }
 
 func TestSymlinkPathOps(t *testing.T) {

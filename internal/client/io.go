@@ -2,7 +2,7 @@ package client
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"renonfs/internal/transport"
@@ -805,21 +805,10 @@ func (m *Mount) SyncAll(p *sim.Proc) {
 	}
 }
 
-// sortedVnodes returns the vnode table in fileid order so that flush
-// sweeps do not depend on map iteration order.
-func (m *Mount) sortedVnodes() []*vnode {
-	out := make([]*vnode, 0, len(m.vns))
-	for _, vn := range m.vns {
-		out = append(out, vn)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].fileid != out[j].fileid {
-			return out[i].fileid < out[j].fileid
-		}
-		return out[i].gen < out[j].gen
-	})
-	return out
-}
+// sortedVnodes snapshots the vnode table in (fileid, gen) order so that
+// flush sweeps do not depend on map iteration order and skip vnodes created
+// mid-sweep.
+func (m *Mount) sortedVnodes() []*vnode { return slices.Clone(m.byID) }
 
 // biod is one asynchronous I/O daemon draining its own queue: it serves
 // both write-behind and read-ahead. Same-block jobs always land on the

@@ -42,6 +42,7 @@ type TCP struct {
 	pending map[uint32]*tcpPending
 	closed  bool
 	stats   Stats
+	wake    *sim.Cond // ends the watchdog's idle park (parkWhileIdle)
 	// Tracer mirrors UDPConfig.Tracer: typed RPC lifecycle events (calls,
 	// replies, replays after a reconnect).
 	Tracer metrics.Tracer
@@ -64,12 +65,14 @@ type tcpPending struct {
 // NewTCP creates the transport and dials the server; it blocks the calling
 // process for the handshake.
 func NewTCP(p *sim.Proc, stack *tcpsim.Stack, server netsim.NodeID, port int) (*TCP, error) {
+	env := stack.Node().Net().Env
 	t := &TCP{
-		env:          stack.Node().Net().Env,
+		env:          env,
 		stack:        stack,
 		server:       server,
 		port:         port,
 		pending:      make(map[uint32]*tcpPending),
+		wake:         sim.NewCond(env),
 		ReplyTimeout: DefaultReplyTimeout,
 	}
 	if err := t.connect(p); err != nil {
@@ -84,9 +87,11 @@ func NewTCP(p *sim.Proc, stack *tcpsim.Stack, server netsim.NodeID, port int) (*
 // server rebooted after acking our request, its RST to us was lost, and
 // with no unacked data on the wire neither side will ever transmit again.
 // Aborting wakes rxLoop, which reconnects and replays the pending calls.
+// While nothing is pending it parks and keeps its check phase.
 func (t *TCP) watchdog(p *sim.Proc) {
 	for {
 		p.Sleep(t.ReplyTimeout / 4)
+		parkWhileIdle(p, t.wake, t.ReplyTimeout/4, func() bool { return len(t.pending) == 0 && !t.closed })
 		if t.closed {
 			return
 		}
@@ -129,6 +134,7 @@ func (t *TCP) Close() {
 	if t.conn != nil {
 		t.conn.Close()
 	}
+	t.wake.Broadcast()
 }
 
 // failPending fails every unanswered call, waking the callers in XID order.
@@ -159,6 +165,7 @@ func (t *TCP) CallProgram(p *sim.Proc, prog, vers, proc uint32, args func(e *xdr
 		sentAt: p.Now(), done: sim.NewEvent(t.env),
 	}
 	t.pending[pc.xid] = pc
+	t.wake.Broadcast()
 	t.stats.Calls++
 	metrics.Emit(t.Tracer, metrics.CallSent{Proc: proc, XID: pc.xid})
 	if err := t.sendOne(p, pc); err != nil {

@@ -191,3 +191,18 @@ const (
 	MinRTO = 200 * time.Millisecond
 	MaxRTO = 30 * time.Second
 )
+
+// parkWhileIdle lets a periodic transport timer sleep through stretches with
+// no call pending without losing its phase. While idle holds it waits on wake,
+// which callers broadcast on inserting a pending call and on Close; then it
+// sleeps on to the next tick of the period-spaced grid through the tick it was
+// called on, so later ticks fall where they would have had it never stopped.
+func parkWhileIdle(p *sim.Proc, wake *sim.Cond, period sim.Time, idle func() bool) {
+	for idle() {
+		anchor := p.Now()
+		for idle() {
+			wake.Wait(p)
+		}
+		p.Sleep(period - (p.Now()-anchor)%period)
+	}
+}

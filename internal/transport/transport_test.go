@@ -185,7 +185,7 @@ func TestDynamicEstimatorConverges(t *testing.T) {
 }
 
 func TestCongestionWindowDynamics(t *testing.T) {
-	// Replies grow the window; a retransmit halves it.
+	// Replies grow the window (TestCwndHalvesOnRealTimeout covers the halving).
 	env := sim.New(7)
 	defer env.Close()
 	nt := netsim.New(env)
@@ -215,13 +215,6 @@ func TestCongestionWindowDynamics(t *testing.T) {
 	grown := tr.Cwnd()
 	if grown <= start {
 		t.Fatalf("cwnd did not grow: %v -> %v", start, grown)
-	}
-	// Simulate a timeout halving directly through the timer path: force a
-	// pending entry to expire by issuing a call to a black-holed server.
-	tr.cwnd = 8
-	tr.cwnd = tr.cwnd / 2 // the timer path halves; verified by inspection above
-	if tr.Cwnd() != 4 {
-		t.Fatalf("cwnd = %v", tr.Cwnd())
 	}
 }
 
@@ -253,6 +246,93 @@ func TestCwndHalvesOnRealTimeout(t *testing.T) {
 	}
 	if tr.Stats().Failures != 1 {
 		t.Fatalf("failures = %d", tr.Stats().Failures)
+	}
+}
+
+// TestUDPTimerParksWhileIdle checks that the NFS client timer stops waking
+// while no call is pending, and that its ticks afterwards fall on the grid the
+// last retransmission left behind. Each retransmission charges the send to
+// the timer, shifting its grid by that CPU time c; c is read off the first
+// retransmission, whose tick is known because nothing has shifted the grid
+// since the timer was spawned at time 0.
+func TestUDPTimerParksWhileIdle(t *testing.T) {
+	env := sim.New(5)
+	defer env.Close()
+	nt := netsim.New(env)
+	client := nt.AddNode(netsim.NodeConfig{Name: "client"})
+	srvNode := nt.AddNode(netsim.NodeConfig{Name: "server"})
+	link := netsim.Ethernet("eth")
+	link.LossProb = 1.0 // black hole
+	nt.Connect(client, srvNode, link)
+	nt.ComputeRoutes()
+	cfg := FixedUDP()
+	cfg.Retrans = 1
+	type stamped struct {
+		at sim.Time
+		ev metrics.Event
+	}
+	var evs []stamped
+	cfg.Tracer = metrics.FuncTracer(func(ev metrics.Event) {
+		switch ev.(type) {
+		case metrics.Retransmit, metrics.CallFailed:
+			evs = append(evs, stamped{env.Now(), ev})
+		}
+	})
+	tr := NewUDP(client, 1001, srvNode.ID, server.NFSPort, cfg)
+
+	// Part one: with nothing pending the timer parks after its first tick
+	// and the event queue drains.
+	if end := env.RunAll(); end != NFSTick {
+		t.Fatalf("idle transport drained at %v, want %v", end, NFSTick)
+	}
+
+	// Part two: two calls to the black hole, separated by an idle stretch
+	// that is not a whole number of ticks.
+	const callA, idleGap = 1234 * time.Millisecond, 7310 * time.Millisecond
+	var callB sim.Time
+	env.Spawn("client", func(p *sim.Proc) {
+		lookup := func(e *xdr.Encoder) {
+			(&nfsproto.DiropArgs{Dir: nfsproto.MakeFH(1, 2, 1), Name: "x"}).Encode(e)
+		}
+		p.Sleep(callA - p.Now())
+		if _, err := tr.Call(p, nfsproto.ProcLookup, lookup); err != ErrCallTimeout {
+			t.Errorf("first call: err = %v, want ErrCallTimeout", err)
+		}
+		p.Sleep(idleGap)
+		callB = p.Now()
+		if _, err := tr.Call(p, nfsproto.ProcLookup, lookup); err != ErrCallTimeout {
+			t.Errorf("second call: err = %v, want ErrCallTimeout", err)
+		}
+	})
+	env.RunAll()
+	if len(evs) != 4 {
+		t.Fatalf("got %d events, want retransmit+failure for each of 2 calls: %+v", len(evs), evs)
+	}
+
+	// nextTick is the first tick at or after d on the grid through anchor.
+	nextTick := func(anchor, d sim.Time) sim.Time {
+		return anchor + (d-anchor+NFSTick-1)/NFSTick*NFSTick
+	}
+	timeo := cfg.Timeo
+	// The first call's timeout expires on the spawn grid, and its
+	// retransmission is emitted once the send has been charged. Every later
+	// tick, the idle stretch included, is on the grid through that emission.
+	retxA := evs[0].at
+	c := retxA - nextTick(0, callA+timeo)
+	if c <= 0 || c >= NFSTick {
+		t.Fatalf("send charge c = %v, want in (0, %v)", c, NFSTick)
+	}
+	if callB != retxA+2*timeo+idleGap {
+		t.Fatalf("second call issued at %v, want %v", callB, retxA+2*timeo+idleGap)
+	}
+	retxB := nextTick(retxA, callB+timeo) + c
+	want := []sim.Time{retxA, retxA + 2*timeo, retxB, retxB + 2*timeo}
+	for i, e := range evs {
+		_, isRetx := e.ev.(metrics.Retransmit)
+		if e.at != want[i] || isRetx != (i%2 == 0) {
+			t.Errorf("event %d: %T at %v, want a %s at %v on the timer grid",
+				i, e.ev, e.at, []string{"retransmission", "failure"}[i%2], want[i])
+		}
 	}
 }
 

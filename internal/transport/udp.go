@@ -87,6 +87,7 @@ type UDP struct {
 	est     [NumClasses]estimator
 	cwnd    float64
 	waiters *sim.Cond
+	wake    *sim.Cond // ends the timer's idle park (parkWhileIdle)
 	closed  bool
 	stats   Stats
 }
@@ -129,6 +130,7 @@ func NewUDP(node *netsim.Node, localPort int, server netsim.NodeID, port int, cf
 		chains:  make(map[uint32]*reqChain),
 		cwnd:    cfg.CwndInit,
 		waiters: sim.NewCond(env),
+		wake:    sim.NewCond(env),
 	}
 	for c := Class(0); c < NumClasses; c++ {
 		f := sim.Time(cfg.SmallFactor)
@@ -171,6 +173,7 @@ func (t *UDP) Close() {
 	t.pending = make(map[uint32]*udpPending)
 	t.sock.Close()
 	t.waiters.Broadcast()
+	t.wake.Broadcast()
 }
 
 // rtoFor returns the current timeout for a class under the configuration.
@@ -220,6 +223,7 @@ func (t *UDP) CallProgram(p *sim.Proc, prog, vers, proc uint32, args func(e *xdr
 	}
 	t.pending[xid] = pc
 	t.chains[xid] = &reqChain{prog: prog, vers: vers, proc: proc, args: args}
+	t.wake.Broadcast()
 	t.send(p, pc)
 	pc.done.Wait(p)
 	delete(t.pending, xid)
@@ -317,10 +321,13 @@ func dgProc(t *UDP, xid uint32) uint32 {
 // timerLoop is the NFS client timer: every tick it scans pending requests
 // and retransmits the expired in XID order (see byXID), recomputing deadlines
 // from the freshest estimates (unless the ablation pins them at send time).
+// While nothing is pending the timer parks and keeps its tick phase, which
+// the per-tick deadline refresh depends on.
 func (t *UDP) timerLoop(p *sim.Proc) {
 	var expired []*udpPending
 	for !t.closed {
 		p.Sleep(NFSTick)
+		parkWhileIdle(p, t.wake, NFSTick, func() bool { return len(t.pending) == 0 && !t.closed })
 		now := p.Now()
 		expired = expired[:0]
 		for _, pc := range t.pending {
