@@ -54,7 +54,10 @@ bench:
 # generic one up to 8), and a leased Create-Delete in simulated time falling
 # below 3x the full-consistency time or losing write-RPC parity with the
 # no-consistency bound. Timing comparisons belong to
-# `bash benchmark/run.sh -compare`, not here. The second line is the zero-copy
+# `bash benchmark/run.sh -compare`, not here. The simulation kernel's budgets
+# ride on the first line: a Sleep that parks allocates 1 (its resume event), a
+# Sleep whose wake-up is the next event 0, and a queue ping-pong round trip 4,
+# with its Sleep and queue benchmarks. The second line is the zero-copy
 # gate on real sockets: an 8 KB READ over loopback UDP and TCP and an 8 KB
 # WRITE over UDP copy no payload byte through mbufs in user space, the
 # batched sendmmsg / TCP writev writers allocate nothing per reply, a data
@@ -62,7 +65,7 @@ bench:
 # round trip allocates nothing (LOOKUP: the name string), and record ingest
 # neither allocates nor moves a byte per whole record.
 bench-smoke:
-	$(GO) test -run 'TestAllocBudget|TestReadReplyZeroCopy|TestLeaseCreateDeleteGate' -bench=. -benchmem -benchtime 1x .
+	$(GO) test -run 'TestAllocBudget|TestReadReplyZeroCopy|TestLeaseCreateDeleteGate' -bench=. -benchmem -benchtime 1x . ./internal/sim
 	$(GO) test -run 'TestRealSocketReadZeroCopy|TestRealSocketWriteZeroCopy|TestAllocBudget' -v ./internal/nfsnet ./internal/rpc
 
 # The lease-coherence sweep: the two-client close-to-open model, the

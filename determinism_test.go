@@ -35,9 +35,14 @@ var quickTablesAt1991 = map[string]string{
 	"saturation": "c04b64df04be6d19c7718933010cbf65db38a1a7a4b316d9b4b5c2e07b48ba45",
 }
 
-func quickTables(t *testing.T, id string) []string {
+// fullTablesAt1991 is one sha256 over every experiment's full-mode tables at
+// seed 1991, in Experiments() order and the text form of the quick hashes.
+// Full windows reach the long idle stretches the quick ones cut short.
+const fullTablesAt1991 = "ed9995cd35679af2e322900a63b31e3bfe5ce07b9af3b64cdd5c9cb04acff7b5"
+
+func tables(t *testing.T, id string, quick bool) []string {
 	t.Helper()
-	tabs, err := RunExperiment(id, ExpConfig{Quick: true, Seed: 1991})
+	tabs, err := RunExperiment(id, ExpConfig{Quick: quick, Seed: 1991})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +63,7 @@ func TestQuickTablesGolden(t *testing.T) {
 	}
 	for _, e := range exps {
 		h := sha256.New()
-		for _, text := range quickTables(t, e.ID) {
+		for _, text := range tables(t, e.ID, true) {
 			io.WriteString(h, text)
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != quickTablesAt1991[e.ID] {
@@ -67,12 +72,27 @@ func TestQuickTablesGolden(t *testing.T) {
 	}
 }
 
+func TestFullTablesGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("all 19 experiments, full windows")
+	}
+	h := sha256.New()
+	for _, e := range Experiments() {
+		for _, text := range tables(t, e.ID, false) {
+			io.WriteString(h, text)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != fullTablesAt1991 {
+		t.Errorf("full-mode tables hash %s, pinned %s", got, fullTablesAt1991)
+	}
+}
+
 // TestSameSeedSameTables runs three experiments twice in one process: one
 // seed must print one set of tables. saturation is the one that retransmits
 // several calls in one tick, table5 the one with write-behind and leases.
 func TestSameSeedSameTables(t *testing.T) {
 	for _, id := range []string{"saturation", "graph1", "table5"} {
-		a, b := quickTables(t, id), quickTables(t, id)
+		a, b := tables(t, id, true), tables(t, id, true)
 		if len(a) != len(b) {
 			t.Fatalf("%s: %d tables, then %d", id, len(a), len(b))
 		}

@@ -1,5 +1,41 @@
 package sim
 
+import "slices"
+
+// fifo is a first-in first-out buffer that reuses its array: pop advances a
+// head index, which resets to the front when a pop drains the buffer, and a
+// push that finds the array full slides the live entries down instead of
+// growing it once at least half of it is popped space.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+// live returns the queued entries, oldest first. It aliases the buffer.
+func (f *fifo[T]) live() []T { return f.buf[f.head:] }
+
+func (f *fifo[T]) push(v T) {
+	if len(f.buf) == cap(f.buf) && f.head > 0 && 2*f.head >= len(f.buf) {
+		n := copy(f.buf, f.live())
+		clear(f.buf[n:])
+		f.buf, f.head = f.buf[:n], 0
+	}
+	f.buf = append(f.buf, v)
+}
+
+func (f *fifo[T]) pop() (v T) {
+	v, f.buf[f.head] = f.buf[f.head], v // the zero v clears the slot
+	if f.head++; f.head == len(f.buf) {
+		f.buf, f.head = f.buf[:0], 0
+	}
+	return v
+}
+
+// remove deletes the i-th live entry, keeping the others in order.
+func (f *fifo[T]) remove(i int) { f.buf = slices.Delete(f.buf, f.head+i, f.head+i+1) }
+
 // waiter represents one parked process waiting for a wakeup that may race
 // with a timeout. Exactly one of fire/expire wins.
 type waiter struct {
@@ -28,8 +64,8 @@ func (w *waiter) fire(e *Env) bool {
 type Queue[T any] struct {
 	env     *Env
 	name    string
-	items   []T
-	waiters []*waiter
+	items   fifo[T]
+	waiters fifo[*waiter]
 	closed  bool
 	// MaxLen, when > 0, bounds the queue; Send drops the item and returns
 	// false when the bound is reached (drop-tail, used for router queues).
@@ -44,7 +80,7 @@ func NewQueue[T any](e *Env, name string) *Queue[T] {
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.items.len() }
 
 // Send enqueues v, waking one waiter if any. It reports false if the item
 // was dropped by the MaxLen bound or the queue is closed.
@@ -52,11 +88,11 @@ func (q *Queue[T]) Send(v T) bool {
 	if q.closed {
 		return false
 	}
-	if q.MaxLen > 0 && len(q.items) >= q.MaxLen {
+	if q.MaxLen > 0 && q.items.len() >= q.MaxLen {
 		q.Dropped++
 		return false
 	}
-	q.items = append(q.items, v)
+	q.items.push(v)
 	q.wakeOne()
 	return true
 }
@@ -68,17 +104,15 @@ func (q *Queue[T]) Close() {
 		return
 	}
 	q.closed = true
-	for _, w := range q.waiters {
+	for _, w := range q.waiters.live() {
 		w.fire(q.env)
 	}
-	q.waiters = nil
+	q.waiters = fifo[*waiter]{}
 }
 
 func (q *Queue[T]) wakeOne() {
-	for len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters = q.waiters[1:]
-		if w.fire(q.env) {
+	for q.waiters.len() > 0 {
+		if q.waiters.pop().fire(q.env) {
 			return
 		}
 	}
@@ -88,18 +122,13 @@ func (q *Queue[T]) wakeOne() {
 // if the queue was closed and drained.
 func (q *Queue[T]) Recv(p *Proc) (v T, ok bool) {
 	for {
-		if len(q.items) > 0 {
-			v = q.items[0]
-			var zero T
-			q.items[0] = zero
-			q.items = q.items[1:]
-			return v, true
+		if q.items.len() > 0 {
+			return q.items.pop(), true
 		}
 		if q.closed {
 			return v, false
 		}
-		w := &waiter{p: p}
-		q.waiters = append(q.waiters, w)
+		q.waiters.push(&waiter{p: p})
 		p.park()
 	}
 }
@@ -109,19 +138,19 @@ func (q *Queue[T]) Recv(p *Proc) (v T, ok bool) {
 func (q *Queue[T]) RecvTimeout(p *Proc, d Time) (v T, ok bool) {
 	deadline := q.env.now + d
 	for {
-		if len(q.items) > 0 {
-			v = q.items[0]
-			var zero T
-			q.items[0] = zero
-			q.items = q.items[1:]
-			return v, true
+		if q.items.len() > 0 {
+			return q.items.pop(), true
 		}
 		if q.closed || q.env.now >= deadline {
 			return v, false
 		}
 		w := &waiter{p: p}
-		w.timer = q.env.At(deadline, func() { w.fire(q.env) })
-		q.waiters = append(q.waiters, w)
+		w.timer = q.env.At(deadline, func() {
+			if w.fire(q.env) { // the timeout won: w is still listed
+				q.waiters.remove(slices.Index(q.waiters.live(), w))
+			}
+		})
+		q.waiters.push(w)
 		p.park()
 		w.fired = true // consume whichever wakeup parked us
 	}
@@ -172,7 +201,12 @@ func (ev *Event) WaitTimeout(p *Proc, d Time) bool {
 	deadline := ev.env.now + d
 	for !ev.set && ev.env.now < deadline {
 		w := &waiter{p: p}
-		w.timer = ev.env.At(deadline, func() { w.fire(ev.env) })
+		w.timer = ev.env.At(deadline, func() {
+			if w.fire(ev.env) { // the timeout won: w is still listed
+				i := slices.Index(ev.waiters, w)
+				ev.waiters = slices.Delete(ev.waiters, i, i+1)
+			}
+		})
 		ev.waiters = append(ev.waiters, w)
 		p.park()
 		w.fired = true

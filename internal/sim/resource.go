@@ -9,7 +9,7 @@ type Resource struct {
 	name    string
 	slots   int
 	inUse   int
-	waiters []*waiter
+	waiters fifo[*waiter]
 
 	busy       Time // cumulative slot-busy time
 	busySince  Time // when inUse last went 0 -> >0 (single-slot fast path)
@@ -37,8 +37,7 @@ func (r *Resource) account() {
 // Acquire blocks until a slot is free and claims it.
 func (r *Resource) Acquire(p *Proc) {
 	for r.inUse >= r.slots {
-		w := &waiter{p: p}
-		r.waiters = append(r.waiters, w)
+		r.waiters.push(&waiter{p: p})
 		p.park()
 	}
 	r.account()
@@ -62,10 +61,8 @@ func (r *Resource) Release() {
 	}
 	r.account()
 	r.inUse--
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
-		r.waiters = r.waiters[1:]
-		if w.fire(r.env) {
+	for r.waiters.len() > 0 {
+		if r.waiters.pop().fire(r.env) {
 			break
 		}
 	}
@@ -80,7 +77,7 @@ func (r *Resource) Use(p *Proc, d Time) {
 }
 
 // QueueLen returns the number of processes waiting for a slot.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int { return r.waiters.len() }
 
 // ResetStats starts a new utilization accounting window at the current time.
 func (r *Resource) ResetStats() {

@@ -7,8 +7,11 @@
 // process runs on the scheduler's own thread of control until it blocks on a
 // simulated primitive (Sleep, Queue.Recv, Resource.Acquire, ...), which
 // switches straight back to the scheduler; its resume event switches straight
-// back in. Exactly one process runs at a time, so simulated code needs no
-// locking and every run with the same seed is bit-for-bit reproducible.
+// back in. A Sleep whose wake-up would be the next event of the run in
+// progress makes no resume event at all: the clock moves to the wake-up and
+// the process keeps running, since nothing else could have run in between.
+// Exactly one process runs at a time, so simulated code needs no locking and
+// every run with the same seed is bit-for-bit reproducible.
 //
 // A panic in a process body surfaces from Run or RunAll in the caller's
 // goroutine, where it can be recovered; the process is then dead and the
@@ -24,6 +27,7 @@ import (
 	"container/list"
 	"fmt"
 	"iter"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -63,17 +67,18 @@ func (h *eventHeap) Pop() any {
 // Env is a simulation environment: a clock, an event queue and a set of
 // processes. Create one with New, populate it with Spawn, then call Run.
 type Env struct {
-	now    Time
-	seq    uint64
-	events eventHeap
-	rng    *rand.Rand
-	live   list.List // *Proc, started and not yet returned, in spawn order
-	closed bool
+	now     Time
+	horizon Time // until of the Run in progress, math.MaxInt64 under RunAll, -1 outside a run
+	seq     uint64
+	events  eventHeap
+	rng     *rand.Rand
+	live    list.List // *Proc, started and not yet returned, in spawn order
+	closed  bool
 }
 
 // New returns an empty environment whose random source is seeded with seed.
 func New(seed int64) *Env {
-	return &Env{rng: rand.New(rand.NewSource(seed))}
+	return &Env{horizon: -1, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -148,6 +153,7 @@ func (p *Proc) park() {
 
 // resumeAt schedules the process to resume at time when. The event is
 // p.resume itself, made once per process, so it costs the Timer and no more.
+// Sleep makes one only when something else could run before when.
 func (e *Env) resumeAt(when Time, p *Proc) { e.At(when, p.resume) }
 
 // Spawn starts fn as a new process at the current virtual time. fn begins
@@ -175,12 +181,22 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// Sleep suspends the process for d of virtual time.
+// Sleep suspends the process for d of virtual time. If the wake-up is within
+// the horizon of the run in progress and strictly before the earliest queued
+// event (one queued at the same time has a smaller seq and runs first), it
+// would be the next event anyway: the clock moves to it and the process
+// keeps running without parking.
 func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		d = 0
 	}
-	p.env.resumeAt(p.env.now+d, p)
+	e := p.env
+	when := e.now + d
+	if when <= e.horizon && (len(e.events) == 0 || e.events[0].when > when) {
+		e.now = when
+		return
+	}
+	e.resumeAt(when, p)
 	p.park()
 }
 
@@ -191,6 +207,8 @@ func (e *Env) Run(until Time) Time {
 	if e.closed {
 		panic("sim: Run after Close")
 	}
+	e.horizon = until
+	defer e.endRun()
 	for len(e.events) > 0 {
 		if e.events[0].when > until {
 			e.now = until
@@ -210,11 +228,18 @@ func (e *Env) RunAll() Time {
 	if e.closed {
 		panic("sim: RunAll after Close")
 	}
+	e.horizon = math.MaxInt64
+	defer e.endRun()
 	for len(e.events) > 0 {
 		e.step()
 	}
 	return e.now
 }
+
+// endRun clears the horizon when Run or RunAll returns or a process panic
+// leaves it, so no Sleep outside a run, such as one in a deferred function
+// Close unwinds, skips its park.
+func (e *Env) endRun() { e.horizon = -1 }
 
 // step pops the earliest event and, unless it was cancelled, fires it.
 func (e *Env) step() {

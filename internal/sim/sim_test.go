@@ -443,39 +443,100 @@ func TestProcessPanicSurfacesFromRun(t *testing.T) {
 	}
 }
 
-// One allocation per Sleep: the resume event. (A count, so a legitimate gate.)
-func TestAllocBudgetSleep(t *testing.T) {
-	e := New(1)
-	defer e.Close()
-	e.Spawn("sleeper", func(p *Proc) {
-		for {
-			p.Sleep(ms)
-		}
-	})
-	e.Run(10 * ms) // past the spawn and the heap's first growth
-	horizon := e.Now()
-	if got := testing.AllocsPerRun(1000, func() {
-		horizon += ms
-		e.Run(horizon)
-	}); got > 1 {
-		t.Fatalf("%.1f allocations per Sleep and resume, budget 1", got)
+// sleepers spawns n processes that sleep a millisecond forever, the i-th
+// offset by i/n of one: with one, every wake-up is the next event; with two or
+// more, none is.
+func sleepers(e *Env, n int) {
+	for i := range n {
+		e.Spawn("sleeper", func(p *Proc) {
+			p.Sleep(Time(i) * ms / Time(n))
+			for {
+				p.Sleep(ms)
+			}
+		})
 	}
 }
 
-// BenchmarkSleepResume is the kernel's floor: one process sleeping b.N times,
-// so each iteration is one heap push and pop and one switch in and out.
-func BenchmarkSleepResume(b *testing.B) {
+// Allocations per Sleep: one, the resume event, when another process's
+// wake-up comes first; none when its own is the next event. (Counts, so
+// legitimate gates.)
+func TestAllocBudgetSleep(t *testing.T) {
 	e := New(1)
 	defer e.Close()
-	e.Spawn("sleeper", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(ms)
+	sleepers(e, 2)
+	e.Run(10 * ms) // past the spawns and the heap's first growth
+	horizon := e.Now()
+	if got := testing.AllocsPerRun(1000, func() {
+		horizon += ms
+		e.Run(horizon) // one Sleep each
+	}) / 2; got > 1 {
+		t.Errorf("%.1f allocations per Sleep that parks, budget 1", got)
+	}
+
+	lone := New(1)
+	defer lone.Close()
+	var got float64
+	lone.Spawn("sleeper", func(p *Proc) {
+		got = testing.AllocsPerRun(1000, func() { p.Sleep(ms) })
+	})
+	lone.RunAll()
+	if got > 0 {
+		t.Errorf("%.1f allocations per Sleep whose wake-up is the next event, budget 0", got)
+	}
+}
+
+// Four allocations per round trip between two processes: each side's waiter
+// and resume event. The FIFOs reuse their arrays, so no Send or Recv grows
+// one. (A count, so a legitimate gate.)
+func TestAllocBudgetQueuePingPong(t *testing.T) {
+	const rounds = 100
+	e := New(1)
+	defer e.Close()
+	ping, pong := NewQueue[int](e, "ping"), NewQueue[int](e, "pong")
+	e.Spawn("echo", func(p *Proc) {
+		for {
+			v, _ := ping.Recv(p)
+			pong.Send(v)
 		}
 	})
+	e.Spawn("pinger", func(p *Proc) {
+		for {
+			for i := range rounds {
+				ping.Send(i)
+				pong.Recv(p)
+			}
+			p.Sleep(ms) // past the horizon: one park, one resume event
+		}
+	})
+	e.Run(10 * ms)
+	horizon := e.Now()
+	if got := testing.AllocsPerRun(100, func() {
+		horizon += ms
+		e.Run(horizon) // one batch of round trips
+	}); got > 4*rounds+1 {
+		t.Errorf("%.2f allocations per round trip, budget 4", (got-1)/rounds)
+	}
+}
+
+// benchSleep runs n sleepers (see sleepers) for b.N Sleeps in all.
+func benchSleep(b *testing.B, n int) {
+	e := New(1)
+	defer e.Close()
+	sleepers(e, n)
+	e.Run(0)
 	b.ReportAllocs()
 	b.ResetTimer()
-	e.RunAll()
+	e.Run(Time(b.N) * ms / Time(n))
 }
+
+// BenchmarkSleepPark is the kernel's floor for a Sleep that parks: two
+// sleepers half a period apart, so each iteration is one heap push and pop
+// and one switch out and back in.
+func BenchmarkSleepPark(b *testing.B) { benchSleep(b, 2) }
+
+// BenchmarkSleepLookahead is one sleeper, whose every wake-up is the next
+// event: each iteration only moves the clock.
+func BenchmarkSleepLookahead(b *testing.B) { benchSleep(b, 1) }
 
 // BenchmarkQueuePingPong bounces a token between two processes through two
 // queues: per iteration two Sends, two blocking Recvs and two resumes.
@@ -537,6 +598,171 @@ func TestEventOrderProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: a process that sleeps is indistinguishable from a chain of At
+// callbacks, one per step, which never parks and so is the schedule Sleep
+// made before its lookahead. Whatever the delays (zeros and ties across
+// processes included) and however RunAll is preceded by Run horizons, both
+// leave the same (time, process, step) trace, and the same clock and trace
+// length after every Run.
+func TestSleepLookaheadMatchesEventChain(t *testing.T) {
+	type step struct {
+		at         Time
+		proc, step int
+	}
+	type mark struct {
+		now   Time
+		steps int
+	}
+	delay := func(d uint8) Time { return Time(d%4) * ms }
+	f := func(procs [][]uint8, cuts []uint8) bool {
+		run := func(start func(e *Env, proc int, delays []uint8, trace *[]step)) ([]step, []mark) {
+			e := New(1)
+			defer e.Close()
+			var trace []step
+			for i, ds := range procs[:min(len(procs), 5)] {
+				start(e, i, ds, &trace)
+			}
+			var marks []mark
+			var h Time
+			for _, c := range cuts {
+				h += Time(c%8) * ms / 2
+				marks = append(marks, mark{e.Run(h), len(trace)})
+			}
+			marks = append(marks, mark{e.RunAll(), len(trace)})
+			return trace, marks
+		}
+		sleeper := func(e *Env, proc int, delays []uint8, trace *[]step) {
+			e.Spawn("sleeper", func(p *Proc) {
+				for k, d := range delays {
+					p.Sleep(delay(d))
+					*trace = append(*trace, step{p.Now(), proc, k})
+				}
+			})
+		}
+		chain := func(e *Env, proc int, delays []uint8, trace *[]step) {
+			var next func(k int)
+			next = func(k int) {
+				if k < len(delays) {
+					e.After(delay(delays[k]), func() {
+						*trace = append(*trace, step{e.Now(), proc, k})
+						next(k + 1)
+					})
+				}
+			}
+			e.At(e.Now(), func() { next(0) }) // where Spawn starts a body
+		}
+		slept, sleptMarks := run(sleeper)
+		chained, chainedMarks := run(chain)
+		return slices.Equal(slept, chained) && slices.Equal(sleptMarks, chainedMarks)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A lone sleeper's wake-up is always the next event, so only the horizon
+// stops it: under Run(10.5 ms) it wakes at 0, 1, ..., 10 ms and parks for
+// 11 ms, the clock stops at the horizon, and the next Run resumes it. (It
+// would go on for a second, so a missing horizon fails rather than hangs.)
+// After Run returns nothing skips a park: the Sleep in a deferred function
+// Close unwinds does not return.
+func TestSleepLookaheadStopsAtHorizon(t *testing.T) {
+	e := New(1)
+	var wakes []Time
+	ranPastClose := false
+	e.Spawn("sleeper", func(p *Proc) {
+		defer func() {
+			p.Sleep(0)
+			ranPastClose = true
+		}()
+		for p.Now() < time.Second {
+			wakes = append(wakes, p.Now())
+			p.Sleep(ms)
+		}
+	})
+	if now := e.Run(10*ms + ms/2); now != 10*ms+ms/2 || len(wakes) != 11 || wakes[10] != 10*ms {
+		t.Fatalf("Run(10.5ms) stopped at %v after %d wake-ups", now, len(wakes))
+	}
+	if e.Run(20*ms + ms/2); len(wakes) != 21 || wakes[11] != 11*ms {
+		t.Fatalf("%d wake-ups after the next Run, want 21 from 11ms", len(wakes))
+	}
+	e.Close()
+	if ranPastClose {
+		t.Error("a Sleep in a process Close unwound returned")
+	}
+}
+
+// A wait that times out takes its waiter with it: after 10,000 timed-out
+// RecvTimeouts or WaitTimeouts at most one is listed, and a later Send or Set
+// still reaches the process.
+func TestTimedOutWaitLeavesNoWaiter(t *testing.T) {
+	const n = 10000
+	e := New(1)
+	defer e.Close()
+	q := NewQueue[int](e, "q")
+	ev := NewEvent(e)
+	e.Spawn("recv", func(p *Proc) {
+		for range n {
+			q.RecvTimeout(p, ms)
+		}
+		if got := q.waiters.len(); got > 1 {
+			t.Errorf("%d queue waiters after %d timeouts", got, n)
+		}
+		if v, ok := q.RecvTimeout(p, time.Second); !ok || v != 7 {
+			t.Errorf("RecvTimeout after the timeouts = %v, %v", v, ok)
+		}
+	})
+	e.Spawn("wait", func(p *Proc) {
+		for range n {
+			ev.WaitTimeout(p, ms)
+		}
+		if got := len(ev.waiters); got > 1 {
+			t.Errorf("%d event waiters after %d timeouts", got, n)
+		}
+		if !ev.WaitTimeout(p, time.Second) {
+			t.Error("WaitTimeout after the timeouts missed the Set")
+		}
+	})
+	e.Spawn("send", func(p *Proc) {
+		p.Sleep(n*ms + ms/2)
+		q.Send(7)
+		ev.Set()
+	})
+	e.RunAll()
+}
+
+// Property: a fifo is a slice with pops from the front, whatever mix of
+// pushes, pops and removals drains, compacts and regrows its array.
+func TestFifoMatchesSlice(t *testing.T) {
+	f := func(ops []uint8) bool {
+		var q fifo[int]
+		var model []int
+		for i, op := range ops {
+			switch {
+			case op%4 == 0 && len(model) > 0:
+				if q.pop() != model[0] {
+					return false
+				}
+				model = model[1:]
+			case op%4 == 1 && len(model) > 0:
+				k := int(op/4) % len(model)
+				q.remove(k)
+				model = slices.Delete(model, k, k+1)
+			default:
+				q.push(i)
+				model = append(model, i)
+			}
+			if !slices.Equal(q.live(), model) || q.len() != len(model) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
