@@ -228,22 +228,6 @@ func BenchmarkAblationRTOFactor(b *testing.B) {
 	b.ReportMetric(atSend, "extra-retries-at-send")
 }
 
-// BenchmarkAblationSlowStart reports the 56K-path throughput cost of the
-// classic fixed RTO versus the tuned transport (the slow-start row itself
-// is indistinguishable at steady state, as EXPERIMENTS.md discusses).
-func BenchmarkAblationSlowStart(b *testing.B) {
-	var fixedPenalty float64
-	for i := 0; i < b.N; i++ {
-		tabs, err := renonfs.RunExperiment("ablations", renonfs.ExpConfig{Quick: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		slow := tabs[1]
-		fixedPenalty = cellF(b, slow, 4, 1) - cellF(b, slow, 0, 1)
-	}
-	b.ReportMetric(fixedPenalty/1000, "fixed-rto-rtt-penalty-s")
-}
-
 func BenchmarkAblationPageRemap(b *testing.B) {
 	var saving float64
 	for i := 0; i < b.N; i++ {

@@ -12,7 +12,9 @@ import (
 // benchmark/simtables.go prints. Eighteen are what the commit before the
 // coroutine kernel printed, so a kernel that reordered one event fails here;
 // saturation was not reproducible there (two calls expiring in one NFS tick
-// were retransmitted in map order) and is pinned from this one.
+// were retransmitted in map order) and is pinned from this one. ablations
+// was re-pinned when the rows its knobs could not move were deleted; every
+// row it kept prints the same bytes.
 var quickTablesAt1991 = map[string]string{
 	"graph1":     "6a346d98bd069d4111b5aaec980f70e2437c15dbee596d17d00b90f0ef8afbfb",
 	"graph2":     "0b711ecd20d3bc138767d662a2cb5518053223d34f7b7b4e3baa544629492b44",
@@ -30,7 +32,7 @@ var quickTablesAt1991 = map[string]string{
 	"table4":     "644eb6ce1a25c25738e4e0f183f95495c651e230552e932d10402441e037afa7",
 	"table5":     "70a4e59402e1d01545a591d2f9cc24396f240ff7922e57f78e041eb5196b3911",
 	"appendixA":  "7c7be6c87c7143cb85cc1ca3cc33b9520d909e2ac875adcd850b06e84a3259e9",
-	"ablations":  "1e1f16ed5ebca36b5df619057465939072379f6d0cfe12b5a9baf357e9a9bb13",
+	"ablations":  "6b8ef7dca8c94cf3d1d4028d7a6d2db28c1ca99c64791d27679d5f7ca2cc4dd9",
 	"futurework": "5b64d8f91d026435634d3c68679ba08bc4fd7fa2575010e10122ed9b9e6d7a8a",
 	"saturation": "c04b64df04be6d19c7718933010cbf65db38a1a7a4b316d9b4b5c2e07b48ba45",
 }
@@ -38,7 +40,7 @@ var quickTablesAt1991 = map[string]string{
 // fullTablesAt1991 is one sha256 over every experiment's full-mode tables at
 // seed 1991, in Experiments() order and the text form of the quick hashes.
 // Full windows reach the long idle stretches the quick ones cut short.
-const fullTablesAt1991 = "ed9995cd35679af2e322900a63b31e3bfe5ce07b9af3b64cdd5c9cb04acff7b5"
+const fullTablesAt1991 = "78acfd2b958dcb8638727ab02ea1c122ec4d473e7daad896415da37a27f3bba5"
 
 func tables(t *testing.T, id string, quick bool) []string {
 	t.Helper()

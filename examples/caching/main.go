@@ -90,9 +90,9 @@ func main() {
 			st.TotalCalls())
 	}
 	fmt.Println(table.String())
-	fmt.Println("reno:       name cache cuts lookups; flush-before-read re-fetches")
+	fmt.Println("reno:       name cache cuts lookups; the mtime check re-fetches")
 	fmt.Println("            its own writes (the client can't tell whose mtime moved)")
-	fmt.Println("ultrix:     no name cache (more lookups); eager write-back sends")
+	fmt.Println("ultrix:     a tiny name cache (more lookups); eager write-back sends")
 	fmt.Println("            every editor save chunk (more writes); trusts its own")
 	fmt.Println("            mtime changes (fewer reads)")
 	fmt.Println("noconsist:  the optimistic bound a cache consistency protocol chases")

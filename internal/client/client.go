@@ -39,6 +39,9 @@ const (
 	costUserCopyByte = 0.5   // user space <-> buffer cache copy
 )
 
+// attrTimeout is the attribute cache lifetime (5 s in Reno and Ultrix).
+const attrTimeout = 5 * time.Second
+
 // WritePolicy selects what a write system call does (§1 footnote 4).
 type WritePolicy int
 
@@ -70,21 +73,14 @@ type Options struct {
 	NameCache bool
 	// NameCacheCap bounds the name cache (0 = the Reno default); the
 	// Ultrix personality models the weaker 4.2BSD-era cache with a small
-	// capacity and a short name limit.
+	// capacity.
 	NameCacheCap int
-	// NameCacheMaxLen bounds cacheable component length (0 = Reno's 31).
-	NameCacheMaxLen int
-	// AttrTimeout is the attribute cache lifetime (5 s in Reno).
-	AttrTimeout sim.Time
 	// Consistency enables mtime-based cache consistency; false is the
 	// experimental "noconsist" mount flag.
 	Consistency bool
 	// PushOnClose flushes delayed writes at close for close/open
 	// consistency. Disabling it is the main effect of noconsist.
 	PushOnClose bool
-	// FlushBeforeRead pushes a file's dirty blocks before reading it (the
-	// Reno behaviour that inflates read RPC counts).
-	FlushBeforeRead bool
 	// SelfMtimeValid makes the client treat the mtime movement caused by
 	// its own write RPCs as keeping the cache valid (the Ultrix
 	// assumption).
@@ -126,8 +122,8 @@ type Options struct {
 // Reno returns the tuned 4.3BSD Reno client personality.
 func Reno() Options {
 	return Options{
-		Name: "reno", NameCache: true, AttrTimeout: 5 * time.Second,
-		Consistency: true, PushOnClose: true, FlushBeforeRead: true,
+		Name: "reno", NameCache: true,
+		Consistency: true, PushOnClose: true,
 		DirtyRegionTracking: true, Policy: WriteDelayed, Biods: 4,
 		ReadAhead: 1, CacheBufs: 256, UpdateFlush: true,
 	}
@@ -140,18 +136,16 @@ func RenoNoConsist() Options {
 	o.Name = "reno-noconsist"
 	o.Consistency = false
 	o.PushOnClose = false
-	o.FlushBeforeRead = false
 	return o
 }
 
 // Ultrix returns the Sun-reference-port client personality. Its name
-// cache is the weak 4.2BSD-era one: tiny and limited to short names, which
-// is what leaves it with roughly twice Reno's lookup RPCs in Table 3.
+// cache is the weak 4.2BSD-era one: tiny, which is what leaves it with
+// roughly two and a half times Reno's lookup RPCs in Table 3.
 func Ultrix() Options {
 	return Options{
-		Name: "ultrix", NameCache: true, NameCacheCap: 12, NameCacheMaxLen: 14,
-		AttrTimeout: 5 * time.Second,
-		Consistency: true, PushOnClose: true, FlushBeforeRead: false,
+		Name: "ultrix", NameCache: true, NameCacheCap: 12,
+		Consistency: true, PushOnClose: true,
 		SelfMtimeValid: true, DirtyRegionTracking: false,
 		EagerWriteBack: true, Policy: WriteAsync, Biods: 4,
 		ReadAhead: 1, CacheBufs: 256, UpdateFlush: true,
@@ -272,9 +266,6 @@ type flushJob struct {
 // NewMount creates a mount over the transport with the server's root
 // handle.
 func NewMount(node *netsim.Node, tr transport.Transport, rootFH nfsproto.FH, opts Options) *Mount {
-	if opts.AttrTimeout == 0 {
-		opts.AttrTimeout = 5 * time.Second
-	}
 	if opts.CacheBufs == 0 {
 		opts.CacheBufs = 256
 	}
@@ -291,9 +282,6 @@ func NewMount(node *netsim.Node, tr transport.Transport, rootFH nfsproto.FH, opt
 	m.namec.Enabled = opts.NameCache
 	if opts.NameCacheCap > 0 {
 		m.namec.Capacity = opts.NameCacheCap
-	}
-	if opts.NameCacheMaxLen > 0 {
-		m.namec.MaxNameLen = opts.NameCacheMaxLen
 	}
 	_, fileid, gen := rootFH.Parts()
 	m.root = &vnode{fh: rootFH, fileid: fileid, gen: gen,
@@ -395,9 +383,9 @@ func (m *Mount) updateAttrs(vn *vnode, a *nfsproto.Fattr, selfWrite bool) {
 // freshAttrs ensures the attribute cache is within its timeout, issuing a
 // GETATTR when it is not. Attribute caching is independent of the
 // experimental no-consistency flag: that flag disables *data* consistency
-// (purges, flush-before-read, push-on-close), but stat-style attribute
-// traffic continues, which is why the paper's Reno-noconsist run still
-// shows ~780 getattr RPCs (Table 3).
+// (purges and push-on-close), but stat-style attribute traffic continues,
+// which is why the paper's Reno-noconsist run still shows ~780 getattr RPCs
+// (Table 3).
 func (m *Mount) freshAttrs(p *sim.Proc, vn *vnode) error {
 	// Under a live lease the attributes are coherent by contract — the
 	// server evicts us before letting them change — so even a timed-out
@@ -405,7 +393,7 @@ func (m *Mount) freshAttrs(p *sim.Proc, vn *vnode) error {
 	if m.Opts.UseLeases && vn.attrValid && m.leaseFor(vn, nfsproto.LeaseRead) != nil {
 		return nil
 	}
-	if vn.attrValid && m.env.Now()-vn.attrTime <= m.Opts.AttrTimeout {
+	if vn.attrValid && m.env.Now()-vn.attrTime <= attrTimeout {
 		return nil
 	}
 	for attempt := 0; ; attempt++ {

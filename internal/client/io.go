@@ -493,16 +493,8 @@ func (f *File) Read(p *sim.Proc, dst []byte) (int, error) {
 	m := f.m
 	vn := f.vn
 	m.charge(p, "syscall", costSyscall)
-	if m.Opts.UseLeases && m.leaseFor(vn, nfsproto.LeaseRead) != nil {
-		// Leased: the cache is coherent by contract; skip both the
-		// flush-before-read and the mtime check.
-	} else {
-		// Reno pushes the file's dirty blocks to the server before
-		// reading (§5) — after which the mtime check below purges and
-		// re-reads.
-		if m.Opts.FlushBeforeRead && m.Opts.Consistency {
-			m.flushVnode(p, vn, true)
-		}
+	// Under a read lease the cache is coherent by contract: no mtime check.
+	if !m.Opts.UseLeases || m.leaseFor(vn, nfsproto.LeaseRead) == nil {
 		if err := m.checkConsistency(p, vn); err != nil {
 			return 0, err
 		}

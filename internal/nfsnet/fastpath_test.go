@@ -215,6 +215,9 @@ func TestFastPathSpans(t *testing.T) {
 		}
 	}
 
+	// A span is recorded after its reply is sent, so the last call's may
+	// still be open when the client returns; Close waits for the reader.
+	s.Close()
 	s.PublishStats()
 	snap := core.Metrics.Snapshot()
 	for _, st := range []string{"read", "decode", "service", "encode", "send", "total"} {

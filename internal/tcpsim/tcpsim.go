@@ -218,9 +218,6 @@ type Conn struct {
 	dupAcks   int
 	inRecov   bool
 	sendCond  *sim.Cond
-	// NoSlowStart disables slow start (for the §4 ablation of what the
-	// paper removed from its UDP congestion window).
-	NoSlowStart bool
 
 	// RTT estimation (A = srtt, D = rttvar).
 	srtt, rttvar sim.Time
@@ -544,9 +541,6 @@ func (c *Conn) tick(p *sim.Proc) {
 	}
 	c.ssthresh = half
 	c.cwnd = c.mss
-	if c.NoSlowStart {
-		c.cwnd = c.ssthresh
-	}
 	c.inRecov = false
 	c.dupAcks = 0
 	switch c.state {
@@ -616,7 +610,7 @@ func (c *Conn) processAck(p *sim.Proc, m *seg, payloadLen int) {
 		if c.inRecov {
 			c.cwnd = c.ssthresh
 			c.inRecov = false
-		} else if c.cwnd < c.ssthresh && !c.NoSlowStart {
+		} else if c.cwnd < c.ssthresh {
 			c.cwnd += c.mss // slow start: exponential growth
 		} else {
 			c.cwnd += c.mss * c.mss / c.cwnd // congestion avoidance

@@ -190,6 +190,13 @@ const (
 	// MinRTO/MaxRTO clamp dynamic timeouts (2 ticks .. 30 s).
 	MinRTO = 200 * time.Millisecond
 	MaxRTO = 30 * time.Second
+	// SmallFactor is the deviation multiplier for getattr/lookup: their
+	// RTO is A+2D (the UDPConfig's BigFactor covers read/write).
+	SmallFactor = 2
+	// CwndInit and CwndMax bound the dynamic UDP congestion window
+	// (outstanding requests).
+	CwndInit = 4
+	CwndMax  = 32
 )
 
 // parkWhileIdle lets a periodic transport timer sleep through stretches with

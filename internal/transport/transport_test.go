@@ -185,7 +185,9 @@ func TestDynamicEstimatorConverges(t *testing.T) {
 }
 
 func TestCongestionWindowDynamics(t *testing.T) {
-	// Replies grow the window (TestCwndHalvesOnRealTimeout covers the halving).
+	// Replies grow the window from CwndInit up to CwndMax and no further
+	// (TestCwndHalvesOnRealTimeout covers the halving). Linear growth needs
+	// (CwndMax²-CwndInit²)/2 = 504 replies to reach the cap.
 	env := sim.New(7)
 	defer env.Close()
 	nt := netsim.New(env)
@@ -202,19 +204,31 @@ func TestCongestionWindowDynamics(t *testing.T) {
 	srv.AttachNode(srvNode)
 	srv.ServeUDP(server.NFSPort)
 	tr := NewUDP(client, 1001, srvNode.ID, server.NFSPort, DynamicUDP())
-	start := tr.Cwnd()
+	if start := tr.Cwnd(); start != CwndInit {
+		t.Fatalf("cwnd starts at %v, want %v", start, float64(CwndInit))
+	}
+	var after30, peak float64
 	env.Spawn("client", func(p *sim.Proc) {
 		root := srv.RootFH()
-		for i := 0; i < 30; i++ {
-			tr.Call(p, nfsproto.ProcLookup, func(e *xdr.Encoder) {
+		for i := 0; i < 600; i++ {
+			if _, err := tr.Call(p, nfsproto.ProcLookup, func(e *xdr.Encoder) {
 				(&nfsproto.DiropArgs{Dir: root, Name: "f"}).Encode(e)
-			})
+			}); err != nil {
+				t.Errorf("lookup %d: %v", i, err)
+				return
+			}
+			if i == 29 {
+				after30 = tr.Cwnd()
+			}
+			peak = max(peak, tr.Cwnd())
 		}
 	})
-	env.Run(time.Minute)
-	grown := tr.Cwnd()
-	if grown <= start {
-		t.Fatalf("cwnd did not grow: %v -> %v", start, grown)
+	env.Run(time.Hour)
+	if after30 <= CwndInit {
+		t.Fatalf("cwnd did not grow: %v after 30 replies", after30)
+	}
+	if peak != CwndMax {
+		t.Fatalf("cwnd peaked at %v over 600 replies, want the cap %v", peak, float64(CwndMax))
 	}
 }
 

@@ -26,20 +26,13 @@ type UDPConfig struct {
 	// 0 means effectively hard-mount (a large bound).
 	Retrans int
 	// BigFactor is the deviation multiplier for read/write (paper: 4,
-	// after finding 2 caused 2-4x the retry rate).
+	// after finding 2 caused 2-4x the retry rate); getattr/lookup use
+	// SmallFactor.
 	BigFactor int
-	// SmallFactor is the multiplier for getattr/lookup (2).
-	SmallFactor int
-	// SlowStart re-enables the slow start the paper removed (for the
-	// ablation; found to hurt).
-	SlowStart bool
 	// RecalcAtSendOnly computes each request's deadline once at transmit
 	// time instead of refreshing it every NFS tick (ablation of the second
 	// §4 change).
 	RecalcAtSendOnly bool
-	// CwndInit and CwndMax bound the congestion window (requests).
-	CwndInit float64
-	CwndMax  float64
 	// Tracer, when set, receives the transport's RPC lifecycle events: call
 	// sent, retransmit, reply (with its RTT and the RTO its transmission
 	// used — Graph 7 is a trace of READ replies) and call failed.
@@ -48,13 +41,12 @@ type UDPConfig struct {
 
 // FixedUDP returns the classic configuration.
 func FixedUDP() UDPConfig {
-	return UDPConfig{Dynamic: false, Timeo: time.Second, BigFactor: 4, SmallFactor: 2}
+	return UDPConfig{Dynamic: false, Timeo: time.Second, BigFactor: 4}
 }
 
 // DynamicUDP returns the paper's tuned configuration.
 func DynamicUDP() UDPConfig {
-	return UDPConfig{Dynamic: true, Timeo: time.Second, BigFactor: 4, SmallFactor: 2,
-		CwndInit: 4, CwndMax: 32}
+	return UDPConfig{Dynamic: true, Timeo: time.Second, BigFactor: 4}
 }
 
 // udpPending is one in-flight request. Retransmission re-encodes from the
@@ -110,15 +102,6 @@ func NewUDP(node *netsim.Node, localPort int, server netsim.NodeID, port int, cf
 	if cfg.BigFactor == 0 {
 		cfg.BigFactor = 4
 	}
-	if cfg.SmallFactor == 0 {
-		cfg.SmallFactor = 2
-	}
-	if cfg.CwndInit == 0 {
-		cfg.CwndInit = 4
-	}
-	if cfg.CwndMax == 0 {
-		cfg.CwndMax = 32
-	}
 	env := node.Net().Env
 	t := &UDP{
 		cfg:     cfg,
@@ -128,12 +111,12 @@ func NewUDP(node *netsim.Node, localPort int, server netsim.NodeID, port int, cf
 		env:     env,
 		pending: make(map[uint32]*udpPending),
 		chains:  make(map[uint32]*reqChain),
-		cwnd:    cfg.CwndInit,
+		cwnd:    CwndInit,
 		waiters: sim.NewCond(env),
 		wake:    sim.NewCond(env),
 	}
 	for c := Class(0); c < NumClasses; c++ {
-		f := sim.Time(cfg.SmallFactor)
+		f := sim.Time(SmallFactor)
 		if c.Big() {
 			f = sim.Time(cfg.BigFactor)
 		}
@@ -293,14 +276,7 @@ func (t *UDP) rxLoop(p *sim.Proc) {
 			}
 			// Congestion window opens by one request per window's worth of
 			// replies (linear growth; slow start removed per the paper).
-			if t.cfg.SlowStart && t.cwnd < 8 {
-				t.cwnd++
-			} else {
-				t.cwnd += 1 / t.cwnd
-			}
-			if t.cwnd > t.cfg.CwndMax {
-				t.cwnd = t.cfg.CwndMax
-			}
+			t.cwnd = min(t.cwnd+1/t.cwnd, CwndMax)
 			t.waiters.Broadcast()
 		}
 		t.stats.Replies++

@@ -39,8 +39,6 @@ type NameCache struct {
 	// Enabled gates the whole cache; a disabled cache misses always, which
 	// is how the server-side experiment in the appendix is run.
 	Enabled bool
-	// MaxNameLen rejects long components (Reno: 31).
-	MaxNameLen int
 	// Capacity bounds the entry count (LRU beyond it).
 	Capacity int
 
@@ -52,11 +50,10 @@ type NameCache struct {
 // NewNameCache returns an enabled cache with Reno's defaults.
 func NewNameCache() *NameCache {
 	return &NameCache{
-		Enabled:    true,
-		MaxNameLen: RenoMaxNameLen,
-		Capacity:   DefaultNameCacheCap,
-		entries:    make(map[ncKey]*ncEntry),
-		lru:        list.New(),
+		Enabled:  true,
+		Capacity: DefaultNameCacheCap,
+		entries:  make(map[ncKey]*ncEntry),
+		lru:      list.New(),
 	}
 }
 
@@ -70,7 +67,7 @@ func (nc *NameCache) Lookup(dir, dgen uint32, name string) (vn, vgen uint32, neg
 		nc.Stats.Misses++
 		return 0, 0, false, false
 	}
-	if len(name) > nc.MaxNameLen {
+	if len(name) > RenoMaxNameLen {
 		nc.Stats.TooLong++
 		nc.Stats.Misses++
 		return 0, 0, false, false
@@ -101,7 +98,7 @@ func (nc *NameCache) EnterNegative(dir, dgen uint32, name string) {
 }
 
 func (nc *NameCache) enter(dir, dgen uint32, name string, vn, vgen uint32, neg bool) {
-	if !nc.Enabled || len(name) > nc.MaxNameLen {
+	if !nc.Enabled || len(name) > RenoMaxNameLen {
 		return
 	}
 	k := ncKey{dir, dgen, name}

@@ -160,7 +160,8 @@ func TestAndrewBenchmarkRuns(t *testing.T) {
 }
 
 // TestAndrewTable3Shape reproduces the orderings of Table 3 at test scale:
-// Reno does fewest lookups (name cache), most reads (flush-before-read);
+// Reno does fewest lookups (name cache), most reads (it re-reads its own
+// writes);
 // Ultrix does most lookups and writes; noconsist does fewest writes.
 func TestAndrewTable3Shape(t *testing.T) {
 	files := AndrewTree()
