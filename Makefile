@@ -55,17 +55,19 @@ bench:
 # below 3x the full-consistency time or losing write-RPC parity with the
 # no-consistency bound. Timing comparisons belong to
 # `bash benchmark/run.sh -compare`, not here. The simulation kernel's budgets
-# ride on the first line: a Sleep that parks allocates 1 (its resume event), a
-# Sleep whose wake-up is the next event 0, and a queue ping-pong round trip 4,
-# with its Sleep and queue benchmarks. The second line is the zero-copy
-# gate on real sockets: an 8 KB READ over loopback UDP and TCP and an 8 KB
-# WRITE over UDP copy no payload byte through mbufs in user space, the
-# batched sendmmsg / TCP writev writers allocate nothing per reply, a data
-# RPC served on the reader stays inside its allocation budget, a TCP GETATTR
-# round trip allocates nothing (LOOKUP: the name string), and record ingest
-# neither allocates nor moves a byte per whole record.
+# ride on the first line: a Sleep (parked or not), a queue ping-pong round
+# trip, a RecvTimeout (timed out or woken), a contended Resource.Use and a
+# Cond Wait/Broadcast cycle each allocate 0, with its Sleep and queue
+# benchmarks, and so does a ChargeCPU to a bucket its node has seen. The
+# second line is the zero-copy gate on real sockets: an 8 KB READ over
+# loopback UDP and TCP and an 8 KB WRITE over UDP copy no payload byte
+# through mbufs in user space, the batched sendmmsg / TCP writev writers
+# allocate nothing per reply, a data RPC served on the reader stays inside
+# its allocation budget, a TCP GETATTR round trip allocates nothing (LOOKUP:
+# the name string), and record ingest neither allocates nor moves a byte per
+# whole record.
 bench-smoke:
-	$(GO) test -run 'TestAllocBudget|TestReadReplyZeroCopy|TestLeaseCreateDeleteGate' -bench=. -benchmem -benchtime 1x . ./internal/sim
+	$(GO) test -run 'TestAllocBudget|TestReadReplyZeroCopy|TestLeaseCreateDeleteGate' -bench=. -benchmem -benchtime 1x . ./internal/sim ./internal/netsim
 	$(GO) test -run 'TestRealSocketReadZeroCopy|TestRealSocketWriteZeroCopy|TestAllocBudget' -v ./internal/nfsnet ./internal/rpc
 
 # The lease-coherence sweep: the two-client close-to-open model, the
@@ -101,14 +103,20 @@ fleet-smoke:
 	$(GO) run ./cmd/nfsbench -fleet -fleet-clients 1000 -fleet-shards 8 \
 		-fleet-rps 150,300 -dur 2s -fleet-slo p50=250ms,p99=2s,p999=5s,timeouts=0.25
 
-# Profile a representative experiment run with pprof; start perf work here,
-# the way the paper's tuning started from kernel profiles. Alongside the
-# CPU/allocation profiles this collects the runtime's mutex-contention and
-# blocking profiles from a real-socket load, the lock-serialization view.
-PROFILE_EXP ?= graph2
+# Profile the simulator and a real-socket load with pprof; start perf work
+# here, the way the paper's tuning started from kernel profiles. The
+# simulated half profiles the seed-1991 quick pass of all 19 tables and
+# prints its top functions by cumulative CPU and by allocated objects (the
+# second header's total is the objects per pass); the shares quoted in
+# ROADMAP item 10 and EXPERIMENTS.md come from it. The socket half collects
+# the runtime's mutex-contention and blocking profiles from a 4-client load,
+# the lock-serialization view.
+PROFILE_EXP ?= all
 profile:
-	$(GO) run ./cmd/nfsbench -exp $(PROFILE_EXP) -quick \
-		-cpuprofile cpu.pprof -memprofile mem.pprof
+	$(GO) run ./cmd/nfsbench -exp $(PROFILE_EXP) -quick -seed 1991 \
+		-cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
+	$(GO) tool pprof -top -cum -nodecount 30 cpu.pprof
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 20 mem.pprof
 	$(GO) run ./cmd/nfsbench -clients 4 -dur 2s \
 		-mutexprofile mutex.pprof -blockprofile block.pprof -trace trace.json
 	@echo "view with: go tool pprof cpu.pprof (or mem.pprof, mutex.pprof, block.pprof)"

@@ -220,6 +220,11 @@ type vnode struct {
 	lastReadBlock uint32
 	hasLastRead   bool
 
+	// mayBeDirty is false only while no buffer of the vnode is dirty: the
+	// write path sets it before it dirties one and flushVnode clears it
+	// when it finds none, so the update sweep can skip the vnode.
+	mayBeDirty bool
+
 	pendingFlushes int
 	// inFlight counts queued-or-executing async writes per block, so
 	// same-block writes stay ordered (the B_BUSY discipline).
@@ -236,6 +241,7 @@ type Mount struct {
 	root   *vnode
 	vns    map[vnKey]*vnode
 	byID   []*vnode // vns's values in (fileid, gen) order; neither shrinks
+	sweep  []*vnode // the update daemon's snapshot of byID, reused
 	bufc   *vfs.BufCache
 	namec  *vfs.NameCache
 	biodQs []*sim.Queue[flushJob] // per-biod queues; write jobs hash by block

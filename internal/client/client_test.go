@@ -14,6 +14,7 @@ import (
 	"renonfs/internal/server"
 	"renonfs/internal/sim"
 	"renonfs/internal/transport"
+	"renonfs/internal/vfs"
 )
 
 // rig wires a client node and a Reno server over a clean LAN.
@@ -458,6 +459,107 @@ func TestUpdateDaemonFlushes(t *testing.T) {
 		p.Sleep(40 * time.Second) // beyond the 30s update interval
 		if m.Stats.RPCCount(nfsproto.ProcWrite) == 0 {
 			t.Error("update daemon never pushed the delayed writes")
+		}
+	})
+}
+
+// The update sweep skips a vnode whose mayBeDirty hint is false, so no
+// vnode may hold a dirty buffer while its hint is false. A checker looks
+// every 100 ms, so after each 30-second sweep too, while one mount writes
+// through a cache of eight buffers: a discontiguous rewrite whose flush the
+// first sweep lands in (the flushBufSync retry), full and partial writes
+// kept open across sweeps, a file big enough to evict dirty victims, a
+// remove of a dirty file, a dirty file another mount rewrites, which the
+// next open purges, and a write to a block the sweep has already pushed
+// while it pushes the file's others. Once everything is closed and two
+// sweeps have run, every hint is clear again.
+func TestSweepHintCoversDirtyBuffers(t *testing.T) {
+	r := newRig(t, 17)
+	opts := Reno()
+	opts.CacheBufs = 8
+	m := r.mount(opts)
+	other := r.mount(Reno())
+	done := false
+	r.env.Spawn("checker", func(p *sim.Proc) {
+		for !done {
+			for _, vn := range m.byID {
+				if !vn.mayBeDirty && len(m.bufc.DirtyBufs(vn.fileid, vn.gen)) > 0 {
+					t.Errorf("at %v vnode %d has a dirty buffer and a clear hint", p.Now(), vn.fileid)
+				}
+			}
+			p.Sleep(100 * time.Millisecond)
+		}
+	})
+	create := func(p *sim.Proc, name string) *File {
+		f, err := m.Create(p, name, 0644)
+		if err != nil {
+			t.Fatalf("create %s: %v", name, err)
+		}
+		return f
+	}
+	write := func(p *sim.Proc, f *File, off uint32, n int) {
+		f.Seek(off)
+		if _, err := f.Write(p, pattern(n)); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+	}
+	r.run(t, func(p *sim.Proc) {
+		retry := create(p, "retry")
+		write(p, retry, 0, 100)
+		p.Sleep(30*time.Second - 2*time.Millisecond - p.Now())
+		write(p, retry, 5000, 200) // pushes [0,100) first, across the sweep
+		if p.Now() <= 30*time.Second {
+			t.Fatalf("the discontiguous rewrite returned at %v, before the first sweep", p.Now())
+		}
+
+		full, part := create(p, "full"), create(p, "part")
+		write(p, full, 0, 3*8192)
+		write(p, part, 100, 1000)
+		write(p, part, 8192+4000, 50)
+		doomed := create(p, "doomed")
+		write(p, doomed, 0, 9000)
+		doomed.Close(p)
+		write(p, create(p, "doomed2"), 0, 9000) // left open and dirty
+		if err := m.Remove(p, "doomed2"); err != nil {
+			t.Fatalf("remove: %v", err)
+		}
+		shared := create(p, "shared")
+		write(p, shared, 0, 300)
+		writeFile(t, p, other, "shared", []byte("rewritten elsewhere"))
+		p.Sleep(6 * time.Second) // past the attribute cache
+		purges := m.Stats.Invalidates
+		readFile(t, p, m, "shared") // pushes its own dirty bytes, then purges
+		if m.Stats.Invalidates == purges {
+			t.Error("the other mount's rewrite purged nothing")
+		}
+		big := create(p, "big")
+		write(p, big, 0, 12*8192) // more blocks than the cache holds
+		write(p, part, 200, 10)
+		write(p, full, 0, 3*8192) // three dirty blocks for the next sweep
+		r.env.Spawn("racer", func(p *sim.Proc) {
+			// Once the sweep has pushed block 0 and is still pushing the
+			// others, dirty block 0 again: the sweep must not clear the hint.
+			for {
+				b0 := m.bufc.Peek(vfs.BufKey{Vnode: full.vn.fileid, Gen: full.vn.gen})
+				if b0 != nil && !b0.Dirty && len(m.bufc.DirtyBufs(full.vn.fileid, full.vn.gen)) > 0 {
+					break
+				}
+				p.Sleep(time.Millisecond)
+			}
+			write(p, full, 0, 10)
+		})
+		p.Sleep(31 * time.Second) // one sweep with every file open
+		write(p, full, 8192+10, 20)
+
+		for _, f := range []*File{retry, full, part, shared, big} {
+			f.Close(p)
+		}
+		p.Sleep(61 * time.Second)
+		done = true
+		for _, vn := range m.byID {
+			if vn.mayBeDirty {
+				t.Errorf("vnode %d still hinted dirty after two sweeps of a clean cache", vn.fileid)
+			}
 		}
 	})
 }

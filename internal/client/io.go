@@ -604,10 +604,12 @@ func (f *File) Write(p *sim.Proc, src []byte) (int, error) {
 				}
 			}
 		}
+		vn.mayBeDirty = true
 		if b.Write(int(bo), src[done:done+n]) {
 			// Discontiguous dirty region: push the old one first, the way
 			// the Reno client does, then retry.
 			m.flushBufSync(p, b)
+			vn.mayBeDirty = true // a sweep may have cleared it while we waited
 			b.Write(int(bo), src[done:done+n])
 		}
 		done += n
@@ -775,7 +777,12 @@ func (m *Mount) flushBufAsync(p *sim.Proc, b *vfs.Buf) {
 // large file); wait also blocks until previously queued asynchronous
 // writes complete.
 func (m *Mount) flushVnode(p *sim.Proc, vn *vnode, wait bool) {
-	for _, b := range m.bufc.DirtyBufs(vn.fileid, vn.gen) {
+	dirty := m.bufc.DirtyBufs(vn.fileid, vn.gen)
+	if len(dirty) == 0 {
+		// Only now: a write may dirty a buffer again while a flush waits.
+		vn.mayBeDirty = false
+	}
+	for _, b := range dirty {
 		if len(m.biodQs) == 0 {
 			m.flushBufDirect(p, b)
 		} else {
@@ -790,17 +797,14 @@ func (m *Mount) flushVnode(p *sim.Proc, vn *vnode, wait bool) {
 }
 
 // SyncAll pushes every dirty block in the cache (the update daemon's job
-// and unmount's), in deterministic vnode order.
+// and unmount's), in deterministic vnode order. Both walk a snapshot of
+// byID, so a vnode created mid-sweep waits for the next one. SyncAll takes
+// its own copy: it can run while the daemon is parked mid-sweep in m.sweep.
 func (m *Mount) SyncAll(p *sim.Proc) {
-	for _, vn := range m.sortedVnodes() {
+	for _, vn := range slices.Clone(m.byID) {
 		m.flushVnode(p, vn, true)
 	}
 }
-
-// sortedVnodes snapshots the vnode table in (fileid, gen) order so that
-// flush sweeps do not depend on map iteration order and skip vnodes created
-// mid-sweep.
-func (m *Mount) sortedVnodes() []*vnode { return slices.Clone(m.byID) }
 
 // biod is one asynchronous I/O daemon draining its own queue: it serves
 // both write-behind and read-ahead. Same-block jobs always land on the
@@ -836,8 +840,11 @@ func (m *Mount) updateDaemon(p *sim.Proc) {
 		if m.closed {
 			return
 		}
-		for _, vn := range m.sortedVnodes() {
-			m.flushVnode(p, vn, false)
+		m.sweep = append(m.sweep[:0], m.byID...)
+		for _, vn := range m.sweep {
+			if vn.mayBeDirty {
+				m.flushVnode(p, vn, false)
+			}
 		}
 	}
 }

@@ -12,6 +12,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"renonfs/internal/ipfrag"
@@ -127,7 +128,7 @@ type Node struct {
 	ephPort int
 
 	Stats   NodeStats
-	profile map[string]sim.Time
+	profile []ProfileBucket // in first-charge order since the last reset
 }
 
 type portKey struct {
@@ -166,18 +167,17 @@ func (nt *Net) AddNode(cfg NodeConfig) *Node {
 		cfg.MIPS = MIPSMicroVAXII
 	}
 	n := &Node{
-		ID:      NodeID(len(nt.nodes)),
-		Name:    cfg.Name,
-		CPU:     sim.NewResource(nt.Env, cfg.Name+".cpu", 1),
-		Model:   DefaultModel(cfg.MIPS),
-		cfg:     cfg,
-		net:     nt,
-		peer:    make(map[NodeID]*Link),
-		routes:  make(map[NodeID]*Link),
-		rxq:     sim.NewQueue[*packet](nt.Env, cfg.Name+".rxq"),
-		reasm:   ipfrag.NewReassembler(15 * 1e9), // 15s, classic BSD value
-		ports:   make(map[portKey]*sim.Queue[*Datagram]),
-		profile: make(map[string]sim.Time),
+		ID:     NodeID(len(nt.nodes)),
+		Name:   cfg.Name,
+		CPU:    sim.NewResource(nt.Env, cfg.Name+".cpu", 1),
+		Model:  DefaultModel(cfg.MIPS),
+		cfg:    cfg,
+		net:    nt,
+		peer:   make(map[NodeID]*Link),
+		routes: make(map[NodeID]*Link),
+		rxq:    sim.NewQueue[*packet](nt.Env, cfg.Name+".rxq"),
+		reasm:  ipfrag.NewReassembler(15 * 1e9), // 15s, classic BSD value
+		ports:  make(map[portKey]*sim.Queue[*Datagram]),
 	}
 	nt.nodes = append(nt.nodes, n)
 	nt.Env.Spawn(cfg.Name+".softnet", n.softnet)
@@ -199,8 +199,21 @@ func (n *Node) ChargeCPU(p *sim.Proc, bucket string, d sim.Time) {
 	if d <= 0 {
 		return
 	}
-	n.profile[bucket] += d
+	n.bucket(bucket).Time += d
 	n.CPU.Use(p, d)
+}
+
+// bucket returns the profile row named name, adding it if the node has not
+// charged it since the last reset. A node charges a handful of names, so a
+// linear search costs less than hashing the name on every charge.
+func (n *Node) bucket(name string) *ProfileBucket {
+	for i := range n.profile {
+		if n.profile[i].Name == name {
+			return &n.profile[i]
+		}
+	}
+	n.profile = append(n.profile, ProfileBucket{Name: name})
+	return &n.profile[len(n.profile)-1]
 }
 
 // ProfileBucket is one row of a CPU profile report.
@@ -212,10 +225,7 @@ type ProfileBucket struct {
 // Profile returns the accumulated CPU profile, largest bucket first — the
 // simulator's version of the kernel profiling in §3.
 func (n *Node) Profile() []ProfileBucket {
-	out := make([]ProfileBucket, 0, len(n.profile))
-	for k, v := range n.profile {
-		out = append(out, ProfileBucket{k, v})
-	}
+	out := slices.Clone(n.profile)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Time != out[j].Time {
 			return out[i].Time > out[j].Time
@@ -228,7 +238,7 @@ func (n *Node) Profile() []ProfileBucket {
 // ResetProfile clears profile buckets and restarts CPU utilization
 // accounting (used to exclude warm-up from measurements).
 func (n *Node) ResetProfile() {
-	n.profile = make(map[string]sim.Time)
+	n.profile = n.profile[:0]
 	n.CPU.ResetStats()
 }
 

@@ -2,6 +2,8 @@ package netsim
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -230,6 +232,63 @@ func TestCPUChargingAndProfile(t *testing.T) {
 	}
 	if a.CPU.BusyTime() == 0 {
 		t.Fatal("CPU busy time not accounted")
+	}
+}
+
+// Profile lists buckets largest first with ties broken by name, and a
+// bucket charged only before ResetProfile is gone after it.
+func TestProfileOrderAndReset(t *testing.T) {
+	env, a, _ := pair(t, 1)
+	charge := func(charges ...any) {
+		env.Spawn("charger", func(p *sim.Proc) {
+			for i := 0; i < len(charges); i += 2 {
+				a.ChargeCPU(p, charges[i].(string), charges[i+1].(sim.Time))
+			}
+		})
+		env.RunAll()
+	}
+	names := func() (out []string) {
+		for _, pb := range a.Profile() {
+			out = append(out, fmt.Sprintf("%s=%v", pb.Name, pb.Time))
+		}
+		return out
+	}
+
+	charge("b", 30*us, "d", 10*us, "a", 20*us, "c", 50*us, "a", 10*us, "e", sim.Time(0))
+	if got, want := names(), []string{"c=50µs", "a=30µs", "b=30µs", "d=10µs"}; !slices.Equal(got, want) {
+		t.Errorf("profile %v, want %v", got, want)
+	}
+	a.ResetProfile()
+	if got := a.Profile(); len(got) != 0 {
+		t.Errorf("profile after reset %v, want empty", got)
+	}
+	charge("d", 5*us, "f", 7*us, "d", 1*us)
+	if got, want := names(), []string{"f=7µs", "d=6µs"}; !slices.Equal(got, want) {
+		t.Errorf("profile after reset %v, want %v", got, want)
+	}
+}
+
+// Charging a bucket the node has seen allocates nothing, across a
+// ResetProfile too: the buckets are a short slice searched by name, and a
+// reset keeps its array. (A count, so a legitimate gate.)
+func TestAllocBudgetChargeCPU(t *testing.T) {
+	env, a, _ := pair(t, 1)
+	buckets := []string{"nic_copy", "nic_drv", "checksum", "ip", "udp", "tx_intr"}
+	env.Spawn("charger", func(p *sim.Proc) {
+		for {
+			for _, b := range buckets {
+				a.ChargeCPU(p, b, 10*us)
+			}
+		}
+	})
+	env.Run(ms) // every bucket charged once
+	horizon := env.Now()
+	if got := testing.AllocsPerRun(100, func() {
+		a.ResetProfile()
+		horizon += ms
+		env.Run(horizon) // 100 charges
+	}); got > 0 {
+		t.Errorf("%.2f allocations per 100 charges, budget 0", got)
 	}
 }
 

@@ -36,27 +36,35 @@ func (f *fifo[T]) pop() (v T) {
 // remove deletes the i-th live entry, keeping the others in order.
 func (f *fifo[T]) remove(i int) { f.buf = slices.Delete(f.buf, f.head+i, f.head+i+1) }
 
-// waiter represents one parked process waiting for a wakeup that may race
-// with a timeout. Exactly one of fire/expire wins.
+// waiter is one listed wait: process p's wait number gen. A wait is open
+// while it is p's current one; the wake-up or the timeout that comes first
+// closes it, so exactly one of them resumes p and an entry left behind in a
+// list, or a timeout event left in the heap, is stale and does nothing.
 type waiter struct {
-	p     *Proc
-	fired bool
-	timer *Timer // timeout resume, nil if none
+	p   *Proc
+	gen uint64
 }
 
-// fire resumes the waiter if it has not already been resumed. It reports
-// whether this call won the race.
-func (w *waiter) fire(e *Env) bool {
-	if w.fired {
+// await opens a new wait on p and returns the entry to list.
+func (p *Proc) await() waiter {
+	p.env.waits++
+	p.wait = p.env.waits
+	return waiter{p, p.wait}
+}
+
+// fire resumes the waiter if its wait is still open and closes it. It
+// reports whether this call won the race.
+func (w waiter) fire(e *Env) bool {
+	if w.p.wait != w.gen {
 		return false
 	}
-	w.fired = true
-	if w.timer != nil {
-		w.timer.Stop()
-	}
+	w.p.wait = 0
 	e.resumeAt(e.now, w.p)
 	return true
 }
+
+// expireAt schedules w's timeout: at when it fires w if nothing has yet.
+func (e *Env) expireAt(when Time, w waiter) { e.push(event{when: when, p: w.p, gen: w.gen}) }
 
 // Queue is an unbounded FIFO of items passed between processes. Send never
 // blocks; Recv blocks until an item is available. A Queue may also be
@@ -65,7 +73,7 @@ type Queue[T any] struct {
 	env     *Env
 	name    string
 	items   fifo[T]
-	waiters fifo[*waiter]
+	waiters fifo[waiter]
 	closed  bool
 	// MaxLen, when > 0, bounds the queue; Send drops the item and returns
 	// false when the bound is reached (drop-tail, used for router queues).
@@ -107,7 +115,7 @@ func (q *Queue[T]) Close() {
 	for _, w := range q.waiters.live() {
 		w.fire(q.env)
 	}
-	q.waiters = fifo[*waiter]{}
+	q.waiters = fifo[waiter]{}
 }
 
 func (q *Queue[T]) wakeOne() {
@@ -128,7 +136,7 @@ func (q *Queue[T]) Recv(p *Proc) (v T, ok bool) {
 		if q.closed {
 			return v, false
 		}
-		q.waiters.push(&waiter{p: p})
+		q.waiters.push(p.await())
 		p.park()
 	}
 }
@@ -144,15 +152,15 @@ func (q *Queue[T]) RecvTimeout(p *Proc, d Time) (v T, ok bool) {
 		if q.closed || q.env.now >= deadline {
 			return v, false
 		}
-		w := &waiter{p: p}
-		w.timer = q.env.At(deadline, func() {
-			if w.fire(q.env) { // the timeout won: w is still listed
-				q.waiters.remove(slices.Index(q.waiters.live(), w))
-			}
-		})
+		w := p.await()
+		q.env.expireAt(deadline, w)
 		q.waiters.push(w)
 		p.park()
-		w.fired = true // consume whichever wakeup parked us
+		if q.env.now >= deadline { // the timeout may have won: w is still listed
+			if i := slices.Index(q.waiters.live(), w); i >= 0 {
+				q.waiters.remove(i)
+			}
+		}
 	}
 }
 
@@ -161,7 +169,7 @@ func (q *Queue[T]) RecvTimeout(p *Proc, d Time) (v T, ok bool) {
 type Event struct {
 	env     *Env
 	set     bool
-	waiters []*waiter
+	waiters []waiter
 }
 
 // NewEvent returns an unset event.
@@ -176,10 +184,7 @@ func (ev *Event) Set() {
 		return
 	}
 	ev.set = true
-	for _, w := range ev.waiters {
-		w.fire(ev.env)
-	}
-	ev.waiters = nil
+	ev.waiters = fireAll(ev.env, ev.waiters)
 }
 
 // Wait blocks until the event is set.
@@ -187,8 +192,7 @@ func (ev *Event) Wait(p *Proc) {
 	if ev.set {
 		return
 	}
-	w := &waiter{p: p}
-	ev.waiters = append(ev.waiters, w)
+	ev.waiters = append(ev.waiters, p.await())
 	p.park()
 }
 
@@ -200,16 +204,14 @@ func (ev *Event) WaitTimeout(p *Proc, d Time) bool {
 	}
 	deadline := ev.env.now + d
 	for !ev.set && ev.env.now < deadline {
-		w := &waiter{p: p}
-		w.timer = ev.env.At(deadline, func() {
-			if w.fire(ev.env) { // the timeout won: w is still listed
-				i := slices.Index(ev.waiters, w)
-				ev.waiters = slices.Delete(ev.waiters, i, i+1)
-			}
-		})
+		w := p.await()
+		ev.env.expireAt(deadline, w)
 		ev.waiters = append(ev.waiters, w)
 		p.park()
-		w.fired = true
+		if !ev.set { // the timeout won: w is still listed
+			i := slices.Index(ev.waiters, w)
+			ev.waiters = slices.Delete(ev.waiters, i, i+1)
+		}
 	}
 	return ev.set
 }
@@ -217,7 +219,7 @@ func (ev *Event) WaitTimeout(p *Proc, d Time) bool {
 // Cond is a broadcast-only condition variable for simulated processes.
 type Cond struct {
 	env     *Env
-	waiters []*waiter
+	waiters []waiter
 }
 
 // NewCond returns a condition variable bound to e.
@@ -226,16 +228,20 @@ func NewCond(e *Env) *Cond { return &Cond{env: e} }
 // Wait parks the process until the next Broadcast. As with sync.Cond the
 // caller must re-check its predicate in a loop.
 func (c *Cond) Wait(p *Proc) {
-	w := &waiter{p: p}
-	c.waiters = append(c.waiters, w)
+	c.waiters = append(c.waiters, p.await())
 	p.park()
 }
 
 // Broadcast wakes every waiting process.
-func (c *Cond) Broadcast() {
-	ws := c.waiters
-	c.waiters = nil
+func (c *Cond) Broadcast() { c.waiters = fireAll(c.env, c.waiters) }
+
+// fireAll fires every waiter in ws and returns ws emptied, its array kept
+// for the next waits. fire runs no process code, so nothing appends to ws
+// while it is walked.
+func fireAll(e *Env, ws []waiter) []waiter {
 	for _, w := range ws {
-		w.fire(c.env)
+		w.fire(e)
 	}
+	clear(ws)
+	return ws[:0]
 }

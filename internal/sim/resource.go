@@ -9,7 +9,7 @@ type Resource struct {
 	name    string
 	slots   int
 	inUse   int
-	waiters fifo[*waiter]
+	waiters fifo[waiter]
 
 	busy       Time // cumulative slot-busy time
 	busySince  Time // when inUse last went 0 -> >0 (single-slot fast path)
@@ -37,7 +37,7 @@ func (r *Resource) account() {
 // Acquire blocks until a slot is free and claims it.
 func (r *Resource) Acquire(p *Proc) {
 	for r.inUse >= r.slots {
-		r.waiters.push(&waiter{p: p})
+		r.waiters.push(p.await())
 		p.park()
 	}
 	r.account()

@@ -23,7 +23,6 @@
 package sim
 
 import (
-	"container/heap"
 	"container/list"
 	"fmt"
 	"iter"
@@ -35,33 +34,20 @@ import (
 // Time is virtual time since the start of the simulation.
 type Time = time.Duration
 
-// Timer is a scheduled callback — the heap entry itself, so scheduling costs
-// one allocation — and the handle At returns to cancel it. Timers with equal
-// when fire in seq order.
-type Timer struct {
+// event is one entry of the event queue, held by value in the heap so that
+// scheduling allocates nothing. It does one of three things: calls fn;
+// resumes p; or, when gen != 0, expires p's wait number gen if that wait is
+// still open. Events with equal when fire in seq order.
+type event struct {
 	when Time
 	seq  uint64
-	fn   func() // nil once fired or cancelled
+	fn   func()
+	p    *Proc
+	gen  uint64
 }
 
-type eventHeap []*Timer
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Timer)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
+func (a *event) before(b *event) bool {
+	return a.when < b.when || a.when == b.when && a.seq < b.seq
 }
 
 // Env is a simulation environment: a clock, an event queue and a set of
@@ -70,7 +56,8 @@ type Env struct {
 	now     Time
 	horizon Time // until of the Run in progress, math.MaxInt64 under RunAll, -1 outside a run
 	seq     uint64
-	events  eventHeap
+	events  []event // a binary min-heap on (when, seq)
+	waits   uint64  // wait numbers handed out; 0 is none
 	rng     *rand.Rand
 	live    list.List // *Proc, started and not yet returned, in spawn order
 	closed  bool
@@ -88,44 +75,76 @@ func (e *Env) Now() Time { return e.now }
 // be used from simulation context (process bodies and event callbacks).
 func (e *Env) Rand() *rand.Rand { return e.rng }
 
-// Stop cancels the timer if it has not fired. It reports whether the timer
-// was still pending.
-func (t *Timer) Stop() bool {
-	if !t.Pending() {
-		return false
-	}
-	t.fn = nil
-	return true
-}
-
-// Pending reports whether the timer is still scheduled and uncancelled.
-func (t *Timer) Pending() bool { return t != nil && t.fn != nil }
-
 // At schedules fn to run at virtual time when (clamped to now). The callback
 // runs in scheduler context and must not block on simulation primitives;
 // use Spawn for blocking activities.
-func (e *Env) At(when Time, fn func()) *Timer {
-	if when < e.now {
-		when = e.now
-	}
-	t := &Timer{when: when, seq: e.seq, fn: fn}
-	e.seq++
-	heap.Push(&e.events, t)
-	return t
-}
+func (e *Env) At(when Time, fn func()) { e.push(event{when: when, fn: fn}) }
 
 // After schedules fn to run d from now.
-func (e *Env) After(d Time, fn func()) *Timer { return e.At(e.now+d, fn) }
+func (e *Env) After(d Time, fn func()) { e.At(e.now+d, fn) }
+
+// push stamps ev with the next sequence number and sifts it up the heap.
+// (container/heap's Push(any) would box the event.)
+func (e *Env) push(ev event) {
+	if ev.when < e.now {
+		ev.when = e.now
+	}
+	ev.seq = e.seq
+	e.seq++
+	h := append(e.events, ev)
+	i := len(h) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !ev.before(&h[up]) {
+			break
+		}
+		h[i] = h[up]
+		i = up
+	}
+	h[i] = ev
+	e.events = h
+}
+
+// pop removes and returns the earliest event.
+func (e *Env) pop() event {
+	h := e.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop its references
+	h = h[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && h[c+1].before(&h[c]) {
+				c++
+			}
+			if !h[c].before(&last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	e.events = h
+	return top
+}
 
 // Proc is a simulated process. The pointer is passed to the process body and
 // is the handle through which the body blocks on simulated primitives.
 type Proc struct {
-	env    *Env
-	name   string
-	resume func()              // scheduler side: switch into the body until it parks
-	stop   func()              // scheduler side: unwind a parked body
-	yield  func(struct{}) bool // body side: switch back to the scheduler
-	elem   *list.Element       // in env.live
+	env   *Env
+	name  string
+	next  func() (struct{}, bool) // scheduler side: switch into the body until it parks
+	stop  func()                  // scheduler side: unwind a parked body
+	yield func(struct{}) bool     // body side: switch back to the scheduler
+	elem  *list.Element           // in env.live
+	wait  uint64                  // number of the open wait, 0 if none (queue.go)
 }
 
 // Env returns the environment the process belongs to.
@@ -151,18 +170,16 @@ func (p *Proc) park() {
 	}
 }
 
-// resumeAt schedules the process to resume at time when. The event is
-// p.resume itself, made once per process, so it costs the Timer and no more.
-// Sleep makes one only when something else could run before when.
-func (e *Env) resumeAt(when Time, p *Proc) { e.At(when, p.resume) }
+// resumeAt schedules the process to resume at time when. Sleep makes one
+// only when something else could run before when.
+func (e *Env) resumeAt(when Time, p *Proc) { e.push(event{when: when, p: p}) }
 
 // Spawn starts fn as a new process at the current virtual time. fn begins
 // executing when the scheduler reaches the spawn event.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{env: e, name: name}
 	e.At(e.now, func() {
-		var next func() (struct{}, bool)
-		next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 			p.yield = yield
 			defer func() {
 				e.live.Remove(p.elem)
@@ -174,9 +191,8 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 			}()
 			fn(p)
 		})
-		p.resume = func() { next() }
 		p.elem = e.live.PushBack(p)
-		p.resume()
+		p.next()
 	})
 	return p
 }
@@ -241,13 +257,22 @@ func (e *Env) RunAll() Time {
 // Close unwinds, skips its park.
 func (e *Env) endRun() { e.horizon = -1 }
 
-// step pops the earliest event and, unless it was cancelled, fires it.
+// step pops the earliest event and fires it. An expiry whose wait has
+// closed is stale: it does nothing and leaves the clock where it is.
 func (e *Env) step() {
-	t := heap.Pop(&e.events).(*Timer)
-	if fn := t.fn; fn != nil {
-		t.fn = nil
-		e.now = t.when
-		fn()
+	ev := e.pop()
+	switch {
+	case ev.fn != nil:
+		e.now = ev.when
+		ev.fn()
+	case ev.gen != 0:
+		if ev.p.wait == ev.gen {
+			e.now = ev.when
+			waiter{ev.p, ev.gen}.fire(e)
+		}
+	default:
+		e.now = ev.when
+		ev.p.next()
 	}
 }
 
