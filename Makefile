@@ -56,10 +56,12 @@ bench:
 # no-consistency bound. Timing comparisons belong to
 # `bash benchmark/run.sh -compare`, not here. The simulation kernel's budgets
 # ride on the first line: a Sleep (parked or not), a queue ping-pong round
-# trip, a RecvTimeout (timed out or woken), a contended Resource.Use and a
-# Cond Wait/Broadcast cycle each allocate 0, with its Sleep and queue
-# benchmarks, and so does a ChargeCPU to a bucket its node has seen. The
-# second line is the zero-copy gate on real sockets: an 8 KB READ over
+# trip, a RecvTimeout (timed out or woken), a contended Resource.Use,
+# callbacks due now and a Cond Wait/Broadcast cycle each allocate 0, with its
+# Sleep and queue benchmarks, and so does a ChargeCPU to a bucket its node has
+# seen; an 8 KB UDP datagram across a simulated link allocates only its
+# Datagram, and reassembly on recycled state allocates nothing. The second
+# line is the zero-copy gate on real sockets: an 8 KB READ over
 # loopback UDP and TCP and an 8 KB WRITE over UDP copy no payload byte
 # through mbufs in user space, the batched sendmmsg / TCP writev writers
 # allocate nothing per reply, a data RPC served on the reader stays inside
@@ -67,7 +69,7 @@ bench:
 # the name string), and record ingest neither allocates nor moves a byte per
 # whole record.
 bench-smoke:
-	$(GO) test -run 'TestAllocBudget|TestReadReplyZeroCopy|TestLeaseCreateDeleteGate' -bench=. -benchmem -benchtime 1x . ./internal/sim ./internal/netsim
+	$(GO) test -run 'TestAllocBudget|TestReadReplyZeroCopy|TestLeaseCreateDeleteGate' -bench=. -benchmem -benchtime 1x . ./internal/sim ./internal/netsim ./internal/ipfrag
 	$(GO) test -run 'TestRealSocketReadZeroCopy|TestRealSocketWriteZeroCopy|TestAllocBudget' -v ./internal/nfsnet ./internal/rpc
 
 # The lease-coherence sweep: the two-client close-to-open model, the

@@ -29,7 +29,7 @@ func runAndrew(seed int64, clientMIPS float64, srvOpts server.Options, kind Tran
 	}
 	var res *workload.AndrewResult
 	var runErr error
-	r.Env.Spawn("mab", func(p *sim.Proc) {
+	runWorkload(r.Env, "mab", 12*time.Hour, func(p *sim.Proc) {
 		m, err := r.Mount(p, kind, opts)
 		if err != nil {
 			runErr = err
@@ -37,7 +37,6 @@ func runAndrew(seed int64, clientMIPS float64, srvOpts server.Options, kind Tran
 		}
 		res, runErr = workload.RunAndrew(p, m, files)
 	})
-	r.Env.Run(12 * time.Hour)
 	if runErr != nil {
 		return nil, runErr
 	}
@@ -196,7 +195,7 @@ func expTable5(cfg ExpConfig) []*stats.Table {
 			r := NewRig(RigConfig{Seed: cfg.seed() + int64(ri*10+si), Topology: TopoLAN, ServerDisk: true})
 			var mean float64
 			ok := false
-			r.Env.Spawn("cd", func(p *sim.Proc) {
+			runWorkload(r.Env, "cd", 8*time.Hour, func(p *sim.Proc) {
 				var fs workload.BenchFS
 				if row.local {
 					disk := memfs.NewRD53(r.Env, "client.rd53")
@@ -216,7 +215,6 @@ func expTable5(cfg ExpConfig) []*stats.Table {
 				mean = res.MeanMS
 				ok = true
 			})
-			r.Env.Run(8 * time.Hour)
 			r.Close()
 			if ok {
 				cells = append(cells, fmt.Sprintf("%.0f", mean))
@@ -245,7 +243,7 @@ func expAppendixA(cfg ExpConfig) []*stats.Table {
 			}
 			var rtt float64
 			hits := 0
-			r.Env.Spawn("bench", func(p *sim.Proc) {
+			runWorkload(r.Env, "bench", cfg.warmup()+cfg.window()+20*time.Minute, func(p *sim.Proc) {
 				tr, _ := r.DialTransport(p, UDPDynamic)
 				nh := &workload.Nhfsstone{
 					Cfg: workload.NhfsstoneConfig{
@@ -263,7 +261,6 @@ func expAppendixA(cfg ExpConfig) []*stats.Table {
 				rtt = res.RTT[nfsproto.ProcLookup].Mean()
 				hits = r.Server.NameCacheStats().Hits
 			})
-			r.Env.Run(cfg.warmup() + cfg.window() + 20*time.Minute)
 			r.Close()
 			names := "short"
 			if long {
@@ -283,7 +280,7 @@ func expAppendixA(cfg ExpConfig) []*stats.Table {
 	for _, preload := range []bool{false, true} {
 		r := NewRig(RigConfig{Seed: cfg.seed(), Topology: TopoLAN})
 		var rtt float64
-		r.Env.Spawn("bench", func(p *sim.Proc) {
+		runWorkload(r.Env, "bench", cfg.warmup()+cfg.window()+20*time.Minute, func(p *sim.Proc) {
 			tr, _ := r.DialTransport(p, UDPDynamic)
 			size := 0
 			if preload {
@@ -307,7 +304,6 @@ func expAppendixA(cfg ExpConfig) []*stats.Table {
 			res := nh.Run(p)
 			rtt = res.RTT[nfsproto.ProcRead].Mean()
 		})
-		r.Env.Run(cfg.warmup() + cfg.window() + 20*time.Minute)
 		r.Close()
 		name := "empty files"
 		if preload {

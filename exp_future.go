@@ -102,7 +102,7 @@ func futureCreateDelete(cfg ExpConfig) *stats.Table {
 			ServerOpts: row.srv, ServerDisk: true})
 		var mean float64
 		ok := false
-		r.Env.Spawn("cd", func(p *sim.Proc) {
+		runWorkload(r.Env, "cd", 4*time.Hour, func(p *sim.Proc) {
 			m, err := r.Mount(p, UDPDynamic, row.opts)
 			if err != nil {
 				return
@@ -114,7 +114,6 @@ func futureCreateDelete(cfg ExpConfig) *stats.Table {
 			mean = res.MeanMS
 			ok = true
 		})
-		r.Env.Run(4 * time.Hour)
 		r.Close()
 		if ok {
 			t.AddRow(row.name, fmt.Sprintf("%.0f", mean))
@@ -140,7 +139,7 @@ func futureReaddirLook(cfg ExpConfig) *stats.Table {
 		}
 		var st client.Stats
 		ok := false
-		r.Env.Spawn("ls", func(p *sim.Proc) {
+		runWorkload(r.Env, "ls", time.Hour, func(p *sim.Proc) {
 			m, err := r.Mount(p, UDPDynamic, opts)
 			if err != nil {
 				return
@@ -182,7 +181,6 @@ func futureReaddirLook(cfg ExpConfig) *stats.Table {
 			}
 			ok = true
 		})
-		r.Env.Run(time.Hour)
 		r.Close()
 		if !ok {
 			t.AddRow(name, "-", "-", "-", "-")
@@ -234,7 +232,7 @@ func futureAdaptive(cfg ExpConfig) *stats.Table {
 		m := client.NewMount(cl, tr, srv.RootFH(), opts)
 		var elapsed sim.Time
 		ok := false
-		env.Spawn("reader", func(p *sim.Proc) {
+		runWorkload(env, "reader", time.Hour, func(p *sim.Proc) {
 			start := p.Now()
 			f, err := m.Open(p, "big")
 			if err != nil {
@@ -258,7 +256,6 @@ func futureAdaptive(cfg ExpConfig) *stats.Table {
 			elapsed = p.Now() - start
 			ok = true
 		})
-		env.Run(time.Hour)
 		env.Close()
 		if !ok {
 			t.AddRow(name, "-", "-", "-")

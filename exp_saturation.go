@@ -78,12 +78,11 @@ func expSaturation(cfg ExpConfig) []*stats.Table {
 		// Read utilizations the moment the load ends, not after the idle
 		// run-out (which would dilute the window).
 		var cpuUtil, diskUtil float64
-		env.Spawn("wait", func(p *sim.Proc) {
+		runWorkload(env, "wait", cfg.warmup()+cfg.window()+30*time.Minute, func(p *sim.Proc) {
 			done.Wait(p)
 			cpuUtil = mt.Server.CPU.Utilization()
 			diskUtil = disk.Utilization()
 		})
-		env.Run(cfg.warmup() + cfg.window() + 30*time.Minute)
 		achieved := 0.0
 		var rtt stats.Summary
 		var lookupHist metrics.HistogramSnapshot

@@ -114,7 +114,7 @@ func runNhfsstone(cfg ExpConfig, topo Topology, kind TransportKind, mix map[uint
 	defer r.Close()
 	var res *workload.NhfsstoneResult
 	var cpu float64
-	r.Env.Spawn("bench", func(p *sim.Proc) {
+	runWorkload(r.Env, "bench", cfg.warmup()+cfg.window()+20*time.Minute, func(p *sim.Proc) {
 		tr, err := r.DialTransport(p, kind)
 		if err != nil {
 			return
@@ -138,7 +138,6 @@ func runNhfsstone(cfg ExpConfig, topo Topology, kind TransportKind, mix map[uint
 		res = nh.Run(p)
 		cpu = r.Net.Server.CPU.Utilization()
 	})
-	r.Env.Run(cfg.warmup() + cfg.window() + 20*time.Minute)
 	return res, cpu
 }
 
@@ -248,7 +247,7 @@ func expGraph7(cfg ExpConfig) []*stats.Table {
 	}
 	var trace []point
 	var start sim.Time
-	r.Env.Spawn("bench", func(p *sim.Proc) {
+	runWorkload(r.Env, "bench", cfg.warmup()+cfg.window()+20*time.Minute, func(p *sim.Proc) {
 		ucfg := transport.DynamicUDP()
 		ucfg.Tracer = metrics.FuncTracer(func(ev metrics.Event) {
 			if rep, ok := ev.(metrics.Reply); ok && rep.Proc == nfsproto.ProcRead {
@@ -272,7 +271,6 @@ func expGraph7(cfg ExpConfig) []*stats.Table {
 		start = p.Now()
 		nh.Run(p)
 	})
-	r.Env.Run(cfg.warmup() + cfg.window() + 20*time.Minute)
 	t := stats.NewTable("Graph #7: read RPC trace (RTT and RTO = A+4D)",
 		"t(s)", "rtt(ms)", "rto(ms)")
 	maxRows := 60
@@ -335,7 +333,7 @@ func expProfile3(cfg ExpConfig) []*stats.Table {
 		defer r.Close()
 		var buckets []netsim.ProfileBucket
 		var busy sim.Time
-		r.Env.Spawn("bench", func(p *sim.Proc) {
+		runWorkload(r.Env, "bench", cfg.warmup()+cfg.window()+20*time.Minute, func(p *sim.Proc) {
 			tr, _ := r.DialTransport(p, UDPDynamic)
 			nh := &workload.Nhfsstone{
 				Cfg: workload.NhfsstoneConfig{
@@ -355,7 +353,6 @@ func expProfile3(cfg ExpConfig) []*stats.Table {
 			buckets = r.Net.Server.Profile()
 			busy = r.Net.Server.CPU.BusyTime()
 		})
-		r.Env.Run(cfg.warmup() + cfg.window() + 20*time.Minute)
 		m := make(map[string]sim.Time)
 		for _, b := range buckets {
 			m[b.Name] = b.Time
@@ -448,7 +445,7 @@ func ablationRun(cfg ExpConfig, topo Topology, name string, ucfg transport.UDPCo
 	}
 	var res *workload.NhfsstoneResult
 	var readRetries int
-	r.Env.Spawn("bench", func(p *sim.Proc) {
+	runWorkload(r.Env, "bench", cfg.warmup()+3*cfg.window()+40*time.Minute, func(p *sim.Proc) {
 		tr := r.DialUDPConfig(ucfg)
 		nh := &workload.Nhfsstone{
 			Cfg: workload.NhfsstoneConfig{
@@ -466,7 +463,6 @@ func ablationRun(cfg ExpConfig, topo Topology, name string, ucfg transport.UDPCo
 		res = nh.Run(p)
 		readRetries = tr.Stats().RetryClass[transport.ClassRead]
 	})
-	r.Env.Run(cfg.warmup() + 3*cfg.window() + 40*time.Minute)
 	if res == nil || res.RTT[nfsproto.ProcRead] == nil {
 		return []any{name, "-", "-", "-", "-"}
 	}

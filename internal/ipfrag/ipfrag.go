@@ -9,7 +9,11 @@
 // network simulator supplies actual delivery and loss.
 package ipfrag
 
-import "renonfs/internal/sim"
+import (
+	"slices"
+
+	"renonfs/internal/sim"
+)
 
 // Frag describes one fragment of a datagram: payload bytes [Off, Off+Len).
 type Frag struct {
@@ -114,18 +118,11 @@ func (st *state) add(off, end int) {
 			return
 		}
 	}
-	merged := make([]span, 0, len(st.spans)+1)
-	placed := false
-	for _, s := range st.spans {
-		if !placed && s.off > off {
-			merged = append(merged, span{off, end})
-			placed = true
-		}
-		merged = append(merged, s)
+	i := 0
+	for i < len(st.spans) && st.spans[i].off <= off {
+		i++
 	}
-	if !placed {
-		merged = append(merged, span{off, end})
-	}
+	merged := slices.Insert(st.spans, i, span{off, end})
 	// Coalesce overlapping/adjacent neighbours (in place: the write index
 	// never passes the read index).
 	out := merged[:1]
@@ -155,10 +152,13 @@ func (st *state) complete() bool {
 
 // Reassembler tracks in-progress datagrams and decides when one completes.
 // It is purely logical: callers feed it fragment arrivals and the current
-// virtual time; expiry of stale state happens lazily.
+// virtual time; expiry of stale state happens lazily. A datagram that
+// arrives whole needs no state; the state of a fragmented one is recycled
+// once it completes or expires.
 type Reassembler struct {
 	Timeout sim.Time
 	pending map[Key]*state
+	free    []*state // released states, coverage emptied, for reuse
 	// Expired counts datagrams abandoned by timeout (IP "reassembly
 	// timeouts" — each one is a silently lost RPC for fixed-RTO UDP).
 	Expired int
@@ -177,15 +177,19 @@ func (r *Reassembler) Pending() int { return len(r.pending) }
 func (r *Reassembler) Add(k Key, f Frag, now sim.Time) bool {
 	st := r.pending[k]
 	if st == nil {
-		st = &state{total: -1, deadline: now + r.Timeout}
+		if f.Off == 0 && !f.More {
+			return true // unfragmented: whole on arrival
+		}
+		st = r.alloc()
 		r.pending[k] = st
+		st.deadline = now + r.Timeout
 	} else if now > st.deadline {
 		// Stale state: the old datagram is abandoned and this fragment
 		// starts a fresh attempt (e.g. a retransmitted UDP RPC reusing
 		// nothing — IDs are unique, so in practice this is rare).
 		r.Expired++
-		st = &state{total: -1, deadline: now + r.Timeout}
-		r.pending[k] = st
+		st.reset()
+		st.deadline = now + r.Timeout
 	}
 	st.add(f.Off, f.Off+f.Len)
 	if !f.More {
@@ -193,9 +197,33 @@ func (r *Reassembler) Add(k Key, f Frag, now sim.Time) bool {
 	}
 	if st.complete() {
 		delete(r.pending, k)
+		r.release(st)
 		return true
 	}
 	return false
+}
+
+// alloc returns an empty state, recycled if one is free.
+func (r *Reassembler) alloc() *state {
+	n := len(r.free)
+	if n == 0 {
+		return &state{total: -1}
+	}
+	st := r.free[n-1]
+	r.free = r.free[:n-1]
+	return st
+}
+
+// release empties st and frees it for the next fragmented datagram.
+func (r *Reassembler) release(st *state) {
+	st.reset()
+	r.free = append(r.free, st)
+}
+
+// reset empties the coverage, keeping the spans' array.
+func (st *state) reset() {
+	st.total = -1
+	st.spans = st.spans[:0]
 }
 
 // Expire drops all reassembly state whose deadline has passed, returning
@@ -206,6 +234,7 @@ func (r *Reassembler) Expire(now sim.Time) int {
 	for k, st := range r.pending {
 		if now > st.deadline {
 			delete(r.pending, k)
+			r.release(st)
 			n++
 		}
 	}

@@ -196,3 +196,63 @@ func TestReassemblyOverlappingFragments(t *testing.T) {
 		t.Fatalf("pending = %d", r.Pending())
 	}
 }
+
+// A datagram that fits one frame completes on arrival and leaves no state,
+// even while a fragmented one from the same source is pending.
+func TestUnfragmentedCompletesWithoutState(t *testing.T) {
+	r := NewReassembler(15 * time.Second)
+	big := Split(5000, 1480)
+	r.Add(Key{Src: 1, ID: 1}, big[0], 0)
+	for id := uint32(2); id < 10; id++ {
+		if !r.Add(Key{Src: 1, ID: id}, Frag{Off: 0, Len: 900}, 0) {
+			t.Fatalf("unfragmented datagram %d did not complete", id)
+		}
+	}
+	if r.Pending() != 1 || len(r.free) != 0 {
+		t.Fatalf("pending = %d, free = %d; want only the fragmented datagram", r.Pending(), len(r.free))
+	}
+}
+
+// A state recycled from a completed datagram starts with no coverage: the
+// first and last fragments of the next datagram of the same size do not
+// complete it on the spans the previous one left.
+func TestRecycledStateStartsEmpty(t *testing.T) {
+	r := NewReassembler(15 * time.Second)
+	frags := Split(5000, 1480)
+	for _, f := range frags {
+		r.Add(Key{Src: 1, ID: 1}, f, 0)
+	}
+	if len(r.free) != 1 {
+		t.Fatalf("free = %d after a completion, want 1", len(r.free))
+	}
+	next := Key{Src: 1, ID: 2}
+	if r.Add(next, frags[0], 0) || r.Add(next, frags[len(frags)-1], 0) {
+		t.Fatal("a recycled state completed on its previous datagram's spans")
+	}
+	for _, f := range frags[1 : len(frags)-1] {
+		r.Add(next, f, 0)
+	}
+	if r.Pending() != 0 {
+		t.Fatalf("pending = %d after every fragment", r.Pending())
+	}
+}
+
+// Expire frees the states it drops, and the next fragmented datagrams reuse
+// them instead of allocating. (A count, so a legitimate gate.)
+func TestAllocBudgetExpireRecycles(t *testing.T) {
+	r := NewReassembler(time.Second)
+	frags := Split(5000, 1480)
+	for id := uint32(1); id <= 3; id++ {
+		r.Add(Key{Src: 1, ID: id}, frags[0], 0)
+	}
+	if n := r.Expire(2 * time.Second); n != 3 || r.Pending() != 0 || len(r.free) != 3 {
+		t.Fatalf("Expire = %d, pending %d, free %d; want 3, 0, 3", n, r.Pending(), len(r.free))
+	}
+	if got := testing.AllocsPerRun(10, func() {
+		r.Add(Key{Src: 2, ID: 1}, frags[0], 3*time.Second)
+		r.Add(Key{Src: 2, ID: 1}, frags[1], 3*time.Second)
+		r.Expire(5 * time.Second)
+	}); got > 0 {
+		t.Errorf("%.1f allocations per fragmented datagram on recycled state, budget 0", got)
+	}
+}

@@ -64,14 +64,15 @@ func (dg *Datagram) Len() int {
 	return dg.Payload.Len()
 }
 
-// packet is one link-layer frame: a fragment of a datagram.
+// packet is one link-layer frame: a fragment of a datagram. Frames are
+// values, queued and propagated by copy, so a frame allocates nothing.
 type packet struct {
 	dg   *Datagram
 	frag ipfrag.Frag
 }
 
 // wireBytes is the frame size on the wire.
-func (p *packet) wireBytes() int {
+func (p packet) wireBytes() int {
 	n := etherIPHeader + p.frag.Len
 	if p.frag.Off == 0 {
 		n += p.dg.HeaderBytes
@@ -118,14 +119,19 @@ type Node struct {
 	cfg   NodeConfig
 	net   *Net
 
-	ifaces  []*Link          // outgoing links
-	peer    map[NodeID]*Link // outgoing link by neighbour
-	routes  map[NodeID]*Link // outgoing link by final destination
-	rxq     *sim.Queue[*packet]
-	reasm   *ipfrag.Reassembler
-	ports   map[portKey]*sim.Queue[*Datagram]
-	dgramID uint32
-	ephPort int
+	ifaces    []*Link          // outgoing links
+	peer      map[NodeID]*Link // outgoing link by neighbour
+	routes    map[NodeID]*Link // outgoing link by final destination
+	rxq       sim.FIFO[packet] // frames arrived and not yet taken by softnet
+	rxBusy    bool             // softnet is scheduled or running
+	rxStage   int              // where softnet picks up
+	rxCharge  int              // the step of its CPU charge under way
+	rxCur     packet           // the frame softnet has in hand
+	softnetFn func()           // n.softnet, bound once
+	reasm     *ipfrag.Reassembler
+	ports     map[portKey]*sim.Queue[*Datagram]
+	dgramID   uint32
+	ephPort   int
 
 	Stats   NodeStats
 	profile []ProfileBucket // in first-charge order since the last reset
@@ -161,7 +167,7 @@ func (nt *Net) Links() []*Link {
 // Links returns the node's outgoing links in attachment order.
 func (n *Node) Links() []*Link { return n.ifaces }
 
-// AddNode creates a node and starts its receive process.
+// AddNode creates a node.
 func (nt *Net) AddNode(cfg NodeConfig) *Node {
 	if cfg.MIPS == 0 {
 		cfg.MIPS = MIPSMicroVAXII
@@ -175,12 +181,11 @@ func (nt *Net) AddNode(cfg NodeConfig) *Node {
 		net:    nt,
 		peer:   make(map[NodeID]*Link),
 		routes: make(map[NodeID]*Link),
-		rxq:    sim.NewQueue[*packet](nt.Env, cfg.Name+".rxq"),
 		reasm:  ipfrag.NewReassembler(15 * 1e9), // 15s, classic BSD value
 		ports:  make(map[portKey]*sim.Queue[*Datagram]),
 	}
+	n.softnetFn = n.softnet
 	nt.nodes = append(nt.nodes, n)
-	nt.Env.Spawn(cfg.Name+".softnet", n.softnet)
 	return n
 }
 
@@ -369,13 +374,13 @@ func (n *Node) SendDatagram(p *sim.Proc, dg *Datagram) {
 		panic(fmt.Sprintf("netsim: %s: no route to node %d", n.Name, dg.Dst))
 	}
 	ipfrag.ForEach(dg.Len(), lk.cfg.MTU-etherIPHeader, func(f ipfrag.Frag) {
-		n.transmit(p, lk, &packet{dg: dg, frag: f})
+		n.transmit(p, lk, packet{dg: dg, frag: f})
 	})
 	n.Stats.DgramsOut++
 }
 
 // transmit charges per-packet TX costs and enqueues the frame on the link.
-func (n *Node) transmit(p *sim.Proc, lk *Link, pk *packet) {
+func (n *Node) transmit(p *sim.Proc, lk *Link, pk packet) {
 	m := &n.Model
 	n.ChargeCPU(p, "ip", m.Cost(m.IPPkt))
 	// NIC copy: with page-remap TX only non-cluster bytes are copied and
@@ -399,77 +404,174 @@ func (n *Node) transmit(p *sim.Proc, lk *Link, pk *packet) {
 	lk.enqueue(pk)
 }
 
-// softnet is the node's receive process: it drains arriving frames,
-// charges receive-path CPU, forwards (routers) or reassembles and
-// demultiplexes (hosts).
-func (n *Node) softnet(p *sim.Proc) {
-	m := &n.Model
-	for {
-		pk, ok := n.rxq.Recv(p)
-		if !ok {
-			return
-		}
-		n.Stats.PktsIn++
-		n.Stats.BytesIn += pk.wireBytes()
-		if pk.dg.Dst != n.ID {
-			if !n.cfg.Forward {
-				continue // not for us and we are no router: drop
-			}
-			n.ChargeCPU(p, "forward", m.Cost(m.ForwardPkt))
-			lk := n.routes[pk.dg.Dst]
-			if lk == nil {
-				continue
-			}
-			// Fragment further if the next link's MTU is smaller.
-			maxPayload := lk.cfg.MTU - etherIPHeader
-			if pk.frag.Len > maxPayload {
-				ipfrag.ForEach(pk.frag.Len, maxPayload, func(sub ipfrag.Frag) {
-					n.Stats.PktsOut++
-					spk := &packet{dg: pk.dg, frag: ipfrag.Frag{
-						Off:  pk.frag.Off + sub.Off,
-						Len:  sub.Len,
-						More: sub.More || pk.frag.More,
-					}}
-					n.Stats.BytesOut += spk.wireBytes()
-					lk.enqueue(spk)
-				})
-			} else {
-				n.Stats.PktsOut++
-				n.Stats.BytesOut += pk.wireBytes()
-				lk.enqueue(pk)
-			}
-			n.Stats.Forwarded++
-			n.net.trace(p.Now(), n.Name, TraceFwd, pk)
-			continue
-		}
-		// Host receive path.
-		n.net.trace(p.Now(), n.Name, TraceRecv, pk)
-		n.ChargeCPU(p, "nic_drv", m.Cost(m.EtherRxPkt))
-		n.ChargeCPU(p, "ip", m.Cost(m.IPPkt))
-		key := ipfrag.Key{Src: int(pk.dg.Src), ID: pk.dg.ID}
-		if !n.reasm.Add(key, pk.frag, p.Now()) {
-			n.reasm.Expire(p.Now())
-			continue
-		}
-		// Datagram complete: transport processing, checksum, demux.
-		switch pk.dg.Proto {
-		case ProtoUDP:
-			n.ChargeCPU(p, "udp", m.Cost(m.UDPPkt))
-		case ProtoTCP:
-			n.ChargeCPU(p, "tcp", m.Cost(m.TCPPkt))
-		}
-		n.ChargeCPU(p, "checksum", m.CostBytes(m.ChecksumPerByte, pk.dg.Len()+pk.dg.HeaderBytes))
-		if pk.dg.Corrupted {
-			// The checksum was computed (and paid for) before it failed.
-			n.Stats.ChecksumDrops++
-			continue
-		}
-		q := n.ports[portKey{pk.dg.Proto, pk.dg.DstPort}]
-		if q == nil {
-			n.Stats.NoPortDrops++
-			continue
-		}
-		n.Stats.DgramsIn++
-		q.Send(pk.dg)
+// receive hands the node a frame off a link. A frame that finds the receive
+// path idle starts it at the current instant.
+func (n *Node) receive(pk packet) {
+	n.rxq.Push(pk)
+	if !n.rxBusy {
+		n.rxBusy = true
+		n.net.Env.At(n.net.Env.Now(), n.softnetFn)
 	}
 }
+
+// Receive-path stages: where softnet picks up.
+const (
+	rxNext      = iota // take the next frame
+	rxForward          // charge forwarding, then route the frame on
+	rxNIC              // charge the NIC's receive interrupt
+	rxIP               // charge IP input, then reassemble
+	rxTransport        // charge UDP or TCP input
+	rxChecksum         // charge the checksum, then demultiplex
+)
+
+// softnet is the node's receive path: it drains arriving frames, charges
+// receive-path CPU, forwards (routers) or reassembles and demultiplexes
+// (hosts). Like a link's transmitter it is a chain of events, not a
+// process: each CPU charge is charge's Use, and it returns where that would
+// park a process, to run again where the process would resume.
+func (n *Node) softnet() {
+	m := &n.Model
+	for {
+		pk := n.rxCur
+		switch n.rxStage {
+		case rxNext:
+			if n.rxq.Len() == 0 {
+				n.rxBusy = false
+				return
+			}
+			pk = n.rxq.Pop()
+			n.rxCur = pk
+			n.Stats.PktsIn++
+			n.Stats.BytesIn += pk.wireBytes()
+			switch {
+			case pk.dg.Dst == n.ID:
+				n.net.trace(n.net.Env.Now(), n.Name, TraceRecv, pk)
+				n.rxStage = rxNIC
+			case n.cfg.Forward:
+				n.rxStage = rxForward
+			} // else not for us and we are no router: drop
+		case rxForward:
+			if !n.charge("forward", m.Cost(m.ForwardPkt)) {
+				return
+			}
+			n.forward(pk)
+			n.rxStage = rxNext
+		case rxNIC:
+			if !n.charge("nic_drv", m.Cost(m.EtherRxPkt)) {
+				return
+			}
+			n.rxStage = rxIP
+		case rxIP:
+			if !n.charge("ip", m.Cost(m.IPPkt)) {
+				return
+			}
+			now := n.net.Env.Now()
+			if n.reasm.Add(ipfrag.Key{Src: int(pk.dg.Src), ID: pk.dg.ID}, pk.frag, now) {
+				n.rxStage = rxTransport // datagram complete
+			} else {
+				n.reasm.Expire(now)
+				n.rxStage = rxNext
+			}
+		case rxTransport:
+			switch pk.dg.Proto {
+			case ProtoUDP:
+				if !n.charge("udp", m.Cost(m.UDPPkt)) {
+					return
+				}
+			case ProtoTCP:
+				if !n.charge("tcp", m.Cost(m.TCPPkt)) {
+					return
+				}
+			}
+			n.rxStage = rxChecksum
+		case rxChecksum:
+			if !n.charge("checksum", m.CostBytes(m.ChecksumPerByte, pk.dg.Len()+pk.dg.HeaderBytes)) {
+				return
+			}
+			n.rxStage = rxNext
+			n.demux(pk.dg)
+		}
+	}
+}
+
+// forward sends a frame not addressed to this router on toward its
+// destination, fragmenting it further if the next link's MTU is smaller.
+func (n *Node) forward(pk packet) {
+	lk := n.routes[pk.dg.Dst]
+	if lk == nil {
+		return
+	}
+	maxPayload := lk.cfg.MTU - etherIPHeader
+	if pk.frag.Len > maxPayload {
+		ipfrag.ForEach(pk.frag.Len, maxPayload, func(sub ipfrag.Frag) {
+			n.Stats.PktsOut++
+			spk := packet{dg: pk.dg, frag: ipfrag.Frag{
+				Off:  pk.frag.Off + sub.Off,
+				Len:  sub.Len,
+				More: sub.More || pk.frag.More,
+			}}
+			n.Stats.BytesOut += spk.wireBytes()
+			lk.enqueue(spk)
+		})
+	} else {
+		n.Stats.PktsOut++
+		n.Stats.BytesOut += pk.wireBytes()
+		lk.enqueue(pk)
+	}
+	n.Stats.Forwarded++
+	n.net.trace(n.net.Env.Now(), n.Name, TraceFwd, pk)
+}
+
+// demux hands a complete datagram to the socket bound to its port, unless
+// fault injection corrupted it in flight: its checksum was computed, and
+// paid for, before it failed.
+func (n *Node) demux(dg *Datagram) {
+	if dg.Corrupted {
+		n.Stats.ChecksumDrops++
+		return
+	}
+	q := n.ports[portKey{dg.Proto, dg.DstPort}]
+	if q == nil {
+		n.Stats.NoPortDrops++
+		return
+	}
+	n.Stats.DgramsIn++
+	q.Send(dg)
+}
+
+// charge is ChargeCPU for softnet: Use's acquire, hold and release of the
+// CPU as steps. It reports true once the charge is done, and false where Use
+// would park the process: waiting for the CPU, or holding it for d when the
+// clock cannot advance in place. softnet is then scheduled to run again
+// where the process would resume, and calls charge again for the same step.
+func (n *Node) charge(bucket string, d sim.Time) bool {
+	switch n.rxCharge {
+	case chargeNone:
+		if d <= 0 {
+			return true
+		}
+		n.bucket(bucket).Time += d
+		n.rxCharge = chargeAcquire
+		fallthrough
+	case chargeAcquire:
+		if !n.CPU.AcquireFunc(n.softnetFn) {
+			return false
+		}
+		n.rxCharge = chargeHold
+		if !sleep(n.net.Env, d, n.softnetFn) {
+			return false
+		}
+		fallthrough
+	default: // chargeHold: the charge has run its time
+		n.CPU.Release()
+		n.rxCharge = chargeNone
+		return true
+	}
+}
+
+// Steps of a softnet charge.
+const (
+	chargeNone    = iota // no charge under way
+	chargeAcquire        // waiting for the CPU
+	chargeHold           // holding the CPU for the charge's time
+)

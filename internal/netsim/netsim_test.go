@@ -292,6 +292,42 @@ func TestAllocBudgetChargeCPU(t *testing.T) {
 	}
 }
 
+// An 8 KB UDP datagram sent across one link, six frames serialized,
+// propagated and reassembled at the far host, allocates only its Datagram:
+// frames are values on the link's ring and pipe, the transmitter and
+// arrivals are events bound once, and reassembly state is recycled. (A
+// count, so a legitimate gate.)
+func TestAllocBudgetDatagramAcrossLink(t *testing.T) {
+	env, a, b := pair(t, 1)
+	sa, sb := a.UDPSocket(1001), b.UDPSocket(2049)
+	payload := mbuf.FromBytes(bytes.Repeat([]byte{1}, 8192))
+	received := 0
+	env.Spawn("rx", func(p *sim.Proc) {
+		for {
+			if _, ok := sb.Recv(p); ok {
+				received++
+			}
+		}
+	})
+	env.Spawn("tx", func(p *sim.Proc) {
+		for {
+			sa.Send(p, b.ID, 2049, payload)
+			p.Sleep(200*ms - p.Now()%(200*ms)) // one per 200 ms, long past its arrival
+		}
+	})
+	env.Run(time.Second)
+	before, horizon := received, env.Now()
+	if got := testing.AllocsPerRun(50, func() {
+		horizon += 200 * ms
+		env.Run(horizon) // one datagram
+	}); got > 1 {
+		t.Errorf("%.2f allocations per 8 KB datagram, budget 1 (the Datagram)", got)
+	}
+	if received-before != 51 || b.reasm.Pending() != 0 {
+		t.Fatalf("%d datagrams received in 51 runs, %d under reassembly", received-before, b.reasm.Pending())
+	}
+}
+
 func TestPageRemapReducesCopyCost(t *testing.T) {
 	run := func(remap, noIntr bool) sim.Time {
 		env := sim.New(5)

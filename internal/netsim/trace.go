@@ -77,7 +77,7 @@ func (ev TraceEvent) String() string {
 func (nt *Net) SetTracer(tr metrics.Tracer) { nt.tracer = tr }
 
 // trace emits an event if a tracer is installed.
-func (nt *Net) trace(at sim.Time, where string, op TraceKind, pk *packet) {
+func (nt *Net) trace(at sim.Time, where string, op TraceKind, pk packet) {
 	if nt.tracer == nil {
 		return
 	}

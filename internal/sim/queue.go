@@ -2,21 +2,25 @@ package sim
 
 import "slices"
 
-// fifo is a first-in first-out buffer that reuses its array: pop advances a
+// FIFO is a first-in first-out buffer that reuses its array: Pop advances a
 // head index, which resets to the front when a pop drains the buffer, and a
-// push that finds the array full slides the live entries down instead of
-// growing it once at least half of it is popped space.
-type fifo[T any] struct {
+// Push that finds the array full slides the live entries down instead of
+// growing it once at least half of it is popped space. The zero value is an
+// empty FIFO. Unlike a Queue it never blocks: it is for the event-driven
+// models' own buffers as much as the kernel's.
+type FIFO[T any] struct {
 	buf  []T
 	head int
 }
 
-func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+// Len returns the number of entries queued.
+func (f *FIFO[T]) Len() int { return len(f.buf) - f.head }
 
 // live returns the queued entries, oldest first. It aliases the buffer.
-func (f *fifo[T]) live() []T { return f.buf[f.head:] }
+func (f *FIFO[T]) live() []T { return f.buf[f.head:] }
 
-func (f *fifo[T]) push(v T) {
+// Push appends v.
+func (f *FIFO[T]) Push(v T) {
 	if len(f.buf) == cap(f.buf) && f.head > 0 && 2*f.head >= len(f.buf) {
 		n := copy(f.buf, f.live())
 		clear(f.buf[n:])
@@ -25,7 +29,8 @@ func (f *fifo[T]) push(v T) {
 	f.buf = append(f.buf, v)
 }
 
-func (f *fifo[T]) pop() (v T) {
+// Pop removes and returns the oldest entry; the FIFO must not be empty.
+func (f *FIFO[T]) Pop() (v T) {
 	v, f.buf[f.head] = f.buf[f.head], v // the zero v clears the slot
 	if f.head++; f.head == len(f.buf) {
 		f.buf, f.head = f.buf[:0], 0
@@ -34,7 +39,7 @@ func (f *fifo[T]) pop() (v T) {
 }
 
 // remove deletes the i-th live entry, keeping the others in order.
-func (f *fifo[T]) remove(i int) { f.buf = slices.Delete(f.buf, f.head+i, f.head+i+1) }
+func (f *FIFO[T]) remove(i int) { f.buf = slices.Delete(f.buf, f.head+i, f.head+i+1) }
 
 // waiter is one listed wait: process p's wait number gen. A wait is open
 // while it is p's current one; the wake-up or the timeout that comes first
@@ -72,14 +77,9 @@ func (e *Env) expireAt(when Time, w waiter) { e.push(event{when: when, p: w.p, g
 type Queue[T any] struct {
 	env     *Env
 	name    string
-	items   fifo[T]
-	waiters fifo[waiter]
+	items   FIFO[T]
+	waiters FIFO[waiter]
 	closed  bool
-	// MaxLen, when > 0, bounds the queue; Send drops the item and returns
-	// false when the bound is reached (drop-tail, used for router queues).
-	MaxLen int
-	// Dropped counts items discarded by the MaxLen bound.
-	Dropped int
 }
 
 // NewQueue returns an empty unbounded queue.
@@ -88,19 +88,15 @@ func NewQueue[T any](e *Env, name string) *Queue[T] {
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return q.items.len() }
+func (q *Queue[T]) Len() int { return q.items.Len() }
 
-// Send enqueues v, waking one waiter if any. It reports false if the item
-// was dropped by the MaxLen bound or the queue is closed.
+// Send enqueues v, waking one waiter if any. It reports false if the queue
+// is closed.
 func (q *Queue[T]) Send(v T) bool {
 	if q.closed {
 		return false
 	}
-	if q.MaxLen > 0 && q.items.len() >= q.MaxLen {
-		q.Dropped++
-		return false
-	}
-	q.items.push(v)
+	q.items.Push(v)
 	q.wakeOne()
 	return true
 }
@@ -115,12 +111,12 @@ func (q *Queue[T]) Close() {
 	for _, w := range q.waiters.live() {
 		w.fire(q.env)
 	}
-	q.waiters = fifo[waiter]{}
+	q.waiters = FIFO[waiter]{}
 }
 
 func (q *Queue[T]) wakeOne() {
-	for q.waiters.len() > 0 {
-		if q.waiters.pop().fire(q.env) {
+	for q.waiters.Len() > 0 {
+		if q.waiters.Pop().fire(q.env) {
 			return
 		}
 	}
@@ -130,13 +126,13 @@ func (q *Queue[T]) wakeOne() {
 // if the queue was closed and drained.
 func (q *Queue[T]) Recv(p *Proc) (v T, ok bool) {
 	for {
-		if q.items.len() > 0 {
-			return q.items.pop(), true
+		if q.items.Len() > 0 {
+			return q.items.Pop(), true
 		}
 		if q.closed {
 			return v, false
 		}
-		q.waiters.push(p.await())
+		q.waiters.Push(p.await())
 		p.park()
 	}
 }
@@ -146,15 +142,15 @@ func (q *Queue[T]) Recv(p *Proc) (v T, ok bool) {
 func (q *Queue[T]) RecvTimeout(p *Proc, d Time) (v T, ok bool) {
 	deadline := q.env.now + d
 	for {
-		if q.items.len() > 0 {
-			return q.items.pop(), true
+		if q.items.Len() > 0 {
+			return q.items.Pop(), true
 		}
 		if q.closed || q.env.now >= deadline {
 			return v, false
 		}
 		w := p.await()
 		q.env.expireAt(deadline, w)
-		q.waiters.push(w)
+		q.waiters.Push(w)
 		p.park()
 		if q.env.now >= deadline { // the timeout may have won: w is still listed
 			if i := slices.Index(q.waiters.live(), w); i >= 0 {

@@ -9,12 +9,29 @@ type Resource struct {
 	name    string
 	slots   int
 	inUse   int
-	waiters fifo[waiter]
+	waiters FIFO[slotWaiter]
 
 	busy       Time // cumulative slot-busy time
 	busySince  Time // when inUse last went 0 -> >0 (single-slot fast path)
 	resetAt    Time // start of the current accounting window
 	lastUpdate Time
+}
+
+// slotWaiter waits for a slot: a process's wait, or, with fn set, the
+// callback of event-driven code (AcquireFunc).
+type slotWaiter struct {
+	waiter
+	fn func()
+}
+
+// wake schedules w at the current instant and reports true, or reports
+// false if w is a process wait that has closed.
+func (w slotWaiter) wake(e *Env) bool {
+	if w.fn != nil {
+		e.At(e.now, w.fn)
+		return true
+	}
+	return w.fire(e)
 }
 
 // NewResource returns a resource with the given number of slots (>=1).
@@ -37,7 +54,7 @@ func (r *Resource) account() {
 // Acquire blocks until a slot is free and claims it.
 func (r *Resource) Acquire(p *Proc) {
 	for r.inUse >= r.slots {
-		r.waiters.push(p.await())
+		r.waiters.Push(slotWaiter{waiter: p.await()})
 		p.park()
 	}
 	r.account()
@@ -54,15 +71,29 @@ func (r *Resource) TryAcquire() bool {
 	return true
 }
 
-// Release frees a slot claimed by Acquire.
+// AcquireFunc is Acquire for code that runs as event callbacks. It claims a
+// slot and reports true, or, with every slot taken, lists fn in the FIFO of
+// waiters and reports false. A release that reaches fn schedules it at that
+// instant, where it would resume a waiting process, and fn must then call
+// AcquireFunc again: like a process woken in Acquire, it may find the slot
+// already retaken.
+func (r *Resource) AcquireFunc(fn func()) bool {
+	if r.TryAcquire() {
+		return true
+	}
+	r.waiters.Push(slotWaiter{fn: fn})
+	return false
+}
+
+// Release frees a slot claimed by Acquire, TryAcquire or AcquireFunc.
 func (r *Resource) Release() {
 	if r.inUse == 0 {
 		panic("sim: Release of idle resource " + r.name)
 	}
 	r.account()
 	r.inUse--
-	for r.waiters.len() > 0 {
-		if r.waiters.pop().fire(r.env) {
+	for r.waiters.Len() > 0 {
+		if r.waiters.Pop().wake(r.env) {
 			break
 		}
 	}
@@ -76,8 +107,9 @@ func (r *Resource) Use(p *Proc, d Time) {
 	r.Release()
 }
 
-// QueueLen returns the number of processes waiting for a slot.
-func (r *Resource) QueueLen() int { return r.waiters.len() }
+// QueueLen returns the number of waiters for a slot, processes and
+// callbacks.
+func (r *Resource) QueueLen() int { return r.waiters.Len() }
 
 // ResetStats starts a new utilization accounting window at the current time.
 func (r *Resource) ResetStats() {

@@ -9,14 +9,17 @@
 // switches straight back to the scheduler; its resume event switches straight
 // back in. A Sleep whose wake-up would be the next event of the run in
 // progress makes no resume event at all: the clock moves to the wake-up and
-// the process keeps running, since nothing else could have run in between.
+// the process keeps running, since nothing else could have run in between
+// (Advance offers the same lookahead to event-driven models). An event due
+// at the instant it is scheduled skips the heap for a FIFO ready queue.
 // Exactly one process runs at a time, so simulated code needs no locking and
 // every run with the same seed is bit-for-bit reproducible.
 //
 // A panic in a process body surfaces from Run or RunAll in the caller's
 // goroutine, where it can be recovered; the process is then dead and the
 // environment should be closed. Close unwinds the processes still parked one
-// at a time in spawn order, running their deferred functions.
+// at a time in spawn order, running their deferred functions. Stop ends a run
+// early, typically when the process driving a workload returns.
 //
 // The kernel is the substrate for the network and host models in
 // internal/netsim; nothing in it is NFS-specific.
@@ -52,14 +55,22 @@ func (a *event) before(b *event) bool {
 
 // Env is a simulation environment: a clock, an event queue and a set of
 // processes. Create one with New, populate it with Spawn, then call Run.
+//
+// The event queue is two structures. An event due later than the instant it
+// is scheduled at goes into a binary min-heap on (when, seq); one due at that
+// instant goes to the back of the ready FIFO. A heap event due now was pushed
+// before the clock reached now, so its seq is smaller than any ready event's
+// and it runs first: pop keeps the one (when, seq) order of a single heap.
 type Env struct {
 	now     Time
 	horizon Time // until of the Run in progress, math.MaxInt64 under RunAll, -1 outside a run
 	seq     uint64
-	events  []event // a binary min-heap on (when, seq)
-	waits   uint64  // wait numbers handed out; 0 is none
+	events  []event     // a binary min-heap on (when, seq)
+	ready   FIFO[event] // due at now, in seq order
+	waits   uint64      // wait numbers handed out; 0 is none
 	rng     *rand.Rand
 	live    list.List // *Proc, started and not yet returned, in spawn order
+	stopped bool      // Stop was called in the run in progress
 	closed  bool
 }
 
@@ -83,14 +94,17 @@ func (e *Env) At(when Time, fn func()) { e.push(event{when: when, fn: fn}) }
 // After schedules fn to run d from now.
 func (e *Env) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
-// push stamps ev with the next sequence number and sifts it up the heap.
+// push stamps ev with the next sequence number and queues it: at the back
+// of the ready FIFO if it is due now, else sifted up the heap.
 // (container/heap's Push(any) would box the event.)
 func (e *Env) push(ev event) {
-	if ev.when < e.now {
-		ev.when = e.now
-	}
 	ev.seq = e.seq
 	e.seq++
+	if ev.when <= e.now {
+		ev.when = e.now
+		e.ready.Push(ev)
+		return
+	}
 	h := append(e.events, ev)
 	i := len(h) - 1
 	for i > 0 {
@@ -105,8 +119,23 @@ func (e *Env) push(ev event) {
 	e.events = h
 }
 
-// pop removes and returns the earliest event.
+// pending reports whether an event is queued and when the earliest is due.
+func (e *Env) pending() (Time, bool) {
+	if e.ready.Len() > 0 {
+		return e.now, true
+	}
+	if len(e.events) > 0 {
+		return e.events[0].when, true
+	}
+	return 0, false
+}
+
+// pop removes and returns the earliest event: the heap's head if it is due
+// now, else the oldest ready event, else the heap's head.
 func (e *Env) pop() event {
+	if e.ready.Len() > 0 && (len(e.events) == 0 || e.events[0].when > e.now) {
+		return e.ready.Pop()
+	}
 	h := e.events
 	top := h[0]
 	n := len(h) - 1
@@ -197,56 +226,79 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// Sleep suspends the process for d of virtual time. If the wake-up is within
-// the horizon of the run in progress and strictly before the earliest queued
-// event (one queued at the same time has a smaller seq and runs first), it
-// would be the next event anyway: the clock moves to it and the process
-// keeps running without parking.
+// Sleep suspends the process for d of virtual time. When Advance can move
+// the clock to the wake-up, the process keeps running without parking.
 func (p *Proc) Sleep(d Time) {
-	if d < 0 {
-		d = 0
-	}
 	e := p.env
-	when := e.now + d
-	if when <= e.horizon && (len(e.events) == 0 || e.events[0].when > when) {
-		e.now = when
+	when := e.now + max(d, 0)
+	if e.Advance(when) {
 		return
 	}
 	e.resumeAt(when, p)
 	p.park()
 }
 
-// Run executes events until the queue empties or the clock would pass until.
-// It returns the virtual time at which it stopped. Run may be called
-// repeatedly with increasing horizons.
+// Advance moves the clock to when and reports true if that would be the next
+// event anyway: when is within the horizon of the run in progress and
+// strictly before every queued event (one queued for the same time has a
+// smaller seq and runs first). Otherwise it reports false and leaves the
+// clock; the caller then schedules its continuation at when, as Sleep parks.
+// It is the lookahead of Sleep for code that runs as event callbacks.
+func (e *Env) Advance(when Time) bool {
+	when = max(when, e.now)
+	if when > e.horizon || e.ready.Len() > 0 || len(e.events) > 0 && e.events[0].when <= when {
+		return false
+	}
+	e.now = when
+	return true
+}
+
+// Stop ends the Run or RunAll in progress when the current event returns,
+// with the clock at that event's time, not at the horizon. Queued events and
+// parked processes stay: a later Run continues them and Close unwinds them.
+// Until the run returns, Advance moves the clock no further. Outside a run
+// Stop does nothing.
+func (e *Env) Stop() {
+	e.stopped = true
+	e.horizon = min(e.horizon, e.now)
+}
+
+// Run executes events until the queue empties, the clock would pass until or
+// Stop is called. It returns the virtual time at which it stopped. Run may be
+// called repeatedly with increasing horizons.
 func (e *Env) Run(until Time) Time {
 	if e.closed {
 		panic("sim: Run after Close")
 	}
-	e.horizon = until
+	e.horizon, e.stopped = until, false
 	defer e.endRun()
-	for len(e.events) > 0 {
-		if e.events[0].when > until {
+	for !e.stopped {
+		when, ok := e.pending()
+		if !ok {
+			break
+		}
+		if when > until {
 			e.now = until
 			return e.now
 		}
 		e.step()
 	}
-	if e.now < until {
+	if !e.stopped && e.now < until {
 		e.now = until
 	}
 	return e.now
 }
 
-// RunAll executes events until the queue empties, leaving the clock at the
-// time of the last event (unlike Run, which advances to its horizon).
+// RunAll executes events until the queue empties or Stop is called, leaving
+// the clock at the time of the last event (unlike Run, which advances to its
+// horizon).
 func (e *Env) RunAll() Time {
 	if e.closed {
 		panic("sim: RunAll after Close")
 	}
-	e.horizon = math.MaxInt64
+	e.horizon, e.stopped = math.MaxInt64, false
 	defer e.endRun()
-	for len(e.events) > 0 {
+	for !e.stopped && (e.ready.Len() > 0 || len(e.events) > 0) {
 		e.step()
 	}
 	return e.now
@@ -254,7 +306,7 @@ func (e *Env) RunAll() Time {
 
 // endRun clears the horizon when Run or RunAll returns or a process panic
 // leaves it, so no Sleep outside a run, such as one in a deferred function
-// Close unwinds, skips its park.
+// Close unwinds, skips its park, and a Stop outside a run does nothing.
 func (e *Env) endRun() { e.horizon = -1 }
 
 // step pops the earliest event and fires it. An expiry whose wait has
@@ -288,5 +340,5 @@ func (e *Env) Close() {
 
 // String implements fmt.Stringer for debugging.
 func (e *Env) String() string {
-	return fmt.Sprintf("sim.Env{now=%v pending=%d}", e.now, len(e.events))
+	return fmt.Sprintf("sim.Env{now=%v pending=%d}", e.now, e.ready.Len()+len(e.events))
 }

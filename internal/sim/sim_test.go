@@ -68,7 +68,7 @@ func TestStaleTimeoutWakesNoLaterWait(t *testing.T) {
 	if got != 7 || woke != 20*ms {
 		t.Fatalf("RecvTimeout = %d, then the Cond wait woke at %v; want 7, then 20ms", got, woke)
 	}
-	if n := q.waiters.len(); n != 0 {
+	if n := q.waiters.Len(); n != 0 {
 		t.Fatalf("%d queue waiters left", n)
 	}
 }
@@ -125,7 +125,7 @@ func TestSendAndDeadlineSameInstant(t *testing.T) {
 		if wakes != 1 || got != 7 || !ok {
 			t.Errorf("sendFirst=%v: %d resumes, RecvTimeout = %d, %v; want 1, 7, true", sendFirst, wakes, got, ok)
 		}
-		if n := q.waiters.len(); n != 0 {
+		if n := q.waiters.Len(); n != 0 {
 			t.Errorf("sendFirst=%v: %d queue waiters left", sendFirst, n)
 		}
 		e.Close()
@@ -212,22 +212,6 @@ func TestQueueRecvTimeout(t *testing.T) {
 	e.RunAll()
 	if !timedOut || !received {
 		t.Fatalf("timedOut=%v received=%v", timedOut, received)
-	}
-}
-
-func TestQueueDropTail(t *testing.T) {
-	e := New(1)
-	defer e.Close()
-	q := NewQueue[int](e, "q")
-	q.MaxLen = 2
-	if !q.Send(1) || !q.Send(2) {
-		t.Fatal("sends within bound failed")
-	}
-	if q.Send(3) {
-		t.Fatal("send over bound succeeded")
-	}
-	if q.Dropped != 1 {
-		t.Fatalf("Dropped = %d, want 1", q.Dropped)
 	}
 }
 
@@ -598,8 +582,9 @@ func allocsPerPass(e *Env) float64 {
 
 // No allocation for a RecvTimeout that times out or one a Send wakes (whose
 // timeout stays in the heap, stale, until its deadline), a contended
-// Resource.Use, or a Cond Wait/Broadcast cycle: Broadcast keeps the waiter
-// array for the next Waits. (Counts, so legitimate gates.)
+// Resource.Use, callbacks due at the instant they are scheduled (the ready
+// FIFO reuses its array), or a Cond Wait/Broadcast cycle: Broadcast keeps
+// the waiter array for the next Waits. (Counts, so legitimate gates.)
 func TestAllocBudgetWaits(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -638,6 +623,18 @@ func TestAllocBudgetWaits(t *testing.T) {
 					}
 				})
 			}
+		}},
+		{"callbacks due now", func(e *Env) {
+			n := 0
+			var tick func()
+			tick = func() {
+				if n++; n%4 == 0 {
+					e.After(ms/4, tick)
+				} else {
+					e.At(e.Now(), tick)
+				}
+			}
+			e.At(0, tick)
 		}},
 		{"Cond Wait/Broadcast", func(e *Env) {
 			c := NewCond(e)
@@ -843,6 +840,131 @@ func TestSleepLookaheadStopsAtHorizon(t *testing.T) {
 	}
 }
 
+// Events due at one instant run in (when, seq) order across both queues:
+// heap events pushed before the clock reached the instant (callbacks and a
+// sleeper's resume) run first, in push order, then the ready FIFO in push
+// order, whether it holds callbacks, a Cond wake-up or an At in the past.
+func TestSameInstantOrder(t *testing.T) {
+	e := New(1)
+	defer e.Close()
+	var got []string
+	c := NewCond(e)
+	e.Spawn("waiter", func(p *Proc) {
+		c.Wait(p)
+		got = append(got, "woken")
+	})
+	e.At(10*ms, func() {
+		got = append(got, "heap 1")
+		e.At(e.Now(), func() { got = append(got, "ready callback") })
+		c.Broadcast()
+		e.At(e.Now()-ms, func() { got = append(got, "past, clamped") })
+	})
+	e.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(10 * ms) // its resume is pushed after both heap callbacks
+		got = append(got, "sleeper")
+		e.At(p.Now(), func() { got = append(got, "sleeper's callback") })
+	})
+	e.At(10*ms, func() { got = append(got, "heap 2") })
+	e.RunAll()
+	want := []string{"heap 1", "heap 2", "sleeper", "ready callback", "woken", "past, clamped", "sleeper's callback"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("order %q, want %q", got, want)
+	}
+}
+
+// Sleep(0) with a ready event queued parks behind it: that event was due
+// at this instant first.
+func TestSleepZeroYieldsToReady(t *testing.T) {
+	e := New(1)
+	defer e.Close()
+	var got []string
+	e.Spawn("p", func(p *Proc) {
+		e.At(p.Now(), func() { got = append(got, "callback") })
+		p.Sleep(0)
+		got = append(got, "after Sleep(0)")
+		p.Sleep(0) // nothing queued: the clock stays and nothing parks
+		got = append(got, "again")
+	})
+	e.RunAll()
+	if want := []string{"callback", "after Sleep(0)", "again"}; !slices.Equal(got, want) {
+		t.Fatalf("order %q, want %q", got, want)
+	}
+}
+
+// Advance moves the clock up to the horizon and no further, never to or
+// past a queued event, never while a ready event waits, never outside a
+// run, and clamps a past time to now.
+func TestAdvance(t *testing.T) {
+	e := New(1)
+	defer e.Close()
+	if e.Advance(ms) || e.Now() != 0 {
+		t.Fatal("Advance outside a run moved the clock")
+	}
+	e.At(0, func() {
+		if !e.Advance(2*ms) || e.Now() != 2*ms {
+			t.Errorf("Advance(2ms) to an empty queue: now %v", e.Now())
+		}
+		if !e.Advance(ms) || e.Now() != 2*ms {
+			t.Errorf("Advance to the past moved the clock to %v", e.Now())
+		}
+		e.At(5*ms, func() {})
+		if e.Advance(5*ms) || e.Advance(6*ms) || e.Now() != 2*ms {
+			t.Errorf("Advance reached a queued event: now %v", e.Now())
+		}
+		e.At(e.Now(), func() {})
+		if e.Advance(e.Now()) {
+			t.Error("Advance passed a ready event")
+		}
+	})
+	e.At(7*ms, func() {
+		if !e.Advance(10*ms) || e.Now() != 10*ms {
+			t.Errorf("Advance to the horizon: now %v", e.Now())
+		}
+		if e.Advance(10*ms+1) || e.Now() != 10*ms {
+			t.Errorf("Advance past the horizon: now %v", e.Now())
+		}
+	})
+	if now := e.Run(10 * ms); now != 10*ms {
+		t.Fatalf("Run(10ms) = %v", now)
+	}
+}
+
+// Stop ends the run where it was called: the clock stays at that instant,
+// later events stay queued and a parked process stays parked, and the
+// stopping process's own Sleep parks rather than advancing past the stop.
+// A later Run continues, and Close unwinds whatever is still parked.
+func TestStop(t *testing.T) {
+	e := New(1)
+	c := NewCond(e)
+	unwound, fired, slept := false, false, false
+	e.Spawn("parked", func(p *Proc) {
+		defer func() { unwound = true }()
+		c.Wait(p)
+	})
+	e.Spawn("workload", func(p *Proc) {
+		p.Sleep(5 * ms)
+		e.Stop()
+		p.Sleep(ms)
+		slept = true
+	})
+	e.At(time.Hour, func() { fired = true })
+	if now := e.Run(2 * time.Hour); now != 5*ms || e.Now() != 5*ms || slept || fired {
+		t.Fatalf("Run stopped at %v (now %v), slept %v, fired %v", now, e.Now(), slept, fired)
+	}
+	if now := e.Run(2 * time.Hour); now != 2*time.Hour || !slept || !fired || unwound {
+		t.Fatalf("next Run: now %v, slept %v, fired %v, unwound %v", now, slept, fired, unwound)
+	}
+	e.Stop() // outside a run: nothing
+	e.At(3*time.Hour, func() {})
+	if now := e.Run(4 * time.Hour); now != 4*time.Hour {
+		t.Fatalf("Run after a Stop outside a run stopped at %v", now)
+	}
+	e.Close()
+	if !unwound {
+		t.Fatal("Close left the parked process")
+	}
+}
+
 // A wait that times out takes its waiter with it: after 10,000 timed-out
 // RecvTimeouts or WaitTimeouts none is listed, and a later Send or Set still
 // reaches the process.
@@ -856,7 +978,7 @@ func TestTimedOutWaitLeavesNoWaiter(t *testing.T) {
 		for range n {
 			q.RecvTimeout(p, ms)
 		}
-		if got := q.waiters.len(); got != 0 {
+		if got := q.waiters.Len(); got != 0 {
 			t.Errorf("%d queue waiters after %d timeouts", got, n)
 		}
 		if v, ok := q.RecvTimeout(p, time.Second); !ok || v != 7 {
@@ -886,12 +1008,12 @@ func TestTimedOutWaitLeavesNoWaiter(t *testing.T) {
 // pushes, pops and removals drains, compacts and regrows its array.
 func TestFifoMatchesSlice(t *testing.T) {
 	f := func(ops []uint8) bool {
-		var q fifo[int]
+		var q FIFO[int]
 		var model []int
 		for i, op := range ops {
 			switch {
 			case op%4 == 0 && len(model) > 0:
-				if q.pop() != model[0] {
+				if q.Pop() != model[0] {
 					return false
 				}
 				model = model[1:]
@@ -900,10 +1022,10 @@ func TestFifoMatchesSlice(t *testing.T) {
 				q.remove(k)
 				model = slices.Delete(model, k, k+1)
 			default:
-				q.push(i)
+				q.Push(i)
 				model = append(model, i)
 			}
-			if !slices.Equal(q.live(), model) || q.len() != len(model) {
+			if !slices.Equal(q.live(), model) || q.Len() != len(model) {
 				return false
 			}
 		}

@@ -166,6 +166,18 @@ func (r *Rig) Mount(p *sim.Proc, kind TransportKind, opts client.Options) (*clie
 // Run advances the simulation to the horizon.
 func (r *Rig) Run(d sim.Time) sim.Time { return r.Env.Run(d) }
 
+// runWorkload spawns fn as the process that drives an experiment's workload
+// and runs env until fn returns, or until the clock reaches limit if it has
+// not returned by then. Every number a table prints is read by the time fn
+// returns, so the idle run-out to limit that would follow is skipped.
+func runWorkload(env *sim.Env, name string, limit sim.Time, fn func(p *sim.Proc)) {
+	env.Spawn(name, func(p *sim.Proc) {
+		defer env.Stop()
+		fn(p)
+	})
+	env.Run(limit)
+}
+
 // Close shuts the simulation down.
 func (r *Rig) Close() { r.Env.Close() }
 
