@@ -1,15 +1,10 @@
 package renonfs_test
 
-// The benchmark harness: one testing.B entry per table and figure of the
-// paper (each runs the corresponding experiment in Quick mode and reports
-// its headline number as a custom metric), the ablation benches DESIGN.md
-// calls out, and micro-benchmarks of the hot substrate paths.
-//
-// Regenerate everything at full scale with: go run ./cmd/nfsbench -exp all
+// The ablation benches DESIGN.md calls out and micro-benchmarks of the hot
+// substrate paths. The paper's tables are `go run ./cmd/nfsbench -exp all`;
+// bash benchmark/run.sh times them (the sim_tables workload).
 
 import (
-	"strconv"
-	"strings"
 	"testing"
 	"time"
 
@@ -21,159 +16,17 @@ import (
 	"renonfs/internal/rpc"
 	"renonfs/internal/server"
 	"renonfs/internal/sim"
-	"renonfs/internal/stats"
 	"renonfs/internal/transport"
 	"renonfs/internal/workload"
 	"renonfs/internal/xdr"
 )
 
-// cellF extracts a float cell from a rendered experiment table.
-func cellF(b *testing.B, tb *stats.Table, row, col int) float64 {
-	b.Helper()
-	if row >= len(tb.Rows) || col >= len(tb.Rows[row]) {
-		return 0
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(tb.Rows[row][col]), 64)
-	if err != nil {
-		return 0
-	}
-	return v
-}
-
-// benchExperiment runs one experiment per iteration and reports a metric
-// extracted from its first table.
-func benchExperiment(b *testing.B, id string, metric string, extract func(*stats.Table) float64) {
-	var last float64
-	for i := 0; i < b.N; i++ {
-		tabs, err := renonfs.RunExperiment(id, renonfs.ExpConfig{Quick: true, Seed: int64(i + 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = extract(tabs[0])
-	}
-	b.ReportMetric(last, metric)
-}
-
-// --- One bench per table/figure -------------------------------------------
-
-func BenchmarkGraph1LANLookup(b *testing.B) {
-	benchExperiment(b, "graph1", "tcp-premium-ms", func(tb *stats.Table) float64 {
-		return cellF(b, tb, 0, 3) - cellF(b, tb, 0, 2)
-	})
-}
-
-func BenchmarkGraph2LANReadMix(b *testing.B) {
-	benchExperiment(b, "graph2", "read-rtt-udpdyn-ms", func(tb *stats.Table) float64 {
-		return cellF(b, tb, 0, 2)
-	})
-}
-
-func BenchmarkGraph3RingLookup(b *testing.B) {
-	benchExperiment(b, "graph3", "lookup-rtt-tcp-ms", func(tb *stats.Table) float64 {
-		return cellF(b, tb, 0, 3)
-	})
-}
-
-func BenchmarkGraph4RingReadMix(b *testing.B) {
-	benchExperiment(b, "graph4", "read-rtt-udpdyn-ms", func(tb *stats.Table) float64 {
-		return cellF(b, tb, 0, 2)
-	})
-}
-
-func BenchmarkGraph5SlowLookup(b *testing.B) {
-	benchExperiment(b, "graph5", "lookup-rtt-tcp-ms", func(tb *stats.Table) float64 {
-		return cellF(b, tb, 0, 3)
-	})
-}
-
-func BenchmarkTable1ReadRates(b *testing.B) {
-	benchExperiment(b, "table1", "ring-udpdyn-reads-per-s", func(tb *stats.Table) float64 {
-		return cellF(b, tb, 1, 3)
-	})
-}
-
-func BenchmarkGraph6ServerCPU(b *testing.B) {
-	benchExperiment(b, "graph6", "tcp-over-udp-cpu-ratio", func(tb *stats.Table) float64 {
-		return cellF(b, tb, 1, 3)
-	})
-}
-
-func BenchmarkGraph7RTTTrace(b *testing.B) {
-	benchExperiment(b, "graph7", "trace-points", func(tb *stats.Table) float64 {
-		return float64(len(tb.Rows))
-	})
-}
-
-func BenchmarkGraph8ServerLookupCompare(b *testing.B) {
-	benchExperiment(b, "graph8", "ultrix-over-reno-rtt", func(tb *stats.Table) float64 {
-		return cellF(b, tb, 0, 3)
-	})
-}
-
-func BenchmarkGraph9ServerReadCompare(b *testing.B) {
-	benchExperiment(b, "graph9", "ultrix-over-reno-rtt", func(tb *stats.Table) float64 {
-		return cellF(b, tb, 0, 3)
-	})
-}
-
-func BenchmarkProfile3NICTuning(b *testing.B) {
-	var saving float64
-	for i := 0; i < b.N; i++ {
-		tabs, err := renonfs.RunExperiment("profile3", renonfs.ExpConfig{Quick: true, Seed: int64(i + 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		saving = cellF(b, tabs[2], 2, 1)
-	}
-	b.ReportMetric(saving, "cpu-saving-%")
-}
-
-func BenchmarkTable2AndrewTimes(b *testing.B) {
-	benchExperiment(b, "table2", "reno-phaseI-IV-s", func(tb *stats.Table) float64 {
-		return cellF(b, tb, 0, 1)
-	})
-}
-
-func BenchmarkTable3AndrewRPCCounts(b *testing.B) {
-	benchExperiment(b, "table3", "ultrix-over-reno-lookups", func(tb *stats.Table) float64 {
-		// Lookup row: Reno col 1, Ultrix col 3.
-		for i, r := range tb.Rows {
-			if r[0] == "Lookup" {
-				return cellF(b, tb, i, 3) / cellF(b, tb, i, 1)
-			}
-		}
-		return 0
-	})
-}
-
-func BenchmarkTable4DS3100(b *testing.B) {
-	benchExperiment(b, "table4", "ultrix-over-reno-I-IV", func(tb *stats.Table) float64 {
-		return cellF(b, tb, 1, 1) / cellF(b, tb, 0, 1)
-	})
-}
-
-func BenchmarkTable5CreateDelete(b *testing.B) {
-	benchExperiment(b, "table5", "wthru-over-noconsist-100K", func(tb *stats.Table) float64 {
-		return cellF(b, tb, 1, 3) / cellF(b, tb, 5, 3)
-	})
-}
-
-func BenchmarkAppendixA(b *testing.B) {
-	benchExperiment(b, "appendixA", "namecache-hits-short-names", func(tb *stats.Table) float64 {
-		return cellF(b, tb, 0, 3)
-	})
-}
-
 // --- Ablation benches (DESIGN.md §6) ---------------------------------------
 
 // ablationPoint runs one read-heavy load point against a disk-backed
 // server — the high-RTT-variance regime where the paper's timer policies
-// differ — and reports the read-class retry count and mean read RTT.
-func ablationPoint(b *testing.B, mutate func(*transport.UDPConfig), nodeMutate func(*renonfs.RigConfig)) (rtt float64, retries int) {
-	cfg := transport.DynamicUDP()
-	if mutate != nil {
-		mutate(&cfg)
-	}
+// differ — on the paper's transport and reports the mean read RTT.
+func ablationPoint(b *testing.B, nodeMutate func(*renonfs.RigConfig)) (rtt float64) {
 	rigCfg := renonfs.RigConfig{Seed: 1991, Topology: renonfs.TopoLAN, ServerDisk: true}
 	if nodeMutate != nil {
 		nodeMutate(&rigCfg)
@@ -182,7 +35,7 @@ func ablationPoint(b *testing.B, mutate func(*transport.UDPConfig), nodeMutate f
 	defer r.Close()
 	done := false
 	r.Env.Spawn("bench", func(p *sim.Proc) {
-		tr := r.DialUDPConfig(cfg)
+		tr := r.DialUDPConfig(transport.DynamicUDP())
 		nh := &workload.Nhfsstone{
 			Cfg: workload.NhfsstoneConfig{
 				Mix:  map[uint32]float64{nfsproto.ProcRead: 0.9, nfsproto.ProcLookup: 0.1},
@@ -200,39 +53,20 @@ func ablationPoint(b *testing.B, mutate func(*transport.UDPConfig), nodeMutate f
 		if s := res.RTT[nfsproto.ProcRead]; s != nil {
 			rtt = s.Mean()
 		}
-		retries = tr.Stats().RetryClass[transport.ClassRead]
 		done = true
 	})
 	r.Env.Run(2 * time.Hour)
 	if !done {
 		b.Fatal("ablation point did not complete")
 	}
-	return rtt, retries
-}
-
-// The timer-policy ablations run the full §4 ablation experiment (long
-// windows, both regimes) and report its headline deltas; single short
-// points are too noisy to show the 2-4x retry-rate effect reliably.
-func BenchmarkAblationRTOFactor(b *testing.B) {
-	var extra, atSend float64
-	for i := 0; i < b.N; i++ {
-		tabs, err := renonfs.RunExperiment("ablations", renonfs.ExpConfig{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		lan := tabs[0]
-		extra = cellF(b, lan, 1, 3) - cellF(b, lan, 0, 3)  // A+2D vs A+4D read retries
-		atSend = cellF(b, lan, 2, 3) - cellF(b, lan, 0, 3) // at-send vs per-tick
-	}
-	b.ReportMetric(extra, "extra-retries-A+2D")
-	b.ReportMetric(atSend, "extra-retries-at-send")
+	return rtt
 }
 
 func BenchmarkAblationPageRemap(b *testing.B) {
 	var saving float64
 	for i := 0; i < b.N; i++ {
-		before, _ := ablationPoint(b, nil, nil)
-		after, _ := ablationPoint(b, nil, func(rc *renonfs.RigConfig) {
+		before := ablationPoint(b, nil)
+		after := ablationPoint(b, func(rc *renonfs.RigConfig) {
 			rc.ServerPageRemap = true
 		})
 		saving = before - after
@@ -243,8 +77,8 @@ func BenchmarkAblationPageRemap(b *testing.B) {
 func BenchmarkAblationTxInterrupt(b *testing.B) {
 	var saving float64
 	for i := 0; i < b.N; i++ {
-		before, _ := ablationPoint(b, nil, nil)
-		after, _ := ablationPoint(b, nil, func(rc *renonfs.RigConfig) {
+		before := ablationPoint(b, nil)
+		after := ablationPoint(b, func(rc *renonfs.RigConfig) {
 			rc.ServerNoTxIntr = true
 		})
 		saving = before - after
@@ -413,21 +247,6 @@ func BenchmarkSimEventThroughput(b *testing.B) {
 }
 
 // --- Future Directions extension benches ------------------------------------
-
-func BenchmarkFutureWork(b *testing.B) {
-	var boundRatio float64
-	for i := 0; i < b.N; i++ {
-		tabs, err := renonfs.RunExperiment("futurework", renonfs.ExpConfig{Quick: true, Seed: int64(i + 1)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		// How close leases get to the unsafe noconsist bound on
-		// Create-Delete 100K (1.0 = exactly the bound).
-		cd := tabs[1]
-		boundRatio = cellF(b, cd, 1, 1) / cellF(b, cd, 2, 1)
-	}
-	b.ReportMetric(boundRatio, "leases-vs-bound")
-}
 
 // BenchmarkAblationReadAhead sweeps the read-ahead depth the Future
 // Directions section suggests raising from 1 to 2-4 blocks.

@@ -1,7 +1,6 @@
 package renonfs
 
 import (
-	"fmt"
 	"time"
 
 	"renonfs/internal/client"
@@ -13,303 +12,308 @@ import (
 	"renonfs/internal/workload"
 )
 
-// runAndrew runs the Modified Andrew Benchmark against a fresh rig and
-// returns the result. clientMIPS selects the client host speed, srvOpts
-// the server personality, kind the transport, and opts the client
-// personality.
-func runAndrew(seed int64, clientMIPS float64, srvOpts server.Options, kind TransportKind, opts client.Options) (*workload.AndrewResult, error) {
+// andrewRun is one Modified Andrew Benchmark run; OK is false when it did
+// not finish.
+type andrewRun struct {
+	Name string
+	OK   bool
+	workload.AndrewResult
+}
+
+// runAndrew runs the Modified Andrew Benchmark against a fresh rig.
+// clientMIPS selects the client host speed, srvOpts the server
+// personality, kind the transport, and opts the client personality.
+func runAndrew(seed int64, clientMIPS float64, srvOpts server.Options, kind TransportKind, opts client.Options) andrewRun {
 	r := NewRig(RigConfig{
 		Seed: seed, Topology: TopoLAN,
 		ServerOpts: srvOpts, ClientMIPS: clientMIPS, ServerDisk: true,
 	})
 	defer r.Close()
 	files := workload.AndrewTree()
+	var run andrewRun
 	if err := workload.PreloadServerTree(r.FS, files); err != nil {
-		return nil, err
+		return run
 	}
-	var res *workload.AndrewResult
-	var runErr error
 	runWorkload(r.Env, "mab", 12*time.Hour, func(p *sim.Proc) {
 		m, err := r.Mount(p, kind, opts)
 		if err != nil {
-			runErr = err
 			return
 		}
-		res, runErr = workload.RunAndrew(p, m, files)
+		if res, err := workload.RunAndrew(p, m, files); err == nil && res != nil {
+			run.OK, run.AndrewResult = true, *res
+		}
 	})
-	if runErr != nil {
-		return nil, runErr
-	}
-	if res == nil {
-		return nil, fmt.Errorf("renonfs: andrew benchmark did not complete")
-	}
-	return res, nil
+	return run
 }
 
-func secs(d sim.Time) string { return fmt.Sprintf("%.0f", float64(d)/1e9) }
+// andrewConfig is one Andrew benchmark row: its name, transport, and
+// server and client personalities.
+type andrewConfig struct {
+	name string
+	kind TransportKind
+	srv  server.Options
+	opts client.Options
+}
+
+// andrewRuns runs the Andrew benchmark once per row, at seeds counting up
+// from the experiment's, on a client of the given MIPS.
+func andrewRuns(cfg ExpConfig, mips float64, rows []andrewConfig) []andrewRun {
+	runs := make([]andrewRun, len(rows))
+	for i, row := range rows {
+		runs[i] = runAndrew(cfg.seed()+int64(i), mips, row.srv, row.kind, row.opts)
+		runs[i].Name = row.name
+	}
+	return runs
+}
+
+// andrewTimes is Table 2 or 4: an Andrew run per client or server
+// configuration.
+type andrewTimes struct {
+	title string
+	Runs  []andrewRun
+}
+
+func (a andrewTimes) tables() []*stats.Table {
+	t := stats.NewTable(a.title, "OS/Phase", "I-IV", "V")
+	for _, r := range a.Runs {
+		t.AddRow(r.Name, fixed(float64(r.PhaseI_IV())/1e9, 0, r.OK), fixed(float64(r.PhaseTimes[4])/1e9, 0, r.OK))
+	}
+	return []*stats.Table{t}
+}
 
 // expTable2 reproduces Table #2: MAB elapsed times on a MicroVAXII client
 // for the four client configurations, against the Reno server.
-func expTable2(cfg ExpConfig) []*stats.Table {
-	t := stats.NewTable("Table #2: Mod Andrew Bench, MicroVAXII client (sec)",
-		"OS/Phase", "I-IV", "V")
+func expTable2(cfg ExpConfig) andrewTimes {
 	nopush := client.Reno()
 	nopush.Name = "reno-nopush"
 	nopush.PushOnClose = false
-	rows := []struct {
-		name string
-		kind TransportKind
-		opts client.Options
-	}{
-		{"Reno", UDPDynamic, client.Reno()},
-		{"Reno-TCP", TCP, client.Reno()},
-		{"Reno-nopush", UDPDynamic, nopush},
-		{"Ultrix2.2", UDPDynamic, client.Ultrix()},
+	return andrewTimes{"Table #2: Mod Andrew Bench, MicroVAXII client (sec)", andrewRuns(cfg, 0 /* MicroVAXII default */, []andrewConfig{
+		{"Reno", UDPDynamic, server.Reno(), client.Reno()},
+		{"Reno-TCP", TCP, server.Reno(), client.Reno()},
+		{"Reno-nopush", UDPDynamic, server.Reno(), nopush},
+		{"Ultrix2.2", UDPDynamic, server.Reno(), client.Ultrix()},
+	})}
+}
+
+// andrewCounts is Table 3: one Andrew run each for Reno, Reno-noconsist
+// and Ultrix clients; the table prints their RPC counts if all finished.
+type andrewCounts []andrewRun
+
+// table3Procs are Table 3's rows before Other and Total.
+var table3Procs = []struct {
+	name string
+	proc uint32
+}{
+	{"Getattr", nfsproto.ProcGetattr},
+	{"Setattr", nfsproto.ProcSetattr},
+	{"Read", nfsproto.ProcRead},
+	{"Write", nfsproto.ProcWrite},
+	{"Lookup", nfsproto.ProcLookup},
+	{"Readdir", nfsproto.ProcReaddir},
+}
+
+// Other counts column i's RPCs outside table3Procs.
+func (a andrewCounts) Other(i int) int {
+	n := a[i].RPC.TotalCalls()
+	for _, row := range table3Procs {
+		n -= a[i].RPC.Calls[row.proc]
 	}
-	for i, row := range rows {
-		res, err := runAndrew(cfg.seed()+int64(i), 0 /* MicroVAXII default */, server.Reno(), row.kind, row.opts)
-		if err != nil {
-			t.AddRow(row.name, "-", "-")
-			continue
-		}
-		t.AddRow(row.name, secs(res.PhaseI_IV()), secs(res.PhaseTimes[4]))
-	}
-	return []*stats.Table{t}
+	return n
 }
 
 // expTable3 reproduces Table #3: MAB RPC counts for Reno, Reno-noconsist
 // and Ultrix clients.
-func expTable3(cfg ExpConfig) []*stats.Table {
+func expTable3(cfg ExpConfig) andrewCounts {
+	return andrewRuns(cfg, 0, []andrewConfig{
+		{"Reno", UDPDynamic, server.Reno(), client.Reno()},
+		{"Reno-noconsist", UDPDynamic, server.Reno(), client.RenoNoConsist()},
+		{"Ultrix2.2", UDPDynamic, server.Reno(), client.Ultrix()},
+	})
+}
+
+func (a andrewCounts) tables() []*stats.Table {
 	t := stats.NewTable("Table #3: Mod Andrew Bench RPC counts, MicroVAXII client",
 		"RPC", "Reno", "Reno-noconsist", "Ultrix2.2")
-	configs := []client.Options{client.Reno(), client.RenoNoConsist(), client.Ultrix()}
-	var results []*workload.AndrewResult
-	for i, opts := range configs {
-		res, err := runAndrew(cfg.seed()+int64(i), 0, server.Reno(), UDPDynamic, opts)
-		if err != nil {
-			return []*stats.Table{t}
-		}
-		results = append(results, res)
+	if !a[0].OK || !a[1].OK || !a[2].OK {
+		return []*stats.Table{t}
 	}
-	rows := []struct {
-		name string
-		proc uint32
-	}{
-		{"Getattr", nfsproto.ProcGetattr},
-		{"Setattr", nfsproto.ProcSetattr},
-		{"Read", nfsproto.ProcRead},
-		{"Write", nfsproto.ProcWrite},
-		{"Lookup", nfsproto.ProcLookup},
-		{"Readdir", nfsproto.ProcReaddir},
+	for _, row := range table3Procs {
+		t.AddRow(row.name, a[0].RPC.Calls[row.proc], a[1].RPC.Calls[row.proc], a[2].RPC.Calls[row.proc])
 	}
-	other := make([]int, len(results))
-	total := make([]int, len(results))
-	counted := map[uint32]bool{}
-	for _, row := range rows {
-		counted[row.proc] = true
-	}
-	for i, res := range results {
-		for proc, n := range res.RPC.Calls {
-			total[i] += n
-			if !counted[uint32(proc)] {
-				other[i] += n
-			}
-		}
-	}
-	for _, row := range rows {
-		t.AddRow(row.name,
-			results[0].RPC.Calls[row.proc],
-			results[1].RPC.Calls[row.proc],
-			results[2].RPC.Calls[row.proc])
-	}
-	t.AddRow("Other", other[0], other[1], other[2])
-	t.AddRow("Total", total[0], total[1], total[2])
+	t.AddRow("Other", a.Other(0), a.Other(1), a.Other(2))
+	t.AddRow("Total", a[0].RPC.TotalCalls(), a[1].RPC.TotalCalls(), a[2].RPC.TotalCalls())
 	return []*stats.Table{t}
 }
 
 // expTable4 reproduces Table #4: MAB on a DS3100-class client against the
-// Reno and Ultrix servers.
-func expTable4(cfg ExpConfig) []*stats.Table {
-	t := stats.NewTable("Table #4: Mod Andrew Bench, DS3100 client (sec)",
-		"OS/Phase", "I-IV", "V")
-	for i, srv := range []struct {
-		name string
-		opts server.Options
-	}{
-		{"Reno", server.Reno()},
-		{"Ultrix2.2", server.Ultrix()},
-	} {
-		// The DS3100 runs DEC's own client (Ultrix), as it did in the
-		// paper; only the server varies.
-		res, err := runAndrew(cfg.seed()+int64(i), 12.0 /* DS3100 MIPS */, srv.opts, UDPDynamic, client.Ultrix())
-		if err != nil {
-			t.AddRow(srv.name, "-", "-")
-			continue
+// Reno and Ultrix servers. The DS3100 runs DEC's own client (Ultrix), as
+// it did in the paper; only the server varies.
+func expTable4(cfg ExpConfig) andrewTimes {
+	return andrewTimes{"Table #4: Mod Andrew Bench, DS3100 client (sec)", andrewRuns(cfg, 12.0 /* DS3100 MIPS */, []andrewConfig{
+		{"Reno", UDPDynamic, server.Reno(), client.Ultrix()},
+		{"Ultrix2.2", UDPDynamic, server.Ultrix(), client.Ultrix()},
+	})}
+}
+
+// cdRun is one Create-Delete run: the mean ms per file and the client's
+// RPCs; OK is false when it did not finish.
+type cdRun struct {
+	OK     bool
+	MeanMS float64
+	RPC    client.Stats
+}
+
+// runCreateDelete runs iters Create-Deletes of size-byte files named after
+// config on a fresh rig: over NFS with opts, or on the client's own disk
+// when local.
+func runCreateDelete(rig RigConfig, local bool, opts client.Options, config string, size, iters int) cdRun {
+	r := NewRig(rig)
+	defer r.Close()
+	var run cdRun
+	runWorkload(r.Env, "cd", 8*time.Hour, func(p *sim.Proc) {
+		var fs workload.BenchFS
+		if local {
+			fs = workload.NewLocalFS(r.Env, memfs.New(2, memfs.NewRD53(r.Env, "client.rd53"), nil))
+		} else {
+			m, err := r.Mount(p, UDPDynamic, opts)
+			if err != nil {
+				return
+			}
+			defer func() { run.RPC = m.Stats }()
+			fs = workload.MountFS{M: m}
 		}
-		t.AddRow(srv.name, secs(res.PhaseI_IV()), secs(res.PhaseTimes[4]))
-	}
-	return []*stats.Table{t}
+		if res, err := workload.RunCreateDelete(p, fs, config, size, iters); err == nil {
+			run.OK, run.MeanMS = true, res.MeanMS
+		}
+	})
+	return run
+}
+
+// cdTable is Table 5: a Create-Delete run per configuration and file size
+// (0, 10 KB, 100 KB).
+type cdTable []struct {
+	Name string
+	Runs [3]cdRun
 }
 
 // expTable5 reproduces Table #5: the Create-Delete benchmark across write
 // policies and file sizes, including the local-filesystem baseline.
-func expTable5(cfg ExpConfig) []*stats.Table {
+func expTable5(cfg ExpConfig) cdTable {
 	sizes := []int{0, 10 * 1024, 100 * 1024}
 	iters := 10
 	if cfg.Quick {
 		iters = 4
 	}
-	t := stats.NewTable("Table #5: Create-Delete Bench, 4.3BSD Reno client (msec)",
-		"Config", "No data", "10Kbytes", "100Kbytes")
-
 	type rowSpec struct {
 		name  string
 		local bool
 		opts  client.Options
 	}
-	wt := client.Reno()
-	wt.Name = "write-thru"
-	wt.Policy = client.WriteThrough
-	async4 := client.Reno()
-	async4.Name = "async-4biod"
-	async4.Policy = client.WriteAsync
-	async4.Biods = 4
-	async16 := client.Reno()
-	async16.Name = "async-16biod"
-	async16.Policy = client.WriteAsync
-	async16.Biods = 16
-	delayed := client.Reno()
-	delayed.Name = "delay-wrt"
-	delayed.Policy = client.WriteDelayed
+	policy := func(name string, pol client.WritePolicy, biods int) client.Options {
+		o := client.Reno()
+		o.Name, o.Policy, o.Biods = name, pol, biods
+		return o
+	}
+	biods := client.Reno().Biods
 	rows := []rowSpec{
 		{name: "Local", local: true},
-		{name: "write thru", opts: wt},
-		{name: "async,4biod", opts: async4},
-		{name: "async,16biod", opts: async16},
-		{name: "delay wrt.", opts: delayed},
+		{name: "write thru", opts: policy("write-thru", client.WriteThrough, biods)},
+		{name: "async,4biod", opts: policy("async-4biod", client.WriteAsync, 4)},
+		{name: "async,16biod", opts: policy("async-16biod", client.WriteAsync, 16)},
+		{name: "delay wrt.", opts: policy("delay-wrt", client.WriteDelayed, biods)},
 		{name: "no consist", opts: client.RenoNoConsist()},
 	}
+	t := make(cdTable, len(rows))
 	for ri, row := range rows {
-		cells := []any{row.name}
+		t[ri].Name = row.name
 		for si, size := range sizes {
-			r := NewRig(RigConfig{Seed: cfg.seed() + int64(ri*10+si), Topology: TopoLAN, ServerDisk: true})
-			var mean float64
-			ok := false
-			runWorkload(r.Env, "cd", 8*time.Hour, func(p *sim.Proc) {
-				var fs workload.BenchFS
-				if row.local {
-					disk := memfs.NewRD53(r.Env, "client.rd53")
-					lfs := workload.NewLocalFS(r.Env, memfs.New(2, disk, nil))
-					fs = lfs
-				} else {
-					m, err := r.Mount(p, UDPDynamic, row.opts)
-					if err != nil {
-						return
-					}
-					fs = workload.MountFS{M: m}
-				}
-				res, err := workload.RunCreateDelete(p, fs, row.name, size, iters)
-				if err != nil {
-					return
-				}
-				mean = res.MeanMS
-				ok = true
-			})
-			r.Close()
-			if ok {
-				cells = append(cells, fmt.Sprintf("%.0f", mean))
-			} else {
-				cells = append(cells, "-")
-			}
+			rig := RigConfig{Seed: cfg.seed() + int64(ri*10+si), Topology: TopoLAN, ServerDisk: true}
+			t[ri].Runs[si] = runCreateDelete(rig, row.local, row.opts, row.name, size, iters)
 		}
-		t.AddRow(cells...)
 	}
-	return []*stats.Table{t}
+	return t
+}
+
+func (t cdTable) tables() []*stats.Table {
+	tb := stats.NewTable("Table #5: Create-Delete Bench, 4.3BSD Reno client (msec)",
+		"Config", "No data", "10Kbytes", "100Kbytes")
+	for _, r := range t {
+		row := []any{r.Name}
+		for _, run := range r.Runs {
+			row = append(row, fixed(run.MeanMS, 0, run.OK))
+		}
+		tb.AddRow(row...)
+	}
+	return []*stats.Table{tb}
+}
+
+// caveats is the appendix: caveat 1's lookup runs per name length and server
+// name cache setting, caveat 2's read runs on empty and preloaded files.
+type caveats struct {
+	NameCache []nameCacheRun
+	Preload   []preloadRun
+}
+
+type nameCacheRun struct {
+	Names, Cache string
+	LookupRTT    float64
+	Hits         int
+}
+
+type preloadRun struct {
+	Subtree string
+	ReadRTT float64
 }
 
 // expAppendixA reproduces the two Nhfsstone caveats from the appendix:
 // long names defeating the server name cache, and the empty-file read
 // bias.
-func expAppendixA(cfg ExpConfig) []*stats.Table {
+func expAppendixA(cfg ExpConfig) caveats {
+	var c caveats
 	// Caveat 1: lookup benchmark with short vs long names against a
 	// server with the name cache on and off.
-	t1 := stats.NewTable("Appendix caveat 1: server name cache vs Nhfsstone name length",
-		"names", "server cache", "lookup RTT(ms)", "cache hits")
-	for _, long := range []bool{false, true} {
-		for _, cacheOn := range []bool{true, false} {
-			r := NewRig(RigConfig{Seed: cfg.seed(), Topology: TopoLAN})
-			if !cacheOn {
-				r.Server.SetNameCache(false)
+	for _, names := range []string{"short", "long(>31)"} {
+		for _, cache := range []string{"on", "off"} {
+			srv := server.Reno()
+			srv.NameCache = cache == "on"
+			run := nameCacheRun{Names: names, Cache: cache}
+			res := runNhfsstone(cfg, TopoLAN, UDPDynamic, workload.DefaultLookupMix(), 25, RigConfig{Seed: cfg.seed(), ServerOpts: srv},
+				func(nc *workload.NhfsstoneConfig) { nc.FileSize, nc.LongNames = 2048, names != "short" },
+				func(r *Rig) { run.Hits = r.Server.NameCacheStats().Hits })
+			if res != nil {
+				run.LookupRTT = res.RTT[nfsproto.ProcLookup].Mean()
 			}
-			var rtt float64
-			hits := 0
-			runWorkload(r.Env, "bench", cfg.warmup()+cfg.window()+20*time.Minute, func(p *sim.Proc) {
-				tr, _ := r.DialTransport(p, UDPDynamic)
-				nh := &workload.Nhfsstone{
-					Cfg: workload.NhfsstoneConfig{
-						Mix: workload.DefaultLookupMix(), Rate: 25, Procs: 4,
-						Duration: cfg.window(), Warmup: cfg.warmup(),
-						NumFiles: 40, FileSize: 2048, LongNames: long,
-					},
-					Tr:   tr,
-					Root: r.Server.RootFH(),
-				}
-				if err := nh.Preload(p); err != nil {
-					return
-				}
-				res := nh.Run(p)
-				rtt = res.RTT[nfsproto.ProcLookup].Mean()
-				hits = r.Server.NameCacheStats().Hits
-			})
-			r.Close()
-			names := "short"
-			if long {
-				names = "long(>31)"
-			}
-			cache := "on"
-			if !cacheOn {
-				cache = "off"
-			}
-			t1.AddRow(names, cache, rtt, hits)
+			c.NameCache = append(c.NameCache, run)
 		}
 	}
-
 	// Caveat 2: reads against empty vs preloaded files.
+	for _, subtree := range []string{"empty files", "preloaded 8K files"} {
+		run := preloadRun{Subtree: subtree}
+		res := runNhfsstone(cfg, TopoLAN, UDPDynamic, workload.ReadLookupMix(), 12, RigConfig{Seed: cfg.seed()},
+			func(nc *workload.NhfsstoneConfig) {
+				nc.NumFiles, nc.FileSize = 30, 1 // non-empty handles but ~empty data
+				if subtree != "empty files" {
+					nc.FileSize = 8192
+				}
+			}, nil)
+		if res != nil {
+			run.ReadRTT = res.RTT[nfsproto.ProcRead].Mean()
+		}
+		c.Preload = append(c.Preload, run)
+	}
+	return c
+}
+
+func (c caveats) tables() []*stats.Table {
+	t1 := stats.NewTable("Appendix caveat 1: server name cache vs Nhfsstone name length",
+		"names", "server cache", "lookup RTT(ms)", "cache hits")
+	for _, r := range c.NameCache {
+		t1.AddRow(r.Names, r.Cache, r.LookupRTT, r.Hits)
+	}
 	t2 := stats.NewTable("Appendix caveat 2: read RTT vs file preloading",
 		"subtree", "read RTT(ms)")
-	for _, preload := range []bool{false, true} {
-		r := NewRig(RigConfig{Seed: cfg.seed(), Topology: TopoLAN})
-		var rtt float64
-		runWorkload(r.Env, "bench", cfg.warmup()+cfg.window()+20*time.Minute, func(p *sim.Proc) {
-			tr, _ := r.DialTransport(p, UDPDynamic)
-			size := 0
-			if preload {
-				size = 8192
-			}
-			nh := &workload.Nhfsstone{
-				Cfg: workload.NhfsstoneConfig{
-					Mix: workload.ReadLookupMix(), Rate: 12, Procs: 4,
-					Duration: cfg.window(), Warmup: cfg.warmup(),
-					NumFiles: 30, FileSize: size,
-				},
-				Tr:   tr,
-				Root: r.Server.RootFH(),
-			}
-			if size == 0 {
-				nh.Cfg.FileSize = 1 // create non-empty handles but ~empty data
-			}
-			if err := nh.Preload(p); err != nil {
-				return
-			}
-			res := nh.Run(p)
-			rtt = res.RTT[nfsproto.ProcRead].Mean()
-		})
-		r.Close()
-		name := "empty files"
-		if preload {
-			name = "preloaded 8K files"
-		}
-		t2.AddRow(name, rtt)
+	for _, r := range c.Preload {
+		t2.AddRow(r.Subtree, r.ReadRTT)
 	}
 	return []*stats.Table{t1, t2}
 }

@@ -12,7 +12,6 @@ import (
 	"renonfs/internal/sim"
 	"renonfs/internal/stats"
 	"renonfs/internal/transport"
-	"renonfs/internal/workload"
 )
 
 // LeaseClient is the Reno client with the NQNFS-style lease extension:
@@ -41,104 +40,100 @@ func LeaseServer() server.Options {
 //     the unsafe noconsist bound the paper measured;
 //  2. readdir_and_lookup_files: the RPC bill of an ls -lR;
 //  3. adaptive transfer sizing: read success over a lossy link.
-func expFutureWork(cfg ExpConfig) []*stats.Table {
-	return []*stats.Table{
-		futureLeases(cfg),
-		futureCreateDelete(cfg),
-		futureReaddirLook(cfg),
-		futureAdaptive(cfg),
-	}
+func expFutureWork(cfg ExpConfig) futureWork {
+	return futureWork{andrewRuns(cfg, 0, regimes), futureCreateDelete(cfg), futureReaddirLook(cfg), futureAdaptive(cfg)}
 }
 
-// futureLeases runs the Andrew benchmark under the three consistency
-// regimes.
-func futureLeases(cfg ExpConfig) *stats.Table {
-	t := stats.NewTable("Future work: leases vs push-on-close (Andrew benchmark, MicroVAXII)",
+// futureWork holds the four Future Directions tables' runs; the lease and
+// Create-Delete runs are in regimes order. In each, OK is false for a run
+// that did not finish.
+type futureWork struct {
+	Leases   []andrewRun
+	CD       []cdRun
+	Ls       []lsRun
+	Adaptive []adaptiveRun
+}
+
+func (f futureWork) tables() []*stats.Table {
+	leases := stats.NewTable("Future work: leases vs push-on-close (Andrew benchmark, MicroVAXII)",
 		"client", "write RPCs", "total RPCs", "I-IV (s)", "coherent?")
-	rows := []struct {
-		name     string
-		srv      server.Options
-		opts     client.Options
-		coherent string
-	}{
-		{"Reno (push-on-close)", server.Reno(), client.Reno(), "yes"},
-		{"Reno + leases", LeaseServer(), LeaseClient(), "yes (lease protocol)"},
-		{"Reno-noconsist (bound)", server.Reno(), client.RenoNoConsist(), "NO"},
-	}
-	for i, row := range rows {
-		res, err := runAndrew(cfg.seed()+int64(i), 0, row.srv, UDPDynamic, row.opts)
-		if err != nil {
-			t.AddRow(row.name, "-", "-", "-", row.coherent)
+	for i, r := range f.Leases {
+		if !r.OK {
+			leases.AddRow(r.Name, "-", "-", "-", coherent[i])
 			continue
 		}
-		t.AddRow(row.name,
-			res.RPC.Calls[nfsproto.ProcWrite],
-			res.RPC.TotalCalls(),
-			secs(res.PhaseI_IV()),
-			row.coherent)
+		leases.AddRow(r.Name, r.RPC.Calls[nfsproto.ProcWrite], r.RPC.TotalCalls(),
+			fmt.Sprintf("%.0f", float64(r.PhaseI_IV())/1e9), coherent[i])
 	}
-	return t
+	cd := stats.NewTable("Future work: Create-Delete 100KB (msec)", "client", "mean ms")
+	for i, r := range f.CD {
+		cd.AddRow(regimes[i].name, fixed(r.MeanMS, 0, r.OK))
+	}
+	ls := stats.NewTable("Future work: ls -lR RPC bill, 120 files in 4 directories",
+		"client", "lookup", "getattr", "readdir(+look)", "total")
+	for _, r := range f.Ls {
+		if !r.OK {
+			ls.AddRow(r.Name, "-", "-", "-", "-")
+			continue
+		}
+		c := &r.RPC.Calls
+		ls.AddRow(r.Name, c[nfsproto.ProcLookup], c[nfsproto.ProcGetattr],
+			c[nfsproto.ProcReaddir]+c[nfsproto.ProcReaddirLook], r.RPC.TotalCalls())
+	}
+	adaptive := stats.NewTable("Future work: adaptive read size on a lossy Ethernet (8% frame loss)",
+		"client", "elapsed (s)", "read RPCs", "final rsize")
+	for _, r := range f.Adaptive {
+		if !r.OK {
+			adaptive.AddRow(r.Name, "-", "-", "-")
+			continue
+		}
+		adaptive.AddRow(r.Name, fmt.Sprintf("%.1f", float64(r.Elapsed)/1e9), r.ReadRPCs, r.Rsize)
+	}
+	return []*stats.Table{leases, cd, ls, adaptive}
 }
+
+// regimes are the three consistency regimes of the lease tables, and
+// coherent says whether each keeps the clients' caches consistent.
+var (
+	regimes = []andrewConfig{
+		{"Reno (push-on-close)", UDPDynamic, server.Reno(), client.Reno()},
+		{"Reno + leases", UDPDynamic, LeaseServer(), LeaseClient()},
+		{"Reno-noconsist (bound)", UDPDynamic, server.Reno(), client.RenoNoConsist()},
+	}
+	coherent = []string{"yes", "yes (lease protocol)", "NO"}
+)
 
 // futureCreateDelete shows leases approaching the noconsist bound on the
 // paper's most dramatic number: Create-Delete of a 100 KB file.
-func futureCreateDelete(cfg ExpConfig) *stats.Table {
-	t := stats.NewTable("Future work: Create-Delete 100KB (msec)", "client", "mean ms")
+func futureCreateDelete(cfg ExpConfig) []cdRun {
 	iters := 8
 	if cfg.Quick {
 		iters = 4
 	}
-	rows := []struct {
-		name string
-		srv  server.Options
-		opts client.Options
-	}{
-		{"Reno (push-on-close)", server.Reno(), client.Reno()},
-		{"Reno + leases", LeaseServer(), LeaseClient()},
-		{"Reno-noconsist (bound)", server.Reno(), client.RenoNoConsist()},
+	var runs []cdRun
+	for i, row := range regimes {
+		rig := RigConfig{Seed: cfg.seed() + int64(i), Topology: TopoLAN, ServerOpts: row.srv, ServerDisk: true}
+		runs = append(runs, runCreateDelete(rig, false, row.opts, row.opts.Name, 100*1024, iters))
 	}
-	for i, row := range rows {
-		r := NewRig(RigConfig{Seed: cfg.seed() + int64(i), Topology: TopoLAN,
-			ServerOpts: row.srv, ServerDisk: true})
-		var mean float64
-		ok := false
-		runWorkload(r.Env, "cd", 4*time.Hour, func(p *sim.Proc) {
-			m, err := r.Mount(p, UDPDynamic, row.opts)
-			if err != nil {
-				return
-			}
-			res, err := workload.RunCreateDelete(p, workload.MountFS{M: m}, row.opts.Name, 100*1024, iters)
-			if err != nil {
-				return
-			}
-			mean = res.MeanMS
-			ok = true
-		})
-		r.Close()
-		if ok {
-			t.AddRow(row.name, fmt.Sprintf("%.0f", mean))
-		} else {
-			t.AddRow(row.name, "-")
-		}
-	}
-	return t
+	return runs
+}
+
+// lsRun is the client RPCs of one ls -lR.
+type lsRun struct {
+	Name string
+	OK   bool
+	RPC  client.Stats
 }
 
 // futureReaddirLook measures an ls -lR (list + stat every file) with and
 // without the readdir_and_lookup_files RPC.
-func futureReaddirLook(cfg ExpConfig) *stats.Table {
-	t := stats.NewTable("Future work: ls -lR RPC bill, 120 files in 4 directories",
-		"client", "lookup", "getattr", "readdir(+look)", "total")
-	for _, useExt := range []bool{false, true} {
+func futureReaddirLook(cfg ExpConfig) []lsRun {
+	var runs []lsRun
+	for i, name := range []string{"Reno (lookup per file)", "Reno + readdirlook"} {
 		r := NewRig(RigConfig{Seed: cfg.seed(), Topology: TopoLAN, ServerOpts: LeaseServer()})
 		opts := client.Reno()
-		opts.ReaddirLook = useExt
-		name := "Reno (lookup per file)"
-		if useExt {
-			name = "Reno + readdirlook"
-		}
-		var st client.Stats
-		ok := false
+		opts.ReaddirLook = i == 1
+		run := lsRun{Name: name}
 		runWorkload(r.Env, "ls", time.Hour, func(p *sim.Proc) {
 			m, err := r.Mount(p, UDPDynamic, opts)
 			if err != nil {
@@ -176,35 +171,32 @@ func futureReaddirLook(cfg ExpConfig) *stats.Table {
 					}
 				}
 			}
-			for i := range st.Calls {
-				st.Calls[i] = m.Stats.Calls[i] - base.Calls[i]
+			for i := range run.RPC.Calls {
+				run.RPC.Calls[i] = m.Stats.Calls[i] - base.Calls[i]
 			}
-			ok = true
+			run.OK = true
 		})
 		r.Close()
-		if !ok {
-			t.AddRow(name, "-", "-", "-", "-")
-			continue
-		}
-		total := 0
-		for _, c := range st.Calls {
-			total += c
-		}
-		t.AddRow(name,
-			st.Calls[nfsproto.ProcLookup],
-			st.Calls[nfsproto.ProcGetattr],
-			st.Calls[nfsproto.ProcReaddir]+st.Calls[nfsproto.ProcReaddirLook],
-			total)
+		runs = append(runs, run)
 	}
-	return t
+	return runs
+}
+
+// adaptiveRun is one sequential read of a 256 KB file: its elapsed time,
+// read RPCs and the client's final read size.
+type adaptiveRun struct {
+	Name            string
+	OK              bool
+	Elapsed         sim.Time
+	ReadRPCs, Rsize int
 }
 
 // futureAdaptive measures sequential read throughput over a lossy link
 // with and without dynamic transfer sizing.
-func futureAdaptive(cfg ExpConfig) *stats.Table {
-	t := stats.NewTable("Future work: adaptive read size on a lossy Ethernet (8% frame loss)",
-		"client", "elapsed (s)", "read RPCs", "final rsize")
-	for _, adaptive := range []bool{false, true} {
+func futureAdaptive(cfg ExpConfig) []adaptiveRun {
+	var runs []adaptiveRun
+	for i, name := range []string{"fixed 8K reads", "adaptive reads"} {
+		adaptive := i == 1
 		env := sim.New(cfg.seed())
 		nt := netsim.New(env)
 		cl := nt.AddNode(netsim.NodeConfig{Name: "client"})
@@ -224,14 +216,9 @@ func futureAdaptive(cfg ExpConfig) *stats.Table {
 		opts := client.Reno()
 		opts.AdaptiveRsize = adaptive
 		opts.ReadAhead = 0
-		name := "fixed 8K reads"
-		if adaptive {
-			name = "adaptive reads"
-		}
 		tr := transport.NewUDP(cl, 9100, sv.ID, server.NFSPort, transport.DynamicUDP())
 		m := client.NewMount(cl, tr, srv.RootFH(), opts)
-		var elapsed sim.Time
-		ok := false
+		run := adaptiveRun{Name: name}
 		runWorkload(env, "reader", time.Hour, func(p *sim.Proc) {
 			start := p.Now()
 			f, err := m.Open(p, "big")
@@ -253,20 +240,14 @@ func futureAdaptive(cfg ExpConfig) *stats.Table {
 			if total != 256*1024 {
 				return
 			}
-			elapsed = p.Now() - start
-			ok = true
+			run.OK, run.Elapsed = true, p.Now()-start
 		})
 		env.Close()
-		if !ok {
-			t.AddRow(name, "-", "-", "-")
-			continue
-		}
-		rsize := 8192
+		run.ReadRPCs, run.Rsize = m.Stats.RPCCount(nfsproto.ProcRead), 8192
 		if adaptive {
-			rsize = m.Rsize()
+			run.Rsize = m.Rsize()
 		}
-		t.AddRow(name, fmt.Sprintf("%.1f", float64(elapsed)/1e9),
-			m.Stats.RPCCount(nfsproto.ProcRead), rsize)
+		runs = append(runs, run)
 	}
-	return t
+	return runs
 }

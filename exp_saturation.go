@@ -15,19 +15,29 @@ import (
 	"renonfs/internal/workload"
 )
 
+// saturation is the server characterization curve, per offered load: calls/s
+// achieved, the mean of the clients' mean lookup RTTs and the pooled lookup
+// p99 (ms), and server CPU and disk utilization (fractions).
+type saturation []satPoint
+
+type satPoint struct {
+	Offered, Achieved    float64
+	LookupRTT, LookupP99 float64
+	CPU, Disk            float64
+}
+
 // expSaturation characterizes the server the way [Keith90] (which the
 // paper's intro cites) does: several clients offer an aggregate load of
 // the full nhfsstone mix and the curve of achieved throughput, response
 // time and server CPU shows where the CPU-bound server saturates — the
 // premise of §3's "most current NFS servers tend to be CPU bound".
-func expSaturation(cfg ExpConfig) []*stats.Table {
+func expSaturation(cfg ExpConfig) saturation {
 	loads := []float64{40, 80, 120, 160, 200, 240}
 	if cfg.Quick {
 		loads = []float64{40, 120, 240}
 	}
 	const nClients = 4
-	t := stats.NewTable("Server characterization: 4 clients, full nhfsstone mix (Reno server)",
-		"offered/s", "achieved/s", "lookup RTT(ms)", "lookup p99(ms)", "server CPU %", "disk util %")
+	var sat saturation
 	for _, load := range loads {
 		env := sim.New(cfg.seed() + int64(load))
 		mt := netsim.BuildMulti(env, nClients, netsim.NodeConfig{}, netsim.NodeConfig{})
@@ -77,20 +87,18 @@ func expSaturation(cfg ExpConfig) []*stats.Table {
 		}
 		// Read utilizations the moment the load ends, not after the idle
 		// run-out (which would dilute the window).
-		var cpuUtil, diskUtil float64
+		pt := satPoint{Offered: load}
 		runWorkload(env, "wait", cfg.warmup()+cfg.window()+30*time.Minute, func(p *sim.Proc) {
 			done.Wait(p)
-			cpuUtil = mt.Server.CPU.Utilization()
-			diskUtil = disk.Utilization()
+			pt.CPU, pt.Disk = mt.Server.CPU.Utilization(), disk.Utilization()
 		})
-		achieved := 0.0
 		var rtt stats.Summary
 		var lookupHist metrics.HistogramSnapshot
 		for _, res := range results {
 			if res == nil {
 				continue
 			}
-			achieved += res.Achieved
+			pt.Achieved += res.Achieved
 			if s := res.RTT[nfsproto.ProcLookup]; s != nil && s.Count > 0 {
 				rtt.Add(s.Mean())
 			}
@@ -98,11 +106,19 @@ func expSaturation(cfg ExpConfig) []*stats.Table {
 				lookupHist = lookupHist.Add(h.Snapshot())
 			}
 		}
-		t.AddRow(load, fmt.Sprintf("%.1f", achieved), rtt.Mean(),
-			lookupHist.Quantile(99),
-			fmt.Sprintf("%.0f", cpuUtil*100),
-			fmt.Sprintf("%.0f", diskUtil*100))
+		pt.LookupRTT, pt.LookupP99 = rtt.Mean(), lookupHist.Quantile(99)
+		sat = append(sat, pt)
 		env.Close()
+	}
+	return sat
+}
+
+func (sat saturation) tables() []*stats.Table {
+	t := stats.NewTable("Server characterization: 4 clients, full nhfsstone mix (Reno server)",
+		"offered/s", "achieved/s", "lookup RTT(ms)", "lookup p99(ms)", "server CPU %", "disk util %")
+	for _, p := range sat {
+		t.AddRow(p.Offered, fmt.Sprintf("%.1f", p.Achieved), p.LookupRTT, p.LookupP99,
+			fmt.Sprintf("%.0f", p.CPU*100), fmt.Sprintf("%.0f", p.Disk*100))
 	}
 	return []*stats.Table{t}
 }

@@ -304,10 +304,6 @@ func (s *Server) PublishMbufStats() {
 // AttachNode binds the server to a simulated host for CPU accounting.
 func (s *Server) AttachNode(n *netsim.Node) { s.Node = n }
 
-// SetNameCache toggles the server name cache at run time (the appendix
-// experiment).
-func (s *Server) SetNameCache(on bool) { s.namec.SetEnabled(on) }
-
 // NameCacheStats exposes server name-cache behaviour.
 func (s *Server) NameCacheStats() vfs.NameCacheStats { return s.namec.Stats() }
 

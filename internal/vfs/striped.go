@@ -201,7 +201,7 @@ func (c *StripedNameCache) SetEnabled(on bool) {
 }
 
 // Enabled reports whether the cache is on. The flag only changes between
-// runs (SetNameCache), so reading stripe 0 suffices.
+// runs (SetEnabled), so reading stripe 0 suffices.
 func (c *StripedNameCache) Enabled() bool {
 	st := &c.stripes[0]
 	st.mu.Lock()

@@ -45,7 +45,6 @@ func TestEveryKnobMovesACount(t *testing.T) {
 }
 
 func knobs() []knob {
-	quick := ExpConfig{Quick: true, Seed: 1991}
 	seed := quick.seed()
 
 	// The loaded-LAN ablation row, from the paper's transport.
@@ -55,7 +54,10 @@ func knobs() []knob {
 			if flip {
 				f(&c)
 			}
-			return fmt.Sprint(ablationRun(quick, TopoLAN, "", c, 28, 8)[1:])
+			if r := ablationRun(quick, TopoLAN, ablationRow{ucfg: c}, 28, 8); r.OK {
+				return fmt.Sprint(r.ReadRTT, r.ReadRate, r.ReadRetries, r.Retries)
+			}
+			return ""
 		}
 	}
 	// An Andrew benchmark row of Tables 2-3 or of the lease table.
@@ -65,11 +67,10 @@ func knobs() []knob {
 			if flip {
 				f(&s, &o)
 			}
-			res, err := runAndrew(seed, 0, s, UDPDynamic, o)
-			if err != nil {
-				return ""
+			if run := runAndrew(seed, 0, s, UDPDynamic, o); run.OK {
+				return fmt.Sprint(run.PhaseTimes, run.RPC.Calls)
 			}
-			return fmt.Sprint(res.PhaseTimes, res.RPC.Calls)
+			return ""
 		}
 	}
 	// An Nhfsstone point on the LAN, on the paper's transport.
@@ -79,9 +80,10 @@ func knobs() []knob {
 			if flip {
 				f(&c)
 			}
-			res, cpu := runNhfsstone(quick, TopoLAN, UDPDynamic, mix, rate, c, func(nc *workload.NhfsstoneConfig) {
-				nc.NumFiles = files
-			})
+			var cpu float64
+			res := runNhfsstone(quick, TopoLAN, UDPDynamic, mix, rate, c,
+				func(nc *workload.NhfsstoneConfig) { nc.NumFiles = files },
+				func(r *Rig) { cpu = r.Net.Server.CPU.Utilization() })
 			return nhfsNumbers(res, cpu)
 		}
 	}
@@ -147,7 +149,10 @@ func knobs() []knob {
 			if flip {
 				row = 1
 			}
-			return strings.Join(futureAdaptive(quick).Rows[row][1:3], " ")
+			if r := futureAdaptive(quick)[row]; r.OK {
+				return fmt.Sprint(r.Elapsed, r.ReadRPCs)
+			}
+			return ""
 		}},
 		{"client.ReaddirLook", "the ls -lR table's readdirlook run",
 			lsBill(func(_ *server.Options, o *client.Options) { o.ReaddirLook = false })},
@@ -181,22 +186,10 @@ func nhfsNumbers(res *workload.NhfsstoneResult, cpu float64) string {
 // createDelete is a Table 5 cell's run: the mean ms of four Create-Deletes
 // of a 100 KB file, with the client's RPC counts.
 func createDelete(rig RigConfig, opts client.Options) string {
-	r := NewRig(rig)
-	defer r.Close()
-	out := ""
-	r.Env.Spawn("cd", func(p *sim.Proc) {
-		m, err := r.Mount(p, UDPDynamic, opts)
-		if err != nil {
-			return
-		}
-		res, err := workload.RunCreateDelete(p, workload.MountFS{M: m}, "knob", 100*1024, 4)
-		if err != nil {
-			return
-		}
-		out = fmt.Sprint(res.MeanMS, m.Stats.Calls)
-	})
-	r.Env.Run(4 * time.Hour)
-	return out
+	if run := runCreateDelete(rig, false, opts, "knob", 100*1024, 4); run.OK {
+		return fmt.Sprint(run.MeanMS, run.RPC.Calls)
+	}
+	return ""
 }
 
 // lsBill is the Future Work table's ls -lR, over one directory of ten files,
