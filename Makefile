@@ -98,12 +98,15 @@ scaling-smoke:
 fleet:
 	$(GO) run ./cmd/nfsbench -fleet -dur 3s
 
-# CI-sized fleet run: 1k simulated clients for 2s — exercises the SLO
-# parser, both curve and scenario paths, and exits nonzero if any scenario
-# breaks the exactly-once audit.
+# CI-sized fleet run: 1k clients for 2s, once on the simulator and once
+# over real loopback sockets (-fleet-real, ~15 s) — exercises the SLO
+# parser, both curve and scenario paths on both engines, and exits nonzero
+# if any scenario breaks the exactly-once audit.
+FLEET_SMOKE = -fleet -fleet-clients 1000 -fleet-shards 8 -fleet-rps 150,300 \
+	-dur 2s -fleet-slo p50=250ms,p99=2s,p999=5s,timeouts=0.25
 fleet-smoke:
-	$(GO) run ./cmd/nfsbench -fleet -fleet-clients 1000 -fleet-shards 8 \
-		-fleet-rps 150,300 -dur 2s -fleet-slo p50=250ms,p99=2s,p999=5s,timeouts=0.25
+	$(GO) run ./cmd/nfsbench $(FLEET_SMOKE)
+	$(GO) run ./cmd/nfsbench $(FLEET_SMOKE) -fleet-real
 
 # Profile the simulator and a real-socket load with pprof; start perf work
 # here, the way the paper's tuning started from kernel profiles. The

@@ -19,34 +19,25 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"renonfs/internal/fleet"
 )
 
-// fleetOpts carries the parsed -fleet* flags.
-type fleetOpts struct {
-	clients   int
-	shards    int
-	rps       []float64
-	scenarios []fleet.Kind
-	real      bool
-	strict    bool
-	seed      int64
-	warmup    time.Duration
-	horizon   time.Duration
-	timeout   time.Duration
-	slo       fleet.SLO
+// splitList returns the non-empty, space-trimmed items of a comma list.
+func splitList(s string) []string {
+	var out []string
+	for _, part := range strings.Split(s, ",") {
+		if part = strings.TrimSpace(part); part != "" {
+			out = append(out, part)
+		}
+	}
+	return out
 }
 
 // parseFleetRPS parses the -fleet-rps comma list into positive rates.
 func parseFleetRPS(s string) ([]float64, error) {
 	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
+	for _, part := range splitList(s) {
 		v, err := strconv.ParseFloat(part, 64)
 		if err != nil || v <= 0 {
 			return nil, fmt.Errorf("-fleet-rps: %q is not a positive rate", part)
@@ -62,11 +53,7 @@ func parseFleetRPS(s string) ([]float64, error) {
 // parseFleetScenarios parses the -fleet-scenarios comma list.
 func parseFleetScenarios(s string) ([]fleet.Kind, error) {
 	var out []fleet.Kind
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
+	for _, part := range splitList(s) {
 		k, err := fleet.ParseKind(part)
 		if err != nil {
 			return nil, fmt.Errorf("-fleet-scenarios: %w", err)
@@ -76,26 +63,23 @@ func parseFleetScenarios(s string) ([]fleet.Kind, error) {
 	return out, nil
 }
 
-// runFleet serves the -fleet mode. Returns false if any scenario violated
-// the exactly-once audit (main turns that into exit 1).
-func runFleet(o fleetOpts) bool {
+// runFleet serves the -fleet mode: base carries every setting but the
+// offered rate and the scenario, which each point fills in. Returns false
+// if any scenario violated the exactly-once audit (main turns that into
+// exit 1).
+func runFleet(base fleet.Config, rates []float64, kinds []fleet.Kind, real bool, slo fleet.SLO) bool {
 	engine := "sim"
 	run := fleet.RunSim
-	if o.real {
+	if real {
 		engine = "sock"
 		run = fleet.RunSock
 	}
-	base := fleet.Config{
-		Seed: o.seed, Clients: o.clients, Shards: o.shards,
-		Warmup: o.warmup, Horizon: o.horizon, Timeout: o.timeout,
-		Readers: 0, Strict: o.strict,
-	}
 
 	fmt.Printf("== fleet: open-loop latency vs offered load (%s engine, %d clients, %d shards, %v horizon)\n\n",
-		engine, o.clients, o.shards, o.horizon)
+		engine, base.Clients, base.Shards, base.Horizon)
 	fmt.Printf("  %9s %9s %9s %9s %9s %9s %8s  %s\n",
 		"offered", "achieved", "goodput", "p50ms", "p99ms", "p999ms", "timeout%", "slo")
-	for _, rps := range o.rps {
+	for _, rps := range rates {
 		cfg := base
 		cfg.OfferedRPS = rps
 		r, err := run(cfg)
@@ -103,7 +87,7 @@ func runFleet(o fleetOpts) bool {
 			fmt.Fprintf(os.Stderr, "nfsbench: -fleet (%g rps): %v\n", rps, err)
 			os.Exit(1)
 		}
-		fails := o.slo.Check(r)
+		fails := slo.Check(r)
 		verdict := "ok"
 		if len(fails) > 0 {
 			verdict = strings.Join(fails, "; ")
@@ -114,11 +98,11 @@ func runFleet(o fleetOpts) bool {
 	}
 
 	clean := true
-	if len(o.scenarios) > 0 {
-		scenarioRPS := o.rps[0]
-		fmt.Printf("\n== fleet scenarios (seed %d, %g rps, strict=%v)\n\n", o.seed, scenarioRPS, o.strict)
-		for _, kind := range o.scenarios {
-			sc := fleet.GenerateScenario(kind, o.seed, o.horizon)
+	if len(kinds) > 0 {
+		scenarioRPS := rates[0]
+		fmt.Printf("\n== fleet scenarios (seed %d, %g rps, strict=%v)\n\n", base.Seed, scenarioRPS, base.Strict)
+		for _, kind := range kinds {
+			sc := fleet.GenerateScenario(kind, base.Seed, base.Horizon)
 			cfg := base
 			cfg.OfferedRPS = scenarioRPS
 			cfg.Scenario = sc
@@ -127,7 +111,7 @@ func runFleet(o fleetOpts) bool {
 				fmt.Fprintf(os.Stderr, "nfsbench: -fleet scenario %s: %v\n", kind, err)
 				os.Exit(1)
 			}
-			fails := o.slo.Check(r)
+			fails := slo.Check(r)
 			verdict := "audit clean"
 			if n := len(r.Violations); n > 0 {
 				verdict = fmt.Sprintf("AUDIT FAILED (%d violations; first: %v)", n, r.Violations[0])

@@ -136,13 +136,11 @@ func main() {
 		if err != nil {
 			fatalf("-fleet-slo: %v", err)
 		}
-		ok := runFleet(fleetOpts{
-			clients: *fleetClients, shards: *fleetShards,
-			rps: rates, scenarios: kinds,
-			real: *fleetReal, strict: *fleetStrict, seed: *seed,
-			warmup: *warmup, horizon: *dur, timeout: *fleetTimeout,
-			slo: slo,
-		})
+		ok := runFleet(fleet.Config{
+			Seed: *seed, Clients: *fleetClients, Shards: *fleetShards,
+			Warmup: *warmup, Horizon: *dur, Timeout: *fleetTimeout,
+			Strict: *fleetStrict,
+		}, rates, kinds, *fleetReal, slo)
 		if !ok {
 			os.Exit(1)
 		}

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -60,5 +61,44 @@ func TestRunSimDeterministic(t *testing.T) {
 	}
 	if a.Fingerprint() == c.Fingerprint() {
 		t.Error("seeds 99 and 100 produced identical runs")
+	}
+}
+
+// TestRunSimPinned pins what TestRunSimDeterministic cannot see: a change
+// that moves every run alike. Each scenario at that test's config must
+// reproduce its pinned fingerprint and window quantiles. The quantiles
+// catch a shifted latency origin, which moves no call total and so no
+// fingerprint; a change that moves them on purpose re-pins them here.
+func TestRunSimPinned(t *testing.T) {
+	pins := map[string][4]string{ // fingerprint, p50, p99, p999 (ms)
+		"flashcrowd":      {"89705a125db8e854", "130.026", "554.591", "554.591"},
+		"mixedtenants":    {"c431382621941e15", "6.116", "24.889", "24.889"},
+		"remountherd":     {"38bf74c4341eb4ca", "1191.655", "1554.193", "1554.193"},
+		"retransmitstorm": {"38b87bc9fd6b2339", "58.308", "280.538", "280.538"},
+		"steady":          {"234939ce9728294a", "9.464", "30.060", "30.060"},
+		"stragglers":      {"24673717ed992538", "8.664", "603.640", "603.640"},
+	}
+	for _, name := range Kinds() {
+		want, ok := pins[name]
+		if !ok {
+			t.Errorf("%s: no pin", name)
+			continue
+		}
+		kind, err := ParseKind(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := RunSim(Config{Seed: 99, Clients: 300, Shards: 4, OfferedRPS: 300,
+			Warmup: 300 * time.Millisecond, Horizon: 2 * time.Second,
+			Timeout: time.Second, Strict: true,
+			Scenario: GenerateScenario(kind, 99, 2*time.Second)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := [4]string{r.Fingerprint(), fmt.Sprintf("%.3f", r.P50),
+			fmt.Sprintf("%.3f", r.P99), fmt.Sprintf("%.3f", r.P999)}
+		if got != want {
+			t.Errorf("%s: got %q, want %q", name, got, want)
+		}
 	}
 }

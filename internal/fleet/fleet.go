@@ -35,6 +35,7 @@ import (
 	"renonfs/internal/metrics"
 	"renonfs/internal/nfsproto"
 	"renonfs/internal/rpc"
+	"renonfs/internal/server"
 	"renonfs/internal/workload"
 	"renonfs/internal/xdr"
 )
@@ -50,15 +51,9 @@ type Config struct {
 	Horizon    time.Duration // measured window
 	Timeout    time.Duration // pending call expiry (default 5s)
 	Scenario   *Scenario     // nil means steady load
-	Files      int           // preloaded shared files (default 64)
 	// Strict turns on the auditor's exactly-once rule (duplicate sends
 	// must never execute a non-idempotent procedure twice).
 	Strict bool
-
-	// Server shape.
-	NFSDs        int     // worker pool size (default 16)
-	DupCacheSize int     // default 4096 (strict runs must not evict mid-run)
-	ServerMIPS   float64 // sim engine server CPU (default 40 — a late-era server)
 
 	// Real-socket engine only.
 	Readers     int  // sharded ingest readers (0: GOMAXPROCS)
@@ -87,23 +82,18 @@ func (c Config) withDefaults() Config {
 	if c.Timeout <= 0 {
 		c.Timeout = 5 * time.Second
 	}
-	if c.Files <= 0 {
-		c.Files = 64
-	}
-	if c.NFSDs <= 0 {
-		c.NFSDs = 16
-	}
-	if c.DupCacheSize <= 0 {
-		c.DupCacheSize = 4096
-	}
-	if c.ServerMIPS <= 0 {
-		c.ServerMIPS = 40
-	}
 	if c.Scenario == nil {
 		c.Scenario = GenerateScenario(Steady, c.Seed, c.Horizon)
 	}
 	return c
 }
+
+// Fixture and server shape, the same for both engines.
+const (
+	preloadFiles = 64   // shared files the clients work on
+	serverNFSDs  = 16   // worker pool size
+	dupCacheSize = 4096 // strict runs must not evict mid-run
+)
 
 // Timing-wheel shape: 1 ms ticks, 4096 slots (~4 s per revolution).
 const (
@@ -224,7 +214,8 @@ type shard struct {
 	clients []clientState
 	wheel   *wheel
 	pending map[uint32]pendingCall
-	due     []uint32 // advance() scratch
+	due     []uint32  // advance() scratch
+	rep     rpc.Reply // reply() scratch: one receiver per shard
 
 	rate      float64 // per-client sends/sec (scenario rate steps scale it)
 	baseRate  float64
@@ -247,15 +238,37 @@ type shard struct {
 }
 
 // fleetState is everything the engines share: shards, preloaded handles,
-// compiled mixes, and the measurement window.
+// compiled mixes, the auditor, and the measurement window.
 type fleetState struct {
 	cfg    Config
 	shards []*shard
 	mixes  [numTenants]compiledMix
 	wanMix compiledMix
 	pre    *preload
+	aud    *check.Auditor
 
 	winStart, winEnd time.Duration // measured window in run time
+}
+
+// newRun builds what both engines run against: the Reno server over a memfs
+// preloaded with the shared files, the auditor on the engine's clock
+// (strict if the config asks), and the shards.
+func newRun(cfg Config, now func() time.Duration) (*fleetState, *server.Server, error) {
+	fsys := memfs.New(1, nil, nil)
+	opts := server.Reno()
+	opts.NFSDs = serverNFSDs
+	opts.DupCacheSize = dupCacheSize
+	opts.Readers = cfg.Readers
+	opts.NoReusePort = cfg.NoReusePort
+	srv := server.New(fsys, opts)
+	aud := check.New(now)
+	aud.SetExactlyOnce(cfg.Strict)
+	srv.Tracer = aud.Tracer("server")
+	pre, err := preloadFS(fsys, preloadFiles)
+	if err != nil {
+		return nil, nil, err
+	}
+	return newFleetState(cfg, aud, pre), srv, nil
 }
 
 // newFleetState builds the shard/client structures deterministically from
@@ -263,7 +276,7 @@ type fleetState struct {
 // trailing shards placed on the WAN per WANPerMille.
 func newFleetState(cfg Config, aud *check.Auditor, pre *preload) *fleetState {
 	fs := &fleetState{
-		cfg: cfg, pre: pre,
+		cfg: cfg, pre: pre, aud: aud,
 		winStart: cfg.Warmup, winEnd: cfg.Warmup + cfg.Horizon,
 	}
 	fs.mixes[tenantNhfsstone] = compileMix(workload.FullMix())
@@ -317,7 +330,7 @@ func newFleetState(cfg Config, aud *check.Auditor, pre *preload) *fleetState {
 			default:
 				st.tenant = tenantCreateDelete
 			}
-			st.file = uint16(xorshift64(&st.rng) % uint64(cfg.Files))
+			st.file = uint16(xorshift64(&st.rng) % preloadFiles)
 			if sh.wan {
 				st.flags |= flagWAN
 			}
@@ -560,10 +573,16 @@ func (sh *shard) recordSend(o op, at time.Duration) {
 	}
 }
 
-// recordReply resolves a reply against the pending table. Window
-// membership is decided by when the call was scheduled. Caller holds
-// sh.mu.
-func (sh *shard) recordReply(xid uint32, now time.Duration, rpcErr bool) {
+// reply decodes one reply datagram into the shard's scratch and resolves
+// it against the pending table; a datagram that does not decode is
+// dropped. Window membership is decided by when the call was scheduled.
+func (sh *shard) reply(d *xdr.Decoder, now time.Duration) {
+	if rpc.DecodeReplyInto(d, &sh.rep) != nil {
+		return
+	}
+	xid := sh.rep.XID
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	pc, ok := sh.pending[xid]
 	if !ok {
 		// Resolved already (timeout sweep) or never ours: a late reply is
@@ -579,7 +598,7 @@ func (sh *shard) recordReply(xid uint32, now time.Duration, rpcErr bool) {
 		sh.wReplies++
 		sh.hist.Observe(float64(lat) / float64(time.Millisecond))
 	}
-	if rpcErr {
+	if sh.rep.Denied || sh.rep.AcceptStat != rpc.Success {
 		sh.errors++
 		if inWin {
 			sh.wErrors++
@@ -609,20 +628,76 @@ func (sh *shard) sweep(cutoff time.Duration) int {
 	return n
 }
 
-// setRate applies a scenario rate multiplier to every shard.
-func (fs *fleetState) setRate(mult float64) {
-	for _, sh := range fs.shards {
+// sendLoop is one shard's sender on the engine's clock. Every wheelGran it
+// waits for the tick (sleepUntil) and stops once the tick passes the
+// window. Under sh.mu it advances the wheel, builds every due client's
+// calls, books them at the scheduled tick and reschedules the client, then
+// hands the calls to xmit outside the lock. Booking first means the pending
+// entry and the auditor's CallSent precede the datagram, so a reply never
+// races its own call; and the scheduled tick, not the possibly later
+// actual send, is the coordinated-omission-safe latency origin.
+func (fs *fleetState) sendLoop(sh *shard, sleepUntil func(time.Duration), xmit func(op)) {
+	var ops []op
+	for tick := wheelGran; ; tick += wheelGran {
+		sleepUntil(tick)
+		if tick > fs.winEnd {
+			return
+		}
 		sh.mu.Lock()
-		sh.rate = sh.baseRate * mult
+		sh.due = sh.wheel.advance(sh.due[:0])
+		ops = ops[:0]
+		for _, ci := range sh.due {
+			ops = fs.buildOps(sh, int(ci), ops)
+			sh.wheel.schedule(ci, sh.delayTicks(&sh.clients[ci]))
+		}
+		for _, o := range ops {
+			sh.recordSend(o, tick)
+		}
+		// Periodic expiry keeps the pending table bounded.
+		if sh.wheel.tick%1024 == 0 {
+			sh.sweep(tick - fs.cfg.Timeout)
+		}
 		sh.mu.Unlock()
+		for _, o := range ops {
+			xmit(o)
+		}
 	}
 }
 
-// setStorm toggles duplicate-send mode on every shard.
-func (fs *fleetState) setStorm(dups int) {
+// event is one scripted action at a time on the run clock.
+type event struct {
+	at time.Duration
+	fn func()
+}
+
+// script returns the scenario's rate steps, storm windows and remount herds
+// as events on the run clock (scenario time plus warmup). Crash windows are
+// the engine's to add: faultplan in the simulator, SetDown/Crash over real
+// sockets.
+func (fs *fleetState) script() []event {
+	sc, w := fs.cfg.Scenario, fs.cfg.Warmup
+	var evs []event
+	for _, rs := range sc.RateSteps {
+		evs = append(evs, event{w + rs.At, func() {
+			fs.each(func(sh *shard) { sh.rate = sh.baseRate * rs.Mult })
+		}})
+	}
+	for _, st := range sc.Storms {
+		evs = append(evs,
+			event{w + st.Start, func() { fs.each(func(sh *shard) { sh.stormDups = st.Dups }) }},
+			event{w + st.End, func() { fs.each(func(sh *shard) { sh.stormDups = 0 }) }})
+	}
+	for _, rm := range sc.Remounts {
+		evs = append(evs, event{w + rm.At, func() { fs.remountAll(rm.Jitter) }})
+	}
+	return evs
+}
+
+// each runs fn on every shard under its lock.
+func (fs *fleetState) each(fn func(sh *shard)) {
 	for _, sh := range fs.shards {
 		sh.mu.Lock()
-		sh.stormDups = dups
+		fn(sh)
 		sh.mu.Unlock()
 	}
 }
@@ -634,16 +709,14 @@ func (fs *fleetState) remountAll(jitter time.Duration) {
 	if jt < 1 {
 		jt = 1
 	}
-	for _, sh := range fs.shards {
-		sh.mu.Lock()
+	fs.each(func(sh *shard) {
 		sh.wheel.clear()
 		for c := range sh.clients {
 			st := &sh.clients[c]
 			st.flags |= flagRemount
 			sh.wheel.schedule(uint32(c), 1+uint32(xorshift64(&st.rng))%jt)
 		}
-		sh.mu.Unlock()
-	}
+	})
 }
 
 // Result is one fleet run's outcome: totals for conservation, the
@@ -682,9 +755,10 @@ type Result struct {
 	FastCalls, FastFallbacks, SendBatches, SendMsgs int64
 }
 
-// finish folds the shards into a Result (engines call it after their final
-// sweep and auditor Finish).
-func (fs *fleetState) finish(engine string, aud *check.Auditor) *Result {
+// finish ends the run once the engine has stopped sending and receiving:
+// every call still pending is swept as a timeout, the shards fold into a
+// Result, and the audit closes.
+func (fs *fleetState) finish(engine string) *Result {
 	r := &Result{
 		Engine: engine, Offered: fs.cfg.OfferedRPS,
 		Clients: fs.cfg.Clients, Shards: fs.cfg.Shards,
@@ -693,6 +767,7 @@ func (fs *fleetState) finish(engine string, aud *check.Auditor) *Result {
 	var hist metrics.HistogramSnapshot
 	for i, sh := range fs.shards {
 		sh.mu.Lock()
+		sh.sweep(time.Duration(1 << 62))
 		r.Sent += sh.sent
 		r.Replies += sh.replies
 		r.Timeouts += sh.timeouts
@@ -719,10 +794,8 @@ func (fs *fleetState) finish(engine string, aud *check.Auditor) *Result {
 		r.P99 = hist.Quantile(99)
 		r.P999 = hist.Quantile(99.9)
 	}
-	if aud != nil {
-		r.Violations = aud.Finish()
-		r.AuditCounts = aud.Counts()
-	}
+	r.Violations = fs.aud.Finish()
+	r.AuditCounts = fs.aud.Counts()
 	return r
 }
 

@@ -9,12 +9,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"renonfs/internal/check"
 	"renonfs/internal/mbuf"
-	"renonfs/internal/memfs"
 	"renonfs/internal/nfsnet"
-	"renonfs/internal/rpc"
-	"renonfs/internal/server"
 	"renonfs/internal/xdr"
 )
 
@@ -30,19 +26,8 @@ import (
 // a seed whose script replays exactly.
 func RunSock(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	fsys := memfs.New(1, nil, nil)
-	opts := server.Reno()
-	opts.NFSDs = cfg.NFSDs
-	opts.Readers = cfg.Readers
-	opts.DupCacheSize = cfg.DupCacheSize
-	opts.NoReusePort = cfg.NoReusePort
-	srv := server.New(fsys, opts)
 	epoch := time.Now()
-	aud := check.New(func() time.Duration { return time.Since(epoch) })
-	aud.SetExactlyOnce(cfg.Strict)
-	srv.Tracer = aud.Tracer("server")
-
-	pre, err := preloadFS(fsys, cfg.Files)
+	fst, srv, err := newRun(cfg, func() time.Duration { return time.Since(epoch) })
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +35,6 @@ func RunSock(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	fst := newFleetState(cfg, aud, pre)
 
 	conns := make([]*net.UDPConn, len(fst.shards))
 	for i := range fst.shards {
@@ -65,63 +49,36 @@ func RunSock(cfg Config) (*Result, error) {
 		conns[i] = c.(*net.UDPConn)
 	}
 
+	// The run clock starts once the sockets are up, so the senders do not
+	// begin by catching up on ticks spent in setup.
 	start := time.Now()
 	now := func() time.Duration { return time.Since(start) }
-	stopAt := cfg.Warmup + cfg.Horizon
 	var closing atomic.Bool
 	var sendWG, recvWG, drvWG sync.WaitGroup
 	drvStop := make(chan struct{})
 
 	for i, sh := range fst.shards {
-		sh, conn := sh, conns[i]
-
+		conn := conns[i]
 		sendWG.Add(1)
 		go func() {
 			defer sendWG.Done()
-			var ops []op
-			var wires []op
-			tick := time.Duration(wheelGran)
-			for {
+			fst.sendLoop(sh, func(tick time.Duration) {
 				if d := tick - now(); d > 0 {
 					time.Sleep(d)
 				}
-				if tick > stopAt {
-					return
+			}, func(o op) {
+				b := o.wire.Bytes()
+				o.wire.Free()
+				for d := 0; d < o.dups; d++ {
+					conn.Write(b)
 				}
-				// Book everything under the lock (pending entry + auditor
-				// events precede the datagram, so a reply can never race
-				// its own CallSent), then write outside it.
-				sh.mu.Lock()
-				sh.due = sh.wheel.advance(sh.due[:0])
-				wires = wires[:0]
-				for _, ci := range sh.due {
-					ops = fst.buildOps(sh, int(ci), ops[:0])
-					for _, o := range ops {
-						sh.recordSend(o, tick)
-						wires = append(wires, o)
-					}
-					sh.wheel.schedule(ci, sh.delayTicks(&sh.clients[ci]))
-				}
-				if sh.wheel.tick%1024 == 0 {
-					sh.sweep(now() - cfg.Timeout)
-				}
-				sh.mu.Unlock()
-				for _, o := range wires {
-					b := o.wire.Bytes()
-					o.wire.Free()
-					for d := 0; d < o.dups; d++ {
-						conn.Write(b)
-					}
-				}
-				tick += wheelGran
-			}
+			})
 		}()
 
 		recvWG.Add(1)
 		go func() {
 			defer recvWG.Done()
 			buf := make([]byte, 65536)
-			var rep rpc.Reply
 			for {
 				n, err := conn.Read(buf)
 				if err != nil {
@@ -131,53 +88,29 @@ func RunSock(cfg Config) (*Result, error) {
 					continue
 				}
 				ch := mbuf.FromBytes(buf[:n])
-				if err := rpc.DecodeReplyInto(xdr.NewDecoder(ch), &rep); err == nil {
-					rpcErr := rep.Denied || rep.AcceptStat != rpc.Success
-					sh.mu.Lock()
-					sh.recordReply(rep.XID, now(), rpcErr)
-					sh.mu.Unlock()
-				}
+				sh.reply(xdr.NewDecoder(ch), now())
 				ch.Free()
 			}
 		}()
 	}
 
-	// Scenario driver: the same script the simulator interprets, on
-	// wall-clock timers relative to the end of warmup.
-	drvWG.Add(1)
-	go func() {
-		defer drvWG.Done()
-		type event struct {
-			at time.Duration
-			fn func()
-		}
-		var evs []event
-		sc := cfg.Scenario
-		for _, rs := range sc.RateSteps {
-			rs := rs
-			evs = append(evs, event{cfg.Warmup + rs.At, func() { fst.setRate(rs.Mult) }})
-		}
-		for _, st := range sc.Storms {
-			st := st
-			evs = append(evs, event{cfg.Warmup + st.Start, func() { fst.setStorm(st.Dups) }})
-			evs = append(evs, event{cfg.Warmup + st.End, func() { fst.setStorm(0) }})
-		}
-		for _, rm := range sc.Remounts {
-			rm := rm
-			evs = append(evs, event{cfg.Warmup + rm.At, func() { fst.remountAll(rm.Jitter) }})
-		}
-		for _, c := range sc.Crashes {
-			c := c
-			evs = append(evs, event{cfg.Warmup + time.Duration(c.Start), func() { s.SetDown(true) }})
-			evs = append(evs, event{cfg.Warmup + time.Duration(c.End), func() {
+	// Scenario driver: the shared script plus this engine's crash windows,
+	// on one wall-clock timer goroutine.
+	evs := fst.script()
+	for _, c := range cfg.Scenario.Crashes {
+		evs = append(evs,
+			event{cfg.Warmup + c.Start, func() { s.SetDown(true) }},
+			event{cfg.Warmup + c.End, func() {
 				s.Crash()
 				s.SetDown(false)
 			}})
-		}
-		sort.Slice(evs, func(i, j int) bool { return evs[i].at < evs[j].at })
+	}
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].at < evs[j].at })
+	drvWG.Add(1)
+	go func() {
+		defer drvWG.Done()
 		for _, ev := range evs {
-			d := ev.at - now()
-			if d > 0 {
+			if d := ev.at - now(); d > 0 {
 				select {
 				case <-drvStop:
 					return
@@ -200,14 +133,9 @@ func RunSock(cfg Config) (*Result, error) {
 		c.Close()
 	}
 	recvWG.Wait()
-	for _, sh := range fst.shards {
-		sh.mu.Lock()
-		sh.sweep(time.Duration(1 << 62))
-		sh.mu.Unlock()
-	}
 	s.Close()
 
-	res := fst.finish("sock", aud)
+	res := fst.finish("sock")
 	snap := srv.Metrics.Snapshot()
 	for name, v := range snap.Counters {
 		switch {

@@ -181,11 +181,6 @@ const (
 	ringMinSlots = 16
 )
 
-// disableReusePort forces the shared-socket fallback; tests set it to make
-// same-peer retransmissions spread across readers (reuseport pins a 4-tuple
-// to one socket, the fallback does not).
-var disableReusePort bool
-
 // Serve starts UDP and TCP listeners on the given addresses (use
 // "127.0.0.1:0" to pick free ports), a pool of srv.Opts.NFSDs worker
 // goroutines, and srv.Opts.Readers sharded UDP ingest readers (0 picks
@@ -210,7 +205,7 @@ func Serve(srv *server.Server, udpAddr, tcpAddr string) (*Server, error) {
 	// bind several to the port, otherwise one socket shared by every reader.
 	var socks []*net.UDPConn
 	reuse := false
-	if nreaders > 1 && reusePortSupported() && !disableReusePort && !srv.Opts.NoReusePort {
+	if nreaders > 1 && reusePortSupported() && !srv.Opts.NoReusePort {
 		if cs, err := listenReusePort(udpAddr, nreaders); err == nil {
 			socks, reuse = cs, true
 		}

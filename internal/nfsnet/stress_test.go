@@ -56,12 +56,11 @@ func encodeGetattr(xid uint32, fh nfsproto.FH) []byte {
 // storm really did spread across readers, so the cross-reader path is what
 // was proven.
 func TestRetransmitStormExactlyOnce(t *testing.T) {
-	disableReusePort = true
-	defer func() { disableReusePort = false }()
 	fs := memfs.New(1, nil, nil)
 	opts := server.Reno()
 	opts.NFSDs = 8
 	opts.Readers = 4
+	opts.NoReusePort = true
 	// Size the cache so nothing evicts mid-run: with no eviction, any
 	// re-execution is a hard exactly-once violation.
 	opts.DupCacheSize = 4096
