@@ -41,10 +41,11 @@ const (
 	readdirAllocBudget = 5
 	// A simulated GETATTR through a Rig: the dynamic-UDP transport, the
 	// simulated network and the server core together, with no tracer
-	// installed anywhere. Measured 26 (44.1 while every simulator event was
-	// a heap-allocated timer and every wait a heap-allocated waiter); the
-	// budget is that plus 2.
-	rigGetattrAllocBudget = 28.0
+	// installed anywhere. Measured 7 (18 before the transport recycled its
+	// call records and the receive loops became queue callbacks, 44.1 while
+	// every simulator event was a heap-allocated timer and every wait a
+	// heap-allocated waiter); the budget is that plus 2.
+	rigGetattrAllocBudget = 9.0
 )
 
 // warmServer builds a server with one 8 KB file, runs a few calls of each

@@ -41,7 +41,8 @@ func putHdr(m *Mbuf) {
 	hdrPool.Put(m)
 }
 
-// newSmall allocates a small mbuf, preferring the free list.
+// newSmall allocates a small mbuf, preferring the free list. A miss
+// allocates the header and its storage as one object, as newCluster does.
 func newSmall() *Mbuf {
 	Stats.SmallAllocs.Add(1)
 	if v := smallPool.Get(); v != nil {
@@ -51,7 +52,12 @@ func newSmall() *Mbuf {
 		return m
 	}
 	Stats.PoolMisses.Add(1)
-	m := &Mbuf{buf: make([]byte, MLen), pooled: true}
+	s := &struct {
+		m    Mbuf
+		data [MLen]byte
+	}{}
+	m := &s.m
+	m.buf, m.pooled = s.data[:], true
 	m.refs.Store(1)
 	return m
 }
@@ -66,7 +72,12 @@ func newCluster() *Mbuf {
 		return m
 	}
 	Stats.PoolMisses.Add(1)
-	m := &Mbuf{buf: make([]byte, ClBytes), cluster: true, pooled: true}
+	s := &struct {
+		m    Mbuf
+		data [ClBytes]byte
+	}{}
+	m := &s.m
+	m.buf, m.cluster, m.pooled = s.data[:], true, true
 	m.refs.Store(1)
 	return m
 }

@@ -277,7 +277,8 @@ func DecodeReplyInto(d *xdr.Decoder, r *Reply) error {
 // PeekXID extracts the transaction id from a message chain without
 // disturbing it, used by transports to match replies to requests.
 func PeekXID(c *mbuf.Chain) (uint32, error) {
-	d := xdr.NewDecoder(c.Range(0, min(4, c.Len())))
+	var d xdr.Decoder
+	d.Reset(c)
 	return d.Uint32()
 }
 

@@ -13,20 +13,25 @@ import (
 // NFSPort is the conventional NFS port.
 const NFSPort = 2049
 
-// job is one request handed to the nfsd pool. owned marks request chains the
-// frontend built itself (TCP record reassembly) and may therefore free after
-// the call; UDP request chains belong to the network layer, whose
-// fault-injection machinery can deliver the same payload chain twice, so the
-// server must never recycle them.
+// job is one request handed to the nfsd pool, with the address its reply
+// goes to: a UDP socket and the sender's (src, sport), or a TCP connection.
+// A TCP request chain is the frontend's own (record reassembly), which the
+// nfsd frees after the call; UDP request chains belong to the network layer,
+// whose fault-injection machinery can deliver the same payload chain twice,
+// so the server must never recycle them.
 type job struct {
 	peer  string
 	req   *mbuf.Chain
-	owned bool
-	reply func(p *sim.Proc, rep *mbuf.Chain)
+	sock  *netsim.UDPSocket
+	src   netsim.NodeID
+	sport int
+	conn  *tcpsim.Conn
 }
 
-// ServeUDP starts the UDP frontend on the attached node: a receiver
-// process feeding a pool of nfsd daemons, the way rpc.nfsd worked.
+// ServeUDP starts the UDP frontend on the attached node: the socket's
+// receive queue feeds a pool of nfsd daemons, the way rpc.nfsd worked. The
+// receiver only hands each datagram on, so it runs as the queue's callback
+// consumer rather than as a process.
 func (s *Server) ServeUDP(port int) {
 	if s.Node == nil {
 		panic("server: ServeUDP without AttachNode")
@@ -35,34 +40,22 @@ func (s *Server) ServeUDP(port int) {
 	sock := s.Node.UDPSocket(port)
 	s.EnableLeaseCallbacks(sock)
 	jobs := sim.NewQueue[job](env, s.Opts.Name+".nfsd-q")
-	env.Spawn(s.Opts.Name+".udp-rx", func(p *sim.Proc) {
-		// Peer strings are interned per (src, sport): a client keeps one
-		// socket for its whole run, so formatting the name once beats a
-		// fmt.Sprintf per request.
-		type udpPeer struct {
-			src   netsim.NodeID
-			sport int
+	// Peer strings are interned per (src, sport): a client keeps one socket
+	// for its whole run, so formatting the name once beats a fmt.Sprintf per
+	// request.
+	type udpPeer struct {
+		src   netsim.NodeID
+		sport int
+	}
+	peers := make(map[udpPeer]string)
+	sock.Queue().Serve(func(dg *netsim.Datagram) {
+		src, sport := dg.Src, dg.SrcPort
+		peer, ok := peers[udpPeer{src, sport}]
+		if !ok {
+			peer = fmt.Sprintf("udp:%d:%d", src, sport)
+			peers[udpPeer{src, sport}] = peer
 		}
-		peers := make(map[udpPeer]string)
-		for {
-			dg, ok := sock.Recv(p)
-			if !ok {
-				return
-			}
-			src, sport := dg.Src, dg.SrcPort
-			peer, ok := peers[udpPeer{src, sport}]
-			if !ok {
-				peer = fmt.Sprintf("udp:%d:%d", src, sport)
-				peers[udpPeer{src, sport}] = peer
-			}
-			jobs.Send(job{
-				peer: peer,
-				req:  dg.Payload,
-				reply: func(p *sim.Proc, rep *mbuf.Chain) {
-					sock.Send(p, src, sport, rep)
-				},
-			})
-		}
+		jobs.Send(job{peer: peer, req: dg.Payload, sock: sock, src: src, sport: sport})
 	})
 	s.spawnNFSDs(env, jobs, "udp")
 }
@@ -117,15 +110,7 @@ func (s *Server) ServeTCP(stack *tcpsim.Stack, port int) {
 						// The job outlives the record (valid only until the
 						// next Feed): copy it into its own chain.
 						req := mbuf.FromBytes(rec)
-						jobs.Send(job{
-							peer:  peer,
-							req:   req,
-							owned: true,
-							reply: func(p *sim.Proc, rep *mbuf.Chain) {
-								rpc.AddRecordMark(rep)
-								conn.Send(p, rep)
-							},
-						})
+						jobs.Send(job{peer: peer, req: req, conn: conn})
 					}
 				}
 			})
@@ -146,11 +131,15 @@ func (s *Server) spawnNFSDs(env *sim.Env, jobs *sim.Queue[job], tag string) {
 					continue // crashed: the request vanishes
 				}
 				rep := s.HandleCall(p, j.peer, j.req)
-				if j.owned {
+				switch {
+				case j.conn != nil:
 					j.req.Free()
-				}
-				if rep != nil {
-					j.reply(p, rep)
+					if rep != nil {
+						rpc.AddRecordMark(rep)
+						j.conn.Send(p, rep)
+					}
+				case rep != nil:
+					j.sock.Send(p, j.src, j.sport, rep)
 				}
 			}
 		})

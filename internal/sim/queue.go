@@ -74,11 +74,14 @@ func (e *Env) expireAt(when Time, w waiter) { e.push(event{when: when, p: w.p, g
 // Queue is an unbounded FIFO of items passed between processes. Send never
 // blocks; Recv blocks until an item is available. A Queue may also be
 // closed, after which Recv returns immediately with ok=false once drained.
+// Instead of processes, one callback may consume it (Serve).
 type Queue[T any] struct {
 	env     *Env
 	name    string
 	items   FIFO[T]
 	waiters FIFO[waiter]
+	drain   func() // the Serve consumer, bound once so scheduling it allocates nothing
+	busy    bool   // drain is scheduled or running
 	closed  bool
 }
 
@@ -97,8 +100,29 @@ func (q *Queue[T]) Send(v T) bool {
 		return false
 	}
 	q.items.Push(v)
-	q.wakeOne()
+	if q.drain == nil {
+		q.wakeOne()
+	} else if !q.busy {
+		q.busy = true
+		q.env.At(q.env.now, q.drain)
+	}
 	return true
+}
+
+// Serve makes fn the queue's only consumer, in place of a process that loops
+// on Recv and handles each item without blocking, and schedules the same
+// events that process would: a Send that finds the consumer idle schedules
+// one drain at that instant, where the process's resume would go, and the
+// drain hands fn every item queued until none is left, those fn itself sends
+// included. fn runs as a callback and must not block. Call Serve before the
+// first Send; nothing may Recv from the queue.
+func (q *Queue[T]) Serve(fn func(v T)) {
+	q.drain = func() {
+		for q.items.Len() > 0 {
+			fn(q.items.Pop())
+		}
+		q.busy = false
+	}
 }
 
 // Close marks the queue closed and wakes all waiters. Items already queued
@@ -181,6 +205,12 @@ func (ev *Event) Set() {
 	}
 	ev.set = true
 	ev.waiters = fireAll(ev.env, ev.waiters)
+}
+
+// Reset makes ev an unset event bound to e, keeping its waiter array, so
+// an Event held by value in a recycled record allocates nothing per use.
+func (ev *Event) Reset(e *Env) {
+	ev.env, ev.set, ev.waiters = e, false, ev.waiters[:0]
 }
 
 // Wait blocks until the event is set.

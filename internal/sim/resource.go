@@ -12,7 +12,6 @@ type Resource struct {
 	waiters FIFO[slotWaiter]
 
 	busy       Time // cumulative slot-busy time
-	busySince  Time // when inUse last went 0 -> >0 (single-slot fast path)
 	resetAt    Time // start of the current accounting window
 	lastUpdate Time
 }
@@ -47,7 +46,11 @@ func (r *Resource) Name() string { return r.name }
 
 func (r *Resource) account() {
 	now := r.env.now
-	r.busy += Time(r.inUse) * (now - r.lastUpdate) / Time(r.slots)
+	busy := Time(r.inUse) * (now - r.lastUpdate)
+	if r.slots > 1 {
+		busy /= Time(r.slots)
+	}
+	r.busy += busy
 	r.lastUpdate = now
 }
 

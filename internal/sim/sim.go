@@ -10,16 +10,20 @@
 // back in. A Sleep whose wake-up would be the next event of the run in
 // progress makes no resume event at all: the clock moves to the wake-up and
 // the process keeps running, since nothing else could have run in between
-// (Advance offers the same lookahead to event-driven models). An event due
-// at the instant it is scheduled skips the heap for a FIFO ready queue.
+// (Advance offers the same lookahead to event-driven models). A process that
+// parks first runs the callbacks due before its next switch itself, and
+// returns at once if its own resume comes up first. An event due at the
+// instant it is scheduled skips the heap for a FIFO ready queue.
 // Exactly one process runs at a time, so simulated code needs no locking and
 // every run with the same seed is bit-for-bit reproducible.
 //
 // A panic in a process body surfaces from Run or RunAll in the caller's
 // goroutine, where it can be recovered; the process is then dead and the
-// environment should be closed. Close unwinds the processes still parked one
-// at a time in spawn order, running their deferred functions. Stop ends a run
-// early, typically when the process driving a workload returns.
+// environment should be closed. A panic in a callback that a parking
+// process was running kills that process the same way. Close unwinds the
+// processes still parked one at a time in spawn order, running their
+// deferred functions. Stop ends a run early, typically when the process
+// driving a workload returns.
 //
 // The kernel is the substrate for the network and host models in
 // internal/netsim; nothing in it is NFS-specific.
@@ -38,9 +42,10 @@ import (
 type Time = time.Duration
 
 // event is one entry of the event queue, held by value in the heap so that
-// scheduling allocates nothing. It does one of three things: calls fn;
-// resumes p; or, when gen != 0, expires p's wait number gen if that wait is
-// still open. Events with equal when fire in seq order.
+// scheduling allocates nothing. It does one of three things: calls fn (with
+// p set, fn is p's spawn); resumes p; or, when gen != 0, expires p's wait
+// number gen if that wait is still open. Events with equal when fire in seq
+// order.
 type event struct {
 	when Time
 	seq  uint64
@@ -119,21 +124,28 @@ func (e *Env) push(ev event) {
 	e.events = h
 }
 
-// pending reports whether an event is queued and when the earliest is due.
-func (e *Env) pending() (Time, bool) {
-	if e.ready.Len() > 0 {
-		return e.now, true
+// readyFirst reports whether the earliest event is the oldest ready one:
+// there is one, and the heap's head is not also due now.
+func (e *Env) readyFirst() bool {
+	return e.ready.Len() > 0 && (len(e.events) == 0 || e.events[0].when > e.now)
+}
+
+// peek returns the event pop would return, or nil if none is queued. The
+// pointer is valid until the next push or pop.
+func (e *Env) peek() *event {
+	switch {
+	case e.readyFirst():
+		return &e.ready.buf[e.ready.head]
+	case len(e.events) > 0:
+		return &e.events[0]
 	}
-	if len(e.events) > 0 {
-		return e.events[0].when, true
-	}
-	return 0, false
+	return nil
 }
 
 // pop removes and returns the earliest event: the heap's head if it is due
 // now, else the oldest ready event, else the heap's head.
 func (e *Env) pop() event {
-	if e.ready.Len() > 0 && (len(e.events) == 0 || e.events[0].when > e.now) {
+	if e.readyFirst() {
 		return e.ready.Pop()
 	}
 	h := e.events
@@ -192,8 +204,29 @@ func (p *Proc) Rand() *rand.Rand { return p.env.rng }
 // by the Spawn wrapper; process bodies must not recover from it.
 type stopSim struct{}
 
-// park hands control back to the scheduler until the process is resumed.
+// park suspends the process until it is resumed. Until the next event
+// would switch to another process, it does the scheduler's work itself, in
+// the same order and under the same horizon and Stop: callbacks and wait
+// timeouts run on the process's own stack, and its own resume returns
+// without a switch. A resume or a spawn of another process, an event past
+// the horizon or a Stop hands control back to the scheduler.
 func (p *Proc) park() {
+	e := p.env
+	for !e.stopped {
+		ev := e.peek()
+		if ev == nil || ev.when > e.horizon {
+			break
+		}
+		if ev.p == nil || ev.gen != 0 { // a callback or a wait timeout
+			e.step()
+			continue
+		}
+		if ev.p != p || ev.fn != nil { // another process, or a spawn
+			break
+		}
+		e.now = e.pop().when
+		return
+	}
 	if !p.yield(struct{}{}) {
 		panic(stopSim{})
 	}
@@ -207,7 +240,7 @@ func (e *Env) resumeAt(when Time, p *Proc) { e.push(event{when: when, p: p}) }
 // executing when the scheduler reaches the spawn event.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{env: e, name: name}
-	e.At(e.now, func() {
+	e.push(event{when: e.now, p: p, fn: func() {
 		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 			p.yield = yield
 			defer func() {
@@ -222,12 +255,14 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 		})
 		p.elem = e.live.PushBack(p)
 		p.next()
-	})
+	}})
 	return p
 }
 
 // Sleep suspends the process for d of virtual time. When Advance can move
-// the clock to the wake-up, the process keeps running without parking.
+// the clock to the wake-up, the process keeps running without parking. Its
+// resume is queued before it parks, so a callback the park runs cannot
+// Advance past the wake-up.
 func (p *Proc) Sleep(d Time) {
 	e := p.env
 	when := e.now + max(d, 0)
@@ -273,11 +308,11 @@ func (e *Env) Run(until Time) Time {
 	e.horizon, e.stopped = until, false
 	defer e.endRun()
 	for !e.stopped {
-		when, ok := e.pending()
-		if !ok {
+		ev := e.peek()
+		if ev == nil {
 			break
 		}
-		if when > until {
+		if ev.when > until {
 			e.now = until
 			return e.now
 		}

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -583,8 +585,9 @@ func allocsPerPass(e *Env) float64 {
 // No allocation for a RecvTimeout that times out or one a Send wakes (whose
 // timeout stays in the heap, stale, until its deadline), a contended
 // Resource.Use, callbacks due at the instant they are scheduled (the ready
-// FIFO reuses its array), or a Cond Wait/Broadcast cycle: Broadcast keeps
-// the waiter array for the next Waits. (Counts, so legitimate gates.)
+// FIFO reuses its array), a sleeper whose park runs the callbacks due before
+// its wake-up, or a Cond Wait/Broadcast cycle: Broadcast keeps the waiter
+// array for the next Waits. (Counts, so legitimate gates.)
 func TestAllocBudgetWaits(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -635,6 +638,16 @@ func TestAllocBudgetWaits(t *testing.T) {
 				}
 			}
 			e.At(0, tick)
+		}},
+		{"park behind due callbacks", func(e *Env) {
+			var tick func()
+			tick = func() { e.After(ms/8, tick) }
+			e.At(0, tick)
+			e.Spawn("sleeper", func(p *Proc) {
+				for {
+					p.Sleep(ms / 3)
+				}
+			})
 		}},
 		{"Cond Wait/Broadcast", func(e *Env) {
 			c := NewCond(e)
@@ -962,6 +975,239 @@ func TestStop(t *testing.T) {
 	e.Close()
 	if !unwound {
 		t.Fatal("Close left the parked process")
+	}
+}
+
+// onParkStack reports whether the caller runs on a parked process's stack,
+// the way park runs the callbacks due before its next switch, rather than
+// on the scheduler's.
+func onParkStack() bool {
+	pcs := make([]uintptr, 64)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	for {
+		f, more := frames.Next()
+		if strings.HasSuffix(f.Function, ".(*Proc).park") {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
+}
+
+// A callback due before a sleeper's wake-up runs first, on the sleeper's
+// stack with no switch, and the sleeper then wakes at its own time.
+func TestParkRunsDueCallback(t *testing.T) {
+	e := New(1)
+	defer e.Close()
+	var got []string
+	e.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(10 * ms)
+		got = append(got, fmt.Sprint("sleeper at ", p.Now()))
+	})
+	e.At(5*ms, func() { got = append(got, fmt.Sprint("callback, parked stack ", onParkStack())) })
+	e.RunAll()
+	if want := []string{"callback, parked stack true", "sleeper at 10ms"}; !slices.Equal(got, want) {
+		t.Fatalf("got %q, want %q", got, want)
+	}
+}
+
+// A callback pushed during a sleep for the wake-up instant runs after the
+// sleeper, whose resume was queued first.
+func TestParkLeavesLaterCallback(t *testing.T) {
+	e := New(1)
+	defer e.Close()
+	var got []string
+	e.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(10 * ms)
+		got = append(got, "sleeper")
+	})
+	e.At(5*ms, func() {
+		got = append(got, "5ms")
+		e.At(10*ms, func() { got = append(got, "pushed for 10ms") })
+	})
+	e.RunAll()
+	if want := []string{"5ms", "sleeper", "pushed for 10ms"}; !slices.Equal(got, want) {
+		t.Fatalf("order %q, want %q", got, want)
+	}
+}
+
+// Advance in a callback a parked sleeper runs stops short of the sleeper's
+// queued resume.
+func TestParkAdvanceStopsAtSleeper(t *testing.T) {
+	e := New(1)
+	defer e.Close()
+	woke := Time(-1)
+	e.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(10 * ms)
+		woke = p.Now()
+	})
+	e.At(5*ms, func() {
+		if !onParkStack() {
+			t.Error("the callback did not run on the parked sleeper's stack")
+		}
+		if e.Advance(10*ms) || e.Advance(20*ms) || e.Now() != 5*ms {
+			t.Errorf("Advance reached the sleeper's resume: now %v", e.Now())
+		}
+		if !e.Advance(8*ms) || e.Now() != 8*ms {
+			t.Errorf("Advance(8ms) short of the resume: now %v", e.Now())
+		}
+	})
+	e.RunAll()
+	if woke != 10*ms {
+		t.Fatalf("sleeper woke at %v, want 10ms", woke)
+	}
+}
+
+// Stop in a callback a parked sleeper runs ends the Run at that instant:
+// the next callback due then stays queued with the sleeper's resume, and
+// the next Run runs both, the sleeper at its own time.
+func TestParkStopsOnStop(t *testing.T) {
+	e := New(1)
+	defer e.Close()
+	var got []string
+	e.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(10 * ms)
+		got = append(got, fmt.Sprint("sleeper at ", p.Now()))
+	})
+	e.At(5*ms, func() {
+		got = append(got, fmt.Sprint("stop, parked stack ", onParkStack()))
+		e.Stop()
+	})
+	e.At(5*ms, func() { got = append(got, "after the stop") })
+	if now := e.Run(time.Hour); now != 5*ms || !slices.Equal(got, []string{"stop, parked stack true"}) {
+		t.Fatalf("Run stopped at %v having run %q", now, got)
+	}
+	e.Run(time.Hour)
+	if want := []string{"stop, parked stack true", "after the stop", "sleeper at 10ms"}; !slices.Equal(got, want) {
+		t.Fatalf("got %q, want %q", got, want)
+	}
+}
+
+// A spawn is never run on a parked process's stack: a spawned process has
+// its own, so its panic surfaces from Run and kills it alone.
+func TestParkNeverRunsSpawn(t *testing.T) {
+	e := New(1)
+	defer e.Close()
+	woke := false
+	e.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(10 * ms)
+		woke = true
+	})
+	e.At(5*ms, func() { e.Spawn("bad", func(p *Proc) { panic("boom") }) })
+	func() {
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Errorf("recovered %v from Run, want boom", r)
+			}
+		}()
+		e.Run(time.Hour)
+	}()
+	e.Run(time.Hour)
+	if !woke {
+		t.Fatal("the spawned process's panic killed the parked sleeper")
+	}
+}
+
+// A process that parks under Run(until) runs nothing due past until.
+func TestParkStopsAtHorizon(t *testing.T) {
+	e := New(1)
+	defer e.Close()
+	var got []Time
+	e.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(10 * ms)
+		got = append(got, p.Now())
+	})
+	e.At(7*ms, func() { got = append(got, e.Now()) })
+	if now := e.Run(5 * ms); now != 5*ms || len(got) != 0 {
+		t.Fatalf("Run(5ms) stopped at %v having run events at %v", now, got)
+	}
+	e.RunAll()
+	if want := []Time{7 * ms, 10 * ms}; !slices.Equal(got, want) {
+		t.Fatalf("events at %v, want %v", got, want)
+	}
+}
+
+// Property: a Serve consumer is a process that loops on Recv, event for
+// event. One seeded schedule of Sends (two at once, or several callbacks at
+// one instant), Stops and a Close, interleaved with bystander callbacks
+// that look again behind whatever is ready, runs against each under the
+// same Run horizons. What each consumes and when, what the bystanders see,
+// and where every Run stops are the same, and the Serve consumer schedules
+// one event wherever the process's resume was: the Recv loop's only extra
+// events are its spawn and its wake-up on Close.
+func TestServeMatchesRecvLoop(t *testing.T) {
+	type rec struct {
+		at   Time
+		v, n int
+	}
+	type result struct {
+		consumed, seen, marks []rec
+		events                uint64
+	}
+	f := func(ops, cuts []uint8) bool {
+		run := func(serve bool) (r result) {
+			e := New(1)
+			defer e.Close()
+			q := NewQueue[int](e, "q")
+			consume := func(v int) { r.consumed = append(r.consumed, rec{e.Now(), v, 0}) }
+			extra := uint64(0)
+			if serve {
+				q.Serve(consume)
+			} else {
+				extra++ // the spawn
+				e.Spawn("consumer", func(p *Proc) {
+					for {
+						v, ok := q.Recv(p)
+						if !ok {
+							return
+						}
+						consume(v)
+					}
+				})
+			}
+			look := func(i int) { r.seen = append(r.seen, rec{e.Now(), i, len(r.consumed)}) }
+			var at Time
+			for i, op := range ops {
+				at += Time(op%3) * ms / 2 // a zero puts several ops at one instant
+				switch op / 3 % 16 {
+				case 0, 1, 2, 3, 4:
+					e.At(at, func() { q.Send(2 * i); q.Send(2*i + 1) })
+				case 5, 6, 7, 8:
+					e.At(at, func() { q.Send(2 * i) })
+				case 9, 10, 11, 12:
+					e.At(at, func() {
+						look(i)
+						e.At(e.Now(), func() { look(-i) })
+					})
+				case 13, 14:
+					e.At(at, e.Stop)
+				default:
+					e.At(at, func() {
+						if !serve && !q.closed && q.waiters.Len() > 0 {
+							extra++ // the Recv loop's wake-up
+						}
+						q.Close()
+					})
+				}
+			}
+			var h Time
+			for _, c := range cuts {
+				h += Time(c%8) * ms / 2
+				now := e.Run(h)
+				r.marks = append(r.marks, rec{now, len(r.consumed), len(r.seen)})
+			}
+			now := e.RunAll()
+			r.marks = append(r.marks, rec{now, len(r.consumed), len(r.seen)})
+			r.events = e.seq - extra
+			return r
+		}
+		a, b := run(false), run(true)
+		return slices.Equal(a.consumed, b.consumed) && slices.Equal(a.seen, b.seen) &&
+			slices.Equal(a.marks, b.marks) && a.events == b.events
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }
 

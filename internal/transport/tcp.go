@@ -40,6 +40,7 @@ type TCP struct {
 
 	xid     uint32
 	pending map[uint32]*tcpPending
+	enc     xdr.Encoder // builds every call message
 	closed  bool
 	stats   Stats
 	wake    *sim.Cond // ends the watchdog's idle park (parkWhileIdle)
@@ -184,7 +185,7 @@ func (t *TCP) CallProgram(p *sim.Proc, prog, vers, proc uint32, args func(e *xdr
 }
 
 func (t *TCP) sendOne(p *sim.Proc, pc *tcpPending) error {
-	msg := buildCall(pc.xid, pc.prog, pc.vers, pc.proc, pc.args)
+	msg := buildCall(&t.enc, pc.xid, pc.prog, pc.vers, pc.proc, pc.args)
 	rpc.AddRecordMark(msg)
 	return t.conn.Send(p, msg)
 }

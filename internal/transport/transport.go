@@ -137,12 +137,14 @@ type ProgramCaller interface {
 	CallProgram(p *sim.Proc, prog, vers, proc uint32, args func(e *xdr.Encoder)) (*xdr.Decoder, error)
 }
 
-// buildCall encodes a full RPC CALL message.
-func buildCall(xid, prog, vers, proc uint32, args func(e *xdr.Encoder)) *mbuf.Chain {
+// buildCall encodes a full RPC CALL message, appending the arguments
+// through the transport's own encoder enc.
+func buildCall(enc *xdr.Encoder, xid, prog, vers, proc uint32, args func(e *xdr.Encoder)) *mbuf.Chain {
 	c := &mbuf.Chain{}
 	rpc.EncodeCall(c, &rpc.Call{XID: xid, Prog: prog, Vers: vers, Proc: proc})
 	if args != nil {
-		args(xdr.NewEncoder(c))
+		enc.Reset(c)
+		args(enc)
 	}
 	return c
 }
@@ -168,8 +170,8 @@ func byXID[T any](pending map[uint32]T) []T {
 // results.
 func decodeReply(msg *mbuf.Chain) (*xdr.Decoder, error) {
 	d := xdr.NewDecoder(msg)
-	r, err := rpc.DecodeReply(d)
-	if err != nil {
+	var r rpc.Reply
+	if err := rpc.DecodeReplyInto(d, &r); err != nil {
 		return nil, err
 	}
 	if r.Denied {

@@ -2,13 +2,16 @@ package transport
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
+	"renonfs/internal/mbuf"
 	"renonfs/internal/memfs"
 	"renonfs/internal/metrics"
 	"renonfs/internal/netsim"
 	"renonfs/internal/nfsproto"
+	"renonfs/internal/rpc"
 	"renonfs/internal/server"
 	"renonfs/internal/sim"
 	"renonfs/internal/tcpsim"
@@ -545,5 +548,54 @@ func TestTCPReplyTimeoutRecoversSilentOutage(t *testing.T) {
 	}
 	if retries == 0 {
 		t.Fatal("expected watchdog-driven replays across the outage")
+	}
+}
+
+// A call record is recycled the moment its caller returns, even while the
+// timer is still retransmitting other calls from the same tick. Calls 1 and
+// 2 expire together; the reply to 2 arrives while 1's retransmission is
+// charging the client CPU, and 2's caller at once issues call 3, which takes
+// 2's freed record. The timer must skip 2 without retransmitting 3, whose
+// own timeout is a second away.
+func TestUDPRecycledRecordNotRetransmitted(t *testing.T) {
+	env := sim.New(1)
+	defer env.Close()
+	tb := netsim.Build(env, netsim.TopoLAN, netsim.NodeConfig{}, netsim.NodeConfig{})
+	var trace []string
+	cfg := FixedUDP()
+	cfg.Tracer = metrics.FuncTracer(func(ev metrics.Event) {
+		switch ev := ev.(type) {
+		case metrics.CallSent:
+			trace = append(trace, fmt.Sprint("call ", ev.XID))
+		case metrics.Retransmit:
+			trace = append(trace, fmt.Sprint("retransmit ", ev.XID))
+		case metrics.Reply:
+			trace = append(trace, fmt.Sprint("reply ", ev.XID))
+		}
+	})
+	// Nothing serves the port: only the reply injected below comes back.
+	tr := NewUDP(tb.Client, 1001, tb.Server.ID, server.NFSPort, cfg)
+	getattr := func(p *sim.Proc) { tr.Call(p, nfsproto.ProcGetattr, nil) }
+	env.Spawn("caller 1", getattr)
+	env.Spawn("caller 2", func(p *sim.Proc) {
+		getattr(p)
+		getattr(p)
+	})
+	// Both deadlines are 1 s; the timer retransmits call 1 at that tick.
+	env.At(time.Second+time.Microsecond, func() {
+		reply := &mbuf.Chain{}
+		rpc.EncodeReply(reply, 2, rpc.Success)
+		tr.sock.Queue().Send(&netsim.Datagram{
+			Src: tb.Server.ID, Dst: tb.Client.ID, Proto: netsim.ProtoUDP,
+			SrcPort: server.NFSPort, DstPort: 1001, Payload: reply,
+		})
+	})
+	env.Run(time.Second + 500*time.Millisecond)
+	want := []string{"call 1", "call 2", "reply 2", "call 3", "retransmit 1"}
+	if !slices.Equal(trace, want) {
+		t.Fatalf("trace %q, want %q", trace, want)
+	}
+	if s := tr.Stats(); s.Retries != 1 {
+		t.Fatalf("%d retransmissions, want 1", s.Retries)
 	}
 }

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -50,17 +49,23 @@ func DynamicUDP() UDPConfig {
 }
 
 // udpPending is one in-flight request. Retransmission re-encodes from the
-// recorded argument closure (reqChain), which is cheaper than cloning
-// chains whose payload views are consumed by the send path.
+// recorded arguments, which is cheaper than cloning chains whose payload
+// views are consumed by the send path. Records recycle through the
+// transport's free list once their caller has taken the result, so nothing
+// may hold one across a park: the timer holds XIDs instead.
 type udpPending struct {
 	xid      uint32
+	prog     uint32
+	vers     uint32
+	proc     uint32
+	args     func(e *xdr.Encoder)
 	class    Class
 	sentAt   sim.Time
 	deadline sim.Time
 	backoff  int
 	retried  bool
 	rtoAtTx  sim.Time
-	done     *sim.Event
+	done     sim.Event
 	reply    *xdr.Decoder
 	err      error
 }
@@ -75,20 +80,14 @@ type UDP struct {
 
 	xid     uint32
 	pending map[uint32]*udpPending
-	chains  map[uint32]*reqChain
+	free    []*udpPending // records whose calls have returned
+	enc     xdr.Encoder   // builds every call message
 	est     [NumClasses]estimator
 	cwnd    float64
 	waiters *sim.Cond
 	wake    *sim.Cond // ends the timer's idle park (parkWhileIdle)
 	closed  bool
 	stats   Stats
-}
-
-type reqChain struct {
-	prog uint32
-	vers uint32
-	proc uint32
-	args func(e *xdr.Encoder)
 }
 
 // NewUDP creates a UDP transport from the client node to (server, port).
@@ -110,7 +109,6 @@ func NewUDP(node *netsim.Node, localPort int, server netsim.NodeID, port int, cf
 		port:    port,
 		env:     env,
 		pending: make(map[uint32]*udpPending),
-		chains:  make(map[uint32]*reqChain),
 		cwnd:    CwndInit,
 		waiters: sim.NewCond(env),
 		wake:    sim.NewCond(env),
@@ -122,7 +120,7 @@ func NewUDP(node *netsim.Node, localPort int, server netsim.NodeID, port int, cf
 		}
 		t.est[c].factor = f
 	}
-	env.Spawn(fmt.Sprintf("%s.udprpc-rx", node.Name), t.rxLoop)
+	t.sock.Queue().Serve(t.receive)
 	env.Spawn(fmt.Sprintf("%s.udprpc-timer", node.Name), t.timerLoop)
 	return t
 }
@@ -150,7 +148,7 @@ func (t *UDP) Close() {
 			continue
 		}
 		pc.err = ErrClosed
-		metrics.Emit(t.cfg.Tracer, metrics.CallFailed{Proc: dgProc(t, pc.xid), XID: pc.xid, Reason: "closed"})
+		metrics.Emit(t.cfg.Tracer, metrics.CallFailed{Proc: pc.proc, XID: pc.xid, Reason: "closed"})
 		pc.done.Set()
 	}
 	t.pending = make(map[uint32]*udpPending)
@@ -195,30 +193,33 @@ func (t *UDP) CallProgram(p *sim.Proc, prog, vers, proc uint32, args func(e *xdr
 	}
 	t.xid++
 	xid := t.xid
-	class := ClassOf(proc)
 	t.stats.Calls++
 	metrics.Emit(t.cfg.Tracer, metrics.CallSent{Proc: proc, XID: xid})
-	pc := &udpPending{
-		xid:    xid,
-		class:  class,
-		sentAt: p.Now(),
-		done:   sim.NewEvent(t.env),
+	var pc *udpPending
+	if n := len(t.free); n > 0 {
+		pc, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		pc = &udpPending{}
 	}
+	pc.done.Reset(t.env)
+	pc.xid, pc.prog, pc.vers, pc.proc, pc.args = xid, prog, vers, proc, args
+	pc.class, pc.sentAt = ClassOf(proc), p.Now()
 	t.pending[xid] = pc
-	t.chains[xid] = &reqChain{prog: prog, vers: vers, proc: proc, args: args}
 	t.wake.Broadcast()
 	t.send(p, pc)
 	pc.done.Wait(p)
 	delete(t.pending, xid)
-	delete(t.chains, xid)
 	if t.cfg.Dynamic {
 		t.waiters.Broadcast()
 	}
-	if pc.err != nil {
+	reply, err := pc.reply, pc.err
+	*pc = udpPending{done: pc.done}
+	t.free = append(t.free, pc)
+	if err != nil {
 		t.stats.Failures++
-		return nil, pc.err
+		return nil, err
 	}
-	return pc.reply, nil
+	return reply, nil
 }
 
 // backedOff is pc's class timeout under its exponential backoff.
@@ -233,65 +234,51 @@ func (t *UDP) backedOff(pc *udpPending) sim.Time {
 	return rto
 }
 
-// send (re)transmits a request and stamps its deadline.
-func (t *UDP) send(p *sim.Proc, pc *udpPending) {
-	rc := t.chains[pc.xid]
-	if rc == nil {
-		return
-	}
+// send (re)transmits a request, stamps its deadline and returns the RTO it
+// used. It reads pc only before the socket send, which may park while the
+// record is answered and reused.
+func (t *UDP) send(p *sim.Proc, pc *udpPending) sim.Time {
 	rto := t.backedOff(pc)
 	pc.rtoAtTx = rto
 	pc.deadline = t.env.Now() + rto
-	msg := buildCall(pc.xid, rc.prog, rc.vers, rc.proc, rc.args)
+	msg := buildCall(&t.enc, pc.xid, pc.prog, pc.vers, pc.proc, pc.args)
 	t.sock.Send(p, t.server, t.port, msg)
+	return rto
 }
 
-// rxLoop matches replies to pending calls.
-func (t *UDP) rxLoop(p *sim.Proc) {
-	for {
-		dg, ok := t.sock.Recv(p)
-		if !ok {
-			return
-		}
-		xid, err := rpc.PeekXID(dg.Payload)
-		if err != nil {
-			continue
-		}
-		pc := t.pending[xid]
-		if pc == nil || pc.done.IsSet() {
-			continue // late duplicate reply
-		}
-		dec, err := decodeReply(dg.Payload)
-		if err != nil {
-			continue
-		}
-		rtt := p.Now() - pc.sentAt
-		if t.cfg.Dynamic {
-			// Karn's rule: only time unambiguous (non-retried) replies.
-			if !pc.retried {
-				switch pc.class {
-				case ClassGetattr, ClassLookup, ClassRead, ClassWrite:
-					t.est[pc.class].sample(rtt)
-				}
+// receive matches a reply to its pending call; it consumes the socket's
+// receive queue as a callback (sim.Queue.Serve).
+func (t *UDP) receive(dg *netsim.Datagram) {
+	xid, err := rpc.PeekXID(dg.Payload)
+	if err != nil {
+		return
+	}
+	pc := t.pending[xid]
+	if pc == nil || pc.done.IsSet() {
+		return // late duplicate reply
+	}
+	dec, err := decodeReply(dg.Payload)
+	if err != nil {
+		return
+	}
+	rtt := t.env.Now() - pc.sentAt
+	if t.cfg.Dynamic {
+		// Karn's rule: only time unambiguous (non-retried) replies.
+		if !pc.retried {
+			switch pc.class {
+			case ClassGetattr, ClassLookup, ClassRead, ClassWrite:
+				t.est[pc.class].sample(rtt)
 			}
-			// Congestion window opens by one request per window's worth of
-			// replies (linear growth; slow start removed per the paper).
-			t.cwnd = min(t.cwnd+1/t.cwnd, CwndMax)
-			t.waiters.Broadcast()
 		}
-		t.stats.Replies++
-		metrics.Emit(t.cfg.Tracer, metrics.Reply{Proc: dgProc(t, xid), XID: xid, RTT: rtt, RTO: pc.rtoAtTx})
-		pc.reply = dec
-		pc.done.Set()
+		// Congestion window opens by one request per window's worth of
+		// replies (linear growth; slow start removed per the paper).
+		t.cwnd = min(t.cwnd+1/t.cwnd, CwndMax)
+		t.waiters.Broadcast()
 	}
-}
-
-// dgProc recovers the procedure of a pending xid for tracing.
-func dgProc(t *UDP, xid uint32) uint32 {
-	if rc := t.chains[xid]; rc != nil {
-		return rc.proc
-	}
-	return ^uint32(0)
+	t.stats.Replies++
+	metrics.Emit(t.cfg.Tracer, metrics.Reply{Proc: pc.proc, XID: xid, RTT: rtt, RTO: pc.rtoAtTx})
+	pc.reply = dec
+	pc.done.Set()
 }
 
 // timerLoop is the NFS client timer: every tick it scans pending requests
@@ -300,25 +287,26 @@ func dgProc(t *UDP, xid uint32) uint32 {
 // While nothing is pending the timer parks and keeps its tick phase, which
 // the per-tick deadline refresh depends on.
 func (t *UDP) timerLoop(p *sim.Proc) {
-	var expired []*udpPending
+	var expired []uint32
 	for !t.closed {
 		p.Sleep(NFSTick)
 		parkWhileIdle(p, t.wake, NFSTick, func() bool { return len(t.pending) == 0 && !t.closed })
 		now := p.Now()
 		expired = expired[:0]
-		for _, pc := range t.pending {
+		for xid, pc := range t.pending {
 			if !pc.done.IsSet() && now >= t.deadlineOf(pc) {
-				expired = append(expired, pc)
+				expired = append(expired, xid)
 			}
 		}
-		slices.SortFunc(expired, func(a, b *udpPending) int { return cmp.Compare(a.xid, b.xid) })
-		for _, pc := range expired {
-			if pc.done.IsSet() {
+		slices.Sort(expired)
+		for _, xid := range expired {
+			pc := t.pending[xid]
+			if pc == nil || pc.done.IsSet() {
 				continue // answered while an earlier retransmission was going out
 			}
 			if pc.backoff >= t.cfg.Retrans {
 				pc.err = ErrCallTimeout
-				metrics.Emit(t.cfg.Tracer, metrics.CallFailed{Proc: dgProc(t, pc.xid), XID: pc.xid, Reason: "timeout"})
+				metrics.Emit(t.cfg.Tracer, metrics.CallFailed{Proc: pc.proc, XID: xid, Reason: "timeout"})
 				pc.done.Set()
 				continue
 			}
@@ -333,10 +321,9 @@ func (t *UDP) timerLoop(p *sim.Proc) {
 					t.cwnd = 1
 				}
 			}
-			t.send(p, pc)
-			metrics.Emit(t.cfg.Tracer, metrics.Retransmit{
-				Proc: dgProc(t, pc.xid), XID: pc.xid, Backoff: pc.backoff, RTO: pc.rtoAtTx,
-			})
+			retx := metrics.Retransmit{Proc: pc.proc, XID: xid, Backoff: pc.backoff}
+			retx.RTO = t.send(p, pc)
+			metrics.Emit(t.cfg.Tracer, retx)
 		}
 	}
 }
