@@ -115,14 +115,16 @@ func main() {
 
 	fmt.Printf("topology=%v transport=%v mix=%s offered=%.1f/s achieved=%.1f/s retries=%d failures=%d server-cpu=%.0f%%\n",
 		topo, kind, *mixName, *rate, res.Achieved, res.Retries, res.Failures, cpu*100)
-	t := stats.NewTable("per-procedure round trip times", "proc", "calls/s", "mean(ms)", "p95(ms)", "p99(ms)", "max(ms)")
+	t := stats.NewTable("per-procedure round trip times", "proc", "n", "calls/s", "mean(ms)", "p95(ms)", "p99(ms)", "max(ms)")
 	for proc := uint32(0); proc < nfsproto.NumProcs; proc++ {
 		s := res.RTT[proc]
 		if s == nil || s.Count == 0 {
 			continue
 		}
-		t.AddRow(nfsproto.ProcName(proc), fmt.Sprintf("%.1f", res.ProcRate[proc]),
-			s.Mean(), res.Hist[proc].Quantile(95), res.Hist[proc].Quantile(99), s.Max)
+		p95, ok95 := s.Quantile(95)
+		p99, ok99 := s.Quantile(99)
+		t.AddRow(nfsproto.ProcName(proc), s.Count, fmt.Sprintf("%.1f", res.ProcRate[proc]),
+			s.Mean(), stats.Fixed(p95, 1, ok95), stats.Fixed(p99, 1, ok99), s.Max())
 	}
 	fmt.Println(t.String())
 }
@@ -177,25 +179,7 @@ func runReal(addr string, mix map[uint32]float64, rate float64, procs int, durat
 	}
 	setup.Close()
 
-	// Deterministic mix order, cumulative weights for sampling.
-	var mixProcs []uint32
-	for proc := range mix {
-		mixProcs = append(mixProcs, proc)
-	}
-	for i := 0; i < len(mixProcs); i++ {
-		for j := i + 1; j < len(mixProcs); j++ {
-			if mixProcs[j] < mixProcs[i] {
-				mixProcs[i], mixProcs[j] = mixProcs[j], mixProcs[i]
-			}
-		}
-	}
-	var cum []float64
-	acc := 0.0
-	for _, proc := range mixProcs {
-		acc += mix[proc]
-		cum = append(cum, acc)
-	}
-
+	picker := workload.NewPicker(mix)
 	reg := metrics.NewRegistry()
 	perProcRate := rate / float64(procs)
 	var wg sync.WaitGroup
@@ -213,14 +197,7 @@ func runReal(addr string, mix map[uint32]float64, rate float64, procs int, durat
 			rng := rand.New(rand.NewSource(seed + int64(w)))
 			for time.Since(start) < duration {
 				time.Sleep(time.Duration(rng.ExpFloat64() / perProcRate * 1e9))
-				proc := mixProcs[len(mixProcs)-1]
-				r := rng.Float64() * acc
-				for i, cw := range cum {
-					if r < cw {
-						proc = mixProcs[i]
-						break
-					}
-				}
+				proc := picker.Pick(rng)
 				i := rng.Intn(numFiles)
 				t0 := time.Now()
 				err := issueReal(c, rng, proc, root, scratch.File, names[i], fhs[i])

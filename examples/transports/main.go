@@ -44,8 +44,9 @@ func main() {
 		})
 		r.Env.Run(30 * time.Minute)
 		if res != nil {
-			table.AddRow(kind.String(), 4.0, fmt.Sprintf("%.1f", res.Achieved),
-				res.RTT[nfsproto.ProcLookup].Mean(), res.Hist[nfsproto.ProcLookup].Quantile(95), res.Retries)
+			s := res.RTT[nfsproto.ProcLookup]
+			p95, ok := s.Quantile(95)
+			table.AddRow(kind.String(), 4.0, fmt.Sprintf("%.1f", res.Achieved), s.Mean(), stats.Fixed(p95, 1, ok), res.Retries)
 		}
 		r.Close()
 	}

@@ -76,7 +76,7 @@ type andrewTimes struct {
 func (a andrewTimes) tables() []*stats.Table {
 	t := stats.NewTable(a.title, "OS/Phase", "I-IV", "V")
 	for _, r := range a.Runs {
-		t.AddRow(r.Name, fixed(float64(r.PhaseI_IV())/1e9, 0, r.OK), fixed(float64(r.PhaseTimes[4])/1e9, 0, r.OK))
+		t.AddRow(r.Name, stats.Fixed(float64(r.PhaseI_IV())/1e9, 0, r.OK), stats.Fixed(float64(r.PhaseTimes[4])/1e9, 0, r.OK))
 	}
 	return []*stats.Table{t}
 }
@@ -240,7 +240,7 @@ func (t cdTable) tables() []*stats.Table {
 	for _, r := range t {
 		row := []any{r.Name}
 		for _, run := range r.Runs {
-			row = append(row, fixed(run.MeanMS, 0, run.OK))
+			row = append(row, stats.Fixed(run.MeanMS, 0, run.OK))
 		}
 		tb.AddRow(row...)
 	}

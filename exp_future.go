@@ -67,7 +67,7 @@ func (f futureWork) tables() []*stats.Table {
 	}
 	cd := stats.NewTable("Future work: Create-Delete 100KB (msec)", "client", "mean ms")
 	for i, r := range f.CD {
-		cd.AddRow(regimes[i].name, fixed(r.MeanMS, 0, r.OK))
+		cd.AddRow(regimes[i].name, stats.Fixed(r.MeanMS, 0, r.OK))
 	}
 	ls := stats.NewTable("Future work: ls -lR RPC bill, 120 files in 4 directories",
 		"client", "lookup", "getattr", "readdir(+look)", "total")

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"renonfs/internal/memfs"
-	"renonfs/internal/metrics"
 	"renonfs/internal/netsim"
 	"renonfs/internal/nfsproto"
 	"renonfs/internal/server"
@@ -16,13 +15,15 @@ import (
 )
 
 // saturation is the server characterization curve, per offered load: calls/s
-// achieved, the mean of the clients' mean lookup RTTs and the pooled lookup
-// p99 (ms), and server CPU and disk utilization (fractions).
+// achieved; N, mean and exact p99 (ms; P99OK as in rttPoint) of all four
+// clients' lookups pooled; and server CPU and disk utilization (fractions).
 type saturation []satPoint
 
 type satPoint struct {
 	Offered, Achieved    float64
+	N                    int
 	LookupRTT, LookupP99 float64
+	P99OK                bool
 	CPU, Disk            float64
 }
 
@@ -54,7 +55,6 @@ func expSaturation(cfg ExpConfig) saturation {
 		done := sim.NewEvent(env)
 		remaining := nClients
 		for ci, c := range mt.Clients {
-			ci, c := ci, c
 			env.Spawn(fmt.Sprintf("load%d", ci), func(p *sim.Proc) {
 				defer func() {
 					remaining--
@@ -92,21 +92,18 @@ func expSaturation(cfg ExpConfig) saturation {
 			done.Wait(p)
 			pt.CPU, pt.Disk = mt.Server.CPU.Utilization(), disk.Utilization()
 		})
-		var rtt stats.Summary
-		var lookupHist metrics.HistogramSnapshot
+		var lookups stats.Samples
 		for _, res := range results {
 			if res == nil {
 				continue
 			}
 			pt.Achieved += res.Achieved
-			if s := res.RTT[nfsproto.ProcLookup]; s != nil && s.Count > 0 {
-				rtt.Add(s.Mean())
-			}
-			if h := res.Hist[nfsproto.ProcLookup]; h != nil {
-				lookupHist = lookupHist.Add(h.Snapshot())
+			if s := res.RTT[nfsproto.ProcLookup]; s != nil {
+				lookups.AddAll(s)
 			}
 		}
-		pt.LookupRTT, pt.LookupP99 = rtt.Mean(), lookupHist.Quantile(99)
+		pt.N, pt.LookupRTT = lookups.Count, lookups.Mean()
+		pt.LookupP99, pt.P99OK = lookups.Quantile(99)
 		sat = append(sat, pt)
 		env.Close()
 	}
@@ -115,9 +112,9 @@ func expSaturation(cfg ExpConfig) saturation {
 
 func (sat saturation) tables() []*stats.Table {
 	t := stats.NewTable("Server characterization: 4 clients, full nhfsstone mix (Reno server)",
-		"offered/s", "achieved/s", "lookup RTT(ms)", "lookup p99(ms)", "server CPU %", "disk util %")
+		"offered/s", "achieved/s", "lookup RTT(ms)", "lookup p99(ms)", "n(lookup)", "server CPU %", "disk util %")
 	for _, p := range sat {
-		t.AddRow(p.Offered, fmt.Sprintf("%.1f", p.Achieved), p.LookupRTT, p.LookupP99,
+		t.AddRow(p.Offered, fmt.Sprintf("%.1f", p.Achieved), p.LookupRTT, stats.Fixed(p.LookupP99, 1, p.P99OK), p.N,
 			fmt.Sprintf("%.0f", p.CPU*100), fmt.Sprintf("%.0f", p.Disk*100))
 	}
 	return []*stats.Table{t}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"renonfs/internal/metrics"
 	"renonfs/internal/netsim"
 	"renonfs/internal/nfsproto"
 	"renonfs/internal/sim"
@@ -83,15 +82,6 @@ func tabulate[R interface{ tables() []*stats.Table }](measure func(ExpConfig) R)
 	return func(cfg ExpConfig) []*stats.Table { return measure(cfg).tables() }
 }
 
-// fixed formats a measured value with prec decimals, or "-" when its run
-// produced none.
-func fixed(v float64, prec int, ok bool) string {
-	if !ok {
-		return "-"
-	}
-	return fmt.Sprintf("%.*f", prec, v)
-}
-
 // RunExperiment runs one experiment by id.
 func RunExperiment(id string, cfg ExpConfig) ([]*stats.Table, error) {
 	for _, e := range Experiments() {
@@ -166,10 +156,12 @@ func runNhfsstone(cfg ExpConfig, topo Topology, kind TransportKind, mix map[uint
 var rttKinds = [3]TransportKind{UDPFixed, UDPDynamic, TCP}
 
 // rttPoint is one run's probe RTTs: N samples (0 if the run did not
-// finish), their mean and p99 in ms, and the transport's retries.
+// finish), their mean and exact p99 in ms, whether that p99 is defined
+// (stats.MinTail samples above its rank), and the transport's retries.
 type rttPoint struct {
 	N         int
 	Mean, P99 float64
+	P99OK     bool
 	Retries   int
 }
 
@@ -178,7 +170,8 @@ func probePoint(res *workload.NhfsstoneResult, probe uint32) rttPoint {
 		return rttPoint{}
 	}
 	s := res.RTT[probe]
-	return rttPoint{s.Count, s.Mean(), res.Hist[probe].Quantile(99), res.Retries}
+	p99, ok := s.Quantile(99)
+	return rttPoint{N: s.Count, Mean: s.Mean(), P99: p99, P99OK: ok, Retries: res.Retries}
 }
 
 // rttCurve is one of Graphs 1-5: per load, a point per transport (rttKinds).
@@ -207,18 +200,19 @@ func expGraphRTT(topo Topology, mix map[uint32]float64, probe uint32, loads []fl
 func (c rttCurve) tables() []*stats.Table {
 	t := stats.NewTable(fmt.Sprintf("avg %s RTT (ms) vs offered load (RPC/s) — %v", nfsproto.ProcName(c.probe), c.topo),
 		"load", "udp-fixed", "udp-dyn", "tcp",
-		"p99(fixed)", "p99(dyn)", "p99(tcp)", "retries(fixed/dyn/tcp)")
+		"p99(fixed)", "p99(dyn)", "p99(tcp)", "n(fixed/dyn/tcp)", "retries(fixed/dyn/tcp)")
 	for i, k := range c.Points {
 		row := []any{c.Loads[i]}
 		for _, p := range k {
-			row = append(row, fixed(p.Mean, 1, p.N > 0))
+			row = append(row, stats.Fixed(p.Mean, 1, p.N > 0))
 		}
-		// Tail latency from the log-bucket histograms: under loss the
-		// retransmitted calls live orders of magnitude past the mean.
+		// Exact p99s, "-" when undersampled: under loss the retransmitted
+		// calls live orders of magnitude past the mean.
 		for _, p := range k {
-			row = append(row, fixed(p.P99, 1, p.N > 0))
+			row = append(row, stats.Fixed(p.P99, 1, p.P99OK))
 		}
-		t.AddRow(append(row, fmt.Sprintf("%d/%d/%d", k[0].Retries, k[1].Retries, k[2].Retries))...)
+		t.AddRow(append(row, fmt.Sprintf("%d/%d/%d", k[0].N, k[1].N, k[2].N),
+			fmt.Sprintf("%d/%d/%d", k[0].Retries, k[1].Retries, k[2].Retries))...)
 	}
 	return []*stats.Table{t}
 }
@@ -260,7 +254,7 @@ func (rates readRates) tables() []*stats.Table {
 	for _, r := range rates {
 		row := []any{r.Topo.String(), r.Offered}
 		for i, rate := range r.Rate {
-			row = append(row, fixed(rate, 2, r.OK[i]))
+			row = append(row, stats.Fixed(rate, 2, r.OK[i]))
 		}
 		t.AddRow(row...)
 	}
@@ -309,10 +303,7 @@ func (c cpuCurve) tables() []*stats.Table {
 // transmission went out with.
 type rtoTrace []tracedReply
 
-type tracedReply struct {
-	At  sim.Time
-	Rep metrics.Reply
-}
+type tracedReply struct{ At, RTT, RTO sim.Time }
 
 // expGraph7 traces per-request RTT and the RTO=A+4D estimate for reads
 // over the 56 Kbit/s path, where RTTs range over seconds and the estimator
@@ -325,10 +316,8 @@ func expGraph7(cfg ExpConfig) rtoTrace {
 	var start sim.Time
 	runWorkload(r.Env, "bench", cfg.warmup()+cfg.window()+20*time.Minute, func(p *sim.Proc) {
 		ucfg := transport.DynamicUDP()
-		ucfg.Tracer = metrics.FuncTracer(func(ev metrics.Event) {
-			if rep, ok := ev.(metrics.Reply); ok && rep.Proc == nfsproto.ProcRead {
-				trace = append(trace, tracedReply{r.Env.Now(), rep})
-			}
+		ucfg.Tracer = replyTracer(nfsproto.ProcRead, func(rtt, rto sim.Time) {
+			trace = append(trace, tracedReply{r.Env.Now(), rtt, rto})
 		})
 		tr := r.DialUDPConfig(ucfg)
 		nh := &workload.Nhfsstone{
@@ -357,7 +346,7 @@ func (trace rtoTrace) tables() []*stats.Table {
 	t := stats.NewTable("Graph #7: read RPC trace (RTT and RTO = A+4D)",
 		"t(s)", "rtt(ms)", "rto(ms)")
 	for _, tp := range trace[:min(len(trace), 60)] {
-		t.AddRow(fmt.Sprintf("%.1f", float64(tp.At)/1e9), tp.Rep.RTT, tp.Rep.RTO)
+		t.AddRow(fmt.Sprintf("%.1f", float64(tp.At)/1e9), tp.RTT, tp.RTO)
 	}
 	return []*stats.Table{t}
 }

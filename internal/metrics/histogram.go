@@ -110,12 +110,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Quantile is a convenience for Snapshot().Quantile(p).
-func (h *Histogram) Quantile(p float64) float64 { return h.Snapshot().Quantile(p) }
-
-// Mean is a convenience for Snapshot().Mean().
-func (h *Histogram) Mean() float64 { return h.Snapshot().Mean() }
-
 // HistogramSnapshot is an immutable copy of a histogram, the unit the
 // encoders ship and the delta workflow subtracts.
 type HistogramSnapshot struct {
@@ -180,8 +174,8 @@ func (s HistogramSnapshot) Quantile(p float64) float64 {
 }
 
 // Add returns the merge of two snapshots (bucket-wise sum) — aggregating
-// per-client distributions into a fleet-wide one, as the multi-client
-// experiments do. Merging empty snapshots is fine.
+// per-shard distributions into a fleet-wide one, as the fleet does.
+// Merging empty snapshots is fine.
 func (s HistogramSnapshot) Add(o HistogramSnapshot) HistogramSnapshot {
 	if s.Count == 0 {
 		return o

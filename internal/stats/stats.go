@@ -1,48 +1,80 @@
-// Package stats provides the small measurement toolkit the experiments
-// use: an exact streaming summary for the tables' mean/min/max cells and a
-// plain-text table writer for the harness output. Percentiles come from
-// metrics.Histogram, the repo's one percentile engine.
+// Package stats is the simulated experiments' measurement toolkit: Samples,
+// the exact recorder behind every latency cell of the paper's tables, and a
+// plain-text table writer. metrics.Histogram serves what is concurrent or
+// long-running: the sockets, the fleet and nfsstat.
 package stats
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 	"time"
 )
 
-// Summary accumulates a stream of values exactly: count, sum, min and max.
-// The zero value is ready to use. (metrics.Histogram would round every
-// observation to its 1 µs fixed-point sum; the tables' means stay exact.)
-type Summary struct {
-	Count int
-	Sum   float64
-	Min   float64
-	Max   float64
+// MinTail is how many samples must lie above a quantile's rank for the
+// quantile to be defined; fewer are a handful of calls, not a tail.
+const MinTail = 10
+
+// Samples records durations in milliseconds, in arrival order, and answers
+// exact statistics over them. The zero value is ready to use.
+type Samples struct {
+	Count int // durations recorded
+	ms    []float64
 }
 
-// Add folds in one observation.
-func (s *Summary) Add(v float64) {
-	if s.Count == 0 || v < s.Min {
-		s.Min = v
-	}
-	if s.Count == 0 || v > s.Max {
-		s.Max = v
-	}
+// Add records one duration.
+func (s *Samples) Add(d time.Duration) {
+	s.ms = append(s.ms, float64(d)/float64(time.Millisecond))
 	s.Count++
-	s.Sum += v
 }
 
-// AddDuration folds in a duration in milliseconds.
-func (s *Summary) AddDuration(d time.Duration) {
-	s.Add(float64(d) / float64(time.Millisecond))
+// AddAll records every value of o, after s's own.
+func (s *Samples) AddAll(o *Samples) {
+	s.ms = append(s.ms, o.ms...)
+	s.Count += o.Count
 }
 
-// Mean returns the arithmetic mean (0 when empty).
-func (s *Summary) Mean() float64 {
+// Mean returns the arithmetic mean, summed in arrival order (0 when empty).
+func (s *Samples) Mean() float64 {
 	if s.Count == 0 {
 		return 0
 	}
-	return s.Sum / float64(s.Count)
+	sum := 0.0
+	for _, v := range s.ms {
+		sum += v
+	}
+	return sum / float64(s.Count)
+}
+
+// Max returns the largest value (0 when empty).
+func (s *Samples) Max() float64 {
+	if s.Count == 0 {
+		return 0
+	}
+	return slices.Max(s.ms)
+}
+
+// Quantile returns the exact nearest-rank p-th percentile (0 < p <= 100):
+// the smallest value with at least p % of the samples at or below it. ok
+// reports whether at least MinTail samples lie above its rank: p99 needs
+// n >= 1,000, and p100 (the maximum) is never defined.
+func (s *Samples) Quantile(p float64) (v float64, ok bool) {
+	if s.Count == 0 {
+		return 0, false
+	}
+	rank := min(max(int(math.Ceil(p*float64(s.Count)/100)), 1), s.Count)
+	sorted := slices.Clone(s.ms)
+	slices.Sort(sorted)
+	return sorted[rank-1], s.Count-rank >= MinTail
+}
+
+// Fixed formats v with prec decimals, or "-" for a missing or undefined v.
+func Fixed(v float64, prec int, ok bool) string {
+	if !ok {
+		return "-"
+	}
+	return fmt.Sprintf("%.*f", prec, v)
 }
 
 // Table renders rows of labelled columns as aligned text, the harness's

@@ -133,7 +133,7 @@ type CreateDeleteResult struct {
 // iteration creates a file, writes size bytes in 4 KB chunks, closes it and
 // deletes it.
 func RunCreateDelete(p *sim.Proc, fs BenchFS, config string, size, iters int) (*CreateDeleteResult, error) {
-	var sum stats.Summary
+	var times stats.Samples
 	chunk := make([]byte, 4096)
 	for i := range chunk {
 		chunk[i] = byte(i)
@@ -160,7 +160,7 @@ func RunCreateDelete(p *sim.Proc, fs BenchFS, config string, size, iters int) (*
 		if err := fs.RemoveFile(p, name); err != nil {
 			return nil, fmt.Errorf("remove: %w", err)
 		}
-		sum.AddDuration(p.Now() - start)
+		times.Add(p.Now() - start)
 	}
-	return &CreateDeleteResult{Config: config, Size: size, MeanMS: sum.Mean()}, nil
+	return &CreateDeleteResult{Config: config, Size: size, MeanMS: times.Mean()}, nil
 }

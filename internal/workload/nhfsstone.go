@@ -7,8 +7,8 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
-	"renonfs/internal/metrics"
 	"renonfs/internal/nfsproto"
 	"renonfs/internal/sim"
 	"renonfs/internal/stats"
@@ -75,11 +75,8 @@ func FullMix() map[uint32]float64 {
 
 // NhfsstoneResult reports what the generator measured.
 type NhfsstoneResult struct {
-	// RTT per procedure, milliseconds: exact count, mean, min and max.
-	RTT map[uint32]*stats.Summary
-	// Hist per procedure: the same RTTs in log-bucket histograms, the
-	// source of every percentile (p95, p99) the tables print.
-	Hist map[uint32]*metrics.Histogram
+	// RTT per procedure: every measured round trip, in ms.
+	RTT map[uint32]*stats.Samples
 	// Achieved is the measured aggregate call rate.
 	Achieved float64
 	// Rate per procedure (the paper's Table 1 reports read rates).
@@ -98,13 +95,12 @@ func (r *NhfsstoneResult) ReadRate() float64 { return r.ProcRate[nfsproto.ProcRe
 // transport to exercise, and the exported root handle; Preload must have
 // been run first (it returns the target file handles).
 type Nhfsstone struct {
-	Cfg    NhfsstoneConfig
-	Tr     transport.Transport
-	Root   nfsproto.FH
-	files  []nhFile
-	links  []string // preloaded symlink names for readlink ops
-	temp   nhTemp
-	result *NhfsstoneResult
+	Cfg   NhfsstoneConfig
+	Tr    transport.Transport
+	Root  nfsproto.FH
+	files []nhFile
+	links []string // preloaded symlink names for readlink ops
+	temp  nhTemp
 }
 
 type nhFile struct {
@@ -207,33 +203,14 @@ func (n *Nhfsstone) Preload(p *sim.Proc) error {
 func (n *Nhfsstone) Run(p *sim.Proc) *NhfsstoneResult {
 	env := p.Env()
 	res := &NhfsstoneResult{
-		RTT:      make(map[uint32]*stats.Summary),
-		Hist:     make(map[uint32]*metrics.Histogram),
+		RTT:      make(map[uint32]*stats.Samples),
 		ProcRate: make(map[uint32]float64),
 	}
-	n.result = res
-	var procs []uint32
-	var cum []float64
-	acc := 0.0
+	mix := NewPicker(n.Cfg.Mix)
 	for proc := range n.Cfg.Mix {
-		procs = append(procs, proc)
-	}
-	// Deterministic ordering of the mix regardless of map iteration.
-	for i := 0; i < len(procs); i++ {
-		for j := i + 1; j < len(procs); j++ {
-			if procs[j] < procs[i] {
-				procs[i], procs[j] = procs[j], procs[i]
-			}
-		}
-	}
-	for _, proc := range procs {
-		acc += n.Cfg.Mix[proc]
-		cum = append(cum, acc)
-		res.RTT[proc] = new(stats.Summary)
-		res.Hist[proc] = metrics.NewHistogram()
+		res.RTT[proc] = new(stats.Samples)
 	}
 	measuring := false
-	counts := make(map[uint32]int)
 	retriesBase := n.Tr.Stats().Retries
 	failuresBase := n.Tr.Stats().Failures
 
@@ -256,17 +233,14 @@ func (n *Nhfsstone) Run(p *sim.Proc) *NhfsstoneResult {
 				if lp.Now() >= end {
 					return
 				}
-				proc := pickProc(rng, procs, cum)
+				proc := mix.Pick(rng)
 				start := lp.Now()
 				err := n.issue(lp, rng, proc)
 				if err != nil {
 					continue
 				}
 				if measuring {
-					rtt := lp.Now() - start
-					res.RTT[proc].AddDuration(rtt)
-					res.Hist[proc].ObserveDuration(rtt)
-					counts[proc]++
+					res.RTT[proc].Add(lp.Now() - start)
 				}
 			}
 		})
@@ -285,9 +259,11 @@ func (n *Nhfsstone) Run(p *sim.Proc) *NhfsstoneResult {
 	if res.Elapsed > 0 {
 		total := 0
 		secs := float64(res.Elapsed) / 1e9
-		for proc, c := range counts {
-			res.ProcRate[proc] = float64(c) / secs
-			total += c
+		for proc, s := range res.RTT {
+			if s.Count > 0 {
+				res.ProcRate[proc] = float64(s.Count) / secs
+				total += s.Count
+			}
 		}
 		res.Achieved = float64(total) / secs
 	}
@@ -296,14 +272,37 @@ func (n *Nhfsstone) Run(p *sim.Proc) *NhfsstoneResult {
 	return res
 }
 
-func pickProc(rng *rand.Rand, procs []uint32, cum []float64) uint32 {
-	r := rng.Float64() * cum[len(cum)-1]
-	for i, c := range cum {
+// Picker draws procedures from a mix's weights, taken in procedure order so
+// that a seed draws the same sequence whatever the map's iteration order.
+type Picker struct {
+	procs []uint32
+	cum   []float64
+}
+
+// NewPicker compiles a procedure → weight mix.
+func NewPicker(mix map[uint32]float64) Picker {
+	var pk Picker
+	for proc := range mix {
+		pk.procs = append(pk.procs, proc)
+	}
+	slices.Sort(pk.procs)
+	acc := 0.0
+	for _, proc := range pk.procs {
+		acc += mix[proc]
+		pk.cum = append(pk.cum, acc)
+	}
+	return pk
+}
+
+// Pick draws one procedure.
+func (pk Picker) Pick(rng *rand.Rand) uint32 {
+	r := rng.Float64() * pk.cum[len(pk.cum)-1]
+	for i, c := range pk.cum {
 		if r <= c {
-			return procs[i]
+			return pk.procs[i]
 		}
 	}
-	return procs[len(procs)-1]
+	return pk.procs[len(pk.procs)-1]
 }
 
 // issue sends one RPC of the given kind at a random file.

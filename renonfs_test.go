@@ -254,8 +254,12 @@ func TestRenderMissingCells(t *testing.T) {
 		r    interface{ tables() []*stats.Table }
 		want [][]string
 	}{
-		{"graphs 1-5", rttCurve{Loads: []float64{10}, Points: [][3]rttPoint{{{N: 4, Mean: 6.44, P99: 8.2, Retries: 1}, {}, {N: 9, Mean: 7.5, P99: 11.46}}}},
-			[][]string{{"10.0", "6.4", "-", "7.5", "8.2", "-", "11.5", "1/0/0"}}},
+		{"graphs 1-5", rttCurve{Loads: []float64{10}, Points: [][3]rttPoint{{{N: 1200, Mean: 6.44, P99: 8.2, P99OK: true, Retries: 1}, {}, {N: 1500, Mean: 7.5, P99: 11.46, P99OK: true}}}},
+			[][]string{{"10.0", "6.4", "-", "7.5", "8.2", "-", "11.5", "1200/0/1500", "1/0/0"}}},
+		{"graphs 1-5: a finished point with an undefined p99", rttCurve{Loads: []float64{4}, Points: [][3]rttPoint{{{N: 236, Mean: 41.26, P99: 70, Retries: 2}, {N: 1000, Mean: 9.9, P99: 12.5, P99OK: true}, {}}}},
+			[][]string{{"4.0", "41.3", "9.9", "-", "-", "12.5", "-", "236/1000/0", "2/0/0"}}},
+		{"saturation: an undefined p99", saturation{{Offered: 40, Achieved: 39.84, N: 640, LookupRTT: 3.21, LookupP99: 9.7}},
+			[][]string{{"40.0", "39.8", "3.2", "-", "640", "0", "0"}}},
 		{"table 1", readRates{{Topo: TopoSlow, Offered: 4, Rate: [3]float64{0.157, 0, 0.4}, OK: [3]bool{true, false, true}}},
 			[][]string{{"56kbps-link", "4.0", "0.16", "-", "0.40"}}},
 		{"graphs 8-9: a failed run drops its load", serverCurve{Points: []serverPoint{{Load: 10, Reno: rttPoint{N: 3, Mean: 5}}}}, nil},

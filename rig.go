@@ -22,6 +22,7 @@ import (
 
 	"renonfs/internal/client"
 	"renonfs/internal/memfs"
+	"renonfs/internal/metrics"
 	"renonfs/internal/netsim"
 	"renonfs/internal/nfsproto"
 	"renonfs/internal/server"
@@ -151,6 +152,15 @@ func (r *Rig) DialTransport(p *sim.Proc, kind TransportKind) (transport.Transpor
 func (r *Rig) DialUDPConfig(cfg transport.UDPConfig) *transport.UDP {
 	r.nextUDP++
 	return transport.NewUDP(r.Net.Client, r.nextUDP, r.Net.Server.ID, server.NFSPort, cfg)
+}
+
+// replyTracer hands fn the RTT and transmit-time RTO of each proc reply.
+func replyTracer(proc uint32, fn func(rtt, rto sim.Time)) metrics.Tracer {
+	return metrics.FuncTracer(func(ev metrics.Event) {
+		if rep, ok := ev.(metrics.Reply); ok && rep.Proc == proc {
+			fn(rep.RTT, rep.RTO)
+		}
+	})
 }
 
 // Mount attaches a client mount using the given transport kind and client
