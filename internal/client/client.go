@@ -270,12 +270,14 @@ type flushJob struct {
 }
 
 // NewMount creates a mount over the transport with the server's root
-// handle.
+// handle, in the transport's environment. With a nil node, as over a real
+// socket (transport.DialUDP), nothing charges CPU and leases are off.
 func NewMount(node *netsim.Node, tr transport.Transport, rootFH nfsproto.FH, opts Options) *Mount {
 	if opts.CacheBufs == 0 {
 		opts.CacheBufs = 256
 	}
-	env := node.Net().Env
+	opts.UseLeases = opts.UseLeases && node != nil // callbacks need a node's socket
+	env := tr.Env()
 	m := &Mount{
 		Opts:  opts,
 		Node:  node,
@@ -329,9 +331,9 @@ func (m *Mount) Close(p *sim.Proc) {
 	m.tr.Close()
 }
 
-// charge bills client CPU.
+// charge bills client CPU to the node, if there is one.
 func (m *Mount) charge(p *sim.Proc, bucket string, us float64) {
-	if p == nil {
+	if p == nil || m.Node == nil {
 		return
 	}
 	m.Node.ChargeCPU(p, bucket, m.Node.Model.Cost(us))

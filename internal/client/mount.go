@@ -1,7 +1,6 @@
 package client
 
 import (
-	"errors"
 	"fmt"
 
 	"renonfs/internal/netsim"
@@ -11,19 +10,11 @@ import (
 	"renonfs/internal/xdr"
 )
 
-// ErrNoMountProtocol is returned when the transport cannot reach other RPC
-// programs.
-var ErrNoMountProtocol = errors.New("client: transport cannot call the MOUNT protocol")
-
 // MountProtocolRoot obtains the file handle of an exported directory via
 // the MOUNT protocol (MNT), the way every real NFS mount begins.
 func MountProtocolRoot(p *sim.Proc, tr transport.Transport, path string) (nfsproto.FH, error) {
 	var fh nfsproto.FH
-	pc, ok := tr.(transport.ProgramCaller)
-	if !ok {
-		return fh, ErrNoMountProtocol
-	}
-	d, err := pc.CallProgram(p, nfsproto.MountProgram, nfsproto.MountVersion, nfsproto.MountProcMnt,
+	d, err := tr.CallProgram(p, nfsproto.MountProgram, nfsproto.MountVersion, nfsproto.MountProcMnt,
 		func(e *xdr.Encoder) { (&nfsproto.MntArgs{DirPath: path}).Encode(e) })
 	if err != nil {
 		return fh, err
@@ -51,22 +42,14 @@ func MountExport(p *sim.Proc, node *netsim.Node, tr transport.Transport, path st
 // Unmount tells the server's mountd this client is done with the export
 // (bookkeeping only; NFS itself is stateless).
 func Unmount(p *sim.Proc, tr transport.Transport, path string) error {
-	pc, ok := tr.(transport.ProgramCaller)
-	if !ok {
-		return ErrNoMountProtocol
-	}
-	_, err := pc.CallProgram(p, nfsproto.MountProgram, nfsproto.MountVersion, nfsproto.MountProcUmnt,
+	_, err := tr.CallProgram(p, nfsproto.MountProgram, nfsproto.MountVersion, nfsproto.MountProcUmnt,
 		func(e *xdr.Encoder) { (&nfsproto.MntArgs{DirPath: path}).Encode(e) })
 	return err
 }
 
 // Exports lists the server's export table.
 func Exports(p *sim.Proc, tr transport.Transport) ([]nfsproto.ExportEntry, error) {
-	pc, ok := tr.(transport.ProgramCaller)
-	if !ok {
-		return nil, ErrNoMountProtocol
-	}
-	d, err := pc.CallProgram(p, nfsproto.MountProgram, nfsproto.MountVersion, nfsproto.MountProcExport, nil)
+	d, err := tr.CallProgram(p, nfsproto.MountProgram, nfsproto.MountVersion, nfsproto.MountProcExport, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -843,39 +844,40 @@ func DefaultSLO() SLO {
 }
 
 // ParseSLO parses "p50=5ms,p99=50ms,p999=250ms,timeouts=0.01". Omitted
-// fields keep the default; unknown keys are errors.
+// fields keep the default; unknown keys, negative durations and timeout
+// fractions outside [0, 1] are errors. A zero duration disables its clause.
 func ParseSLO(s string) (SLO, error) {
 	slo := DefaultSLO()
 	if s == "" {
 		return slo, nil
 	}
+	durs := map[string]*time.Duration{"p50": &slo.P50, "p99": &slo.P99, "p999": &slo.P999}
 	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
+		k, v, ok := strings.Cut(strings.TrimSpace(part), "=")
+		if !ok {
 			return slo, fmt.Errorf("slo: %q is not key=value", part)
 		}
-		switch kv[0] {
-		case "p50", "p99", "p999":
-			d, err := time.ParseDuration(kv[1])
+		switch dp := durs[k]; {
+		case dp != nil:
+			d, err := time.ParseDuration(v)
+			if err == nil && d < 0 {
+				err = fmt.Errorf("negative duration %v", d)
+			}
 			if err != nil {
-				return slo, fmt.Errorf("slo: %s: %w", kv[0], err)
+				return slo, fmt.Errorf("slo: %s: %w", k, err)
 			}
-			switch kv[0] {
-			case "p50":
-				slo.P50 = d
-			case "p99":
-				slo.P99 = d
-			case "p999":
-				slo.P999 = d
+			*dp = d
+		case k == "timeouts":
+			f, err := strconv.ParseFloat(v, 64)
+			if err == nil && !(f >= 0 && f <= 1) { // NaN fails both
+				err = fmt.Errorf("%v is not a fraction in [0, 1]", f)
 			}
-		case "timeouts":
-			var f float64
-			if _, err := fmt.Sscanf(kv[1], "%g", &f); err != nil {
+			if err != nil {
 				return slo, fmt.Errorf("slo: timeouts: %w", err)
 			}
 			slo.MaxTimeoutFrac = f
 		default:
-			return slo, fmt.Errorf("slo: unknown key %q (want p50/p99/p999/timeouts)", kv[0])
+			return slo, fmt.Errorf("slo: unknown key %q (want p50/p99/p999/timeouts)", k)
 		}
 	}
 	return slo, nil

@@ -118,10 +118,20 @@ func TestSLOParse(t *testing.T) {
 	if slo.P99 != 100*time.Millisecond || slo.P50 != def.P50 || slo.MaxTimeoutFrac != def.MaxTimeoutFrac {
 		t.Errorf("parsed %+v, want defaults elsewhere", slo)
 	}
-	for _, bad := range []string{"p42=1ms", "p50", "p50=notaduration", "timeouts=x"} {
+	for _, bad := range []string{"p42=1ms", "p50", "p50=notaduration", "timeouts=x",
+		"timeouts=0.01x", "timeouts=NaN", "timeouts=-1", "timeouts=1.5", "timeouts=+Inf",
+		"p50=-1ms", "p99=-5ms", "p999=-1s"} {
 		if _, err := ParseSLO(bad); err == nil {
 			t.Errorf("ParseSLO(%q) accepted", bad)
 		}
+	}
+	for spec, want := range map[string]float64{"timeouts=0": 0, "timeouts=1": 1, "timeouts=1e-3": 0.001} {
+		if slo, err := ParseSLO(spec); err != nil || slo.MaxTimeoutFrac != want {
+			t.Errorf("ParseSLO(%q) = %v, %v; want timeouts %v", spec, slo.MaxTimeoutFrac, err, want)
+		}
+	}
+	if slo, err := ParseSLO("p99=0s"); err != nil || slo.P99 != 0 {
+		t.Errorf("ParseSLO(p99=0s) = %v, %v; want the clause disabled", slo.P99, err)
 	}
 
 	r := &Result{P50: 10, P99: 600, P999: 900, WSent: 1000, WTimeouts: 50}

@@ -23,7 +23,8 @@
 // process was running kills that process the same way. Close unwinds the
 // processes still parked one at a time in spawn order, running their
 // deferred functions. Stop ends a run early, typically when the process
-// driving a workload returns.
+// driving a workload returns. RunWall drives the same queue on the wall
+// clock, for models on real sockets, whose goroutines come in through Post.
 //
 // The kernel is the substrate for the network and host models in
 // internal/netsim; nothing in it is NFS-specific.
@@ -31,10 +32,12 @@ package sim
 
 import (
 	"container/list"
+	"context"
 	"fmt"
 	"iter"
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 )
 
@@ -77,11 +80,15 @@ type Env struct {
 	live    list.List // *Proc, started and not yet returned, in spawn order
 	stopped bool      // Stop was called in the run in progress
 	closed  bool
+
+	mu    sync.Mutex    // guards inbox, the one field other goroutines touch
+	inbox []func()      // queued by Post, run by RunWall
+	kick  chan struct{} // wakes RunWall after a Post
 }
 
 // New returns an empty environment whose random source is seeded with seed.
 func New(seed int64) *Env {
-	return &Env{horizon: -1, rng: rand.New(rand.NewSource(seed))}
+	return &Env{horizon: -1, rng: rand.New(rand.NewSource(seed)), kick: make(chan struct{}, 1)}
 }
 
 // Now returns the current virtual time.
@@ -335,6 +342,65 @@ func (e *Env) RunAll() Time {
 	defer e.endRun()
 	for !e.stopped && (e.ready.Len() > 0 || len(e.events) > 0) {
 		e.step()
+	}
+	return e.now
+}
+
+// Post queues fn to run as a callback at the current instant of RunWall. It
+// is the one Env method that is safe to call from any goroutine, and it may
+// be called before RunWall starts.
+func (e *Env) Post(fn func()) {
+	e.mu.Lock()
+	e.inbox = append(e.inbox, fn)
+	e.mu.Unlock()
+	select {
+	case e.kick <- struct{}{}:
+	default:
+	}
+}
+
+// RunWall executes events on the wall clock until Stop is called or ctx is
+// done, and returns the virtual time it stopped at: wall time since the
+// call, continuing from Now. Events run in Run's (time, sequence) order
+// once the wall clock reaches them, under a horizon of the wall clock, so
+// neither a parked process nor Sleep's lookahead runs one early. With none
+// due, the clock moves to the wall clock and what Post queued runs then.
+func (e *Env) RunWall(ctx context.Context) Time {
+	if e.closed {
+		panic("sim: RunWall after Close")
+	}
+	e.stopped = false
+	defer e.endRun()
+	start := time.Now().Add(-e.now)
+	timer := time.NewTimer(0)
+	defer timer.Stop()
+	for !e.stopped && ctx.Err() == nil {
+		wall := Time(time.Since(start))
+		e.horizon = wall
+		var due <-chan time.Time
+		if ev := e.peek(); ev != nil {
+			if ev.when <= wall {
+				e.step()
+				continue
+			}
+			timer.Reset(ev.when - wall) // a stale tick only wakes the loop early
+			due = timer.C
+		}
+		e.now = max(e.now, wall)
+		e.mu.Lock()
+		posted := e.inbox
+		e.inbox = nil
+		e.mu.Unlock()
+		for _, fn := range posted {
+			e.push(event{when: e.now, fn: fn})
+		}
+		if len(posted) == 0 {
+			select {
+			case <-ctx.Done():
+			case <-e.kick:
+			case <-due:
+			}
+		}
 	}
 	return e.now
 }

@@ -124,6 +124,9 @@ func (t *TCP) connect(p *sim.Proc) error {
 // Stats returns transport counters.
 func (t *TCP) Stats() *Stats { return &t.stats }
 
+// Env returns the transport's environment.
+func (t *TCP) Env() *sim.Env { return t.env }
+
 // Close tears the connection down.
 func (t *TCP) Close() {
 	if t.closed {
@@ -155,7 +158,7 @@ func (t *TCP) Call(p *sim.Proc, proc uint32, args func(e *xdr.Encoder)) (*xdr.De
 	return t.CallProgram(p, nfsproto.Program, nfsproto.Version, proc, args)
 }
 
-// CallProgram implements ProgramCaller (used by the MOUNT protocol).
+// CallProgram implements Transport.
 func (t *TCP) CallProgram(p *sim.Proc, prog, vers, proc uint32, args func(e *xdr.Encoder)) (*xdr.Decoder, error) {
 	if t.closed {
 		return nil, ErrClosed

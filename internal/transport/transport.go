@@ -84,9 +84,13 @@ type Transport interface {
 	// — once per (re)transmission — so it must be repeatable: bulk data
 	// must be encoded from stable storage, not from a consumable chain.
 	Call(p *sim.Proc, proc uint32, args func(e *xdr.Encoder)) (*xdr.Decoder, error)
+	// CallProgram is Call for any RPC program: the MOUNT protocol's, say.
+	CallProgram(p *sim.Proc, prog, vers, proc uint32, args func(e *xdr.Encoder)) (*xdr.Decoder, error)
 	// Stats exposes counters; the pointer stays valid for the transport's
 	// lifetime.
 	Stats() *Stats
+	// Env returns the environment the transport's processes run in.
+	Env() *sim.Env
 	// Close shuts the transport down.
 	Close()
 }
@@ -129,12 +133,6 @@ func (e *estimator) rto(def, min, max sim.Time) sim.Time {
 		r = max
 	}
 	return r
-}
-
-// ProgramCaller is implemented by transports that can call RPC programs
-// other than NFS — the MOUNT protocol in particular.
-type ProgramCaller interface {
-	CallProgram(p *sim.Proc, prog, vers, proc uint32, args func(e *xdr.Encoder)) (*xdr.Decoder, error)
 }
 
 // buildCall encodes a full RPC CALL message, appending the arguments

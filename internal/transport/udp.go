@@ -1,10 +1,12 @@
 package transport
 
 import (
-	"fmt"
+	"errors"
+	"net"
 	"slices"
 	"time"
 
+	"renonfs/internal/mbuf"
 	"renonfs/internal/metrics"
 	"renonfs/internal/netsim"
 	"renonfs/internal/nfsproto"
@@ -73,7 +75,7 @@ type udpPending struct {
 // UDP is the datagram transport.
 type UDP struct {
 	cfg    UDPConfig
-	sock   *netsim.UDPSocket
+	sock   endpoint
 	server netsim.NodeID
 	port   int
 	env    *sim.Env
@@ -90,8 +92,71 @@ type UDP struct {
 	stats   Stats
 }
 
+// endpoint is the datagram socket a UDP transport calls through: a simulated
+// *netsim.UDPSocket, or a real one (DialUDP), whose replies arrive on the
+// same kind of queue.
+type endpoint interface {
+	Send(p *sim.Proc, dst netsim.NodeID, dport int, payload *mbuf.Chain)
+	Queue() *sim.Queue[*netsim.Datagram]
+	Close()
+}
+
 // NewUDP creates a UDP transport from the client node to (server, port).
 func NewUDP(node *netsim.Node, localPort int, server netsim.NodeID, port int, cfg UDPConfig) *UDP {
+	t := newUDP(node.Net().Env, node.UDPSocket(localPort), node.Name, cfg)
+	t.server, t.port = server, port
+	return t
+}
+
+// DialUDP creates a UDP transport over a real socket connected to addr, for
+// an environment driven by sim.Env.RunWall. XIDs start from the wall clock,
+// so a reused port does not hit its predecessor's duplicate-cache entries.
+func DialUDP(env *sim.Env, addr string, cfg UDPConfig) (*UDP, error) {
+	conn, err := net.Dial("udp", addr)
+	if err != nil {
+		return nil, err
+	}
+	sock := &wallSocket{conn: conn, rq: sim.NewQueue[*netsim.Datagram](env, addr)}
+	go sock.read(env)
+	t := newUDP(env, sock, conn.LocalAddr().String(), cfg)
+	t.xid = uint32(time.Now().UnixNano())
+	return t, nil
+}
+
+// wallSocket is a connected real socket. Its reader goroutine copies each
+// datagram into a chain and posts it onto the reply queue.
+type wallSocket struct {
+	conn net.Conn
+	rq   *sim.Queue[*netsim.Datagram]
+}
+
+// Send writes payload as one datagram to the connected address; a failed
+// write is a lost datagram.
+func (w *wallSocket) Send(_ *sim.Proc, _ netsim.NodeID, _ int, payload *mbuf.Chain) {
+	w.conn.Write(payload.Bytes())
+	payload.Free()
+}
+
+func (w *wallSocket) Queue() *sim.Queue[*netsim.Datagram] { return w.rq }
+func (w *wallSocket) Close()                              { w.conn.Close(); w.rq.Close() }
+
+// read runs until the socket closes. Other errors, such as a refused port's
+// ICMP report, lose nothing the timer does not retransmit.
+func (w *wallSocket) read(env *sim.Env) {
+	buf := make([]byte, 1<<16)
+	for {
+		n, err := w.conn.Read(buf)
+		if errors.Is(err, net.ErrClosed) {
+			return
+		} else if err == nil {
+			dg := &netsim.Datagram{Payload: mbuf.FromBytes(buf[:n])}
+			env.Post(func() { w.rq.Send(dg) })
+		}
+	}
+}
+
+// newUDP creates a UDP transport over sock; name prefixes its timer process.
+func newUDP(env *sim.Env, sock endpoint, name string, cfg UDPConfig) *UDP {
 	if cfg.Timeo == 0 {
 		cfg.Timeo = time.Second
 	}
@@ -101,12 +166,9 @@ func NewUDP(node *netsim.Node, localPort int, server netsim.NodeID, port int, cf
 	if cfg.BigFactor == 0 {
 		cfg.BigFactor = 4
 	}
-	env := node.Net().Env
 	t := &UDP{
 		cfg:     cfg,
-		sock:    node.UDPSocket(localPort),
-		server:  server,
-		port:    port,
+		sock:    sock,
 		env:     env,
 		pending: make(map[uint32]*udpPending),
 		cwnd:    CwndInit,
@@ -121,12 +183,15 @@ func NewUDP(node *netsim.Node, localPort int, server netsim.NodeID, port int, cf
 		t.est[c].factor = f
 	}
 	t.sock.Queue().Serve(t.receive)
-	env.Spawn(fmt.Sprintf("%s.udprpc-timer", node.Name), t.timerLoop)
+	env.Spawn(name+".udprpc-timer", t.timerLoop)
 	return t
 }
 
 // Stats returns the transport counters.
 func (t *UDP) Stats() *Stats { return &t.stats }
+
+// Env returns the transport's environment.
+func (t *UDP) Env() *sim.Env { return t.env }
 
 // Estimator exposes (A, D, RTO) for a class, for traces and tests.
 func (t *UDP) Estimator(c Class) (srtt, rttvar, rto sim.Time) {
@@ -177,7 +242,7 @@ func (t *UDP) Call(p *sim.Proc, proc uint32, args func(e *xdr.Encoder)) (*xdr.De
 	return t.CallProgram(p, nfsproto.Program, nfsproto.Version, proc, args)
 }
 
-// CallProgram implements ProgramCaller (used by the MOUNT protocol).
+// CallProgram implements Transport.
 func (t *UDP) CallProgram(p *sim.Proc, prog, vers, proc uint32, args func(e *xdr.Encoder)) (*xdr.Decoder, error) {
 	if t.closed {
 		return nil, ErrClosed

@@ -125,8 +125,12 @@ func (c *NhfsstoneConfig) fileName(i int) string {
 
 // Preload creates the subtree over the transport: NumFiles files of
 // FileSize bytes, so reads have real data to move (the appendix's second
-// caveat). It runs in the calling process.
+// caveat). It runs in the calling process. A Rate that is not positive,
+// which Run's pacing would make a closed loop, is an error.
 func (n *Nhfsstone) Preload(p *sim.Proc) error {
+	if !(n.Cfg.Rate > 0) {
+		return fmt.Errorf("nhfsstone: rate %v RPC/s is not positive", n.Cfg.Rate)
+	}
 	if n.Cfg.NumFiles == 0 {
 		n.Cfg.NumFiles = 50
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -348,5 +349,27 @@ func TestLongNamesDefeatServerNameCache(t *testing.T) {
 	long := hitsFor(true)
 	if long >= short/4 {
 		t.Fatalf("name cache hits: short=%d long=%d; long names should defeat the cache", short, long)
+	}
+}
+
+// TestNhfsstonePreloadRejectsRate: a rate that is not positive would pace
+// every process with zero sleeps, a silent closed loop, so Preload refuses it
+// before it sends anything.
+func TestNhfsstonePreloadRejectsRate(t *testing.T) {
+	for _, rate := range []float64{0, -5, math.NaN()} {
+		r := newRig(t, 1, netsim.TopoLAN, false)
+		tr := r.udpTransport(transport.DynamicUDP())
+		var err error
+		r.env.Spawn("preload", func(p *sim.Proc) {
+			nh := &Nhfsstone{Cfg: NhfsstoneConfig{Mix: DefaultLookupMix(), Rate: rate}, Tr: tr, Root: r.srv.RootFH()}
+			err = nh.Preload(p)
+		})
+		r.env.Run(time.Minute)
+		if err == nil {
+			t.Errorf("Preload at rate %v: no error", rate)
+		}
+		if n := tr.Stats().Calls; n != 0 {
+			t.Errorf("Preload at rate %v sent %d calls", rate, n)
+		}
 	}
 }
