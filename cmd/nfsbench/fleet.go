@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"renonfs/internal/fleet"
+	"renonfs/internal/stats"
 )
 
 // splitList returns the non-empty, space-trimmed items of a comma list.
@@ -77,8 +78,8 @@ func runFleet(base fleet.Config, rates []float64, kinds []fleet.Kind, real bool,
 
 	fmt.Printf("== fleet: open-loop latency vs offered load (%s engine, %d clients, %d shards, %v horizon)\n\n",
 		engine, base.Clients, base.Shards, base.Horizon)
-	fmt.Printf("  %9s %9s %9s %9s %9s %9s %8s  %s\n",
-		"offered", "achieved", "goodput", "p50ms", "p99ms", "p999ms", "timeout%", "slo")
+	fmt.Printf("  %9s %9s %9s %7s %9s %9s %9s %8s  %s\n",
+		"offered", "achieved", "goodput", "n", "p50ms", "p99ms", "p999ms", "timeout%", "slo")
 	for _, rps := range rates {
 		cfg := base
 		cfg.OfferedRPS = rps
@@ -92,8 +93,14 @@ func runFleet(base fleet.Config, rates []float64, kinds []fleet.Kind, real bool,
 		if len(fails) > 0 {
 			verdict = strings.Join(fails, "; ")
 		}
-		fmt.Printf("  %9.0f %9.0f %9.0f %9.2f %9.2f %9.2f %8.2f  %s\n",
-			r.Offered, r.AchievedRPS, r.GoodputRPS, r.P50, r.P99, r.P999,
+		// n is the window's reply count; a percentile with fewer than
+		// stats.MinTail replies above its rank prints "-".
+		n := int(r.WReplies)
+		fmt.Printf("  %9.0f %9.0f %9.0f %7d %9s %9s %9s %8.2f  %s\n",
+			r.Offered, r.AchievedRPS, r.GoodputRPS, n,
+			stats.Fixed(r.P50, 2, stats.Defined(50, n)),
+			stats.Fixed(r.P99, 2, stats.Defined(99, n)),
+			stats.Fixed(r.P999, 2, stats.Defined(99.9, n)),
 			100*r.TimeoutFrac(), verdict)
 	}
 

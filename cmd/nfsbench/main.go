@@ -115,8 +115,8 @@ func main() {
 	}
 
 	if *fleetMode {
-		if *fleetClients <= 0 {
-			fatalf("-fleet-clients %d: must be > 0", *fleetClients)
+		if *fleetClients <= 0 || *fleetClients > fleet.MaxClients {
+			fatalf("-fleet-clients %d: must be in 1..%d (the XIDs' client bits)", *fleetClients, fleet.MaxClients)
 		}
 		if *fleetShards <= 0 {
 			fatalf("-fleet-shards %d: must be > 0", *fleetShards)

@@ -27,16 +27,17 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"renonfs/internal/check"
 	"renonfs/internal/mbuf"
 	"renonfs/internal/memfs"
 	"renonfs/internal/metrics"
+	"renonfs/internal/netsim"
 	"renonfs/internal/nfsproto"
 	"renonfs/internal/rpc"
 	"renonfs/internal/server"
+	"renonfs/internal/sim"
 	"renonfs/internal/workload"
 	"renonfs/internal/xdr"
 )
@@ -103,9 +104,12 @@ const (
 )
 
 // XID layout: client id in the high bits, per-client sequence below. 18 id
-// bits carry 256k clients; 14 sequence bits wrap at 16k calls per client,
+// bits carry MaxClients; 14 sequence bits wrap at 16k calls per client,
 // far beyond what can be in flight at once.
 const xidSeqBits = 14
+
+// MaxClients is the largest fleet whose clients' XIDs stay distinct.
+const MaxClients = 1 << (32 - xidSeqBits)
 
 // Tenant indexes into the mix table (and Scenario.TenantWeights).
 const (
@@ -202,16 +206,13 @@ const procMount = uint32(0xff)
 
 // shard owns one socket's worth of clients: their states, the timing
 // wheel that fires them, the pending-call table that demuxes replies by
-// xid, and the counters/histogram for its slice of the fleet. mu guards
-// everything below it in the real-socket engine (sender and receiver
-// goroutines); the simulator is single-threaded and pays only uncontended
-// locks.
+// xid, and the counters/histogram for its slice of the fleet. Only the
+// environment's processes and events touch it, one at a time.
 type shard struct {
 	id   int
 	base int // global client id of clients[0]
 	wan  bool
 
-	mu      sync.Mutex
 	clients []clientState
 	wheel   *wheel
 	pending map[uint32]pendingCall
@@ -255,6 +256,9 @@ type fleetState struct {
 // preloaded with the shared files, the auditor on the engine's clock
 // (strict if the config asks), and the shards.
 func newRun(cfg Config, now func() time.Duration) (*fleetState, *server.Server, error) {
+	if cfg.Clients > MaxClients {
+		return nil, nil, fmt.Errorf("fleet: %d clients: XIDs tell at most %d apart", cfg.Clients, MaxClients)
+	}
 	fsys := memfs.New(1, nil, nil)
 	opts := server.Reno()
 	opts.NFSDs = serverNFSDs
@@ -448,7 +452,7 @@ func encodeMount(xid uint32) *mbuf.Chain {
 }
 
 // buildOps appends the client's next wire calls to ops (usually one; a
-// remounting client issues MNT+LOOKUP). Caller holds sh.mu.
+// remounting client issues MNT+LOOKUP).
 func (fs *fleetState) buildOps(sh *shard, ci int, ops []op) []op {
 	st := &sh.clients[ci]
 	pre := fs.pre
@@ -558,7 +562,7 @@ func (fs *fleetState) buildOps(sh *shard, ci int, ops []op) []op {
 // recordSend books one call (and its storm duplicates) before any datagram
 // leaves: the pending entry and the auditor's CallSent/Retransmit events
 // must exist before a reply can race in on the receiver. at is the
-// *scheduled* fire time. Caller holds sh.mu.
+// *scheduled* fire time.
 func (sh *shard) recordSend(o op, at time.Duration) {
 	sh.pending[o.xid] = pendingCall{at: at, proc: o.proc}
 	sh.sent++
@@ -582,8 +586,6 @@ func (sh *shard) reply(d *xdr.Decoder, now time.Duration) {
 		return
 	}
 	xid := sh.rep.XID
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	pc, ok := sh.pending[xid]
 	if !ok {
 		// Resolved already (timeout sweep) or never ours: a late reply is
@@ -609,8 +611,8 @@ func (sh *shard) reply(d *xdr.Decoder, now time.Duration) {
 }
 
 // sweep expires pending calls scheduled before cutoff, emitting
-// CallFailed so the auditor's conservation rule stays exact. Caller holds
-// sh.mu. Returns how many were expired.
+// CallFailed so the auditor's conservation rule stays exact. Returns how
+// many were expired.
 func (sh *shard) sweep(cutoff time.Duration) int {
 	n := 0
 	for xid, pc := range sh.pending {
@@ -629,22 +631,46 @@ func (sh *shard) sweep(cutoff time.Duration) int {
 	return n
 }
 
-// sendLoop is one shard's sender on the engine's clock. Every wheelGran it
-// waits for the tick (sleepUntil) and stops once the tick passes the
-// window. Under sh.mu it advances the wheel, builds every due client's
-// calls, books them at the scheduled tick and reschedules the client, then
-// hands the calls to xmit outside the lock. Booking first means the pending
-// entry and the auditor's CallSent precede the datagram, so a reply never
-// races its own call; and the scheduled tick, not the possibly later
-// actual send, is the coordinated-omission-safe latency origin.
-func (fs *fleetState) sendLoop(sh *shard, sleepUntil func(time.Duration), xmit func(op)) {
+// start spawns every shard's sender and receiver on env, in shard order,
+// over socks[i] to the server at dst, then schedules the scenario script.
+func (fs *fleetState) start(env *sim.Env, socks []netsim.Endpoint, dst netsim.NodeID) {
+	for i, sh := range fs.shards {
+		sock := socks[i]
+		env.Spawn(fmt.Sprintf("fleet-send%d", sh.id), func(p *sim.Proc) {
+			fs.sendLoop(p, sh, sock, dst)
+		})
+		env.Spawn(fmt.Sprintf("fleet-recv%d", sh.id), func(p *sim.Proc) {
+			for {
+				dg, ok := sock.Queue().Recv(p)
+				if !ok {
+					return
+				}
+				sh.reply(xdr.NewDecoder(dg.Payload), p.Now())
+				dg.Payload.Free()
+			}
+		})
+	}
+	fs.script(env)
+}
+
+// sendLoop is one shard's sender. Every wheelGran it sleeps to the tick and
+// stops once the tick passes the window. It advances the wheel, builds every
+// due client's calls, books them at the scheduled tick and reschedules the
+// client, then sends them. Booking first means the pending entry and the
+// auditor's CallSent precede the datagram, so a reply never races its own
+// call; and the scheduled tick, not the possibly later actual send, is the
+// coordinated-omission-safe latency origin. A simulated send charges CPU
+// and may carry the process past a tick boundary; the ticks are absolute,
+// so the wheel never drifts from the clock.
+func (fs *fleetState) sendLoop(p *sim.Proc, sh *shard, sock netsim.Endpoint, dst netsim.NodeID) {
 	var ops []op
 	for tick := wheelGran; ; tick += wheelGran {
-		sleepUntil(tick)
+		if now := p.Now(); now < tick {
+			p.Sleep(tick - now)
+		}
 		if tick > fs.winEnd {
 			return
 		}
-		sh.mu.Lock()
 		sh.due = sh.wheel.advance(sh.due[:0])
 		ops = ops[:0]
 		for _, ci := range sh.due {
@@ -658,48 +684,38 @@ func (fs *fleetState) sendLoop(sh *shard, sleepUntil func(time.Duration), xmit f
 		if sh.wheel.tick%1024 == 0 {
 			sh.sweep(tick - fs.cfg.Timeout)
 		}
-		sh.mu.Unlock()
 		for _, o := range ops {
-			xmit(o)
+			for d := 1; d < o.dups; d++ {
+				sock.Send(p, dst, server.NFSPort, o.wire.Clone())
+			}
+			sock.Send(p, dst, server.NFSPort, o.wire)
 		}
 	}
 }
 
-// event is one scripted action at a time on the run clock.
-type event struct {
-	at time.Duration
-	fn func()
-}
-
-// script returns the scenario's rate steps, storm windows and remount herds
-// as events on the run clock (scenario time plus warmup). Crash windows are
-// the engine's to add: faultplan in the simulator, SetDown/Crash over real
-// sockets.
-func (fs *fleetState) script() []event {
+// script schedules the scenario's rate steps, storm windows and remount
+// herds on env (scenario time plus warmup). Crash windows are the engine's
+// to add: faultplan in the simulator, SetDown/Crash over real sockets.
+func (fs *fleetState) script(env *sim.Env) {
 	sc, w := fs.cfg.Scenario, fs.cfg.Warmup
-	var evs []event
 	for _, rs := range sc.RateSteps {
-		evs = append(evs, event{w + rs.At, func() {
+		env.At(w+rs.At, func() {
 			fs.each(func(sh *shard) { sh.rate = sh.baseRate * rs.Mult })
-		}})
+		})
 	}
 	for _, st := range sc.Storms {
-		evs = append(evs,
-			event{w + st.Start, func() { fs.each(func(sh *shard) { sh.stormDups = st.Dups }) }},
-			event{w + st.End, func() { fs.each(func(sh *shard) { sh.stormDups = 0 }) }})
+		env.At(w+st.Start, func() { fs.each(func(sh *shard) { sh.stormDups = st.Dups }) })
+		env.At(w+st.End, func() { fs.each(func(sh *shard) { sh.stormDups = 0 }) })
 	}
 	for _, rm := range sc.Remounts {
-		evs = append(evs, event{w + rm.At, func() { fs.remountAll(rm.Jitter) }})
+		env.At(w+rm.At, func() { fs.remountAll(rm.Jitter) })
 	}
-	return evs
 }
 
-// each runs fn on every shard under its lock.
+// each runs fn on every shard.
 func (fs *fleetState) each(fn func(sh *shard)) {
 	for _, sh := range fs.shards {
-		sh.mu.Lock()
 		fn(sh)
-		sh.mu.Unlock()
 	}
 }
 
@@ -767,7 +783,6 @@ func (fs *fleetState) finish(engine string) *Result {
 	}
 	var hist metrics.HistogramSnapshot
 	for i, sh := range fs.shards {
-		sh.mu.Lock()
 		sh.sweep(time.Duration(1 << 62))
 		r.Sent += sh.sent
 		r.Replies += sh.replies
@@ -784,7 +799,6 @@ func (fs *fleetState) finish(engine string) *Result {
 		} else {
 			hist = hist.Add(sh.hist.Snapshot())
 		}
-		sh.mu.Unlock()
 	}
 	r.Hist = hist
 	secs := fs.cfg.Horizon.Seconds()

@@ -221,6 +221,59 @@ func TestSimSteady(t *testing.T) {
 	}
 }
 
+// TestSockSteady is TestSimSteady on the wall-clock engine: with no scenario,
+// the open-loop contract holds over real sockets — the offered load is
+// generated, every call resolves, almost none time out, and the strict
+// auditor stays clean.
+func TestSockSteady(t *testing.T) {
+	r, err := RunSock(Config{Seed: 1, Clients: 500, Shards: 4, OfferedRPS: 400,
+		Warmup: 500 * time.Millisecond, Horizon: 2 * time.Second,
+		Timeout: time.Second, Strict: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("sent=%d replies=%d timeouts=%d late=%d p50=%.2fms p99=%.2fms achieved=%.0f goodput=%.0f",
+		r.Sent, r.Replies, r.Timeouts, r.Late, r.P50, r.P99, r.AchievedRPS, r.GoodputRPS)
+	if r.AchievedRPS < 0.9*r.Offered || r.AchievedRPS > 1.1*r.Offered {
+		t.Errorf("achieved %.0f rps, offered %.0f — open-loop pacing broken", r.AchievedRPS, r.Offered)
+	}
+	if r.Sent != r.Replies+r.Timeouts {
+		t.Errorf("conservation: sent=%d != replies=%d + timeouts=%d", r.Sent, r.Replies, r.Timeouts)
+	}
+	if f := r.TimeoutFrac(); f > 0.01 {
+		t.Errorf("%.1f%% of window calls timed out, want <= 1%%", 100*f)
+	}
+	if len(r.Violations) != 0 {
+		t.Errorf("%d auditor violations; first: %v", len(r.Violations), r.Violations[0])
+	}
+}
+
+// TestClientBound: both engines refuse a fleet whose client ids spill out
+// of the XID's client bits, where client MaxClients would reuse client 0's
+// XIDs, and accept the largest one that fits.
+func TestClientBound(t *testing.T) {
+	engines := []struct {
+		name string
+		run  func(Config) (*Result, error)
+	}{{"sim", RunSim}, {"sock", RunSock}}
+	for _, c := range []struct {
+		clients int
+		ok      bool
+	}{{MaxClients, true}, {MaxClients + 1, false}} {
+		for _, e := range engines {
+			_, err := e.run(Config{Clients: c.clients, Shards: 1,
+				Horizon: 10 * time.Millisecond, Timeout: 10 * time.Millisecond})
+			if (err == nil) != c.ok {
+				t.Errorf("%s, %d clients: err = %v, want accepted=%v", e.name, c.clients, err, c.ok)
+			}
+		}
+	}
+	sh := &shard{base: MaxClients - 1, clients: make([]clientState, 1)}
+	if got := sh.xidOf(0) >> xidSeqBits; got != MaxClients-1 {
+		t.Errorf("the last client's XID attributes to client %d, want %d", got, MaxClients-1)
+	}
+}
+
 // TestSimWarmupExcluded: window counters must only cover calls *scheduled*
 // inside [Warmup, Warmup+Horizon).
 func TestSimWarmupExcluded(t *testing.T) {

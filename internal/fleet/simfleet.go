@@ -1,14 +1,10 @@
 package fleet
 
 import (
-	"fmt"
-	"time"
-
 	"renonfs/internal/faultplan"
 	"renonfs/internal/netsim"
 	"renonfs/internal/server"
 	"renonfs/internal/sim"
-	"renonfs/internal/xdr"
 )
 
 // Sim-engine constants. Client hosts stand in for thousands of mounts, so
@@ -26,10 +22,6 @@ const (
 // hop). Everything — interarrivals, scenario events, crashes — runs on the
 // deterministic event clock, so a (config, seed) pair always produces the
 // same Result.Fingerprint.
-//
-// The simulator runs one process at a time and none parks holding a shard
-// lock (sendLoop and reply release it before sending or waiting), so the
-// shared body's locking is uncontended here.
 func RunSim(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
 	env := sim.New(cfg.Seed)
@@ -47,43 +39,15 @@ func RunSim(cfg Config) (*Result, error) {
 	srv.AttachNode(ft.Server)
 	srv.ServeUDP(server.NFSPort)
 
-	serverID := ft.Server.ID
-	for _, sh := range fst.shards {
+	socks := make([]netsim.Endpoint, len(fst.shards))
+	for i, sh := range fst.shards {
 		node := ft.LAN
 		if sh.wan {
 			node = ft.WAN
 		}
-		sock := node.UDPSocket(fleetBasePort + sh.id)
-
-		// Send charges CPU and may carry the process past a tick boundary;
-		// the ticks are absolute, so the wheel never drifts from the clock.
-		env.Spawn(fmt.Sprintf("fleet-send%d", sh.id), func(p *sim.Proc) {
-			fst.sendLoop(sh, func(tick time.Duration) {
-				if now := p.Now(); now < tick {
-					p.Sleep(tick - now)
-				}
-			}, func(o op) {
-				for d := 1; d < o.dups; d++ {
-					sock.Send(p, serverID, server.NFSPort, o.wire.Clone())
-				}
-				sock.Send(p, serverID, server.NFSPort, o.wire)
-			})
-		})
-		env.Spawn(fmt.Sprintf("fleet-recv%d", sh.id), func(p *sim.Proc) {
-			for {
-				dg, ok := sock.Recv(p)
-				if !ok {
-					return
-				}
-				sh.reply(xdr.NewDecoder(dg.Payload), p.Now())
-				dg.Payload.Free()
-			}
-		})
+		socks[i] = node.UDPSocket(fleetBasePort + sh.id)
 	}
-
-	for _, ev := range fst.script() {
-		env.At(ev.at, ev.fn)
-	}
+	fst.start(env, socks, ft.Server.ID)
 	stopAt := cfg.Warmup + cfg.Horizon
 	if sc := cfg.Scenario; len(sc.Crashes) > 0 {
 		shifted := &faultplan.Schedule{Seed: sc.Seed, Horizon: stopAt}

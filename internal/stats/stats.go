@@ -63,11 +63,17 @@ func (s *Samples) Quantile(p float64) (v float64, ok bool) {
 	if s.Count == 0 {
 		return 0, false
 	}
-	rank := min(max(int(math.Ceil(p*float64(s.Count)/100)), 1), s.Count)
 	sorted := slices.Clone(s.ms)
 	slices.Sort(sorted)
-	return sorted[rank-1], s.Count-rank >= MinTail
+	return sorted[rank(p, s.Count)-1], Defined(p, s.Count)
 }
+
+// Defined reports whether the p-th percentile of n samples is defined: at
+// least MinTail of them lie above its nearest rank.
+func Defined(p float64, n int) bool { return n > 0 && n-rank(p, n) >= MinTail }
+
+// rank is the nearest rank of the p-th percentile among n > 0 samples.
+func rank(p float64, n int) int { return min(max(int(math.Ceil(p*float64(n)/100)), 1), n) }
 
 // Fixed formats v with prec decimals, or "-" for a missing or undefined v.
 func Fixed(v float64, prec int, ok bool) string {

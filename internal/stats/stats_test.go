@@ -184,3 +184,21 @@ func TestTableRendering(t *testing.T) {
 		t.Fatalf("formatting wrong:\n%s", out)
 	}
 }
+
+// TestDefinedBoundaries pins where each percentile the fleet curve prints
+// becomes defined: p50 at n = 20, p99 at 1,000 and p99.9 at 10,000.
+func TestDefinedBoundaries(t *testing.T) {
+	for _, c := range []struct {
+		p  float64
+		n  int
+		ok bool
+	}{
+		{50, 0, false}, {50, 19, false}, {50, 20, true},
+		{99, 999, false}, {99, 1000, true},
+		{99.9, 9999, false}, {99.9, 10000, true},
+	} {
+		if got := Defined(c.p, c.n); got != c.ok {
+			t.Errorf("Defined(%v, %d) = %v, want %v", c.p, c.n, got, c.ok)
+		}
+	}
+}

@@ -1,12 +1,9 @@
 package transport
 
 import (
-	"errors"
-	"net"
 	"slices"
 	"time"
 
-	"renonfs/internal/mbuf"
 	"renonfs/internal/metrics"
 	"renonfs/internal/netsim"
 	"renonfs/internal/nfsproto"
@@ -75,7 +72,7 @@ type udpPending struct {
 // UDP is the datagram transport.
 type UDP struct {
 	cfg    UDPConfig
-	sock   endpoint
+	sock   netsim.Endpoint
 	server netsim.NodeID
 	port   int
 	env    *sim.Env
@@ -92,15 +89,6 @@ type UDP struct {
 	stats   Stats
 }
 
-// endpoint is the datagram socket a UDP transport calls through: a simulated
-// *netsim.UDPSocket, or a real one (DialUDP), whose replies arrive on the
-// same kind of queue.
-type endpoint interface {
-	Send(p *sim.Proc, dst netsim.NodeID, dport int, payload *mbuf.Chain)
-	Queue() *sim.Queue[*netsim.Datagram]
-	Close()
-}
-
 // NewUDP creates a UDP transport from the client node to (server, port).
 func NewUDP(node *netsim.Node, localPort int, server netsim.NodeID, port int, cfg UDPConfig) *UDP {
 	t := newUDP(node.Net().Env, node.UDPSocket(localPort), node.Name, cfg)
@@ -112,51 +100,17 @@ func NewUDP(node *netsim.Node, localPort int, server netsim.NodeID, port int, cf
 // an environment driven by sim.Env.RunWall. XIDs start from the wall clock,
 // so a reused port does not hit its predecessor's duplicate-cache entries.
 func DialUDP(env *sim.Env, addr string, cfg UDPConfig) (*UDP, error) {
-	conn, err := net.Dial("udp", addr)
+	sock, err := netsim.DialWall(env, addr)
 	if err != nil {
 		return nil, err
 	}
-	sock := &wallSocket{conn: conn, rq: sim.NewQueue[*netsim.Datagram](env, addr)}
-	go sock.read(env)
-	t := newUDP(env, sock, conn.LocalAddr().String(), cfg)
+	t := newUDP(env, sock, sock.LocalAddr(), cfg)
 	t.xid = uint32(time.Now().UnixNano())
 	return t, nil
 }
 
-// wallSocket is a connected real socket. Its reader goroutine copies each
-// datagram into a chain and posts it onto the reply queue.
-type wallSocket struct {
-	conn net.Conn
-	rq   *sim.Queue[*netsim.Datagram]
-}
-
-// Send writes payload as one datagram to the connected address; a failed
-// write is a lost datagram.
-func (w *wallSocket) Send(_ *sim.Proc, _ netsim.NodeID, _ int, payload *mbuf.Chain) {
-	w.conn.Write(payload.Bytes())
-	payload.Free()
-}
-
-func (w *wallSocket) Queue() *sim.Queue[*netsim.Datagram] { return w.rq }
-func (w *wallSocket) Close()                              { w.conn.Close(); w.rq.Close() }
-
-// read runs until the socket closes. Other errors, such as a refused port's
-// ICMP report, lose nothing the timer does not retransmit.
-func (w *wallSocket) read(env *sim.Env) {
-	buf := make([]byte, 1<<16)
-	for {
-		n, err := w.conn.Read(buf)
-		if errors.Is(err, net.ErrClosed) {
-			return
-		} else if err == nil {
-			dg := &netsim.Datagram{Payload: mbuf.FromBytes(buf[:n])}
-			env.Post(func() { w.rq.Send(dg) })
-		}
-	}
-}
-
 // newUDP creates a UDP transport over sock; name prefixes its timer process.
-func newUDP(env *sim.Env, sock endpoint, name string, cfg UDPConfig) *UDP {
+func newUDP(env *sim.Env, sock netsim.Endpoint, name string, cfg UDPConfig) *UDP {
 	if cfg.Timeo == 0 {
 		cfg.Timeo = time.Second
 	}
