@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race chaos fuzz-smoke vet loc bench bench-smoke profile scaling-smoke fleet fleet-smoke examples
+.PHONY: build test race chaos fuzz-smoke vet loc bench bench-smoke lease-sweep profile scaling-smoke fleet fleet-smoke examples
 
 build:
 	$(GO) build ./...

@@ -2,14 +2,14 @@ package main
 
 // The -clients mode: real-socket multiclient load against the parallel nfsd
 // pool (internal/nfsnet), as opposed to the simulated experiments. One point
-// measures N concurrent UDP clients hammering READ(8K)+LOOKUP and prints
-// where the p99 microsecond went, stage by stage.
+// measures N concurrent UDP clients hammering READ(8K)+LOOKUP and prints the
+// window's nfsstat tables: where the microsecond went stage by stage, how the
+// readers dispatched and what the nfsd pool served.
 
 import (
 	"fmt"
 	"os"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,21 +23,17 @@ import (
 
 // pointResult carries one measured point plus its telemetry.
 type pointResult struct {
-	opsPerS  float64
-	stageP99 map[string]float64
-	lockP99  float64
-	spans    []metrics.Span
-	// How the window's UDP datagrams were dispatched: on the reader (shallow
-	// path, generic inline) or spilled to the nfsd pool.
-	fast, inline, spilled int64
+	opsPerS float64
+	window  *metrics.Snapshot // the registry's delta over the measured window
+	spans   []metrics.Span
 }
 
 // measureClients runs one point: n concurrent UDP clients against a fresh
 // real-socket server with the given ingest reader count, each looping
 // READ(8K)+LOOKUP for warmup+dur. Only the final dur is measured: ops
-// completed during warmup are not counted toward ops/s, and the stage
-// histograms are reported as the delta over the measurement window, so
-// cold caches and socket setup never pollute the curve.
+// completed during warmup are not counted toward ops/s, and the registry is
+// reported as the delta over the measurement window, so cold caches and
+// socket setup never pollute the curve.
 func measureClients(n, nfsds, readers int, warmup, dur time.Duration) (*pointResult, error) {
 	fs := memfs.New(1, nil, nil)
 	opts := server.Reno()
@@ -101,8 +97,8 @@ func measureClients(n, nfsds, readers int, warmup, dur time.Duration) (*pointRes
 			}
 		}()
 	}
-	// Baseline snapshot at the start of the measurement window; the stage
-	// percentiles below come from the delta, not the whole run.
+	// Baseline snapshot at the start of the measurement window; the tables
+	// print the delta, not the whole run.
 	if d := time.Until(measStart); d > 0 {
 		time.Sleep(d)
 	}
@@ -113,37 +109,16 @@ func measureClients(n, nfsds, readers int, warmup, dur time.Duration) (*pointRes
 		return nil, err
 	default:
 	}
-	res := &pointResult{
-		opsPerS:  float64(ops.Load()) / dur.Seconds(),
-		stageP99: map[string]float64{},
-		spans:    s.Stages().Ring().Slowest(),
-	}
-	snap := srv.Metrics.Snapshot().Delta(baseline)
-	names := metrics.StageNames()
-	for _, st := range append(names[:], "total") {
-		if h, ok := snap.Histograms["rpc.stage."+st+".us"]; ok && h.Count > 0 {
-			res.stageP99[st] = h.Quantile(99)
-		}
-	}
-	if h, ok := snap.Histograms["rpc.stage.lockwait.us"]; ok && h.Count > 0 {
-		res.lockP99 = h.Quantile(99)
-	}
-	for name, v := range snap.Counters {
-		switch {
-		case strings.HasPrefix(name, "rpc.nfsd.") && strings.HasSuffix(name, ".calls"):
-			res.spilled += v
-		case !strings.HasPrefix(name, "rpc.reader."):
-		case strings.HasSuffix(name, ".fast"):
-			res.fast += v
-		case strings.HasSuffix(name, ".inline"):
-			res.inline += v
-		}
-	}
-	return res, nil
+	return &pointResult{
+		opsPerS: float64(ops.Load()) / dur.Seconds(),
+		window:  srv.Metrics.Snapshot().Delta(baseline),
+		spans:   s.Stages().Ring().Slowest(),
+	}, nil
 }
 
-// runClients serves the -clients N mode: one point, printed with its stage
-// breakdown; with tracePath the slowest spans dump as Chrome trace JSON.
+// runClients serves the -clients N mode: one point, printed with the
+// window's nfsstat tables; with tracePath the slowest spans dump as Chrome
+// trace JSON.
 func runClients(n, nfsds, readers int, warmup, dur time.Duration, tracePath string) {
 	res, err := measureClients(n, nfsds, readers, warmup, dur)
 	if err != nil {
@@ -156,27 +131,8 @@ func runClients(n, nfsds, readers int, warmup, dur time.Duration, tracePath stri
 	}
 	fmt.Printf("%d client(s) x %v (+%v warmup) against %d nfsds, %s: %.0f ops/s (READ 8K + LOOKUP)\n",
 		n, dur, warmup, nfsds, rdesc, res.opsPerS)
-	printStageP99(res)
-	if all := res.fast + res.inline + res.spilled; all > 0 {
-		fmt.Printf("  dispatch: %.1f%% shallow path, %.1f%% inline on the reader, %.1f%% spilled to the nfsd pool\n",
-			100*float64(res.fast)/float64(all), 100*float64(res.inline)/float64(all), 100*float64(res.spilled)/float64(all))
-	}
+	nfsnet.RenderStats(os.Stdout, res.window, true)
 	writeTrace(tracePath, res.spans)
-}
-
-// printStageP99 renders one point's stage breakdown as a single line.
-func printStageP99(res *pointResult) {
-	fmt.Printf("  p99 by stage (µs):")
-	names := metrics.StageNames()
-	for _, st := range append(names[:], "total") {
-		if v, ok := res.stageP99[st]; ok {
-			fmt.Printf(" %s=%.0f", st, v)
-		}
-	}
-	if res.lockP99 > 0 {
-		fmt.Printf(" lockwait=%.0f", res.lockP99)
-	}
-	fmt.Println()
 }
 
 // writeTrace dumps spans as Chrome trace-event JSON (no-op for empty path).

@@ -95,13 +95,13 @@ func runFleet(base fleet.Config, rates []float64, kinds []fleet.Kind, real bool,
 		}
 		// n is the window's reply count; a percentile with fewer than
 		// stats.MinTail replies above its rank prints "-".
-		n := int(r.WReplies)
+		q := func(p float64) string {
+			v, ok := r.Lat.Quantile(p)
+			return stats.Fixed(v, 2, ok)
+		}
 		fmt.Printf("  %9.0f %9.0f %9.0f %7d %9s %9s %9s %8.2f  %s\n",
-			r.Offered, r.AchievedRPS, r.GoodputRPS, n,
-			stats.Fixed(r.P50, 2, stats.Defined(50, n)),
-			stats.Fixed(r.P99, 2, stats.Defined(99, n)),
-			stats.Fixed(r.P999, 2, stats.Defined(99.9, n)),
-			100*r.TimeoutFrac(), verdict)
+			r.Offered, r.AchievedRPS, r.GoodputRPS, r.Lat.Count,
+			q(50), q(99), q(99.9), 100*r.TimeoutFrac(), verdict)
 	}
 
 	clean := true

@@ -22,7 +22,7 @@
 // counters and service-time histograms):
 //
 //	GET /stats       JSON snapshot (the cmd/nfsstat wire format)
-//	GET /stats.txt   the same snapshot as aligned text
+//	GET /stats.txt   the same snapshot as the nfsstat tables
 //	GET /trace       the slowest-span ring as Chrome trace-event JSON
 //	                 (load at chrome://tracing or ui.perfetto.dev)
 //
@@ -58,7 +58,6 @@ func main() {
 		readers   = flag.Int("readers", 0, "sharded UDP ingest readers (0 = one per GOMAXPROCS; clamped to -nfsds)")
 		exports   = flag.String("exports", "/,/etc,/home", "comma-separated export paths")
 		rdlook    = flag.Bool("readdirlook", true, "serve the readdir_and_lookup_files extension")
-		leases    = flag.Bool("leases", false, "serve the NQNFS-style lease extension (grants need the simulator's peer addressing for callbacks; real-socket clients fall back to plain consistency)")
 		traceDump = flag.String("tracedump", "", "write the slowest-span Chrome trace JSON here at shutdown")
 	)
 	flag.Parse()
@@ -75,7 +74,6 @@ func main() {
 		opts = server.Ultrix()
 	}
 	opts.ReaddirLook = *rdlook
-	opts.Leases = *leases
 	if *nfsds > 0 {
 		opts.NFSDs = *nfsds
 	}
@@ -150,7 +148,7 @@ func serveStats(addr string, s *nfsnet.Server) {
 	})
 	mux.HandleFunc("/stats.txt", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		snapshot(s).WriteText(w)
+		nfsnet.RenderStats(w, snapshot(s), false)
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

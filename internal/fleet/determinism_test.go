@@ -70,13 +70,13 @@ func TestRunSimDeterministic(t *testing.T) {
 // catch a shifted latency origin, which moves no call total and so no
 // fingerprint; a change that moves them on purpose re-pins them here.
 func TestRunSimPinned(t *testing.T) {
-	pins := map[string][4]string{ // fingerprint, p50, p99, p999 (ms)
-		"flashcrowd":      {"89705a125db8e854", "130.026", "554.591", "554.591"},
-		"mixedtenants":    {"c431382621941e15", "6.116", "24.889", "24.889"},
-		"remountherd":     {"38bf74c4341eb4ca", "1191.655", "1554.193", "1554.193"},
-		"retransmitstorm": {"38b87bc9fd6b2339", "58.308", "280.538", "280.538"},
-		"steady":          {"234939ce9728294a", "9.464", "30.060", "30.060"},
-		"stragglers":      {"24673717ed992538", "8.664", "603.640", "603.640"},
+	pins := map[string][4]string{ // fingerprint, p50, p99, p999 (ms, defined)
+		"flashcrowd":      {"89705a125db8e854", "127.221 true", "547.977 true", "552.699 false"},
+		"mixedtenants":    {"c431382621941e15", "5.557 true", "21.086 false", "24.889 false"},
+		"remountherd":     {"38bf74c4341eb4ca", "1167.509 true", "1546.855 false", "1554.193 false"},
+		"retransmitstorm": {"38b87bc9fd6b2339", "56.299 true", "276.362 false", "280.538 false"},
+		"steady":          {"234939ce9728294a", "9.376 true", "24.327 false", "30.060 false"},
+		"stragglers":      {"24673717ed992538", "8.814 true", "584.926 false", "603.640 false"},
 	}
 	for _, name := range Kinds() {
 		want, ok := pins[name]
@@ -95,8 +95,11 @@ func TestRunSimPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := [4]string{r.Fingerprint(), fmt.Sprintf("%.3f", r.P50),
-			fmt.Sprintf("%.3f", r.P99), fmt.Sprintf("%.3f", r.P999)}
+		q := func(p float64) string {
+			v, ok := r.Lat.Quantile(p)
+			return fmt.Sprintf("%.3f %t", v, ok)
+		}
+		got := [4]string{r.Fingerprint(), q(50), q(99), q(99.9)}
 		if got != want {
 			t.Errorf("%s: got %q, want %q", name, got, want)
 		}

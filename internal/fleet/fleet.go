@@ -1,7 +1,7 @@
 // Package fleet is the open-loop load rig: thousands of compact client
 // state machines driven at a configured offered RPS against the simulated
 // server (RunSim) or the real-socket frontend (RunSock), producing
-// latency-vs-offered-load curves with p50/p99/p999 and SLO verdicts.
+// latency-vs-offered-load curves with exact p50/p99/p999 and SLO verdicts.
 //
 // Open loop means the send schedule never waits for replies: each client's
 // next send is drawn from an exponential interarrival at the offered rate,
@@ -38,6 +38,7 @@ import (
 	"renonfs/internal/rpc"
 	"renonfs/internal/server"
 	"renonfs/internal/sim"
+	"renonfs/internal/stats"
 	"renonfs/internal/workload"
 	"renonfs/internal/xdr"
 )
@@ -206,8 +207,8 @@ const procMount = uint32(0xff)
 
 // shard owns one socket's worth of clients: their states, the timing
 // wheel that fires them, the pending-call table that demuxes replies by
-// xid, and the counters/histogram for its slice of the fleet. Only the
-// environment's processes and events touch it, one at a time.
+// xid, and the counters and latency samples for its slice of the fleet.
+// Only the environment's processes and events touch it, one at a time.
 type shard struct {
 	id   int
 	base int // global client id of clients[0]
@@ -228,8 +229,8 @@ type shard struct {
 	// pollutes the reported numbers even when its replies land later.
 	winStart, winEnd time.Duration
 
-	hist   *metrics.Histogram // reply latency, measured window only (ms)
-	tracer metrics.Tracer     // auditor source "fleet<id>"
+	lat    stats.Samples  // reply latency, measured window only
+	tracer metrics.Tracer // auditor source "fleet<id>"
 
 	// Counters: whole-run totals (conservation) and measured-window slices
 	// (rates and verdicts). "late" are replies that arrived after their
@@ -313,7 +314,6 @@ func newFleetState(cfg Config, aud *check.Auditor, pre *preload) *fleetState {
 			wheel:   newWheel(wheelSlots),
 			pending: make(map[uint32]pendingCall),
 			rate:    perClientRate, baseRate: perClientRate,
-			hist:     metrics.NewHistogram(),
 			winStart: fs.winStart, winEnd: fs.winEnd,
 		}
 		if aud != nil {
@@ -599,7 +599,7 @@ func (sh *shard) reply(d *xdr.Decoder, now time.Duration) {
 	inWin := pc.at >= sh.winStart && pc.at < sh.winEnd
 	if inWin {
 		sh.wReplies++
-		sh.hist.Observe(float64(lat) / float64(time.Millisecond))
+		sh.lat.Add(lat)
 	}
 	if sh.rep.Denied || sh.rep.AcceptStat != rpc.Success {
 		sh.errors++
@@ -750,10 +750,11 @@ type Result struct {
 	// Measured window only (scheduled inside [Warmup, Warmup+Horizon)).
 	WSent, WReplies, WTimeouts, WErrors int64
 
-	AchievedRPS    float64 // window sends / horizon — offered load actually generated
-	GoodputRPS     float64 // window replies / horizon
-	P50, P99, P999 float64 // ms, window latencies from scheduled send time
-	Hist           metrics.HistogramSnapshot
+	AchievedRPS float64 // window sends / horizon — offered load actually generated
+	GoodputRPS  float64 // window replies / horizon
+	// Lat holds every window reply's latency from its scheduled send tick,
+	// so Lat.Count == WReplies and its quantiles are exact.
+	Lat stats.Samples
 
 	Violations  []check.Violation
 	AuditCounts map[string]int
@@ -781,8 +782,7 @@ func (fs *fleetState) finish(engine string) *Result {
 		Clients: fs.cfg.Clients, Shards: fs.cfg.Shards,
 		Scenario: fs.cfg.Scenario,
 	}
-	var hist metrics.HistogramSnapshot
-	for i, sh := range fs.shards {
+	for _, sh := range fs.shards {
 		sh.sweep(time.Duration(1 << 62))
 		r.Sent += sh.sent
 		r.Replies += sh.replies
@@ -794,21 +794,11 @@ func (fs *fleetState) finish(engine string) *Result {
 		r.WReplies += sh.wReplies
 		r.WTimeouts += sh.wTimeouts
 		r.WErrors += sh.wErrors
-		if i == 0 {
-			hist = sh.hist.Snapshot()
-		} else {
-			hist = hist.Add(sh.hist.Snapshot())
-		}
+		r.Lat.AddAll(&sh.lat)
 	}
-	r.Hist = hist
 	secs := fs.cfg.Horizon.Seconds()
 	r.AchievedRPS = float64(r.WSent) / secs
 	r.GoodputRPS = float64(r.WReplies) / secs
-	if hist.Count > 0 {
-		r.P50 = hist.Quantile(50)
-		r.P99 = hist.Quantile(99)
-		r.P999 = hist.Quantile(99.9)
-	}
 	r.Violations = fs.aud.Finish()
 	r.AuditCounts = fs.aud.Counts()
 	return r
@@ -831,7 +821,7 @@ func (r *Result) Fingerprint() string {
 	fmt.Fprintf(&b, "sent:%d;replies:%d;timeouts:%d;errors:%d;late:%d;mounts:%d;",
 		r.Sent, r.Replies, r.Timeouts, r.Errors, r.Late, r.Mounts)
 	fmt.Fprintf(&b, "wsent:%d;wreplies:%d;wtimeouts:%d;hist:%d;",
-		r.WSent, r.WReplies, r.WTimeouts, r.Hist.Count)
+		r.WSent, r.WReplies, r.WTimeouts, r.Lat.Count)
 	keys := make([]string, 0, len(r.AuditCounts))
 	for k := range r.AuditCounts {
 		keys = append(keys, k)
@@ -897,18 +887,27 @@ func ParseSLO(s string) (SLO, error) {
 	return slo, nil
 }
 
-// Check returns the SLO clauses the result violates (empty means pass).
+// Check returns the SLO clauses the result does not pass (empty means
+// pass): a violated clause, or a latency clause whose exact quantile is
+// undefined (too few window replies above its rank), which reports as
+// unjudged rather than passing silently.
 func (slo SLO) Check(r *Result) []string {
 	var fails []string
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	if slo.P50 > 0 && r.P50 > ms(slo.P50) {
-		fails = append(fails, fmt.Sprintf("p50 %.1fms > %v", r.P50, slo.P50))
-	}
-	if slo.P99 > 0 && r.P99 > ms(slo.P99) {
-		fails = append(fails, fmt.Sprintf("p99 %.1fms > %v", r.P99, slo.P99))
-	}
-	if slo.P999 > 0 && r.P999 > ms(slo.P999) {
-		fails = append(fails, fmt.Sprintf("p999 %.1fms > %v", r.P999, slo.P999))
+	for _, c := range []struct {
+		name  string
+		p     float64
+		bound time.Duration
+	}{{"p50", 50, slo.P50}, {"p99", 99, slo.P99}, {"p999", 99.9, slo.P999}} {
+		if c.bound <= 0 {
+			continue
+		}
+		v, ok := r.Lat.Quantile(c.p)
+		switch {
+		case !ok:
+			fails = append(fails, fmt.Sprintf("%s unjudged (n=%d)", c.name, r.Lat.Count))
+		case v > float64(c.bound)/float64(time.Millisecond):
+			fails = append(fails, fmt.Sprintf("%s %.1fms > %v", c.name, v, c.bound))
+		}
 	}
 	if f := r.TimeoutFrac(); f > slo.MaxTimeoutFrac {
 		fails = append(fails, fmt.Sprintf("timeouts %.3f > %.3f", f, slo.MaxTimeoutFrac))

@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 	"unsafe"
@@ -134,11 +135,26 @@ func TestSLOParse(t *testing.T) {
 		t.Errorf("ParseSLO(p99=0s) = %v, %v; want the clause disabled", slo.P99, err)
 	}
 
-	r := &Result{P50: 10, P99: 600, P999: 900, WSent: 1000, WTimeouts: 50}
-	fails := DefaultSLO().Check(r)
-	if len(fails) != 2 { // p99 600ms > 500ms, timeouts 0.05 > 0.01
-		t.Errorf("Check = %v, want p99 + timeout clauses", fails)
+	// 2,000 window replies, the slowest 30 at 600 ms: p50 passes, p99 is
+	// violated, and p999 has 2 replies above its rank, too few to judge.
+	r := &Result{WSent: 1000, WTimeouts: 50}
+	for i := 0; i < 2000; i++ {
+		d := 10 * time.Millisecond
+		if i >= 1970 {
+			d = 600 * time.Millisecond
+		}
+		r.Lat.Add(d)
 	}
+	want := []string{"p99 600.0ms > 500ms", "p999 unjudged (n=2000)", "timeouts 0.050 > 0.010"}
+	if fails := DefaultSLO().Check(r); !slices.Equal(fails, want) {
+		t.Errorf("Check = %q, want %q", fails, want)
+	}
+}
+
+// quantile is r's exact window latency quantile in ms, defined or not.
+func quantile(r *Result, p float64) float64 {
+	v, _ := r.Lat.Quantile(p)
+	return v
 }
 
 // TestParseKind: every generated name round-trips; junk is rejected.
@@ -159,7 +175,7 @@ func TestParseKind(t *testing.T) {
 
 // TestClientStateFootprint pins the compact-state claim: 10k mounts must
 // cost well under 1 KB each (the states themselves are 16 bytes; the rest
-// is shard fixtures — wheel slots, pending maps, histograms).
+// is shard fixtures — wheel slots, pending maps, latency samples).
 func TestClientStateFootprint(t *testing.T) {
 	if s := unsafe.Sizeof(clientState{}); s != 16 {
 		t.Errorf("clientState is %d bytes, want 16", s)
@@ -201,7 +217,7 @@ func TestSimSteady(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("sent=%d replies=%d timeouts=%d late=%d p50=%.2fms p99=%.2fms achieved=%.0f goodput=%.0f",
-		r.Sent, r.Replies, r.Timeouts, r.Late, r.P50, r.P99, r.AchievedRPS, r.GoodputRPS)
+		r.Sent, r.Replies, r.Timeouts, r.Late, quantile(r, 50), quantile(r, 99), r.AchievedRPS, r.GoodputRPS)
 	if r.Sent != r.Replies+r.Timeouts {
 		t.Errorf("conservation: sent=%d != replies=%d + timeouts=%d", r.Sent, r.Replies, r.Timeouts)
 	}
@@ -213,8 +229,8 @@ func TestSimSteady(t *testing.T) {
 	if r.AchievedRPS < 0.85*r.Offered || r.AchievedRPS > 1.15*r.Offered {
 		t.Errorf("achieved %.0f rps, offered %.0f — open-loop pacing broken", r.AchievedRPS, r.Offered)
 	}
-	if r.P50 <= 0 || r.P99 < r.P50 || r.P999 < r.P99 {
-		t.Errorf("percentiles not monotone: p50=%.2f p99=%.2f p999=%.2f", r.P50, r.P99, r.P999)
+	if p50, p99, p999 := quantile(r, 50), quantile(r, 99), quantile(r, 99.9); p50 <= 0 || p99 < p50 || p999 < p99 {
+		t.Errorf("percentiles not monotone: p50=%.2f p99=%.2f p999=%.2f", p50, p99, p999)
 	}
 	if r.AuditCounts["event.call_sent"] == 0 || r.AuditCounts["event.server_call"] == 0 {
 		t.Errorf("auditor saw no traffic: %v", r.AuditCounts)
@@ -233,7 +249,7 @@ func TestSockSteady(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("sent=%d replies=%d timeouts=%d late=%d p50=%.2fms p99=%.2fms achieved=%.0f goodput=%.0f",
-		r.Sent, r.Replies, r.Timeouts, r.Late, r.P50, r.P99, r.AchievedRPS, r.GoodputRPS)
+		r.Sent, r.Replies, r.Timeouts, r.Late, quantile(r, 50), quantile(r, 99), r.AchievedRPS, r.GoodputRPS)
 	if r.AchievedRPS < 0.9*r.Offered || r.AchievedRPS > 1.1*r.Offered {
 		t.Errorf("achieved %.0f rps, offered %.0f — open-loop pacing broken", r.AchievedRPS, r.Offered)
 	}
@@ -291,8 +307,8 @@ func TestSimWarmupExcluded(t *testing.T) {
 	if frac < 0.3 || frac > 0.7 {
 		t.Errorf("window holds %.0f%% of sends, want ~50%%", 100*frac)
 	}
-	if int64(r.Hist.Count) > r.WReplies {
-		t.Errorf("histogram %d observations > %d window replies", r.Hist.Count, r.WReplies)
+	if int64(r.Lat.Count) != r.WReplies {
+		t.Errorf("%d latency samples, want one per window reply (%d)", r.Lat.Count, r.WReplies)
 	}
 }
 
@@ -310,7 +326,7 @@ func TestSimScenarios(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Logf("sent=%d replies=%d timeouts=%d late=%d mounts=%d p50=%.1f p99=%.1f fp=%s",
-				r.Sent, r.Replies, r.Timeouts, r.Late, r.Mounts, r.P50, r.P99, r.Fingerprint())
+				r.Sent, r.Replies, r.Timeouts, r.Late, r.Mounts, quantile(r, 50), quantile(r, 99), r.Fingerprint())
 			if r.Sent != r.Replies+r.Timeouts {
 				t.Errorf("conservation: sent=%d replies=%d timeouts=%d", r.Sent, r.Replies, r.Timeouts)
 			}
@@ -333,8 +349,8 @@ func TestSimScenarios(t *testing.T) {
 					t.Error("storm retransmits never hit the dupcache")
 				}
 			case Stragglers:
-				if r.P999 < 500 {
-					t.Errorf("p999 %.1fms too fast for 56 Kbit/s stragglers", r.P999)
+				if m := r.Lat.Max(); m < 500 {
+					t.Errorf("slowest reply %.1fms too fast for 56 Kbit/s stragglers", m)
 				}
 			}
 		})

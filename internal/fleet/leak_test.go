@@ -58,7 +58,7 @@ func TestFleetShutdownNoLeaks(t *testing.T) {
 
 	for name, r := range map[string]*Result{"sim": simOut.r, "sock": sockOut.r} {
 		t.Logf("%s: sent=%d replies=%d timeouts=%d late=%d p50=%.2fms p99=%.2fms viol=%d",
-			name, r.Sent, r.Replies, r.Timeouts, r.Late, r.P50, r.P99, len(r.Violations))
+			name, r.Sent, r.Replies, r.Timeouts, r.Late, quantile(r, 50), quantile(r, 99), len(r.Violations))
 		if r.Sent != r.Replies+r.Timeouts {
 			t.Errorf("%s: conservation broken: sent=%d replies=%d timeouts=%d",
 				name, r.Sent, r.Replies, r.Timeouts)

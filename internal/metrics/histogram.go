@@ -173,32 +173,6 @@ func (s HistogramSnapshot) Quantile(p float64) float64 {
 	return s.Max
 }
 
-// Add returns the merge of two snapshots (bucket-wise sum) — aggregating
-// per-shard distributions into a fleet-wide one, as the fleet does.
-// Merging empty snapshots is fine.
-func (s HistogramSnapshot) Add(o HistogramSnapshot) HistogramSnapshot {
-	if s.Count == 0 {
-		return o
-	}
-	if o.Count == 0 {
-		return s
-	}
-	m := HistogramSnapshot{
-		Count:   s.Count + o.Count,
-		Sum:     s.Sum + o.Sum,
-		Min:     math.Min(s.Min, o.Min),
-		Max:     math.Max(s.Max, o.Max),
-		Buckets: make([]int64, len(s.Buckets)),
-	}
-	for i := range s.Buckets {
-		m.Buckets[i] = s.Buckets[i]
-		if i < len(o.Buckets) {
-			m.Buckets[i] += o.Buckets[i]
-		}
-	}
-	return m
-}
-
 // Sub returns s minus prev bucket-by-bucket. Min and max keep the current
 // cumulative values (an interval min/max would need per-interval state the
 // atomic histogram deliberately does not carry).

@@ -1,6 +1,9 @@
-// Package metrics is the observability core: a registry of atomic
-// counters, gauges and log-bucket latency histograms, with snapshot and
-// delta support and text/JSON encoders.
+// Package metrics is the observability core of the real-socket server: a
+// registry of atomic counters, gauges and log-bucket latency histograms,
+// with snapshot and delta support and a JSON encoding. Its one human
+// rendering is nfsnet.RenderStats. A latency recorded on a sim.Env (the
+// paper's tables, nfsstone, the fleet) goes to the exact stats.Samples
+// instead; Histogram is for what concurrent goroutines record.
 //
 // The paper's tuning results (§3, §4) all came from measurement — kernel
 // profiling plus nfsstat-style counters — and this package is the
@@ -8,18 +11,14 @@
 // concurrent update without any external lock (the real-socket frontends
 // record stats outside the nfsnet "kernel lock"), and safe to snapshot
 // while writers are running. Inside the discrete-event simulator the same
-// types work unchanged; atomicity is simply free there.
+// counters work unchanged; atomicity is simply free there.
 package metrics
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Counter is a monotonically increasing atomic counter.
@@ -53,30 +52,13 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Registry is a named collection of metrics. Metric creation is
-// lock-protected; updates to the returned metrics are lock-free.
+// lock-protected; updates to the returned metrics are lock-free. The hot
+// path never takes the lock: callers intern their metric handles at setup.
 type Registry struct {
 	mu     sync.Mutex
 	counts map[string]*Counter
 	gauges map[string]*Gauge
 	hists  map[string]*Histogram
-	// Registry-lock contention telemetry (the registry is a named suspect
-	// in the multicore scaling hunt): lock waits show up in snapshots as
-	// the synthetic counters metrics.registry.contended / .wait_us. The
-	// hot path never takes mu — metric handles are interned — so nonzero
-	// numbers here mean somebody looks metrics up per call.
-	lockContended atomic.Int64
-	lockWaitNS    atomic.Int64
-}
-
-// lock takes mu, recording wait time when it has to block.
-func (r *Registry) lock() {
-	if r.mu.TryLock() {
-		return
-	}
-	t0 := time.Now()
-	r.mu.Lock()
-	r.lockContended.Add(1)
-	r.lockWaitNS.Add(int64(time.Since(t0)))
 }
 
 // NewRegistry returns an empty registry.
@@ -90,7 +72,7 @@ func NewRegistry() *Registry {
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
-	r.lock()
+	r.mu.Lock()
 	defer r.mu.Unlock()
 	c := r.counts[name]
 	if c == nil {
@@ -102,7 +84,7 @@ func (r *Registry) Counter(name string) *Counter {
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.lock()
+	r.mu.Lock()
 	defer r.mu.Unlock()
 	g := r.gauges[name]
 	if g == nil {
@@ -115,7 +97,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 // Histogram returns the named histogram, creating it on first use with
 // the default latency bucket layout.
 func (r *Registry) Histogram(name string) *Histogram {
-	r.lock()
+	r.mu.Lock()
 	defer r.mu.Unlock()
 	h := r.hists[name]
 	if h == nil {
@@ -129,7 +111,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 // race individual updates but each value read is itself atomic, which is
 // the same guarantee nfsstat had reading live kernel counters.
 func (r *Registry) Snapshot() *Snapshot {
-	r.lock()
+	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := &Snapshot{
 		Counters:   make(map[string]int64, len(r.counts)),
@@ -144,10 +126,6 @@ func (r *Registry) Snapshot() *Snapshot {
 	}
 	for name, h := range r.hists {
 		s.Histograms[name] = h.Snapshot()
-	}
-	if n := r.lockContended.Load(); n > 0 {
-		s.Counters["metrics.registry.contended"] = n
-		s.Counters["metrics.registry.wait_us"] = r.lockWaitNS.Load() / 1000
 	}
 	return s
 }
@@ -190,39 +168,4 @@ func (s *Snapshot) Delta(prev *Snapshot) *Snapshot {
 func (s *Snapshot) MarshalJSON() ([]byte, error) {
 	type alias Snapshot
 	return json.Marshal((*alias)(s))
-}
-
-// WriteText renders the snapshot as aligned text tables: counters and
-// gauges first, then one row per histogram with interpolated percentiles.
-func (s *Snapshot) WriteText(w io.Writer) {
-	names := make([]string, 0, len(s.Counters))
-	for name := range s.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(w, "%-40s %12d\n", name, s.Counters[name])
-	}
-	names = names[:0]
-	for name := range s.Gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(w, "%-40s %12.2f\n", name, s.Gauges[name])
-	}
-	names = names[:0]
-	for name := range s.Histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	if len(names) > 0 {
-		fmt.Fprintf(w, "%-40s %10s %10s %10s %10s %10s %10s\n",
-			"histogram", "count", "mean", "p50", "p95", "p99", "max")
-	}
-	for _, name := range names {
-		h := s.Histograms[name]
-		fmt.Fprintf(w, "%-40s %10d %10.2f %10.2f %10.2f %10.2f %10.2f\n",
-			name, h.Count, h.Mean(), h.Quantile(50), h.Quantile(95), h.Quantile(99), h.Max)
-	}
 }

@@ -281,9 +281,13 @@ func Serve(srv *server.Server, udpAddr, tcpAddr string) (*Server, error) {
 			wakeups: srv.Metrics.Counter(fmt.Sprintf("rpc.reader.%d.wakeups", i)),
 		})
 	}
+	// The workers' counters are interned here, before any goroutine starts,
+	// so the registry holds the same names whichever goroutine runs first.
 	for i := 0; i < nfsds; i++ {
+		calls := srv.Metrics.Counter(fmt.Sprintf("rpc.nfsd.%d.calls", i))
+		busyUS := srv.Metrics.Counter(fmt.Sprintf("rpc.nfsd.%d.busy_us", i))
 		s.workerWG.Add(1)
-		go s.nfsd(i)
+		go s.nfsd(i, calls, busyUS)
 	}
 	for _, r := range s.readers {
 		s.readerWG.Add(1)
@@ -615,11 +619,9 @@ func (s *Server) tryFast(r *udpReader, b *sendBatch, peers *peerCache, pkt []byt
 // (rpc.nfsd.<id>.calls, rpc.nfsd.<id>.busy_us) expose how evenly the rings
 // spread load, and the shared rpc.nfsd.busy gauge how many dispatches —
 // pooled, inline or TCP — are inside the core.
-func (s *Server) nfsd(id int) {
+func (s *Server) nfsd(id int, calls, busyUS *metrics.Counter) {
 	defer s.workerWG.Done()
 	r := s.readers[id%len(s.readers)]
-	calls := s.srv.Metrics.Counter(fmt.Sprintf("rpc.nfsd.%d.calls", id))
-	busyUS := s.srv.Metrics.Counter(fmt.Sprintf("rpc.nfsd.%d.busy_us", id))
 	// Replies coalesce per burst: as long as the ring has more jobs queued
 	// the batch keeps accumulating, and it flushes the moment the ring runs
 	// momentarily dry (or the batch fills), so a storm of small replies

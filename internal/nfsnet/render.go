@@ -23,6 +23,10 @@ import (
 // the dupcache's in-flight drops and the contended lock sites
 // (lock.<site>.*).
 //
+// Bucket percentiles follow the tables' rule: one with fewer than
+// stats.MinTail samples above its rank prints "-", and the count column
+// beside it is the n.
+//
 // delta labels a Snapshot.Delta view — nfsstat -z's interval: counters and
 // histogram counts cover the interval, but a histogram's max is all-time
 // (HistogramSnapshot.Sub keeps it), and the max columns say so.
@@ -46,11 +50,8 @@ func RenderStats(w io.Writer, snap *metrics.Snapshot, delta bool) {
 	for _, p := range procs {
 		h := snap.Histograms["nfs.service_ms."+p]
 		calls += h.Count
-		tb.AddRow(p, h.Count,
-			fmt.Sprintf("%.3f", h.Mean()),
-			fmt.Sprintf("%.3f", h.Quantile(50)),
-			fmt.Sprintf("%.3f", h.Quantile(95)),
-			fmt.Sprintf("%.3f", h.Quantile(99)),
+		tb.AddRow(p, h.Count, fmt.Sprintf("%.3f", h.Mean()),
+			quantile(h, 50, 3), quantile(h, 95, 3), quantile(h, 99, 3),
 			fmt.Sprintf("%.3f", h.Max))
 	}
 	fmt.Fprint(w, tb.String())
@@ -76,10 +77,7 @@ func RenderStats(w io.Writer, snap *metrics.Snapshot, delta bool) {
 	stages := metrics.StageNames()
 	for _, st := range append(stages[:], "lockwait", "total") {
 		if h := snap.Histograms["rpc.stage."+st+".us"]; h.Count > 0 {
-			tb.AddRow(st, h.Count,
-				fmt.Sprintf("%.1f", h.Quantile(50)),
-				fmt.Sprintf("%.1f", h.Quantile(95)),
-				fmt.Sprintf("%.1f", h.Quantile(99)),
+			tb.AddRow(st, h.Count, quantile(h, 50, 1), quantile(h, 95, 1), quantile(h, 99, 1),
 				fmt.Sprintf("%.1f", h.Max))
 		}
 	}
@@ -133,6 +131,12 @@ func RenderStats(w io.Writer, snap *metrics.Snapshot, delta bool) {
 		fmt.Fprint(w, tb.String())
 	}
 	fmt.Fprintln(w)
+}
+
+// quantile formats h's p-th bucket percentile with prec decimals, or "-"
+// when too few samples lie above its rank.
+func quantile(h metrics.HistogramSnapshot, p float64, prec int) string {
+	return stats.Fixed(h.Quantile(p), prec, stats.Defined(p, int(h.Count)))
 }
 
 // counterIDs returns the <id>s of the counters named prefix+<id>+suffix,

@@ -12,7 +12,9 @@ import (
 // statsFixture adds one interval of traffic touching every section
 // RenderStats prints: procedures (one an extension, one never called), the
 // totals and mbuf lines, fastpath/batching, leases, stages, two readers, two
-// nfsds, the dupcache and lock sites (one contended, one not).
+// nfsds, the dupcache and lock sites (one contended, one not). GETATTR has
+// the samples for every percentile, the total stage enough for p95 but too
+// few above its p99 rank, and the rest print "-" throughout.
 func statsFixture(r *metrics.Registry) {
 	add := func(name string, n int64) { r.Counter(name).Add(n) }
 	for _, p := range []struct {
@@ -51,6 +53,12 @@ func statsFixture(r *metrics.Registry) {
 			r.Histogram("rpc.stage." + stage + ".us").Observe(v)
 		}
 	}
+	for i := range 1000 {
+		r.Histogram("nfs.service_ms.getattr").Observe(0.002 + 0.001*float64(i%8))
+	}
+	for i := range 200 {
+		r.Histogram("rpc.stage.total.us").Observe(10 + float64(i%20))
+	}
 	r.Gauge("lease.active").Set(2)
 	r.Gauge("rpc.readers").Set(2)
 	r.Gauge("rpc.reader.reuseport").Set(1)
@@ -66,21 +74,21 @@ func render(snap *metrics.Snapshot, delta bool) string {
 const wantCumulative = `nfs server per-procedure (cumulative)
 proc         calls  svc mean ms  p50    p95    p99    max  
 -----------  -----  -----------  -----  -----  -----  -----
-getattr      4      0.005        0.004  0.006  0.006  0.006
-lookup       7      0.234        0.028  1.500  1.500  1.500
-readdirlook  2      0.250        0.250  0.250  0.250  0.250
-calls 13  errors 2  dup hits 2  bytes in 1600  bytes out 2400
+getattr      2004   0.005        0.005  0.009  0.009  0.009
+lookup       7      0.234        -      -      -      1.500
+readdirlook  2      0.250        -      -      -      0.250
+calls 2013  errors 2  dup hits 2  bytes in 1600  bytes out 2400
 mbuf: 168 bytes copied  16384 bytes loaned  pool 20 hits / 4 misses
 fastpath (udp+tcp) 10 calls  2 fallbacks  batched udp sends 6 syscalls / 12 replies (0.500 per reply)
 leases: 8 grants (6 piggybacked, 2 renewals)  2 trylater  2 evictions  2 vacates  0 expiries  2 active
 where the microsecond goes (per-stage, µs, cumulative)
-stage    count  p50   p95   p99   max 
--------  -----  ----  ----  ----  ----
-read     4      1.0   1.9   2.0   2.0 
-decode   4      0.5   0.5   0.5   0.5 
-service  4      4.1   12.0  12.0  12.0
-send     4      6.1   7.0   7.0   7.0 
-total    4      16.4  22.0  22.0  22.0
+stage    count  p50   p95   p99  max 
+-------  -----  ----  ----  ---  ----
+read     4      -     -     -    2.0 
+decode   4      -     -     -    0.5 
+service  4      -     -     -    12.0
+send     4      -     -     -    7.0 
+total    404    20.1  29.0  -    29.0
 udp ingest (2 readers, SO_REUSEPORT)
 reader    reads  fast  inline  wakeups
 --------  -----  ----  ------  -------
@@ -102,21 +110,21 @@ server.dupc  4      0.700
 const wantDelta = `nfs server per-procedure (interval delta)
 proc         calls  svc mean ms  p50    p95    p99    max (all-time)
 -----------  -----  -----------  -----  -----  -----  --------------
-getattr      2      0.005        0.004  0.006  0.006  0.006         
-lookup       3      0.023        0.024  0.059  0.063  1.500         
-readdirlook  1      0.250        0.250  0.250  0.250  0.250         
-calls 6  errors 1  dup hits 1  bytes in 800  bytes out 1200
+getattr      1002   0.005        0.005  0.009  0.009  0.009         
+lookup       3      0.023        -      -      -      1.500         
+readdirlook  1      0.250        -      -      -      0.250         
+calls 1006  errors 1  dup hits 1  bytes in 800  bytes out 1200
 mbuf: 84 bytes copied  8192 bytes loaned  pool 10 hits / 2 misses
 fastpath (udp+tcp) 5 calls  1 fallbacks  batched udp sends 3 syscalls / 6 replies (0.500 per reply)
 leases: 4 grants (3 piggybacked, 1 renewals)  1 trylater  1 evictions  1 vacates  0 expiries  2 active
 where the microsecond goes (per-stage, µs, interval delta)
-stage    count  p50   p95   p99   max (all-time)
--------  -----  ----  ----  ----  --------------
-read     2      1.0   1.9   2.0   2.0           
-decode   2      0.5   0.5   0.5   0.5           
-service  2      4.1   12.0  12.0  12.0          
-send     2      6.1   7.0   7.0   7.0           
-total    2      16.4  22.0  22.0  22.0          
+stage    count  p50   p95   p99  max (all-time)
+-------  -----  ----  ----  ---  --------------
+read     2      -     -     -    2.0           
+decode   2      -     -     -    0.5           
+service  2      -     -     -    12.0          
+send     2      -     -     -    7.0           
+total    202    20.1  29.0  -    29.0          
 udp ingest (2 readers, SO_REUSEPORT)
 reader    reads  fast  inline  wakeups
 --------  -----  ----  ------  -------
@@ -137,7 +145,9 @@ server.dupc  2      0.350
 
 // TestRenderStatsGolden pins the one human rendering of a stats snapshot,
 // byte for byte, cumulative and as an nfsstat -z interval delta. A slow
-// LOOKUP before the interval shows that the delta's max column is all-time.
+// LOOKUP before the interval shows that the delta's max column is all-time,
+// and a percentile with fewer than stats.MinTail samples above its rank
+// prints "-" (the total stage's p99, every LOOKUP percentile).
 func TestRenderStatsGolden(t *testing.T) {
 	r := metrics.NewRegistry()
 	r.Histogram("nfs.service_ms.lookup").Observe(1.5)

@@ -456,10 +456,6 @@ func TestScalingSmoke(t *testing.T) {
 					st, h.Quantile(50), h.Quantile(99), h.Max, h.Count)
 			}
 		}
-		if n, ok := snap.Counters["metrics.registry.contended"]; ok {
-			t.Logf("  metrics registry contended %d times (%.3f ms waiting)",
-				n, float64(snap.Counters["metrics.registry.wait_us"])/1000)
-		}
 	}
 
 	// Legacy baseline: one ingest reader, as before issue 7. Reported for

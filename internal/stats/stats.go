@@ -1,7 +1,10 @@
-// Package stats is the simulated experiments' measurement toolkit: Samples,
-// the exact recorder behind every latency cell of the paper's tables, and a
-// plain-text table writer. metrics.Histogram serves what is concurrent or
-// long-running: the sockets, the fleet and nfsstat.
+// Package stats is the measurement toolkit of everything that runs on a
+// sim.Env: Samples, the exact recorder behind every latency the paper's
+// tables, nfsstone and the fleet print; Defined and Fixed, the "-" rule every
+// printed percentile follows; and a plain-text table writer.
+// metrics.Histogram serves only what concurrent goroutines record, the
+// real-socket server's registry, and nfsnet.RenderStats prints it under the
+// same rule.
 package stats
 
 import (
