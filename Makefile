@@ -103,12 +103,16 @@ fleet:
 # CI-sized fleet run: 1k clients for 2s, once on the simulator and once
 # over real loopback sockets (-fleet-real, ~15 s) — exercises the SLO
 # parser, both curve and scenario paths on both engines, and exits nonzero
-# if any scenario breaks the exactly-once audit.
+# if any scenario breaks the exactly-once audit, or if the real-socket run
+# prints no ingest-mechanism table or a NaN or Inf.
 FLEET_SMOKE = -fleet -fleet-clients 1000 -fleet-shards 8 -fleet-rps 150,300 \
 	-dur 2s -fleet-slo p50=250ms,p99=2s,p999=5s,timeouts=0.25
 fleet-smoke:
 	$(GO) run ./cmd/nfsbench $(FLEET_SMOKE)
-	$(GO) run ./cmd/nfsbench $(FLEET_SMOKE) -fleet-real
+	@out=$$($(GO) run ./cmd/nfsbench $(FLEET_SMOKE) -fleet-real); st=$$?; echo "$$out"; \
+	test $$st -eq 0 || exit $$st; \
+	echo "$$out" | grep -q '^== fleet ingest mechanisms' || { echo 'fleet-smoke: no ingest mechanism table'; exit 1; }; \
+	if echo "$$out" | grep -wE 'NaN|Inf'; then exit 1; fi
 
 # Profile the simulator and a real-socket load with pprof; start perf work
 # here, the way the paper's tuning started from kernel profiles. The
@@ -116,15 +120,15 @@ fleet-smoke:
 # prints its top functions by cumulative CPU and by allocated objects (the
 # second header's total is the objects per pass); the shares quoted in
 # ROADMAP item 10 and EXPERIMENTS.md come from it. The socket half collects
-# the runtime's mutex-contention and blocking profiles from a 4-client load,
-# the lock-serialization view.
+# the runtime's mutex-contention and blocking profiles from the real-socket
+# fleet's load curve (the lock-serialization view) and prints its
+# ingest-mechanism table beside them.
 PROFILE_EXP ?= all
 profile:
 	$(GO) run ./cmd/nfsbench -exp $(PROFILE_EXP) -quick -seed 1991 \
 		-cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
 	$(GO) tool pprof -top -cum -nodecount 30 cpu.pprof
 	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 20 mem.pprof
-	$(GO) run ./cmd/nfsbench -clients 4 -dur 2s \
-		-mutexprofile mutex.pprof -blockprofile block.pprof -trace trace.json
+	$(GO) run ./cmd/nfsbench -fleet -fleet-real -fleet-scenarios '' \
+		-mutexprofile mutex.pprof -blockprofile block.pprof
 	@echo "view with: go tool pprof cpu.pprof (or mem.pprof, mutex.pprof, block.pprof)"
-	@echo "open trace.json at chrome://tracing"

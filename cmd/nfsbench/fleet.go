@@ -5,9 +5,9 @@ package main
 // latency-vs-offered-load curve, then replays each requested hostile
 // scenario (flash crowd, remount herd, retransmit storm, ...) at the
 // first RPS of the list under the strict exactly-once auditor. Everything
-// — curve points, scenario fingerprints, SLO verdicts, audit outcomes —
-// is printed as a table (`make fleet` wraps this; `make fleet-smoke` is the
-// CI-sized run).
+// — curve points, scenario fingerprints, SLO verdicts, audit outcomes and,
+// over real sockets, each curve point's ingest counts — is printed as a
+// table (`make fleet` wraps this; `make fleet-smoke` is the CI-sized run).
 //
 // SLO failures are reported per point but do not fail the run (the curve
 // is supposed to find the knee, which means driving points past it);
@@ -80,6 +80,7 @@ func runFleet(base fleet.Config, rates []float64, kinds []fleet.Kind, real bool,
 		engine, base.Clients, base.Shards, base.Horizon)
 	fmt.Printf("  %9s %9s %9s %7s %9s %9s %9s %8s  %s\n",
 		"offered", "achieved", "goodput", "n", "p50ms", "p99ms", "p999ms", "timeout%", "slo")
+	var points []*fleet.Result
 	for _, rps := range rates {
 		cfg := base
 		cfg.OfferedRPS = rps
@@ -102,6 +103,10 @@ func runFleet(base fleet.Config, rates []float64, kinds []fleet.Kind, real bool,
 		fmt.Printf("  %9.0f %9.0f %9.0f %7d %9s %9s %9s %8.2f  %s\n",
 			r.Offered, r.AchievedRPS, r.GoodputRPS, r.Lat.Count,
 			q(50), q(99), q(99.9), 100*r.TimeoutFrac(), verdict)
+		points = append(points, r)
+	}
+	if real {
+		printMechanisms(points)
 	}
 
 	clean := true
@@ -133,4 +138,34 @@ func runFleet(base fleet.Config, rates []float64, kinds []fleet.Kind, real bool,
 		}
 	}
 	return clean
+}
+
+// printMechanisms prints how each real-socket curve point's datagrams were
+// served: reads per reader wakeup; the shares of reads served on the
+// shallow path, inline on the reader and spilled to the nfsd pool; replies
+// per send batch; reads per reader; and the lock site that waited most
+// (contended acquisitions / wait). A ratio over zero prints "-".
+func printMechanisms(points []*fleet.Result) {
+	fmt.Printf("\n== fleet ingest mechanisms (sock engine, readers=%d)\n\n", len(points[0].PerReaderReads))
+	fmt.Printf("  %9s %9s %10s %6s %7s %8s %10s  %-24s %s\n",
+		"offered", "reads", "reads/wake", "fast%", "inline%", "spilled%", "msgs/batch", "reads per reader", "top lock (n / wait ms)")
+	ratio := func(a, b int64, scale float64) string {
+		return stats.Fixed(scale*float64(a)/float64(b), 2, b > 0)
+	}
+	for _, r := range points {
+		per := make([]string, len(r.PerReaderReads))
+		for i, n := range r.PerReaderReads {
+			per[i] = strconv.FormatInt(n, 10)
+		}
+		lock := "-"
+		if len(r.Locks) > 0 && r.Locks[0].Contended > 0 {
+			l := r.Locks[0]
+			lock = fmt.Sprintf("%s %d / %.1f", l.Name, l.Contended, float64(l.WaitNS)/1e6)
+		}
+		fmt.Printf("  %9.0f %9d %10s %6s %7s %8s %10s  %-24s %s\n",
+			r.Offered, r.ReaderReads, ratio(r.ReaderReads, r.ReaderWakeups, 1),
+			ratio(r.ReaderFast, r.ReaderReads, 100), ratio(r.ReaderInline, r.ReaderReads, 100),
+			ratio(r.NfsdCalls, r.ReaderReads, 100), ratio(r.SendMsgs, r.SendBatches, 1),
+			strings.Join(per, "/"), lock)
+	}
 }

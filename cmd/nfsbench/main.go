@@ -8,34 +8,29 @@
 //	nfsbench -exp all               # everything, paper order
 //	nfsbench -exp table5 -quick     # scaled-down run
 //	nfsbench -exp graph1 -cpuprofile cpu.pprof -memprofile mem.pprof
-//	nfsbench -clients 4 -mutexprofile mutex.pprof -blockprofile block.pprof
-//	nfsbench -clients 4             # real-socket load: 4 concurrent clients
 //	nfsbench -fleet                 # open-loop 10k-client rig
 //	nfsbench -fleet -fleet-real -fleet-clients 1000   # same, over real sockets
+//	nfsbench -fleet -fleet-real -readers 2 -mutexprofile mutex.pprof -blockprofile block.pprof
 //
 // Output is plain text, one table per experiment, in the same shape as the
 // paper's tables/graph data. EXPERIMENTS.md records how each compares to
 // the published numbers. The -cpuprofile/-memprofile flags write pprof
 // profiles of the run (`make profile` wraps this), so perf work starts from
-// a profile the way the paper's did.
-//
-// -clients leaves the simulator entirely: it drives the real-socket
-// frontend (internal/nfsnet) with concurrent UDP clients against the
-// parallel nfsd worker pool. The point runs -warmup of unmeasured traffic
-// first; ops/s and the per-stage p99s cover only the measurement window,
-// and it prints how the window's datagrams were dispatched (shallow path,
-// inline on the reader, spilled to the pool). -trace FILE dumps the
-// slowest spans as Chrome trace JSON, and -mutexprofile/-blockprofile
-// enable the Go runtime's contention profilers (the lock-serialization
-// view `make profile` starts from). The benchmark of record is
-// `bash benchmark/run.sh`, not this mode.
+// a profile the way the paper's did; -mutexprofile/-blockprofile enable the
+// Go runtime's contention profilers in any mode.
 //
 // -fleet is the open-loop load rig (internal/fleet, DESIGN.md §10): it
 // sweeps -fleet-rps to produce the latency-vs-offered-load curve, replays
 // the -fleet-scenarios hostile scripts under the strict exactly-once
 // auditor, and prints both (`make fleet`; `make fleet-smoke` is the
 // CI-sized run). Scenario audit violations exit nonzero; SLO misses on
-// curve points are reported but don't fail the run.
+// curve points are reported but don't fail the run. With -fleet-real the
+// fleet drives the real-socket frontend (internal/nfsnet) with -readers
+// ingest readers, and each curve point also prints how its datagrams were
+// served: per reader wakeup, on the shallow path, inline on the reader or
+// spilled to the nfsd pool, how many replies shared a send batch, and the
+// lock site that waited most. The benchmark of record is
+// `bash benchmark/run.sh`, not this mode.
 package main
 
 import (
@@ -58,12 +53,9 @@ func main() {
 		list       = flag.Bool("list", false, "list experiment ids and exit")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write an allocation profile to this file on exit")
-		clients    = flag.Int("clients", 0, "real-socket mode: this many concurrent clients (0: simulated experiments)")
-		nfsds      = flag.Int("nfsds", 8, "size of the nfsd worker pool in -clients mode")
-		readers    = flag.Int("readers", 0, "sharded UDP ingest readers in -clients mode (0 = one per GOMAXPROCS)")
-		dur        = flag.Duration("dur", 2*time.Second, "per-point measurement duration in the -clients and -fleet modes")
-		warmup     = flag.Duration("warmup", 500*time.Millisecond, "per-point warmup excluded from ops/s and percentiles (-clients and -fleet modes)")
-		tracePath  = flag.String("trace", "", "write the slowest spans as Chrome trace JSON to this file (-clients mode)")
+		readers    = flag.Int("readers", 0, "sharded UDP ingest readers of the -fleet-real server (0 = one per GOMAXPROCS)")
+		dur        = flag.Duration("dur", 2*time.Second, "per-point measurement duration in -fleet mode")
+		warmup     = flag.Duration("warmup", 500*time.Millisecond, "per-point warmup excluded from the rates and percentiles in -fleet mode")
 		mutexProf  = flag.String("mutexprofile", "", "write a mutex contention profile to this file on exit")
 		blockProf  = flag.String("blockprofile", "", "write a blocking profile to this file on exit")
 
@@ -83,20 +75,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "nfsbench: "+format+"\n", args...)
 		os.Exit(2)
 	}
-	// Mode flags are mutually exclusive, and shared knobs must be sane, so a
-	// typo'd invocation dies with a message instead of measuring the wrong
-	// thing.
-	if *fleetMode && *clients > 0 {
-		fatalf("-fleet and -clients are mutually exclusive (pick one mode)")
-	}
-	if *clients < 0 {
-		fatalf("-clients %d: must be >= 0", *clients)
-	}
+	// Shared knobs must be sane, so a typo'd invocation dies with a message
+	// instead of measuring the wrong thing.
 	if *readers < 0 {
 		fatalf("-readers %d: must be >= 0", *readers)
-	}
-	if *nfsds <= 0 {
-		fatalf("-nfsds %d: must be > 0", *nfsds)
 	}
 	if *dur <= 0 {
 		fatalf("-dur %v: must be > 0", *dur)
@@ -139,15 +121,11 @@ func main() {
 		ok := runFleet(fleet.Config{
 			Seed: *seed, Clients: *fleetClients, Shards: *fleetShards,
 			Warmup: *warmup, Horizon: *dur, Timeout: *fleetTimeout,
-			Strict: *fleetStrict,
+			Strict: *fleetStrict, Readers: *readers,
 		}, rates, kinds, *fleetReal, slo)
 		if !ok {
 			os.Exit(1)
 		}
-		return
-	}
-	if *clients > 0 {
-		runClients(*clients, *nfsds, *readers, *warmup, *dur, *tracePath)
 		return
 	}
 

@@ -189,10 +189,15 @@ func (m *Mount) vacateAll(p *sim.Proc) {
 		return keys[i].gen < keys[j].gen
 	})
 	for _, k := range keys {
-		vn := m.leases[k].vn
+		// A call below parks, and meanwhile an eviction's surrender or a
+		// Remove may drop a lease still ahead in keys: it needs no VACATED.
+		l := m.leases[k]
+		if l == nil {
+			continue
+		}
 		delete(m.leases, k)
 		m.call(p, nfsproto.ProcVacated, func(e *xdr.Encoder) {
-			(&nfsproto.VacatedArgs{File: vn.fh}).Encode(e)
+			(&nfsproto.VacatedArgs{File: l.vn.fh}).Encode(e)
 		})
 	}
 }

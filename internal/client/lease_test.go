@@ -429,3 +429,37 @@ func TestServerLeaseTableExpiry(t *testing.T) {
 		}
 	})
 }
+
+// TestVacateAllSkipsSurrenderedLease: a lease surrendered while unmount's
+// VACATED loop is parked on an earlier file is gone when the loop reaches
+// it, so the loop skips it instead of sending a second VACATED.
+func TestVacateAllSkipsSurrenderedLease(t *testing.T) {
+	r := newLeaseRig(t, 13, nil)
+	m := r.mount(leaseClient())
+	r.run(t, func(p *sim.Proc) {
+		writeFile(t, p, m, "a", []byte("a"))
+		writeFile(t, p, m, "b", []byte("b"))
+		vn, err := m.walk(p, "b")
+		if err != nil {
+			t.Fatalf("walk: %v", err)
+		}
+		if len(m.leases) != 2 {
+			t.Fatalf("holding %d leases, want 2", len(m.leases))
+		}
+		surrendered := false
+		r.env.Spawn("evict", func(q *sim.Proc) {
+			for m.Stats.RPCCount(nfsproto.ProcVacated) == 0 {
+				q.Sleep(100 * time.Microsecond)
+			}
+			m.surrender(q, vn) // as leaseCallbackProc does on an eviction
+			surrendered = true
+		})
+		m.Close(p)
+		for !surrendered {
+			p.Sleep(time.Millisecond)
+		}
+		if got := m.Stats.RPCCount(nfsproto.ProcVacated); got != 2 {
+			t.Errorf("%d VACATED calls, want 2: one from unmount, one from the surrender", got)
+		}
+	})
+}

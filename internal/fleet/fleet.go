@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"renonfs/internal/check"
+	"renonfs/internal/lockstat"
 	"renonfs/internal/mbuf"
 	"renonfs/internal/memfs"
 	"renonfs/internal/metrics"
@@ -761,9 +762,11 @@ type Result struct {
 
 	// Real-socket drain counters: every datagram read was serviced inline
 	// on its reader — on the shallow path (fast) or through the generic
-	// dispatch (inline) — or dispatched to a worker (Σ reader reads ==
+	// dispatch (inline) — or spilled to a worker (Σ reader reads ==
 	// Σ nfsd calls + Σ reader fast + Σ reader inline after Close).
-	ReaderReads, ReaderFast, ReaderInline, NfsdCalls int64
+	// ReaderWakeups counts the blocking reads that returned datagrams, so
+	// ReaderReads/ReaderWakeups is the mean drain per wakeup.
+	ReaderReads, ReaderFast, ReaderInline, NfsdCalls, ReaderWakeups int64
 	// PerReaderReads breaks ReaderReads down by ingest shard (the herd
 	// test's cross-reader spread assertion).
 	PerReaderReads []int64
@@ -771,6 +774,10 @@ type Result struct {
 	// punted to the generic path, and the batched writer's syscall/reply
 	// split (SendBatches send syscalls carried SendMsgs replies).
 	FastCalls, FastFallbacks, SendBatches, SendMsgs int64
+	// Locks is each lockstat site's contention during the run, most wait
+	// first. The sites are process-wide, so a concurrent run in the same
+	// process would be counted too.
+	Locks []lockstat.Stat
 }
 
 // finish ends the run once the engine has stopped sending and receiving:

@@ -264,6 +264,59 @@ func TestSockSteady(t *testing.T) {
 	}
 }
 
+// TestSockMechanismsEngage: every ingest mechanism of the real-socket
+// frontend shows a count above zero under a 20,000/s open loop. Two readers
+// on their own reuseport sockets drain several datagrams per wakeup, spill
+// backlog to the nfsd pool and send replies in batches, and each reader
+// gets traffic (32 shards, so no reader's hash bucket is empty); a lone
+// reader serves everything itself. Each read is served exactly one way.
+// It checks that a mechanism engages, never how much.
+func TestSockMechanismsEngage(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skipf("no SO_REUSEPORT ingest on %s: readers share one socket and drain nothing", runtime.GOOS)
+	}
+	run := func(readers int) *Result {
+		t.Helper()
+		r, err := RunSock(Config{Seed: 1, Clients: 2000, Shards: 32, OfferedRPS: 20000,
+			Warmup: 200 * time.Millisecond, Horizon: time.Second,
+			Timeout: time.Second, Readers: readers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("readers=%d sent=%d replies=%d timeouts=%d reads=%d wakeups=%d fast=%d inline=%d spilled=%d batches=%d msgs=%d per-reader=%v",
+			readers, r.Sent, r.Replies, r.Timeouts, r.ReaderReads, r.ReaderWakeups,
+			r.ReaderFast, r.ReaderInline, r.NfsdCalls, r.SendBatches, r.SendMsgs, r.PerReaderReads)
+		if r.ReaderReads != r.NfsdCalls+r.ReaderFast+r.ReaderInline {
+			t.Errorf("readers=%d: %d reads != %d spilled + %d fast + %d inline",
+				readers, r.ReaderReads, r.NfsdCalls, r.ReaderFast, r.ReaderInline)
+		}
+		return r
+	}
+
+	two := run(2)
+	if two.NfsdCalls == 0 {
+		t.Error("readers=2: nothing spilled to the nfsd pool")
+	}
+	if two.ReaderReads <= two.ReaderWakeups {
+		t.Errorf("readers=2: %d reads in %d wakeups, want more than one per wakeup", two.ReaderReads, two.ReaderWakeups)
+	}
+	if two.SendMsgs <= two.SendBatches {
+		t.Errorf("readers=2: %d replies in %d send batches, want more than one per batch", two.SendMsgs, two.SendBatches)
+	}
+	for i, n := range two.PerReaderReads {
+		if n == 0 {
+			t.Errorf("readers=2: reader %d read nothing %v", i, two.PerReaderReads)
+		}
+	}
+	if two.Replies == 0 {
+		t.Error("readers=2: no replies")
+	}
+
+	if one := run(1); one.NfsdCalls != 0 {
+		t.Errorf("readers=1: %d calls spilled, want the lone reader to serve all", one.NfsdCalls)
+	}
+}
+
 // TestClientBound: both engines refuse a fleet whose client ids spill out
 // of the XID's client bits, where client MaxClients would reuse client 0's
 // XIDs, and accept the largest one that fits.

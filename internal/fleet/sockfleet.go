@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"renonfs/internal/lockstat"
 	"renonfs/internal/netsim"
 	"renonfs/internal/nfsnet"
 	"renonfs/internal/sim"
@@ -29,6 +30,7 @@ func RunSock(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	locks := lockstat.Stats()
 	s, err := nfsnet.Serve(srv, "127.0.0.1:0", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -69,26 +71,25 @@ func RunSock(cfg Config) (*Result, error) {
 	s.Close()
 
 	res := fst.finish("sock")
+	res.Locks = lockstat.Since(locks)
 	snap := srv.Metrics.Snapshot()
 	for name, v := range snap.Counters {
-		switch {
-		case strings.HasPrefix(name, "rpc.reader.") && strings.HasSuffix(name, ".reads"):
-			res.ReaderReads += v
-		case strings.HasPrefix(name, "rpc.reader.") && strings.HasSuffix(name, ".fast"):
-			res.ReaderFast += v
-		case strings.HasPrefix(name, "rpc.reader.") && strings.HasSuffix(name, ".inline"):
-			res.ReaderInline += v
-		case strings.HasPrefix(name, "rpc.nfsd.") && strings.HasSuffix(name, ".calls"):
+		if strings.HasPrefix(name, "rpc.nfsd.") && strings.HasSuffix(name, ".calls") {
 			res.NfsdCalls += v
 		}
+	}
+	res.PerReaderReads = make([]int64, s.Readers())
+	for i := range res.PerReaderReads {
+		reader := func(c string) int64 { return snap.Counters[fmt.Sprintf("rpc.reader.%d.%s", i, c)] }
+		res.PerReaderReads[i] = reader("reads")
+		res.ReaderReads += reader("reads")
+		res.ReaderFast += reader("fast")
+		res.ReaderInline += reader("inline")
+		res.ReaderWakeups += reader("wakeups")
 	}
 	res.FastCalls = snap.Counters["rpc.fastpath.calls"]
 	res.FastFallbacks = snap.Counters["rpc.fastpath.fallbacks"]
 	res.SendBatches = snap.Counters["rpc.send.batches"]
 	res.SendMsgs = snap.Counters["rpc.send.batched_msgs"]
-	res.PerReaderReads = make([]int64, s.Readers())
-	for i := range res.PerReaderReads {
-		res.PerReaderReads[i] = snap.Counters[fmt.Sprintf("rpc.reader.%d.reads", i)]
-	}
 	return res, nil
 }

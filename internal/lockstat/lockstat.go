@@ -13,7 +13,9 @@
 // When the caller has the request's latency span in scope it passes it in,
 // and the wait is also credited to that span (surfacing in the
 // rpc.stage.lockwait.us histogram and the slow-span trace dumps); deep call
-// sites without a span pass nil. Go's runtime mutex/block profiles
+// sites without a span pass nil. The sites are process-wide: nfsd's stats
+// endpoint publishes them as lock.<site>.* counters, and the socket fleet
+// reads what one run added with Since. Go's runtime mutex/block profiles
 // (nfsbench -mutexprofile/-blockprofile) complement this with call-stack
 // attribution; lockstat's value is that it is always on and per-site.
 package lockstat
@@ -112,6 +114,22 @@ func Stats() []Stat {
 		out = append(out, Stat{Name: s.name, Contended: s.Contended(), WaitNS: s.WaitNS()})
 	}
 	sitesMu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].WaitNS > out[j].WaitNS })
+	return out
+}
+
+// Since returns each site's contention after before, a snapshot taken by
+// Stats, most wait first: what one run cost, the sites being process-wide.
+func Since(before []Stat) []Stat {
+	base := make(map[string]Stat, len(before))
+	for _, st := range before {
+		base[st.Name] = st
+	}
+	out := Stats()
+	for i := range out {
+		out[i].Contended -= base[out[i].Name].Contended
+		out[i].WaitNS -= base[out[i].Name].WaitNS
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].WaitNS > out[j].WaitNS })
 	return out
 }

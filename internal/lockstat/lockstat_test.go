@@ -103,3 +103,18 @@ func TestSiteConcurrent(t *testing.T) {
 		t.Error("negative cumulative wait")
 	}
 }
+
+// Since reports only what each site gained after the snapshot.
+func TestSinceSubtractsSnapshot(t *testing.T) {
+	site := NewSite("test.since")
+	site.contended.Store(5)
+	site.waitNS.Store(9_000)
+	before := Stats()
+	site.contended.Add(2)
+	site.waitNS.Add(1_000)
+	for _, st := range Since(before) {
+		if st.Name == "test.since" && (st.Contended != 2 || st.WaitNS != 1_000) {
+			t.Errorf("since = %+v, want 2 contended, 1000ns", st)
+		}
+	}
+}

@@ -219,6 +219,7 @@ func (l *Link) sent(pk packet, rng *rand.Rand) {
 		delay += v.ExtraDelay
 		if v.Duplicate {
 			l.Stat.FaultDups++
+			pk.dg.Duplicated = true
 			l.launch(now+l.cfg.PropDelay, pk)
 		}
 	}

@@ -54,6 +54,10 @@ type Datagram struct {
 	// Corrupted marks a datagram damaged in flight by fault injection; the
 	// receiving host's transport checksum drops it on reassembly.
 	Corrupted bool
+	// Duplicated marks a datagram a fault sent a frame of twice, set before
+	// either copy arrives: the receiver may get the same Payload chain
+	// again, so it must not recycle it.
+	Duplicated bool
 }
 
 // Len returns the transport payload length in bytes.

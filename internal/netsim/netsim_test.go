@@ -3,6 +3,7 @@ package netsim
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -125,6 +126,41 @@ func TestLostFragmentLosesDatagram(t *testing.T) {
 	}
 	if delivered == 0 {
 		t.Fatal("nothing delivered at all")
+	}
+}
+
+// TestDuplicatedDatagramDeliveredTwiceIntact: a fault that sends a frame
+// twice marks the datagram Duplicated before either copy arrives, so both
+// deliveries see the mark (a receiver that recycles request chains keeps
+// this one), and both carry the whole payload.
+func TestDuplicatedDatagramDeliveredTwiceIntact(t *testing.T) {
+	env, a, b := pair(t, 1)
+	a.peer[b.ID].SetFault(func(sim.Time, *rand.Rand) FaultVerdict {
+		return FaultVerdict{Duplicate: true}
+	})
+	sa := a.UDPSocket(1001)
+	sb := b.UDPSocket(2049)
+	msg := []byte("write request")
+	var got []*Datagram
+	env.Spawn("rx", func(p *sim.Proc) {
+		for {
+			dg, ok := sb.Recv(p)
+			if !ok {
+				return
+			}
+			if !dg.Duplicated {
+				t.Errorf("delivery %d not marked Duplicated", len(got)+1)
+			}
+			if !bytes.Equal(dg.Payload.Bytes(), msg) {
+				t.Errorf("delivery %d payload %q, want %q", len(got)+1, dg.Payload.Bytes(), msg)
+			}
+			got = append(got, dg)
+		}
+	})
+	env.Spawn("tx", func(p *sim.Proc) { sa.Send(p, b.ID, 2049, mbuf.FromBytes(msg)) })
+	env.Run(time.Second)
+	if len(got) != 2 {
+		t.Fatalf("%d deliveries, want 2", len(got))
 	}
 }
 

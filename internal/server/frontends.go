@@ -15,13 +15,12 @@ const NFSPort = 2049
 
 // job is one request handed to the nfsd pool, with the address its reply
 // goes to: a UDP socket and the sender's (src, sport), or a TCP connection.
-// A TCP request chain is the frontend's own (record reassembly), which the
-// nfsd frees after the call; UDP request chains belong to the network layer,
-// whose fault-injection machinery can deliver the same payload chain twice,
-// so the server must never recycle them.
+// The nfsd frees req once the call is done, unless keep is set: a datagram
+// a fault duplicated may deliver the same chain again.
 type job struct {
 	peer  string
 	req   *mbuf.Chain
+	keep  bool
 	sock  *netsim.UDPSocket
 	src   netsim.NodeID
 	sport int
@@ -55,7 +54,7 @@ func (s *Server) ServeUDP(port int) {
 			peer = fmt.Sprintf("udp:%d:%d", src, sport)
 			peers[udpPeer{src, sport}] = peer
 		}
-		jobs.Send(job{peer: peer, req: dg.Payload, sock: sock, src: src, sport: sport})
+		jobs.Send(job{peer: peer, req: dg.Payload, keep: dg.Duplicated, sock: sock, src: src, sport: sport})
 	})
 	s.spawnNFSDs(env, jobs, "udp")
 }
@@ -131,9 +130,11 @@ func (s *Server) spawnNFSDs(env *sim.Env, jobs *sim.Queue[job], tag string) {
 					continue // crashed: the request vanishes
 				}
 				rep := s.HandleCall(p, j.peer, j.req)
+				if !j.keep {
+					j.req.Free()
+				}
 				switch {
 				case j.conn != nil:
-					j.req.Free()
 					if rep != nil {
 						rpc.AddRecordMark(rep)
 						j.conn.Send(p, rep)

@@ -38,6 +38,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -81,9 +82,16 @@ type Env struct {
 	stopped bool      // Stop was called in the run in progress
 	closed  bool
 
-	mu    sync.Mutex    // guards inbox, the one field other goroutines touch
-	inbox []func()      // queued by Post, run by RunWall
-	kick  chan struct{} // wakes RunWall after a Post
+	mu     sync.Mutex    // guards inbox, the one field other goroutines touch
+	inbox  []posted      // queued by Post, moved into the queue by RunWall
+	queued atomic.Int64  // len(inbox), read without mu
+	kick   chan struct{} // wakes RunWall after a Post
+}
+
+// posted is a callback queued by Post, stamped with its wall arrival time.
+type posted struct {
+	at time.Time
+	fn func()
 }
 
 // New returns an empty environment whose random source is seeded with seed.
@@ -346,12 +354,14 @@ func (e *Env) RunAll() Time {
 	return e.now
 }
 
-// Post queues fn to run as a callback at the current instant of RunWall. It
-// is the one Env method that is safe to call from any goroutine, and it may
-// be called before RunWall starts.
+// Post queues fn to run as a callback at the instant of RunWall's clock at
+// which it was posted, or at Now if the clock is already past it. It is the
+// one Env method that is safe to call from any goroutine, and it may be
+// called before RunWall starts.
 func (e *Env) Post(fn func()) {
 	e.mu.Lock()
-	e.inbox = append(e.inbox, fn)
+	e.inbox = append(e.inbox, posted{time.Now(), fn})
+	e.queued.Add(1)
 	e.mu.Unlock()
 	select {
 	case e.kick <- struct{}{}:
@@ -363,8 +373,11 @@ func (e *Env) Post(fn func()) {
 // done, and returns the virtual time it stopped at: wall time since the
 // call, continuing from Now. Events run in Run's (time, sequence) order
 // once the wall clock reaches them, under a horizon of the wall clock, so
-// neither a parked process nor Sleep's lookahead runs one early. With none
-// due, the clock moves to the wall clock and what Post queued runs then.
+// neither a parked process nor Sleep's lookahead runs one early. Each turn
+// of the loop first moves what Post queued into the queue at its arrival
+// time, so an Env that lags the wall clock still runs posted callbacks in
+// order among the events due. With none due, the clock moves to the wall
+// clock.
 func (e *Env) RunWall(ctx context.Context) Time {
 	if e.closed {
 		panic("sim: RunWall after Close")
@@ -377,6 +390,16 @@ func (e *Env) RunWall(ctx context.Context) Time {
 	for !e.stopped && ctx.Err() == nil {
 		wall := Time(time.Since(start))
 		e.horizon = wall
+		if e.queued.Load() > 0 {
+			e.mu.Lock()
+			inbox := e.inbox
+			e.inbox = nil
+			e.queued.Store(0)
+			e.mu.Unlock()
+			for _, ps := range inbox {
+				e.At(ps.at.Sub(start), ps.fn)
+			}
+		}
 		var due <-chan time.Time
 		if ev := e.peek(); ev != nil {
 			if ev.when <= wall {
@@ -387,19 +410,10 @@ func (e *Env) RunWall(ctx context.Context) Time {
 			due = timer.C
 		}
 		e.now = max(e.now, wall)
-		e.mu.Lock()
-		posted := e.inbox
-		e.inbox = nil
-		e.mu.Unlock()
-		for _, fn := range posted {
-			e.push(event{when: e.now, fn: fn})
-		}
-		if len(posted) == 0 {
-			select {
-			case <-ctx.Done():
-			case <-e.kick:
-			case <-due:
-			}
+		select {
+		case <-ctx.Done():
+		case <-e.kick:
+		case <-due:
 		}
 	}
 	return e.now

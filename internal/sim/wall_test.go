@@ -122,3 +122,27 @@ func TestPostBeforeRunWall(t *testing.T) {
 		t.Fatal("the early Post never ran")
 	}
 }
+
+// TestPostRunsWhileBehind: an Env that lags the wall clock for good, because
+// a callback that takes longer than its period keeps rescheduling itself,
+// still runs a callback posted from another goroutine before a Stop due long
+// after the post.
+func TestPostRunsWhileBehind(t *testing.T) {
+	e := New(1)
+	defer e.Close()
+	ran := false
+	var tick func()
+	tick = func() {
+		if e.Now() == 0 {
+			go e.Post(func() { ran = true })
+		}
+		time.Sleep(ms) // each 100µs of virtual time costs a millisecond of wall time
+		e.After(100*time.Microsecond, tick)
+	}
+	e.At(0, tick)
+	e.At(20*ms, e.Stop)
+	e.RunWall(context.Background())
+	if !ran {
+		t.Fatal("the posted callback never ran before Stop")
+	}
+}
