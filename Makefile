@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race chaos fuzz-smoke vet loc bench bench-smoke lease-sweep profile scaling-smoke fleet fleet-smoke examples
+.PHONY: build test race chaos fuzz-smoke vet loc bench bench-smoke lease-sweep profile scaling-smoke fleet fleet-smoke examples mutants
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,12 @@ fuzz-smoke:
 
 vet:
 	$(GO) vet ./...
+
+# Prove the checkers check: plant each known bug of mutants_test.go's table
+# (through go test -overlay; the tree is never written) and require its
+# test to fail. A surviving mutant or a stale anchor fails the target.
+mutants:
+	RENONFS_MUTANTS=1 $(GO) test -run '^TestMutants$$' -count=1 -v -timeout 20m .
 
 # Non-test Go lines of the library, the commands and the root package: the
 # number a simplification PR reports before and after.

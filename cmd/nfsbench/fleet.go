@@ -143,12 +143,13 @@ func runFleet(base fleet.Config, rates []float64, kinds []fleet.Kind, real bool,
 // printMechanisms prints how each real-socket curve point's datagrams were
 // served: reads per reader wakeup; the shares of reads served on the
 // shallow path, inline on the reader and spilled to the nfsd pool; replies
-// per send batch; reads per reader; and the lock site that waited most
-// (contended acquisitions / wait). A ratio over zero prints "-".
+// per send batch; the datagrams the kernel dropped at full receive queues;
+// reads per reader; and the lock site that waited most (contended
+// acquisitions / wait). A ratio over zero prints "-".
 func printMechanisms(points []*fleet.Result) {
 	fmt.Printf("\n== fleet ingest mechanisms (sock engine, readers=%d)\n\n", len(points[0].PerReaderReads))
-	fmt.Printf("  %9s %9s %10s %6s %7s %8s %10s  %-24s %s\n",
-		"offered", "reads", "reads/wake", "fast%", "inline%", "spilled%", "msgs/batch", "reads per reader", "top lock (n / wait ms)")
+	fmt.Printf("  %9s %9s %10s %6s %7s %8s %10s %8s  %-24s %s\n",
+		"offered", "reads", "reads/wake", "fast%", "inline%", "spilled%", "msgs/batch", "kdrops", "reads per reader", "top lock (n / wait ms)")
 	ratio := func(a, b int64, scale float64) string {
 		return stats.Fixed(scale*float64(a)/float64(b), 2, b > 0)
 	}
@@ -162,10 +163,10 @@ func printMechanisms(points []*fleet.Result) {
 			l := r.Locks[0]
 			lock = fmt.Sprintf("%s %d / %.1f", l.Name, l.Contended, float64(l.WaitNS)/1e6)
 		}
-		fmt.Printf("  %9.0f %9d %10s %6s %7s %8s %10s  %-24s %s\n",
+		fmt.Printf("  %9.0f %9d %10s %6s %7s %8s %10s %8d  %-24s %s\n",
 			r.Offered, r.ReaderReads, ratio(r.ReaderReads, r.ReaderWakeups, 1),
 			ratio(r.ReaderFast, r.ReaderReads, 100), ratio(r.ReaderInline, r.ReaderReads, 100),
 			ratio(r.NfsdCalls, r.ReaderReads, 100), ratio(r.SendMsgs, r.SendBatches, 1),
-			strings.Join(per, "/"), lock)
+			r.KernelDrops, strings.Join(per, "/"), lock)
 	}
 }

@@ -14,10 +14,10 @@
 // The tables are internal/nfsnet.RenderStats — the same ones nfsd prints
 // on ^C: per-procedure service times, totals and mbuf copy traffic, the
 // shallow-dispatch and send-coalescing counters, leases, the per-stage
-// "where the microsecond goes" breakdown, the UDP ingest readers, the nfsd
-// pool, the dupcache shards and any contended lock sites. Under -z every
-// counter and histogram count is the interval's; a histogram's max stays
-// all-time.
+// "where the microsecond goes" breakdown, the UDP ingest readers and the
+// kernel's receive drops, the nfsd pool, the dupcache shards and any
+// contended lock sites. Under -z every counter, histogram percentile and
+// max is the interval's.
 //
 // The endpoint address must match nfsd's -stats flag.
 package main

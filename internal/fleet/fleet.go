@@ -770,6 +770,9 @@ type Result struct {
 	// PerReaderReads breaks ReaderReads down by ingest shard (the herd
 	// test's cross-reader spread assertion).
 	PerReaderReads []int64
+	// KernelDrops counts the datagrams the kernel dropped at the server's
+	// full receive queues (rpc.udp.kernel_drops): no reader ever saw them.
+	KernelDrops int64
 	// Shallow-path accounting: inline-serviced calls, eligible calls that
 	// punted to the generic path, and the batched writer's syscall/reply
 	// split (SendBatches send syscalls carried SendMsgs replies).

@@ -269,7 +269,8 @@ func TestSockSteady(t *testing.T) {
 // on their own reuseport sockets drain several datagrams per wakeup, spill
 // backlog to the nfsd pool and send replies in batches, and each reader
 // gets traffic (32 shards, so no reader's hash bucket is empty); a lone
-// reader serves everything itself. Each read is served exactly one way.
+// reader serves everything itself. Each read is served exactly one way, and
+// reads plus the kernel's receive drops never exceed the datagrams sent.
 // It checks that a mechanism engages, never how much.
 func TestSockMechanismsEngage(t *testing.T) {
 	if runtime.GOOS != "linux" {
@@ -283,12 +284,18 @@ func TestSockMechanismsEngage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("readers=%d sent=%d replies=%d timeouts=%d reads=%d wakeups=%d fast=%d inline=%d spilled=%d batches=%d msgs=%d per-reader=%v",
+		t.Logf("readers=%d sent=%d replies=%d timeouts=%d reads=%d wakeups=%d fast=%d inline=%d spilled=%d batches=%d msgs=%d kernel-drops=%d per-reader=%v",
 			readers, r.Sent, r.Replies, r.Timeouts, r.ReaderReads, r.ReaderWakeups,
-			r.ReaderFast, r.ReaderInline, r.NfsdCalls, r.SendBatches, r.SendMsgs, r.PerReaderReads)
+			r.ReaderFast, r.ReaderInline, r.NfsdCalls, r.SendBatches, r.SendMsgs, r.KernelDrops, r.PerReaderReads)
 		if r.ReaderReads != r.NfsdCalls+r.ReaderFast+r.ReaderInline {
 			t.Errorf("readers=%d: %d reads != %d spilled + %d fast + %d inline",
 				readers, r.ReaderReads, r.NfsdCalls, r.ReaderFast, r.ReaderInline)
+		}
+		// No scenario, so no call is sent twice: every datagram was read,
+		// dropped by the kernel or still queued at Close.
+		if r.ReaderReads+r.KernelDrops > r.Sent {
+			t.Errorf("readers=%d: %d reads + %d kernel drops > %d datagrams sent",
+				readers, r.ReaderReads, r.KernelDrops, r.Sent)
 		}
 		return r
 	}

@@ -68,6 +68,7 @@ func RunSock(cfg Config) (*Result, error) {
 	for _, w := range socks {
 		w.Close()
 	}
+	s.PublishStats() // the kernel's drop count needs the sockets open
 	s.Close()
 
 	res := fst.finish("sock")
@@ -91,5 +92,6 @@ func RunSock(cfg Config) (*Result, error) {
 	res.FastFallbacks = snap.Counters["rpc.fastpath.fallbacks"]
 	res.SendBatches = snap.Counters["rpc.send.batches"]
 	res.SendMsgs = snap.Counters["rpc.send.batched_msgs"]
+	res.KernelDrops = snap.Counters["rpc.udp.kernel_drops"]
 	return res, nil
 }

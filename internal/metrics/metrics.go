@@ -1,5 +1,5 @@
 // Package metrics is the observability core of the real-socket server: a
-// registry of atomic counters, gauges and log-bucket latency histograms,
+// registry of atomic counters, gauges and log-linear latency histograms,
 // with snapshot and delta support and a JSON encoding. Its one human
 // rendering is nfsnet.RenderStats. A latency recorded on a sim.Env (the
 // paper's tables, nfsstone, the fleet) goes to the exact stats.Samples

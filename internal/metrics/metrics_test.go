@@ -6,16 +6,27 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
+
+	"renonfs/internal/stats"
 )
+
+// within reports whether v is within the histogram's error bound, 1/16
+// of exact (a hair of slack for the ms-to-µs rescale of the reference).
+func within(v, exact float64) bool {
+	return math.Abs(v-exact) <= exact/16*(1+1e-9)
+}
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
 	s := h.Snapshot()
-	if s.Count != 0 || s.Mean() != 0 || s.Quantile(50) != 0 || s.Quantile(100) != 0 {
-		t.Fatalf("empty histogram not all-zero: %+v", s)
+	if s.Count != 0 || s.Mean() != 0 || s.Max() != 0 {
+		t.Fatalf("empty histogram not all-zero: count %d mean %v max %v", s.Count, s.Mean(), s.Max())
 	}
-	if s.Min != 0 || s.Max != 0 {
-		t.Fatalf("empty histogram min/max = %v/%v", s.Min, s.Max)
+	for _, p := range []float64{50, 100} {
+		if v, ok := s.Quantile(p); v != 0 || ok {
+			t.Fatalf("empty p%v = %v (defined %v), want 0, undefined", p, v, ok)
+		}
 	}
 }
 
@@ -24,38 +35,35 @@ func TestHistogramSingleSample(t *testing.T) {
 	h.Observe(3.7)
 	s := h.Snapshot()
 	for _, p := range []float64{1, 50, 99, 100} {
-		// With one sample every percentile must clamp to the observation.
-		if got := s.Quantile(p); got != 3.7 {
-			t.Fatalf("p%v = %v, want 3.7", p, got)
+		// One sample: every percentile is its bucket, and none is defined.
+		if v, ok := s.Quantile(p); !within(v, 3.7) || ok {
+			t.Fatalf("p%v = %v (defined %v), want within 1/16 of 3.7, undefined", p, v, ok)
 		}
 	}
-	if s.Mean() != 3.7 || s.Min != 3.7 || s.Max != 3.7 {
-		t.Fatalf("single-sample stats wrong: %+v", s)
+	if s.Mean() != 3.7 || s.Count != 1 || !within(s.Max(), 3.7) {
+		t.Fatalf("single-sample stats wrong: count %d mean %v max %v", s.Count, s.Mean(), s.Max())
 	}
 }
 
+// TestHistogramQuantileInterpolation: 1..100 ms, each once. The percentiles
+// land within 1/16 of the nearest-rank values (no interpolation), p99 has
+// one sample above its rank and is undefined, and the mean is exact.
 func TestHistogramQuantileInterpolation(t *testing.T) {
 	h := NewHistogram()
-	// 100 samples spread across buckets: 1ms..100ms.
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i))
 	}
 	s := h.Snapshot()
-	if got := s.Quantile(100); got != 100 {
-		t.Fatalf("p100 = %v, want max 100", got)
+	for _, c := range []struct {
+		p, exact float64
+		ok       bool
+	}{{50, 50, true}, {90, 90, true}, {99, 99, false}, {100, 100, false}} {
+		if v, ok := s.Quantile(c.p); !within(v, c.exact) || ok != c.ok {
+			t.Errorf("p%v = %v (defined %v), want within 1/16 of %v (defined %v)", c.p, v, ok, c.exact, c.ok)
+		}
 	}
-	p50 := s.Quantile(50)
-	// Log buckets are coarse (factor 2); the interpolated median must land
-	// within the surrounding bucket [32, 64].
-	if p50 < 32 || p50 > 64 {
-		t.Fatalf("p50 = %v, want within (32, 64]", p50)
-	}
-	p99 := s.Quantile(99)
-	if p99 < 64 || p99 > 100 {
-		t.Fatalf("p99 = %v, want within (64, 100]", p99)
-	}
-	if p50 >= p99 {
-		t.Fatalf("p50 %v >= p99 %v", p50, p99)
+	if !within(s.Max(), 100) {
+		t.Errorf("max = %v, want within 1/16 of 100", s.Max())
 	}
 	if math.Abs(s.Mean()-50.5) > 1e-9 {
 		t.Fatalf("mean = %v, want 50.5", s.Mean())
@@ -64,58 +72,61 @@ func TestHistogramQuantileInterpolation(t *testing.T) {
 
 func TestHistogramExtremes(t *testing.T) {
 	h := NewHistogram()
-	h.Observe(0)    // below the first bound
-	h.Observe(1e12) // beyond the last bound: catch-all bucket
+	h.Observe(0)    // below the range
+	h.Observe(-1)   // nonsense, still counted, in the bottom bucket
+	h.Observe(1e12) // above the range: the top bucket
 	s := h.Snapshot()
-	if s.Count != 2 {
+	if s.Count != 3 {
 		t.Fatalf("count = %d", s.Count)
 	}
-	if s.Buckets[0] != 1 || s.Buckets[len(s.Buckets)-1] != 1 {
+	if s.Buckets[0] != 2 || s.Buckets[len(s.Buckets)-1] != 1 {
 		t.Fatalf("extreme values not in edge buckets: %v", s.Buckets)
 	}
-	if got := s.Quantile(100); got != 1e12 {
-		t.Fatalf("p100 = %v, want clamped max 1e12", got)
+	if top := bucketMid(histBuckets - 1); s.Max() != top || top < 0x1p22 || top > 0x1p23 {
+		t.Fatalf("max = %v, want the top bucket's midpoint %v in [2^22, 2^23]", s.Max(), top)
+	}
+	if v, _ := s.Quantile(1); v != bucketMid(0) || v > 0x1p-10 {
+		t.Fatalf("p1 = %v, want the bottom bucket's midpoint %v below 2^-10", v, bucketMid(0))
 	}
 }
 
-// bucketOfLog2 is the formula bucketOf replaced (a Log2 and a Ceil per
-// observation), kept as the reference the exponent-based one must match.
-func bucketOfLog2(v float64) int {
-	if v <= histFirstBound {
+// bucketOfFrexp is the bucket index by definition: v = frac·2^exp with frac
+// in [0.5, 1), octave exp-1 counted from 2^-10, and the sub-bucket the
+// eighth of the octave that frac falls in — bucket 0 below the range, the
+// last bucket above it.
+func bucketOfFrexp(v float64) int {
+	if v < 0x1p-10 {
 		return 0
 	}
-	i := int(math.Ceil(math.Log2(v / histFirstBound)))
-	if i >= histBuckets {
-		i = histBuckets - 1
-	}
-	return i
+	frac, exp := math.Frexp(v)
+	i := 1 + (exp-1+10)*histSub + int((2*frac-1)*histSub)
+	return min(i, histBuckets-1)
 }
 
-// TestBucketOfMatchesLog2 holds the Frexp bucket index to the Log2 formula
-// on every exact bucket boundary, one ulp below each, and a million seeded
-// values spread log-uniformly across (and past both ends of) the bucket
-// range. One ulp above a boundary is pinned to the definition instead
-// (bucket i is (bound[i-1], bound[i]]): there the Log2 sum rounds back onto
-// the boundary and files the value one bucket low.
+// TestBucketOfMatchesLog2 holds the bit-shift bucket index to its
+// definition at every bucket edge (the lower bound, one ulp below it and
+// one above), and on a million seeded values spread log-uniformly across,
+// and past both ends of, the range; and holds every bucket's midpoint
+// within 1/16 of each value in the bucket.
 func TestBucketOfMatchesLog2(t *testing.T) {
 	check := func(v float64) {
 		t.Helper()
-		if got, want := bucketOf(v), bucketOfLog2(v); got != want {
-			t.Fatalf("bucketOf(%v) = %d, Log2 formula gives %d", v, got, want)
+		if got, want := bucketOf(v), bucketOfFrexp(v); got != want {
+			t.Fatalf("bucketOf(%v) = %d, definition gives %d", v, got, want)
 		}
 	}
-	for i, b := range histBounds() {
-		if got := bucketOf(b); got != i {
-			t.Fatalf("bound %d (%v) lands in bucket %d", i, b, got)
+	for i := 1; i < histBuckets; i++ {
+		lo := 0x1p-10 * math.Exp2(float64((i-1)/histSub)) * (1 + float64((i-1)%histSub)/histSub)
+		hi := 0x1p-10 * math.Exp2(float64(i/histSub)) * (1 + float64(i%histSub)/histSub)
+		if got := bucketOf(lo); got != i {
+			t.Fatalf("lower bound %v of bucket %d lands in bucket %d", lo, i, got)
 		}
-		check(b)
-		check(math.Nextafter(b, 0))
-		above := i + 1
-		if above >= histBuckets {
-			above = histBuckets - 1
+		if got := bucketOf(math.Nextafter(lo, 0)); got != i-1 {
+			t.Fatalf("one ulp below bucket %d's lower bound lands in bucket %d", i, got)
 		}
-		if got := bucketOf(math.Nextafter(b, math.Inf(1))); got != above {
-			t.Fatalf("one ulp above bound %d lands in bucket %d, want %d", i, got, above)
+		check(math.Nextafter(lo, math.Inf(1)))
+		if mid := bucketMid(i); bucketOf(mid) != i || !within(mid, lo) || !within(mid, math.Nextafter(hi, 0)) {
+			t.Fatalf("bucket %d [%v, %v): midpoint %v outside it or beyond 1/16 of an edge", i, lo, hi, mid)
 		}
 	}
 	check(0)
@@ -123,8 +134,82 @@ func TestBucketOfMatchesLog2(t *testing.T) {
 	check(1e300)
 	rng := rand.New(rand.NewSource(1991))
 	for i := 0; i < 1_000_000; i++ {
-		// 2^-12 .. 2^28 ms: 1/4 µs up to ~3 days, past the catch-all.
+		// 2^-12 .. 2^28: past both ends of the 2^-10 .. 2^23 range.
 		check(math.Exp2(-12 + 40*rng.Float64()))
+	}
+}
+
+// TestHistogramQuantileBound: over seeded exponential, lognormal, uniform,
+// bimodal and all-ties draws (µs, the stage histograms' unit) at several
+// sizes, every percentile is defined exactly when stats.Samples' is, and
+// every defined one is within 1/16 of Samples' exact nearest-rank value on
+// the same draws — cumulatively and over a Snapshot.Delta interval that
+// follows a prefix of slower calls.
+func TestHistogramQuantileBound(t *testing.T) {
+	dists := []struct {
+		name string
+		draw func(*rand.Rand) float64
+	}{
+		{"exponential", func(r *rand.Rand) float64 { return 50 * r.ExpFloat64() }},
+		{"lognormal", func(r *rand.Rand) float64 { return math.Exp(math.Log(100) + 0.5*r.NormFloat64()) }},
+		{"uniform", func(r *rand.Rand) float64 { return 20 + 980*r.Float64() }},
+		{"bimodal", func(r *rand.Rand) float64 {
+			if r.Float64() < 0.95 {
+				return 20 + 5*r.Float64()
+			}
+			return 900 + 200*r.Float64()
+		}},
+		{"ties", func(*rand.Rand) float64 { return 37 }},
+	}
+	for _, d := range dists {
+		for _, n := range []int{1, 10, 999, 1000, 20000} {
+			rng := rand.New(rand.NewSource(int64(n)))
+			reg := NewRegistry()
+			h := reg.Histogram("rpc.stage.total.us")
+			var all, interval stats.Samples
+			observe := func(us float64, into ...*stats.Samples) {
+				// Whole nanoseconds, so the ms reference is the same value.
+				ns := time.Duration(math.Round(1000 * us))
+				h.Observe(float64(ns) / 1000)
+				for _, s := range into {
+					s.Add(ns)
+				}
+			}
+			for range 500 {
+				observe(5000+1000*rng.Float64(), &all)
+			}
+			prev := reg.Snapshot()
+			for range n {
+				observe(d.draw(rng), &all, &interval)
+			}
+			cur := reg.Snapshot()
+			for _, view := range []struct {
+				name string
+				snap HistogramSnapshot
+				ref  *stats.Samples
+			}{
+				{"cumulative", cur.Histograms["rpc.stage.total.us"], &all},
+				{"delta", cur.Delta(prev).Histograms["rpc.stage.total.us"], &interval},
+			} {
+				if view.snap.Count != int64(view.ref.Count) {
+					t.Fatalf("%s n=%d %s: count %d, want %d", d.name, n, view.name, view.snap.Count, view.ref.Count)
+				}
+				for _, p := range []float64{1, 50, 90, 99, 99.9, 100} {
+					exact, _ := view.ref.Quantile(p)
+					exact *= 1000
+					v, ok := view.snap.Quantile(p)
+					if ok != stats.Defined(p, view.ref.Count) {
+						t.Errorf("%s n=%d %s p%v: defined %v, stats.Defined says %v", d.name, n, view.name, p, ok, !ok)
+					}
+					if ok && !within(v, exact) {
+						t.Errorf("%s n=%d %s p%v = %v, exact %v (%+.1f %%)", d.name, n, view.name, p, v, exact, 100*(v-exact)/exact)
+					}
+				}
+				if mx := view.snap.Max(); !within(mx, 1000*view.ref.Max()) {
+					t.Errorf("%s n=%d %s: max %v, exact %v", d.name, n, view.name, mx, 1000*view.ref.Max())
+				}
+			}
+		}
 	}
 }
 
@@ -149,8 +234,14 @@ func TestHistogramDelta(t *testing.T) {
 	if total != 2 {
 		t.Fatalf("delta buckets sum to %d, want 2", total)
 	}
+	if v, _ := d.Quantile(1); !within(v, 20) || !within(d.Max(), 40) {
+		t.Fatalf("delta p1 %v, max %v, want within 1/16 of 20 and 40", v, d.Max())
+	}
 }
 
+// TestHistogramConcurrent: snapshots taken while eight writers observe agree
+// with themselves (count == Σ buckets) and never go backwards, and the
+// final count is every observation.
 func TestHistogramConcurrent(t *testing.T) {
 	h := NewHistogram()
 	var wg sync.WaitGroup
@@ -163,17 +254,29 @@ func TestHistogramConcurrent(t *testing.T) {
 			}
 		}()
 	}
-	wg.Wait()
-	s := h.Snapshot()
-	if s.Count != 8000 {
-		t.Fatalf("count = %d, want 8000", s.Count)
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	sumBuckets := func(s HistogramSnapshot) (n int64) {
+		for _, c := range s.Buckets {
+			n += c
+		}
+		return n
 	}
-	var inBuckets int64
-	for _, c := range s.Buckets {
-		inBuckets += c
+	var last int64
+	for loaded := false; !loaded; {
+		select {
+		case <-done:
+			loaded = true
+		default:
+		}
+		s := h.Snapshot()
+		if s.Count != sumBuckets(s) || s.Count < last {
+			t.Fatalf("mid-load snapshot: count %d, Σ buckets %d, previous count %d", s.Count, sumBuckets(s), last)
+		}
+		last = s.Count
 	}
-	if inBuckets != 8000 {
-		t.Fatalf("bucket sum = %d, want 8000", inBuckets)
+	if s := h.Snapshot(); s.Count != 8000 || sumBuckets(s) != 8000 {
+		t.Fatalf("count = %d, Σ buckets %d, want 8000", s.Count, sumBuckets(s))
 	}
 }
 
@@ -210,7 +313,7 @@ func TestRegistrySnapshotDeltaAndJSON(t *testing.T) {
 	if back.Counters["nfs.bytes_in"] != 10 {
 		t.Fatalf("round-tripped counter = %d", back.Counters["nfs.bytes_in"])
 	}
-	if got := back.Histograms["nfs.service_ms.lookup"].Quantile(100); got != 8 {
-		t.Fatalf("round-tripped p100 = %v, want 8", got)
+	if got := back.Histograms["nfs.service_ms.lookup"].Max(); got != second.Histograms["nfs.service_ms.lookup"].Max() || !within(got, 8) {
+		t.Fatalf("round-tripped max = %v, want within 1/16 of 8", got)
 	}
 }

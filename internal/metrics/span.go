@@ -4,7 +4,7 @@ package metrics
 // value-embedded Span that timestamps the dispatch pipeline's stages —
 // socket read, queue wait, RPC decode, duplicate-cache check, VFS/memfs
 // service, reply encode, socket send — plus the time it spent waiting on
-// instrumented locks. Spans aggregate into per-stage log-bucket histograms
+// instrumented locks. Spans aggregate into per-stage log-linear histograms
 // (rpc.stage.<name>.us) and the slowest N land in a bounded ring that dumps
 // as Chrome chrome://tracing JSON, so "where does the microsecond go" has a
 // first-class answer instead of a whole-RPC blur.

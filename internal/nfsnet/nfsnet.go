@@ -126,6 +126,9 @@ type Server struct {
 	fastOff                  bool
 	fastCalls, fastFallbacks *metrics.Counter
 	sendBatches, sendMsgs    *metrics.Counter
+	// kernelDrops mirrors the kernel's receive drops summed over socks
+	// (rpc.udp.kernel_drops), refreshed by PublishStats.
+	kernelDrops *metrics.Counter
 }
 
 // crashSite attributes waits on the quiesce gate: nonzero numbers mean
@@ -250,6 +253,7 @@ func Serve(srv *server.Server, udpAddr, tcpAddr string) (*Server, error) {
 	s.fastFallbacks = srv.Metrics.Counter("rpc.fastpath.fallbacks")
 	s.sendBatches = srv.Metrics.Counter("rpc.send.batches")
 	s.sendMsgs = srv.Metrics.Counter("rpc.send.batched_msgs")
+	s.kernelDrops = srv.Metrics.Counter("rpc.udp.kernel_drops")
 	srv.Metrics.Gauge("rpc.readers").Set(float64(nreaders))
 	if reuse {
 		srv.Metrics.Gauge("rpc.reader.reuseport").Set(1)
@@ -303,11 +307,19 @@ func Serve(srv *server.Server, udpAddr, tcpAddr string) (*Server, error) {
 func (s *Server) Stages() *metrics.StageStats { return s.stages }
 
 // PublishStats refreshes the lazily maintained metric surfaces: the
-// rpc.nfsd.busy gauge and the lock.<site>.* contention counters. Stats
-// endpoints call this right before snapshotting the registry.
+// rpc.nfsd.busy gauge, the lock.<site>.* contention counters and
+// rpc.udp.kernel_drops, the datagrams the kernel dropped at the UDP
+// sockets' full receive queues (one getsockopt per socket here, so the
+// read path pays nothing). Stats endpoints call this right before
+// snapshotting the registry; the sockets must still be open.
 func (s *Server) PublishStats() {
 	s.busy.Set(float64(s.busyCount.Load()))
 	lockstat.Publish(s.srv.Metrics)
+	var drops int64
+	for _, c := range s.socks {
+		drops += kernelDrops(c)
+	}
+	s.kernelDrops.Store(drops)
 }
 
 // Core returns the server core behind the sockets. Its Stats and Metrics

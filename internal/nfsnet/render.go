@@ -19,26 +19,27 @@ import (
 // the shallow-dispatch and send-coalescing line (rpc.fastpath.*,
 // rpc.send.*), the lease traffic, "where the microsecond goes" per stage
 // (rpc.stage.<name>.us), the UDP ingest readers (rpc.readers and
-// rpc.reader.reuseport are gauges, so they survive a Delta), the nfsd pool,
+// rpc.reader.reuseport are gauges, so they survive a Delta) and the
+// kernel's receive drops (rpc.udp.kernel_drops), the nfsd pool,
 // the dupcache's in-flight drops and the contended lock sites
 // (lock.<site>.*).
 //
-// Bucket percentiles follow the tables' rule: one with fewer than
-// stats.MinTail samples above its rank prints "-", and the count column
+// Histogram percentiles and maxima are bucket midpoints, within 6.25 % of
+// the exact nearest-rank value, and follow the tables' rule: one with fewer
+// than stats.MinTail samples above its rank prints "-", and the count column
 // beside it is the n.
 //
-// delta labels a Snapshot.Delta view — nfsstat -z's interval: counters and
-// histogram counts cover the interval, but a histogram's max is all-time
-// (HistogramSnapshot.Sub keeps it), and the max columns say so.
+// delta labels a Snapshot.Delta view — nfsstat -z's interval: every count,
+// percentile and max covers the interval.
 func RenderStats(w io.Writer, snap *metrics.Snapshot, delta bool) {
 	c := snap.Counters
-	view, maxCol := "cumulative", "max"
+	view := "cumulative"
 	if delta {
-		view, maxCol = "interval delta", "max (all-time)"
+		view = "interval delta"
 	}
 
 	tb := stats.NewTable("nfs server per-procedure ("+view+")",
-		"proc", "calls", "svc mean ms", "p50", "p95", "p99", maxCol)
+		"proc", "calls", "svc mean ms", "p50", "p95", "p99", "max")
 	procs := make([]string, 0, 8)
 	for name, h := range snap.Histograms {
 		if p, ok := strings.CutPrefix(name, "nfs.service_ms."); ok && h.Count > 0 {
@@ -52,7 +53,7 @@ func RenderStats(w io.Writer, snap *metrics.Snapshot, delta bool) {
 		calls += h.Count
 		tb.AddRow(p, h.Count, fmt.Sprintf("%.3f", h.Mean()),
 			quantile(h, 50, 3), quantile(h, 95, 3), quantile(h, 99, 3),
-			fmt.Sprintf("%.3f", h.Max))
+			fmt.Sprintf("%.3f", h.Max()))
 	}
 	fmt.Fprint(w, tb.String())
 	fmt.Fprintf(w, "calls %d  errors %d  dup hits %d  bytes in %d  bytes out %d\n",
@@ -73,12 +74,12 @@ func RenderStats(w io.Writer, snap *metrics.Snapshot, delta bool) {
 	}
 
 	tb = stats.NewTable("where the microsecond goes (per-stage, µs, "+view+")",
-		"stage", "count", "p50", "p95", "p99", maxCol)
+		"stage", "count", "p50", "p95", "p99", "max")
 	stages := metrics.StageNames()
 	for _, st := range append(stages[:], "lockwait", "total") {
 		if h := snap.Histograms["rpc.stage."+st+".us"]; h.Count > 0 {
 			tb.AddRow(st, h.Count, quantile(h, 50, 1), quantile(h, 95, 1), quantile(h, 99, 1),
-				fmt.Sprintf("%.1f", h.Max))
+				fmt.Sprintf("%.1f", h.Max()))
 		}
 	}
 	if len(tb.Rows) > 0 {
@@ -88,7 +89,7 @@ func RenderStats(w io.Writer, snap *metrics.Snapshot, delta bool) {
 	// The sharded UDP ingest: how evenly datagrams spread across readers and
 	// how many each served itself, on the shallow path (fast) or through the
 	// generic dispatch (inline) — the rest, reads - fast - inline, it spilled
-	// to the nfsd pool.
+	// to the nfsd pool — and how many the kernel dropped before any read.
 	if ids := counterIDs(c, "rpc.reader.", ".reads"); len(ids) > 0 {
 		mode := "shared socket"
 		if snap.Gauges["rpc.reader.reuseport"] != 0 {
@@ -101,6 +102,7 @@ func RenderStats(w io.Writer, snap *metrics.Snapshot, delta bool) {
 			tb.AddRow("reader."+id, c[p+".reads"], c[p+".fast"], c[p+".inline"], c[p+".wakeups"])
 		}
 		fmt.Fprint(w, tb.String())
+		fmt.Fprintf(w, "udp kernel receive drops %d\n", c["rpc.udp.kernel_drops"])
 	}
 
 	if ids := counterIDs(c, "rpc.nfsd.", ".calls"); len(ids) > 0 {
@@ -133,10 +135,11 @@ func RenderStats(w io.Writer, snap *metrics.Snapshot, delta bool) {
 	fmt.Fprintln(w)
 }
 
-// quantile formats h's p-th bucket percentile with prec decimals, or "-"
-// when too few samples lie above its rank.
+// quantile formats h's p-th percentile with prec decimals, or "-" where it
+// is undefined.
 func quantile(h metrics.HistogramSnapshot, p float64, prec int) string {
-	return stats.Fixed(h.Quantile(p), prec, stats.Defined(p, int(h.Count)))
+	v, ok := h.Quantile(p)
+	return stats.Fixed(v, prec, ok)
 }
 
 // counterIDs returns the <id>s of the counters named prefix+<id>+suffix,

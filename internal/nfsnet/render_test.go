@@ -11,8 +11,8 @@ import (
 
 // statsFixture adds one interval of traffic touching every section
 // RenderStats prints: procedures (one an extension, one never called), the
-// totals and mbuf lines, fastpath/batching, leases, stages, two readers, two
-// nfsds, the dupcache and lock sites (one contended, one not). GETATTR has
+// totals and mbuf lines, fastpath/batching, leases, stages, two readers and
+// the kernel's drops, two nfsds, the dupcache and lock sites (one contended, one not). GETATTR has
 // the samples for every percentile, the total stage enough for p95 but too
 // few above its p99 rank, and the rest print "-" throughout.
 func statsFixture(r *metrics.Registry) {
@@ -40,7 +40,7 @@ func statsFixture(r *metrics.Registry) {
 		"rpc.reader.0.reads": 4, "rpc.reader.0.fast": 3, "rpc.reader.0.inline": 1, "rpc.reader.0.wakeups": 2,
 		"rpc.reader.1.reads": 3, "rpc.reader.1.fast": 2, "rpc.reader.1.inline": 0, "rpc.reader.1.wakeups": 3,
 		"rpc.nfsd.0.calls": 1, "rpc.nfsd.0.busy_us": 1500, "rpc.nfsd.1.calls": 0, "rpc.nfsd.1.busy_us": 0,
-		"server.dupc.inflight_drops": 0,
+		"server.dupc.inflight_drops": 0, "rpc.udp.kernel_drops": 5,
 		"lock.server.dupc.contended": 2, "lock.server.dupc.wait_us": 350,
 		"lock.vfs.bufcache.contended": 0, "lock.vfs.bufcache.wait_us": 0,
 	} {
@@ -75,8 +75,8 @@ const wantCumulative = `nfs server per-procedure (cumulative)
 proc         calls  svc mean ms  p50    p95    p99    max  
 -----------  -----  -----------  -----  -----  -----  -----
 getattr      2004   0.005        0.005  0.009  0.009  0.009
-lookup       7      0.234        -      -      -      1.500
-readdirlook  2      0.250        -      -      -      0.250
+lookup       7      0.234        -      -      -      1.562
+readdirlook  2      0.250        -      -      -      0.266
 calls 2013  errors 2  dup hits 2  bytes in 1600  bytes out 2400
 mbuf: 168 bytes copied  16384 bytes loaned  pool 20 hits / 4 misses
 fastpath (udp+tcp) 10 calls  2 fallbacks  batched udp sends 6 syscalls / 12 replies (0.500 per reply)
@@ -84,16 +84,17 @@ leases: 8 grants (6 piggybacked, 2 renewals)  2 trylater  2 evictions  2 vacates
 where the microsecond goes (per-stage, µs, cumulative)
 stage    count  p50   p95   p99  max 
 -------  -----  ----  ----  ---  ----
-read     4      -     -     -    2.0 
+read     4      -     -     -    2.1 
 decode   4      -     -     -    0.5 
-service  4      -     -     -    12.0
-send     4      -     -     -    7.0 
-total    404    20.1  29.0  -    29.0
+service  4      -     -     -    12.5
+send     4      -     -     -    7.2 
+total    404    19.0  29.0  -    29.0
 udp ingest (2 readers, SO_REUSEPORT)
 reader    reads  fast  inline  wakeups
 --------  -----  ----  ------  -------
 reader.0  8      6     2       4      
 reader.1  6      4     0       6      
+udp kernel receive drops 10
 nfsd worker pool (2 workers, 1 busy now)
 nfsd    calls  busy ms
 ------  -----  -------
@@ -108,28 +109,29 @@ server.dupc  4      0.700
 `
 
 const wantDelta = `nfs server per-procedure (interval delta)
-proc         calls  svc mean ms  p50    p95    p99    max (all-time)
------------  -----  -----------  -----  -----  -----  --------------
-getattr      1002   0.005        0.005  0.009  0.009  0.009         
-lookup       3      0.023        -      -      -      1.500         
-readdirlook  1      0.250        -      -      -      0.250         
+proc         calls  svc mean ms  p50    p95    p99    max  
+-----------  -----  -----------  -----  -----  -----  -----
+getattr      1002   0.005        0.005  0.009  0.009  0.009
+lookup       3      0.023        -      -      -      0.041
+readdirlook  1      0.250        -      -      -      0.266
 calls 1006  errors 1  dup hits 1  bytes in 800  bytes out 1200
 mbuf: 84 bytes copied  8192 bytes loaned  pool 10 hits / 2 misses
 fastpath (udp+tcp) 5 calls  1 fallbacks  batched udp sends 3 syscalls / 6 replies (0.500 per reply)
 leases: 4 grants (3 piggybacked, 1 renewals)  1 trylater  1 evictions  1 vacates  0 expiries  2 active
 where the microsecond goes (per-stage, µs, interval delta)
-stage    count  p50   p95   p99  max (all-time)
--------  -----  ----  ----  ---  --------------
-read     2      -     -     -    2.0           
-decode   2      -     -     -    0.5           
-service  2      -     -     -    12.0          
-send     2      -     -     -    7.0           
-total    202    20.1  29.0  -    29.0          
+stage    count  p50   p95   p99  max 
+-------  -----  ----  ----  ---  ----
+read     2      -     -     -    2.1 
+decode   2      -     -     -    0.5 
+service  2      -     -     -    12.5
+send     2      -     -     -    7.2 
+total    202    19.0  29.0  -    29.0
 udp ingest (2 readers, SO_REUSEPORT)
 reader    reads  fast  inline  wakeups
 --------  -----  ----  ------  -------
 reader.0  4      3     1       2      
 reader.1  3      2     0       3      
+udp kernel receive drops 5
 nfsd worker pool (2 workers, 1 busy now)
 nfsd    calls  busy ms
 ------  -----  -------
@@ -145,9 +147,10 @@ server.dupc  2      0.350
 
 // TestRenderStatsGolden pins the one human rendering of a stats snapshot,
 // byte for byte, cumulative and as an nfsstat -z interval delta. A slow
-// LOOKUP before the interval shows that the delta's max column is all-time,
-// and a percentile with fewer than stats.MinTail samples above its rank
-// prints "-" (the total stage's p99, every LOOKUP percentile).
+// LOOKUP before the interval shows that the delta's max column is the
+// interval's (0.041 against the cumulative 1.562), and a percentile with
+// fewer than stats.MinTail samples above its rank prints "-" (the total
+// stage's p99, every LOOKUP percentile).
 func TestRenderStatsGolden(t *testing.T) {
 	r := metrics.NewRegistry()
 	r.Histogram("nfs.service_ms.lookup").Observe(1.5)

@@ -452,8 +452,10 @@ func TestScalingSmoke(t *testing.T) {
 		names := metrics.StageNames()
 		for _, st := range append(names[:], "lockwait", "total") {
 			if h, ok := snap.Histograms["rpc.stage."+st+".us"]; ok && h.Count > 0 {
+				p50, _ := h.Quantile(50)
+				p99, _ := h.Quantile(99)
 				t.Logf("  stage %-8s p50 %8.1fµs  p99 %8.1fµs  max %8.1fµs (%d obs)",
-					st, h.Quantile(50), h.Quantile(99), h.Max, h.Count)
+					st, p50, p99, h.Max(), h.Count)
 			}
 		}
 	}

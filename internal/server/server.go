@@ -283,7 +283,7 @@ func New(fs *memfs.FS, opts Options) *Server {
 func (s *Server) Calls() int64 {
 	var n int64
 	for _, h := range s.procSvc {
-		n += h.Count()
+		n += h.Snapshot().Count
 	}
 	return n
 }

@@ -179,8 +179,8 @@ func TestDupCacheSuppressesReplay(t *testing.T) {
 	if s.cDupHits.Value() != 1 {
 		t.Fatalf("DupHits = %d", s.cDupHits.Value())
 	}
-	if s.procSvc[nfsproto.ProcCreate].Count() != 1 {
-		t.Fatalf("create executed %d times", s.procSvc[nfsproto.ProcCreate].Count())
+	if s.procSvc[nfsproto.ProcCreate].Snapshot().Count != 1 {
+		t.Fatalf("create executed %d times", s.procSvc[nfsproto.ProcCreate].Snapshot().Count)
 	}
 	// A different peer with the same xid is NOT a duplicate.
 	_, d = callPeer(t, s, "client-b", 777, nfsproto.ProcCreate, func(e *xdr.Encoder) {
@@ -190,8 +190,8 @@ func TestDupCacheSuppressesReplay(t *testing.T) {
 	if res3.Status != nfsproto.OK {
 		t.Fatalf("other peer create: %v", res3.Status)
 	}
-	if s.procSvc[nfsproto.ProcCreate].Count() != 2 {
-		t.Fatalf("create count = %d", s.procSvc[nfsproto.ProcCreate].Count())
+	if s.procSvc[nfsproto.ProcCreate].Snapshot().Count != 2 {
+		t.Fatalf("create count = %d", s.procSvc[nfsproto.ProcCreate].Snapshot().Count)
 	}
 }
 

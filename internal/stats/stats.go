@@ -3,8 +3,8 @@
 // tables, nfsstone and the fleet print; Defined and Fixed, the "-" rule every
 // printed percentile follows; and a plain-text table writer.
 // metrics.Histogram serves only what concurrent goroutines record, the
-// real-socket server's registry, and nfsnet.RenderStats prints it under the
-// same rule.
+// real-socket server's registry; it ranks through Rank and Defined too, and
+// nfsnet.RenderStats prints it under the same rule.
 package stats
 
 import (
@@ -68,15 +68,17 @@ func (s *Samples) Quantile(p float64) (v float64, ok bool) {
 	}
 	sorted := slices.Clone(s.ms)
 	slices.Sort(sorted)
-	return sorted[rank(p, s.Count)-1], Defined(p, s.Count)
+	return sorted[Rank(p, s.Count)-1], Defined(p, s.Count)
 }
 
 // Defined reports whether the p-th percentile of n samples is defined: at
 // least MinTail of them lie above its nearest rank.
-func Defined(p float64, n int) bool { return n > 0 && n-rank(p, n) >= MinTail }
+func Defined(p float64, n int) bool { return n > 0 && n-Rank(p, n) >= MinTail }
 
-// rank is the nearest rank of the p-th percentile among n > 0 samples.
-func rank(p float64, n int) int { return min(max(int(math.Ceil(p*float64(n)/100)), 1), n) }
+// Rank is the nearest rank (1-based) of the p-th percentile among n > 0
+// samples, the one rank rule of both recorders: Samples and the registry's
+// metrics.Histogram.
+func Rank(p float64, n int) int { return min(max(int(math.Ceil(p*float64(n)/100)), 1), n) }
 
 // Fixed formats v with prec decimals, or "-" for a missing or undefined v.
 func Fixed(v float64, prec int, ok bool) string {

@@ -62,7 +62,7 @@ func TestRigCountsEachCallOnce(t *testing.T) {
 	const n = 10
 	r, _ := rigGetattrs(t, 0, n)
 	reg := r.Server.Metrics
-	if c := reg.Histogram("nfs.service_ms.getattr").Count(); c != n {
+	if c := reg.Histogram("nfs.service_ms.getattr").Snapshot().Count; c != n {
 		t.Errorf("nfs.service_ms.getattr holds %d samples after %d GETATTRs", c, n)
 	}
 	if calls := r.Server.Calls(); calls != n {
