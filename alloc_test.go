@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"renonfs"
 	"renonfs/internal/mbuf"
 	"renonfs/internal/memfs"
 	"renonfs/internal/metrics"
@@ -46,6 +47,13 @@ const (
 	// every simulator event was a heap-allocated timer and every wait a
 	// heap-allocated waiter); the budget is that plus 2.
 	rigGetattrAllocBudget = 9.0
+	// The same over simulated TCP: each segment's one object (datagram,
+	// header and payload chain) and its payload views, the record chains,
+	// the call's and the reply's codecs. Measured 12 and 28 (26 and 68
+	// while every segment and every record was copied, and every ACK
+	// re-viewed the whole send buffer); the budgets are those plus 2.
+	rigTCPGetattrAllocBudget = 14.0
+	rigTCPRead8KAllocBudget  = 30.0
 )
 
 // warmServer builds a server with one 8 KB file, runs a few calls of each
@@ -255,15 +263,28 @@ func TestAllocBudgetSpanRecording(t *testing.T) {
 
 // TestAllocBudgetRigGetattr pins the cost of the simulator's round trip, and
 // with it the rule that an untraced lifecycle event costs a branch and no
-// allocation.
+// allocation: a GETATTR over dynamic UDP, and a GETATTR and an 8 KB READ
+// over simulated TCP.
 func TestAllocBudgetRigGetattr(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds allocations")
 	}
-	_, got := rigGetattrs(t, 100, 2000)
-	t.Logf("simulated GETATTR round trip: %.1f allocs/op (budget %.1f)", got, rigGetattrAllocBudget)
-	if got > rigGetattrAllocBudget {
-		t.Errorf("simulated GETATTR round trip allocates %.1f/op, budget is %.1f", got, rigGetattrAllocBudget)
+	for _, tc := range []struct {
+		name   string
+		call   rigCall
+		budget float64
+	}{
+		{"udp_getattr", rigCall{kind: renonfs.UDPDynamic}, rigGetattrAllocBudget},
+		{"tcp_getattr", rigCall{kind: renonfs.TCP}, rigTCPGetattrAllocBudget},
+		{"tcp_read8k", rigCall{kind: renonfs.TCP, read: true}, rigTCPRead8KAllocBudget},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, loop := rigCalls(t, tc.call, 100, 2000)
+			t.Logf("simulated round trip: %.1f allocs/op (budget %.1f)", loop.allocs, tc.budget)
+			if loop.allocs > tc.budget {
+				t.Errorf("simulated round trip allocates %.1f/op, budget is %.1f", loop.allocs, tc.budget)
+			}
+		})
 	}
 }
 

@@ -128,7 +128,7 @@ func BenchmarkRecordScanner(b *testing.B) {
 	var s rpc.RecordScanner
 	b.SetBytes(int64(len(wire)))
 	for i := 0; i < b.N; i++ {
-		s.Feed(wire)
+		s.Fill(copy(s.Space(len(wire)), wire))
 		if rec, err := s.Next(); err != nil || len(rec) != 600 {
 			b.Fatal("bad scan")
 		}

@@ -41,18 +41,26 @@ func perFrag(mtu int) int {
 // slice — the form the per-packet transmit path uses. A total of zero yields
 // a single empty fragment (a datagram with no payload still needs a packet).
 func ForEach(total, mtu int, fn func(f Frag)) {
-	if total == 0 {
-		fn(Frag{Off: 0, Len: 0, More: false})
-		return
-	}
-	per := perFrag(mtu)
-	for off := 0; off < total; off += per {
-		n := total - off
-		if n > per {
-			n = per
+	for f := First(total, mtu); ; f = Next(f, total, mtu) {
+		fn(f)
+		if !f.More {
+			return
 		}
-		fn(Frag{Off: off, Len: n, More: off+n < total})
 	}
+}
+
+// First returns the first fragment ForEach yields, and Next the one after f,
+// which must have More set: ForEach for a sender that stops between
+// fragments.
+func First(total, mtu int) Frag { return fragAt(0, total, perFrag(mtu)) }
+
+// Next returns the fragment after f (see First).
+func Next(f Frag, total, mtu int) Frag { return fragAt(f.Off+f.Len, total, perFrag(mtu)) }
+
+// fragAt returns the fragment starting at payload offset off.
+func fragAt(off, total, per int) Frag {
+	n := min(total-off, per)
+	return Frag{Off: off, Len: n, More: off+n < total}
 }
 
 // Split returns the fragment ranges for a payload of total bytes over a

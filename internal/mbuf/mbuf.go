@@ -294,6 +294,54 @@ func (c *Chain) AppendChain(other *Chain) {
 	other.head, other.tail, other.length = nil, nil, 0
 }
 
+// TrimFront drops the first n bytes of the chain (m_adj): the mbufs it
+// empties are released, and the one it cuts into keeps the rest of its data.
+func (c *Chain) TrimFront(n int) {
+	if n < 0 || n > c.length {
+		panic("mbuf: TrimFront out of bounds")
+	}
+	c.length -= n
+	for n > 0 {
+		m := c.head
+		if n < m.dlen {
+			m.off += n
+			m.dlen -= n
+			return
+		}
+		n -= m.dlen
+		c.head = m.next
+		m.release()
+	}
+	if c.head == nil {
+		c.tail = nil
+	}
+}
+
+// MoveFront moves the first n bytes of c onto the end of dst (m_split):
+// whole mbufs move, and the one the cut falls in sends a view of its head
+// and keeps the rest. Nothing is copied.
+func (c *Chain) MoveFront(dst *Chain, n int) {
+	if n < 0 || n > c.length {
+		panic("mbuf: MoveFront out of bounds")
+	}
+	c.length -= n
+	for n > 0 {
+		m := c.head
+		if n < m.dlen {
+			dst.appendMbuf(viewOf(m, 0, n))
+			m.off += n
+			m.dlen -= n
+			return
+		}
+		n -= m.dlen
+		c.head, m.next = m.next, nil
+		dst.appendMbuf(m)
+	}
+	if c.head == nil {
+		c.tail = nil
+	}
+}
+
 // Prepend inserts b before the existing data (m_prepend): used for RPC
 // record marks and lower-layer headers.
 func (c *Chain) Prepend(b []byte) {
@@ -351,10 +399,17 @@ func (c *Chain) CopyTo(dst []byte) int {
 // is how IP fragmentation and TCP segmentation reference payload without
 // copying.
 func (c *Chain) Range(off, n int) *Chain {
+	out := &Chain{}
+	c.AppendRange(out, off, n)
+	return out
+}
+
+// AppendRange is Range onto the end of dst, for a caller that holds its
+// chain by value.
+func (c *Chain) AppendRange(dst *Chain, off, n int) {
 	if off < 0 || n < 0 || off+n > c.length {
 		panic("mbuf: Range out of bounds")
 	}
-	out := &Chain{}
 	m := c.head
 	// Skip to the mbuf containing off.
 	for m != nil && off >= m.dlen {
@@ -366,7 +421,7 @@ func (c *Chain) Range(off, n int) *Chain {
 		if take > n {
 			take = n
 		}
-		out.appendMbuf(viewOf(m, off, take))
+		dst.appendMbuf(viewOf(m, off, take))
 		n -= take
 		off = 0
 		m = m.next
@@ -374,7 +429,6 @@ func (c *Chain) Range(off, n int) *Chain {
 	if n > 0 {
 		panic("mbuf: Range ran off chain")
 	}
-	return out
 }
 
 // Clone returns a deep copy of the chain (one copy pass, unlike the

@@ -314,3 +314,58 @@ func TestRandomizedBulkOps(t *testing.T) {
 		}
 	}
 }
+
+// Property: TrimFront and MoveFront cut a chain the way slicing cuts its
+// bytes, whatever mbufs the cuts fall in — owned small mbufs and clusters,
+// views, loans — and neither copies a byte. Every chain and view is freed
+// at the end, so a reference miscounted by a cut panics as a double free.
+func TestTrimAndMoveFrontMatchSlices(t *testing.T) {
+	f := func(parts []uint16, cuts []uint16, seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		src, whole := &Chain{}, []byte{}
+		var views []*Chain
+		for i, n := range parts {
+			b := make([]byte, int(n)%3000)
+			rng.Read(b)
+			switch i % 3 {
+			case 0:
+				src.Append(b)
+			case 1:
+				src.AppendExt(b)
+			default:
+				owner := FromBytes(b)
+				views = append(views, owner)
+				src.AppendChain(owner.Range(0, owner.Len()))
+			}
+			whole = append(whole, b...)
+		}
+		copied := Stats.CopiedBytes.Load()
+		dst, moved := &Chain{}, []byte{}
+		for i, c := range cuts {
+			n := int(c) % (src.Len() + 1)
+			if i%2 == 0 {
+				src.TrimFront(n)
+			} else {
+				src.MoveFront(dst, n)
+				moved = append(moved, whole[:n]...)
+			}
+			whole = whole[n:]
+			if src.Len() != len(whole) || dst.Len() != len(moved) {
+				return false
+			}
+		}
+		if Stats.CopiedBytes.Load() != copied {
+			t.Errorf("cutting copied %d bytes", Stats.CopiedBytes.Load()-copied)
+		}
+		ok := bytes.Equal(src.Bytes(), whole) && bytes.Equal(dst.Bytes(), moved)
+		src.Free()
+		dst.Free()
+		for _, v := range views {
+			v.Free()
+		}
+		return ok
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}

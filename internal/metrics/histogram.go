@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -71,17 +72,21 @@ func (h *Histogram) ObserveDuration(d time.Duration) {
 	h.Observe(float64(d) / float64(time.Millisecond))
 }
 
-// Snapshot copies the histogram state. Its count is the sum of the copied
+// Snapshot copies the histogram state up to its highest non-empty bucket:
+// the zero buckets above it are left out, so a latency histogram ships a
+// few dozen counts, not all 265. Its count is the sum of the copied
 // buckets, so a snapshot taken under load agrees with itself.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Sum:     float64(h.sumMilli.Load()) / 1000,
-		Buckets: make([]int64, histBuckets),
+	var b [histBuckets]int64
+	s := HistogramSnapshot{Sum: float64(h.sumMilli.Load()) / 1000}
+	top := 0
+	for i := range b {
+		if b[i] = h.buckets[i].Load(); b[i] != 0 {
+			s.Count += b[i]
+			top = i + 1
+		}
 	}
-	for i := range s.Buckets {
-		s.Buckets[i] = h.buckets[i].Load()
-		s.Count += s.Buckets[i]
-	}
+	s.Buckets = slices.Clone(b[:top])
 	return s
 }
 
@@ -125,18 +130,16 @@ func (s HistogramSnapshot) Max() float64 {
 	return v
 }
 
-// Sub returns s minus prev, bucket by bucket.
+// Sub returns s minus prev, bucket by bucket, over the longer of the two.
 func (s HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
 	d := HistogramSnapshot{
 		Count:   s.Count - prev.Count,
 		Sum:     s.Sum - prev.Sum,
-		Buckets: make([]int64, len(s.Buckets)),
+		Buckets: make([]int64, max(len(s.Buckets), len(prev.Buckets))),
 	}
-	for i := range s.Buckets {
-		d.Buckets[i] = s.Buckets[i]
-		if i < len(prev.Buckets) {
-			d.Buckets[i] -= prev.Buckets[i]
-		}
+	copy(d.Buckets, s.Buckets)
+	for i, c := range prev.Buckets {
+		d.Buckets[i] -= c
 	}
 	return d
 }

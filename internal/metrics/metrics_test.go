@@ -239,6 +239,43 @@ func TestHistogramDelta(t *testing.T) {
 	}
 }
 
+// TestHistogramSnapshotTrimmed: a snapshot stops at its highest non-empty
+// bucket, and Sub walks the longer of its operands. A current snapshot
+// shorter than prev (a histogram that restarted between the two) still
+// subtracts prev's higher buckets, so the delta's buckets sum to its count.
+func TestHistogramSnapshotTrimmed(t *testing.T) {
+	h := NewHistogram()
+	if s := h.Snapshot(); len(s.Buckets) != 0 {
+		t.Fatalf("empty histogram ships %d buckets", len(s.Buckets))
+	}
+	h.Observe(3)
+	cur := h.Snapshot()
+	if len(cur.Buckets) != bucketOf(3)+1 {
+		t.Fatalf("%d buckets shipped, want %d", len(cur.Buckets), bucketOf(3)+1)
+	}
+	old := NewHistogram()
+	old.Observe(3)
+	old.Observe(500)
+	prev := old.Snapshot()
+	sum := func(s HistogramSnapshot) (n int64) {
+		for _, c := range s.Buckets {
+			n += c
+		}
+		return n
+	}
+	for _, d := range []HistogramSnapshot{cur.Sub(prev), prev.Sub(cur)} {
+		if len(d.Buckets) != len(prev.Buckets) || sum(d) != d.Count {
+			t.Fatalf("delta of %d buckets sums to %d, count %d; want %d buckets", len(d.Buckets), sum(d), d.Count, len(prev.Buckets))
+		}
+	}
+	if d := cur.Sub(prev); d.Buckets[bucketOf(500)] != -1 {
+		t.Fatalf("prev's top bucket left out of the delta: %v", d.Buckets[bucketOf(500)])
+	}
+	if d := prev.Sub(cur); !within(d.Max(), 500) {
+		t.Fatalf("delta max %v, want within 1/16 of 500", d.Max())
+	}
+}
+
 // TestHistogramConcurrent: snapshots taken while eight writers observe agree
 // with themselves (count == Σ buckets) and never go backwards, and the
 // final count is every observation.

@@ -360,52 +360,152 @@ func (n *Node) EphemeralPort() int {
 // the sending node's CPU for transport, IP, copy and driver work. It runs
 // in the calling process.
 func (n *Node) SendDatagram(p *sim.Proc, dg *Datagram) {
+	s := n.startSend(dg)
+	for {
+		bucket, d, ok := n.sendNext(&s)
+		if !ok {
+			return
+		}
+		n.ChargeCPU(p, bucket, d)
+	}
+}
+
+// Tx is SendDatagram for a sender that runs as event callbacks (tcpsim's
+// connections and listeners), the way softnet is the receive path: the same
+// CPU charges and frames, each charge stepped by charge, so that every
+// event keeps the time and order the sending process would give it.
+type Tx struct {
+	n        *Node
+	fn       func() // the sender's continuation
+	s        sendState
+	busy     bool // a datagram is in hand
+	charging bool // bucket and d are the charge under way
+	step     int  // the step of that charge
+	bucket   string
+	d        sim.Time
+}
+
+// NewTx returns an idle transmit path on the node whose charges resume the
+// sender by scheduling fn.
+func (n *Node) NewTx(fn func()) *Tx { return &Tx{n: n, fn: fn} }
+
+// Start takes dg in hand: Run then sends it.
+func (t *Tx) Start(dg *Datagram) {
+	t.s, t.busy = t.n.startSend(dg), true
+}
+
+// Run sends the datagram in hand as far as it can. It reports true once it
+// is sent (at once if none is in hand), and false where a process would
+// park in a CPU charge: fn is then scheduled where the process would
+// resume, and must call Run again.
+func (t *Tx) Run() bool {
+	for t.busy {
+		if !t.charging {
+			bucket, d, ok := t.n.sendNext(&t.s)
+			if !ok {
+				t.s, t.busy = sendState{}, false
+				break
+			}
+			t.bucket, t.d, t.charging = bucket, d, true
+		}
+		if !t.n.charge(&t.step, t.fn, t.bucket, t.d) {
+			return false
+		}
+		t.charging = false
+	}
+	return true
+}
+
+// sendState is one datagram on its way out: SendDatagram's and a Tx's.
+type sendState struct {
+	dg        *Datagram
+	lk        *Link
+	frag      ipfrag.Frag // the fragment in hand
+	copyBytes int         // its NIC copy
+	stage     int         // where sendNext picks up
+}
+
+// Send stages: the CPU charge sendNext returns next.
+const (
+	sendTransport = iota // UDP or TCP output
+	sendChecksum         // the transport checksum over the payload
+	sendIP               // per fragment from here on
+	sendRemap            // page-remap TX: the clusters' page-table swaps
+	sendCopy             // the NIC copy of what was not remapped
+	sendDrv              // the driver's start routine
+	sendIntr             // the transmit interrupt
+	sendFrame            // no charge: the frame leaves
+)
+
+// startSend stamps dg with an id and routes it.
+func (n *Node) startSend(dg *Datagram) sendState {
 	if dg.ID == 0 {
 		dg.ID = n.nextDgramID()
 	}
-	m := &n.Model
-	// Transport-level processing + checksum over the payload.
-	switch dg.Proto {
-	case ProtoUDP:
-		n.ChargeCPU(p, "udp", m.Cost(m.UDPPkt))
-	case ProtoTCP:
-		n.ChargeCPU(p, "tcp", m.Cost(m.TCPPkt))
-	}
-	n.ChargeCPU(p, "checksum", m.CostBytes(m.ChecksumPerByte, dg.Len()+dg.HeaderBytes))
-
 	lk := n.routes[dg.Dst]
 	if lk == nil {
 		panic(fmt.Sprintf("netsim: %s: no route to node %d", n.Name, dg.Dst))
 	}
-	ipfrag.ForEach(dg.Len(), lk.cfg.MTU-etherIPHeader, func(f ipfrag.Frag) {
-		n.transmit(p, lk, packet{dg: dg, frag: f})
-	})
-	n.Stats.DgramsOut++
+	return sendState{dg: dg, lk: lk, frag: ipfrag.First(dg.Len(), lk.cfg.MTU-etherIPHeader)}
 }
 
-// transmit charges per-packet TX costs and enqueues the frame on the link.
-func (n *Node) transmit(p *sim.Proc, lk *Link, pk packet) {
+// sendNext does what comes before the send's next CPU charge and returns
+// that charge; ok is false once the last frame has left. A NIC copy with
+// page-remap TX copies only the bytes outside clusters, and each cluster
+// pays a page-table swap instead.
+func (n *Node) sendNext(s *sendState) (bucket string, d sim.Time, ok bool) {
 	m := &n.Model
-	n.ChargeCPU(p, "ip", m.Cost(m.IPPkt))
-	// NIC copy: with page-remap TX only non-cluster bytes are copied and
-	// each cluster pays a page-table swap instead.
-	copyBytes := pk.wireBytes()
-	if n.cfg.PageRemapTx && pk.dg.Payload != nil && pk.frag.Len > 0 {
-		// ClusterRange walks the fragment's extent in place — no view chain
-		// materialized per packet.
-		nclusters, clBytes := pk.dg.Payload.ClusterRange(pk.frag.Off, pk.frag.Len)
-		copyBytes -= int(float64(clBytes) * m.RemapCoverage)
-		n.ChargeCPU(p, "nic_remap", m.Cost(float64(nclusters)*m.PageRemap))
+	for {
+		switch s.stage {
+		case sendTransport:
+			s.stage = sendChecksum
+			switch s.dg.Proto {
+			case ProtoUDP:
+				return "udp", m.Cost(m.UDPPkt), true
+			case ProtoTCP:
+				return "tcp", m.Cost(m.TCPPkt), true
+			}
+		case sendChecksum:
+			s.stage = sendIP
+			return "checksum", m.CostBytes(m.ChecksumPerByte, s.dg.Len()+s.dg.HeaderBytes), true
+		case sendIP:
+			s.stage = sendRemap
+			return "ip", m.Cost(m.IPPkt), true
+		case sendRemap:
+			s.stage = sendCopy
+			s.copyBytes = packet{s.dg, s.frag}.wireBytes()
+			if n.cfg.PageRemapTx && s.dg.Payload != nil && s.frag.Len > 0 {
+				// ClusterRange walks the fragment's extent in place — no view
+				// chain materialized per packet.
+				nclusters, clBytes := s.dg.Payload.ClusterRange(s.frag.Off, s.frag.Len)
+				s.copyBytes -= int(float64(clBytes) * m.RemapCoverage)
+				return "nic_remap", m.Cost(float64(nclusters) * m.PageRemap), true
+			}
+		case sendCopy:
+			s.stage = sendDrv
+			return "nic_copy", m.CostBytes(m.NICCopyPerByte, s.copyBytes), true
+		case sendDrv:
+			s.stage = sendIntr
+			return "nic_drv", m.Cost(m.EtherTxPkt), true
+		case sendIntr:
+			s.stage = sendFrame
+			if !n.cfg.NoTxInterrupts {
+				return "tx_intr", m.Cost(m.TxInterrupt), true
+			}
+		default: // sendFrame
+			pk := packet{s.dg, s.frag}
+			n.Stats.PktsOut++
+			n.Stats.BytesOut += pk.wireBytes()
+			n.net.trace(n.net.Env.Now(), n.Name, TraceSend, pk)
+			s.lk.enqueue(pk)
+			if !s.frag.More {
+				n.Stats.DgramsOut++
+				return "", 0, false
+			}
+			s.frag = ipfrag.Next(s.frag, s.dg.Len(), s.lk.cfg.MTU-etherIPHeader)
+			s.stage = sendIP
+		}
 	}
-	n.ChargeCPU(p, "nic_copy", m.CostBytes(m.NICCopyPerByte, copyBytes))
-	n.ChargeCPU(p, "nic_drv", m.Cost(m.EtherTxPkt))
-	if !n.cfg.NoTxInterrupts {
-		n.ChargeCPU(p, "tx_intr", m.Cost(m.TxInterrupt))
-	}
-	n.Stats.PktsOut++
-	n.Stats.BytesOut += pk.wireBytes()
-	n.net.trace(n.net.Env.Now(), n.Name, TraceSend, pk)
-	lk.enqueue(pk)
 }
 
 // receive hands the node a frame off a link. A frame that finds the receive
@@ -455,18 +555,18 @@ func (n *Node) softnet() {
 				n.rxStage = rxForward
 			} // else not for us and we are no router: drop
 		case rxForward:
-			if !n.charge("forward", m.Cost(m.ForwardPkt)) {
+			if !n.charge(&n.rxCharge, n.softnetFn, "forward", m.Cost(m.ForwardPkt)) {
 				return
 			}
 			n.forward(pk)
 			n.rxStage = rxNext
 		case rxNIC:
-			if !n.charge("nic_drv", m.Cost(m.EtherRxPkt)) {
+			if !n.charge(&n.rxCharge, n.softnetFn, "nic_drv", m.Cost(m.EtherRxPkt)) {
 				return
 			}
 			n.rxStage = rxIP
 		case rxIP:
-			if !n.charge("ip", m.Cost(m.IPPkt)) {
+			if !n.charge(&n.rxCharge, n.softnetFn, "ip", m.Cost(m.IPPkt)) {
 				return
 			}
 			now := n.net.Env.Now()
@@ -479,17 +579,17 @@ func (n *Node) softnet() {
 		case rxTransport:
 			switch pk.dg.Proto {
 			case ProtoUDP:
-				if !n.charge("udp", m.Cost(m.UDPPkt)) {
+				if !n.charge(&n.rxCharge, n.softnetFn, "udp", m.Cost(m.UDPPkt)) {
 					return
 				}
 			case ProtoTCP:
-				if !n.charge("tcp", m.Cost(m.TCPPkt)) {
+				if !n.charge(&n.rxCharge, n.softnetFn, "tcp", m.Cost(m.TCPPkt)) {
 					return
 				}
 			}
 			n.rxStage = rxChecksum
 		case rxChecksum:
-			if !n.charge("checksum", m.CostBytes(m.ChecksumPerByte, pk.dg.Len()+pk.dg.HeaderBytes)) {
+			if !n.charge(&n.rxCharge, n.softnetFn, "checksum", m.CostBytes(m.ChecksumPerByte, pk.dg.Len()+pk.dg.HeaderBytes)) {
 				return
 			}
 			n.rxStage = rxNext
@@ -543,37 +643,38 @@ func (n *Node) demux(dg *Datagram) {
 	q.Send(dg)
 }
 
-// charge is ChargeCPU for softnet: Use's acquire, hold and release of the
-// CPU as steps. It reports true once the charge is done, and false where Use
-// would park the process: waiting for the CPU, or holding it for d when the
-// clock cannot advance in place. softnet is then scheduled to run again
-// where the process would resume, and calls charge again for the same step.
-func (n *Node) charge(bucket string, d sim.Time) bool {
-	switch n.rxCharge {
+// charge is ChargeCPU for the event-driven paths (softnet, a Tx): Use's
+// acquire, hold and release of the CPU as steps, the charge's step kept in
+// *step. It reports true once the charge is done, and false where Use would
+// park the process: waiting for the CPU, or holding it for d when the clock
+// cannot advance in place. fn is then scheduled to run again where the
+// process would resume, and calls charge again for the same charge.
+func (n *Node) charge(step *int, fn func(), bucket string, d sim.Time) bool {
+	switch *step {
 	case chargeNone:
 		if d <= 0 {
 			return true
 		}
 		n.bucket(bucket).Time += d
-		n.rxCharge = chargeAcquire
+		*step = chargeAcquire
 		fallthrough
 	case chargeAcquire:
-		if !n.CPU.AcquireFunc(n.softnetFn) {
+		if !n.CPU.AcquireFunc(fn) {
 			return false
 		}
-		n.rxCharge = chargeHold
-		if !sleep(n.net.Env, d, n.softnetFn) {
+		*step = chargeHold
+		if !sleep(n.net.Env, d, fn) {
 			return false
 		}
 		fallthrough
 	default: // chargeHold: the charge has run its time
 		n.CPU.Release()
-		n.rxCharge = chargeNone
+		*step = chargeNone
 		return true
 	}
 }
 
-// Steps of a softnet charge.
+// Steps of an event-driven charge.
 const (
 	chargeNone    = iota // no charge under way
 	chargeAcquire        // waiting for the CPU

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"renonfs/internal/mbuf"
@@ -482,5 +483,102 @@ func TestCostScalesWithMIPS(t *testing.T) {
 	wantd := sim.Time(8192 * usPerByte)
 	if got != wantd {
 		t.Fatalf("CostBytes = %v, want %v", got, wantd)
+	}
+}
+
+// Property: a Tx is SendDatagram in a process, event for event. A seeded
+// run of datagrams of any size (fragmented or not, page-remapped or not)
+// leaves one sender — a process, or callbacks through a Tx — at seeded
+// times while another process contends for the same CPU. Arrival times at
+// the receiver, both nodes' counters, the sender's profile, when each
+// contending charge ends and the number of events run are the same, and
+// the Tx sender never switches into a process.
+func TestTxMatchesSendDatagram(t *testing.T) {
+	type arrival struct {
+		at  sim.Time
+		id  uint32
+		len int
+	}
+	type result struct {
+		arrivals []arrival
+		hogDone  []sim.Time
+		aSt, bSt NodeStats
+		profile  []ProfileBucket
+		events   uint64
+	}
+	f := func(sizes []uint16, gaps, hogs []uint8, remap bool) bool {
+		if len(gaps) == 0 {
+			gaps = []uint8{0}
+		}
+		run := func(useTx bool) (r result) {
+			env := sim.New(1)
+			defer env.Close()
+			nt := New(env)
+			a := nt.AddNode(NodeConfig{Name: "a", PageRemapTx: remap})
+			b := nt.AddNode(NodeConfig{Name: "b"})
+			nt.Connect(a, b, quietEthernet("eth"))
+			nt.ComputeRoutes()
+			b.Bind(ProtoUDP, 2049).Serve(func(dg *Datagram) {
+				r.arrivals = append(r.arrivals, arrival{env.Now(), dg.ID, dg.Len()})
+			})
+			at := func(i int) sim.Time { return sim.Time(gaps[i%len(gaps)]) * ms / 8 }
+			dgram := func(i int) *Datagram {
+				return &Datagram{Src: a.ID, Dst: b.ID, Proto: ProtoUDP, SrcPort: 1001, DstPort: 2049,
+					HeaderBytes: udpHeader, Payload: mbuf.FromBytes(make([]byte, int(sizes[i])%9000))}
+			}
+			if len(hogs) > 0 {
+				env.Spawn("hog", func(p *sim.Proc) {
+					for _, h := range hogs {
+						p.Sleep(sim.Time(h%16) * ms / 4)
+						a.ChargeCPU(p, "hog", sim.Time(h/16)*ms/8)
+						r.hogDone = append(r.hogDone, p.Now())
+					}
+				})
+			}
+			if useTx {
+				var tx *Tx
+				i, slept := 0, false
+				var step func()
+				step = func() {
+					for tx.Run() && i < len(sizes) {
+						if !slept {
+							slept = true
+							if d := at(i); d > 0 && !sleep(env, d, step) {
+								return
+							}
+						}
+						slept = false
+						tx.Start(dgram(i))
+						i++
+					}
+				}
+				tx = a.NewTx(step)
+				env.At(0, step)
+			} else {
+				env.Spawn("tx", func(p *sim.Proc) {
+					for i := range sizes {
+						if d := at(i); d > 0 {
+							p.Sleep(d)
+						}
+						a.SendDatagram(p, dgram(i))
+					}
+				})
+			}
+			env.RunAll()
+			r.aSt, r.bSt, r.profile = a.Stats, b.Stats, a.Profile()
+			w := env.Counts()
+			r.events = w.Events // the Tx's first event is the process's spawn
+			if useTx && len(hogs) == 0 && w.Switches != 0 {
+				t.Errorf("a Tx sender switched into a process %d times", w.Switches)
+			}
+			return r
+		}
+		want, got := run(false), run(true)
+		return slices.Equal(want.arrivals, got.arrivals) && slices.Equal(want.hogDone, got.hogDone) &&
+			want.aSt == got.aSt && want.bSt == got.bSt && slices.Equal(want.profile, got.profile) &&
+			want.events == got.events
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

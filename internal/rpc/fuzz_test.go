@@ -35,7 +35,7 @@ func FuzzRPCDecode(f *testing.F) {
 		// A record the scanner emits must decode or error — not panic.
 		// (FuzzRecordScanner holds the scanner itself to its reference.)
 		var scan RecordScanner
-		scan.Feed(data)
+		scan.Fill(copy(scan.Space(len(data)), data))
 		for {
 			rec, err := scan.Next()
 			if rec == nil || err != nil {

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"renonfs/internal/mbuf"
 )
 
 // frag appends one record-marked fragment to a stream.
@@ -57,9 +59,9 @@ func refSplit(stream []byte) (recs [][]byte, held []int, tooBig int) {
 	}
 }
 
-// checkScan feeds stream to a fresh scanner in the chunks cut yields —
-// through Feed, or written straight into Space the way a socket read does —
-// and holds everything Next returns to refSplit: the same records in the
+// checkScan feeds stream to a fresh scanner in the chunks cut yields — each
+// copied whole into Space, or read into whatever Space offers the way a
+// socket read does — and holds everything Next returns to refSplit: the same records in the
 // same order (so none twice, none lost), each one intact for as long as it
 // is promised (every record of a fill is re-read after the fill's last
 // Next, then scribbled so that a scanner still counting on those bytes
@@ -76,7 +78,7 @@ func checkScan(t testing.TB, stream []byte, direct bool, cut func(left int) int)
 			n = copy(s.Space(1), stream[fed:fed+n])
 			s.Fill(n)
 		} else {
-			s.Feed(stream[fed : fed+n])
+			s.Fill(copy(s.Space(n), stream[fed:fed+n]))
 		}
 		fed += n
 		first := got
@@ -123,6 +125,60 @@ func checkScan(t testing.TB, stream []byte, direct bool, cut func(left int) int)
 	}
 }
 
+// checkChainScan is checkScan for ChainScanner: stream fed as chains in the
+// chunks cut yields (each chunk its own clusters and small mbufs, so marks
+// and records straddle mbufs as well as chunks), the same records out in
+// the same order, and ErrRecordTooBig exactly when the reference crosses
+// MaxRecord. Every record is compared only once the whole stream is in,
+// then freed: a record stays valid for as long as it is held, whatever
+// follows it.
+func checkChainScan(t testing.TB, stream []byte, cut func(left int) int) {
+	t.Helper()
+	want, _, tooBig := refSplit(stream)
+	var s ChainScanner
+	var recs []*mbuf.Chain
+	check := func() {
+		for i, rec := range recs {
+			if got := rec.Bytes(); !bytes.Equal(got, want[i]) {
+				t.Fatalf("record %d: got %d bytes %.32x, want %d bytes %.32x", i, len(got), got, len(want[i]), want[i])
+			}
+			rec.Free()
+		}
+	}
+	for fed := 0; fed < len(stream); {
+		n := min(max(cut(len(stream)-fed), 1), len(stream)-fed)
+		s.Feed(mbuf.FromBytes(stream[fed : fed+n]))
+		fed += n
+		for {
+			rec, err := s.Next()
+			if err != nil {
+				if !errors.Is(err, ErrRecordTooBig) || tooBig < 0 || fed < tooBig {
+					t.Fatalf("after %d bytes: %v, reference crosses MaxRecord at %d", fed, err, tooBig)
+				}
+				if len(recs) != len(want) {
+					t.Fatalf("refused with %d of the %d records before the oversize one delivered", len(recs), len(want))
+				}
+				check()
+				return
+			}
+			if rec == nil {
+				break
+			}
+			if len(recs) == len(want) {
+				t.Fatalf("after %d bytes: record %d (%d bytes) is one more than the reference's %d", fed, len(recs), rec.Len(), len(want))
+			}
+			recs = append(recs, rec)
+		}
+		if tooBig >= 0 && fed >= tooBig {
+			t.Fatalf("after %d bytes: no error, reference crosses MaxRecord at %d", fed, tooBig)
+		}
+	}
+	if len(recs) != len(want) {
+		t.Fatalf("stream exhausted after %d records, reference has %d", len(recs), len(want))
+	}
+	check()
+}
+
 // scannerSeeds are streams with a known shape, for the fuzzer to start from
 // and for plain go test to run: the hand-kept cases this file replaced.
 func scannerSeeds() [][]byte {
@@ -164,6 +220,14 @@ func FuzzRecordScanner(f *testing.F) {
 				return int(cuts[i%len(cuts)])
 			})
 		}
+		i := 0
+		checkChainScan(t, stream, func(left int) int {
+			if len(cuts) == 0 {
+				return left
+			}
+			i++
+			return int(cuts[i%len(cuts)])
+		})
 	})
 }
 
@@ -192,6 +256,7 @@ func TestRecordScannerArbitrarySegmentation(t *testing.T) {
 		stream = stream[:len(stream)-rng.Intn(min(len(stream), 9))] // and a cut-off tail
 		chunk := []int{1, 7, 500, 9000, recordBuf, 2 * recordBuf}[rng.Intn(6)]
 		checkScan(t, stream, seed%2 == 0, func(int) int { return 1 + rng.Intn(chunk) })
+		checkChainScan(t, stream, func(int) int { return 1 + rng.Intn(chunk) })
 	}
 }
 
@@ -224,6 +289,7 @@ func TestRecordTooBig(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			checkScan(t, tc.stream, false, func(int) int { return 1000 })
+			checkChainScan(t, tc.stream, func(int) int { return 1000 })
 			// And as a connection would see it, to watch the buffer.
 			var s RecordScanner
 			var err error

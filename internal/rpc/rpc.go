@@ -304,17 +304,17 @@ const recordBuf = 64 << 10
 
 // RecordScanner reassembles record-marked messages from a byte stream, in
 // place. It owns the stream buffer: the transport reads straight into
-// Space() and reports the count with Fill (Feed copies in bytes that arrived
-// in somebody else's buffer), then takes the complete records one at a time
-// from Next. A single-fragment record that arrived whole is returned as the
-// bytes the read put there — nothing is copied, nothing allocated. Only two
-// things move: the fragments of a multi-fragment record, each closed up over
-// the mark that separated it from the one before, and the incomplete tail of
-// a fill, which the next Space slides to the front of the buffer once. It
-// tolerates arbitrary segmentation, including marks split across reads.
+// Space() and reports the count with Fill, then takes the complete records
+// one at a time from Next. A single-fragment record that arrived whole is
+// returned as the bytes the read put there — nothing is copied, nothing
+// allocated. Only two things move: the fragments of a multi-fragment
+// record, each closed up over the mark that separated it from the one
+// before, and the incomplete tail of a fill, which the next Space slides to
+// the front of the buffer once. It tolerates arbitrary segmentation,
+// including marks split across reads.
 //
-// Lifetime rule: a record is valid until the next Space or Feed — "until the
-// next read". Next itself never disturbs a record already handed out.
+// Lifetime rule: a record is valid until the next Space — "until the next
+// read". Next itself never disturbs a record already handed out.
 type RecordScanner struct {
 	buf []byte
 	// buf[r:w] is the stream not yet scanned, r at a record mark. The record
@@ -354,11 +354,6 @@ func (s *RecordScanner) Space(need int) []byte {
 // Fill records that n bytes were read into the slice Space returned.
 func (s *RecordScanner) Fill(n int) { s.w += n }
 
-// Feed appends a copy of p to the stream.
-func (s *RecordScanner) Feed(p []byte) {
-	s.Fill(copy(s.Space(len(p)), p))
-}
-
 // Next returns the next complete record, or nil when the buffered stream
 // holds none (an empty record is a non-nil empty slice).
 func (s *RecordScanner) Next() ([]byte, error) {
@@ -390,3 +385,42 @@ func (s *RecordScanner) Next() ([]byte, error) {
 // Buffered returns the number of stream bytes held that no returned record
 // has accounted for: assembled fragments plus unscanned stream.
 func (s *RecordScanner) Buffered() int { return s.n + s.w - s.r }
+
+// ChainScanner is RecordScanner for a stream that arrives as mbuf chains (a
+// simulated TCP connection's segments): it takes each chain whole and cuts
+// the records out of the stream as chains that share its storage, so no
+// byte of a record moves; only a mark split across mbufs is gathered. A
+// record stays valid for as long as its holder keeps it.
+type ChainScanner struct {
+	stream mbuf.Chain // not yet scanned, at a record mark
+	rec    mbuf.Chain // the fragments of the record under assembly
+}
+
+// Feed appends c to the stream; c is emptied.
+func (s *ChainScanner) Feed(c *mbuf.Chain) { s.stream.AppendChain(c) }
+
+// Next returns the next complete record, or nil when the stream holds none
+// (an empty record is a non-nil empty chain).
+func (s *ChainScanner) Next() (*mbuf.Chain, error) {
+	var d mbuf.Dissector
+	for s.stream.Len() >= 4 {
+		d.Reset(&s.stream)
+		b, _ := d.Next(4)
+		mark := binary.BigEndian.Uint32(b)
+		m := int(mark &^ lastFrag)
+		if m > MaxRecord-s.rec.Len() {
+			return nil, ErrRecordTooBig
+		}
+		if s.stream.Len() < 4+m {
+			break
+		}
+		s.stream.TrimFront(4)
+		s.stream.MoveFront(&s.rec, m)
+		if mark&lastFrag != 0 {
+			rec := &mbuf.Chain{}
+			rec.AppendChain(&s.rec)
+			return rec, nil
+		}
+	}
+	return nil, nil
+}

@@ -59,11 +59,12 @@ func (s *Server) ServeUDP(port int) {
 	s.spawnNFSDs(env, jobs, "udp")
 }
 
-// ServeTCP starts the TCP frontend: an acceptor spawning one process per
-// connection that reassembles record-marked requests and feeds the shared
-// nfsd pool; replies are record-marked back onto the connection (the
+// ServeTCP starts the TCP frontend: an acceptor and, per connection, a
+// reader that reassembles record-marked requests and feeds the shared nfsd
+// pool; replies are record-marked back onto the connection (the
 // concurrency control §2 mentions is free here, one process runs at a
-// time).
+// time). The acceptor and the readers only hand work on, so they run as
+// event callbacks; a request is the received segments' own mbufs.
 func (s *Server) ServeTCP(stack *tcpsim.Stack, port int) {
 	if s.Node == nil {
 		panic("server: ServeTCP without AttachNode")
@@ -72,48 +73,33 @@ func (s *Server) ServeTCP(stack *tcpsim.Stack, port int) {
 	l := stack.Listen(port)
 	jobs := sim.NewQueue[job](env, s.Opts.Name+".nfsd-tcp-q")
 	s.spawnNFSDs(env, jobs, "tcp")
-	env.Spawn(s.Opts.Name+".tcp-accept", func(p *sim.Proc) {
-		for connID := 0; ; connID++ {
-			conn, ok := l.Accept(p)
-			if !ok {
-				return
-			}
-			peer := fmt.Sprintf("tcp:%d", connID)
-			if s.conns == nil {
-				s.conns = make(map[*tcpsim.Conn]struct{})
-			}
-			s.conns[conn] = struct{}{}
-			env.Spawn(s.Opts.Name+".tcp-conn", func(p *sim.Proc) {
-				// No deferred cleanup: Env.Close unwinds every parked
-				// process concurrently, so shared maps may only be touched
-				// on the normal (scheduled) return paths below.
-				var scan rpc.RecordScanner
-				for {
-					b, ok := conn.Recv(p)
-					if !ok {
-						conn.Close()
-						delete(s.conns, conn)
-						return
-					}
-					scan.Feed(b)
-					for {
-						rec, err := scan.Next()
-						if err != nil {
-							conn.Abort()
-							delete(s.conns, conn)
-							return
-						}
-						if rec == nil {
-							break
-						}
-						// The job outlives the record (valid only until the
-						// next Feed): copy it into its own chain.
-						req := mbuf.FromBytes(rec)
-						jobs.Send(job{peer: peer, req: req, conn: conn})
-					}
-				}
-			})
+	connID := 0
+	l.Serve(func(conn *tcpsim.Conn) {
+		peer := fmt.Sprintf("tcp:%d", connID)
+		connID++
+		if s.conns == nil {
+			s.conns = make(map[*tcpsim.Conn]struct{})
 		}
+		s.conns[conn] = struct{}{}
+		var scan rpc.ChainScanner
+		conn.Serve(func(data *mbuf.Chain) bool {
+			scan.Feed(data)
+			for {
+				req, err := scan.Next()
+				if err != nil {
+					conn.Abort()
+					delete(s.conns, conn)
+					return false
+				}
+				if req == nil {
+					return true
+				}
+				jobs.Send(job{peer: peer, req: req, conn: conn})
+			}
+		}, func() {
+			conn.Close()
+			delete(s.conns, conn)
+		})
 	})
 }
 

@@ -74,14 +74,16 @@ func (e *Env) expireAt(when Time, w waiter) { e.push(event{when: when, p: w.p, g
 // Queue is an unbounded FIFO of items passed between processes. Send never
 // blocks; Recv blocks until an item is available. A Queue may also be
 // closed, after which Recv returns immediately with ok=false once drained.
-// Instead of processes, one callback may consume it (Serve).
+// Instead of processes, one callback may consume it (Serve, or Notify for a
+// consumer that stops between items).
 type Queue[T any] struct {
 	env     *Env
 	name    string
 	items   FIFO[T]
 	waiters FIFO[waiter]
-	drain   func() // the Serve consumer, bound once so scheduling it allocates nothing
-	busy    bool   // drain is scheduled or running
+	drain   func() // the callback consumer, bound once so scheduling it allocates nothing
+	busy    bool   // drain is scheduled or running, or a Notify consumer has not called Idle
+	notify  bool   // drain is a Notify consumer: Close wakes it
 	closed  bool
 }
 
@@ -102,9 +104,8 @@ func (q *Queue[T]) Send(v T) bool {
 	q.items.Push(v)
 	if q.drain == nil {
 		q.wakeOne()
-	} else if !q.busy {
-		q.busy = true
-		q.env.At(q.env.now, q.drain)
+	} else {
+		q.Wake()
 	}
 	return true
 }
@@ -125,8 +126,46 @@ func (q *Queue[T]) Serve(fn func(v T)) {
 	}
 }
 
-// Close marks the queue closed and wakes all waiters. Items already queued
-// may still be drained by Recv.
+// Notify makes fn the queue's only consumer in place of a process that, unlike
+// a Serve callback, may stop between two items to wait for something else —
+// a CPU charge, a timer — and go on where it stopped. It is that process in
+// all but name. A Send, a Close or a Wake that finds it idle marks it busy
+// and schedules fn at that instant, where the process's resume would go;
+// from then until fn calls Idle, which is the process parking in Recv, a Send
+// only queues its item. fn takes items with TryRecv, must not block, and
+// schedules its own continuation when it stops busy. Call Notify before the
+// first Send; nothing may Recv from the queue.
+func (q *Queue[T]) Notify(fn func()) { q.drain, q.notify = fn, true }
+
+// Wake schedules the idle callback consumer at the current instant, as a
+// Send does without an item, and reports whether it was idle. It is the
+// wake-up that is not an item: a Notify consumer's start, or its timeout.
+func (q *Queue[T]) Wake() bool {
+	if q.busy {
+		return false
+	}
+	q.busy = true
+	q.env.At(q.env.now, q.drain)
+	return true
+}
+
+// Idle parks the Notify consumer: the next Send, Close or Wake schedules it.
+func (q *Queue[T]) Idle() { q.busy = false }
+
+// TryRecv dequeues the next item without blocking; ok is false if none is
+// queued.
+func (q *Queue[T]) TryRecv() (v T, ok bool) {
+	if q.items.Len() == 0 {
+		return v, false
+	}
+	return q.items.Pop(), true
+}
+
+// Closed reports whether the queue was closed.
+func (q *Queue[T]) Closed() bool { return q.closed }
+
+// Close marks the queue closed and wakes all waiters, a Notify consumer
+// included. Items already queued may still be drained by Recv or TryRecv.
 func (q *Queue[T]) Close() {
 	if q.closed {
 		return
@@ -136,6 +175,9 @@ func (q *Queue[T]) Close() {
 		w.fire(q.env)
 	}
 	q.waiters = FIFO[waiter]{}
+	if q.notify {
+		q.Wake()
+	}
 }
 
 func (q *Queue[T]) wakeOne() {

@@ -81,6 +81,8 @@ type Env struct {
 	live    list.List // *Proc, started and not yet returned, in spawn order
 	stopped bool      // Stop was called in the run in progress
 	closed  bool
+	ran     uint64 // events run (Counts)
+	entered uint64 // switches into a process (Counts)
 
 	mu     sync.Mutex    // guards inbox, the one field other goroutines touch
 	inbox  []posted      // queued by Post, moved into the queue by RunWall
@@ -240,6 +242,7 @@ func (p *Proc) park() {
 			break
 		}
 		e.now = e.pop().when
+		e.ran++
 		return
 	}
 	if !p.yield(struct{}{}) {
@@ -269,6 +272,7 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 			fn(p)
 		})
 		p.elem = e.live.PushBack(p)
+		e.entered++
 		p.next()
 	}})
 	return p
@@ -428,6 +432,7 @@ func (e *Env) endRun() { e.horizon = -1 }
 // closed is stale: it does nothing and leaves the clock where it is.
 func (e *Env) step() {
 	ev := e.pop()
+	e.ran++
 	switch {
 	case ev.fn != nil:
 		e.now = ev.when
@@ -439,8 +444,22 @@ func (e *Env) step() {
 		}
 	default:
 		e.now = ev.when
+		e.entered++
 		ev.p.next()
 	}
+}
+
+// Counts is the kernel's own work: what a model costs its host, in units
+// that do not depend on the host.
+type Counts struct {
+	Events   uint64 // events run since New, stale timeouts included
+	Switches uint64 // switches into a process: its start, or a resume that parked
+	Queued   int    // events queued now
+}
+
+// Counts returns the environment's work so far.
+func (e *Env) Counts() Counts {
+	return Counts{Events: e.ran, Switches: e.entered, Queued: e.ready.Len() + len(e.events)}
 }
 
 // Close unwinds every process still parked, one at a time in spawn order, so

@@ -1211,6 +1211,111 @@ func TestServeMatchesRecvLoop(t *testing.T) {
 	}
 }
 
+// Property: a Notify consumer is a process that loops on Recv and, after
+// some items, sleeps before its next Recv — event for event. The consumer
+// stops where the process parks: after an item, with Advance refused, it
+// schedules its own continuation for the wake-up; with the queue empty it
+// calls Idle; and it ends at a Close. One seeded schedule of Sends, Stops
+// and a Close, with bystanders looking again behind whatever is ready, runs
+// against each under the same Run horizons: what each consumes and when,
+// what the bystanders see and where every Run stops are the same, the
+// process's only extra event is its spawn, and the consumer never switches
+// into a process.
+func TestNotifyMatchesRecvLoop(t *testing.T) {
+	type rec struct {
+		at   Time
+		v, n int
+	}
+	type result struct {
+		consumed, seen, marks []rec
+		events                uint64
+	}
+	nap := func(v int) Time { return Time(v%4) * ms / 4 } // 0: no stop
+	f := func(ops, cuts []uint8) bool {
+		run := func(notify bool) (r result) {
+			e := New(1)
+			defer e.Close()
+			q := NewQueue[int](e, "q")
+			consume := func(v int) { r.consumed = append(r.consumed, rec{e.Now(), v, 0}) }
+			spawned := uint64(0)
+			if notify {
+				var drain func()
+				drain = func() {
+					for {
+						v, ok := q.TryRecv()
+						if !ok {
+							if !q.Closed() {
+								q.Idle()
+							}
+							return
+						}
+						consume(v)
+						if d := nap(v); d > 0 && !e.Advance(e.now+d) {
+							e.At(e.now+d, drain)
+							return
+						}
+					}
+				}
+				q.Notify(drain)
+			} else {
+				spawned = 1
+				e.Spawn("consumer", func(p *Proc) {
+					for {
+						v, ok := q.Recv(p)
+						if !ok {
+							return
+						}
+						consume(v)
+						if d := nap(v); d > 0 {
+							p.Sleep(d)
+						}
+					}
+				})
+			}
+			look := func(i int) { r.seen = append(r.seen, rec{e.Now(), i, len(r.consumed)}) }
+			var at Time
+			for i, op := range ops {
+				at += Time(op%3) * ms / 2
+				switch op / 3 % 16 {
+				case 0, 1, 2, 3, 4:
+					e.At(at, func() { q.Send(2 * i); q.Send(2*i + 1) })
+				case 5, 6, 7, 8:
+					e.At(at, func() { q.Send(2 * i) })
+				case 9, 10, 11, 12:
+					e.At(at, func() {
+						look(i)
+						e.At(e.Now(), func() { look(-i) })
+					})
+				case 13, 14:
+					e.At(at, e.Stop)
+				default:
+					e.At(at, q.Close)
+				}
+			}
+			var h Time
+			for _, c := range cuts {
+				h += Time(c%8) * ms / 2
+				now := e.Run(h)
+				r.marks = append(r.marks, rec{now, len(r.consumed), len(r.seen)})
+			}
+			now := e.RunAll()
+			r.marks = append(r.marks, rec{now, len(r.consumed), len(r.seen)})
+			w := e.Counts()
+			if notify && w.Switches != 0 {
+				t.Errorf("a Notify consumer switched into a process %d times", w.Switches)
+			}
+			r.events = w.Events - spawned
+			return r
+		}
+		a, b := run(false), run(true)
+		return slices.Equal(a.consumed, b.consumed) && slices.Equal(a.seen, b.seen) &&
+			slices.Equal(a.marks, b.marks) && a.events == b.events
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // A wait that times out takes its waiter with it: after 10,000 timed-out
 // RecvTimeouts or WaitTimeouts none is listed, and a later Send or Set still
 // reaches the process.

@@ -10,6 +10,18 @@
 // cost model, which is where TCP's ≈20% server CPU premium over UDP comes
 // from (Graph 6).
 //
+// Like 4.3BSD's, the protocol runs as events, not processes: tcp_input ran
+// at software-interrupt level and called tcp_output directly, and one
+// tcp_slowtimo served every connection. A connection is its port queue's
+// Notify consumer (input, then output, then the wait), its segments' CPU
+// charges step through a netsim.Tx, and its slow timeout is one timer event
+// on the connection's own 500 ms phase. A listener demultiplexes as its
+// port queue's consumer too, and a reader takes the stream through Serve as
+// chains, with no copy. Each event falls where the process this replaces
+// would have resumed, so no simulated event moves. Only the calls that wait
+// for the peer or for buffer space — Dial's handshake, Send, Recv, Accept —
+// take a process.
+//
 // Deliberate simplifications, none of which affect the §4 comparisons:
 // delayed ACKs piggyback or flush on the slow timeout (not a dedicated
 // 200 ms timer), the receive window is a fixed advertisement, and there is
@@ -109,6 +121,7 @@ type Listener struct {
 	q       *sim.Queue[*netsim.Datagram]
 	conns   map[connKey]*Conn
 	acceptQ *sim.Queue[*Conn]
+	tx      *netsim.Tx // the RST path
 }
 
 // Listen starts accepting connections on port.
@@ -120,8 +133,9 @@ func (st *Stack) Listen(port int) *Listener {
 		conns:   make(map[connKey]*Conn),
 		acceptQ: sim.NewQueue[*Conn](st.env, fmt.Sprintf("%s.tcp%d.accept", st.node.Name, port)),
 	}
+	l.tx = st.node.NewTx(l.run)
+	l.q.Notify(l.run)
 	st.listeners[port] = l
-	st.env.Spawn(fmt.Sprintf("%s.tcp%d.listen", st.node.Name, port), l.run)
 	return l
 }
 
@@ -130,48 +144,62 @@ func (l *Listener) Accept(p *sim.Proc) (*Conn, bool) {
 	return l.acceptQ.Recv(p)
 }
 
-// run demultiplexes arriving segments to per-connection queues, creating
-// connections for new SYNs.
-func (l *Listener) run(p *sim.Proc) {
-	for {
-		dg, ok := l.q.Recv(p)
+// Serve hands each connection that completes its handshake to fn, in place
+// of a process that loops on Accept. fn runs as an event callback and must
+// not block. Call it before the first connection arrives; nothing may
+// Accept afterwards.
+func (l *Listener) Serve(fn func(c *Conn)) { l.acceptQ.Serve(fn) }
+
+// run is the port queue's consumer: it demultiplexes arriving segments to
+// their connections, creating connections for new SYNs. It stops only to
+// send an RST, where the process it replaces was charged the CPU for it,
+// and goes on from there.
+func (l *Listener) run() {
+	for l.tx.Run() {
+		dg, ok := l.q.TryRecv()
 		if !ok {
+			l.q.Idle()
 			return
 		}
-		m, ok := dg.Meta.(*seg)
-		if !ok {
-			continue
-		}
-		key := connKey{dg.Src, dg.SrcPort}
-		c := l.conns[key]
-		if c == nil {
-			if !m.SYN || m.ACK {
-				// A segment for a connection we no longer know (e.g. the
-				// peer kept talking across our crash): answer with RST so
-				// it aborts and reconnects, instead of retransmitting into
-				// a void forever.
-				if !m.RST {
-					l.stack.node.SendDatagram(p, &netsim.Datagram{
-						Src: l.stack.node.ID, Dst: dg.Src, Proto: netsim.ProtoTCP,
-						SrcPort: l.port, DstPort: dg.SrcPort,
-						HeaderBytes: 20,
-						Meta:        &seg{RST: true, ACK: true, Seq: m.Ack, Ack: m.Seq + uint64(dg.Len())},
-					})
-				}
-				continue
-			}
-			c = newConn(l.stack, l.port, dg.Src, dg.SrcPort)
-			c.listener = l
-			c.state = stateSynRcvd
-			c.irs = m.Seq
-			c.rcvNxt = m.Seq + 1
-			c.rwnd = m.Win
-			c.needAck = true
-			l.conns[key] = c
-			l.stack.env.Spawn(c.name, c.run)
-		}
-		c.q.Send(dg)
+		l.segment(dg)
 	}
+}
+
+// segment demultiplexes one arriving segment.
+func (l *Listener) segment(dg *netsim.Datagram) {
+	m, ok := dg.Meta.(*seg)
+	if !ok {
+		return
+	}
+	key := connKey{dg.Src, dg.SrcPort}
+	c := l.conns[key]
+	if c == nil {
+		if !m.SYN || m.ACK {
+			// A segment for a connection we no longer know (e.g. the
+			// peer kept talking across our crash): answer with RST so
+			// it aborts and reconnects, instead of retransmitting into
+			// a void forever.
+			if !m.RST {
+				l.tx.Start(&netsim.Datagram{
+					Src: l.stack.node.ID, Dst: dg.Src, Proto: netsim.ProtoTCP,
+					SrcPort: l.port, DstPort: dg.SrcPort,
+					HeaderBytes: 20,
+					Meta:        &seg{RST: true, ACK: true, Seq: m.Ack, Ack: m.Seq + uint64(dg.Len())},
+				})
+			}
+			return
+		}
+		c = newConn(l.stack, l.port, dg.Src, dg.SrcPort, sim.NewQueue[*netsim.Datagram](l.stack.env, "connq"))
+		c.listener = l
+		c.state = stateSynRcvd
+		c.irs = m.Seq
+		c.rcvNxt = m.Seq + 1
+		c.rwnd = m.Win
+		c.needAck = true
+		l.conns[key] = c
+		c.q.Wake() // its first event, where a spawned process would start
+	}
+	c.q.Send(dg)
 }
 
 // Connection states.
@@ -187,15 +215,26 @@ type Conn struct {
 	stack      *Stack
 	node       *netsim.Node
 	env        *sim.Env
-	name       string
 	localPort  int
 	remote     netsim.NodeID
 	remotePort int
 	listener   *Listener // non-nil on passive conns
 	ownsPort   bool      // active conns bind their ephemeral port
 
-	q           *sim.Queue[*netsim.Datagram]
+	// The connection runs as events: q's Notify consumer is run, which
+	// picks up at stage; output picks up at out; tx carries the segment in
+	// hand out through its CPU charges; tick is the slow-timeout timer.
+	q           *sim.Queue[*netsim.Datagram] // segments, and nil kicks
 	kicked      bool
+	run, tick   func() // c.step and c.slowTimer, bound once
+	tx          *netsim.Tx
+	stage       int
+	out         int
+	outNow      sim.Time // the instant output began: its sends' timestamps
+	wnd         int      // output's send window and end of data, taken as it
+	dataEnd     uint64   // began
+	nextTick    sim.Time // the slow timeout due next
+	rtxOnSent   bool     // restart the retransmit timer once tx has sent
 	established *sim.Event
 	state       int
 
@@ -228,11 +267,12 @@ type Conn struct {
 	timedAt      sim.Time
 	rtxDeadline  sim.Time // zero when unarmed
 
-	// Receive state.
+	// Receive state: in-order data goes to rcvQ as the segments' own
+	// chains, out-of-order data waits in ooo.
 	irs      uint64
 	rcvNxt   uint64
-	ooo      map[uint64][]byte
-	rcvQ     *sim.Queue[[]byte]
+	ooo      map[uint64]*mbuf.Chain
+	rcvQ     *sim.Queue[*mbuf.Chain]
 	finRcvd  bool
 	needAck  bool
 	delayAck bool // a data segment awaits acknowledgment (delayed-ACK)
@@ -240,25 +280,25 @@ type Conn struct {
 	Stats ConnStats
 }
 
-func newConn(st *Stack, localPort int, remote netsim.NodeID, remotePort int) *Conn {
+// newConn returns a connection whose segments arrive on q.
+func newConn(st *Stack, localPort int, remote netsim.NodeID, remotePort int, q *sim.Queue[*netsim.Datagram]) *Conn {
 	mtu := st.node.PathMTUTo(remote)
 	c := &Conn{
 		stack:       st,
 		node:        st.node,
 		env:         st.env,
-		name:        fmt.Sprintf("%s.tcp:%d-%d:%d", st.node.Name, localPort, remote, remotePort),
 		localPort:   localPort,
 		remote:      remote,
 		remotePort:  remotePort,
-		q:           sim.NewQueue[*netsim.Datagram](st.env, "connq"),
+		q:           q,
 		established: sim.NewEvent(st.env),
 		mss:         mtu - 34 - 20, // framing/IP + TCP headers
 		iss:         uint64(st.env.Rand().Intn(1 << 20)),
 		rto:         3 * time.Second, // pre-sample default, per BSD
 		backoff:     1,
 		rwnd:        RcvWindow,
-		ooo:         make(map[uint64][]byte),
-		rcvQ:        sim.NewQueue[[]byte](st.env, "rcvq"),
+		ooo:         make(map[uint64]*mbuf.Chain),
+		rcvQ:        sim.NewQueue[*mbuf.Chain](st.env, "rcvq"),
 		sendCond:    sim.NewCond(st.env),
 		sndBuf:      &mbuf.Chain{},
 	}
@@ -268,33 +308,51 @@ func newConn(st *Stack, localPort int, remote netsim.NodeID, remotePort int) *Co
 	c.sndNxt = c.iss + 1
 	c.sndMax = c.iss + 1
 	c.rcvNxt = 0
+	c.run, c.tick = c.step, c.slowTimer
+	c.tx = st.node.NewTx(c.run)
+	q.Notify(c.run)
 	return c
 }
 
 // Dial opens a connection to (remote, rport), blocking until the handshake
 // completes or times out.
 func (st *Stack) Dial(p *sim.Proc, remote netsim.NodeID, rport int) (*Conn, error) {
-	port := st.nextPort
-	st.nextPort++
-	c := newConn(st, port, remote, rport)
-	c.ownsPort = true
-	c.state = stateSynSent
-	// The connection's own queue is the bound port queue, so segments and
-	// kicks share one channel.
-	c.q = st.node.Bind(netsim.ProtoTCP, port)
-	st.env.Spawn(c.name, c.run)
-	c.kick()
-	if !c.established.WaitTimeout(p, ConnectTimeout) || c.state == stateClosed {
-		c.Abort()
-		return nil, ErrTimeout
+	c := st.Open(remote, rport)
+	if err := c.WaitEstablished(p); err != nil {
+		return nil, err
 	}
 	return c, nil
+}
+
+// Open starts a connection to (remote, rport) and returns it without
+// waiting: Dial's first half, for a caller that runs as an event callback.
+// WaitEstablished is the other half.
+func (st *Stack) Open(remote netsim.NodeID, rport int) *Conn {
+	port := st.nextPort
+	st.nextPort++
+	c := newConn(st, port, remote, rport, st.node.Bind(netsim.ProtoTCP, port))
+	c.ownsPort = true
+	c.state = stateSynSent
+	c.q.Wake() // its first event, where a spawned process would start
+	c.kick()
+	return c
+}
+
+// WaitEstablished blocks until the handshake of a connection from Open
+// completes. If it times out or the connection closes first, the
+// connection is aborted and the error is ErrTimeout.
+func (c *Conn) WaitEstablished(p *sim.Proc) error {
+	if !c.established.WaitTimeout(p, ConnectTimeout) || c.state == stateClosed {
+		c.Abort()
+		return ErrTimeout
+	}
+	return nil
 }
 
 // MSS returns the negotiated (path-MTU derived) maximum segment size.
 func (c *Conn) MSS() int { return c.mss }
 
-// kick wakes the connection process; multiple kicks coalesce.
+// kick wakes the connection; multiple kicks coalesce.
 func (c *Conn) kick() {
 	if !c.kicked {
 		c.kicked = true
@@ -316,15 +374,42 @@ func (c *Conn) Send(p *sim.Proc, data *mbuf.Chain) error {
 	return nil
 }
 
-// Recv returns the next chunk of in-order stream data; ok is false at EOF
-// (peer closed) or after Abort.
+// Recv returns the next chunk of in-order stream data, as a copy; ok is
+// false at EOF (peer closed) or after Abort.
 func (c *Conn) Recv(p *sim.Proc) ([]byte, bool) {
-	return c.rcvQ.Recv(p)
+	b, ok := c.rcvQ.Recv(p)
+	if !ok {
+		return nil, false
+	}
+	return b.Bytes(), true
 }
 
-// RecvTimeout is Recv with a deadline.
-func (c *Conn) RecvTimeout(p *sim.Proc, d sim.Time) ([]byte, bool) {
-	return c.rcvQ.RecvTimeout(p, d)
+// Serve makes fn and eof the connection's reader, in place of a process
+// that loops on Recv: fn gets each chunk of in-order stream data, a chain
+// it now owns, and eof runs once the stream has ended and its data is
+// read (the peer closed, or an abort). fn returning false stops the reader
+// for good, as that process returning would. Both run as event callbacks
+// and must not block. The reader starts at the current instant, where a
+// spawned process would, with whatever data arrived before. Nothing may
+// Recv afterwards.
+func (c *Conn) Serve(fn func(data *mbuf.Chain) bool, eof func()) {
+	c.rcvQ.Notify(func() {
+		for {
+			b, ok := c.rcvQ.TryRecv()
+			if !ok {
+				break
+			}
+			if !fn(b) {
+				return // busy for good: nothing schedules the reader again
+			}
+		}
+		if c.rcvQ.Closed() {
+			eof()
+			return
+		}
+		c.rcvQ.Idle()
+	})
+	c.rcvQ.Wake()
 }
 
 // Close queues a FIN after any buffered data and returns immediately; the
@@ -344,7 +429,7 @@ func (c *Conn) Abort() {
 		return
 	}
 	c.teardown()
-	c.kick() // let the conn process observe the closed state and exit
+	c.kick() // let the connection observe the closed state and stop
 }
 
 func (c *Conn) teardown() {
@@ -361,51 +446,127 @@ func (c *Conn) teardown() {
 	}
 }
 
-// run is the connection process: it handles arriving segments, the 500 ms
-// slow timeout, and output.
-func (c *Conn) run(p *sim.Proc) {
-	nextTick := p.Now() + Tick
-	for c.state != stateClosed {
-		c.output(p)
-		if c.state == stateClosed {
-			break
+// Stages of step: where the connection picks up.
+const (
+	stepStart  = iota // its first event: the slow-timeout phase starts
+	stepInput         // a segment or kick is handled; a fast retransmit may be leaving
+	stepOutput        // output, the due slow timeouts, then the wait
+	stepWait          // parked in the wait: an item woke it, else the slow timeout
+	stepDone          // closed: nothing more happens
+)
+
+// step is the connection: it handles arriving segments, the 500 ms slow
+// timeout, and output, as the process it replaces did in a loop, stopping
+// where that process parked — in a segment's CPU charge (tx schedules step
+// again), or in its wait for a segment with the next slow timeout as its
+// deadline (a Send or the timer wakes it).
+func (c *Conn) step() {
+	for {
+		switch c.stage {
+		case stepStart:
+			c.nextTick = c.env.Now() + Tick
+			c.env.At(c.nextTick, c.tick)
+			c.stage = stepOutput
+		case stepInput:
+			if !c.tx.Run() {
+				return
+			}
+			if c.rtxOnSent {
+				c.rtxOnSent = false
+				c.rtxDeadline = c.env.Now() + c.curRTO()
+			}
+			if c.state == stateClosed {
+				c.done()
+				return
+			}
+			c.stage = stepOutput
+		case stepOutput:
+			if !c.output() {
+				return
+			}
+			if c.state == stateClosed {
+				c.done()
+				return
+			}
+			if c.env.Now() >= c.nextTick {
+				c.slowTimeout()
+				continue
+			}
+			if !c.take() { // nothing queued: park
+				c.stage = stepWait
+				c.q.Idle()
+				return
+			}
+		case stepWait:
+			if !c.take() { // woken by the timer
+				c.slowTimeout()
+				c.stage = stepOutput
+			}
+		default: // stepDone
+			return
 		}
-		wait := nextTick - p.Now()
-		if wait <= 0 {
-			c.tick(p)
-			nextTick += Tick
-			continue
-		}
-		dg, ok := c.q.RecvTimeout(p, wait)
-		if !ok {
-			c.tick(p)
-			nextTick = p.Now() + Tick
-			continue
-		}
-		if dg == nil {
-			c.kicked = false
-			continue
-		}
-		c.input(p, dg)
 	}
-	// Drain any leftover kick so the queue does not wake a dead process.
+}
+
+// take handles the next queued segment or kick, reporting false if none is
+// queued.
+func (c *Conn) take() bool {
+	dg, ok := c.q.TryRecv()
+	if !ok {
+		return false
+	}
+	if dg == nil {
+		c.kicked = false
+	} else {
+		c.input(dg)
+	}
+	c.stage = stepInput
+	return true
+}
+
+// done stops the connection for good. Its queue stays busy, so nothing
+// schedules it again.
+func (c *Conn) done() {
+	c.stage = stepDone
 	c.rcvQ.Close()
 }
 
-// sendSeg transmits one segment.
-func (c *Conn) sendSeg(p *sim.Proc, m *seg, payload *mbuf.Chain) {
-	m.Win = RcvWindow
-	n := 0
-	if payload != nil {
-		n = payload.Len()
+// slowTimer is the slow timeout's event, due every Tick on the
+// connection's own phase. A connection parked in its wait is woken as the
+// wait's timeout would wake it; a busy one finds the timeout due when it
+// next reaches its wait.
+func (c *Conn) slowTimer() {
+	if c.stage == stepDone {
+		return
 	}
+	if c.stage == stepWait {
+		c.q.Wake()
+	}
+	c.env.After(Tick, c.tick)
+}
+
+// sendSeg puts one segment in tx's hand, carrying n bytes of the send
+// buffer from off; whoever called it runs tx. The datagram, its header and
+// its payload chain are one allocation.
+func (c *Conn) sendSeg(m seg, off, n int) {
+	m.Win = RcvWindow
 	c.Stats.SegsOut++
 	c.Stats.BytesOut += n
-	c.node.SendDatagram(p, &netsim.Datagram{
+	s := &struct {
+		dg      netsim.Datagram
+		m       seg
+		payload mbuf.Chain
+	}{m: m}
+	s.dg = netsim.Datagram{
 		Src: c.node.ID, Dst: c.remote, Proto: netsim.ProtoTCP,
 		SrcPort: c.localPort, DstPort: c.remotePort,
-		HeaderBytes: 20, Payload: payload, Meta: m,
-	})
+		HeaderBytes: 20, Meta: &s.m,
+	}
+	if n > 0 {
+		c.sndBuf.AppendRange(&s.payload, off, n)
+		s.dg.Payload = &s.payload
+	}
+	c.tx.Start(&s.dg)
 }
 
 // armTimer starts the retransmit timer if it is not running.
@@ -429,85 +590,111 @@ func (c *Conn) curRTO() sim.Time {
 // flight returns the number of unacknowledged bytes in transit.
 func (c *Conn) flight() int { return int(c.sndNxt - c.sndUna) }
 
+// Stages of output: where it picks up.
+const (
+	outStart  = iota // take the state and the send window
+	outData          // new data within the window, a segment at a time
+	outFin           // a queued FIN once all data is out
+	outAck           // a pure ACK if one is still owed
+	outFinish        // close if both directions have
+	outEnd           // return
+)
+
 // output transmits whatever the connection state allows: handshake
 // segments, new data within the send window, a queued FIN, or a pure ACK.
-func (c *Conn) output(p *sim.Proc) {
-	now := p.Now()
-	switch c.state {
-	case stateSynSent:
-		if !c.synSent {
-			c.synSent = true
-			c.sendSeg(p, &seg{SYN: true, Seq: c.iss}, nil)
-			c.armTimer(now)
+// It reports false where a process would park in a segment's CPU charges,
+// and goes on from there when step calls it again. What a segment's
+// sending changes is the connection's own state, nothing another process
+// reads, so it changes as the segment is put in hand; what output reads
+// from outside (a FIN that Close queued meanwhile) it reads after.
+func (c *Conn) output() bool {
+	for c.tx.Run() {
+		switch c.out {
+		case outStart:
+			c.outNow = c.env.Now()
+			c.out = outEnd
+			switch c.state {
+			case stateSynSent:
+				if !c.synSent {
+					c.synSent = true
+					c.sendSeg(seg{SYN: true, Seq: c.iss}, 0, 0)
+					c.armTimer(c.outNow)
+				}
+			case stateSynRcvd:
+				if !c.synSent {
+					c.synSent = true
+					c.sendSeg(seg{SYN: true, ACK: true, Seq: c.iss, Ack: c.rcvNxt}, 0, 0)
+					c.armTimer(c.outNow)
+				}
+				c.needAck = false // SYN|ACK carries it
+			case stateClosed:
+			default:
+				// Established (or closing): send data within min(cwnd, rwnd).
+				c.wnd = min(c.cwnd, c.rwnd)
+				c.dataEnd = c.sndUna + uint64(c.sndBuf.Len())
+				c.out = outData
+			}
+		case outData:
+			if !c.sendData() {
+				c.out = outFin
+			}
+		case outFin:
+			c.out = outAck
+			if c.finQueued && !c.finSent && c.sndNxt == c.dataEnd && c.sndNxt < c.sndUna+uint64(c.wnd)+1 {
+				c.sendSeg(seg{ACK: true, FIN: true, Seq: c.sndNxt, Ack: c.rcvNxt}, 0, 0)
+				c.finSent = true
+				c.sndNxt++ // FIN consumes a sequence number
+				if c.sndNxt > c.sndMax {
+					c.sndMax = c.sndNxt
+				}
+				c.needAck = false
+				c.armTimer(c.outNow)
+			}
+		case outAck:
+			c.out = outFinish
+			if c.needAck {
+				c.sendSeg(seg{ACK: true, Seq: c.sndNxt, Ack: c.rcvNxt}, 0, 0)
+				c.needAck = false
+				c.delayAck = false
+			}
+		case outFinish:
+			c.maybeFinish()
+			c.out = outStart
+			return true
+		default: // outEnd
+			c.out = outStart
+			return true
 		}
-		return
-	case stateSynRcvd:
-		if !c.synSent {
-			c.synSent = true
-			c.sendSeg(p, &seg{SYN: true, ACK: true, Seq: c.iss, Ack: c.rcvNxt}, nil)
-			c.armTimer(now)
-		}
-		if c.needAck {
-			c.needAck = false // SYN|ACK carried it
-		}
-		return
-	case stateClosed:
-		return
 	}
-	// Established (or closing): send data within min(cwnd, rwnd).
-	wnd := c.cwnd
-	if c.rwnd < wnd {
-		wnd = c.rwnd
+	return false
+}
+
+// sendData puts the next segment of new data in tx's hand, reporting false
+// if the window or the data is used up.
+func (c *Conn) sendData() bool {
+	limit := c.sndUna + uint64(c.wnd)
+	if c.sndNxt >= c.dataEnd || c.sndNxt >= limit {
+		return false
 	}
-	dataEnd := c.sndUna + uint64(c.sndBuf.Len())
-	for {
-		limit := c.sndUna + uint64(wnd)
-		if c.sndNxt >= dataEnd || c.sndNxt >= limit {
-			break
-		}
-		n := int(dataEnd - c.sndNxt)
-		if n > c.mss {
-			n = c.mss
-		}
-		if room := int(limit - c.sndNxt); n > room {
-			n = room
-		}
-		if n <= 0 {
-			break
-		}
-		off := int(c.sndNxt - c.sndUna)
-		payload := c.sndBuf.Range(off, n)
-		c.sendSeg(p, &seg{ACK: true, Seq: c.sndNxt, Ack: c.rcvNxt}, payload)
-		c.needAck = false
-		c.delayAck = false // the piggybacked ack covers delayed data
-		if !c.timing {
-			c.timing = true
-			c.timedSeq = c.sndNxt
-			c.timedAt = now
-		}
-		c.sndNxt += uint64(n)
-		if c.sndNxt > c.sndMax {
-			c.sndMax = c.sndNxt
-		}
-		c.armTimer(now)
+	n := min(int(c.dataEnd-c.sndNxt), c.mss, int(limit-c.sndNxt))
+	if n <= 0 {
+		return false
 	}
-	// FIN once all data is out.
-	if c.finQueued && !c.finSent && c.sndNxt == dataEnd && c.sndNxt < c.sndUna+uint64(wnd)+1 {
-		c.sendSeg(p, &seg{ACK: true, FIN: true, Seq: c.sndNxt, Ack: c.rcvNxt}, nil)
-		c.finSent = true
-		c.sndNxt++ // FIN consumes a sequence number
-		if c.sndNxt > c.sndMax {
-			c.sndMax = c.sndNxt
-		}
-		c.needAck = false
-		c.armTimer(now)
+	off := int(c.sndNxt - c.sndUna)
+	c.sendSeg(seg{ACK: true, Seq: c.sndNxt, Ack: c.rcvNxt}, off, n)
+	c.needAck = false
+	c.delayAck = false // the piggybacked ack covers delayed data
+	if !c.timing {
+		c.timing = true
+		c.timedSeq = c.sndNxt
+		c.timedAt = c.outNow
 	}
-	if c.needAck {
-		c.sendSeg(p, &seg{ACK: true, Seq: c.sndNxt, Ack: c.rcvNxt}, nil)
-		c.needAck = false
-		c.delayAck = false
+	c.sndNxt += uint64(n)
+	if c.sndNxt > c.sndMax {
+		c.sndMax = c.sndNxt
 	}
-	c.maybeFinish()
+	c.armTimer(c.outNow)
+	return true
 }
 
 // maybeFinish closes the connection once both directions have closed.
@@ -517,14 +704,15 @@ func (c *Conn) maybeFinish() {
 	}
 }
 
-// tick is the 500 ms slow timeout: it flushes a pending delayed ACK and
-// checks the retransmit timer.
-func (c *Conn) tick(p *sim.Proc) {
+// slowTimeout is the 500 ms slow timeout: it flushes a pending delayed ACK
+// and checks the retransmit timer. The next one is due a Tick later.
+func (c *Conn) slowTimeout() {
+	c.nextTick += Tick
 	if c.delayAck {
 		c.delayAck = false
 		c.needAck = true
 	}
-	if c.rtxDeadline == 0 || p.Now() < c.rtxDeadline {
+	if c.rtxDeadline == 0 || c.env.Now() < c.rtxDeadline {
 		return
 	}
 	// Retransmit timeout: Karn's rule, multiplicative backoff, collapse
@@ -576,7 +764,7 @@ func (c *Conn) updateRTT(sample sim.Time) {
 func (c *Conn) RTO() sim.Time { return c.curRTO() }
 
 // processAck handles the acknowledgment field of an arriving segment.
-func (c *Conn) processAck(p *sim.Proc, m *seg, payloadLen int) {
+func (c *Conn) processAck(m *seg, payloadLen int) {
 	c.rwnd = m.Win
 	ack := m.Ack
 	if ack > c.sndMax {
@@ -590,7 +778,7 @@ func (c *Conn) processAck(p *sim.Proc, m *seg, payloadLen int) {
 		}
 		// New data acknowledged.
 		if c.timing && ack > c.timedSeq {
-			c.updateRTT(p.Now() - c.timedAt)
+			c.updateRTT(c.env.Now() - c.timedAt)
 			c.timing = false
 		}
 		acked := int(ack - c.sndUna)
@@ -602,7 +790,7 @@ func (c *Conn) processAck(p *sim.Proc, m *seg, payloadLen int) {
 			c.finAcked = true
 		}
 		if dataAcked > 0 {
-			c.sndBuf = c.sndBuf.Range(dataAcked, c.sndBuf.Len()-dataAcked)
+			c.sndBuf.TrimFront(dataAcked)
 		}
 		c.sndUna = ack
 		c.backoff = 1
@@ -621,7 +809,7 @@ func (c *Conn) processAck(p *sim.Proc, m *seg, payloadLen int) {
 		if c.sndUna == c.sndNxt {
 			c.rtxDeadline = 0
 		} else {
-			c.rtxDeadline = p.Now() + c.curRTO()
+			c.rtxDeadline = c.env.Now() + c.curRTO()
 		}
 		c.sendCond.Broadcast()
 		c.maybeFinish()
@@ -644,21 +832,21 @@ func (c *Conn) processAck(p *sim.Proc, m *seg, payloadLen int) {
 				n = avail
 			}
 			if n > 0 {
-				c.sendSeg(p, &seg{ACK: true, Seq: c.sndUna, Ack: c.rcvNxt},
-					c.sndBuf.Range(0, n))
+				c.sendSeg(seg{ACK: true, Seq: c.sndUna, Ack: c.rcvNxt}, 0, n)
 			}
 			c.timing = false
 			c.cwnd = c.ssthresh + 3*c.mss
 			c.inRecov = true
-			c.rtxDeadline = p.Now() + c.curRTO()
+			c.rtxOnSent = true // the timer restarts once the segment is out
 		} else if c.dupAcks > 3 && c.inRecov {
 			c.cwnd += c.mss
 		}
 	}
 }
 
-// input handles one arriving segment.
-func (c *Conn) input(p *sim.Proc, dg *netsim.Datagram) {
+// input handles one arriving segment. A fast retransmit it starts is left
+// in tx's hand for step to send: nothing input does after it depends on it.
+func (c *Conn) input(dg *netsim.Datagram) {
 	m, ok := dg.Meta.(*seg)
 	if !ok {
 		return
@@ -681,7 +869,7 @@ func (c *Conn) input(p *sim.Proc, dg *netsim.Datagram) {
 			if m.ACK && m.Ack == c.iss+1 {
 				c.irs = m.Seq
 				c.rcvNxt = m.Seq + 1
-				c.processAck(p, m, 0)
+				c.processAck(m, 0)
 				c.state = stateEstab
 				c.rtxDeadline = 0
 				c.needAck = true
@@ -707,7 +895,7 @@ func (c *Conn) input(p *sim.Proc, dg *netsim.Datagram) {
 				c.listener.acceptQ.Send(c)
 			}
 		}
-		c.processAck(p, m, payloadLen)
+		c.processAck(m, payloadLen)
 	}
 
 	if c.state != stateEstab {
@@ -734,13 +922,12 @@ func (c *Conn) input(p *sim.Proc, dg *netsim.Datagram) {
 			c.delayAck = false
 		case m.Seq > c.rcvNxt:
 			if _, dup := c.ooo[m.Seq]; !dup && len(c.ooo) < 64 {
-				c.ooo[m.Seq] = dg.Payload.Bytes()
+				c.ooo[m.Seq] = payload(dg, 0)
 			}
 		default:
 			// In order (possibly with an old prefix).
-			b := dg.Payload.Bytes()
-			b = b[int(c.rcvNxt-m.Seq):]
-			c.rcvNxt += uint64(len(b))
+			b := payload(dg, int(c.rcvNxt-m.Seq))
+			c.rcvNxt += uint64(b.Len())
 			c.rcvQ.Send(b)
 			// Drain contiguous out-of-order segments.
 			for {
@@ -749,7 +936,7 @@ func (c *Conn) input(p *sim.Proc, dg *netsim.Datagram) {
 					break
 				}
 				delete(c.ooo, c.rcvNxt)
-				c.rcvNxt += uint64(len(nb))
+				c.rcvNxt += uint64(nb.Len())
 				c.rcvQ.Send(nb)
 			}
 		}
@@ -766,4 +953,14 @@ func (c *Conn) input(p *sim.Proc, dg *netsim.Datagram) {
 			c.needAck = true // duplicate FIN
 		}
 	}
+}
+
+// payload returns dg's data from byte off on, for the reader, without a
+// copy: the segment's own chain, or a view of it when off cuts into it or a
+// fault may deliver the same chain again.
+func payload(dg *netsim.Datagram, off int) *mbuf.Chain {
+	if off == 0 && !dg.Duplicated {
+		return dg.Payload
+	}
+	return dg.Payload.Range(off, dg.Len()-off)
 }

@@ -551,3 +551,44 @@ func TestNoRSTStorm(t *testing.T) {
 		t.Fatalf("idle connection produced %d frames in a minute", after-before)
 	}
 }
+
+// A lone data segment that the receiver has nothing to piggyback on is
+// acknowledged by the receiver's next slow timeout (4.3BSD's delayed ACK):
+// within one Tick of its arrival the sender has it acknowledged, with no
+// retransmission and the retransmit timer stopped, well before its RTO.
+func TestSlowTimeoutFlushesDelayedAck(t *testing.T) {
+	env, sa, sb := testbed(t, 19, netsim.TopoLAN, nil)
+	l := sb.Listen(2049)
+	env.Spawn("rx", func(p *sim.Proc) {
+		c, ok := l.Accept(p)
+		if !ok {
+			return
+		}
+		for {
+			if _, ok := c.Recv(p); !ok {
+				return
+			}
+		}
+	})
+	var c *Conn
+	var sentAt sim.Time
+	env.Spawn("tx", func(p *sim.Proc) {
+		var err error
+		if c, err = sa.Dial(p, sb.Node().ID, 2049); err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
+		p.Sleep(Tick / 3) // away from the handshake's own acknowledgments
+		sentAt = p.Now()
+		c.Send(p, mbuf.FromBytes([]byte("one lone request")))
+	})
+	env.Run(Tick)
+	if sentAt == 0 {
+		t.Fatal("no request sent")
+	}
+	env.Run(sentAt + Tick + 50*ms)
+	if c.flight() != 0 || c.rtxDeadline != 0 || c.Stats.Retransmits != 0 {
+		t.Fatalf("one Tick after the send: %d bytes unacknowledged, retransmit timer %v, %d retransmissions",
+			c.flight(), c.rtxDeadline, c.Stats.Retransmits)
+	}
+}

@@ -87,7 +87,8 @@ func NewTCP(p *sim.Proc, stack *tcpsim.Stack, server netsim.NodeID, port int) (*
 // ReplyTimeout. That covers the one loss TCP's reliability cannot: the
 // server rebooted after acking our request, its RST to us was lost, and
 // with no unacked data on the wire neither side will ever transmit again.
-// Aborting wakes rxLoop, which reconnects and replays the pending calls.
+// Aborting ends the reader's stream, which reconnects and replays the
+// pending calls.
 // While nothing is pending it parks and keeps its check phase.
 func (t *TCP) watchdog(p *sim.Proc) {
 	for {
@@ -114,11 +115,98 @@ func (t *TCP) connect(p *sim.Proc) error {
 	if err != nil {
 		return err
 	}
-	t.conn = conn
-	t.env.Spawn(fmt.Sprintf("%s.tcprpc-rx", t.stack.Node().Name), func(rp *sim.Proc) {
-		t.rxLoop(rp, conn)
-	})
+	t.serve(conn)
 	return nil
+}
+
+// serve makes conn the transport's connection and starts its reader, which
+// reassembles record-marked replies and matches them to callers as event
+// callbacks. A bad record mark aborts the connection; either way its end
+// reconnects (lost).
+func (t *TCP) serve(conn *tcpsim.Conn) {
+	t.conn = conn
+	var scan rpc.ChainScanner
+	conn.Serve(func(data *mbuf.Chain) bool {
+		scan.Feed(data)
+		for {
+			msg, err := scan.Next()
+			if err != nil {
+				conn.Abort()
+				t.lost()
+				return false
+			}
+			if msg == nil {
+				return true
+			}
+			t.reply(msg)
+		}
+	}, t.lost)
+}
+
+// reply hands one reply record to the call it answers.
+func (t *TCP) reply(msg *mbuf.Chain) {
+	xid, err := rpc.PeekXID(msg)
+	if err != nil {
+		return
+	}
+	pc := t.pending[xid]
+	if pc == nil || pc.done.IsSet() {
+		return
+	}
+	dec, err := decodeReply(msg)
+	if err != nil {
+		return
+	}
+	t.stats.Replies++
+	metrics.Emit(t.Tracer, metrics.Reply{Proc: pc.proc, XID: xid, RTT: t.env.Now() - pc.sentAt})
+	pc.reply = dec
+	pc.done.Set()
+}
+
+// lost reconnects after the connection's stream ended, and replays every
+// pending call. It redials at once, where the reader saw the end; waiting
+// for the handshake takes a process, spawned for this rare path.
+func (t *TCP) lost() {
+	if t.closed {
+		return
+	}
+	conn := t.stack.Open(t.server, t.port)
+	t.env.Spawn(fmt.Sprintf("%s.tcprpc-reconnect", t.stack.Node().Name), func(p *sim.Proc) {
+		t.reconnect(p, conn)
+	})
+}
+
+// reconnect waits for the redial's handshake, redialling a few times more
+// if it fails (a hard mount rides out long outages), and then replays the
+// calls in flight.
+func (t *TCP) reconnect(p *sim.Proc, conn *tcpsim.Conn) {
+	err := conn.WaitEstablished(p)
+	for attempt := 1; err != nil; attempt++ {
+		if attempt >= tcpReconnectAttempts {
+			t.failPending(err, "reconnect-failed")
+			return
+		}
+		p.Sleep(time.Second)
+		if t.closed {
+			return
+		}
+		conn, err = t.stack.Dial(p, t.server, t.port)
+	}
+	t.serve(conn)
+	for _, pc := range byXID(t.pending) {
+		if !pc.done.IsSet() {
+			t.stats.Retries++
+			metrics.Emit(t.Tracer, metrics.Retransmit{Proc: pc.proc, XID: pc.xid, Backoff: 1})
+			// Restart the reply clock: RTT then measures the replay's
+			// round trip, and the watchdog times the new transmission.
+			pc.sentAt = p.Now()
+			if err := t.sendOne(p, pc); err != nil {
+				pc.err = err
+				metrics.Emit(t.Tracer, metrics.CallFailed{Proc: pc.proc, XID: pc.xid, Reason: "send"})
+				pc.done.Set()
+			}
+		}
+	}
 }
 
 // Stats returns transport counters.
@@ -191,79 +279,4 @@ func (t *TCP) sendOne(p *sim.Proc, pc *tcpPending) error {
 	msg := buildCall(&t.enc, pc.xid, pc.prog, pc.vers, pc.proc, pc.args)
 	rpc.AddRecordMark(msg)
 	return t.conn.Send(p, msg)
-}
-
-// rxLoop reassembles record-marked replies and matches them to callers.
-// On EOF it reconnects and replays everything pending.
-func (t *TCP) rxLoop(p *sim.Proc, conn *tcpsim.Conn) {
-	var scan rpc.RecordScanner
-rx:
-	for {
-		b, ok := conn.Recv(p)
-		if !ok {
-			break
-		}
-		scan.Feed(b)
-		for {
-			rec, err := scan.Next()
-			if err != nil {
-				conn.Abort()
-				break rx
-			}
-			if rec == nil {
-				break
-			}
-			msg := mbuf.FromBytes(rec)
-			xid, err := rpc.PeekXID(msg)
-			if err != nil {
-				continue
-			}
-			pc := t.pending[xid]
-			if pc == nil || pc.done.IsSet() {
-				continue
-			}
-			dec, err := decodeReply(msg)
-			if err != nil {
-				continue
-			}
-			t.stats.Replies++
-			metrics.Emit(t.Tracer, metrics.Reply{Proc: pc.proc, XID: xid, RTT: p.Now() - pc.sentAt})
-			pc.reply = dec
-			pc.done.Set()
-		}
-	}
-	if t.closed {
-		return
-	}
-	// Connection lost: reconnect and replay pending requests. A hard
-	// mount rides out long outages, so redial a few times before giving
-	// up on the calls in flight.
-	var connErr error
-	for attempt := 0; ; attempt++ {
-		if t.closed {
-			return
-		}
-		if connErr = t.connect(p); connErr == nil {
-			break
-		}
-		if attempt+1 >= tcpReconnectAttempts {
-			t.failPending(connErr, "reconnect-failed")
-			return
-		}
-		p.Sleep(time.Second)
-	}
-	for _, pc := range byXID(t.pending) {
-		if !pc.done.IsSet() {
-			t.stats.Retries++
-			metrics.Emit(t.Tracer, metrics.Retransmit{Proc: pc.proc, XID: pc.xid, Backoff: 1})
-			// Restart the reply clock: RTT then measures the replay's
-			// round trip, and the watchdog times the new transmission.
-			pc.sentAt = p.Now()
-			if err := t.sendOne(p, pc); err != nil {
-				pc.err = err
-				metrics.Emit(t.Tracer, metrics.CallFailed{Proc: pc.proc, XID: pc.xid, Reason: "send"})
-				pc.done.Set()
-			}
-		}
-	}
 }

@@ -32,8 +32,11 @@ type BufKey struct {
 // within the block, after the buf-structure fields Reno added so partial
 // writes need no preread.
 type Buf struct {
-	Key  BufKey
-	Data []byte // allocated lazily; nil for presence-only (server) use
+	Key BufKey
+	// Data is allocated lazily, or handed out by Insert from the pages
+	// of clean buffers that left the cache; nil for presence-only (server)
+	// use, and nil again once a clean buffer leaves.
+	Data []byte
 
 	// Valid range [ValidOff, ValidEnd) holds bytes that mirror the file.
 	ValidOff, ValidEnd int
@@ -148,6 +151,7 @@ type BufCache struct {
 	lru    *list.List // front = most recent; values are *Buf
 	index  map[BufKey]*Buf
 	chains map[uint64][]*Buf // per-vnode buffer chains
+	free   [][]byte          // pages of clean buffers that left, for Insert
 	Stats  CacheStats
 }
 
@@ -209,7 +213,8 @@ func (c *BufCache) Peek(k BufKey) *Buf { return c.index[k] }
 
 // Insert adds a buffer for k (which must not be resident) and returns it
 // along with the evicted victim, if the capacity forced one out. The caller
-// must flush a dirty victim.
+// must flush a dirty victim. The buffer comes with a zeroed page if a clean
+// buffer that left the cache freed one.
 func (c *BufCache) Insert(k BufKey) (b *Buf, victim *Buf) {
 	if c.index[k] != nil {
 		panic("vfs: Insert of resident block " + fmt.Sprint(k))
@@ -218,6 +223,10 @@ func (c *BufCache) Insert(k BufKey) (b *Buf, victim *Buf) {
 		victim = c.evictLRU()
 	}
 	b = &Buf{Key: k}
+	if n := len(c.free); n > 0 {
+		b.Data, c.free = c.free[n-1], c.free[:n-1]
+		clear(b.Data)
+	}
 	b.elem = c.lru.PushFront(b)
 	c.index[k] = b
 	vk := vnKey(k)
@@ -237,7 +246,14 @@ func (c *BufCache) evictLRU() *Buf {
 	return b
 }
 
+// remove takes b out of the cache. A clean buffer's page goes to the free
+// list and its Data to nil, so a holder that still reads it fails loudly;
+// a dirty one keeps its page, which its caller still flushes.
 func (c *BufCache) remove(b *Buf) {
+	if !b.Dirty && b.Data != nil {
+		c.free = append(c.free, b.Data)
+		b.Data = nil
+	}
 	c.lru.Remove(b.elem)
 	delete(c.index, b.Key)
 	vk := vnKey(b.Key)

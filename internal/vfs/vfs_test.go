@@ -306,3 +306,55 @@ func TestNameCacheLRUEviction(t *testing.T) {
 		t.Fatalf("len = %d", nc.Len())
 	}
 }
+
+// A clean buffer that leaves the cache, as an LRU victim or dropped by
+// InvalidateVnode, gives its page to the next Insert, zeroed, and its own
+// Data turns nil; a dirty victim keeps its page for its caller's flush, and
+// a cache that never fills a buffer (the server's) recycles nothing.
+func TestCleanPagesRecycle(t *testing.T) {
+	c := NewBufCache(2, true)
+	fill := func(k BufKey) *Buf {
+		b, _ := c.Insert(k)
+		b.Write(0, bytes.Repeat([]byte{0xA5}, BlockSize))
+		b.MarkClean()
+		return b
+	}
+	a := fill(key(1, 0))
+	page := &a.Data[0]
+	fill(key(1, 1))
+	b, victim := c.Insert(key(1, 2))
+	if victim != a || a.Data != nil {
+		t.Fatalf("victim %v, its Data %d bytes: want the clean LRU buffer, its Data nil", victim, len(a.Data))
+	}
+	if len(b.Data) != BlockSize || &b.Data[0] != page {
+		t.Fatal("the new buffer did not get the victim's page")
+	}
+	if !bytes.Equal(b.Data, make([]byte, BlockSize)) {
+		t.Fatal("a recycled page was handed out unzeroed")
+	}
+
+	b.Write(0, []byte("dirty"))
+	c.Insert(key(1, 3))             // evicts key(1, 1), clean
+	_, victim = c.Insert(key(1, 4)) // evicts b, dirty
+	if victim != b || string(b.Data[:5]) != "dirty" {
+		t.Fatal("a dirty victim lost its page before its flush")
+	}
+
+	dropped := c.VnodeBufs(1, 1)
+	c.InvalidateVnode(1, 1)
+	for _, d := range dropped {
+		if d.Data != nil {
+			t.Fatalf("block %d dropped by InvalidateVnode still holds its page", d.Key.Block)
+		}
+	}
+	if n, _ := c.Insert(key(2, 0)); len(n.Data) != BlockSize {
+		t.Fatal("a page InvalidateVnode freed was not reused")
+	}
+
+	server := NewBufCache(1, true) // presence only: no buffer ever gets a page
+	server.Insert(key(1, 0))
+	server.Insert(key(1, 1))
+	if len(server.free) != 0 {
+		t.Fatalf("a presence-only cache holds %d free pages", len(server.free))
+	}
+}

@@ -57,6 +57,18 @@ var mutants = []struct {
 		"	skMeminfoDrops = 8",
 		"	skMeminfoDrops = 7",
 		"./internal/nfsnet", "TestKernelDropsCounted"},
+	{"internal/tcpsim/tcpsim.go",
+		"		c.input(dg)\n",
+		"		c.input(dg)\n		c.env.At(c.nextTick, c.tick)\n",
+		".", "TestTCPLoopWork"},
+	{"internal/tcpsim/tcpsim.go",
+		"	c.nextTick += Tick\n	if c.delayAck {\n		c.delayAck = false\n		c.needAck = true\n	}\n",
+		"	c.nextTick += Tick\n",
+		"./internal/tcpsim", "TestSlowTimeoutFlushesDelayedAck"},
+	{"internal/vfs/bufcache.go",
+		"	if !b.Dirty && b.Data != nil {",
+		"	if b.Data != nil {",
+		"./internal/client", "TestSweepHintCoversDirtyBuffers"},
 }
 
 // TestMutants plants each mutant through go test -overlay (the working

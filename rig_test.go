@@ -13,22 +13,46 @@ import (
 	"renonfs/internal/xdr"
 )
 
-// rigGetattrs runs warm+n GETATTRs of the root through a fresh Rig's
-// dynamic-UDP transport, one after another in one simulated process, and
-// returns the rig (for its server registry) and the mean heap allocations
-// of the last n round trips: client transport, simulated network and
-// server core together.
-func rigGetattrs(t *testing.T, warm, n int) (*renonfs.Rig, float64) {
+// rigCall is one kind of back-to-back call loop through a Rig.
+type rigCall struct {
+	kind renonfs.TransportKind
+	read bool // an 8 KB READ of a preloaded file, else a GETATTR of the root
+}
+
+// rigLoop is what rigCalls measured over its last n calls.
+type rigLoop struct {
+	allocs            float64 // heap allocations per call
+	events, switches  float64 // the kernel's events and process switches per call
+	queued, maxQueued int     // events queued at the end, and at most after a call
+}
+
+// rigCalls runs warm+n calls of one kind through a fresh Rig, one after
+// another in one simulated process, and returns the rig (for its server
+// registry) and what the last n cost: client transport, simulated network
+// and server core together.
+func rigCalls(t *testing.T, c rigCall, warm, n int) (*renonfs.Rig, rigLoop) {
 	t.Helper()
 	r := renonfs.NewRig(renonfs.RigConfig{Seed: 1})
 	t.Cleanup(r.Close)
 	root := r.Server.RootFH()
-	args := func(e *xdr.Encoder) { (&nfsproto.GetattrArgs{File: root}).Encode(e) }
+	proc, args := uint32(nfsproto.ProcGetattr), (&nfsproto.GetattrArgs{File: root}).Encode
+	if c.read {
+		f, err := r.FS.Create(nil, r.FS.Root(), "data", 0644)
+		if err == nil {
+			err = r.FS.WriteAt(nil, f, 0, make([]byte, 8192), 0)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		proc, args = nfsproto.ProcRead, (&nfsproto.ReadArgs{File: r.FS.FH(f), Count: 8192}).Encode
+	}
 	var ms runtime.MemStats
 	var before uint64
+	var w0 sim.Counts
+	var loop rigLoop
 	done := 0
-	r.Env.Spawn("getattr", func(p *sim.Proc) {
-		tr, err := r.DialTransport(p, renonfs.UDPDynamic)
+	r.Env.Spawn("caller", func(p *sim.Proc) {
+		tr, err := r.DialTransport(p, c.kind)
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
@@ -38,20 +62,27 @@ func rigGetattrs(t *testing.T, warm, n int) (*renonfs.Rig, float64) {
 			if i == warm {
 				runtime.ReadMemStats(&ms)
 				before = ms.Mallocs
+				w0 = r.Env.Counts()
 			}
-			if _, err := tr.Call(p, nfsproto.ProcGetattr, args); err != nil {
-				t.Errorf("GETATTR %d: %v", i, err)
+			if _, err := tr.Call(p, proc, args); err != nil {
+				t.Errorf("call %d: %v", i, err)
 				return
 			}
 			done++
+			loop.maxQueued = max(loop.maxQueued, r.Env.Counts().Queued)
 		}
 		runtime.ReadMemStats(&ms)
+		w := r.Env.Counts()
+		loop.events = float64(w.Events-w0.Events) / float64(n)
+		loop.switches = float64(w.Switches-w0.Switches) / float64(n)
+		loop.queued = w.Queued
 	})
 	r.Env.Run(time.Hour)
 	if done != warm+n {
-		t.Fatalf("%d of %d GETATTRs completed", done, warm+n)
+		t.Fatalf("%d of %d calls completed", done, warm+n)
 	}
-	return r, float64(ms.Mallocs-before) / float64(n)
+	loop.allocs = float64(ms.Mallocs-before) / float64(n)
+	return r, loop
 }
 
 // TestRigCountsEachCallOnce pins the rule that the server core is the one
@@ -60,7 +91,7 @@ func rigGetattrs(t *testing.T, warm, n int) (*renonfs.Rig, float64) {
 // the same duplicate-cache hit to the server registry.
 func TestRigCountsEachCallOnce(t *testing.T) {
 	const n = 10
-	r, _ := rigGetattrs(t, 0, n)
+	r, _ := rigCalls(t, rigCall{kind: renonfs.UDPDynamic}, 0, n)
 	reg := r.Server.Metrics
 	if c := reg.Histogram("nfs.service_ms.getattr").Snapshot().Count; c != n {
 		t.Errorf("nfs.service_ms.getattr holds %d samples after %d GETATTRs", c, n)
@@ -84,5 +115,27 @@ func TestRigCountsEachCallOnce(t *testing.T) {
 	}
 	if hits := reg.Counter("nfs.dup_hits").Value(); hits != 1 {
 		t.Errorf("nfs.dup_hits = %d after one retransmitted CREATE, want 1", hits)
+	}
+}
+
+// TestTCPLoopWork pins what simulated TCP costs the kernel, in its own
+// units: over 1,000 back-to-back calls a GETATTR or an 8 KB READ switches
+// into a process at most 3 times (the caller's wake-up, an nfsd's), and
+// the event queue holds no more than a handful of events per connection
+// (its slow-timeout timer, the transport watchdog's sleep, the call in
+// flight) — against 9 and 42 switches, and 108–285 queued events of stale
+// timeouts, while connections, listener and readers were processes.
+func TestTCPLoopWork(t *testing.T) {
+	const perConn, conns, maxSwitches = 3, 2, 3.0
+	for _, read := range []bool{false, true} {
+		_, loop := rigCalls(t, rigCall{kind: renonfs.TCP, read: read}, 100, 1000)
+		t.Logf("read=%v: %.1f events and %.2f switches per call; %d events queued at the end, at most %d after a call",
+			read, loop.events, loop.switches, loop.queued, loop.maxQueued)
+		if loop.switches > maxSwitches {
+			t.Errorf("read=%v: %.2f process switches per call, budget %.0f", read, loop.switches, maxSwitches)
+		}
+		if loop.maxQueued > perConn*conns {
+			t.Errorf("read=%v: %d events queued after a call, budget %d per connection", read, loop.maxQueued, perConn)
+		}
 	}
 }
