@@ -339,10 +339,35 @@ func (m *Mount) charge(p *sim.Proc, bucket string, us float64) {
 	m.Node.ChargeCPU(p, bucket, m.Node.Model.Cost(us))
 }
 
-// call issues one RPC, counting it.
+// call issues one RPC, counting each attempt. An NFSERR_TRYLATER answer
+// means the server is evicting a conflicting lease holder for us, so call
+// backs off and asks again, up to eight times. Every NFS result begins with
+// its status, which call reads from a copy of the decoder, leaving the
+// caller's cursor at the start. LEASE counts its own TRYLATERs and retries
+// itself (getLease).
 func (m *Mount) call(p *sim.Proc, proc uint32, args func(e *xdr.Encoder)) (*xdr.Decoder, error) {
-	m.Stats.Calls[proc]++
-	return m.tr.Call(p, proc, args)
+	for attempt := 0; ; attempt++ {
+		m.Stats.Calls[proc]++
+		d, err := m.tr.Call(p, proc, args)
+		if err != nil || proc == nfsproto.ProcLease || attempt >= 8 {
+			return d, err
+		}
+		peek := *d
+		if st, _ := peek.Uint32(); nfsproto.Status(st) != nfsproto.ErrTryLater {
+			return d, nil
+		}
+		tryLaterBackoff(p, attempt)
+	}
+}
+
+// tryLaterBackoff sleeps before retrying an operation refused with
+// NFSERR_TRYLATER (the server is evicting a conflicting lease holder).
+func tryLaterBackoff(p *sim.Proc, attempt int) {
+	d := time.Duration(attempt+1) * 500 * time.Millisecond
+	if d > 3*time.Second {
+		d = 3 * time.Second
+	}
+	p.Sleep(d)
 }
 
 // getVnode interns a vnode for a handle.
@@ -404,32 +429,25 @@ func (m *Mount) freshAttrs(p *sim.Proc, vn *vnode) error {
 	if vn.attrValid && m.env.Now()-vn.attrTime <= attrTimeout {
 		return nil
 	}
-	for attempt := 0; ; attempt++ {
-		d, err := m.call(p, nfsproto.ProcGetattr, func(e *xdr.Encoder) {
-			(&nfsproto.GetattrArgs{File: vn.fh}).Encode(e)
-			if m.wantHint() {
-				m.leaseHint(e, nfsproto.LeaseRead)
-			}
-		})
-		if err != nil {
-			return err
+	d, err := m.call(p, nfsproto.ProcGetattr, func(e *xdr.Encoder) {
+		(&nfsproto.GetattrArgs{File: vn.fh}).Encode(e)
+		if m.wantHint() {
+			m.leaseHint(e, nfsproto.LeaseRead)
 		}
-		res, err := nfsproto.DecodeAttrRes(d)
-		if err != nil {
-			return err
-		}
-		if res.Status == nfsproto.ErrTryLater && attempt < 8 {
-			// A write-lease holder is being evicted for us.
-			tryLaterBackoff(p, attempt)
-			continue
-		}
-		if res.Status != nfsproto.OK {
-			return res.Status.Error()
-		}
-		m.updateAttrs(vn, res.Attr, false)
-		m.absorbPiggy(p, d, vn)
-		return nil
+	})
+	if err != nil {
+		return err
 	}
+	res, err := nfsproto.DecodeAttrRes(d)
+	if err != nil {
+		return err
+	}
+	if res.Status != nfsproto.OK {
+		return res.Status.Error()
+	}
+	m.updateAttrs(vn, res.Attr, false)
+	m.absorbPiggy(p, d, vn)
+	return nil
 }
 
 // checkConsistency validates cached data against the server mtime and
@@ -495,27 +513,18 @@ func (m *Mount) lookupComponent(p *sim.Proc, dir *vnode, name string) (*vnode, e
 		}
 		m.namec.Remove(dir.fileid, dir.gen, name)
 	}
-	var res *nfsproto.DiropRes
-	var piggy *xdr.Decoder
-	for attempt := 0; ; attempt++ {
-		d, err := m.call(p, nfsproto.ProcLookup, func(e *xdr.Encoder) {
-			(&nfsproto.DiropArgs{Dir: dir.fh, Name: name}).Encode(e)
-			if m.wantHint() {
-				m.leaseHint(e, nfsproto.LeaseRead)
-			}
-		})
-		if err != nil {
-			return nil, err
+	d, err := m.call(p, nfsproto.ProcLookup, func(e *xdr.Encoder) {
+		(&nfsproto.DiropArgs{Dir: dir.fh, Name: name}).Encode(e)
+		if m.wantHint() {
+			m.leaseHint(e, nfsproto.LeaseRead)
 		}
-		if res, err = nfsproto.DecodeDiropRes(d); err != nil {
-			return nil, err
-		}
-		if res.Status == nfsproto.ErrTryLater && attempt < 8 {
-			tryLaterBackoff(p, attempt)
-			continue
-		}
-		piggy = d
-		break
+	})
+	if err != nil {
+		return nil, err
+	}
+	res, err := nfsproto.DecodeDiropRes(d)
+	if err != nil {
+		return nil, err
 	}
 	if res.Status != nfsproto.OK {
 		if res.Status == nfsproto.ErrNoEnt {
@@ -525,7 +534,7 @@ func (m *Mount) lookupComponent(p *sim.Proc, dir *vnode, name string) (*vnode, e
 	}
 	vn := m.getVnode(res.File)
 	m.updateAttrs(vn, res.Attr, false)
-	m.absorbPiggy(p, piggy, vn)
+	m.absorbPiggy(p, d, vn)
 	m.namec.Enter(dir.fileid, dir.gen, name, vn.fileid, vn.gen)
 	return vn, nil
 }

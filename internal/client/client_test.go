@@ -355,6 +355,49 @@ func TestUltrixPrereadsPartialWrites(t *testing.T) {
 	})
 }
 
+// TestUltrixPrereadWaitsForQueuedWrite: without dirty-region tracking a
+// partial write to an uncached block prereads it. When the block's last
+// write is still queued on a biod, the preread must wait for it, or it
+// fetches the server's older bytes and the cache serves them from then on.
+func TestUltrixPrereadWaitsForQueuedWrite(t *testing.T) {
+	r := newRig(t, 18)
+	m := r.mount(Ultrix())
+	r.run(t, func(p *sim.Proc) {
+		writeFile(t, p, m, "f", pattern(8192))
+		f, err := m.Open(p, "f")
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		patch := func(off uint32, s string) {
+			m.bufc.InvalidateVnode(f.vn.fileid, f.vn.gen) // block 0 leaves the cache
+			f.Seek(off)
+			if _, err := f.Write(p, []byte(s)); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+		}
+		patch(100, "first") // prereads, then queues its write on a biod
+		if f.vn.inFlight[0] == 0 {
+			t.Fatal("the first patch's write is not queued: the second preread races nothing")
+		}
+		patch(3000, "second")
+		if m.Stats.Prereads != 2 {
+			t.Fatalf("prereads = %d, want 2", m.Stats.Prereads)
+		}
+		want := pattern(8192)
+		copy(want[100:], "first")
+		copy(want[3000:], "second")
+		got := make([]byte, 8192)
+		f.Seek(0)
+		if n, err := f.Read(p, got); err != nil || n != len(want) {
+			t.Fatalf("read: %d, %v", n, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Error("the cache serves bytes the preread fetched before the block's queued write landed")
+		}
+		f.Close(p)
+	})
+}
+
 func TestRenoPartialWriteNoPreread(t *testing.T) {
 	r := newRig(t, 10)
 	m := r.mount(Reno())
@@ -467,7 +510,7 @@ func TestUpdateDaemonFlushes(t *testing.T) {
 // vnode may hold a dirty buffer while its hint is false. A checker looks
 // every 100 ms, so after each 30-second sweep too, while one mount writes
 // through a cache of eight buffers: a discontiguous rewrite whose flush the
-// first sweep lands in (the flushBufSync retry), full and partial writes
+// first sweep lands in (the write path's waiting push), full and partial writes
 // kept open across sweeps, a file big enough to evict dirty victims, a
 // remove of a dirty file, a dirty file another mount rewrites, which the
 // next open purges, and a write to a block the sweep has already pushed

@@ -102,36 +102,23 @@ func (m *Mount) Create(p *sim.Proc, path string, mode uint32) (*File, error) {
 		if old := m.vns[vnKey{vid, vgen}]; old != nil {
 			m.bufc.InvalidateVnode(old.fileid, old.gen)
 			m.dropLease(old)
-			for old.pendingFlushes > 0 {
-				old.flushDone.Wait(p)
-			}
+			m.awaitVnode(p, old)
 		}
 	}
-	var d *xdr.Decoder
-	var res *nfsproto.DiropRes
-	for attempt := 0; ; attempt++ {
-		var err error
-		d, err = m.call(p, nfsproto.ProcCreate, func(e *xdr.Encoder) {
-			(&nfsproto.CreateArgs{Where: nfsproto.DiropArgs{Dir: dir.fh, Name: name}, Attr: attr}).Encode(e)
-			// A create is almost always followed by writes: ask for the write
-			// lease up front so the data path never needs an explicit LEASE RPC.
-			if m.wantHint() {
-				m.leaseHint(e, nfsproto.LeaseWrite)
-			}
-		})
-		if err != nil {
-			return nil, err
+	d, err := m.call(p, nfsproto.ProcCreate, func(e *xdr.Encoder) {
+		(&nfsproto.CreateArgs{Where: nfsproto.DiropArgs{Dir: dir.fh, Name: name}, Attr: attr}).Encode(e)
+		// A create is almost always followed by writes: ask for the write
+		// lease up front so the data path never needs an explicit LEASE RPC.
+		if m.wantHint() {
+			m.leaseHint(e, nfsproto.LeaseWrite)
 		}
-		if res, err = nfsproto.DecodeDiropRes(d); err != nil {
-			return nil, err
-		}
-		if res.Status == nfsproto.ErrTryLater && attempt < 8 {
-			// Truncating a foreign-leased file: the server is evicting the
-			// holder for us.
-			tryLaterBackoff(p, attempt)
-			continue
-		}
-		break
+	})
+	if err != nil {
+		return nil, err
+	}
+	res, err := nfsproto.DecodeDiropRes(d)
+	if err != nil {
+		return nil, err
 	}
 	if res.Status != nfsproto.OK {
 		return nil, res.Status.Error()
@@ -191,30 +178,22 @@ func (m *Mount) Remove(p *sim.Proc, path string) error {
 		if vn := m.vns[vnKey{vid, vgen}]; vn != nil {
 			m.bufc.InvalidateVnode(vn.fileid, vn.gen)
 			m.dropLease(vn)
-			for vn.pendingFlushes > 0 {
-				vn.flushDone.Wait(p)
-			}
+			m.awaitVnode(p, vn)
 		}
 	}
-	for attempt := 0; ; attempt++ {
-		d, err := m.call(p, nfsproto.ProcRemove, func(e *xdr.Encoder) {
-			(&nfsproto.DiropArgs{Dir: dir.fh, Name: name}).Encode(e)
-		})
-		if err != nil {
-			return err
-		}
-		res, err := nfsproto.DecodeStatusRes(d)
-		if err != nil {
-			return err
-		}
-		if res.Status == nfsproto.ErrTryLater && attempt < 8 {
-			tryLaterBackoff(p, attempt)
-			continue
-		}
-		m.namec.Remove(dir.fileid, dir.gen, name)
-		dir.attrValid = false
-		return res.Status.Error()
+	d, err := m.call(p, nfsproto.ProcRemove, func(e *xdr.Encoder) {
+		(&nfsproto.DiropArgs{Dir: dir.fh, Name: name}).Encode(e)
+	})
+	if err != nil {
+		return err
 	}
+	res, err := nfsproto.DecodeStatusRes(d)
+	if err != nil {
+		return err
+	}
+	m.namec.Remove(dir.fileid, dir.gen, name)
+	dir.attrValid = false
+	return res.Status.Error()
 }
 
 // Rmdir removes a directory.
@@ -313,6 +292,14 @@ func (m *Mount) Readlink(p *sim.Proc, path string) (string, error) {
 // ReadDir lists a directory, serving repeats from the cached listing while
 // the directory's mtime holds.
 func (m *Mount) ReadDir(p *sim.Proc, path string) ([]nfsproto.DirEntry, error) {
+	return m.readDir(p, path, false)
+}
+
+// readDir is ReadDir's loop; with look it lists through the
+// readdir_and_lookup_files extension (ReadDirLook) and primes the caches
+// from the entries, falling back to READDIR the first time the server
+// refuses the extension.
+func (m *Mount) readDir(p *sim.Proc, path string, look bool) ([]nfsproto.DirEntry, error) {
 	vn, err := m.walk(p, path)
 	if err != nil {
 		return nil, err
@@ -323,27 +310,56 @@ func (m *Mount) ReadDir(p *sim.Proc, path string) ([]nfsproto.DirEntry, error) {
 	if vn.dirCache != nil && vn.dirCacheMtime == vn.attr.Mtime {
 		return vn.dirCache, nil
 	}
+	proc := uint32(nfsproto.ProcReaddir)
+	if look {
+		proc = nfsproto.ProcReaddirLook
+	}
 	var all []nfsproto.DirEntry
 	cookie := uint32(0)
 	for {
-		d, err := m.call(p, nfsproto.ProcReaddir, func(e *xdr.Encoder) {
+		d, err := m.call(p, proc, func(e *xdr.Encoder) {
 			(&nfsproto.ReaddirArgs{Dir: vn.fh, Cookie: cookie, Count: nfsproto.MaxData}).Encode(e)
 		})
-		if err != nil {
-			return nil, err
+		var ents []nfsproto.DirEntry
+		var eof bool
+		if look {
+			var res *nfsproto.ReaddirLookRes
+			if err == nil {
+				res, err = nfsproto.DecodeReaddirLookRes(d)
+			}
+			if err != nil {
+				m.rdlBroken = true
+				return m.readDir(p, path, false)
+			}
+			if res.Status != nfsproto.OK {
+				return nil, res.Status.Error()
+			}
+			for i := range res.Entries {
+				ent := &res.Entries[i]
+				child := m.getVnode(ent.File)
+				m.updateAttrs(child, &ent.Attr, false)
+				m.namec.Enter(vn.fileid, vn.gen, ent.Entry.Name, child.fileid, child.gen)
+				ents = append(ents, ent.Entry)
+			}
+			eof = res.EOF
+		} else {
+			if err != nil {
+				return nil, err
+			}
+			res, err := nfsproto.DecodeReaddirRes(d)
+			if err != nil {
+				return nil, err
+			}
+			if res.Status != nfsproto.OK {
+				return nil, res.Status.Error()
+			}
+			ents, eof = res.Entries, res.EOF
 		}
-		res, err := nfsproto.DecodeReaddirRes(d)
-		if err != nil {
-			return nil, err
-		}
-		if res.Status != nfsproto.OK {
-			return nil, res.Status.Error()
-		}
-		all = append(all, res.Entries...)
-		if res.EOF || len(res.Entries) == 0 {
+		all = append(all, ents...)
+		if eof || len(ents) == 0 {
 			break
 		}
-		cookie = res.Entries[len(res.Entries)-1].Cookie
+		cookie = ents[len(ents)-1].Cookie
 	}
 	vn.dirCache = all
 	vn.dirCacheMtime = vn.attr.Mtime
@@ -412,8 +428,9 @@ func (m *Mount) adaptRead(retried bool) {
 }
 
 // readRPC fetches one block-aligned extent from the server into the
-// cache, in curRsize-sized transfers. TRYLATER answers (a lease being
-// vacated for us) are retried with backoff.
+// cache, in curRsize-sized transfers. It never waits for the block's queued
+// writes (a biod's read-ahead runs it, and a biod waiting on its own queue
+// deadlocks): a caller that may meet them calls awaitBlock first.
 func (m *Mount) readRPC(p *sim.Proc, vn *vnode, block uint32) error {
 	var page [vfs.BlockSize]byte
 	base := block * vfs.BlockSize
@@ -423,28 +440,19 @@ func (m *Mount) readRPC(p *sim.Proc, vn *vnode, block uint32) error {
 		if off+size > vfs.BlockSize {
 			size = vfs.BlockSize - off
 		}
-		var res *nfsproto.ReadRes
-		for attempt := 0; ; attempt++ {
-			before := m.tr.Stats().RetryClass[transport.ClassRead]
-			off32 := base + uint32(off)
-			d, err := m.call(p, nfsproto.ProcRead, func(e *xdr.Encoder) {
-				(&nfsproto.ReadArgs{File: vn.fh, Offset: off32, Count: uint32(size)}).Encode(e)
-			})
-			if err != nil {
-				m.adaptRead(true)
-				return err
-			}
-			m.adaptRead(m.tr.Stats().RetryClass[transport.ClassRead] > before)
-			if res, err = nfsproto.DecodeReadRes(d); err != nil {
-				return err
-			}
-			if res.Status != nfsproto.ErrTryLater {
-				break
-			}
-			if attempt >= 8 {
-				return res.Status.Error()
-			}
-			tryLaterBackoff(p, attempt)
+		before := m.tr.Stats().RetryClass[transport.ClassRead]
+		off32 := base + uint32(off)
+		d, err := m.call(p, nfsproto.ProcRead, func(e *xdr.Encoder) {
+			(&nfsproto.ReadArgs{File: vn.fh, Offset: off32, Count: uint32(size)}).Encode(e)
+		})
+		if err != nil {
+			m.adaptRead(true)
+			return err
+		}
+		m.adaptRead(m.tr.Stats().RetryClass[transport.ClassRead] > before)
+		res, err := nfsproto.DecodeReadRes(d)
+		if err != nil {
+			return err
 		}
 		if res.Status != nfsproto.OK {
 			return res.Status.Error()
@@ -464,9 +472,8 @@ func (m *Mount) readRPC(p *sim.Proc, vn *vnode, block uint32) error {
 		var victim *vfs.Buf
 		b, victim = m.bufc.Insert(key)
 		if victim != nil && victim.Dirty {
-			// Async: this path can run inside a biod (read-ahead), where
-			// waiting for another queued job could deadlock.
-			m.flushBufAsync(p, victim)
+			// No wait: this path can run inside a biod (read-ahead).
+			m.push(p, victim, false)
 		}
 	}
 	// Merge around the buffer's valid region: those bytes are at least as
@@ -519,6 +526,9 @@ func (f *File) Read(p *sim.Proc, dst []byte) (int, error) {
 		b, _ := m.bufc.Lookup(key)
 		if b == nil || !b.Covers(int(bo), int(bo+n)) {
 			m.Stats.CacheReadMisses++
+			// A dirty victim's write may still be queued: the server's
+			// copy is stale until it lands (getblk sleeps on B_BUSY).
+			m.awaitBlock(p, vn, block)
 			if err := m.readRPC(p, vn, block); err != nil {
 				return int(got), err
 			}
@@ -591,6 +601,7 @@ func (f *File) Write(p *sim.Proc, src []byte) (int, error) {
 			inFile := block*vfs.BlockSize < vn.size
 			if !m.Opts.DirtyRegionTracking && partial && inFile && off < vn.size {
 				m.Stats.Prereads++
+				m.awaitBlock(p, vn, block)
 				if err := m.readRPC(p, vn, block); err != nil {
 					return int(done), err
 				}
@@ -600,7 +611,7 @@ func (f *File) Write(p *sim.Proc, src []byte) (int, error) {
 				var victim *vfs.Buf
 				b, victim = m.bufc.Insert(key)
 				if victim != nil && victim.Dirty {
-					m.flushBufAsync(p, victim)
+					m.push(p, victim, false)
 				}
 			}
 		}
@@ -608,7 +619,7 @@ func (f *File) Write(p *sim.Proc, src []byte) (int, error) {
 		if b.Write(int(bo), src[done:done+n]) {
 			// Discontiguous dirty region: push the old one first, the way
 			// the Reno client does, then retry.
-			m.flushBufSync(p, b)
+			m.push(p, b, true)
 			vn.mayBeDirty = true // a sweep may have cleared it while we waited
 			b.Write(int(bo), src[done:done+n])
 		}
@@ -621,11 +632,9 @@ func (f *File) Write(p *sim.Proc, src []byte) (int, error) {
 		full := b.ValidEnd-b.ValidOff >= vfs.BlockSize
 		switch {
 		case m.Opts.Policy == WriteThrough:
-			m.flushBufSync(p, b)
-		case m.Opts.EagerWriteBack:
-			m.flushBufAsync(p, b)
-		case m.Opts.Policy == WriteAsync && full:
-			m.flushBufAsync(p, b)
+			m.push(p, b, true)
+		case m.Opts.EagerWriteBack, m.Opts.Policy == WriteAsync && full:
+			m.push(p, b, false)
 		}
 	}
 	f.Offset += done
@@ -661,37 +670,30 @@ func (f *File) Seek(off uint32) { f.Offset = off }
 
 // Flushing ------------------------------------------------------------------
 
-// writeRPC sends one write RPC and updates attributes, retrying through
-// TRYLATER while the server vacates a conflicting lease.
+// writeRPC sends one write RPC and updates attributes.
 func (m *Mount) writeRPC(p *sim.Proc, vn *vnode, offset uint32, data []byte) error {
-	for attempt := 0; ; attempt++ {
-		d, err := m.call(p, nfsproto.ProcWrite, func(e *xdr.Encoder) {
-			// Re-encodable for retransmission: the chain is rebuilt from
-			// the stable byte slice on every invocation.
-			(&nfsproto.WriteArgs{File: vn.fh, Offset: offset, Data: mbuf.FromBytes(data)}).Encode(e)
-			// Keeps the write lease fresh while a long flush streams.
-			if m.wantHint() {
-				m.leaseHint(e, nfsproto.LeaseWrite)
-			}
-		})
-		if err != nil {
-			return err
+	d, err := m.call(p, nfsproto.ProcWrite, func(e *xdr.Encoder) {
+		// Re-encodable for retransmission: the chain is rebuilt from
+		// the stable byte slice on every invocation.
+		(&nfsproto.WriteArgs{File: vn.fh, Offset: offset, Data: mbuf.FromBytes(data)}).Encode(e)
+		// Keeps the write lease fresh while a long flush streams.
+		if m.wantHint() {
+			m.leaseHint(e, nfsproto.LeaseWrite)
 		}
-		res, err := nfsproto.DecodeAttrRes(d)
-		if err != nil {
-			return err
-		}
-		if res.Status == nfsproto.ErrTryLater && attempt < 8 {
-			tryLaterBackoff(p, attempt)
-			continue
-		}
-		if res.Status != nfsproto.OK {
-			return res.Status.Error()
-		}
-		m.updateAttrs(vn, res.Attr, true)
-		m.absorbPiggy(p, d, vn)
-		return nil
+	})
+	if err != nil {
+		return err
 	}
+	res, err := nfsproto.DecodeAttrRes(d)
+	if err != nil {
+		return err
+	}
+	if res.Status != nfsproto.OK {
+		return res.Status.Error()
+	}
+	m.updateAttrs(vn, res.Attr, true)
+	m.absorbPiggy(p, d, vn)
+	return nil
 }
 
 // extractDirty snapshots and cleans a buffer's dirty region.
@@ -706,69 +708,43 @@ func extractDirty(b *vfs.Buf) (offset int, data []byte) {
 	return off, data
 }
 
-// enqueueFlush extracts a buffer's dirty region and queues it on the
-// block's affinity biod; per-block FIFO order keeps overlapping writes to
-// one block from reordering on the wire (the B_BUSY discipline). It
-// reports whether anything was queued.
-func (m *Mount) enqueueFlush(b *vfs.Buf) bool {
-	off, data := extractDirty(b)
-	if data == nil {
-		return false
-	}
+// push sends a buffer's dirty region to the server: through the block's
+// affinity biod, whose FIFO keeps overlapping writes to one block in order
+// on the wire (the B_BUSY discipline), or from the calling process when the
+// mount has no biods. With wait it returns only once every write queued for
+// the block has reached the server.
+func (m *Mount) push(p *sim.Proc, b *vfs.Buf, wait bool) {
 	vn := m.vns[vnKey{b.Key.Vnode, b.Key.Gen}]
-	if vn == nil {
-		return false
-	}
 	block := b.Key.Block
-	vn.pendingFlushes++
-	vn.inFlight[block]++
-	m.biodQs[int(block)%len(m.biodQs)].Send(flushJob{
-		vn: vn, block: block, offset: block*vfs.BlockSize + uint32(off), data: data,
-	})
-	return true
+	if off, data := extractDirty(b); data != nil {
+		offset := block*vfs.BlockSize + uint32(off)
+		if len(m.biodQs) == 0 {
+			m.writeRPC(p, vn, offset, data)
+			return
+		}
+		vn.pendingFlushes++
+		vn.inFlight[block]++
+		m.biodQs[int(block)%len(m.biodQs)].Send(flushJob{vn: vn, block: block, offset: offset, data: data})
+	}
+	if wait {
+		m.awaitBlock(p, vn, block)
+	}
 }
 
-// flushBufDirect writes the dirty region in the calling process (the
-// no-biod configuration; everything is sequential, so ordering is free).
-func (m *Mount) flushBufDirect(p *sim.Proc, b *vfs.Buf) {
-	off, data := extractDirty(b)
-	if data == nil {
-		return
-	}
-	vn := m.vns[vnKey{b.Key.Vnode, b.Key.Gen}]
-	if vn == nil {
-		return
-	}
-	m.writeRPC(p, vn, b.Key.Block*vfs.BlockSize+uint32(off), data)
-}
-
-// flushBufSync pushes a buffer's dirty region and waits until every write
-// for that block (including earlier asynchronous ones) has reached the
-// server.
-func (m *Mount) flushBufSync(p *sim.Proc, b *vfs.Buf) {
-	if len(m.biodQs) == 0 {
-		m.flushBufDirect(p, b)
-		return
-	}
-	vn := m.vns[vnKey{b.Key.Vnode, b.Key.Gen}]
-	if vn == nil {
-		return
-	}
-	block := b.Key.Block
-	m.enqueueFlush(b)
+// awaitBlock sleeps until no write queued for the block is still on its way
+// to the server, the way getblk sleeps on a B_BUSY buffer.
+func (m *Mount) awaitBlock(p *sim.Proc, vn *vnode, block uint32) {
 	for vn.inFlight[block] > 0 {
 		vn.flushDone.Wait(p)
 	}
 }
 
-// flushBufAsync hands a buffer's dirty region to the biods (or flushes
-// directly when there are none).
-func (m *Mount) flushBufAsync(p *sim.Proc, b *vfs.Buf) {
-	if len(m.biodQs) == 0 {
-		m.flushBufDirect(p, b)
-		return
+// awaitVnode sleeps until every write queued for the file has reached the
+// server.
+func (m *Mount) awaitVnode(p *sim.Proc, vn *vnode) {
+	for vn.pendingFlushes > 0 {
+		vn.flushDone.Wait(p)
 	}
-	m.enqueueFlush(b)
 }
 
 // flushVnode pushes all dirty blocks of a vnode sequentially (nfs_flush
@@ -783,16 +759,10 @@ func (m *Mount) flushVnode(p *sim.Proc, vn *vnode, wait bool) {
 		vn.mayBeDirty = false
 	}
 	for _, b := range dirty {
-		if len(m.biodQs) == 0 {
-			m.flushBufDirect(p, b)
-		} else {
-			m.flushBufSync(p, b)
-		}
+		m.push(p, b, true)
 	}
 	if wait {
-		for vn.pendingFlushes > 0 {
-			vn.flushDone.Wait(p)
-		}
+		m.awaitVnode(p, vn)
 	}
 }
 

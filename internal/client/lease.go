@@ -1,7 +1,8 @@
 package client
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"renonfs/internal/nfsproto"
@@ -178,17 +179,7 @@ func (m *Mount) vacateAll(p *sim.Proc) {
 	if len(m.leases) == 0 || p == nil {
 		return
 	}
-	keys := make([]vnKey, 0, len(m.leases))
-	for k := range m.leases {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].fileid != keys[j].fileid {
-			return keys[i].fileid < keys[j].fileid
-		}
-		return keys[i].gen < keys[j].gen
-	})
-	for _, k := range keys {
+	for _, k := range m.leaseKeys() {
 		// A call below parks, and meanwhile an eviction's surrender or a
 		// Remove may drop a lease still ahead in keys: it needs no VACATED.
 		l := m.leases[k]
@@ -200,6 +191,19 @@ func (m *Mount) vacateAll(p *sim.Proc) {
 			(&nfsproto.VacatedArgs{File: l.vn.fh}).Encode(e)
 		})
 	}
+}
+
+// leaseKeys returns the held leases' keys in (fileid, gen) order, so that
+// map iteration order never leaks into simulated behaviour.
+func (m *Mount) leaseKeys() []vnKey {
+	keys := make([]vnKey, 0, len(m.leases))
+	for k := range m.leases {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, func(a, b vnKey) int {
+		return cmp.Or(cmp.Compare(a.fileid, b.fileid), cmp.Compare(a.gen, b.gen))
+	})
+	return keys
 }
 
 // dropLease forgets a lease without telling the server (expiry handles
@@ -261,22 +265,11 @@ func (m *Mount) leaseRenewProc(p *sim.Proc) {
 			return
 		}
 		now := m.env.Now()
-		// Deterministic order: map iteration order must not leak into
-		// simulated behaviour.
-		keys := make([]vnKey, 0, len(m.leases))
-		for k := range m.leases {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].fileid != keys[j].fileid {
-				return keys[i].fileid < keys[j].fileid
-			}
-			return keys[i].gen < keys[j].gen
-		})
-		for _, k := range keys {
+		for _, k := range m.leaseKeys() {
+			// A renewal below parks, and meanwhile a Remove or an eviction
+			// may drop a lease still ahead in the keys.
 			l := m.leases[k]
-			remaining := l.expiry - now
-			if remaining > 2*interval+leaseMargin {
+			if l == nil || l.expiry-now > 2*interval+leaseMargin {
 				continue
 			}
 			dirty := len(m.bufc.DirtyBufs(l.vn.fileid, l.vn.gen)) > 0
@@ -291,65 +284,10 @@ func (m *Mount) leaseRenewProc(p *sim.Proc) {
 	}
 }
 
-// tryLaterBackoff sleeps before retrying an operation refused with
-// NFSERR_TRYLATER (the server is evicting a conflicting lease holder).
-func tryLaterBackoff(p *sim.Proc, attempt int) {
-	d := time.Duration(attempt+1) * 500 * time.Millisecond
-	if d > 3*time.Second {
-		d = 3 * time.Second
-	}
-	p.Sleep(d)
-}
-
 // ReadDirLook lists a directory with the readdir_and_lookup_files
 // extension, priming the attribute and name caches from the entries so a
 // following per-file stat pass costs no RPCs. It falls back to ReadDir on
 // servers without the extension.
 func (m *Mount) ReadDirLook(p *sim.Proc, path string) ([]nfsproto.DirEntry, error) {
-	if !m.Opts.ReaddirLook || m.rdlBroken {
-		return m.ReadDir(p, path)
-	}
-	vn, err := m.walk(p, path)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.checkConsistency(p, vn); err != nil {
-		return nil, err
-	}
-	if vn.dirCache != nil && vn.dirCacheMtime == vn.attr.Mtime {
-		return vn.dirCache, nil
-	}
-	var all []nfsproto.DirEntry
-	cookie := uint32(0)
-	for {
-		d, err := m.call(p, nfsproto.ProcReaddirLook, func(e *xdr.Encoder) {
-			(&nfsproto.ReaddirArgs{Dir: vn.fh, Cookie: cookie, Count: nfsproto.MaxData}).Encode(e)
-		})
-		if err != nil {
-			m.rdlBroken = true
-			return m.ReadDir(p, path)
-		}
-		res, err := nfsproto.DecodeReaddirLookRes(d)
-		if err != nil {
-			m.rdlBroken = true
-			return m.ReadDir(p, path)
-		}
-		if res.Status != nfsproto.OK {
-			return nil, res.Status.Error()
-		}
-		for i := range res.Entries {
-			ent := &res.Entries[i]
-			child := m.getVnode(ent.File)
-			m.updateAttrs(child, &ent.Attr, false)
-			m.namec.Enter(vn.fileid, vn.gen, ent.Entry.Name, child.fileid, child.gen)
-			all = append(all, ent.Entry)
-		}
-		if res.EOF || len(res.Entries) == 0 {
-			break
-		}
-		cookie = res.Entries[len(res.Entries)-1].Entry.Cookie
-	}
-	vn.dirCache = all
-	vn.dirCacheMtime = vn.attr.Mtime
-	return all, nil
+	return m.readDir(p, path, m.Opts.ReaddirLook && !m.rdlBroken)
 }

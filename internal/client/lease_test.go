@@ -226,6 +226,39 @@ func TestPlainClientGetsTryLaterThenData(t *testing.T) {
 	})
 }
 
+// TestSetattrRetriesTryLater: a SETATTR on a file another mount holds under
+// a write lease, with dirty data, is answered TRYLATER while the server
+// evicts the holder. The plain mount retries it like every other call; the
+// holder is evicted once and its writes reach the server.
+func TestSetattrRetriesTryLater(t *testing.T) {
+	r := newLeaseRig(t, 14, nil)
+	plain := r.mount(Reno())
+	leased := r.mount(leaseClient())
+	r.run(t, func(p *sim.Proc) {
+		writeFile(t, p, plain, "f", []byte("v0")) // plain caches f's name and attributes
+		data := pattern(8192)
+		writeFile(t, p, leased, "f", data)
+		vn, err := leased.walk(p, "f")
+		if err != nil {
+			t.Fatalf("walk: %v", err)
+		}
+		if leased.leaseFor(vn, nfsproto.LeaseWrite) == nil || len(leased.bufc.DirtyBufs(vn.fileid, vn.gen)) == 0 {
+			t.Fatal("the leased writer holds no write lease over dirty data")
+		}
+		attr := nfsproto.NewSattr()
+		attr.Mode = 0600
+		if err := plain.Setattr(p, "f", attr); err != nil {
+			t.Fatalf("setattr against a foreign write lease: %v", err)
+		}
+		if got := leased.Stats.LeaseEvictions; got != 1 {
+			t.Errorf("holder evicted %d times, want 1", got)
+		}
+		if got := readFile(t, p, plain, "f"); !bytes.Equal(got, data) {
+			t.Error("the evicted holder's writes did not reach the server")
+		}
+	})
+}
+
 func TestLeaseRenewalProtectsDirtyData(t *testing.T) {
 	r := newLeaseRig(t, 5, func(o *server.Options) {
 		o.LeaseDuration = 10 * time.Second
@@ -426,6 +459,41 @@ func TestServerLeaseTableExpiry(t *testing.T) {
 		p.Sleep(20 * time.Second)
 		if r.srv.Leases() != 0 {
 			t.Errorf("%d leases survive long past expiry", r.srv.Leases())
+		}
+	})
+}
+
+// TestLeaseRenewSkipsRemovedFile: a Remove that drops a lease while the
+// renewal sweep is parked renewing an earlier file leaves a key the sweep
+// has not reached yet; the sweep must skip it, not dereference it.
+func TestLeaseRenewSkipsRemovedFile(t *testing.T) {
+	r := newLeaseRig(t, 15, func(o *server.Options) {
+		o.LeaseDuration = 10 * time.Second
+	})
+	opts := leaseClient()
+	opts.LeaseDuration = 10 * time.Second
+	opts.UpdateFlush = false
+	m := r.mount(opts)
+	r.run(t, func(p *sim.Proc) {
+		writeFile(t, p, m, "a", []byte("a"))
+		writeFile(t, p, m, "b", []byte("b"))
+		base := m.Stats.RPCCount(nfsproto.ProcLease)
+		removed := false
+		r.env.Spawn("rm", func(q *sim.Proc) {
+			for m.Stats.RPCCount(nfsproto.ProcLease) == base {
+				q.Sleep(100 * time.Microsecond)
+			}
+			if err := m.Remove(q, "b"); err != nil {
+				t.Errorf("remove: %v", err)
+			}
+			removed = true
+		})
+		p.Sleep(20 * time.Second)
+		if !removed {
+			t.Fatal("the renewal sweep sent no LEASE: the remove raced nothing")
+		}
+		if got := readFile(t, p, m, "a"); string(got) != "a" {
+			t.Errorf("a reads %q after the renewals", got)
 		}
 	})
 }

@@ -69,6 +69,14 @@ var mutants = []struct {
 		"	if !b.Dirty && b.Data != nil {",
 		"	if b.Data != nil {",
 		"./internal/client", "TestSweepHintCoversDirtyBuffers"},
+	{"internal/client/io.go",
+		"			m.awaitBlock(p, vn, block)\n			if err := m.readRPC(p, vn, block); err != nil {\n				return int(got), err\n",
+		"			if err := m.readRPC(p, vn, block); err != nil {\n				return int(got), err\n",
+		"./internal/client", "TestRandomizedIOAgainstModel"},
+	{"internal/client/client.go",
+		"		if err != nil || proc == nfsproto.ProcLease || attempt >= 8 {",
+		"		if err != nil || proc == nfsproto.ProcLease || attempt >= 0 {",
+		"./internal/client", "TestPlainClientGetsTryLaterThenData"},
 }
 
 // TestMutants plants each mutant through go test -overlay (the working
