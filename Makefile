@@ -29,9 +29,9 @@ chaos:
 
 # 30-second native-fuzz smokes: the two network-facing decoders, the
 # in-place record scanner against a whole-stream reference splitter (any
-# stream, any chunking), and the differential that holds the shallow
-# dispatch path to the generic one (same reply bytes, same side effects,
-# any datagram sequence).
+# stream, any chunking), and the differential that holds the server's byte
+# entry to its chain entry (same reply bytes, same side effects, any
+# datagram sequence).
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzRPCDecode -fuzztime=30s ./internal/rpc
 	$(GO) test -fuzz=FuzzRecordScanner -fuzztime=30s ./internal/rpc
@@ -56,8 +56,8 @@ bench:
 	$(GO) test -bench=. -benchmem -benchtime 1x ./...
 
 # One iteration of every benchmark plus the deterministic regression gates:
-# per-call allocation and copy budgets (the shallow LOOKUP allocates 1, the
-# generic one up to 8), and a leased Create-Delete in simulated time falling
+# per-call allocation and copy budgets (a LOOKUP through the byte entry
+# allocates 1, through the chain entry up to 7), and a leased Create-Delete in simulated time falling
 # below 3x the full-consistency time or losing write-RPC parity with the
 # no-consistency bound. Timing comparisons belong to
 # `bash benchmark/run.sh -compare`, not here. The simulation kernel's budgets
@@ -68,8 +68,8 @@ bench:
 # ChargeCPU to a bucket its node has seen; an 8 KB UDP datagram across a
 # simulated link allocates only its Datagram, reassembly on recycled state
 # allocates nothing, and a simulated GETATTR round trip through a Rig stays
-# within 9 allocations (6 measured); over simulated TCP a GETATTR stays
-# within 14 and an 8 KB READ within 30, and over 1,000 TCP calls a call
+# within 7 allocations (6 measured); over simulated TCP a GETATTR stays
+# within 13 and an 8 KB READ within 30, and over 1,000 TCP calls a call
 # switches into a process at most 3 times with at most 3 events queued per
 # connection (TestTCPLoopWork: connections, listener and readers run as
 # events, and no wait leaves a stale timeout). The second

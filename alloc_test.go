@@ -27,32 +27,38 @@ import (
 // LOOKUP dispatch and 17 for the 8 KB READ round trip (EXPERIMENTS.md,
 // "Zero-copy buffer path"), so these budgets also document the win.
 const (
-	lookupAllocBudget = 8
+	// A LOOKUP through the chain entry: measured 6 (7 while the chain
+	// codec had a wrapper of its own); the race detector's dropped pool
+	// puts take the headroom.
+	lookupAllocBudget = 7
 	read8KAllocBudget = 8
-	// The shallow dispatch path decodes from and encodes into flat caller
-	// scratch — its only steady-state allocation is the LOOKUP name string
+	// The byte entry decodes from and encodes into flat caller scratch —
+	// its only steady-state allocation is the LOOKUP name string
 	// (GETATTR has none). These counts are deterministic, so the budgets are
 	// the counts: no headroom.
 	fastLookupAllocBudget  = 1
 	fastGetattrAllocBudget = 0
-	// A generic READDIR streams its entries from the core's window onto the
-	// reply chain: what it allocates does not grow with the listing beyond
-	// memfs's one snapshot of it (no []DirEntry, no per-entry garbage).
-	// Measured 4, plus the pooled paths' one alloc of headroom.
-	readdirAllocBudget = 5
+	// A READDIR through the chain entry streams its entries from the core's
+	// window into pooled flat scratch and lays that into the reply chain:
+	// what it allocates does not grow with the listing beyond memfs's one
+	// snapshot of it (no []DirEntry, no per-entry garbage). Measured 3 (4
+	// while the chain codec had a wrapper of its own); the count is the
+	// budget.
+	readdirAllocBudget = 3
 	// A simulated GETATTR through a Rig: the dynamic-UDP transport, the
 	// simulated network and the server core together, with no tracer
-	// installed anywhere. Measured 7 (18 before the transport recycled its
-	// call records and the receive loops became queue callbacks, 44.1 while
-	// every simulator event was a heap-allocated timer and every wait a
-	// heap-allocated waiter); the budget is that plus 2.
-	rigGetattrAllocBudget = 9.0
+	// installed anywhere. Measured 6.00–6.01 (18 before the transport
+	// recycled its call records and the receive loops became queue
+	// callbacks, 44.1 while every simulator event was a heap-allocated timer
+	// and every wait a heap-allocated waiter); the budget is that plus 1.
+	rigGetattrAllocBudget = 7.0
 	// The same over simulated TCP: each segment's one object (datagram,
 	// header and payload chain) and its payload views, the record chains,
-	// the call's and the reply's codecs. Measured 12 and 28 (26 and 68
-	// while every segment and every record was copied, and every ACK
-	// re-viewed the whole send buffer); the budgets are those plus 2.
-	rigTCPGetattrAllocBudget = 14.0
+	// the call's and the reply's codecs. Measured 12.01 and 28.05 (26 and
+	// 68 while every segment and every record was copied, and every ACK
+	// re-viewed the whole send buffer); the GETATTR budget is that plus 1,
+	// the READ budget plus 2.
+	rigTCPGetattrAllocBudget = 13.0
 	rigTCPRead8KAllocBudget  = 30.0
 )
 
@@ -154,7 +160,7 @@ func TestAllocBudgetRead8K(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetReaddirDispatch pins the generic READDIR's server side —
+// TestAllocBudgetReaddirDispatch pins a chain-entry READDIR's server side —
 // request build, dispatch, reply chain; the reply is not dissected, since
 // decoding a listing allocates per entry on the client's account.
 func TestAllocBudgetReaddirDispatch(t *testing.T) {
@@ -315,9 +321,9 @@ func fastOnce(t testing.TB, s *server.Server, wire, out []byte) {
 	}
 }
 
-// TestAllocBudgetFastPath pins the shallow path's headline economy: a fast
-// LOOKUP allocates at most its name string, a fast GETATTR nothing at all —
-// against the 10 allocs/op the generic LOOKUP dispatch costs (and pins
+// TestAllocBudgetFastPath pins the byte entry's headline economy: a LOOKUP
+// allocates at most its name string, a GETATTR nothing at all — against the
+// 6 allocs/op a LOOKUP round trip through the chain entry costs (and pins
 // above). The reply scratch is reused across calls, as the reader's send
 // batch arena reuses its.
 func TestAllocBudgetFastPath(t *testing.T) {

@@ -382,8 +382,8 @@ func (c *Chain) Bytes() []byte {
 	return out
 }
 
-// CopyTo copies the chain's bytes into dst, which must be at least Len()
-// long, and returns the number of bytes copied.
+// CopyTo copies the chain's bytes into dst, as many as fit, and returns
+// the number of bytes copied.
 func (c *Chain) CopyTo(dst []byte) int {
 	n := 0
 	for m := c.head; m != nil; m = m.next {

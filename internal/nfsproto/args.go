@@ -54,17 +54,6 @@ func (a *SetattrArgs) Encode(e *xdr.Encoder) {
 	a.Attr.Encode(e)
 }
 
-// DecodeSetattrArgs unmarshals sattrargs.
-func DecodeSetattrArgs(d *xdr.Decoder) (*SetattrArgs, error) {
-	a := &SetattrArgs{}
-	var err error
-	if a.File, err = getFH(d); err != nil {
-		return nil, err
-	}
-	a.Attr, err = DecodeSattr(d)
-	return a, err
-}
-
 // ReadArgs is the READ argument (readargs).
 type ReadArgs struct {
 	File       FH

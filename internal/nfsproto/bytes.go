@@ -2,13 +2,14 @@ package nfsproto
 
 import "renonfs/internal/xdr"
 
-// Flat-buffer encoders for the shallow dispatch path. Each EncodeBytes
-// mirrors its chain-based Encode byte-for-byte — internal/server's
-// FuzzFastVsGeneric holds the pair together — but appends to a
+// Flat-buffer encoders for the server's header-only procedures. Each
+// EncodeBytes mirrors its chain-based Encode byte-for-byte —
+// TestEncodeBytesMatchesEncode holds the pair together — but appends to a
 // caller-provided buffer via xdr.ByteWriter instead of assembling an mbuf
 // chain. Only the result types a header-only procedure can produce get
 // one; payload-bearing results (READ, WRITE) stay on the chain path where
-// loaning lives.
+// loaning lives. A READDIR listing streams: one DirEntry.EncodeBytes per
+// entry, then EncodeDirEndBytes.
 
 func putTimeBytes(w *xdr.ByteWriter, t Time) {
 	w.PutUint32(t.Sec)
@@ -66,7 +67,8 @@ func (ent *DirEntry) EncodeBytes(w *xdr.ByteWriter) {
 	w.PutUint32(ent.Cookie)
 }
 
-// EncodeDirEndBytes is EncodeDirEnd for the flat buffer.
+// EncodeDirEndBytes terminates a streamed entry list and appends the EOF
+// flag.
 func EncodeDirEndBytes(w *xdr.ByteWriter, eof bool) {
 	w.PutBool(false) // no more entries
 	w.PutBool(eof)

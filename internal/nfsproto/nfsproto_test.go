@@ -272,3 +272,49 @@ func TestProcName(t *testing.T) {
 		t.Fatalf("ProcName(99) = %q", ProcName(99))
 	}
 }
+
+// TestEncodeBytesMatchesEncode holds each header-only result's flat encoder
+// to its chain encoder byte for byte: the server answers with the first,
+// clients and codec benchmarks build the second. Long names and targets
+// cross an mbuf, so the chain side spans clusters too.
+func TestEncodeBytesMatchesEncode(t *testing.T) {
+	attr := Fattr{Type: TypeReg, Mode: 0644, Nlink: 1, Size: 12345, BlockSize: 8192,
+		Blocks: 2, FSID: 1, FileID: 77, Atime: Time{1, 2}, Mtime: Time{3, 4}, Ctime: Time{5, 6}}
+	long := string(bytes.Repeat([]byte{'n'}, MaxNameLen))
+	listing := ReaddirRes{Status: OK, EOF: true, Entries: []DirEntry{
+		{FileID: 1, Name: ".", Cookie: 1}, {FileID: 9, Name: long, Cookie: 2}, {FileID: 10, Name: "abc", Cookie: 3}}}
+	type pair struct {
+		name  string
+		chain func(e *xdr.Encoder)
+		flat  func(w *xdr.ByteWriter)
+	}
+	pairs := []pair{
+		{"attrstat", (&AttrRes{Status: OK, Attr: &attr}).Encode, (&AttrRes{Status: OK, Attr: &attr}).EncodeBytes},
+		{"attrstat error", (&AttrRes{Status: ErrStale}).Encode, (&AttrRes{Status: ErrStale}).EncodeBytes},
+		{"diropres", (&DiropRes{Status: OK, File: MakeFH(1, 77, 3), Attr: &attr}).Encode,
+			(&DiropRes{Status: OK, File: MakeFH(1, 77, 3), Attr: &attr}).EncodeBytes},
+		{"diropres error", (&DiropRes{Status: ErrNoEnt}).Encode, (&DiropRes{Status: ErrNoEnt}).EncodeBytes},
+		{"readlink", (&ReadlinkRes{Status: OK, Path: long + "/x"}).Encode, (&ReadlinkRes{Status: OK, Path: long + "/x"}).EncodeBytes},
+		{"statfs", (&StatfsRes{Status: OK, TSize: 8192, BSize: 4096, Blocks: 10, BFree: 5, BAvail: 4}).Encode,
+			(&StatfsRes{Status: OK, TSize: 8192, BSize: 4096, Blocks: 10, BFree: 5, BAvail: 4}).EncodeBytes},
+		{"mnt", (&MntRes{File: MakeFH(1, 2, 3)}).Encode, (&MntRes{File: MakeFH(1, 2, 3)}).EncodeBytes},
+		{"mnt error", (&MntRes{Status: 13}).Encode, (&MntRes{Status: 13}).EncodeBytes},
+		{"lease piggyback", (&LeasePiggy{Mode: LeaseWrite, Duration: 30}).Encode, (&LeasePiggy{Mode: LeaseWrite, Duration: 30}).EncodeBytes},
+		{"readdir", listing.Encode, func(w *xdr.ByteWriter) {
+			w.PutUint32(uint32(listing.Status))
+			for i := range listing.Entries {
+				listing.Entries[i].EncodeBytes(w)
+			}
+			EncodeDirEndBytes(w, listing.EOF)
+		}},
+	}
+	for _, p := range pairs {
+		c, e := enc()
+		p.chain(e)
+		var w xdr.ByteWriter
+		p.flat(&w)
+		if got := c.Bytes(); !bytes.Equal(w.Bytes(), got) {
+			t.Errorf("%s: flat %x\n chain %x", p.name, w.Bytes(), got)
+		}
+	}
+}

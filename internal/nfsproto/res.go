@@ -168,22 +168,6 @@ type DirEntry struct {
 	Cookie uint32 // cookie of the *next* entry position
 }
 
-// Encode marshals one element of READDIR's XDR linked list, so a server can
-// stream a listing without materializing a ReaddirRes; EncodeDirEnd closes
-// the list.
-func (ent *DirEntry) Encode(e *xdr.Encoder) {
-	e.PutBool(true) // entry follows
-	e.PutUint32(ent.FileID)
-	e.PutString(ent.Name)
-	e.PutUint32(ent.Cookie)
-}
-
-// EncodeDirEnd terminates a streamed entry list and appends the EOF flag.
-func EncodeDirEnd(e *xdr.Encoder, eof bool) {
-	e.PutBool(false) // no more entries
-	e.PutBool(eof)
-}
-
 // ReaddirRes is the READDIR result.
 type ReaddirRes struct {
 	Status  Status
@@ -197,10 +181,14 @@ func (r *ReaddirRes) Encode(e *xdr.Encoder) {
 	if r.Status != OK {
 		return
 	}
-	for i := range r.Entries {
-		r.Entries[i].Encode(e)
+	for _, ent := range r.Entries {
+		e.PutBool(true) // entry follows
+		e.PutUint32(ent.FileID)
+		e.PutString(ent.Name)
+		e.PutUint32(ent.Cookie)
 	}
-	EncodeDirEnd(e, r.EOF)
+	e.PutBool(false) // no more entries
+	e.PutBool(r.EOF)
 }
 
 // DecodeReaddirRes unmarshals the READDIR result.

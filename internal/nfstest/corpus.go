@@ -1,8 +1,8 @@
 // Package nfstest is test support shared across packages: the fixture tree
 // and the datagram corpus that FuzzFastVsGeneric (internal/server) holds the
-// two codecs together with, exported so the real-socket frontends
-// (internal/nfsnet) can replay the same history through their own request
-// paths. Only tests import it.
+// server's two call entries together with, exported so the real-socket
+// frontends (internal/nfsnet) can replay the same history through their own
+// request paths. Only tests import it.
 package nfstest
 
 import (

@@ -44,8 +44,8 @@ func PeekCallHeader(b []byte, h *PeekedCall) (argOff int, ok bool) {
 }
 
 // AppendReplyHeader writes an accepted REPLY header to w, byte-for-byte
-// what EncodeReply produces on a chain (internal/server's
-// FuzzFastVsGeneric pins this).
+// what EncodeReply produces on a chain
+// (TestAppendReplyHeaderMatchesEncodeReply pins this).
 func AppendReplyHeader(w *xdr.ByteWriter, xid, acceptStat uint32) {
 	w.PutUint32(xid)
 	w.PutUint32(MsgReply)

@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"testing"
 
 	"renonfs/internal/mbuf"
@@ -52,6 +53,21 @@ func TestReplyRoundTrip(t *testing.T) {
 	}
 	if v, err := d.Uint32(); err != nil || v != 1234 {
 		t.Fatalf("results = %d, %v", v, err)
+	}
+}
+
+// TestAppendReplyHeaderMatchesEncodeReply holds the flat reply header the
+// server's header-only procedures answer with to the chain one every other
+// reply starts with.
+func TestAppendReplyHeaderMatchesEncodeReply(t *testing.T) {
+	for _, stat := range []uint32{Success, ProcUnavail, GarbageArgs} {
+		c := &mbuf.Chain{}
+		EncodeReply(c, 0xfeed, stat)
+		var w xdr.ByteWriter
+		AppendReplyHeader(&w, 0xfeed, stat)
+		if got := c.Bytes(); !bytes.Equal(w.Bytes(), got) {
+			t.Errorf("accept %d: flat %x, chain %x", stat, w.Bytes(), got)
+		}
 	}
 }
 

@@ -1,53 +1,57 @@
 package server
 
 import (
+	"encoding/binary"
+	"sync"
+
 	"renonfs/internal/mbuf"
 	"renonfs/internal/metrics"
 	"renonfs/internal/nfsproto"
 	"renonfs/internal/rpc"
+	"renonfs/internal/sim"
 	"renonfs/internal/xdr"
 )
 
-// The shallow dispatch path (DESIGN.md §3.4). Header-only procedures —
-// NULL, GETATTR, SETATTR, LOOKUP, READLINK, small READDIRs, STATFS and the
-// MOUNT herd — carry their whole request in one datagram and produce a
-// small bounded reply, so the mbuf chain assembly, the full RPC decoder and
-// the chain encoder that payload-bearing procedures need are pure overhead
-// for them. The ingest readers classify each datagram with
-// rpc.PeekCallHeader and, when FastEligible says so, call HandleCallFast to
-// service it in place. What the shallow path skips is data movement — the
-// chain, the ring hop — never logic: this file holds only the flat codec's
-// wrappers (xdr.ByteReader -> core -> EncodeBytes); every decision lives in
-// the procedure cores and the call frame (procs.go) the generic handlers
-// run too, and FuzzFastVsGeneric holds the two codecs to the same bytes
-// and the same side effects.
+// The header-only procedures' one wrapper (DESIGN.md §3.4). NULL, GETATTR,
+// SETATTR, LOOKUP, READLINK, READDIR, STATFS and the MOUNT herd carry their
+// whole request in a few hundred bytes and produce a small bounded reply,
+// so serveFlat decodes them from and encodes them into flat buffers:
+// xdr.ByteReader -> admit -> core (procs.go) -> EncodeBytes -> finish. It
+// has two entries. The byte entry, HandleCallFast, is what real-socket
+// readers call with the request still in their receive buffer and the
+// reply scratch in their send arena. The chain entry, HandleCall, is what
+// the simulated nfsds and every other holder of a request chain call:
+// serveGathered copies the request out and lays the reply back into a
+// chain. The *sim.Proc is passed through, so the simulator's CPU charges,
+// lease evictions and disk sleeps run in the order its golden runs pin,
+// and vanish over real sockets (p == nil).
 //
-// Fallback discipline: HandleCallFast decodes arguments and validates
-// bounds BEFORE touching any counter, cache or table. If anything is off —
-// short datagram, oversized name, READDIR window out of the fast range —
-// it returns ok=false having had no side effects, and the caller stages
-// the datagram onto the generic path, which re-runs the full decode and
-// owns the error reply. A datagram is therefore counted and serviced
-// exactly once whichever path it ends on.
+// serveFlat answers everything it is given, truncated arguments and
+// over-long names included (GARBAGE_ARGS, after the call frame ran), but
+// for a READDIR whose window could outgrow the caller's reply buffer: that
+// returns ok=false with no side effects, and the byte entry's callers put
+// the call through the chain entry, which has room for the largest window.
 
 const (
-	// FastReplyMax bounds a fast-path reply. The largest producer is a
-	// READDIR at fastReaddirMax budget: ≤ ~120 entries × (16 bytes + padded
-	// name) stays under 2.5 KB, and every other fast reply is ≤ 128 bytes.
-	// Scratch regions sized to this never need a mid-service fallback.
+	// FastReplyMax sizes a byte-entry caller's reply scratch: every
+	// header-only reply fits (READLINK's ≤ 1 KB target is the largest) but a
+	// READDIR window past about 3.4 KB, which declines.
 	FastReplyMax = 4096
-	// fastReaddirMax is the largest READDIR count argument serviced on the
-	// fast path; bigger windows (nfsproto.MaxData-sized sweeps) go generic.
-	fastReaddirMax = 2048
+	// gatherMax bounds the request bytes the chain entry copies out: a call
+	// header (≤ 840 bytes, with two 400-byte auth bodies) and the longest
+	// arguments a header-only procedure reads (MNT's 1,028-byte path).
+	gatherMax = 2048
 )
 
-// FastEligible reports whether a peeked call may take the shallow path.
-// Eligibility is by procedure only — argument-dependent limits (the
-// READDIR window) are checked after decode and fall back without side
-// effects.
-func FastEligible(h *rpc.PeekedCall) bool {
-	if h.Prog == nfsproto.Program && h.Vers == nfsproto.Version {
-		switch h.Proc {
+// FastEligible reports whether a peeked call may take the byte entry.
+// Eligibility is by procedure only — the READDIR window is checked after
+// decode and declines without side effects.
+func FastEligible(h *rpc.PeekedCall) bool { return flatEligible(h.Prog, h.Vers, h.Proc) }
+
+// flatEligible reports whether a call is one of serveFlat's procedures.
+func flatEligible(prog, vers, proc uint32) bool {
+	if prog == nfsproto.Program && vers == nfsproto.Version {
+		switch proc {
 		case nfsproto.ProcNull, nfsproto.ProcGetattr, nfsproto.ProcLookup,
 			nfsproto.ProcSetattr, nfsproto.ProcReadlink,
 			nfsproto.ProcReaddir, nfsproto.ProcStatfs:
@@ -55,30 +59,88 @@ func FastEligible(h *rpc.PeekedCall) bool {
 		}
 		return false
 	}
-	if h.Prog == nfsproto.MountProgram && h.Vers == nfsproto.MountVersion {
-		return h.Proc == nfsproto.MountProcNull || h.Proc == nfsproto.MountProcMnt
+	if prog == nfsproto.MountProgram && vers == nfsproto.MountVersion {
+		return proc == nfsproto.MountProcNull || proc == nfsproto.MountProcMnt
 	}
 	return false
 }
 
-// HandleCallFast services one fast-eligible datagram in place. req is the
-// raw datagram, h/argOff the result of rpc.PeekCallHeader, out a scratch
-// slice (len 0, cap ≥ FastReplyMax) the reply is appended to. It returns
-// the reply bytes and ok=true; (nil, true) when the call was consumed but
-// produces no reply (an in-flight non-idempotent duplicate); or
-// (nil, false) — with no side effects — when the call must take the
-// generic path. sp may be nil.
+// HandleCallFast services one fast-eligible call in place. req is the raw
+// datagram or record, h/argOff the result of rpc.PeekCallHeader, out a
+// scratch slice (len 0, cap ≥ FastReplyMax) the reply is appended to. It
+// returns the reply bytes and ok=true; (nil, true) when the call was
+// consumed but produces no reply (an in-flight non-idempotent duplicate);
+// or (nil, false) — with no side effects — when a READDIR window could
+// outgrow out and the call must take the chain entry. sp may be nil.
 func (s *Server) HandleCallFast(peer string, req []byte, h *rpc.PeekedCall, argOff int, out []byte, sp *metrics.Span) ([]byte, bool) {
 	if argOff > len(req) {
 		return nil, false
 	}
+	rep, ok := s.serveFlat(nil, peer, h.XID, h.Prog, h.Proc, req[argOff:], len(req), out, sp)
+	if ok {
+		s.cBytesIn.Add(int64(len(req)))
+		if rep != nil {
+			s.cBytesOut.Add(int64(len(rep) - len(out)))
+		}
+	}
+	return rep, ok
+}
+
+// serveGathered is the chain entry into serveFlat: the request is copied
+// into scratch, whose reply room fits the largest READDIR window (so
+// serveFlat never declines here), and the flat reply is laid into a chain.
+func (s *Server) serveGathered(p *sim.Proc, peer string, call *rpc.Call, req *mbuf.Chain, argOff int, sp *metrics.Span) *mbuf.Chain {
+	scratch := chainScratch.Get().(*[]byte)
+	defer chainScratch.Put(scratch)
+	n := req.CopyTo((*scratch)[:gatherMax])
+	rep, _ := s.serveFlat(p, peer, call.XID, call.Prog, call.Proc, (*scratch)[argOff:n], req.Len(), (*scratch)[gatherMax:gatherMax], sp)
+	if rep == nil {
+		return nil
+	}
+	return replyChain(call.Proc, rep)
+}
+
+// chainScratch holds the chain entry's scratch. Each call takes its own
+// (HandleCallSpan runs concurrently under EnableConcurrentDispatch) and
+// returns it once the reply chain holds a copy.
+var chainScratch = sync.Pool{New: func() any {
+	b := make([]byte, gatherMax+readdirReplyMax(nfsproto.MaxData))
+	return &b
+}}
+
+// serveFlat serves one header-only call whose arguments are args (reqLen
+// is the whole request's length, for the Ultrix XDR-layer charge),
+// appending the reply to out. It returns what HandleCallFast does.
+func (s *Server) serveFlat(p *sim.Proc, peer string, xid, prog, proc uint32, args []byte, reqLen int, out []byte, sp *metrics.Span) ([]byte, bool) {
 	var r xdr.ByteReader
-	r.ResetBytes(req[argOff:])
+	r.ResetBytes(args)
 	var w xdr.ByteWriter
 	w.ResetBytes(out)
 
-	// Decode arguments and check bounds first: a fallback from here has
-	// touched no counter, cache or table.
+	if prog == nfsproto.MountProgram {
+		// The MOUNT program sits outside the NFS call frame: its dispatch
+		// charge and the byte counters only.
+		s.charge(p, "nfs", costDispatch)
+		var path string
+		if proc == nfsproto.MountProcMnt {
+			path = string(r.Opaque(nfsproto.MountMaxPath))
+		}
+		if !r.OK() {
+			rpc.AppendReplyHeader(&w, xid, rpc.GarbageArgs)
+			return w.Bytes(), true
+		}
+		rpc.AppendReplyHeader(&w, xid, rpc.Success)
+		if proc == nfsproto.MountProcMnt {
+			res := s.mnt(peer, path)
+			res.EncodeBytes(&w)
+		}
+		sp.Stamp(metrics.StageService)
+		sp.Stamp(metrics.StageEncode)
+		return w.Bytes(), true
+	}
+
+	// Decode the arguments and check the window first: a decline from here
+	// has touched no counter, cache or table.
 	var (
 		fh     nfsproto.FH
 		name   string
@@ -87,32 +149,7 @@ func (s *Server) HandleCallFast(peer string, req []byte, h *rpc.PeekedCall, argO
 		sattr  nfsproto.Sattr
 		hint   *nfsproto.LeaseHint
 	)
-	if h.Prog == nfsproto.MountProgram {
-		switch h.Proc {
-		case nfsproto.MountProcNull:
-		case nfsproto.MountProcMnt:
-			name = string(r.Opaque(nfsproto.MountMaxPath))
-		default:
-			return nil, false
-		}
-		if !r.OK() {
-			return nil, false
-		}
-		// The MOUNT program sits outside the NFS call frame on both paths:
-		// byte counters only.
-		s.cBytesIn.Add(int64(len(req)))
-		rpc.AppendReplyHeader(&w, h.XID, rpc.Success)
-		if h.Proc == nfsproto.MountProcMnt {
-			res := s.mnt(peer, name)
-			res.EncodeBytes(&w)
-		}
-		sp.Stamp(metrics.StageService)
-		sp.Stamp(metrics.StageEncode)
-		s.cBytesOut.Add(int64(w.Len() - len(out)))
-		return w.Bytes(), true
-	}
-	switch h.Proc {
-	case nfsproto.ProcNull:
+	switch proc {
 	case nfsproto.ProcGetattr, nfsproto.ProcStatfs, nfsproto.ProcReadlink:
 		copy(fh[:], r.FixedOpaque(nfsproto.FHSize))
 	case nfsproto.ProcSetattr:
@@ -130,68 +167,109 @@ func (s *Server) HandleCallFast(peer string, req []byte, h *rpc.PeekedCall, argO
 		copy(fh[:], r.FixedOpaque(nfsproto.FHSize))
 		cookie = r.Uint32()
 		count = r.Uint32()
-		if count == 0 || count > fastReaddirMax {
+		if r.OK() && readdirReplyMax(readdirBudget(count)) > cap(out)-len(out) {
 			return nil, false
 		}
-	default:
-		return nil, false
 	}
-	if !r.OK() {
-		return nil, false
-	}
+	garbage := !r.OK()
 	if g, ok := nfsproto.DecodeLeaseHintBytes(&r); ok {
 		hint = &g
 	}
 
-	s.cBytesIn.Add(int64(len(req)))
-	f := callFrame{peer: peer, xid: h.XID, proc: h.Proc}
-	replay, run := s.admit(nil, &f, len(req), sp)
+	f := callFrame{peer: peer, xid: xid, proc: proc}
+	replay, run := s.admit(p, &f, reqLen, sp)
 	if !run {
 		if replay == nil {
 			return nil, true
 		}
 		w.PutFixedOpaque(replay.Bytes())
-		s.cBytesOut.Add(int64(w.Len() - len(out)))
 		return w.Bytes(), true
 	}
 
-	rpc.AppendReplyHeader(&w, h.XID, rpc.Success)
-	switch h.Proc {
-	case nfsproto.ProcGetattr:
+	if garbage {
+		sp.SetErr()
+		rpc.AppendReplyHeader(&w, xid, rpc.GarbageArgs)
+	} else {
+		rpc.AppendReplyHeader(&w, xid, rpc.Success)
+	}
+	switch {
+	case garbage:
+	case proc == nfsproto.ProcGetattr:
 		var res procResult
-		s.getattrCore(nil, peer, fh, hint, &res)
+		s.getattrCore(p, peer, fh, hint, &res)
 		res.encodeAttrBytes(&w)
-	case nfsproto.ProcSetattr:
+	case proc == nfsproto.ProcSetattr:
 		var res procResult
-		s.setattrCore(nil, peer, fh, sattr, &res)
+		s.setattrCore(p, peer, fh, sattr, &res)
 		res.encodeAttrBytes(&w)
-	case nfsproto.ProcReadlink:
-		res := s.readlinkCore(nil, fh)
+	case proc == nfsproto.ProcReadlink:
+		res := s.readlinkCore(p, fh)
 		res.EncodeBytes(&w)
-	case nfsproto.ProcLookup:
+	case proc == nfsproto.ProcLookup:
 		var res procResult
-		s.lookupCore(nil, peer, fh, name, hint, sp, &res)
+		s.lookupCore(p, peer, fh, name, hint, sp, &res)
 		res.encodeDiropBytes(&w)
-	case nfsproto.ProcReaddir:
-		res := s.readdirCore(nil, fh, cookie, count, sp)
-		res.encodeBytes(&w)
-	case nfsproto.ProcStatfs:
-		res := s.statfsCore(nil)
+	case proc == nfsproto.ProcReaddir:
+		s.readdirCore(p, fh, cookie, count, sp, &w)
+	case proc == nfsproto.ProcStatfs:
+		res := s.statfsCore(p)
 		res.EncodeBytes(&w)
 	}
 	sp.Stamp(metrics.StageService)
 	sp.Stamp(metrics.StageEncode)
 
+	rep := w.Bytes()[len(out):]
 	var saved *mbuf.Chain
-	if nfsproto.NonIdempotent[h.Proc] {
-		// The scratch region is the reader's reusable arena; the cached
-		// reply needs its own storage (mbuf.FromBytes aliases its argument).
-		saved = mbuf.FromBytes(append([]byte(nil), w.Bytes()...))
+	if nfsproto.NonIdempotent[proc] {
+		saved = mbuf.FromBytes(rep) // a copy: out is the caller's to reuse
 	}
-	n := w.Len() - len(out)
-	s.finish(nil, &f, n, false, saved, sp)
-	s.cBytesOut.Add(int64(n))
+	s.finish(p, &f, len(rep), garbage, saved, sp)
 	return w.Bytes(), true
+}
+
+// replyChain lays a flat reply into a new chain field by field, the way
+// the chain encoder laid the same reply: words and short strings in small
+// mbufs, a string longer than an mbuf (a READLINK target, a READDIR entry's
+// name) in a cluster that the fields after it fill. netsim's page-remap
+// transmit charge reads that layout through ClusterRange.
+func replyChain(proc uint32, rep []byte) *mbuf.Chain {
+	c := &mbuf.Chain{}
+	var b mbuf.Builder
+	b.Reset(c)
+	put := func(n int) {
+		copy(b.Next(n), rep[:n])
+		rep = rep[n:]
+	}
+	word := func() uint32 {
+		v := binary.BigEndian.Uint32(rep)
+		put(4)
+		return v
+	}
+	str := func() {
+		n := int(word())
+		if n > mbuf.MLen {
+			c.Append(rep[:n])
+			rep = rep[n:]
+		} else {
+			put(n)
+		}
+		put(xdr.Pad(n) - n)
+	}
+	put(24) // the RPC reply header
+	if len(rep) > 0 && (proc == nfsproto.ProcReadlink || proc == nfsproto.ProcReaddir) && word() == uint32(nfsproto.OK) {
+		if proc == nfsproto.ProcReadlink {
+			str()
+		}
+		for proc == nfsproto.ProcReaddir && word() != 0 { // an entry follows: fileid, name, cookie
+			word()
+			str()
+			word()
+		}
+	}
+	for len(rep) > 0 { // words only, so small mbufs: copy them in mbuf-sized runs
+		put(min(len(rep), mbuf.MLen))
+	}
+	return c
 }
 
 func (r *procResult) encodeAttrBytes(w *xdr.ByteWriter) {
@@ -206,16 +284,4 @@ func (r *procResult) encodeDiropBytes(w *xdr.ByteWriter) {
 	if r.granted {
 		r.grant.EncodeBytes(w)
 	}
-}
-
-func (d *dirWindow) encodeBytes(w *xdr.ByteWriter) {
-	w.PutUint32(uint32(d.status))
-	if d.status != nfsproto.OK {
-		return
-	}
-	for i := d.first; i < d.end; i++ {
-		ent := d.entry(i)
-		ent.EncodeBytes(w)
-	}
-	nfsproto.EncodeDirEndBytes(w, d.eof)
 }

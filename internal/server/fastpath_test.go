@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"renonfs/internal/mbuf"
@@ -17,9 +19,9 @@ import (
 // readers would peek at.
 var encodeWire = nfstest.EncodeWire
 
-// fastReply runs wire through the shallow path. ok=false means it punted
-// to the generic path.
-func fastReply(t *testing.T, s *Server, peer string, wire []byte) ([]byte, bool) {
+// byteReply runs wire through the byte entry. ok=false means it declined
+// to the chain entry.
+func byteReply(t *testing.T, s *Server, peer string, wire []byte) ([]byte, bool) {
 	t.Helper()
 	var h rpc.PeekedCall
 	argOff, okPeek := rpc.PeekCallHeader(wire, &h)
@@ -33,12 +35,12 @@ func fastReply(t *testing.T, s *Server, peer string, wire []byte) ([]byte, bool)
 	return s.HandleCallFast(peer, wire, &h, argOff, out, nil)
 }
 
-// genericReply runs wire through the full dispatch path.
-func genericReply(t *testing.T, s *Server, peer string, wire []byte) []byte {
+// chainReply runs wire through the chain entry.
+func chainReply(t *testing.T, s *Server, peer string, wire []byte) []byte {
 	t.Helper()
 	rep := s.HandleCall(nil, peer, mbuf.FromBytes(wire))
 	if rep == nil {
-		t.Fatal("generic path returned nil reply")
+		t.Fatal("chain entry returned nil reply")
 	}
 	b := append([]byte(nil), rep.Bytes()...)
 	rep.Free()
@@ -49,9 +51,17 @@ func genericReply(t *testing.T, s *Server, peer string, wire []byte) []byte {
 // simulator's udp:<node>:<port> form), so hinted seeds reach piggyGrant.
 const fuzzPeer = "udp:7:900"
 
+// fixture is nfstest's tree plus a directory of long names whose listing
+// passes 2 KB and a symlink with a long target: a name or target longer
+// than an mbuf lands in a cluster of the reply chain.
+type fixture struct {
+	nfstest.Handles
+	Long, LongLink nfsproto.FH
+}
+
 // newFuzzServer builds the differential fixture: a lease-enabled Reno
-// server over nfstest's tree (the same handles on every server it makes).
-func newFuzzServer(t testing.TB) (*Server, nfstest.Handles) {
+// server over the fixture tree (the same handles on every server it makes).
+func newFuzzServer(t testing.TB) (*Server, fixture) {
 	t.Helper()
 	fs := memfs.New(1, nil, nil)
 	opts := Reno()
@@ -60,7 +70,18 @@ func newFuzzServer(t testing.TB) (*Server, nfstest.Handles) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(fs, opts), h
+	long, err := fs.Mkdir(nil, fs.Root(), "long", 0755)
+	for i := 0; err == nil && i < 12; i++ {
+		_, err = fs.Create(nil, long, fmt.Sprintf("%02d-%s", i, strings.Repeat("n", 197)), 0644)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := fs.Symlink(nil, fs.Root(), "longln", strings.Repeat("t/", 150), 0777)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(fs, opts), fixture{h, fs.FH(long), fs.FH(ln)}
 }
 
 // maxFuzzDatagrams bounds one input's sequence so a fuzz iteration stays
@@ -94,22 +115,21 @@ func unpackDatagrams(in []byte) [][]byte {
 	return out
 }
 
-// shallowThenGeneric services one datagram the way nfsnet's UDP reader
-// does: peek, classify, shallow path, and the generic path for whatever
-// the shallow path declines.
-func shallowThenGeneric(s *Server, peer string, wire, scratch []byte) []byte {
+// byteThenChain services one datagram the way nfsnet's UDP reader does:
+// peek, classify, the byte entry, and the chain entry for whatever the
+// byte entry declines.
+func byteThenChain(s *Server, peer string, wire, scratch []byte) []byte {
 	var h rpc.PeekedCall
 	if argOff, ok := rpc.PeekCallHeader(wire, &h); ok && FastEligible(&h) {
 		if rep, ok := s.HandleCallFast(peer, wire, &h, argOff, scratch, nil); ok {
 			return rep
 		}
 	}
-	return genericOnly(s, peer, wire)
+	return chainOnly(s, peer, wire)
 }
 
-func genericOnly(s *Server, peer string, wire []byte) []byte {
-	// HandleCall may keep views of its request; give it a private copy.
-	rep := s.HandleCall(nil, peer, mbuf.FromBytes(append([]byte(nil), wire...)))
+func chainOnly(s *Server, peer string, wire []byte) []byte {
+	rep := s.HandleCall(nil, peer, mbuf.FromBytes(wire)) // a copy: HandleCall may keep views
 	if rep == nil {
 		return nil
 	}
@@ -146,38 +166,45 @@ func observe(s *Server, touched []nfsproto.FH) sideEffects {
 	for i, fh := range touched {
 		wire := encodeWire(0xfeed0000+uint32(i), nfsproto.Program, nfsproto.Version, nfsproto.ProcGetattr,
 			func(e *xdr.Encoder) { (&nfsproto.GetattrArgs{File: fh}).Encode(e) })
-		se.Attributes[fh] = string(genericOnly(s, "observer", wire))
+		se.Attributes[fh] = string(chainOnly(s, "observer", wire))
 	}
 	return se
 }
 
-// FuzzFastVsGeneric is the differential test that holds the two codecs —
-// and the wrappers around the shared procedure cores — together. Two
-// identically built servers take the same datagram sequence, A through the
-// shallow path with generic fallback, B through the generic path only;
-// every reply must match byte for byte and so must everything the sequence
-// left behind. The seeds are the cases the hand-kept equivalence test used
-// to enumerate (errors, stale handles, negative name cache, truncated and
-// cookied READDIR, SETATTR and its replay, READLINK, MNT), so they still
+// FuzzFastVsGeneric holds the server's two entries into the one wrapper
+// of each header-only procedure together: the fast (byte) entry,
+// HandleCallFast, decoding from the datagram and declining a READDIR
+// window past its FastReplyMax scratch, and the generic (chain) entry,
+// HandleCall, gathering the arguments out of a request chain from the
+// offset its own header decode reached and laying the reply back into a
+// chain. Two identically built servers take the same datagram sequence, A
+// through the byte entry with chain fallback as nfsnet's readers do it, B
+// through the chain entry only; every reply must match byte for byte and
+// so must everything the sequence left behind. The seeds — errors, stale
+// handles, the negative name cache, truncated and cookied READDIR, SETATTR
+// and its replay, READLINK, MNT, then TestHeaderOnlyEdgesPinned's cases —
 // run under plain go test.
 func FuzzFastVsGeneric(f *testing.F) {
 	_, h := newFuzzServer(f)
-	seeds := nfstest.Seeds(h)
+	seeds := nfstest.Seeds(h.Handles)
 	for _, wire := range seeds {
 		f.Add(packDatagrams(wire))
 	}
 	f.Add(packDatagrams(seeds...)) // and the whole history in order
+	for _, edge := range edges(h) {
+		f.Add(packDatagrams(edge.wires...))
+	}
 
 	f.Fuzz(func(t *testing.T, in []byte) {
 		a, h := newFuzzServer(t)
 		b, _ := newFuzzServer(t)
-		touched := []nfsproto.FH{h.Root, h.File, h.Link, h.Sub}
+		touched := []nfsproto.FH{h.Root, h.File, h.Link, h.Sub, h.Long, h.LongLink}
 		scratch := make([]byte, 0, FastReplyMax)
 		for i, wire := range unpackDatagrams(in) {
-			ra := shallowThenGeneric(a, fuzzPeer, wire, scratch)
-			rb := genericOnly(b, fuzzPeer, wire)
+			ra := byteThenChain(a, fuzzPeer, wire, scratch)
+			rb := chainOnly(b, fuzzPeer, wire)
 			if !bytes.Equal(ra, rb) {
-				t.Fatalf("datagram %d (%x): replies diverge\n shallow %x\n generic %x", i, wire, ra, rb)
+				t.Fatalf("datagram %d (%x): replies diverge\n byte  %x\n chain %x", i, wire, ra, rb)
 			}
 			var pk rpc.PeekedCall
 			if off, ok := rpc.PeekCallHeader(wire, &pk); ok && off+nfsproto.FHSize <= len(wire) {
@@ -187,7 +214,7 @@ func FuzzFastVsGeneric(f *testing.F) {
 			}
 		}
 		if ea, eb := observe(a, touched), observe(b, touched); !reflect.DeepEqual(ea, eb) {
-			t.Fatalf("side effects diverge\n shallow %+v\n generic %+v", ea, eb)
+			t.Fatalf("side effects diverge\n byte  %+v\n chain %+v", ea, eb)
 		}
 	})
 }
@@ -208,18 +235,18 @@ func TestFastPathDupcacheIndependence(t *testing.T) {
 			(&nfsproto.CreateArgs{Where: nfsproto.DiropArgs{Dir: root, Name: "dup-f"},
 				Attr: nfsproto.NewSattr()}).Encode(e)
 		})
-	createRep := genericReply(t, s, peer, createWire)
+	createRep := chainReply(t, s, peer, createWire)
 
 	// Same xid, same peer, idempotent proc: both paths must run it fresh
 	// (never replay the CREATE reply) and agree byte-for-byte.
 	fileFH := mustLookup(t, s, root, "dup-f").File
 	gaWire := encodeWire(xid, nfsproto.Program, nfsproto.Version, nfsproto.ProcGetattr,
 		func(e *xdr.Encoder) { (&nfsproto.GetattrArgs{File: fileFH}).Encode(e) })
-	fb, ok := fastReply(t, s, peer, gaWire)
+	fb, ok := byteReply(t, s, peer, gaWire)
 	if !ok {
 		t.Fatal("fast path refused GETATTR with a dupcache-resident xid")
 	}
-	gb := genericReply(t, s, peer, gaWire)
+	gb := chainReply(t, s, peer, gaWire)
 	if !bytes.Equal(fb, gb) {
 		t.Errorf("xid-colliding GETATTR diverges:\n fast    %x\n generic %x", fb, gb)
 	}
@@ -228,7 +255,7 @@ func TestFastPathDupcacheIndependence(t *testing.T) {
 	}
 
 	// The CREATE's cache entry must be intact: a true retransmit replays it.
-	if replay := genericReply(t, s, peer, createWire); !bytes.Equal(replay, createRep) {
+	if replay := chainReply(t, s, peer, createWire); !bytes.Equal(replay, createRep) {
 		t.Errorf("CREATE retransmit not replayed verbatim after fast-path traffic:\n got  %x\n want %x", replay, createRep)
 	}
 	if hits := s.cDupHits.Value(); hits == 0 {
@@ -236,9 +263,10 @@ func TestFastPathDupcacheIndependence(t *testing.T) {
 	}
 }
 
-// TestFastPathFallbacks pins the no-side-effects punt contract: calls the
-// classifier admits but HandleCallFast cannot finish return ok=false with
-// zero counter movement, and payload procedures never classify as fast.
+// TestFastPathFallbacks pins the no-side-effects punt contract: a READDIR
+// whose window could outgrow the reply scratch returns ok=false with zero
+// counter movement, payload procedures never classify as fast, and
+// truncated arguments are answered rather than punted.
 func TestFastPathFallbacks(t *testing.T) {
 	s := newServer()
 	root := s.RootFH()
@@ -272,9 +300,6 @@ func TestFastPathFallbacks(t *testing.T) {
 		}
 	}
 
-	full := encodeWire(300, nfsproto.Program, nfsproto.Version, nfsproto.ProcLookup,
-		func(e *xdr.Encoder) { (&nfsproto.DiropArgs{Dir: root, Name: "f"}).Encode(e) })
-	punt("truncated lookup", full[:len(full)-6])
 	punt("readdir zero count", encodeWire(301, nfsproto.Program, nfsproto.Version,
 		nfsproto.ProcReaddir, func(e *xdr.Encoder) {
 			(&nfsproto.ReaddirArgs{Dir: root, Count: 0}).Encode(e)
@@ -284,8 +309,11 @@ func TestFastPathFallbacks(t *testing.T) {
 			(&nfsproto.ReaddirArgs{Dir: root, Count: nfsproto.MaxData}).Encode(e)
 		}))
 
-	// The punted datagrams must still be serviceable by the generic path.
-	if rep := genericReply(t, s, "p", full); len(rep) == 0 {
-		t.Error("generic path failed the fallback datagram")
+	// Truncated arguments are answered, not punted: GARBAGE_ARGS, as the
+	// chain entry answers them.
+	full := encodeWire(300, nfsproto.Program, nfsproto.Version, nfsproto.ProcLookup,
+		func(e *xdr.Encoder) { (&nfsproto.DiropArgs{Dir: root, Name: "f"}).Encode(e) })
+	if rep, ok := byteReply(t, s, "p", full[:len(full)-6]); !ok || !bytes.Equal(rep, chainReply(t, s, "p", full[:len(full)-6])) {
+		t.Errorf("truncated lookup: byte entry answered %x (ok=%v), not the chain entry's GARBAGE_ARGS", rep, ok)
 	}
 }

@@ -404,11 +404,7 @@ func (s *Server) readdirLook(p *sim.Proc, d *xdr.Decoder, e *xdr.Encoder) error 
 	s.scanDirectory(p, dir, nil)
 	ents := s.FS.DirEntries(dir)
 	res := &nfsproto.ReaddirLookRes{Status: nfsproto.OK}
-	budget := int(args.Count)
-	if budget <= 0 || budget > nfsproto.MaxData {
-		budget = nfsproto.MaxData
-	}
-	used := 16
+	budget, used := readdirBudget(args.Count), 16
 	for i := int(args.Cookie); i < len(ents); i++ {
 		de := ents[i]
 		n, err := s.FS.Lookup(dir, de.Name)

@@ -21,7 +21,8 @@ import (
 // that leaseMu covers every touch of the table and that eviction
 // collection under the lock composes with the lock-free send (a nil
 // callback socket makes sendEviction a no-op, which is exactly the
-// frontend's state before ServeUDP wires one).
+// frontend's state before ServeUDP wires one). A hinted GETATTR and a
+// READDIR per round take the chain entry's flat wrapper concurrently.
 func TestLeaseCallbackStormRace(t *testing.T) {
 	fs := memfs.New(1, nil, nil)
 	opts := Reno()
@@ -106,6 +107,23 @@ func TestLeaseCallbackStormRace(t *testing.T) {
 						Mode: nfsproto.LeaseWrite, Duration: 10, CallbackPort: 9001,
 					}).Encode(e)
 				})
+				// The header-only procedures reach their flat wrapper from
+				// every goroutine at once, each call with its own scratch.
+				d = call(peer, nfsproto.ProcGetattr, func(e *xdr.Encoder) {
+					(&nfsproto.GetattrArgs{File: private}).Encode(e)
+					(&nfsproto.LeaseHint{Mode: nfsproto.LeaseWrite, Duration: 10, CallbackPort: 9001}).Encode(e)
+				})
+				if ga, err := nfsproto.DecodeAttrRes(d); err != nil || ga.Status != nfsproto.OK {
+					t.Errorf("peer %s: getattr of its own file: %v", peer, err)
+					return
+				}
+				d = call(peer, nfsproto.ProcReaddir, func(e *xdr.Encoder) {
+					(&nfsproto.ReaddirArgs{Dir: s.RootFH()}).Encode(e)
+				})
+				if rd, err := nfsproto.DecodeReaddirRes(d); err != nil || len(rd.Entries) != peers+3 {
+					t.Errorf("peer %s: readdir of the root: %v", peer, err)
+					return
+				}
 			}
 		}(i)
 	}

@@ -14,7 +14,8 @@ import (
 // The MOUNT protocol server (mountd). Real deployments ran it as a
 // separate daemon; here it shares the server's dispatch loop — the same
 // frontends serve both RPC programs, and HandleCall routes by program
-// number.
+// number. NULL and MNT, the mount herd, are header-only and served by the
+// flat wrapper (fastpath.go); dispatchMount serves the rest.
 
 // Unix errno values the mount protocol uses.
 const (
@@ -104,8 +105,7 @@ func (s *Server) lookupExportPath(path string) (*memfs.Inode, uint32) {
 	return n, mntOK
 }
 
-// mnt is the MNT procedure body, shared by dispatchMount and the shallow
-// path: resolve the export and record the mount.
+// mnt is the MNT procedure body: resolve the export and record the mount.
 func (s *Server) mnt(peer, path string) nfsproto.MntRes {
 	n, status := s.lookupExportPath(path)
 	if status != mntOK {
@@ -118,21 +118,11 @@ func (s *Server) mnt(peer, path string) nfsproto.MntRes {
 	return nfsproto.MntRes{Status: mntOK, File: s.FS.FH(n)}
 }
 
-// dispatchMount serves one MOUNT-program procedure.
+// dispatchMount serves one MOUNT-program procedure other than NULL and MNT.
 func (s *Server) dispatchMount(p *sim.Proc, proc uint32, peer string, d *xdr.Decoder, e *xdr.Encoder) error {
 	s.charge(p, "nfs", costDispatch)
 	st := s.mountState()
 	switch proc {
-	case nfsproto.MountProcNull:
-		return nil
-	case nfsproto.MountProcMnt:
-		args, err := nfsproto.DecodeMntArgs(d)
-		if err != nil {
-			return err
-		}
-		res := s.mnt(peer, args.DirPath)
-		res.Encode(e)
-		return nil
 	case nfsproto.MountProcDump:
 		nfsproto.EncodeMountList(e, s.MountsFor())
 		return nil

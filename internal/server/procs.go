@@ -8,19 +8,19 @@ import (
 	"renonfs/internal/metrics"
 	"renonfs/internal/nfsproto"
 	"renonfs/internal/sim"
+	"renonfs/internal/xdr"
 )
 
 // Procedure cores and the call frame (DESIGN.md §3.4). Every header-only
 // procedure — GETATTR, SETATTR, LOOKUP, READLINK, READDIR, STATFS, and MNT
-// in mountd.go — is written once here: decoded arguments in, a plain-value
-// result out, knowing nothing about how the bytes arrived or will leave.
-// The generic handlers (server.go: xdr.Decoder -> core -> Encode) and the
-// shallow path (fastpath.go: xdr.ByteReader -> core -> EncodeBytes) are
-// wrappers that differ only in codec. The *sim.Proc is threaded through so
-// CPU charges, lease evictions and disk sleeps happen under the simulator
-// and vanish over real sockets (p == nil); the order of charge, lease
-// check, name-cache and buffer-cache operations inside a core is what the
-// simulator's golden runs pin, so reorder nothing here casually.
+// in mountd.go — is written once here: decoded arguments in, a result out
+// (READDIR streams its listing onto the flat writer), knowing nothing
+// about how the request arrived; serveFlat (fastpath.go) is their one
+// wrapper. The *sim.Proc is threaded through so CPU charges, lease
+// evictions and disk sleeps happen under the simulator and vanish over
+// real sockets (p == nil); the order of charge, lease check, name-cache and
+// buffer-cache operations inside a core is what the simulator's golden
+// runs pin, so reorder nothing here casually.
 
 // procResult is the result of the attrstat/diropres procedures. attr lives
 // in the struct rather than behind nfsproto.AttrRes's pointer so the result
@@ -133,58 +133,55 @@ func (s *Server) statfsCore(p *sim.Proc) nfsproto.StatfsRes {
 	return s.FS.Statfs()
 }
 
-// dirWindow is READDIR's result: positions [first,end) of the listing —
-// "." and ".." at 0 and 1, then ents — and whether end is the listing's
-// end. The wrappers stream the entries straight onto the wire; no
-// []nfsproto.DirEntry is built per call.
-type dirWindow struct {
-	status     nfsproto.Status
-	self       uint32 // the directory's fileid, for "." and ".."
-	ents       []memfs.DirEnt
-	first, end int
-	eof        bool
-}
-
-// entry synthesizes the entry at listing position i; synthetic cookies
-// count entries emitted so far.
-func (w *dirWindow) entry(i int) nfsproto.DirEntry {
-	switch i {
-	case 0:
-		return nfsproto.DirEntry{FileID: w.self, Name: ".", Cookie: 1}
-	case 1:
-		return nfsproto.DirEntry{FileID: w.self, Name: "..", Cookie: 2}
-	}
-	de := w.ents[i-2]
-	return nfsproto.DirEntry{FileID: de.Ino, Name: de.Name, Cookie: uint32(i + 1)}
-}
-
-func (s *Server) readdirCore(p *sim.Proc, fh nfsproto.FH, cookie, count uint32, sp *metrics.Span) dirWindow {
+// readdirCore appends READDIR's result: the window of the listing — "."
+// and ".." at positions 0 and 1, then the directory's entries — that
+// starts at cookie and fits the count's budget, and whether it reaches the
+// listing's end. Entries stream straight onto the wire; a cookie counts
+// the entries before it.
+func (s *Server) readdirCore(p *sim.Proc, fh nfsproto.FH, cookie, count uint32, sp *metrics.Span, w *xdr.ByteWriter) {
 	s.charge(p, "nfs", costVOP)
 	dir, err := s.FS.Resolve(fh)
-	if err != nil {
-		return dirWindow{status: errStatus(err)}
+	if err == nil && dir.Type != nfsproto.TypeDir {
+		err = memfs.ErrNotDir
 	}
-	if dir.Type != nfsproto.TypeDir {
-		return dirWindow{status: nfsproto.ErrNotDir}
+	if err != nil {
+		w.PutUint32(uint32(errStatus(err)))
+		return
 	}
 	s.scanDirectory(p, dir, sp)
-	w := dirWindow{status: nfsproto.OK, self: dir.Ino, ents: s.FS.DirEntries(dir),
-		first: int(cookie), end: int(cookie), eof: true}
-	budget := int(count)
-	if budget <= 0 || budget > nfsproto.MaxData {
-		budget = nfsproto.MaxData
-	}
-	used := 16 // status + eof + terminator
-	for total := len(w.ents) + 2; w.end < total; w.end++ {
-		sz := 16 + len(w.entry(w.end).Name)
-		if used+sz > budget {
-			w.eof = false
+	ents := s.FS.DirEntries(dir)
+	w.PutUint32(uint32(nfsproto.OK))
+	eof, budget, used := true, readdirBudget(count), 16 // status + eof + terminator
+	for i := int(cookie); i < len(ents)+2; i++ {
+		ent := nfsproto.DirEntry{FileID: dir.Ino, Name: "..", Cookie: uint32(i + 1)}
+		switch {
+		case i == 0:
+			ent.Name = "."
+		case i > 1:
+			ent.FileID, ent.Name = ents[i-2].Ino, ents[i-2].Name
+		}
+		if used += 16 + len(ent.Name); used > budget {
+			eof = false
 			break
 		}
-		used += sz
+		ent.EncodeBytes(w)
 	}
-	return w
+	nfsproto.EncodeDirEndBytes(w, eof)
 }
+
+// readdirBudget is the reply budget of a READDIR window: its count
+// argument, or MaxData when that is 0 or larger.
+func readdirBudget(count uint32) int {
+	if count == 0 || count > nfsproto.MaxData {
+		return nfsproto.MaxData
+	}
+	return int(count)
+}
+
+// readdirReplyMax bounds the reply to a READDIR window of budget bytes: the
+// RPC header, the result's status and end words, and the budget, plus up
+// to 3 bytes of name padding per entry (each costs the budget ≥ 17).
+func readdirReplyMax(budget int) int { return 24 + 12 + budget + 3*budget/17 }
 
 // callFrame is what the accounting around one NFS procedure carries from
 // admit to finish.

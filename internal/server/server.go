@@ -382,7 +382,7 @@ func (s *Server) HandleCallSpan(p *sim.Proc, peer string, req *mbuf.Chain, sp *m
 	}
 	sp.SetCall(call.XID, call.Proc)
 	sp.Stamp(metrics.StageDecode)
-	out := s.serve(p, peer, &call, reqLen, d, sp)
+	out := s.serve(p, peer, &call, req, d, sp)
 	if out != nil {
 		// Every reply that leaves counts: accept-stat rejections and
 		// dupcache replays as much as fresh results.
@@ -392,8 +392,13 @@ func (s *Server) HandleCallSpan(p *sim.Proc, peer string, req *mbuf.Chain, sp *m
 }
 
 // serve routes a decoded call header to its program and builds the reply;
-// nil means the call is dropped without one.
-func (s *Server) serve(p *sim.Proc, peer string, call *rpc.Call, reqLen int, d *xdr.Decoder, sp *metrics.Span) *mbuf.Chain {
+// nil means the call is dropped without one. The header-only procedures go
+// to their flat wrapper (fastpath.go), the arguments from d's offset on.
+func (s *Server) serve(p *sim.Proc, peer string, call *rpc.Call, req *mbuf.Chain, d *xdr.Decoder, sp *metrics.Span) *mbuf.Chain {
+	reqLen := req.Len()
+	if flatEligible(call.Prog, call.Vers, call.Proc) {
+		return s.serveGathered(p, peer, call, req, reqLen-d.Remaining(), sp)
+	}
 	if call.Prog == nfsproto.MountProgram && call.Vers == nfsproto.MountVersion &&
 		call.Proc <= nfsproto.MountProcExport {
 		out := newReply(call.XID, rpc.Success)
@@ -457,16 +462,6 @@ func (s *Server) dispatch(p *sim.Proc, proc uint32, peer string, d *xdr.Decoder,
 		return s.vacatedCall(p, peer, d, e)
 	case nfsproto.ProcReaddirLook:
 		return s.readdirLook(p, d, e)
-	case nfsproto.ProcNull:
-		return nil
-	case nfsproto.ProcGetattr:
-		return s.getattr(p, peer, d, e)
-	case nfsproto.ProcSetattr:
-		return s.setattr(p, peer, d, e)
-	case nfsproto.ProcLookup:
-		return s.lookup(p, peer, d, e, sp)
-	case nfsproto.ProcReadlink:
-		return s.readlink(p, d, e)
 	case nfsproto.ProcRead:
 		return s.read(p, peer, d, e, sp)
 	case nfsproto.ProcWrite:
@@ -485,20 +480,16 @@ func (s *Server) dispatch(p *sim.Proc, proc uint32, peer string, d *xdr.Decoder,
 		return s.mkdir(p, d, e)
 	case nfsproto.ProcRmdir:
 		return s.rmdir(p, d, e)
-	case nfsproto.ProcReaddir:
-		return s.readdir(p, d, e, sp)
-	case nfsproto.ProcStatfs:
-		return s.statfs(p, d, e)
 	default:
-		// ROOT and WRITECACHE are obsolete/unused.
+		// ROOT and WRITECACHE are obsolete/unused; the header-only
+		// procedures never reach here (serveGathered).
 		(&nfsproto.StatusRes{Status: nfsproto.ErrIO}).Encode(e)
 		return nil
 	}
 }
 
-// The header-only procedures are wrappers: decode, run the core (procs.go),
-// encode. The shallow path (fastpath.go) wraps the same cores in the flat
-// codec.
+// The header-only procedures have one wrapper, in the flat codec
+// (fastpath.go); the payload procedures below encode onto the reply chain.
 
 func (r *procResult) encodeAttr(e *xdr.Encoder) {
 	(&nfsproto.AttrRes{Status: r.status, Attr: &r.attr}).Encode(e)
@@ -512,40 +503,6 @@ func (r *procResult) encodeDirop(e *xdr.Encoder) {
 	if r.granted {
 		r.grant.Encode(e)
 	}
-}
-
-func (w *dirWindow) encode(e *xdr.Encoder) {
-	e.PutUint32(uint32(w.status))
-	if w.status != nfsproto.OK {
-		return
-	}
-	for i := w.first; i < w.end; i++ {
-		ent := w.entry(i)
-		ent.Encode(e)
-	}
-	nfsproto.EncodeDirEnd(e, w.eof)
-}
-
-func (s *Server) getattr(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.Encoder) error {
-	args, err := nfsproto.DecodeGetattrArgs(d)
-	if err != nil {
-		return err
-	}
-	var r procResult
-	s.getattrCore(p, peer, args.File, nfsproto.DecodeLeaseHint(d), &r)
-	r.encodeAttr(e)
-	return nil
-}
-
-func (s *Server) setattr(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.Encoder) error {
-	args, err := nfsproto.DecodeSetattrArgs(d)
-	if err != nil {
-		return err
-	}
-	var r procResult
-	s.setattrCore(p, peer, args.File, args.Attr, &r)
-	r.encodeAttr(e)
-	return nil
 }
 
 // scanDirectory walks the directory's blocks through the buffer cache,
@@ -563,27 +520,6 @@ func (s *Server) scanDirectory(p *sim.Proc, dir *memfs.Inode, sp *metrics.Span) 
 			s.FS.Disk.Read(p, memfs.BlockSize)
 		}
 	}
-}
-
-func (s *Server) lookup(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.Encoder, sp *metrics.Span) error {
-	args, err := nfsproto.DecodeDiropArgs(d)
-	if err != nil {
-		return err
-	}
-	var r procResult
-	s.lookupCore(p, peer, args.Dir, args.Name, nfsproto.DecodeLeaseHint(d), sp, &r)
-	r.encodeDirop(e)
-	return nil
-}
-
-func (s *Server) readlink(p *sim.Proc, d *xdr.Decoder, e *xdr.Encoder) error {
-	args, err := nfsproto.DecodeGetattrArgs(d)
-	if err != nil {
-		return err
-	}
-	res := s.readlinkCore(p, args.File)
-	res.Encode(e)
-	return nil
 }
 
 func (s *Server) read(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.Encoder, sp *metrics.Span) error {
@@ -899,24 +835,5 @@ func (s *Server) rmdir(p *sim.Proc, d *xdr.Decoder, e *xdr.Encoder) error {
 		s.countErr()
 	}
 	(&nfsproto.StatusRes{Status: errStatus(rerr)}).Encode(e)
-	return nil
-}
-
-func (s *Server) readdir(p *sim.Proc, d *xdr.Decoder, e *xdr.Encoder, sp *metrics.Span) error {
-	args, err := nfsproto.DecodeReaddirArgs(d)
-	if err != nil {
-		return err
-	}
-	w := s.readdirCore(p, args.Dir, args.Cookie, args.Count, sp)
-	w.encode(e)
-	return nil
-}
-
-func (s *Server) statfs(p *sim.Proc, d *xdr.Decoder, e *xdr.Encoder) error {
-	if _, err := nfsproto.DecodeGetattrArgs(d); err != nil {
-		return err
-	}
-	res := s.statfsCore(p)
-	res.Encode(e)
 	return nil
 }

@@ -77,6 +77,22 @@ var mutants = []struct {
 		"		if err != nil || proc == nfsproto.ProcLease || attempt >= 8 {",
 		"		if err != nil || proc == nfsproto.ProcLease || attempt >= 0 {",
 		"./internal/client", "TestPlainClientGetsTryLaterThenData"},
+	// The header-only procedures' one wrapper: both server entries run it,
+	// so the differential fuzz cannot see these; the simulated tables must.
+	{"internal/server/fastpath.go",
+		"		s.lookupCore(p, peer, fh, name, hint, sp, &res)",
+		"		s.lookupCore(p, peer, fh, name, nil, sp, &res)",
+		".", "TestQuickTablesGolden"},
+	{"internal/server/procs.go",
+		"	nfsproto.EncodeDirEndBytes(w, eof)",
+		"	nfsproto.EncodeDirEndBytes(w, eof && false)",
+		".", "TestQuickTablesGolden"},
+	// The chain entry's reply layout: no table sends a long name through
+	// page-remap transmit, so the pinned edge cases hold the clusters.
+	{"internal/server/fastpath.go",
+		"		if n > mbuf.MLen {",
+		"		if n > mbuf.ClBytes {",
+		"./internal/server", "TestHeaderOnlyEdgesPinned"},
 }
 
 // TestMutants plants each mutant through go test -overlay (the working
