@@ -78,8 +78,10 @@ bench:
 # through mbufs in user space, the batched sendmmsg / TCP writev writers
 # allocate nothing per reply, a data RPC served on the reader stays inside
 # its allocation budget, a TCP GETATTR round trip allocates nothing (LOOKUP:
-# the name string), and record ingest neither allocates nor moves a byte per
-# whole record.
+# the name string), a READDIR drawing a 9.4 KB reply is served on the shallow
+# path over TCP and on the UDP reader alike for one allocation (the listing's
+# snapshot), and record ingest neither allocates nor moves a byte per whole
+# record.
 bench-smoke:
 	$(GO) test -run 'TestAllocBudget|TestTCPLoopWork|TestReadReplyZeroCopy|TestLeaseCreateDeleteGate' -bench=. -benchmem -benchtime 1x . ./internal/sim ./internal/netsim ./internal/ipfrag
 	$(GO) test -run 'TestRealSocketReadZeroCopy|TestRealSocketWriteZeroCopy|TestAllocBudget' -v ./internal/nfsnet ./internal/rpc

@@ -773,10 +773,10 @@ type Result struct {
 	// KernelDrops counts the datagrams the kernel dropped at the server's
 	// full receive queues (rpc.udp.kernel_drops): no reader ever saw them.
 	KernelDrops int64
-	// Shallow-path accounting: inline-serviced calls, eligible calls that
-	// punted to the generic path, and the batched writer's syscall/reply
-	// split (SendBatches send syscalls carried SendMsgs replies).
-	FastCalls, FastFallbacks, SendBatches, SendMsgs int64
+	// Shallow-path accounting: inline-serviced calls, and the batched
+	// writer's syscall/reply split (SendBatches send syscalls carried
+	// SendMsgs replies).
+	FastCalls, SendBatches, SendMsgs int64
 	// Locks is each lockstat site's contention during the run, most wait
 	// first. The sites are process-wide, so a concurrent run in the same
 	// process would be counted too.

@@ -88,9 +88,8 @@ func TestRemountHerdFastPathBatching(t *testing.T) {
 	if r.SendMsgs > 0 {
 		ratio = float64(r.SendBatches) / float64(r.SendMsgs)
 	}
-	t.Logf("sent=%d replies=%d timeouts=%d fast=%d fallbacks=%d batches=%d msgs=%d (%.3f syscalls/reply)",
-		r.Sent, r.Replies, r.Timeouts, r.FastCalls, r.FastFallbacks,
-		r.SendBatches, r.SendMsgs, ratio)
+	t.Logf("sent=%d replies=%d timeouts=%d fast=%d batches=%d msgs=%d (%.3f syscalls/reply)",
+		r.Sent, r.Replies, r.Timeouts, r.FastCalls, r.SendBatches, r.SendMsgs, ratio)
 
 	if len(r.Violations) != 0 {
 		t.Errorf("exactly-once violated %d times; first: %v", len(r.Violations), r.Violations[0])

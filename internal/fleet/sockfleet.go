@@ -89,7 +89,6 @@ func RunSock(cfg Config) (*Result, error) {
 		res.ReaderWakeups += reader("wakeups")
 	}
 	res.FastCalls = snap.Counters["rpc.fastpath.calls"]
-	res.FastFallbacks = snap.Counters["rpc.fastpath.fallbacks"]
 	res.SendBatches = snap.Counters["rpc.send.batches"]
 	res.SendMsgs = snap.Counters["rpc.send.batched_msgs"]
 	res.KernelDrops = snap.Counters["rpc.udp.kernel_drops"]

@@ -28,7 +28,7 @@ func encodeLookup(xid uint32, dir nfsproto.FH, name string) []byte {
 
 // TestFastPathRetransmitExactlyOnce proves the shallow path and the sharded
 // dupcache compose: with fast dispatch enabled (reuseport ingest), clients
-// retransmit non-idempotent REMOVEs — which must punt to the generic path
+// retransmit non-idempotent REMOVEs — which take the generic path
 // and hit the dupcache exactly-once — interleaved with retransmitted
 // LOOKUPs that the readers service inline. Every REMOVE executes once
 // (cached OK on every duplicate, strict auditor clean) while the LOOKUP

@@ -3,6 +3,7 @@ package nfsnet
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"net"
 	"net/netip"
@@ -34,6 +35,31 @@ func callChain(xid, proc uint32, args func(e *xdr.Encoder)) *mbuf.Chain {
 func encodeRead(xid uint32, fh nfsproto.FH, off, count uint32) []byte {
 	msg := callChain(xid, nfsproto.ProcRead, func(e *xdr.Encoder) {
 		(&nfsproto.ReadArgs{File: fh, Offset: off, Count: count}).Encode(e)
+	})
+	out := msg.Bytes()
+	msg.Free()
+	return out
+}
+
+// bigDir makes a directory of 600 five-character names under fs's root: a
+// listing past MaxData, so a READDIR of the largest window over it draws
+// a reply of about 9.4 KB.
+func bigDir(t *testing.T, fs *memfs.FS) nfsproto.FH {
+	t.Helper()
+	big, err := fs.Mkdir(nil, fs.Root(), "big", 0755)
+	for i := 0; err == nil && i < 600; i++ {
+		_, err = fs.Create(nil, big, fmt.Sprintf("n%04d", i), 0644)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs.FH(big)
+}
+
+// encodeReaddir flattens one READDIR call from the first cookie.
+func encodeReaddir(xid uint32, dir nfsproto.FH, count uint32) []byte {
+	msg := callChain(xid, nfsproto.ProcReaddir, func(e *xdr.Encoder) {
+		(&nfsproto.ReaddirArgs{Dir: dir, Count: count}).Encode(e)
 	})
 	out := msg.Bytes()
 	msg.Free()
@@ -277,7 +303,9 @@ func TestRealSocketWriteZeroCopy(t *testing.T) {
 }
 
 // TestAllocBudgetInline pins what a data RPC served on the reader costs the
-// allocator: an 8 KB READ and an 8 KB WRITE, socket to socket, once warm.
+// allocator: an 8 KB READ and an 8 KB WRITE, socket to socket, once warm —
+// and a READDIR of a 9.4 KB window, which the shallow path serves in the
+// reader's send arena for its listing's snapshot (memfs.DirEntries) alone.
 // The request chain, its one wrapping header, the span and the send scratch
 // are all reused; what is left is the core's own per-call garbage (decoder,
 // reply chain, encoder), the same count the in-process budgets in the root
@@ -313,8 +341,9 @@ func TestAllocBudgetInline(t *testing.T) {
 		req    []byte
 		budget float64
 	}{
-		{"read8k", encodeRead(0, fh, 0, memfs.BlockSize), 3},   // measured 2
-		{"write8k", encodeWrite(0, fh, 0, blockPattern(2)), 4}, // measured 3
+		{"read8k", encodeRead(0, fh, 0, memfs.BlockSize), 3},              // measured 2
+		{"write8k", encodeWrite(0, fh, 0, blockPattern(2)), 4},            // measured 3
+		{"readdir", encodeReaddir(0, bigDir(t, fs), nfsproto.MaxData), 2}, // measured 1
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			once := func() {
@@ -331,8 +360,9 @@ func TestAllocBudgetInline(t *testing.T) {
 			}
 		})
 	}
-	if d := drainOf(srv.Metrics.Snapshot()); d.nfsd != 0 || d.inline == 0 {
-		t.Errorf("%+v: the calls measured were not served on the reader", d)
+	snap := srv.Metrics.Snapshot()
+	if d := drainOf(snap); d.nfsd != 0 || d.inline != 2*(64+201) || d.fast != 64+201 || snap.Counters["rpc.fastpath.calls"] != d.fast {
+		t.Errorf("%+v: the calls measured were not served on the reader, the READDIRs shallow", d)
 	}
 }
 

@@ -7,11 +7,11 @@
 //
 // Dispatch is run-to-completion when the server is idle and pooled when it
 // is not (DESIGN.md §3.3/§3.4). A UDP reader serves the datagram it just
-// read where it stands: header-only procedures (NULL, GETATTR, LOOKUP,
-// small READDIRs, STATFS, the MOUNT herd) through the shallow path,
-// server.HandleCallFast, flat datagram in, reply encoded into a per-reader
-// arena; everything else — READ, WRITE, the non-idempotent procedures, any
-// shallow-path fallback — through the ordinary HandleCall, the request
+// read where it stands: header-only procedures (NULL, GETATTR, SETATTR,
+// LOOKUP, READLINK, READDIR, STATFS, the MOUNT herd) through the shallow
+// path, server.HandleCallFast, flat datagram in, reply encoded into a
+// per-reader arena; everything else — READ, WRITE, the other
+// non-idempotent procedures — through the ordinary HandleCall, the request
 // chain wrapping the read buffer itself (mbuf.Chain.Wrap: no ingest copy,
 // sound because the call finishes before the next read). No goroutine is
 // woken, no ring crossed, and such a call's span has no queue stage. TCP
@@ -119,13 +119,11 @@ type Server struct {
 
 	// fastOff turns inline service off, shallow and generic alike (several
 	// readers sharing one socket, see Serve). The counters: fastCalls
-	// datagrams served on the shallow path, fastFallbacks datagrams
-	// classified eligible but punted to the generic dispatch, sendBatches
-	// send syscalls issued by the coalescing writers and sendMsgs replies
-	// sent through them.
-	fastOff                  bool
-	fastCalls, fastFallbacks *metrics.Counter
-	sendBatches, sendMsgs    *metrics.Counter
+	// datagrams and records served on the shallow path, sendBatches send
+	// syscalls issued by the coalescing writers and sendMsgs replies sent
+	// through them.
+	fastOff                          bool
+	fastCalls, sendBatches, sendMsgs *metrics.Counter
 	// kernelDrops mirrors the kernel's receive drops summed over socks
 	// (rpc.udp.kernel_drops), refreshed by PublishStats.
 	kernelDrops *metrics.Counter
@@ -250,7 +248,6 @@ func Serve(srv *server.Server, udpAddr, tcpAddr string) (*Server, error) {
 		fastOff: !reuse && nreaders > 1,
 	}
 	s.fastCalls = srv.Metrics.Counter("rpc.fastpath.calls")
-	s.fastFallbacks = srv.Metrics.Counter("rpc.fastpath.fallbacks")
 	s.sendBatches = srv.Metrics.Counter("rpc.send.batches")
 	s.sendMsgs = srv.Metrics.Counter("rpc.send.batched_msgs")
 	s.kernelDrops = srv.Metrics.Counter("rpc.udp.kernel_drops")
@@ -569,13 +566,12 @@ func fastEligible(pkt []byte, h *rpc.PeekedCall) (argOff int, ok bool) {
 }
 
 // serveFast puts an eligible call through the shallow path, the reply
-// encoded flat onto out (len 0, cap >= server.FastReplyMax). done means the
-// call was consumed here: rep is its reply, or nil when there is none to send
-// (dropped by the crash window exactly as the generic path would have dropped
-// it, or a non-idempotent call's in-flight duplicate). The caller sends rep
-// and records sp. Not done means the caller must put the call through the
-// generic dispatch, nothing having happened to it but the count of a fallback.
-func (s *Server) serveFast(peer string, pkt []byte, h *rpc.PeekedCall, argOff int, out []byte, t0 time.Time, sp *metrics.Span) (rep []byte, done bool) {
+// encoded flat onto out (len 0, cap >= server.FastReplyMax, so every reply
+// fits). rep is the reply, or nil when there is none to send (dropped by the
+// crash window exactly as the generic path would have dropped it, or a
+// non-idempotent call's in-flight duplicate). The caller sends rep and
+// records sp.
+func (s *Server) serveFast(peer string, pkt []byte, h *rpc.PeekedCall, argOff int, out []byte, t0 time.Time, sp *metrics.Span) []byte {
 	sp.Reset(t0)
 	sp.Stamp(metrics.StageRead)
 	sp.SetCall(h.XID, h.Proc)
@@ -585,24 +581,20 @@ func (s *Server) serveFast(peer string, pkt []byte, h *rpc.PeekedCall, argOff in
 	if s.srv.Down() {
 		s.crashMu.RUnlock()
 		sp.SetErr()
-		return nil, true // crashed: the request vanishes, like the generic drop
+		return nil // crashed: the request vanishes, like the generic drop
 	}
-	rep, ok := s.srv.HandleCallFast(peer, pkt, h, argOff, out, sp)
+	rep, _ := s.srv.HandleCallFast(peer, pkt, h, argOff, out, sp) // argOff came from the peek: always served
 	s.crashMu.RUnlock()
-	if !ok {
-		s.fastFallbacks.Inc()
-		return nil, false
-	}
 	s.fastCalls.Inc()
 	if scribbleServed {
 		scribble(pkt)
 	}
-	return rep, true
+	return rep
 }
 
 // tryFast offers one datagram to the shallow path, staging the reply in b.
-// True means the datagram was consumed here; false that the caller must put
-// it through the generic dispatch.
+// True means the datagram was eligible and consumed here; false that the
+// caller must put it through the generic dispatch.
 func (s *Server) tryFast(r *udpReader, b *sendBatch, peers *peerCache, pkt []byte, addr netip.AddrPort, t0 time.Time, sp *metrics.Span) bool {
 	if s.fastOff {
 		return false
@@ -612,10 +604,7 @@ func (s *Server) tryFast(r *udpReader, b *sendBatch, peers *peerCache, pkt []byt
 	if !ok {
 		return false
 	}
-	rep, done := s.serveFast(peers.get(addr), pkt, &h, argOff, b.scratch(), t0, sp)
-	if !done {
-		return false
-	}
+	rep := s.serveFast(peers.get(addr), pkt, &h, argOff, b.scratch(), t0, sp)
 	r.fast.Inc()
 	if rep == nil {
 		s.stages.Record(sp)
@@ -740,17 +729,14 @@ func (s *Server) serveConn(conn net.Conn) {
 			if rec == nil {
 				break
 			}
-			var rep []byte
-			sent, done := false, false
+			sent := false
 			if argOff, ok := fastEligible(rec, &h); ok {
-				rep, done = s.serveFast(peer, rec, &h, argOff, flat[4:4], t0, &sp)
-			}
-			switch {
-			case rep != nil:
-				binary.BigEndian.PutUint32(flat, 0x80000000|uint32(len(rep)))
-				_, err = conn.Write(flat[:4+len(rep)])
-				sent = true
-			case !done:
+				if rep := s.serveFast(peer, rec, &h, argOff, flat[4:4], t0, &sp); rep != nil {
+					binary.BigEndian.PutUint32(flat, 0x80000000|uint32(len(rep)))
+					_, err = conn.Write(flat[:4+len(rep)])
+					sent = true
+				}
+			} else {
 				sp.Reset(t0)
 				sp.Peer = peer
 				if chain := s.dispatchInPlace(peer, &wrap, rec, &sp); chain != nil {

@@ -63,8 +63,8 @@ func RenderStats(w io.Writer, snap *metrics.Snapshot, delta bool) {
 			c["mbuf.copied_bytes"], c["mbuf.loaned_bytes"], c["mbuf.pool_hits"], c["mbuf.pool_misses"])
 	}
 	if msgs := c["rpc.send.batched_msgs"]; msgs+c["rpc.fastpath.calls"] > 0 {
-		fmt.Fprintf(w, "fastpath (udp+tcp) %d calls  %d fallbacks  batched udp sends %d syscalls / %d replies (%.3f per reply)\n",
-			c["rpc.fastpath.calls"], c["rpc.fastpath.fallbacks"], c["rpc.send.batches"], msgs,
+		fmt.Fprintf(w, "fastpath (udp+tcp) %d calls  batched udp sends %d syscalls / %d replies (%.3f per reply)\n",
+			c["rpc.fastpath.calls"], c["rpc.send.batches"], msgs,
 			float64(c["rpc.send.batches"])/float64(max(msgs, 1)))
 	}
 	if grants := c["lease.grants"]; grants > 0 {

@@ -34,7 +34,7 @@ func statsFixture(r *metrics.Registry) {
 	for name, n := range map[string]int64{
 		"nfs.errors": 1, "nfs.dup_hits": 1, "nfs.bytes_in": 800, "nfs.bytes_out": 1200,
 		"mbuf.copied_bytes": 84, "mbuf.loaned_bytes": 8192, "mbuf.pool_hits": 10, "mbuf.pool_misses": 2,
-		"rpc.fastpath.calls": 5, "rpc.fastpath.fallbacks": 1, "rpc.send.batches": 3, "rpc.send.batched_msgs": 6,
+		"rpc.fastpath.calls": 5, "rpc.send.batches": 3, "rpc.send.batched_msgs": 6,
 		"lease.grants": 4, "lease.piggy_grants": 3, "lease.renewals": 1, "lease.trylater": 1,
 		"lease.evictions": 1, "lease.vacates": 1, "lease.expiries": 0,
 		"rpc.reader.0.reads": 4, "rpc.reader.0.fast": 3, "rpc.reader.0.inline": 1, "rpc.reader.0.wakeups": 2,
@@ -79,7 +79,7 @@ lookup       7      0.234        -      -      -      1.562
 readdirlook  2      0.250        -      -      -      0.266
 calls 2013  errors 2  dup hits 2  bytes in 1600  bytes out 2400
 mbuf: 168 bytes copied  16384 bytes loaned  pool 20 hits / 4 misses
-fastpath (udp+tcp) 10 calls  2 fallbacks  batched udp sends 6 syscalls / 12 replies (0.500 per reply)
+fastpath (udp+tcp) 10 calls  batched udp sends 6 syscalls / 12 replies (0.500 per reply)
 leases: 8 grants (6 piggybacked, 2 renewals)  2 trylater  2 evictions  2 vacates  0 expiries  2 active
 where the microsecond goes (per-stage, µs, cumulative)
 stage    count  p50   p95   p99  max 
@@ -116,7 +116,7 @@ lookup       3      0.023        -      -      -      0.041
 readdirlook  1      0.250        -      -      -      0.266
 calls 1006  errors 1  dup hits 1  bytes in 800  bytes out 1200
 mbuf: 84 bytes copied  8192 bytes loaned  pool 10 hits / 2 misses
-fastpath (udp+tcp) 5 calls  1 fallbacks  batched udp sends 3 syscalls / 6 replies (0.500 per reply)
+fastpath (udp+tcp) 5 calls  batched udp sends 3 syscalls / 6 replies (0.500 per reply)
 leases: 4 grants (3 piggybacked, 1 renewals)  1 trylater  1 evictions  1 vacates  0 expiries  2 active
 where the microsecond goes (per-stage, µs, interval delta)
 stage    count  p50   p95   p99  max 

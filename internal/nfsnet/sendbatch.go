@@ -91,7 +91,7 @@ func newSendBatch(conn *net.UDPConn, withArena bool, batches, batched *metrics.C
 		stages:  stages,
 	}
 	if withArena {
-		b.arena = make([]byte, maxBatch*server.FastReplyMax)
+		b.arena = make([]byte, maxBatch*4096) // 256 KB: scratch flushes when less than FastReplyMax is left
 	}
 	return b
 }

@@ -76,7 +76,7 @@ func pathBlind(snap *metrics.Snapshot) map[string]int64 {
 
 // TestTCPShallowVsGenericReplyStream holds the TCP shallow arm to the
 // generic one at the socket: one seeded record stream — FuzzFastVsGeneric's
-// corpus (NOENT, stale handles, READDIR past the shallow window, MNT,
+// corpus (NOENT, stale handles, a MaxData READDIR, MNT,
 // truncated arguments, CREATE and REMOVE between lookups) with 8 KB WRITEs
 // and READs woven in, cut into writes at seeded points so that records
 // arrive several to a read and split across reads — must draw the same
@@ -84,28 +84,37 @@ func pathBlind(snap *metrics.Snapshot) map[string]int64 {
 // the eligible calls or declines them all.
 func TestTCPShallowVsGenericReplyStream(t *testing.T) {
 	const sentinel = 0x7e57e0d
-	run := func(decline bool) ([]byte, *metrics.Snapshot) {
+	// run also returns how many records the shallow arm was offered: none
+	// when it declines them all.
+	run := func(decline bool) ([]byte, *metrics.Snapshot, int64) {
 		declineFast = decline
 		defer func() { declineFast = false }()
 		rig := newAliasRig(t, "tcp", 1, false, true)
 		defer rig.s.Close()
 		rng := rand.New(rand.NewSource(19))
 		var stream []byte
+		var eligible int64
+		var pk rpc.PeekedCall
+		add := func(wire []byte) {
+			stream = append(stream, mark(wire)...)
+			if _, ok := fastEligible(wire, &pk); ok {
+				eligible++
+			}
+		}
 		for i, wire := range nfstest.Seeds(rig.h) {
-			var pk rpc.PeekedCall
 			if _, ok := rpc.PeekCallHeader(wire, &pk); ok && pk.Prog == nfsproto.MountProgram && pk.Proc == nfsproto.MountProcDump {
 				continue // the DUMP reply names the client's own socket
 			}
-			stream = append(stream, mark(wire)...)
+			add(wire)
 			block := uint32(rng.Intn(4)) * memfs.BlockSize
 			switch i % 4 {
 			case 1:
-				stream = append(stream, mark(encodeWrite(uint32(7000+i), rig.h.File, block, blockPattern(byte(i))))...)
+				add(encodeWrite(uint32(7000+i), rig.h.File, block, blockPattern(byte(i))))
 			case 3:
-				stream = append(stream, mark(encodeRead(uint32(7000+i), rig.h.File, block, memfs.BlockSize))...)
+				add(encodeRead(uint32(7000+i), rig.h.File, block, memfs.BlockSize))
 			}
 		}
-		stream = append(stream, mark(nfstest.EncodeWire(sentinel, nfsproto.Program, nfsproto.Version, nfsproto.ProcNull, nil))...)
+		add(nfstest.EncodeWire(sentinel, nfsproto.Program, nfsproto.Version, nfsproto.ProcNull, nil))
 
 		conn := rig.conn
 		conn.SetDeadline(time.Now().Add(20 * time.Second))
@@ -126,10 +135,10 @@ func TestTCPShallowVsGenericReplyStream(t *testing.T) {
 				break
 			}
 		}
-		return replies, rig.core.Metrics.Snapshot()
+		return replies, rig.core.Metrics.Snapshot(), eligible
 	}
-	shallow, ssnap := run(false)
-	generic, gsnap := run(true)
+	shallow, ssnap, seligible := run(false)
+	generic, gsnap, geligible := run(true)
 	if !bytes.Equal(shallow, generic) {
 		t.Errorf("reply streams differ: %d bytes with the shallow path taken, %d with it declined", len(shallow), len(generic))
 	}
@@ -141,12 +150,13 @@ func TestTCPShallowVsGenericReplyStream(t *testing.T) {
 		}
 		t.Errorf("registries differ (%d vs %d entries)", len(a), len(b))
 	}
-	// And the two runs were of the two arms.
-	if c, f := ssnap.Counters["rpc.fastpath.calls"], ssnap.Counters["rpc.fastpath.fallbacks"]; c < 20 || f == 0 {
-		t.Errorf("shallow run: %d calls, %d fallbacks; want most of the corpus and the oversize READDIR", c, f)
+	// And the two runs were of the two arms: every eligible record shallow
+	// (the MaxData READDIR among them), then none.
+	if c := ssnap.Counters["rpc.fastpath.calls"]; seligible < 20 || c != seligible {
+		t.Errorf("shallow run: %d shallow calls of %d eligible records; want all of them", c, seligible)
 	}
-	if c, f := gsnap.Counters["rpc.fastpath.calls"], gsnap.Counters["rpc.fastpath.fallbacks"]; c != 0 || f != 0 {
-		t.Errorf("declined run: %d calls, %d fallbacks on the shallow path", c, f)
+	if c := gsnap.Counters["rpc.fastpath.calls"]; geligible != 0 || c != 0 {
+		t.Errorf("declined run: %d shallow calls, %d eligible records; want none", c, geligible)
 	}
 }
 
@@ -257,8 +267,10 @@ func TestTCPPipelineDownAndCrash(t *testing.T) {
 // LOOKUP only the name string the core keeps for the name cache — the same
 // one allocation the shallow path's in-process budget allows
 // (fastLookupAllocBudget in the root package) — where the generic path
-// spent a decoder, a reply chain and an encoder on each. No scanner copy,
-// no reply chain, no iovec array.
+// spent a decoder, a reply chain and an encoder on each. A READDIR whose
+// 9.4 KB reply fills the largest window is served shallow too, for its
+// listing's snapshot (memfs.DirEntries). No scanner copy, no reply chain,
+// no iovec array.
 func TestAllocBudgetTCP(t *testing.T) {
 	rig := newAliasRig(t, "tcp", 1, false, true)
 	conn := rig.conn
@@ -271,6 +283,7 @@ func TestAllocBudgetTCP(t *testing.T) {
 	}{
 		{"getattr", mark(encodeGetattr(0, rig.h.File)), 0},
 		{"lookup", mark(encodeLookup(0, rig.h.Root, "bulk-07")), 1},
+		{"readdir", mark(encodeReaddir(0, bigDir(t, rig.core.FS), nfsproto.MaxData)), 2}, // measured 1
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			once := func() {
@@ -287,7 +300,7 @@ func TestAllocBudgetTCP(t *testing.T) {
 			}
 		})
 	}
-	if c := rig.core.Metrics.Snapshot().Counters["rpc.fastpath.calls"]; c < 2*(64+200) {
+	if c := rig.core.Metrics.Snapshot().Counters["rpc.fastpath.calls"]; c != 3*(64+201) {
 		t.Errorf("%d calls on the shallow path: the calls measured did not take it", c)
 	}
 }

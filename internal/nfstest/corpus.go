@@ -120,7 +120,7 @@ func Seeds(h Handles) [][]byte {
 		readdir(h.Root, 0, 2048),
 		readdir(h.Root, 0, 256),              // a small budget truncates the listing
 		readdir(h.Root, 7, 512),              // resume from a mid-listing cookie
-		readdir(h.Root, 0, nfsproto.MaxData), // past the shallow window: falls back
+		readdir(h.Root, 0, nfsproto.MaxData), // the largest window: FastReplyMax holds its reply
 		readdir(h.File, 0, 512),
 		readdir(stale, 0, 512),
 		nfs(nfsproto.ProcStatfs, func(e *xdr.Encoder) { (&nfsproto.GetattrArgs{File: h.Root}).Encode(e) }),

@@ -27,25 +27,23 @@ import (
 // and vanish over real sockets (p == nil).
 //
 // serveFlat answers everything it is given, truncated arguments and
-// over-long names included (GARBAGE_ARGS, after the call frame ran), but
-// for a READDIR whose window could outgrow the caller's reply buffer: that
-// returns ok=false with no side effects, and the byte entry's callers put
-// the call through the chain entry, which has room for the largest window.
+// over-long names included (GARBAGE_ARGS, after the call frame ran): every
+// caller's reply room holds the largest header-only reply, so no call is
+// ever handed back to the other entry.
 
 const (
-	// FastReplyMax sizes a byte-entry caller's reply scratch: every
-	// header-only reply fits (READLINK's ≤ 1 KB target is the largest) but a
-	// READDIR window past about 3.4 KB, which declines.
-	FastReplyMax = 4096
+	// FastReplyMax bounds the largest header-only reply, and so every
+	// caller's reply room: a MaxData READDIR window (9,673 bytes) — header,
+	// status and end words, budget, ≤ 3 pad bytes per entry (each costs ≥ 17).
+	FastReplyMax = 24 + 12 + nfsproto.MaxData + 3*nfsproto.MaxData/17
 	// gatherMax bounds the request bytes the chain entry copies out: a call
 	// header (≤ 840 bytes, with two 400-byte auth bodies) and the longest
 	// arguments a header-only procedure reads (MNT's 1,028-byte path).
 	gatherMax = 2048
 )
 
-// FastEligible reports whether a peeked call may take the byte entry.
-// Eligibility is by procedure only — the READDIR window is checked after
-// decode and declines without side effects.
+// FastEligible reports whether a peeked call may take the byte entry: by
+// procedure only.
 func FastEligible(h *rpc.PeekedCall) bool { return flatEligible(h.Prog, h.Vers, h.Proc) }
 
 // flatEligible reports whether a call is one of serveFlat's procedures.
@@ -67,33 +65,29 @@ func flatEligible(prog, vers, proc uint32) bool {
 
 // HandleCallFast services one fast-eligible call in place. req is the raw
 // datagram or record, h/argOff the result of rpc.PeekCallHeader, out a
-// scratch slice (len 0, cap ≥ FastReplyMax) the reply is appended to. It
-// returns the reply bytes and ok=true; (nil, true) when the call was
-// consumed but produces no reply (an in-flight non-idempotent duplicate);
-// or (nil, false) — with no side effects — when a READDIR window could
-// outgrow out and the call must take the chain entry. sp may be nil.
+// scratch slice (len 0, cap ≥ FastReplyMax) the reply is appended to, so
+// the reply aliases out. It returns the reply, nil for an in-flight
+// non-idempotent duplicate; ok is false only when argOff lies past req, and
+// then nothing ran. sp may be nil.
 func (s *Server) HandleCallFast(peer string, req []byte, h *rpc.PeekedCall, argOff int, out []byte, sp *metrics.Span) ([]byte, bool) {
 	if argOff > len(req) {
 		return nil, false
 	}
-	rep, ok := s.serveFlat(nil, peer, h.XID, h.Prog, h.Proc, req[argOff:], len(req), out, sp)
-	if ok {
-		s.cBytesIn.Add(int64(len(req)))
-		if rep != nil {
-			s.cBytesOut.Add(int64(len(rep) - len(out)))
-		}
+	rep := s.serveFlat(nil, peer, h.XID, h.Prog, h.Proc, req[argOff:], len(req), out, sp)
+	s.cBytesIn.Add(int64(len(req)))
+	if rep != nil {
+		s.cBytesOut.Add(int64(len(rep) - len(out)))
 	}
-	return rep, ok
+	return rep, true
 }
 
 // serveGathered is the chain entry into serveFlat: the request is copied
-// into scratch, whose reply room fits the largest READDIR window (so
-// serveFlat never declines here), and the flat reply is laid into a chain.
+// into scratch, and the flat reply is laid into a chain.
 func (s *Server) serveGathered(p *sim.Proc, peer string, call *rpc.Call, req *mbuf.Chain, argOff int, sp *metrics.Span) *mbuf.Chain {
 	scratch := chainScratch.Get().(*[]byte)
 	defer chainScratch.Put(scratch)
 	n := req.CopyTo((*scratch)[:gatherMax])
-	rep, _ := s.serveFlat(p, peer, call.XID, call.Prog, call.Proc, (*scratch)[argOff:n], req.Len(), (*scratch)[gatherMax:gatherMax], sp)
+	rep := s.serveFlat(p, peer, call.XID, call.Prog, call.Proc, (*scratch)[argOff:n], req.Len(), (*scratch)[gatherMax:gatherMax], sp)
 	if rep == nil {
 		return nil
 	}
@@ -104,14 +98,14 @@ func (s *Server) serveGathered(p *sim.Proc, peer string, call *rpc.Call, req *mb
 // (HandleCallSpan runs concurrently under EnableConcurrentDispatch) and
 // returns it once the reply chain holds a copy.
 var chainScratch = sync.Pool{New: func() any {
-	b := make([]byte, gatherMax+readdirReplyMax(nfsproto.MaxData))
+	b := make([]byte, gatherMax+FastReplyMax)
 	return &b
 }}
 
 // serveFlat serves one header-only call whose arguments are args (reqLen
 // is the whole request's length, for the Ultrix XDR-layer charge),
 // appending the reply to out. It returns what HandleCallFast does.
-func (s *Server) serveFlat(p *sim.Proc, peer string, xid, prog, proc uint32, args []byte, reqLen int, out []byte, sp *metrics.Span) ([]byte, bool) {
+func (s *Server) serveFlat(p *sim.Proc, peer string, xid, prog, proc uint32, args []byte, reqLen int, out []byte, sp *metrics.Span) []byte {
 	var r xdr.ByteReader
 	r.ResetBytes(args)
 	var w xdr.ByteWriter
@@ -127,7 +121,7 @@ func (s *Server) serveFlat(p *sim.Proc, peer string, xid, prog, proc uint32, arg
 		}
 		if !r.OK() {
 			rpc.AppendReplyHeader(&w, xid, rpc.GarbageArgs)
-			return w.Bytes(), true
+			return w.Bytes()
 		}
 		rpc.AppendReplyHeader(&w, xid, rpc.Success)
 		if proc == nfsproto.MountProcMnt {
@@ -136,11 +130,9 @@ func (s *Server) serveFlat(p *sim.Proc, peer string, xid, prog, proc uint32, arg
 		}
 		sp.Stamp(metrics.StageService)
 		sp.Stamp(metrics.StageEncode)
-		return w.Bytes(), true
+		return w.Bytes()
 	}
 
-	// Decode the arguments and check the window first: a decline from here
-	// has touched no counter, cache or table.
 	var (
 		fh     nfsproto.FH
 		name   string
@@ -167,9 +159,6 @@ func (s *Server) serveFlat(p *sim.Proc, peer string, xid, prog, proc uint32, arg
 		copy(fh[:], r.FixedOpaque(nfsproto.FHSize))
 		cookie = r.Uint32()
 		count = r.Uint32()
-		if r.OK() && readdirReplyMax(readdirBudget(count)) > cap(out)-len(out) {
-			return nil, false
-		}
 	}
 	garbage := !r.OK()
 	if g, ok := nfsproto.DecodeLeaseHintBytes(&r); ok {
@@ -180,10 +169,10 @@ func (s *Server) serveFlat(p *sim.Proc, peer string, xid, prog, proc uint32, arg
 	replay, run := s.admit(p, &f, reqLen, sp)
 	if !run {
 		if replay == nil {
-			return nil, true
+			return nil
 		}
 		w.PutFixedOpaque(replay.Bytes())
-		return w.Bytes(), true
+		return w.Bytes()
 	}
 
 	if garbage {
@@ -224,7 +213,7 @@ func (s *Server) serveFlat(p *sim.Proc, peer string, xid, prog, proc uint32, arg
 		saved = mbuf.FromBytes(rep) // a copy: out is the caller's to reuse
 	}
 	s.finish(p, &f, len(rep), garbage, saved, sp)
-	return w.Bytes(), true
+	return w.Bytes()
 }
 
 // replyChain lays a flat reply into a new chain field by field, the way

@@ -19,8 +19,7 @@ import (
 // readers would peek at.
 var encodeWire = nfstest.EncodeWire
 
-// byteReply runs wire through the byte entry. ok=false means it declined
-// to the chain entry.
+// byteReply runs wire through the byte entry, into a FastReplyMax scratch.
 func byteReply(t *testing.T, s *Server, peer string, wire []byte) ([]byte, bool) {
 	t.Helper()
 	var h rpc.PeekedCall
@@ -116,14 +115,16 @@ func unpackDatagrams(in []byte) [][]byte {
 }
 
 // byteThenChain services one datagram the way nfsnet's UDP reader does:
-// peek, classify, the byte entry, and the chain entry for whatever the
-// byte entry declines.
-func byteThenChain(s *Server, peer string, wire, scratch []byte) []byte {
+// peek, classify, then the byte entry for an eligible call, which must
+// serve it, and the chain entry for the rest.
+func byteThenChain(t *testing.T, s *Server, peer string, wire, scratch []byte) []byte {
 	var h rpc.PeekedCall
 	if argOff, ok := rpc.PeekCallHeader(wire, &h); ok && FastEligible(&h) {
-		if rep, ok := s.HandleCallFast(peer, wire, &h, argOff, scratch, nil); ok {
-			return rep
+		rep, ok := s.HandleCallFast(peer, wire, &h, argOff, scratch, nil)
+		if !ok {
+			t.Fatalf("byte entry refused an eligible call %x", wire)
 		}
+		return rep
 	}
 	return chainOnly(s, peer, wire)
 }
@@ -173,12 +174,12 @@ func observe(s *Server, touched []nfsproto.FH) sideEffects {
 
 // FuzzFastVsGeneric holds the server's two entries into the one wrapper
 // of each header-only procedure together: the fast (byte) entry,
-// HandleCallFast, decoding from the datagram and declining a READDIR
-// window past its FastReplyMax scratch, and the generic (chain) entry,
+// HandleCallFast, decoding from the datagram and encoding into its
+// FastReplyMax scratch, and the generic (chain) entry,
 // HandleCall, gathering the arguments out of a request chain from the
 // offset its own header decode reached and laying the reply back into a
 // chain. Two identically built servers take the same datagram sequence, A
-// through the byte entry with chain fallback as nfsnet's readers do it, B
+// through the byte entry for every eligible call as nfsnet's readers do it, B
 // through the chain entry only; every reply must match byte for byte and
 // so must everything the sequence left behind. The seeds — errors, stale
 // handles, the negative name cache, truncated and cookied READDIR, SETATTR
@@ -201,7 +202,7 @@ func FuzzFastVsGeneric(f *testing.F) {
 		touched := []nfsproto.FH{h.Root, h.File, h.Link, h.Sub, h.Long, h.LongLink}
 		scratch := make([]byte, 0, FastReplyMax)
 		for i, wire := range unpackDatagrams(in) {
-			ra := byteThenChain(a, fuzzPeer, wire, scratch)
+			ra := byteThenChain(t, a, fuzzPeer, wire, scratch)
 			rb := chainOnly(b, fuzzPeer, wire)
 			if !bytes.Equal(ra, rb) {
 				t.Fatalf("datagram %d (%x): replies diverge\n byte  %x\n chain %x", i, wire, ra, rb)
@@ -263,12 +264,20 @@ func TestFastPathDupcacheIndependence(t *testing.T) {
 	}
 }
 
-// TestFastPathFallbacks pins the no-side-effects punt contract: a READDIR
-// whose window could outgrow the reply scratch returns ok=false with zero
-// counter movement, payload procedures never classify as fast, and
-// truncated arguments are answered rather than punted.
+// TestFastPathFallbacks pins that nothing eligible falls back: payload
+// procedures never classify as fast, a READDIR of the largest window is
+// served in the caller's FastReplyMax room as the chain entry serves it,
+// and truncated arguments are answered.
 func TestFastPathFallbacks(t *testing.T) {
-	s := newServer()
+	fs := memfs.New(1, nil, nil)
+	big, err := fs.Mkdir(nil, fs.Root(), "big", 0755)
+	for i := 0; err == nil && i < 600; i++ { // a listing past MaxData
+		_, err = fs.Create(nil, big, fmt.Sprintf("n%04d", i), 0644)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(fs, Reno())
 	root := s.RootFH()
 
 	for _, proc := range []uint32{nfsproto.ProcRead, nfsproto.ProcWrite,
@@ -283,34 +292,34 @@ func TestFastPathFallbacks(t *testing.T) {
 		t.Error("wrong-version NULL classified fast-eligible")
 	}
 
-	punt := func(label string, wire []byte) {
+	served := func(label string, wire []byte) {
 		t.Helper()
 		var h rpc.PeekedCall
 		argOff, okPeek := rpc.PeekCallHeader(wire, &h)
 		if !okPeek || !FastEligible(&h) {
 			t.Fatalf("%s: call did not reach HandleCallFast", label)
 		}
-		before := s.Metrics.Snapshot().Counters
-		rep, ok := s.HandleCallFast("p", wire, &h, argOff, make([]byte, 0, FastReplyMax), nil)
-		if ok || rep != nil {
-			t.Errorf("%s: fast path serviced a call that must punt", label)
+		out := make([]byte, 0, FastReplyMax)
+		rep, ok := s.HandleCallFast("p", wire, &h, argOff, out, nil)
+		if !ok || len(rep) == 0 {
+			t.Fatalf("%s: byte entry did not serve it (ok=%v, %d bytes)", label, ok, len(rep))
 		}
-		if after := s.Metrics.Snapshot().Counters; !reflect.DeepEqual(after, before) {
-			t.Errorf("%s: punted call moved counters: %v -> %v", label, before, after)
+		if want := chainReply(t, s, "p", wire); !bytes.Equal(rep, want) {
+			t.Errorf("%s: byte entry's %d-byte reply differs from the chain entry's %d bytes", label, len(rep), len(want))
+		}
+		if cap(rep) != cap(out) || &rep[:1][0] != &out[:1][0] {
+			t.Errorf("%s: reply left the caller's buffer (cap %d, want %d)", label, cap(rep), cap(out))
 		}
 	}
+	for _, count := range []uint32{0, nfsproto.MaxData} {
+		served(fmt.Sprintf("readdir count %d", count), encodeWire(301+count, nfsproto.Program, nfsproto.Version,
+			nfsproto.ProcReaddir, func(e *xdr.Encoder) {
+				(&nfsproto.ReaddirArgs{Dir: fs.FH(big), Count: count}).Encode(e)
+			}))
+	}
 
-	punt("readdir zero count", encodeWire(301, nfsproto.Program, nfsproto.Version,
-		nfsproto.ProcReaddir, func(e *xdr.Encoder) {
-			(&nfsproto.ReaddirArgs{Dir: root, Count: 0}).Encode(e)
-		}))
-	punt("readdir oversized window", encodeWire(302, nfsproto.Program, nfsproto.Version,
-		nfsproto.ProcReaddir, func(e *xdr.Encoder) {
-			(&nfsproto.ReaddirArgs{Dir: root, Count: nfsproto.MaxData}).Encode(e)
-		}))
-
-	// Truncated arguments are answered, not punted: GARBAGE_ARGS, as the
-	// chain entry answers them.
+	// Truncated arguments are answered: GARBAGE_ARGS, as the chain entry
+	// answers them.
 	full := encodeWire(300, nfsproto.Program, nfsproto.Version, nfsproto.ProcLookup,
 		func(e *xdr.Encoder) { (&nfsproto.DiropArgs{Dir: root, Name: "f"}).Encode(e) })
 	if rep, ok := byteReply(t, s, "p", full[:len(full)-6]); !ok || !bytes.Equal(rep, chainReply(t, s, "p", full[:len(full)-6])) {

@@ -178,11 +178,6 @@ func readdirBudget(count uint32) int {
 	return int(count)
 }
 
-// readdirReplyMax bounds the reply to a READDIR window of budget bytes: the
-// RPC header, the result's status and end words, and the budget, plus up
-// to 3 bytes of name padding per entry (each costs the budget ≥ 17).
-func readdirReplyMax(budget int) int { return 24 + 12 + budget + 3*budget/17 }
-
 // callFrame is what the accounting around one NFS procedure carries from
 // admit to finish.
 type callFrame struct {

@@ -93,6 +93,24 @@ var mutants = []struct {
 		"		if n > mbuf.MLen {",
 		"		if n > mbuf.ClBytes {",
 		"./internal/server", "TestHeaderOnlyEdgesPinned"},
+	// Every header-only reply fits the room its caller passes: a TCP
+	// connection's flat buffer one 4 KB slot long (what the byte entry's
+	// READDIR decline once allowed) cannot hold a 9.4 KB READDIR reply.
+	{"internal/nfsnet/nfsnet.go",
+		"	flat := make([]byte, 4+server.FastReplyMax)",
+		"	flat := make([]byte, 4+4096)",
+		"./internal/nfsnet", "TestAllocBudgetTCP"},
+	// A record's fragments together stay under MaxRecord, not each alone.
+	{"internal/rpc/rpc.go",
+		"		if m > MaxRecord-s.n {",
+		"		if m > MaxRecord {",
+		"./internal/rpc", "TestRecordTooBig"},
+	// A recvmmsg fill is served out before the reader blocks again: a
+	// datagram left in the probe would wait for the next arrival.
+	{"internal/nfsnet/nfsnet.go",
+		"			if probe.pending() == 0 && (!owned || nread >= maxBatch) {",
+		"			if !owned || nread >= maxBatch {",
+		"./internal/nfsnet", "TestSpanPipelineConcurrent"},
 }
 
 // TestMutants plants each mutant through go test -overlay (the working
