@@ -65,11 +65,12 @@ bench:
 # trip, a RecvTimeout (timed out or woken), a contended Resource.Use,
 # callbacks due now, a park behind due callbacks and a Cond Wait/Broadcast
 # cycle each allocate 0, with its Sleep and queue benchmarks, and so does a
-# ChargeCPU to a bucket its node has seen; an 8 KB UDP datagram across a
-# simulated link allocates only its Datagram, reassembly on recycled state
-# allocates nothing, and a simulated GETATTR round trip through a Rig stays
-# within 7 allocations (6 measured); over simulated TCP a GETATTR stays
-# within 13 and an 8 KB READ within 30, and over 1,000 TCP calls a call
+# ChargeCPU; an 8 KB UDP datagram across a simulated link allocates nothing
+# (its receiver releases the Datagram), reassembly on recycled state
+# allocates nothing, and through a Rig a simulated GETATTR round trip stays
+# within 2 allocations (1 measured), an 8 KB READ within 3 and an 8 KB WRITE
+# within 4; over simulated TCP a GETATTR stays within 5 and an 8 KB READ
+# within 7, and over 1,000 TCP calls a call
 # switches into a process at most 3 times with at most 3 events queued per
 # connection (TestTCPLoopWork: connections, listener and readers run as
 # events, and no wait leaves a stale timeout). The second
@@ -79,9 +80,9 @@ bench:
 # allocate nothing per reply, a data RPC served on the reader stays inside
 # its allocation budget, a TCP GETATTR round trip allocates nothing (LOOKUP:
 # the name string), a READDIR drawing a 9.4 KB reply is served on the shallow
-# path over TCP and on the UDP reader alike for one allocation (the listing's
-# snapshot), and record ingest neither allocates nor moves a byte per whole
-# record.
+# path over TCP and on the UDP reader alike allocating nothing (memfs copies
+# only the window's entries, onto the stack), and record ingest neither
+# allocates nor moves a byte per whole record.
 bench-smoke:
 	$(GO) test -run 'TestAllocBudget|TestTCPLoopWork|TestReadReplyZeroCopy|TestLeaseCreateDeleteGate' -bench=. -benchmem -benchtime 1x . ./internal/sim ./internal/netsim ./internal/ipfrag
 	$(GO) test -run 'TestRealSocketReadZeroCopy|TestRealSocketWriteZeroCopy|TestAllocBudget' -v ./internal/nfsnet ./internal/rpc
@@ -128,19 +129,26 @@ fleet-smoke:
 
 # Profile the simulator and a real-socket load with pprof; start perf work
 # here, the way the paper's tuning started from kernel profiles. The
-# simulated half profiles the seed-1991 quick pass of all 19 tables and
-# prints its top functions by cumulative CPU and by allocated objects (the
-# second header's total is the objects per pass); the shares quoted in
-# ROADMAP item 10 and EXPERIMENTS.md come from it. The socket half collects
-# the runtime's mutex-contention and blocking profiles from the real-socket
-# fleet's load curve (the lock-serialization view) and prints its
-# ingest-mechanism table beside them.
+# simulated half profiles what the benchmark's sim_tables child runs: quick
+# passes of all 19 tables on one CPU (GOMAXPROCS=1), one per seed of
+# PROFILE_SEEDS, merged so the shares rest on over 1,000 samples (one pass
+# is ~130 at 100 Hz). Each pass prints the heap objects it allocated; the
+# top functions by cumulative CPU are the merged passes', those by
+# allocated objects seed 1991's (that header's total is objects per pass).
+# The shares quoted in ROADMAP item 10 and EXPERIMENTS.md come from it. The
+# socket half collects the runtime's mutex-contention and blocking profiles
+# from the real-socket fleet's load curve (the lock-serialization view) and
+# prints its ingest-mechanism table beside them.
 PROFILE_EXP ?= all
+PROFILE_SEEDS ?= 1991 1 2 3 4 5 6 7 8 9
 profile:
-	$(GO) run ./cmd/nfsbench -exp $(PROFILE_EXP) -quick -seed 1991 \
-		-cpuprofile cpu.pprof -memprofile mem.pprof > /dev/null
-	$(GO) tool pprof -top -cum -nodecount 30 cpu.pprof
-	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 20 mem.pprof
+	$(GO) build -o nfsbench ./cmd/nfsbench
+	@for s in $(PROFILE_SEEDS); do \
+		GOMAXPROCS=1 ./nfsbench -exp $(PROFILE_EXP) -quick -seed $$s \
+			-cpuprofile cpu.$$s.pprof -memprofile mem.$$s.pprof > /dev/null || exit 1; \
+	done
+	$(GO) tool pprof -top -cum -nodecount 30 $(foreach s,$(PROFILE_SEEDS),cpu.$(s).pprof)
+	$(GO) tool pprof -sample_index=alloc_objects -top -nodecount 20 mem.$(firstword $(PROFILE_SEEDS)).pprof
 	$(GO) run ./cmd/nfsbench -fleet -fleet-real -fleet-scenarios '' \
 		-mutexprofile mutex.pprof -blockprofile block.pprof
-	@echo "view with: go tool pprof cpu.pprof (or mem.pprof, mutex.pprof, block.pprof)"
+	@echo "view with: go tool pprof cpu.<seed>.pprof (or mem.<seed>.pprof, mutex.pprof, block.pprof)"

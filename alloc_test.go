@@ -40,26 +40,35 @@ const (
 	fastGetattrAllocBudget = 0
 	// A READDIR through the chain entry streams its entries from the core's
 	// window into pooled flat scratch and lays that into the reply chain:
-	// what it allocates does not grow with the listing beyond memfs's one
-	// snapshot of it (no []DirEntry, no per-entry garbage). Measured 3 (4
-	// while the chain codec had a wrapper of its own); the count is the
-	// budget.
-	readdirAllocBudget = 3
+	// what it allocates does not grow with the listing, whose window memfs
+	// copies onto the stack (no []DirEntry, no per-entry garbage). Measured
+	// 2 (3 while memfs copied the whole listing, 4 while the chain codec had
+	// a wrapper of its own); the count is the budget.
+	readdirAllocBudget = 2
 	// A simulated GETATTR through a Rig: the dynamic-UDP transport, the
 	// simulated network and the server core together, with no tracer
-	// installed anywhere. Measured 6.00–6.01 (18 before the transport
-	// recycled its call records and the receive loops became queue
-	// callbacks, 44.1 while every simulator event was a heap-allocated timer
-	// and every wait a heap-allocated waiter); the budget is that plus 1.
-	rigGetattrAllocBudget = 7.0
-	// The same over simulated TCP: each segment's one object (datagram,
-	// header and payload chain) and its payload views, the record chains,
-	// the call's and the reply's codecs. Measured 12.01 and 28.05 (26 and
-	// 68 while every segment and every record was copied, and every ACK
+	// installed anywhere, the caller handing each reply back. Measured
+	// 1.00 (6.00 while datagrams, reply decoders, reply messages and call
+	// chains were garbage, 18 before the transport recycled its call
+	// records and the receive loops became queue callbacks, 44.1 while every
+	// simulator event was a heap-allocated timer and every wait a
+	// heap-allocated waiter): the server's reply chain. The budget is that
+	// plus 1.
+	rigGetattrAllocBudget = 2.0
+	// The same over simulated TCP: the record chains the two scanners cut,
+	// the call's chain and the server's reply chain; segments and their
+	// headers recycle. Measured 4.01 and 5.02 (12.01 and 28.05 while every
+	// segment was an object of its own and every reply garbage, 26 and 68
+	// while every segment and every record was copied, and every ACK
 	// re-viewed the whole send buffer); the GETATTR budget is that plus 1,
 	// the READ budget plus 2.
-	rigTCPGetattrAllocBudget = 13.0
-	rigTCPRead8KAllocBudget  = 30.0
+	rigTCPGetattrAllocBudget = 5.0
+	rigTCPRead8KAllocBudget  = 7.0
+	// An 8 KB READ and WRITE over dynamic UDP: measured 2.02 (the server's
+	// READ arguments and reply chain) and 3.02 (the WRITE's payload view
+	// and its arguments, and the reply chain); the budgets are that plus 1.
+	rigRead8KAllocBudget  = 3.0
+	rigWrite8KAllocBudget = 4.0
 )
 
 // warmServer builds a server with one 8 KB file, runs a few calls of each
@@ -283,10 +292,12 @@ func TestAllocBudgetRigGetattr(t *testing.T) {
 		{"udp_getattr", rigCall{kind: renonfs.UDPDynamic}, rigGetattrAllocBudget},
 		{"tcp_getattr", rigCall{kind: renonfs.TCP}, rigTCPGetattrAllocBudget},
 		{"tcp_read8k", rigCall{kind: renonfs.TCP, read: true}, rigTCPRead8KAllocBudget},
+		{"udp_read8k", rigCall{kind: renonfs.UDPDynamic, read: true}, rigRead8KAllocBudget},
+		{"udp_write8k", rigCall{kind: renonfs.UDPDynamic, write: true}, rigWrite8KAllocBudget},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, loop := rigCalls(t, tc.call, 100, 2000)
-			t.Logf("simulated round trip: %.1f allocs/op (budget %.1f)", loop.allocs, tc.budget)
+			t.Logf("simulated round trip: %.3f allocs/op (budget %.1f)", loop.allocs, tc.budget)
 			if loop.allocs > tc.budget {
 				t.Errorf("simulated round trip allocates %.1f/op, budget is %.1f", loop.allocs, tc.budget)
 			}

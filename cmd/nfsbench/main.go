@@ -202,6 +202,9 @@ func writeMemProfile(path string) {
 	}
 	defer f.Close()
 	runtime.GC() // materialize the final allocation state
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	fmt.Fprintf(os.Stderr, "nfsbench: %d heap objects (%.0f MB) allocated by the run\n", ms.Mallocs, float64(ms.TotalAlloc)/1e6)
 	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
 		fmt.Fprintf(os.Stderr, "nfsbench: -memprofile: %v\n", err)
 	}

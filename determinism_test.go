@@ -4,7 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -138,9 +140,15 @@ func TestFullTablesGolden(t *testing.T) {
 // TestSameSeedSameTables runs three experiments twice in one process: one
 // seed must print one set of tables. saturation is the one that retransmits
 // several calls in one tick, table5 the one with write-behind and leases.
+// Then it runs the three at once, one goroutine each, and each must print
+// its tables again: the records a simulation recycles (datagrams, segments,
+// reply decoders, mbufs) never pass from one environment to another, which
+// running seeds in parallel depends on.
 func TestSameSeedSameTables(t *testing.T) {
-	for _, id := range []string{"saturation", "graph1", "table5"} {
-		cfg := ExpConfig{Quick: true, Seed: 1991}
+	ids := []string{"saturation", "graph1", "table5"}
+	cfg := ExpConfig{Quick: true, Seed: 1991}
+	want := make([][]string, len(ids))
+	for i, id := range ids {
 		a, b := tables(t, id, cfg), tables(t, id, cfg)
 		if len(a) != len(b) {
 			t.Fatalf("%s: %d tables, then %d", id, len(a), len(b))
@@ -149,6 +157,31 @@ func TestSameSeedSameTables(t *testing.T) {
 			if a[i] != b[i] {
 				t.Errorf("%s: two runs at one seed differ:\n%s\n%s", id, a[i], b[i])
 			}
+		}
+		want[i] = a
+	}
+	got := make([][]string, len(ids))
+	errs := make([]error, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tabs, err := RunExperiment(id, cfg)
+			errs[i] = err
+			for _, tb := range tabs {
+				got[i] = append(got[i], tb.String())
+			}
+		}()
+	}
+	wg.Wait()
+	for i, id := range ids {
+		if errs[i] != nil {
+			t.Fatalf("%s, run concurrently: %v", id, errs[i])
+		}
+		if !slices.Equal(got[i], want[i]) {
+			t.Errorf("%s: run concurrently with the others, it printed other tables:\n%s\nwant\n%s",
+				id, strings.Join(got[i], "\n"), strings.Join(want[i], "\n"))
 		}
 	}
 }

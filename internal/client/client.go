@@ -332,14 +332,15 @@ func (m *Mount) Close(p *sim.Proc) {
 }
 
 // charge bills client CPU to the node, if there is one.
-func (m *Mount) charge(p *sim.Proc, bucket string, us float64) {
+func (m *Mount) charge(p *sim.Proc, bucket netsim.Bucket, us float64) {
 	if p == nil || m.Node == nil {
 		return
 	}
 	m.Node.ChargeCPU(p, bucket, m.Node.Model.Cost(us))
 }
 
-// call issues one RPC, counting each attempt. An NFSERR_TRYLATER answer
+// call issues one RPC, counting each attempt. The caller hands the reply
+// back (m.tr.Release) once it has decoded it. An NFSERR_TRYLATER answer
 // means the server is evicting a conflicting lease holder for us, so call
 // backs off and asks again, up to eight times. Every NFS result begins with
 // its status, which call reads from a copy of the decoder, leaving the
@@ -356,6 +357,7 @@ func (m *Mount) call(p *sim.Proc, proc uint32, args func(e *xdr.Encoder)) (*xdr.
 		if st, _ := peek.Uint32(); nfsproto.Status(st) != nfsproto.ErrTryLater {
 			return d, nil
 		}
+		m.tr.Release(d)
 		tryLaterBackoff(p, attempt)
 	}
 }
@@ -438,6 +440,7 @@ func (m *Mount) freshAttrs(p *sim.Proc, vn *vnode) error {
 	if err != nil {
 		return err
 	}
+	defer m.tr.Release(d)
 	res, err := nfsproto.DecodeAttrRes(d)
 	if err != nil {
 		return err
@@ -522,6 +525,7 @@ func (m *Mount) lookupComponent(p *sim.Proc, dir *vnode, name string) (*vnode, e
 	if err != nil {
 		return nil, err
 	}
+	defer m.tr.Release(d)
 	res, err := nfsproto.DecodeDiropRes(d)
 	if err != nil {
 		return nil, err
@@ -541,10 +545,11 @@ func (m *Mount) lookupComponent(p *sim.Proc, dir *vnode, name string) (*vnode, e
 
 // walk resolves a slash-separated path from the root.
 func (m *Mount) walk(p *sim.Proc, path string) (*vnode, error) {
-	m.charge(p, "syscall", costSyscall)
+	m.charge(p, netsim.BucketSyscall, costSyscall)
 	vn := m.root
-	for _, comp := range strings.Split(path, "/") {
-		if comp == "" {
+	for rest := path; rest != ""; {
+		var comp string
+		if comp, rest, _ = strings.Cut(rest, "/"); comp == "" {
 			continue
 		}
 		next, err := m.lookupComponent(p, vn, comp)

@@ -5,11 +5,11 @@ import (
 	"slices"
 	"time"
 
-	"renonfs/internal/transport"
-
 	"renonfs/internal/mbuf"
+	"renonfs/internal/netsim"
 	"renonfs/internal/nfsproto"
 	"renonfs/internal/sim"
+	"renonfs/internal/transport"
 	"renonfs/internal/vfs"
 	"renonfs/internal/xdr"
 )
@@ -50,6 +50,7 @@ func (m *Mount) Setattr(p *sim.Proc, path string, attr nfsproto.Sattr) error {
 	if err != nil {
 		return err
 	}
+	defer m.tr.Release(d)
 	res, err := nfsproto.DecodeAttrRes(d)
 	if err != nil {
 		return err
@@ -116,6 +117,7 @@ func (m *Mount) Create(p *sim.Proc, path string, mode uint32) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.tr.Release(d)
 	res, err := nfsproto.DecodeDiropRes(d)
 	if err != nil {
 		return nil, err
@@ -150,6 +152,7 @@ func (m *Mount) Mkdir(p *sim.Proc, path string, mode uint32) error {
 	if err != nil {
 		return err
 	}
+	defer m.tr.Release(d)
 	res, err := nfsproto.DecodeDiropRes(d)
 	if err != nil {
 		return err
@@ -187,6 +190,7 @@ func (m *Mount) Remove(p *sim.Proc, path string) error {
 	if err != nil {
 		return err
 	}
+	defer m.tr.Release(d)
 	res, err := nfsproto.DecodeStatusRes(d)
 	if err != nil {
 		return err
@@ -208,6 +212,7 @@ func (m *Mount) Rmdir(p *sim.Proc, path string) error {
 	if err != nil {
 		return err
 	}
+	defer m.tr.Release(d)
 	res, err := nfsproto.DecodeStatusRes(d)
 	if err != nil {
 		return err
@@ -236,6 +241,7 @@ func (m *Mount) Rename(p *sim.Proc, fromPath, toPath string) error {
 	if err != nil {
 		return err
 	}
+	defer m.tr.Release(d)
 	res, err := nfsproto.DecodeStatusRes(d)
 	if err != nil {
 		return err
@@ -259,6 +265,7 @@ func (m *Mount) Symlink(p *sim.Proc, path, target string) error {
 	if err != nil {
 		return err
 	}
+	defer m.tr.Release(d)
 	res, err := nfsproto.DecodeStatusRes(d)
 	if err != nil {
 		return err
@@ -279,6 +286,7 @@ func (m *Mount) Readlink(p *sim.Proc, path string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	defer m.tr.Release(d)
 	res, err := nfsproto.DecodeReadlinkRes(d)
 	if err != nil {
 		return "", err
@@ -326,6 +334,7 @@ func (m *Mount) readDir(p *sim.Proc, path string, look bool) ([]nfsproto.DirEntr
 			var res *nfsproto.ReaddirLookRes
 			if err == nil {
 				res, err = nfsproto.DecodeReaddirLookRes(d)
+				m.tr.Release(d)
 			}
 			if err != nil {
 				m.rdlBroken = true
@@ -347,6 +356,7 @@ func (m *Mount) readDir(p *sim.Proc, path string, look bool) ([]nfsproto.DirEntr
 				return nil, err
 			}
 			res, err := nfsproto.DecodeReaddirRes(d)
+			m.tr.Release(d)
 			if err != nil {
 				return nil, err
 			}
@@ -374,6 +384,7 @@ func (m *Mount) Statfs(p *sim.Proc) (*nfsproto.StatfsRes, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.tr.Release(d)
 	res, err := nfsproto.DecodeStatfsRes(d)
 	if err != nil {
 		return nil, err
@@ -450,7 +461,8 @@ func (m *Mount) readRPC(p *sim.Proc, vn *vnode, block uint32) error {
 			return err
 		}
 		m.adaptRead(m.tr.Stats().RetryClass[transport.ClassRead] > before)
-		res, err := nfsproto.DecodeReadRes(d)
+		res, n, err := nfsproto.DecodeReadResTo(d, page[off:])
+		m.tr.Release(d)
 		if err != nil {
 			return err
 		}
@@ -458,7 +470,6 @@ func (m *Mount) readRPC(p *sim.Proc, vn *vnode, block uint32) error {
 			return res.Status.Error()
 		}
 		m.updateAttrs(vn, res.Attr, false)
-		n := res.Data.CopyTo(page[off:])
 		m.Stats.ReadBytes += n
 		got = off + n
 		off += size
@@ -487,7 +498,7 @@ func (m *Mount) readRPC(p *sim.Proc, vn *vnode, block uint32) error {
 	} else {
 		copy(data, page[:])
 	}
-	m.charge(p, "usercopy", costUserCopyByte*float64(got))
+	m.charge(p, netsim.BucketUserCopy, costUserCopyByte*float64(got))
 	b.SetValid(0, vfs.BlockSize) // short reads mean EOF; the tail is zeros
 	return nil
 }
@@ -499,7 +510,7 @@ func (f *File) Read(p *sim.Proc, dst []byte) (int, error) {
 	}
 	m := f.m
 	vn := f.vn
-	m.charge(p, "syscall", costSyscall)
+	m.charge(p, netsim.BucketSyscall, costSyscall)
 	// Under a read lease the cache is coherent by contract: no mtime check.
 	if !m.Opts.UseLeases || m.leaseFor(vn, nfsproto.LeaseRead) == nil {
 		if err := m.checkConsistency(p, vn); err != nil {
@@ -540,7 +551,7 @@ func (f *File) Read(p *sim.Proc, dst []byte) (int, error) {
 			m.Stats.CacheReadHits++
 		}
 		copy(dst[got:got+n], b.Data[bo:bo+n])
-		m.charge(p, "usercopy", costUserCopyByte*float64(n))
+		m.charge(p, netsim.BucketUserCopy, costUserCopyByte*float64(n))
 		got += n
 		// Read-ahead: prefetch the next blocks on sequential access.
 		if m.Opts.ReadAhead > 0 && (!vn.hasLastRead || vn.lastReadBlock+1 == block || vn.lastReadBlock == block) {
@@ -578,8 +589,8 @@ func (f *File) Write(p *sim.Proc, src []byte) (int, error) {
 	}
 	m := f.m
 	vn := f.vn
-	m.charge(p, "syscall", costSyscall)
-	m.charge(p, "usercopy", costUserCopyByte*float64(len(src)))
+	m.charge(p, netsim.BucketSyscall, costSyscall)
+	m.charge(p, netsim.BucketUserCopy, costUserCopyByte*float64(len(src)))
 	if m.Opts.UseLeases {
 		m.getLease(p, vn, nfsproto.LeaseWrite)
 	}
@@ -650,7 +661,7 @@ func (f *File) Close(p *sim.Proc) error {
 	f.closed = true
 	m := f.m
 	vn := f.vn
-	m.charge(p, "syscall", costSyscall)
+	m.charge(p, netsim.BucketSyscall, costSyscall)
 	if m.Opts.PushOnClose {
 		// The whole point of the lease extension: delayed writes survive
 		// close safely, because the server will evict us before letting
@@ -684,6 +695,7 @@ func (m *Mount) writeRPC(p *sim.Proc, vn *vnode, offset uint32, data []byte) err
 	if err != nil {
 		return err
 	}
+	defer m.tr.Release(d)
 	res, err := nfsproto.DecodeAttrRes(d)
 	if err != nil {
 		return err

@@ -81,6 +81,7 @@ func (m *Mount) getLease(p *sim.Proc, vn *vnode, mode uint32) bool {
 			return false
 		}
 		res, err := nfsproto.DecodeLeaseRes(d)
+		m.tr.Release(d)
 		if err != nil {
 			m.leasesBroken = true
 			return false
@@ -187,9 +188,7 @@ func (m *Mount) vacateAll(p *sim.Proc) {
 			continue
 		}
 		delete(m.leases, k)
-		m.call(p, nfsproto.ProcVacated, func(e *xdr.Encoder) {
-			(&nfsproto.VacatedArgs{File: l.vn.fh}).Encode(e)
-		})
+		m.vacated(p, l.vn)
 	}
 }
 
@@ -218,10 +217,18 @@ func (m *Mount) surrender(p *sim.Proc, vn *vnode) {
 	m.invalidate(vn)
 	vn.attrValid = false
 	m.dropLease(vn)
-	m.call(p, nfsproto.ProcVacated, func(e *xdr.Encoder) {
+	m.vacated(p, vn)
+	m.Stats.LeaseEvictions++
+}
+
+// vacated tells the server the client has given up vn's lease.
+func (m *Mount) vacated(p *sim.Proc, vn *vnode) {
+	d, err := m.call(p, nfsproto.ProcVacated, func(e *xdr.Encoder) {
 		(&nfsproto.VacatedArgs{File: vn.fh}).Encode(e)
 	})
-	m.Stats.LeaseEvictions++
+	if err == nil {
+		m.tr.Release(d)
+	}
 }
 
 // leaseCallbackProc handles the server's eviction notices.
@@ -232,6 +239,7 @@ func (m *Mount) leaseCallbackProc(p *sim.Proc) {
 			return
 		}
 		d := xdr.NewDecoder(dg.Payload)
+		dg.Release()
 		magic, err := d.Uint32()
 		if err != nil || magic != nfsproto.EvictionMagic {
 			continue

@@ -648,6 +648,7 @@ func (fs *fleetState) start(env *sim.Env, socks []netsim.Endpoint, dst netsim.No
 				}
 				sh.reply(xdr.NewDecoder(dg.Payload), p.Now())
 				dg.Payload.Free()
+				dg.Release()
 			}
 		})
 	}

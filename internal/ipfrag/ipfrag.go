@@ -183,11 +183,11 @@ func (r *Reassembler) Pending() int { return len(r.pending) }
 // Add records arrival of fragment f for datagram k at time now and reports
 // whether the datagram is now complete. On completion the state is dropped.
 func (r *Reassembler) Add(k Key, f Frag, now sim.Time) bool {
+	if f.Off == 0 && !f.More {
+		return true // unfragmented: whole on arrival, with no state to look up
+	}
 	st := r.pending[k]
 	if st == nil {
-		if f.Off == 0 && !f.More {
-			return true // unfragmented: whole on arrival
-		}
 		st = r.alloc()
 		r.pending[k] = st
 		st.deadline = now + r.Timeout

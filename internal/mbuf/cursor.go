@@ -186,6 +186,30 @@ func (d *Dissector) NextChain(n int) (*Chain, error) {
 	return out, nil
 }
 
+// CopyOut copies the next len(dst) bytes into dst (a counted copy), for a
+// caller that keeps them: no view and no scratch.
+func (d *Dissector) CopyOut(dst []byte) error {
+	n := len(dst)
+	if n > d.remain {
+		return ErrShort
+	}
+	for got := 0; got < n; {
+		for d.m != nil && d.off >= d.m.dlen {
+			d.m = d.m.next
+			d.off = 0
+		}
+		if d.m == nil {
+			return ErrShort
+		}
+		take := copy(dst[got:], d.m.buf[d.m.off+d.off:d.m.off+d.m.dlen])
+		got += take
+		d.off += take
+		d.remain -= take
+	}
+	Stats.CopiedBytes.Add(int64(n))
+	return nil
+}
+
 // Skip advances the cursor n bytes without returning data.
 func (d *Dissector) Skip(n int) error {
 	if n > d.remain {

@@ -105,7 +105,8 @@ func TestConcurrentReadWriteNamespace(t *testing.T) {
 				return
 			}
 			fs.Lookup(fs.Root(), name)
-			fs.DirEntries(fs.Root())
+			var buf [4]DirEnt
+			fs.DirWindow(fs.Root(), 1, buf[:])
 			fs.DirBlocks(fs.Root())
 			if i%3 == 0 {
 				fs.Remove(nil, fs.Root(), name)

@@ -298,14 +298,20 @@ func (fs *FS) Lookup(dir *Inode, name string) (*Inode, error) {
 	return n, nil
 }
 
-// DirEntries returns a snapshot of the directory's entries (".." handling
-// is left to the server; the root's parent is itself). The copy keeps the
-// caller's iteration stable while other nfsds insert or remove entries.
-func (fs *FS) DirEntries(dir *Inode) []DirEnt {
+// DirWindow copies the directory's entries from index off on into buf, as
+// many as fit, and returns them with the directory's entry count: the
+// snapshot a READDIR window reads, sized by the caller to what the window
+// can hold (".." handling is left to the server; the root's parent is
+// itself). The copy keeps the caller's iteration stable while other nfsds
+// insert or remove entries.
+func (fs *FS) DirWindow(dir *Inode, off int, buf []DirEnt) (ents []DirEnt, total int) {
 	treeSite.RLock(&fs.mu, nil)
-	out := append([]DirEnt(nil), dir.dir...)
+	total = len(dir.dir)
+	if off < total {
+		ents = buf[:copy(buf, dir.dir[off:])]
+	}
 	fs.mu.RUnlock()
-	return out
+	return ents, total
 }
 
 // NumDirBlocks returns how many directory blocks the directory occupies

@@ -89,7 +89,7 @@ func TestRandomizedTreeOpsAgainstModel(t *testing.T) {
 				default:
 					// May be non-empty (root's "sub" or a dir with entries).
 					n, _ := fs.Lookup(d, nm)
-					if n != nil && len(fs.DirEntries(n)) > 0 {
+					if n != nil && dirLen(fs, n) > 0 {
 						if err != ErrNotEmpty {
 							t.Fatalf("step %d: rmdir non-empty %q = %v", step, nm, err)
 						}
@@ -137,7 +137,7 @@ func TestRandomizedTreeOpsAgainstModel(t *testing.T) {
 		}
 		// Final sweep: the directory listings match the shadow exactly.
 		for di, d := range dirs {
-			ents := fs.DirEntries(d)
+			ents, _ := fs.DirWindow(d, 0, make([]DirEnt, dirLen(fs, d)))
 			if len(ents) != len(shadow[di]) {
 				t.Fatalf("trial %d: dir %d has %d entries, model %d", trial, di, len(ents), len(shadow[di]))
 			}
@@ -156,4 +156,10 @@ func TestRandomizedTreeOpsAgainstModel(t *testing.T) {
 			t.Fatalf("trial %d: inodes = %d, model %d (leak or double-free)", trial, fs.NumInodes(), want)
 		}
 	}
+}
+
+// dirLen returns the directory's entry count.
+func dirLen(fs *FS, dir *Inode) int {
+	_, total := fs.DirWindow(dir, 0, nil)
+	return total
 }

@@ -220,6 +220,7 @@ func (l *Link) sent(pk packet, rng *rand.Rand) {
 		if v.Duplicate {
 			l.Stat.FaultDups++
 			pk.dg.Duplicated = true
+			pk.dg.refs++ // the copy may deliver the datagram a second time
 			l.launch(now+l.cfg.PropDelay, pk)
 		}
 	}

@@ -40,6 +40,14 @@ const (
 // Datagram is a transport-layer datagram or segment in flight. Payload is
 // never copied by the network: fragments carry views and the receiver gets
 // the original chain when all fragments arrive.
+//
+// A datagram from NewDatagram recycles: whoever it is delivered to calls
+// Release once done with it, and so does the network where it drops a
+// complete datagram. It holds one reference, and a frame a fault duplicates
+// takes another, for the second delivery the duplicate may make; the last
+// Release returns it to its node's free list. A payload a UDP socket sent
+// lives in the datagram: a receiver that keeps it past Release moves its
+// mbufs out (or frees them) first.
 type Datagram struct {
 	Src, Dst         NodeID
 	Proto            uint8
@@ -58,6 +66,48 @@ type Datagram struct {
 	// either copy arrives: the receiver may get the same Payload chain
 	// again, so it must not recycle it.
 	Duplicated bool
+
+	home    *Node // the node whose free list it returns to; nil: not recycled
+	refs    int32
+	payload mbuf.Chain // Payload's storage, for a sender that moves its chain in
+}
+
+// NewDatagram returns a zeroed datagram holding one reference, recycled
+// from the node's free list when one is there.
+func (n *Node) NewDatagram() *Datagram {
+	if k := len(n.dgFree); k > 0 {
+		dg := n.dgFree[k-1]
+		n.dgFree = n.dgFree[:k-1]
+		dg.refs = 1
+		return dg
+	}
+	return &Datagram{home: n, refs: 1}
+}
+
+// Release drops a reference to dg and reports whether it was the last. The
+// last one zeroes it and returns it to the free list of the node that made
+// it. A datagram not made by NewDatagram is left to the collector.
+func (dg *Datagram) Release() (last bool) {
+	if dg.home == nil {
+		return false
+	}
+	if dg.refs--; dg.refs > 0 {
+		return false
+	}
+	if dg.refs < 0 {
+		panic("netsim: Datagram released twice")
+	}
+	home := dg.home
+	*dg = Datagram{home: home}
+	home.dgFree = append(home.dgFree, dg)
+	return true
+}
+
+// Own points Payload at the datagram's own chain and returns it, for a
+// sender that builds the payload in place.
+func (dg *Datagram) Own() *mbuf.Chain {
+	dg.Payload = &dg.payload
+	return dg.Payload
 }
 
 // Len returns the transport payload length in bytes.
@@ -124,8 +174,7 @@ type Node struct {
 	net   *Net
 
 	ifaces    []*Link          // outgoing links
-	peer      map[NodeID]*Link // outgoing link by neighbour
-	routes    map[NodeID]*Link // outgoing link by final destination
+	routes    []*Link          // outgoing link by final destination's NodeID
 	rxq       sim.FIFO[packet] // frames arrived and not yet taken by softnet
 	rxBusy    bool             // softnet is scheduled or running
 	rxStage   int              // where softnet picks up
@@ -133,17 +182,27 @@ type Node struct {
 	rxCur     packet           // the frame softnet has in hand
 	softnetFn func()           // n.softnet, bound once
 	reasm     *ipfrag.Reassembler
-	ports     map[portKey]*sim.Queue[*Datagram]
+	ports     []port      // bound ports, few enough to search in order
+	dgFree    []*Datagram // released datagrams, for NewDatagram
 	dgramID   uint32
 	ephPort   int
+	cost      pktCosts
 
 	Stats   NodeStats
-	profile []ProfileBucket // in first-charge order since the last reset
+	profile [numBuckets]sim.Time // CPU charged per bucket since the last reset
 }
 
-type portKey struct {
+// port is one bound (protocol, port) and its receive queue.
+type port struct {
 	proto uint8
 	port  int
+	q     *sim.Queue[*Datagram]
+}
+
+// pktCosts are the model's fixed per-packet charges, converted to virtual
+// time once per node by the same expression a charge would evaluate.
+type pktCosts struct {
+	udp, tcp, ip, txDrv, rxDrv, txIntr, forward sim.Time
 }
 
 // Net is a collection of nodes and links sharing one simulation
@@ -177,16 +236,19 @@ func (nt *Net) AddNode(cfg NodeConfig) *Node {
 		cfg.MIPS = MIPSMicroVAXII
 	}
 	n := &Node{
-		ID:     NodeID(len(nt.nodes)),
-		Name:   cfg.Name,
-		CPU:    sim.NewResource(nt.Env, cfg.Name+".cpu", 1),
-		Model:  DefaultModel(cfg.MIPS),
-		cfg:    cfg,
-		net:    nt,
-		peer:   make(map[NodeID]*Link),
-		routes: make(map[NodeID]*Link),
-		reasm:  ipfrag.NewReassembler(15 * 1e9), // 15s, classic BSD value
-		ports:  make(map[portKey]*sim.Queue[*Datagram]),
+		ID:    NodeID(len(nt.nodes)),
+		Name:  cfg.Name,
+		CPU:   sim.NewResource(nt.Env, cfg.Name+".cpu", 1),
+		Model: DefaultModel(cfg.MIPS),
+		cfg:   cfg,
+		net:   nt,
+		reasm: ipfrag.NewReassembler(15 * 1e9), // 15s, classic BSD value
+	}
+	m := &n.Model
+	n.cost = pktCosts{
+		udp: m.Cost(m.UDPPkt), tcp: m.Cost(m.TCPPkt), ip: m.Cost(m.IPPkt),
+		txDrv: m.Cost(m.EtherTxPkt), rxDrv: m.Cost(m.EtherRxPkt),
+		txIntr: m.Cost(m.TxInterrupt), forward: m.Cost(m.ForwardPkt),
 	}
 	n.softnetFn = n.softnet
 	nt.nodes = append(nt.nodes, n)
@@ -204,25 +266,49 @@ func (n *Node) PathMTUTo(dst NodeID) int { return n.net.PathMTU(n.ID, dst) }
 
 // ChargeCPU charges d of CPU time under a profile bucket, blocking the
 // calling process while the CPU is busy with earlier work.
-func (n *Node) ChargeCPU(p *sim.Proc, bucket string, d sim.Time) {
+func (n *Node) ChargeCPU(p *sim.Proc, bucket Bucket, d sim.Time) {
 	if d <= 0 {
 		return
 	}
-	n.bucket(bucket).Time += d
+	n.profile[bucket] += d
 	n.CPU.Use(p, d)
 }
 
-// bucket returns the profile row named name, adding it if the node has not
-// charged it since the last reset. A node charges a handful of names, so a
-// linear search costs less than hashing the name on every charge.
-func (n *Node) bucket(name string) *ProfileBucket {
-	for i := range n.profile {
-		if n.profile[i].Name == name {
-			return &n.profile[i]
-		}
-	}
-	n.profile = append(n.profile, ProfileBucket{Name: name})
-	return &n.profile[len(n.profile)-1]
+// Bucket is a row of a node's CPU profile. A charge names its row by this
+// small integer; only Profile turns it into a name.
+type Bucket uint8
+
+// The profile rows: the network stack's, then the NFS server's, the NFS
+// client's and the Andrew benchmark's.
+const (
+	BucketUDP Bucket = iota
+	BucketTCP
+	BucketChecksum
+	BucketIP
+	BucketNICRemap
+	BucketNICCopy
+	BucketNICDrv
+	BucketTxIntr
+	BucketForward
+	BucketNFS
+	BucketNameCache
+	BucketXDR
+	BucketDirScan
+	BucketBufCopy
+	BucketSyscall
+	BucketUserCopy
+	BucketExec
+	BucketUserWork
+	BucketCompile
+	BucketLink
+	numBuckets
+)
+
+var bucketNames = [numBuckets]string{
+	"udp", "tcp", "checksum", "ip", "nic_remap", "nic_copy", "nic_drv", "tx_intr", "forward",
+	"nfs", "namecache", "xdr_layer", "dirscan", "buf_copy",
+	"syscall", "usercopy",
+	"exec", "userwork", "compile", "link",
 }
 
 // ProfileBucket is one row of a CPU profile report.
@@ -232,9 +318,15 @@ type ProfileBucket struct {
 }
 
 // Profile returns the accumulated CPU profile, largest bucket first — the
-// simulator's version of the kernel profiling in §3.
+// simulator's version of the kernel profiling in §3. A bucket appears once
+// something has been charged to it since the last reset.
 func (n *Node) Profile() []ProfileBucket {
-	out := slices.Clone(n.profile)
+	var out []ProfileBucket
+	for b, t := range n.profile {
+		if t > 0 {
+			out = append(out, ProfileBucket{Name: bucketNames[b], Time: t})
+		}
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Time != out[j].Time {
 			return out[i].Time > out[j].Time
@@ -247,7 +339,7 @@ func (n *Node) Profile() []ProfileBucket {
 // ResetProfile clears profile buckets and restarts CPU utilization
 // accounting (used to exclude warm-up from measurements).
 func (n *Node) ResetProfile() {
-	n.profile = n.profile[:0]
+	n.profile = [numBuckets]sim.Time{}
 	n.CPU.ResetStats()
 }
 
@@ -258,40 +350,37 @@ func (nt *Net) Connect(a, b *Node, cfg LinkConfig) {
 	ba := newLink(nt.Env, cfg, b, a)
 	a.ifaces = append(a.ifaces, ab)
 	b.ifaces = append(b.ifaces, ba)
-	a.peer[b.ID] = ab
-	b.peer[a.ID] = ba
+}
+
+// route returns the outgoing link toward dst, or nil if there is none.
+func (n *Node) route(dst NodeID) *Link {
+	if int(dst) < len(n.routes) {
+		return n.routes[dst]
+	}
+	return nil
 }
 
 // ComputeRoutes fills every node's route table by BFS over the link graph
-// (all links weigh 1, like the static routes of the era).
+// (all links weigh 1, like the static routes of the era): a node's route is
+// the first hop of the path that reached it.
 func (nt *Net) ComputeRoutes() {
 	for _, src := range nt.nodes {
-		// BFS from src.
-		prev := make(map[NodeID]NodeID)
-		visited := map[NodeID]bool{src.ID: true}
-		queue := []NodeID{src.ID}
+		routes := make([]*Link, len(nt.nodes))
+		queue := []*Node{src}
 		for len(queue) > 0 {
 			cur := queue[0]
 			queue = queue[1:]
-			for nb := range nt.nodes[cur].peer {
-				if !visited[nb] {
-					visited[nb] = true
-					prev[nb] = cur
+			for _, lk := range cur.ifaces {
+				if nb := lk.to; nb != src && routes[nb.ID] == nil {
+					routes[nb.ID] = lk
+					if cur != src {
+						routes[nb.ID] = routes[cur.ID]
+					}
 					queue = append(queue, nb)
 				}
 			}
 		}
-		for _, dst := range nt.nodes {
-			if dst.ID == src.ID || !visited[dst.ID] {
-				continue
-			}
-			// Walk back from dst to find the first hop.
-			hop := dst.ID
-			for prev[hop] != src.ID {
-				hop = prev[hop]
-			}
-			src.routes[dst.ID] = src.peer[hop]
-		}
+		src.routes = routes
 	}
 }
 
@@ -301,7 +390,7 @@ func (nt *Net) PathMTU(a, b NodeID) int {
 	mtu := 1 << 30
 	cur := a
 	for cur != b {
-		lk := nt.nodes[cur].routes[b]
+		lk := nt.nodes[cur].route(b)
 		if lk == nil {
 			panic(fmt.Sprintf("netsim: no route %v -> %v", a, b))
 		}
@@ -321,19 +410,28 @@ func (n *Node) nextDgramID() uint32 {
 
 // Bind registers a receive queue for (proto, port) and returns it. Binding
 // a taken port panics: port allocation is static in the experiments.
-func (n *Node) Bind(proto uint8, port int) *sim.Queue[*Datagram] {
-	k := portKey{proto, port}
-	if _, dup := n.ports[k]; dup {
-		panic(fmt.Sprintf("netsim: %s: port %d/%d already bound", n.Name, proto, port))
+func (n *Node) Bind(proto uint8, pnum int) *sim.Queue[*Datagram] {
+	if n.portQ(proto, pnum) != nil {
+		panic(fmt.Sprintf("netsim: %s: port %d/%d already bound", n.Name, proto, pnum))
 	}
-	q := sim.NewQueue[*Datagram](n.net.Env, fmt.Sprintf("%s.port%d", n.Name, port))
-	n.ports[k] = q
+	q := sim.NewQueue[*Datagram](n.net.Env, fmt.Sprintf("%s.port%d", n.Name, pnum))
+	n.ports = append(n.ports, port{proto, pnum, q})
 	return q
 }
 
 // Unbind releases a bound port.
-func (n *Node) Unbind(proto uint8, port int) {
-	delete(n.ports, portKey{proto, port})
+func (n *Node) Unbind(proto uint8, pnum int) {
+	n.ports = slices.DeleteFunc(n.ports, func(b port) bool { return b.proto == proto && b.port == pnum })
+}
+
+// portQ returns the receive queue bound to (proto, pnum), or nil.
+func (n *Node) portQ(proto uint8, pnum int) *sim.Queue[*Datagram] {
+	for i := range n.ports {
+		if b := &n.ports[i]; b.port == pnum && b.proto == proto {
+			return b.q
+		}
+	}
+	return nil
 }
 
 // EphemeralPort hands out the next unused UDP port from the node's
@@ -350,7 +448,7 @@ func (n *Node) EphemeralPort() int {
 	for {
 		p := n.ephPort
 		n.ephPort++
-		if _, taken := n.ports[portKey{ProtoUDP, p}]; !taken {
+		if n.portQ(ProtoUDP, p) == nil {
 			return p
 		}
 	}
@@ -381,7 +479,7 @@ type Tx struct {
 	busy     bool // a datagram is in hand
 	charging bool // bucket and d are the charge under way
 	step     int  // the step of that charge
-	bucket   string
+	bucket   Bucket
 	d        sim.Time
 }
 
@@ -442,7 +540,7 @@ func (n *Node) startSend(dg *Datagram) sendState {
 	if dg.ID == 0 {
 		dg.ID = n.nextDgramID()
 	}
-	lk := n.routes[dg.Dst]
+	lk := n.route(dg.Dst)
 	if lk == nil {
 		panic(fmt.Sprintf("netsim: %s: no route to node %d", n.Name, dg.Dst))
 	}
@@ -453,7 +551,7 @@ func (n *Node) startSend(dg *Datagram) sendState {
 // that charge; ok is false once the last frame has left. A NIC copy with
 // page-remap TX copies only the bytes outside clusters, and each cluster
 // pays a page-table swap instead.
-func (n *Node) sendNext(s *sendState) (bucket string, d sim.Time, ok bool) {
+func (n *Node) sendNext(s *sendState) (bucket Bucket, d sim.Time, ok bool) {
 	m := &n.Model
 	for {
 		switch s.stage {
@@ -461,16 +559,16 @@ func (n *Node) sendNext(s *sendState) (bucket string, d sim.Time, ok bool) {
 			s.stage = sendChecksum
 			switch s.dg.Proto {
 			case ProtoUDP:
-				return "udp", m.Cost(m.UDPPkt), true
+				return BucketUDP, n.cost.udp, true
 			case ProtoTCP:
-				return "tcp", m.Cost(m.TCPPkt), true
+				return BucketTCP, n.cost.tcp, true
 			}
 		case sendChecksum:
 			s.stage = sendIP
-			return "checksum", m.CostBytes(m.ChecksumPerByte, s.dg.Len()+s.dg.HeaderBytes), true
+			return BucketChecksum, m.CostBytes(m.ChecksumPerByte, s.dg.Len()+s.dg.HeaderBytes), true
 		case sendIP:
 			s.stage = sendRemap
-			return "ip", m.Cost(m.IPPkt), true
+			return BucketIP, n.cost.ip, true
 		case sendRemap:
 			s.stage = sendCopy
 			s.copyBytes = packet{s.dg, s.frag}.wireBytes()
@@ -479,18 +577,18 @@ func (n *Node) sendNext(s *sendState) (bucket string, d sim.Time, ok bool) {
 				// chain materialized per packet.
 				nclusters, clBytes := s.dg.Payload.ClusterRange(s.frag.Off, s.frag.Len)
 				s.copyBytes -= int(float64(clBytes) * m.RemapCoverage)
-				return "nic_remap", m.Cost(float64(nclusters) * m.PageRemap), true
+				return BucketNICRemap, m.Cost(float64(nclusters) * m.PageRemap), true
 			}
 		case sendCopy:
 			s.stage = sendDrv
-			return "nic_copy", m.CostBytes(m.NICCopyPerByte, s.copyBytes), true
+			return BucketNICCopy, m.CostBytes(m.NICCopyPerByte, s.copyBytes), true
 		case sendDrv:
 			s.stage = sendIntr
-			return "nic_drv", m.Cost(m.EtherTxPkt), true
+			return BucketNICDrv, n.cost.txDrv, true
 		case sendIntr:
 			s.stage = sendFrame
 			if !n.cfg.NoTxInterrupts {
-				return "tx_intr", m.Cost(m.TxInterrupt), true
+				return BucketTxIntr, n.cost.txIntr, true
 			}
 		default: // sendFrame
 			pk := packet{s.dg, s.frag}
@@ -500,7 +598,7 @@ func (n *Node) sendNext(s *sendState) (bucket string, d sim.Time, ok bool) {
 			s.lk.enqueue(pk)
 			if !s.frag.More {
 				n.Stats.DgramsOut++
-				return "", 0, false
+				return 0, 0, false
 			}
 			s.frag = ipfrag.Next(s.frag, s.dg.Len(), s.lk.cfg.MTU-etherIPHeader)
 			s.stage = sendIP
@@ -555,18 +653,18 @@ func (n *Node) softnet() {
 				n.rxStage = rxForward
 			} // else not for us and we are no router: drop
 		case rxForward:
-			if !n.charge(&n.rxCharge, n.softnetFn, "forward", m.Cost(m.ForwardPkt)) {
+			if !n.charge(&n.rxCharge, n.softnetFn, BucketForward, n.cost.forward) {
 				return
 			}
 			n.forward(pk)
 			n.rxStage = rxNext
 		case rxNIC:
-			if !n.charge(&n.rxCharge, n.softnetFn, "nic_drv", m.Cost(m.EtherRxPkt)) {
+			if !n.charge(&n.rxCharge, n.softnetFn, BucketNICDrv, n.cost.rxDrv) {
 				return
 			}
 			n.rxStage = rxIP
 		case rxIP:
-			if !n.charge(&n.rxCharge, n.softnetFn, "ip", m.Cost(m.IPPkt)) {
+			if !n.charge(&n.rxCharge, n.softnetFn, BucketIP, n.cost.ip) {
 				return
 			}
 			now := n.net.Env.Now()
@@ -579,17 +677,17 @@ func (n *Node) softnet() {
 		case rxTransport:
 			switch pk.dg.Proto {
 			case ProtoUDP:
-				if !n.charge(&n.rxCharge, n.softnetFn, "udp", m.Cost(m.UDPPkt)) {
+				if !n.charge(&n.rxCharge, n.softnetFn, BucketUDP, n.cost.udp) {
 					return
 				}
 			case ProtoTCP:
-				if !n.charge(&n.rxCharge, n.softnetFn, "tcp", m.Cost(m.TCPPkt)) {
+				if !n.charge(&n.rxCharge, n.softnetFn, BucketTCP, n.cost.tcp) {
 					return
 				}
 			}
 			n.rxStage = rxChecksum
 		case rxChecksum:
-			if !n.charge(&n.rxCharge, n.softnetFn, "checksum", m.CostBytes(m.ChecksumPerByte, pk.dg.Len()+pk.dg.HeaderBytes)) {
+			if !n.charge(&n.rxCharge, n.softnetFn, BucketChecksum, m.CostBytes(m.ChecksumPerByte, pk.dg.Len()+pk.dg.HeaderBytes)) {
 				return
 			}
 			n.rxStage = rxNext
@@ -601,7 +699,7 @@ func (n *Node) softnet() {
 // forward sends a frame not addressed to this router on toward its
 // destination, fragmenting it further if the next link's MTU is smaller.
 func (n *Node) forward(pk packet) {
-	lk := n.routes[pk.dg.Dst]
+	lk := n.route(pk.dg.Dst)
 	if lk == nil {
 		return
 	}
@@ -632,11 +730,13 @@ func (n *Node) forward(pk packet) {
 func (n *Node) demux(dg *Datagram) {
 	if dg.Corrupted {
 		n.Stats.ChecksumDrops++
+		dg.Release()
 		return
 	}
-	q := n.ports[portKey{dg.Proto, dg.DstPort}]
+	q := n.portQ(dg.Proto, dg.DstPort)
 	if q == nil {
 		n.Stats.NoPortDrops++
+		dg.Release()
 		return
 	}
 	n.Stats.DgramsIn++
@@ -649,13 +749,13 @@ func (n *Node) demux(dg *Datagram) {
 // park the process: waiting for the CPU, or holding it for d when the clock
 // cannot advance in place. fn is then scheduled to run again where the
 // process would resume, and calls charge again for the same charge.
-func (n *Node) charge(step *int, fn func(), bucket string, d sim.Time) bool {
+func (n *Node) charge(step *int, fn func(), bucket Bucket, d sim.Time) bool {
 	switch *step {
 	case chargeNone:
 		if d <= 0 {
 			return true
 		}
-		n.bucket(bucket).Time += d
+		n.profile[bucket] += d
 		*step = chargeAcquire
 		fallthrough
 	case chargeAcquire:

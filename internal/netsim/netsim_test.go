@@ -136,7 +136,7 @@ func TestLostFragmentLosesDatagram(t *testing.T) {
 // this one), and both carry the whole payload.
 func TestDuplicatedDatagramDeliveredTwiceIntact(t *testing.T) {
 	env, a, b := pair(t, 1)
-	a.peer[b.ID].SetFault(func(sim.Time, *rand.Rand) FaultVerdict {
+	a.route(b.ID).SetFault(func(sim.Time, *rand.Rand) FaultVerdict {
 		return FaultVerdict{Duplicate: true}
 	})
 	sa := a.UDPSocket(1001)
@@ -162,6 +162,61 @@ func TestDuplicatedDatagramDeliveredTwiceIntact(t *testing.T) {
 	env.Run(time.Second)
 	if len(got) != 2 {
 		t.Fatalf("%d deliveries, want 2", len(got))
+	}
+}
+
+// TestDuplicateHoldsRecycledDatagram: a duplicated frame's copy holds a
+// reference of its own, so a receiver that releases each delivery at once
+// does not recycle the datagram under the copy still in flight. The copy
+// arrives first (the original waits out an extra delay), and the sender's
+// next datagram, sent between the two arrivals, would reuse the struct.
+func TestDuplicateHoldsRecycledDatagram(t *testing.T) {
+	env, a, b := pair(t, 1)
+	a.route(b.ID).SetFault(func(sim.Time, *rand.Rand) FaultVerdict {
+		return FaultVerdict{Duplicate: true, ExtraDelay: 5 * ms}
+	})
+	sa := a.UDPSocket(1001)
+	got := map[string]int{}
+	b.Bind(ProtoUDP, 2049).Serve(func(dg *Datagram) {
+		got[string(dg.Payload.Bytes())]++
+		dg.Release()
+	})
+	env.Spawn("tx", func(p *sim.Proc) {
+		sa.Send(p, b.ID, 2049, mbuf.FromBytes([]byte("one")))
+		p.Sleep(3 * ms) // past the copy's arrival, short of the original's
+		sa.Send(p, b.ID, 2049, mbuf.FromBytes([]byte("two")))
+	})
+	env.Run(time.Second)
+	if got["one"] != 2 || got["two"] != 2 || len(got) != 2 {
+		t.Errorf("deliveries %v, want each datagram twice", got)
+	}
+}
+
+// TestRecycledDatagramCarriesNoFault: a datagram a fault corrupted is
+// dropped at the receiver's checksum and recycled; the next datagram the
+// sender makes from it arrives clean.
+func TestRecycledDatagramCarriesNoFault(t *testing.T) {
+	env, a, b := pair(t, 1)
+	frames := 0
+	a.route(b.ID).SetFault(func(sim.Time, *rand.Rand) FaultVerdict {
+		frames++
+		return FaultVerdict{Corrupt: frames == 1}
+	})
+	sa := a.UDPSocket(1001)
+	var got []string
+	b.Bind(ProtoUDP, 2049).Serve(func(dg *Datagram) {
+		got = append(got, string(dg.Payload.Bytes()))
+		dg.Release()
+	})
+	env.Spawn("tx", func(p *sim.Proc) {
+		for _, m := range []string{"one", "two", "three"} {
+			sa.Send(p, b.ID, 2049, mbuf.FromBytes([]byte(m)))
+			p.Sleep(10 * ms)
+		}
+	})
+	env.Run(time.Second)
+	if b.Stats.ChecksumDrops != 1 || !slices.Equal(got, []string{"two", "three"}) {
+		t.Errorf("%d checksum drops, delivered %q; want 1 and [two three]", b.Stats.ChecksumDrops, got)
 	}
 }
 
@@ -279,7 +334,7 @@ func TestProfileOrderAndReset(t *testing.T) {
 	charge := func(charges ...any) {
 		env.Spawn("charger", func(p *sim.Proc) {
 			for i := 0; i < len(charges); i += 2 {
-				a.ChargeCPU(p, charges[i].(string), charges[i+1].(sim.Time))
+				a.ChargeCPU(p, charges[i].(Bucket), charges[i+1].(sim.Time))
 			}
 		})
 		env.RunAll()
@@ -291,26 +346,25 @@ func TestProfileOrderAndReset(t *testing.T) {
 		return out
 	}
 
-	charge("b", 30*us, "d", 10*us, "a", 20*us, "c", 50*us, "a", 10*us, "e", sim.Time(0))
-	if got, want := names(), []string{"c=50µs", "a=30µs", "b=30µs", "d=10µs"}; !slices.Equal(got, want) {
+	charge(BucketUDP, 30*us, BucketNFS, 10*us, BucketIP, 20*us, BucketTCP, 50*us, BucketIP, 10*us, BucketExec, sim.Time(0))
+	if got, want := names(), []string{"tcp=50µs", "ip=30µs", "udp=30µs", "nfs=10µs"}; !slices.Equal(got, want) {
 		t.Errorf("profile %v, want %v", got, want)
 	}
 	a.ResetProfile()
 	if got := a.Profile(); len(got) != 0 {
 		t.Errorf("profile after reset %v, want empty", got)
 	}
-	charge("d", 5*us, "f", 7*us, "d", 1*us)
-	if got, want := names(), []string{"f=7µs", "d=6µs"}; !slices.Equal(got, want) {
+	charge(BucketNFS, 5*us, BucketLink, 7*us, BucketNFS, 1*us)
+	if got, want := names(), []string{"link=7µs", "nfs=6µs"}; !slices.Equal(got, want) {
 		t.Errorf("profile after reset %v, want %v", got, want)
 	}
 }
 
-// Charging a bucket the node has seen allocates nothing, across a
-// ResetProfile too: the buckets are a short slice searched by name, and a
-// reset keeps its array. (A count, so a legitimate gate.)
+// Charging a bucket allocates nothing, across a ResetProfile too: the
+// buckets are an array indexed by id. (A count, so a legitimate gate.)
 func TestAllocBudgetChargeCPU(t *testing.T) {
 	env, a, _ := pair(t, 1)
-	buckets := []string{"nic_copy", "nic_drv", "checksum", "ip", "udp", "tx_intr"}
+	buckets := []Bucket{BucketNICCopy, BucketNICDrv, BucketChecksum, BucketIP, BucketUDP, BucketTxIntr}
 	env.Spawn("charger", func(p *sim.Proc) {
 		for {
 			for _, b := range buckets {
@@ -330,10 +384,11 @@ func TestAllocBudgetChargeCPU(t *testing.T) {
 }
 
 // An 8 KB UDP datagram sent across one link, six frames serialized,
-// propagated and reassembled at the far host, allocates only its Datagram:
-// frames are values on the link's ring and pipe, the transmitter and
-// arrivals are events bound once, and reassembly state is recycled. (A
-// count, so a legitimate gate.)
+// propagated and reassembled at the far host, allocates nothing: frames are
+// values on the link's ring and pipe, the transmitter and arrivals are
+// events bound once, reassembly state is recycled, and so is the Datagram
+// the receiver releases (it hands the payload's mbufs back for the next
+// send). (A count, so a legitimate gate.)
 func TestAllocBudgetDatagramAcrossLink(t *testing.T) {
 	env, a, b := pair(t, 1)
 	sa, sb := a.UDPSocket(1001), b.UDPSocket(2049)
@@ -341,8 +396,12 @@ func TestAllocBudgetDatagramAcrossLink(t *testing.T) {
 	received := 0
 	env.Spawn("rx", func(p *sim.Proc) {
 		for {
-			if _, ok := sb.Recv(p); ok {
-				received++
+			if dg, ok := sb.Recv(p); ok {
+				if dg.Len() == 8192 {
+					received++
+				}
+				payload.AppendChain(dg.Payload)
+				dg.Release()
 			}
 		}
 	})
@@ -357,11 +416,11 @@ func TestAllocBudgetDatagramAcrossLink(t *testing.T) {
 	if got := testing.AllocsPerRun(50, func() {
 		horizon += 200 * ms
 		env.Run(horizon) // one datagram
-	}); got > 1 {
-		t.Errorf("%.2f allocations per 8 KB datagram, budget 1 (the Datagram)", got)
+	}); got > 0 {
+		t.Errorf("%.2f allocations per 8 KB datagram, budget 0", got)
 	}
 	if received-before != 51 || b.reasm.Pending() != 0 {
-		t.Fatalf("%d datagrams received in 51 runs, %d under reassembly", received-before, b.reasm.Pending())
+		t.Fatalf("%d 8 KB datagrams received in 51 runs, %d under reassembly", received-before, b.reasm.Pending())
 	}
 }
 
@@ -415,7 +474,7 @@ func TestQueueOverflowDrops(t *testing.T) {
 		sa.Send(p, b.ID, 2049, mbuf.FromBytes(bytes.Repeat([]byte{1}, 8192)))
 	})
 	env.RunAll()
-	if a.peer[b.ID].Stat.QueueDrops == 0 {
+	if a.route(b.ID).Stat.QueueDrops == 0 {
 		t.Fatal("expected drop-tail losses")
 	}
 }
@@ -530,7 +589,7 @@ func TestTxMatchesSendDatagram(t *testing.T) {
 				env.Spawn("hog", func(p *sim.Proc) {
 					for _, h := range hogs {
 						p.Sleep(sim.Time(h%16) * ms / 4)
-						a.ChargeCPU(p, "hog", sim.Time(h/16)*ms/8)
+						a.ChargeCPU(p, BucketExec, sim.Time(h/16)*ms/8)
 						r.hogDone = append(r.hogDone, p.Now())
 					}
 				})

@@ -24,13 +24,15 @@ func (s *UDPSocket) Node() *Node { return s.node }
 func (s *UDPSocket) Port() int { return s.port }
 
 // Send transmits payload to (dst, dport). It runs in the calling process
-// and consumes CPU time on the sending node.
+// and consumes CPU time on the sending node. The payload's mbufs move into
+// the datagram, leaving the chain empty for the caller to reuse.
 func (s *UDPSocket) Send(p *sim.Proc, dst NodeID, dport int, payload *mbuf.Chain) {
-	s.node.SendDatagram(p, &Datagram{
-		Src: s.node.ID, Dst: dst, Proto: ProtoUDP,
-		SrcPort: s.port, DstPort: dport,
-		HeaderBytes: udpHeader, Payload: payload,
-	})
+	dg := s.node.NewDatagram()
+	dg.Src, dg.Dst, dg.Proto = s.node.ID, dst, ProtoUDP
+	dg.SrcPort, dg.DstPort = s.port, dport
+	dg.Own().AppendChain(payload)
+	dg.HeaderBytes = udpHeader
+	s.node.SendDatagram(p, dg)
 }
 
 // Recv blocks until a datagram arrives.

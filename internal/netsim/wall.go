@@ -11,6 +11,7 @@ import (
 // Endpoint is a datagram socket that processes send through and whose
 // arrivals queue up: a simulated *UDPSocket, or a real *WallSocket.
 type Endpoint interface {
+	// Send consumes payload's mbufs, leaving the chain empty.
 	Send(p *sim.Proc, dst NodeID, dport int, payload *mbuf.Chain)
 	Queue() *sim.Queue[*Datagram]
 	Close()

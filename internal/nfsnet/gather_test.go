@@ -305,7 +305,8 @@ func TestRealSocketWriteZeroCopy(t *testing.T) {
 // TestAllocBudgetInline pins what a data RPC served on the reader costs the
 // allocator: an 8 KB READ and an 8 KB WRITE, socket to socket, once warm —
 // and a READDIR of a 9.4 KB window, which the shallow path serves in the
-// reader's send arena for its listing's snapshot (memfs.DirEntries) alone.
+// reader's send arena with nothing allocated (memfs.DirWindow copies the
+// window's entries into the caller's stack).
 // The request chain, its one wrapping header, the span and the send scratch
 // are all reused; what is left is the core's own per-call garbage (decoder,
 // reply chain, encoder), the same count the in-process budgets in the root
@@ -343,7 +344,7 @@ func TestAllocBudgetInline(t *testing.T) {
 	}{
 		{"read8k", encodeRead(0, fh, 0, memfs.BlockSize), 3},              // measured 2
 		{"write8k", encodeWrite(0, fh, 0, blockPattern(2)), 4},            // measured 3
-		{"readdir", encodeReaddir(0, bigDir(t, fs), nfsproto.MaxData), 2}, // measured 1
+		{"readdir", encodeReaddir(0, bigDir(t, fs), nfsproto.MaxData), 0}, // measured 0 (1 while the whole listing was copied)
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			once := func() {

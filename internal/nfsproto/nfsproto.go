@@ -277,6 +277,15 @@ func (f *Fattr) Encode(e *xdr.Encoder) {
 // DecodeFattr unmarshals attributes.
 func DecodeFattr(d *xdr.Decoder) (*Fattr, error) {
 	f := &Fattr{}
+	if err := decodeFattrInto(d, f); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// decodeFattrInto unmarshals attributes into f, for a result that holds
+// them in the same allocation as itself.
+func decodeFattrInto(d *xdr.Decoder, f *Fattr) error {
 	fields := []*uint32{
 		(*uint32)(&f.Type), &f.Mode, &f.Nlink, &f.UID, &f.GID,
 		&f.Size, &f.BlockSize, &f.Rdev, &f.Blocks, &f.FSID, &f.FileID,
@@ -284,21 +293,21 @@ func DecodeFattr(d *xdr.Decoder) (*Fattr, error) {
 	for _, p := range fields {
 		v, err := d.Uint32()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		*p = v
 	}
 	var err error
 	if f.Atime, err = getTime(d); err != nil {
-		return nil, err
+		return err
 	}
 	if f.Mtime, err = getTime(d); err != nil {
-		return nil, err
+		return err
 	}
 	if f.Ctime, err = getTime(d); err != nil {
-		return nil, err
+		return err
 	}
-	return f, nil
+	return nil
 }
 
 // NoValue is the sattr "do not set" sentinel.

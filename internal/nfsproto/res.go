@@ -28,13 +28,17 @@ func DecodeAttrRes(d *xdr.Decoder) (*AttrRes, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &AttrRes{Status: Status(s)}
-	if r.Status == OK {
-		if r.Attr, err = DecodeFattr(d); err != nil {
+	o := &struct {
+		AttrRes
+		attr Fattr
+	}{AttrRes: AttrRes{Status: Status(s)}}
+	if o.Status == OK {
+		if err = decodeFattrInto(d, &o.attr); err != nil {
 			return nil, err
 		}
+		o.Attr = &o.attr
 	}
-	return r, nil
+	return &o.AttrRes, nil
 }
 
 // DiropRes is the diropres result: status, then handle+attributes. It is
@@ -60,16 +64,20 @@ func DecodeDiropRes(d *xdr.Decoder) (*DiropRes, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &DiropRes{Status: Status(s)}
-	if r.Status == OK {
-		if r.File, err = getFH(d); err != nil {
+	o := &struct {
+		DiropRes
+		attr Fattr
+	}{DiropRes: DiropRes{Status: Status(s)}}
+	if o.Status == OK {
+		if o.File, err = getFH(d); err != nil {
 			return nil, err
 		}
-		if r.Attr, err = DecodeFattr(d); err != nil {
+		if err = decodeFattrInto(d, &o.attr); err != nil {
 			return nil, err
 		}
+		o.Attr = &o.attr
 	}
-	return r, nil
+	return &o.DiropRes, nil
 }
 
 // StatusRes is the bare-status result of SETATTR-style procedures: REMOVE,
@@ -106,16 +114,9 @@ func (r *ReadRes) Encode(e *xdr.Encoder) {
 // the reply chain, valid only while that chain is — callers that retain the
 // payload must copy it out (CopyTo) or Clone it first.
 func DecodeReadRes(d *xdr.Decoder) (*ReadRes, error) {
-	s, err := d.Uint32()
-	if err != nil {
-		return nil, err
-	}
-	r := &ReadRes{Status: Status(s)}
-	if r.Status != OK {
-		return r, nil
-	}
-	if r.Attr, err = DecodeFattr(d); err != nil {
-		return nil, err
+	r, err := decodeReadHead(d)
+	if err != nil || r.Status != OK {
+		return r, err
 	}
 	data, err := d.OpaqueView()
 	if err != nil {
@@ -127,6 +128,39 @@ func DecodeReadRes(d *xdr.Decoder) (*ReadRes, error) {
 	}
 	r.Data = data
 	return r, nil
+}
+
+// DecodeReadResTo decodes a READ result for a caller that keeps the data:
+// it is copied into dst, and n is its length, with no view of the reply
+// made. Data longer than dst is an error.
+func DecodeReadResTo(d *xdr.Decoder, dst []byte) (r *ReadRes, n int, err error) {
+	if r, err = decodeReadHead(d); err != nil || r.Status != OK {
+		return r, 0, err
+	}
+	if n, err = d.OpaqueTo(dst); err != nil {
+		return nil, 0, err
+	}
+	return r, n, nil
+}
+
+// decodeReadHead decodes a READ result up to its data: the status and, on
+// success, the attributes, allocated together with the result.
+func decodeReadHead(d *xdr.Decoder) (*ReadRes, error) {
+	s, err := d.Uint32()
+	if err != nil {
+		return nil, err
+	}
+	o := &struct {
+		ReadRes
+		attr Fattr
+	}{ReadRes: ReadRes{Status: Status(s)}}
+	if o.Status == OK {
+		if err = decodeFattrInto(d, &o.attr); err != nil {
+			return nil, err
+		}
+		o.Attr = &o.attr
+	}
+	return &o.ReadRes, nil
 }
 
 // ReadlinkRes is the READLINK result.

@@ -6,6 +6,7 @@ import (
 
 	"renonfs/internal/mbuf"
 	"renonfs/internal/metrics"
+	"renonfs/internal/netsim"
 	"renonfs/internal/nfsproto"
 	"renonfs/internal/rpc"
 	"renonfs/internal/sim"
@@ -114,7 +115,7 @@ func (s *Server) serveFlat(p *sim.Proc, peer string, xid, prog, proc uint32, arg
 	if prog == nfsproto.MountProgram {
 		// The MOUNT program sits outside the NFS call frame: its dispatch
 		// charge and the byte counters only.
-		s.charge(p, "nfs", costDispatch)
+		s.charge(p, netsim.BucketNFS, costDispatch)
 		var path string
 		if proc == nfsproto.MountProcMnt {
 			path = string(r.Opaque(nfsproto.MountMaxPath))

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 
 	"renonfs/internal/mbuf"
 	"renonfs/internal/netsim"
@@ -13,18 +14,17 @@ import (
 // NFSPort is the conventional NFS port.
 const NFSPort = 2049
 
-// job is one request handed to the nfsd pool, with the address its reply
-// goes to: a UDP socket and the sender's (src, sport), or a TCP connection.
-// The nfsd frees req once the call is done, unless keep is set: a datagram
-// a fault duplicated may deliver the same chain again.
+// job is one request handed to the nfsd pool, with the way back for its
+// reply: a UDP socket and the request's datagram (whose source it answers),
+// or a TCP connection. The nfsd frees req once the call is done, unless its
+// datagram is Duplicated (a fault may deliver the same chain again), and
+// then releases the datagram.
 type job struct {
-	peer  string
-	req   *mbuf.Chain
-	keep  bool
-	sock  *netsim.UDPSocket
-	src   netsim.NodeID
-	sport int
-	conn  *tcpsim.Conn
+	peer string
+	req  *mbuf.Chain
+	dg   *netsim.Datagram
+	sock *netsim.UDPSocket
+	conn *tcpsim.Conn
 }
 
 // ServeUDP starts the UDP frontend on the attached node: the socket's
@@ -41,20 +41,23 @@ func (s *Server) ServeUDP(port int) {
 	jobs := sim.NewQueue[job](env, s.Opts.Name+".nfsd-q")
 	// Peer strings are interned per (src, sport): a client keeps one socket
 	// for its whole run, so formatting the name once beats a fmt.Sprintf per
-	// request.
+	// request. A node's sockets are few, found in order under its NodeID.
 	type udpPeer struct {
-		src   netsim.NodeID
 		sport int
+		name  string
 	}
-	peers := make(map[udpPeer]string)
+	var peers [][]udpPeer
 	sock.Queue().Serve(func(dg *netsim.Datagram) {
 		src, sport := dg.Src, dg.SrcPort
-		peer, ok := peers[udpPeer{src, sport}]
-		if !ok {
-			peer = fmt.Sprintf("udp:%d:%d", src, sport)
-			peers[udpPeer{src, sport}] = peer
+		if int(src) >= len(peers) {
+			peers = append(peers, make([][]udpPeer, int(src)+1-len(peers))...)
 		}
-		jobs.Send(job{peer: peer, req: dg.Payload, keep: dg.Duplicated, sock: sock, src: src, sport: sport})
+		i := slices.IndexFunc(peers[src], func(u udpPeer) bool { return u.sport == sport })
+		if i < 0 {
+			i = len(peers[src])
+			peers[src] = append(peers[src], udpPeer{sport, fmt.Sprintf("udp:%d:%d", src, sport)})
+		}
+		jobs.Send(job{peer: peers[src][i].name, req: dg.Payload, dg: dg, sock: sock})
 	})
 	s.spawnNFSDs(env, jobs, "udp")
 }
@@ -116,17 +119,21 @@ func (s *Server) spawnNFSDs(env *sim.Env, jobs *sim.Queue[job], tag string) {
 					continue // crashed: the request vanishes
 				}
 				rep := s.HandleCall(p, j.peer, j.req)
-				if !j.keep {
+				if j.conn != nil {
 					j.req.Free()
-				}
-				switch {
-				case j.conn != nil:
 					if rep != nil {
 						rpc.AddRecordMark(rep)
 						j.conn.Send(p, rep)
 					}
-				case rep != nil:
-					j.sock.Send(p, j.src, j.sport, rep)
+					continue
+				}
+				src, sport := j.dg.Src, j.dg.SrcPort
+				if !j.dg.Duplicated {
+					j.req.Free()
+				}
+				j.dg.Release()
+				if rep != nil {
+					j.sock.Send(p, src, sport, rep)
 				}
 			}
 		})

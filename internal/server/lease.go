@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"renonfs/internal/mbuf"
+	"renonfs/internal/memfs"
 	"renonfs/internal/metrics"
 	"renonfs/internal/netsim"
 	"renonfs/internal/nfsproto"
@@ -268,7 +269,7 @@ func (s *Server) leaseCall(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.Enco
 	if err != nil {
 		return err
 	}
-	s.charge(p, "nfs", costVOP)
+	s.charge(p, netsim.BucketNFS, costVOP)
 	n, rerr := s.FS.Resolve(args.File)
 	if rerr != nil {
 		(&nfsproto.LeaseRes{Status: errStatus(rerr)}).Encode(e)
@@ -365,7 +366,7 @@ func (s *Server) vacatedCall(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.En
 	if err != nil {
 		return err
 	}
-	s.charge(p, "nfs", costVOP)
+	s.charge(p, netsim.BucketNFS, costVOP)
 	s.leaseMu.Lock()
 	if st := s.leaseTable()[args.File]; st != nil {
 		if _, held := st.holders[peer]; held {
@@ -391,7 +392,7 @@ func (s *Server) readdirLook(p *sim.Proc, d *xdr.Decoder, e *xdr.Encoder) error 
 	if err != nil {
 		return err
 	}
-	s.charge(p, "nfs", costVOP)
+	s.charge(p, netsim.BucketNFS, costVOP)
 	dir, rerr := s.FS.Resolve(args.Dir)
 	if rerr != nil {
 		(&nfsproto.ReaddirLookRes{Status: errStatus(rerr)}).Encode(e)
@@ -402,18 +403,30 @@ func (s *Server) readdirLook(p *sim.Proc, d *xdr.Decoder, e *xdr.Encoder) error 
 		return nil
 	}
 	s.scanDirectory(p, dir, nil)
-	ents := s.FS.DirEntries(dir)
 	res := &nfsproto.ReaddirLookRes{Status: nfsproto.OK}
 	budget, used := readdirBudget(args.Count), 16
-	for i := int(args.Cookie); i < len(ents); i++ {
-		de := ents[i]
+	// Each entry the window holds takes 16+len(name)+FHSize+68 bytes, so it
+	// holds at most (budget-16)/(16+FHSize+68) of them; the window is copied
+	// that many at a time (and once more should entries removed meanwhile
+	// have been skipped), from the cookie's entry on.
+	var buf [(nfsproto.MaxData-16)/(16+nfsproto.FHSize+68) + 1]memfs.DirEnt
+	from := int(args.Cookie)
+	ents, total := s.FS.DirWindow(dir, from, buf[:(budget-16)/(16+nfsproto.FHSize+68)+1])
+	for i := from; i < total; i++ {
+		if i-from == len(ents) {
+			from = i
+			if ents, total = s.FS.DirWindow(dir, from, buf[:]); len(ents) == 0 {
+				break
+			}
+		}
+		de := ents[i-from]
 		n, err := s.FS.Lookup(dir, de.Name)
 		if err != nil {
 			continue
 		}
 		// Each embedded lookup still costs attribute work, but no
 		// per-entry RPC round trip.
-		s.charge(p, "nfs", costVOP/4)
+		s.charge(p, netsim.BucketNFS, costVOP/4)
 		sz := 16 + len(de.Name) + nfsproto.FHSize + 68
 		if used+sz > budget {
 			res.EOF = false

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"renonfs/internal/memfs"
+	"renonfs/internal/netsim"
 	"renonfs/internal/nfsproto"
 	"renonfs/internal/sim"
 	"renonfs/internal/xdr"
@@ -120,7 +121,7 @@ func (s *Server) mnt(peer, path string) nfsproto.MntRes {
 
 // dispatchMount serves one MOUNT-program procedure other than NULL and MNT.
 func (s *Server) dispatchMount(p *sim.Proc, proc uint32, peer string, d *xdr.Decoder, e *xdr.Encoder) error {
-	s.charge(p, "nfs", costDispatch)
+	s.charge(p, netsim.BucketNFS, costDispatch)
 	st := s.mountState()
 	switch proc {
 	case nfsproto.MountProcDump:

@@ -6,6 +6,7 @@ import (
 	"renonfs/internal/mbuf"
 	"renonfs/internal/memfs"
 	"renonfs/internal/metrics"
+	"renonfs/internal/netsim"
 	"renonfs/internal/nfsproto"
 	"renonfs/internal/sim"
 	"renonfs/internal/xdr"
@@ -43,7 +44,7 @@ func (s *Server) okResult(r *procResult, peer string, fh nfsproto.FH, n *memfs.I
 }
 
 func (s *Server) getattrCore(p *sim.Proc, peer string, fh nfsproto.FH, hint *nfsproto.LeaseHint, r *procResult) {
-	s.charge(p, "nfs", costVOP)
+	s.charge(p, netsim.BucketNFS, costVOP)
 	// Attributes of a write-leased file live on the holder; evict first.
 	if s.leaseConflict(p, fh, false, peer) {
 		r.status = nfsproto.ErrTryLater
@@ -58,7 +59,7 @@ func (s *Server) getattrCore(p *sim.Proc, peer string, fh nfsproto.FH, hint *nfs
 }
 
 func (s *Server) setattrCore(p *sim.Proc, peer string, fh nfsproto.FH, sa nfsproto.Sattr, r *procResult) {
-	s.charge(p, "nfs", costVOP)
+	s.charge(p, netsim.BucketNFS, costVOP)
 	if s.leaseConflict(p, fh, true, peer) {
 		r.status = nfsproto.ErrTryLater
 		return
@@ -73,7 +74,7 @@ func (s *Server) setattrCore(p *sim.Proc, peer string, fh nfsproto.FH, sa nfspro
 }
 
 func (s *Server) lookupCore(p *sim.Proc, peer string, dirFH nfsproto.FH, name string, hint *nfsproto.LeaseHint, sp *metrics.Span, r *procResult) {
-	s.charge(p, "nfs", costVOP)
+	s.charge(p, netsim.BucketNFS, costVOP)
 	dir, err := s.FS.Resolve(dirFH)
 	if err != nil {
 		r.status = errStatus(err)
@@ -81,7 +82,7 @@ func (s *Server) lookupCore(p *sim.Proc, peer string, dirFH nfsproto.FH, name st
 	}
 	// Name cache first (when the personality has one).
 	if s.namec.Enabled() {
-		s.charge(p, "namecache", costNameCacheHit)
+		s.charge(p, netsim.BucketNameCache, costNameCacheHit)
 		if vn, vgen, neg, found := s.namec.Lookup(dir.Ino, dir.Gen, name, sp); found {
 			if neg {
 				r.status = nfsproto.ErrNoEnt
@@ -119,7 +120,7 @@ func (s *Server) lookupFound(p *sim.Proc, peer string, n *memfs.Inode, hint *nfs
 }
 
 func (s *Server) readlinkCore(p *sim.Proc, fh nfsproto.FH) nfsproto.ReadlinkRes {
-	s.charge(p, "nfs", costVOP)
+	s.charge(p, netsim.BucketNFS, costVOP)
 	n, err := s.FS.Resolve(fh)
 	if err != nil {
 		return nfsproto.ReadlinkRes{Status: errStatus(err)}
@@ -129,7 +130,7 @@ func (s *Server) readlinkCore(p *sim.Proc, fh nfsproto.FH) nfsproto.ReadlinkRes 
 }
 
 func (s *Server) statfsCore(p *sim.Proc) nfsproto.StatfsRes {
-	s.charge(p, "nfs", costVOP)
+	s.charge(p, netsim.BucketNFS, costVOP)
 	return s.FS.Statfs()
 }
 
@@ -139,7 +140,7 @@ func (s *Server) statfsCore(p *sim.Proc) nfsproto.StatfsRes {
 // listing's end. Entries stream straight onto the wire; a cookie counts
 // the entries before it.
 func (s *Server) readdirCore(p *sim.Proc, fh nfsproto.FH, cookie, count uint32, sp *metrics.Span, w *xdr.ByteWriter) {
-	s.charge(p, "nfs", costVOP)
+	s.charge(p, netsim.BucketNFS, costVOP)
 	dir, err := s.FS.Resolve(fh)
 	if err == nil && dir.Type != nfsproto.TypeDir {
 		err = memfs.ErrNotDir
@@ -149,16 +150,21 @@ func (s *Server) readdirCore(p *sim.Proc, fh nfsproto.FH, cookie, count uint32, 
 		return
 	}
 	s.scanDirectory(p, dir, sp)
-	ents := s.FS.DirEntries(dir)
-	w.PutUint32(uint32(nfsproto.OK))
 	eof, budget, used := true, readdirBudget(count), 16 // status + eof + terminator
-	for i := int(cookie); i < len(ents)+2; i++ {
+	// The window holds at most (budget-16)/16 entries, each 16 bytes and its
+	// name, and the loop reads one more to find it does not fit: only those
+	// are copied, from the cookie's entry on ("." and ".." come first).
+	var buf [(nfsproto.MaxData-16)/16 + 1]memfs.DirEnt
+	from := max(int(cookie)-2, 0)
+	ents, total := s.FS.DirWindow(dir, from, buf[:(budget-16)/16+1])
+	w.PutUint32(uint32(nfsproto.OK))
+	for i := int(cookie); i < total+2; i++ {
 		ent := nfsproto.DirEntry{FileID: dir.Ino, Name: "..", Cookie: uint32(i + 1)}
 		switch {
 		case i == 0:
 			ent.Name = "."
 		case i > 1:
-			ent.FileID, ent.Name = ents[i-2].Ino, ents[i-2].Name
+			ent.FileID, ent.Name = ents[i-2-from].Ino, ents[i-2-from].Name
 		}
 		if used += 16 + len(ent.Name); used > budget {
 			eof = false
@@ -197,9 +203,9 @@ func (f *callFrame) dupKey() dupKey { return dupKey{peer: f.peer, xid: f.xid, pr
 // retransmits again and finds the committed reply). Every admitted call
 // reaches finish, which counts it.
 func (s *Server) admit(p *sim.Proc, f *callFrame, reqLen int, sp *metrics.Span) (replay *mbuf.Chain, run bool) {
-	s.charge(p, "nfs", costDispatch)
+	s.charge(p, netsim.BucketNFS, costDispatch)
 	if s.Opts.XDRCopyLayer {
-		s.charge(p, "xdr_layer", costXDRCall+costXDRByte*float64(reqLen))
+		s.charge(p, netsim.BucketXDR, costXDRCall+costXDRByte*float64(reqLen))
 	}
 	if nfsproto.NonIdempotent[f.proc] {
 		cached, inflight := s.dupc.begin(f.dupKey(), sp)
@@ -234,7 +240,7 @@ func (s *Server) finish(p *sim.Proc, f *callFrame, replyLen int, garbage bool, s
 		Service:       svc, Error: garbage,
 	})
 	if s.Opts.XDRCopyLayer {
-		s.charge(p, "xdr_layer", costXDRByte*float64(replyLen))
+		s.charge(p, netsim.BucketXDR, costXDRByte*float64(replyLen))
 	}
 	if saved != nil {
 		s.dupc.commit(f.dupKey(), saved, sp)

@@ -326,7 +326,7 @@ func (s *Server) svcNow(p *sim.Proc) time.Duration {
 }
 
 // charge bills CPU when attached to a simulated node.
-func (s *Server) charge(p *sim.Proc, bucket string, us float64) {
+func (s *Server) charge(p *sim.Proc, bucket netsim.Bucket, us float64) {
 	if s.Node == nil || p == nil {
 		return
 	}
@@ -515,7 +515,7 @@ func (s *Server) scanDirectory(p *sim.Proc, dir *memfs.Inode, sp *metrics.Span) 
 	for b := 0; b < nblocks; b++ {
 		key := vfs.BufKey{Vnode: dir.Ino, Gen: dir.Gen, Block: uint32(b)}
 		hit, scanned := s.bufc.LookupOrReserve(key, sp)
-		s.charge(p, "dirscan", costDirScanBuf*float64(scanned+1))
+		s.charge(p, netsim.BucketDirScan, costDirScanBuf*float64(scanned+1))
 		if !hit {
 			s.FS.Disk.Read(p, memfs.BlockSize)
 		}
@@ -527,7 +527,7 @@ func (s *Server) read(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.Encoder, 
 	if err != nil {
 		return err
 	}
-	s.charge(p, "nfs", costVOP)
+	s.charge(p, netsim.BucketNFS, costVOP)
 	if s.leaseConflict(p, args.File, false, peer) {
 		(&nfsproto.ReadRes{Status: nfsproto.ErrTryLater}).Encode(e)
 		return nil
@@ -548,7 +548,7 @@ func (s *Server) read(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.Encoder, 
 	for b := first; b <= last; b++ {
 		key := vfs.BufKey{Vnode: n.Ino, Gen: n.Gen, Block: b}
 		hit, scanned := s.bufc.LookupOrReserve(key, sp)
-		s.charge(p, "dirscan", costDirScanBuf*float64(scanned+1))
+		s.charge(p, netsim.BucketDirScan, costDirScanBuf*float64(scanned+1))
 		if !hit {
 			cached = false
 		}
@@ -566,7 +566,7 @@ func (s *Server) read(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.Encoder, 
 		return nil
 	}
 	if !s.Opts.LendPages {
-		s.charge(p, "buf_copy", costBufCopyByte*float64(got))
+		s.charge(p, netsim.BucketBufCopy, costBufCopyByte*float64(got))
 	}
 	attr := s.FS.Attr(n)
 	(&nfsproto.ReadRes{Status: nfsproto.OK, Attr: &attr, Data: data}).Encode(e)
@@ -582,7 +582,7 @@ func (s *Server) write(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.Encoder,
 	// Data is a view into the request chain; drop its storage references
 	// once the payload has landed in file blocks.
 	defer args.Data.Free()
-	s.charge(p, "nfs", costVOP)
+	s.charge(p, netsim.BucketNFS, costVOP)
 	if s.leaseConflict(p, args.File, true, peer) {
 		(&nfsproto.AttrRes{Status: nfsproto.ErrTryLater}).Encode(e)
 		return nil
@@ -594,7 +594,7 @@ func (s *Server) write(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.Encoder,
 	}
 	// mbuf -> buffer cache copy (charged; the substrate moves the payload
 	// segment-by-segment from the request view into file blocks).
-	s.charge(p, "buf_copy", costBufCopyByte*float64(args.Data.Len()))
+	s.charge(p, netsim.BucketBufCopy, costBufCopyByte*float64(args.Data.Len()))
 	// Synchronous writes: data + inode, plus an indirect block once the
 	// file outgrows its direct blocks (UFS: 12 of them).
 	diskWrites := 2
@@ -635,7 +635,7 @@ func (s *Server) create(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.Encoder
 		return err
 	}
 	hint := nfsproto.DecodeLeaseHint(d)
-	s.charge(p, "nfs", costVOP)
+	s.charge(p, netsim.BucketNFS, costVOP)
 	dir, err := s.FS.Resolve(args.Where.Dir)
 	if err != nil {
 		(&nfsproto.DiropRes{Status: errStatus(err)}).Encode(e)
@@ -683,7 +683,7 @@ func (s *Server) remove(p *sim.Proc, peer string, d *xdr.Decoder, e *xdr.Encoder
 	if err != nil {
 		return err
 	}
-	s.charge(p, "nfs", costVOP)
+	s.charge(p, netsim.BucketNFS, costVOP)
 	dir, rerr := s.FS.Resolve(args.Dir)
 	if rerr == nil {
 		s.scanDirectory(p, dir, nil)
@@ -712,7 +712,7 @@ func (s *Server) rename(p *sim.Proc, d *xdr.Decoder, e *xdr.Encoder) error {
 	if err != nil {
 		return err
 	}
-	s.charge(p, "nfs", costVOP)
+	s.charge(p, netsim.BucketNFS, costVOP)
 	from, ferr := s.FS.Resolve(args.From.Dir)
 	to, terr := s.FS.Resolve(args.To.Dir)
 	var rerr error
@@ -742,7 +742,7 @@ func (s *Server) link(p *sim.Proc, d *xdr.Decoder, e *xdr.Encoder) error {
 	if err != nil {
 		return err
 	}
-	s.charge(p, "nfs", costVOP)
+	s.charge(p, netsim.BucketNFS, costVOP)
 	n, nerr := s.FS.Resolve(args.From)
 	dir, derr := s.FS.Resolve(args.To.Dir)
 	var rerr error
@@ -770,7 +770,7 @@ func (s *Server) symlink(p *sim.Proc, d *xdr.Decoder, e *xdr.Encoder) error {
 	if err != nil {
 		return err
 	}
-	s.charge(p, "nfs", costVOP)
+	s.charge(p, netsim.BucketNFS, costVOP)
 	dir, rerr := s.FS.Resolve(args.From.Dir)
 	if rerr == nil {
 		s.scanDirectory(p, dir, nil)
@@ -792,7 +792,7 @@ func (s *Server) mkdir(p *sim.Proc, d *xdr.Decoder, e *xdr.Encoder) error {
 	if err != nil {
 		return err
 	}
-	s.charge(p, "nfs", costVOP)
+	s.charge(p, netsim.BucketNFS, costVOP)
 	dir, rerr := s.FS.Resolve(args.Where.Dir)
 	if rerr != nil {
 		(&nfsproto.DiropRes{Status: errStatus(rerr)}).Encode(e)
@@ -820,7 +820,7 @@ func (s *Server) rmdir(p *sim.Proc, d *xdr.Decoder, e *xdr.Encoder) error {
 	if err != nil {
 		return err
 	}
-	s.charge(p, "nfs", costVOP)
+	s.charge(p, netsim.BucketNFS, costVOP)
 	dir, rerr := s.FS.Resolve(args.Dir)
 	if rerr == nil {
 		s.scanDirectory(p, dir, nil)

@@ -65,6 +65,8 @@ type seg struct {
 	Seq                uint64
 	Ack                uint64
 	Win                int
+
+	home *Stack // the stack whose free list the header returns to
 }
 
 func (s *seg) String() string {
@@ -99,6 +101,33 @@ type Stack struct {
 	env       *sim.Env
 	nextPort  int
 	listeners map[int]*Listener
+	segs      []*seg // headers of released segments
+}
+
+// newSeg returns a segment from sport to (dst, dport) carrying header m:
+// a datagram from the node's free list and a header from the stack's.
+func (st *Stack) newSeg(m seg, dst netsim.NodeID, sport, dport int) *netsim.Datagram {
+	var h *seg
+	if n := len(st.segs); n > 0 {
+		h, st.segs = st.segs[n-1], st.segs[:n-1]
+	} else {
+		h = &seg{}
+	}
+	*h = m
+	h.home = st
+	dg := st.node.NewDatagram()
+	dg.Src, dg.Dst, dg.Proto, dg.SrcPort, dg.DstPort = st.node.ID, dst, netsim.ProtoTCP, sport, dport
+	dg.HeaderBytes, dg.Meta = 20, h
+	return dg
+}
+
+// release is done with an arriving segment: the last reference recycles
+// its datagram and its header, each to the sender's free list.
+func release(dg *netsim.Datagram) {
+	h, _ := dg.Meta.(*seg)
+	if dg.Release() && h != nil && h.home != nil {
+		h.home.segs = append(h.home.segs, h)
+	}
 }
 
 // NewStack returns a TCP stack bound to the node.
@@ -180,13 +209,10 @@ func (l *Listener) segment(dg *netsim.Datagram) {
 			// it aborts and reconnects, instead of retransmitting into
 			// a void forever.
 			if !m.RST {
-				l.tx.Start(&netsim.Datagram{
-					Src: l.stack.node.ID, Dst: dg.Src, Proto: netsim.ProtoTCP,
-					SrcPort: l.port, DstPort: dg.SrcPort,
-					HeaderBytes: 20,
-					Meta:        &seg{RST: true, ACK: true, Seq: m.Ack, Ack: m.Seq + uint64(dg.Len())},
-				})
+				rst := seg{RST: true, ACK: true, Seq: m.Ack, Ack: m.Seq + uint64(dg.Len())}
+				l.tx.Start(l.stack.newSeg(rst, dg.Src, l.port, dg.SrcPort))
 			}
+			release(dg)
 			return
 		}
 		c = newConn(l.stack, l.port, dg.Src, dg.SrcPort, sim.NewQueue[*netsim.Datagram](l.stack.env, "connq"))
@@ -271,8 +297,8 @@ type Conn struct {
 	// chains, out-of-order data waits in ooo.
 	irs      uint64
 	rcvNxt   uint64
-	ooo      map[uint64]*mbuf.Chain
-	rcvQ     *sim.Queue[*mbuf.Chain]
+	ooo      map[uint64]chunk
+	rcvQ     *sim.Queue[chunk]
 	finRcvd  bool
 	needAck  bool
 	delayAck bool // a data segment awaits acknowledgment (delayed-ACK)
@@ -297,8 +323,8 @@ func newConn(st *Stack, localPort int, remote netsim.NodeID, remotePort int, q *
 		rto:         3 * time.Second, // pre-sample default, per BSD
 		backoff:     1,
 		rwnd:        RcvWindow,
-		ooo:         make(map[uint64]*mbuf.Chain),
-		rcvQ:        sim.NewQueue[*mbuf.Chain](st.env, "rcvq"),
+		ooo:         make(map[uint64]chunk),
+		rcvQ:        sim.NewQueue[chunk](st.env, "rcvq"),
 		sendCond:    sim.NewCond(st.env),
 		sndBuf:      &mbuf.Chain{},
 	}
@@ -377,29 +403,35 @@ func (c *Conn) Send(p *sim.Proc, data *mbuf.Chain) error {
 // Recv returns the next chunk of in-order stream data, as a copy; ok is
 // false at EOF (peer closed) or after Abort.
 func (c *Conn) Recv(p *sim.Proc) ([]byte, bool) {
-	b, ok := c.rcvQ.Recv(p)
+	ch, ok := c.rcvQ.Recv(p)
 	if !ok {
 		return nil, false
 	}
-	return b.Bytes(), true
+	b := ch.data.Bytes()
+	c.consumed(ch)
+	return b, true
 }
 
 // Serve makes fn and eof the connection's reader, in place of a process
 // that loops on Recv: fn gets each chunk of in-order stream data, a chain
-// it now owns, and eof runs once the stream has ended and its data is
-// read (the peer closed, or an abort). fn returning false stops the reader
-// for good, as that process returning would. Both run as event callbacks
+// whose mbufs it must take (AppendChain) or free before it returns, since
+// the segment the chain lives in recycles then; eof runs once the stream
+// has ended and its data is read (the peer closed, or an abort). fn
+// returning false stops the reader for good, as that process returning
+// would. Both run as event callbacks
 // and must not block. The reader starts at the current instant, where a
 // spawned process would, with whatever data arrived before. Nothing may
 // Recv afterwards.
 func (c *Conn) Serve(fn func(data *mbuf.Chain) bool, eof func()) {
 	c.rcvQ.Notify(func() {
 		for {
-			b, ok := c.rcvQ.TryRecv()
+			ch, ok := c.rcvQ.TryRecv()
 			if !ok {
 				break
 			}
-			if !fn(b) {
+			more := fn(ch.data)
+			c.consumed(ch)
+			if !more {
 				return // busy for good: nothing schedules the reader again
 			}
 		}
@@ -546,27 +578,17 @@ func (c *Conn) slowTimer() {
 }
 
 // sendSeg puts one segment in tx's hand, carrying n bytes of the send
-// buffer from off; whoever called it runs tx. The datagram, its header and
-// its payload chain are one allocation.
+// buffer from off; whoever called it runs tx. The datagram and its header
+// are recycled ones, and the payload views go in the datagram's own chain.
 func (c *Conn) sendSeg(m seg, off, n int) {
 	m.Win = RcvWindow
 	c.Stats.SegsOut++
 	c.Stats.BytesOut += n
-	s := &struct {
-		dg      netsim.Datagram
-		m       seg
-		payload mbuf.Chain
-	}{m: m}
-	s.dg = netsim.Datagram{
-		Src: c.node.ID, Dst: c.remote, Proto: netsim.ProtoTCP,
-		SrcPort: c.localPort, DstPort: c.remotePort,
-		HeaderBytes: 20, Meta: &s.m,
-	}
+	dg := c.stack.newSeg(m, c.remote, c.localPort, c.remotePort)
 	if n > 0 {
-		c.sndBuf.AppendRange(&s.payload, off, n)
-		s.dg.Payload = &s.payload
+		c.sndBuf.AppendRange(dg.Own(), off, n)
 	}
-	c.tx.Start(&s.dg)
+	c.tx.Start(dg)
 }
 
 // armTimer starts the retransmit timer if it is not running.
@@ -844,12 +866,21 @@ func (c *Conn) processAck(m *seg, payloadLen int) {
 	}
 }
 
-// input handles one arriving segment. A fast retransmit it starts is left
+// input handles one arriving segment and releases it, unless its own chain
+// went to the reader, which then does. A fast retransmit it starts is left
 // in tx's hand for step to send: nothing input does after it depends on it.
 func (c *Conn) input(dg *netsim.Datagram) {
+	if !c.handle(dg) {
+		release(dg)
+	}
+}
+
+// handle is input's work; it reports whether the segment's chain was handed
+// on in a chunk.
+func (c *Conn) handle(dg *netsim.Datagram) (handed bool) {
 	m, ok := dg.Meta.(*seg)
 	if !ok {
-		return
+		return false
 	}
 	c.Stats.SegsIn++
 	payloadLen := dg.Len()
@@ -922,22 +953,25 @@ func (c *Conn) input(dg *netsim.Datagram) {
 			c.delayAck = false
 		case m.Seq > c.rcvNxt:
 			if _, dup := c.ooo[m.Seq]; !dup && len(c.ooo) < 64 {
-				c.ooo[m.Seq] = payload(dg, 0)
+				ch := payload(dg, 0)
+				c.ooo[m.Seq] = ch
+				handed = ch.dg != nil
 			}
 		default:
 			// In order (possibly with an old prefix).
-			b := payload(dg, int(c.rcvNxt-m.Seq))
-			c.rcvNxt += uint64(b.Len())
-			c.rcvQ.Send(b)
+			ch := payload(dg, int(c.rcvNxt-m.Seq))
+			handed = ch.dg != nil
+			c.rcvNxt += uint64(ch.data.Len())
+			c.rcvQ.Send(ch)
 			// Drain contiguous out-of-order segments.
 			for {
-				nb, ok := c.ooo[c.rcvNxt]
+				nc, ok := c.ooo[c.rcvNxt]
 				if !ok {
 					break
 				}
 				delete(c.ooo, c.rcvNxt)
-				c.rcvNxt += uint64(nb.Len())
-				c.rcvQ.Send(nb)
+				c.rcvNxt += uint64(nc.data.Len())
+				c.rcvQ.Send(nc)
 			}
 		}
 	}
@@ -953,14 +987,30 @@ func (c *Conn) input(dg *netsim.Datagram) {
 			c.needAck = true // duplicate FIN
 		}
 	}
+	return handed
+}
+
+// chunk is in-order data on its way to the reader, and the segment whose
+// own chain it is, released once the reader has taken the data (nil for a
+// view, which holds its storage itself).
+type chunk struct {
+	data *mbuf.Chain
+	dg   *netsim.Datagram
 }
 
 // payload returns dg's data from byte off on, for the reader, without a
 // copy: the segment's own chain, or a view of it when off cuts into it or a
 // fault may deliver the same chain again.
-func payload(dg *netsim.Datagram, off int) *mbuf.Chain {
+func payload(dg *netsim.Datagram, off int) chunk {
 	if off == 0 && !dg.Duplicated {
-		return dg.Payload
+		return chunk{dg.Payload, dg}
 	}
-	return dg.Payload.Range(off, dg.Len()-off)
+	return chunk{data: dg.Payload.Range(off, dg.Len()-off)}
+}
+
+// consumed releases the segment a chunk the reader has taken came in.
+func (c *Conn) consumed(ch chunk) {
+	if ch.dg != nil {
+		release(ch.dg)
+	}
 }

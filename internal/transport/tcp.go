@@ -39,7 +39,9 @@ type TCP struct {
 	conn   *tcpsim.Conn
 
 	xid     uint32
-	pending map[uint32]*tcpPending
+	pending pendingTable[*tcpPending]
+	free    []*tcpPending // records whose calls have returned
+	replies replies
 	enc     xdr.Encoder // builds every call message
 	closed  bool
 	stats   Stats
@@ -58,10 +60,12 @@ type tcpPending struct {
 	proc   uint32
 	args   func(e *xdr.Encoder)
 	sentAt sim.Time
-	done   *sim.Event
+	done   sim.Event
 	reply  *xdr.Decoder
 	err    error
 }
+
+func (pc *tcpPending) xidOf() uint32 { return pc.xid }
 
 // NewTCP creates the transport and dials the server; it blocks the calling
 // process for the handshake.
@@ -72,7 +76,6 @@ func NewTCP(p *sim.Proc, stack *tcpsim.Stack, server netsim.NodeID, port int) (*
 		stack:        stack,
 		server:       server,
 		port:         port,
-		pending:      make(map[uint32]*tcpPending),
 		wake:         sim.NewCond(env),
 		ReplyTimeout: DefaultReplyTimeout,
 	}
@@ -149,11 +152,12 @@ func (t *TCP) reply(msg *mbuf.Chain) {
 	if err != nil {
 		return
 	}
-	pc := t.pending[xid]
+	pc := t.pending.find(xid)
 	if pc == nil || pc.done.IsSet() {
+		msg.Free()
 		return
 	}
-	dec, err := decodeReply(msg)
+	dec, err := t.replies.decode(msg)
 	if err != nil {
 		return
 	}
@@ -193,16 +197,23 @@ func (t *TCP) reconnect(p *sim.Proc, conn *tcpsim.Conn) {
 		conn, err = t.stack.Dial(p, t.server, t.port)
 	}
 	t.serve(conn)
-	for _, pc := range byXID(t.pending) {
-		if !pc.done.IsSet() {
-			t.stats.Retries++
-			metrics.Emit(t.Tracer, metrics.Retransmit{Proc: pc.proc, XID: pc.xid, Backoff: 1})
-			// Restart the reply clock: RTT then measures the replay's
-			// round trip, and the watchdog times the new transmission.
-			pc.sentAt = p.Now()
-			if err := t.sendOne(p, pc); err != nil {
+	// A send parks, and a call answered meanwhile may return and its record
+	// serve a new call: each call is found again by its XID.
+	for _, xid := range t.pending.xids() {
+		pc := t.pending.find(xid)
+		if pc == nil || pc.done.IsSet() {
+			continue
+		}
+		proc := pc.proc
+		t.stats.Retries++
+		metrics.Emit(t.Tracer, metrics.Retransmit{Proc: proc, XID: xid, Backoff: 1})
+		// Restart the reply clock: RTT then measures the replay's
+		// round trip, and the watchdog times the new transmission.
+		pc.sentAt = p.Now()
+		if err := t.sendOne(p, pc); err != nil {
+			metrics.Emit(t.Tracer, metrics.CallFailed{Proc: proc, XID: xid, Reason: "send"})
+			if pc := t.pending.find(xid); pc != nil {
 				pc.err = err
-				metrics.Emit(t.Tracer, metrics.CallFailed{Proc: pc.proc, XID: pc.xid, Reason: "send"})
 				pc.done.Set()
 			}
 		}
@@ -222,7 +233,7 @@ func (t *TCP) Close() {
 	}
 	t.closed = true
 	t.failPending(ErrClosed, "closed")
-	t.pending = make(map[uint32]*tcpPending)
+	t.pending = nil
 	if t.conn != nil {
 		t.conn.Close()
 	}
@@ -231,7 +242,7 @@ func (t *TCP) Close() {
 
 // failPending fails every unanswered call, waking the callers in XID order.
 func (t *TCP) failPending(err error, reason string) {
-	for _, pc := range byXID(t.pending) {
+	for _, pc := range t.pending {
 		if pc.done.IsSet() {
 			continue
 		}
@@ -252,31 +263,43 @@ func (t *TCP) CallProgram(p *sim.Proc, prog, vers, proc uint32, args func(e *xdr
 		return nil, ErrClosed
 	}
 	t.xid++
-	pc := &tcpPending{
-		xid: t.xid, prog: prog, vers: vers, proc: proc, args: args,
-		sentAt: p.Now(), done: sim.NewEvent(t.env),
+	xid := t.xid
+	var pc *tcpPending
+	if n := len(t.free); n > 0 {
+		pc, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		pc = &tcpPending{}
 	}
-	t.pending[pc.xid] = pc
+	pc.done.Reset(t.env)
+	pc.xid, pc.prog, pc.vers, pc.proc, pc.args = xid, prog, vers, proc, args
+	pc.sentAt = p.Now()
+	t.pending.add(pc)
 	t.wake.Broadcast()
 	t.stats.Calls++
-	metrics.Emit(t.Tracer, metrics.CallSent{Proc: proc, XID: pc.xid})
-	if err := t.sendOne(p, pc); err != nil {
-		delete(t.pending, pc.xid)
+	metrics.Emit(t.Tracer, metrics.CallSent{Proc: proc, XID: xid})
+	err := t.sendOne(p, pc)
+	if err != nil {
+		metrics.Emit(t.Tracer, metrics.CallFailed{Proc: proc, XID: xid, Reason: "send"})
+	} else {
+		pc.done.Wait(p)
+		err = pc.err
+	}
+	t.pending.remove(xid)
+	reply := pc.reply
+	*pc = tcpPending{done: pc.done}
+	t.free = append(t.free, pc)
+	if err != nil {
 		t.stats.Failures++
-		metrics.Emit(t.Tracer, metrics.CallFailed{Proc: proc, XID: pc.xid, Reason: "send"})
 		return nil, err
 	}
-	pc.done.Wait(p)
-	delete(t.pending, pc.xid)
-	if pc.err != nil {
-		t.stats.Failures++
-		return nil, pc.err
-	}
-	return pc.reply, nil
+	return reply, nil
 }
 
+// Release implements Transport.
+func (t *TCP) Release(reply *xdr.Decoder) { t.replies.release(reply) }
+
 func (t *TCP) sendOne(p *sim.Proc, pc *tcpPending) error {
-	msg := buildCall(&t.enc, pc.xid, pc.prog, pc.vers, pc.proc, pc.args)
+	msg := buildCall(&t.enc, &mbuf.Chain{}, pc.xid, pc.prog, pc.vers, pc.proc, pc.args)
 	rpc.AddRecordMark(msg)
 	return t.conn.Send(p, msg)
 }

@@ -14,6 +14,7 @@
 package transport
 
 import (
+	"cmp"
 	"errors"
 	"slices"
 	"time"
@@ -86,6 +87,11 @@ type Transport interface {
 	Call(p *sim.Proc, proc uint32, args func(e *xdr.Encoder)) (*xdr.Decoder, error)
 	// CallProgram is Call for any RPC program: the MOUNT protocol's, say.
 	CallProgram(p *sim.Proc, prog, vers, proc uint32, args func(e *xdr.Encoder)) (*xdr.Decoder, error)
+	// Release hands back a reply Call returned once the caller has decoded
+	// it: the transport frees the reply message and reuses the decoder.
+	// Nothing decoded from it by view may be used afterwards. A reply never
+	// handed back is left to the collector.
+	Release(reply *xdr.Decoder)
 	// Stats exposes counters; the pointer stays valid for the transport's
 	// lifetime.
 	Stats() *Stats
@@ -135,10 +141,9 @@ func (e *estimator) rto(def, min, max sim.Time) sim.Time {
 	return r
 }
 
-// buildCall encodes a full RPC CALL message, appending the arguments
+// buildCall encodes a full RPC CALL message onto c, appending the arguments
 // through the transport's own encoder enc.
-func buildCall(enc *xdr.Encoder, xid, prog, vers, proc uint32, args func(e *xdr.Encoder)) *mbuf.Chain {
-	c := &mbuf.Chain{}
+func buildCall(enc *xdr.Encoder, c *mbuf.Chain, xid, prog, vers, proc uint32, args func(e *xdr.Encoder)) *mbuf.Chain {
 	rpc.EncodeCall(c, &rpc.Call{XID: xid, Prog: prog, Vers: vers, Proc: proc})
 	if args != nil {
 		enc.Reset(c)
@@ -147,38 +152,103 @@ func buildCall(enc *xdr.Encoder, xid, prog, vers, proc uint32, args func(e *xdr.
 	return c
 }
 
-// byXID returns the calls of a pending table in XID order. Map order is
-// random, and wherever walking the table has side effects — retransmissions,
-// window halvings, wake-ups — their order decides what the simulation does
-// next, so a run would not repeat.
-func byXID[T any](pending map[uint32]T) []T {
-	xids := make([]uint32, 0, len(pending))
-	for xid := range pending {
-		xids = append(xids, xid)
-	}
-	slices.Sort(xids)
-	calls := make([]T, len(xids))
-	for i, xid := range xids {
-		calls[i] = pending[xid]
-	}
-	return calls
+// pendingTable holds a transport's calls in flight in XID order. A call goes
+// in where its XID sorts (at the end, unless the XIDs wrapped), a reply
+// finds its call by binary search, and a walk meets the calls in XID order:
+// wherever walking the table has side effects — retransmissions, window
+// halvings, wake-ups — their order decides what the simulation does next,
+// so a run repeats.
+type pendingTable[T interface{ xidOf() uint32 }] []T
+
+func (pt pendingTable[T]) search(xid uint32) (int, bool) {
+	return slices.BinarySearchFunc(pt, xid, func(c T, x uint32) int { return cmp.Compare(c.xidOf(), x) })
 }
 
-// decodeReply validates the RPC reply header and returns a decoder at the
+// find returns the call with the XID, or the zero T.
+func (pt pendingTable[T]) find(xid uint32) (c T) {
+	if i, ok := pt.search(xid); ok {
+		c = pt[i]
+	}
+	return c
+}
+
+func (pt *pendingTable[T]) add(c T) {
+	i, _ := pt.search(c.xidOf())
+	*pt = slices.Insert(*pt, i, c)
+}
+
+func (pt *pendingTable[T]) remove(xid uint32) {
+	if i, ok := pt.search(xid); ok {
+		*pt = slices.Delete(*pt, i, i+1)
+	}
+}
+
+// xids returns the table's XIDs, for a walk that parks between calls: it
+// finds each call again afterwards, since one answered meanwhile has left
+// the table and its record may serve another call.
+func (pt pendingTable[T]) xids() []uint32 {
+	xids := make([]uint32, len(pt))
+	for i, c := range pt {
+		xids[i] = c.xidOf()
+	}
+	return xids
+}
+
+// replies recycles a transport's reply decoders and message chains:
+// Release frees the message a decoder read and keeps both for the next
+// reply.
+type replies struct {
+	free []*xdr.Decoder
+	msgs []*mbuf.Chain
+}
+
+// chain returns an empty chain for a reply message.
+func (r *replies) chain() *mbuf.Chain {
+	if n := len(r.msgs); n > 0 {
+		c := r.msgs[n-1]
+		r.msgs = r.msgs[:n-1]
+		return c
+	}
+	return &mbuf.Chain{}
+}
+
+// decode validates msg's RPC reply header and returns a decoder at the
 // results.
-func decodeReply(msg *mbuf.Chain) (*xdr.Decoder, error) {
-	d := xdr.NewDecoder(msg)
-	var r rpc.Reply
-	if err := rpc.DecodeReplyInto(d, &r); err != nil {
-		return nil, err
+func (r *replies) decode(msg *mbuf.Chain) (*xdr.Decoder, error) {
+	var d *xdr.Decoder
+	if n := len(r.free); n > 0 {
+		d, r.free = r.free[n-1], r.free[:n-1]
+		d.Reset(msg)
+	} else {
+		d = xdr.NewDecoder(msg)
 	}
-	if r.Denied {
-		return nil, errors.New("transport: rpc denied")
+	var rep rpc.Reply
+	err := rpc.DecodeReplyInto(d, &rep)
+	switch {
+	case err != nil:
+	case rep.Denied:
+		err = errors.New("transport: rpc denied")
+	case rep.AcceptStat != rpc.Success:
+		err = errors.New("transport: rpc error status")
+	default:
+		return d, nil
 	}
-	if r.AcceptStat != rpc.Success {
-		return nil, errors.New("transport: rpc error status")
+	*d = xdr.Decoder{}
+	r.free = append(r.free, d)
+	return nil, err
+}
+
+// release frees reply's message and keeps it and the decoder. A decoder
+// already handed back (its source is gone) is ignored.
+func (r *replies) release(reply *xdr.Decoder) {
+	msg := reply.Source()
+	if msg == nil {
+		return
 	}
-	return d, nil
+	msg.Free()
+	r.msgs = append(r.msgs, msg)
+	*reply = xdr.Decoder{}
+	r.free = append(r.free, reply)
 }
 
 // Timing constants.

@@ -1,9 +1,9 @@
 package transport
 
 import (
-	"slices"
 	"time"
 
+	"renonfs/internal/mbuf"
 	"renonfs/internal/metrics"
 	"renonfs/internal/netsim"
 	"renonfs/internal/nfsproto"
@@ -69,6 +69,8 @@ type udpPending struct {
 	err      error
 }
 
+func (pc *udpPending) xidOf() uint32 { return pc.xid }
+
 // UDP is the datagram transport.
 type UDP struct {
 	cfg    UDPConfig
@@ -78,9 +80,11 @@ type UDP struct {
 	env    *sim.Env
 
 	xid     uint32
-	pending map[uint32]*udpPending
+	pending pendingTable[*udpPending]
 	free    []*udpPending // records whose calls have returned
-	enc     xdr.Encoder   // builds every call message
+	replies replies
+	enc     xdr.Encoder // builds every call message
+	msg     mbuf.Chain  // into this chain, which the socket's Send empties
 	est     [NumClasses]estimator
 	cwnd    float64
 	waiters *sim.Cond
@@ -124,7 +128,6 @@ func newUDP(env *sim.Env, sock netsim.Endpoint, name string, cfg UDPConfig) *UDP
 		cfg:     cfg,
 		sock:    sock,
 		env:     env,
-		pending: make(map[uint32]*udpPending),
 		cwnd:    CwndInit,
 		waiters: sim.NewCond(env),
 		wake:    sim.NewCond(env),
@@ -162,7 +165,7 @@ func (t *UDP) Close() {
 		return
 	}
 	t.closed = true
-	for _, pc := range byXID(t.pending) {
+	for _, pc := range t.pending {
 		if pc.done.IsSet() {
 			continue
 		}
@@ -170,7 +173,7 @@ func (t *UDP) Close() {
 		metrics.Emit(t.cfg.Tracer, metrics.CallFailed{Proc: pc.proc, XID: pc.xid, Reason: "closed"})
 		pc.done.Set()
 	}
-	t.pending = make(map[uint32]*udpPending)
+	t.pending = nil
 	t.sock.Close()
 	t.waiters.Broadcast()
 	t.wake.Broadcast()
@@ -223,11 +226,11 @@ func (t *UDP) CallProgram(p *sim.Proc, prog, vers, proc uint32, args func(e *xdr
 	pc.done.Reset(t.env)
 	pc.xid, pc.prog, pc.vers, pc.proc, pc.args = xid, prog, vers, proc, args
 	pc.class, pc.sentAt = ClassOf(proc), p.Now()
-	t.pending[xid] = pc
+	t.pending.add(pc)
 	t.wake.Broadcast()
 	t.send(p, pc)
 	pc.done.Wait(p)
-	delete(t.pending, xid)
+	t.pending.remove(xid)
 	if t.cfg.Dynamic {
 		t.waiters.Broadcast()
 	}
@@ -240,6 +243,9 @@ func (t *UDP) CallProgram(p *sim.Proc, prog, vers, proc uint32, args func(e *xdr
 	}
 	return reply, nil
 }
+
+// Release implements Transport.
+func (t *UDP) Release(reply *xdr.Decoder) { t.replies.release(reply) }
 
 // backedOff is pc's class timeout under its exponential backoff.
 func (t *UDP) backedOff(pc *udpPending) sim.Time {
@@ -260,26 +266,38 @@ func (t *UDP) send(p *sim.Proc, pc *udpPending) sim.Time {
 	rto := t.backedOff(pc)
 	pc.rtoAtTx = rto
 	pc.deadline = t.env.Now() + rto
-	msg := buildCall(&t.enc, pc.xid, pc.prog, pc.vers, pc.proc, pc.args)
-	t.sock.Send(p, t.server, t.port, msg)
+	t.sock.Send(p, t.server, t.port, buildCall(&t.enc, &t.msg, pc.xid, pc.prog, pc.vers, pc.proc, pc.args))
 	return rto
 }
 
 // receive matches a reply to its pending call; it consumes the socket's
-// receive queue as a callback (sim.Queue.Serve).
+// receive queue as a callback (sim.Queue.Serve). The reply's mbufs move out
+// of the datagram, which is released; one a fault may deliver again stays,
+// read through a view. A message that answers no call is freed unless a
+// fault may deliver it again.
 func (t *UDP) receive(dg *netsim.Datagram) {
-	xid, err := rpc.PeekXID(dg.Payload)
-	if err != nil {
-		return
+	defer dg.Release()
+	var pc *udpPending
+	if xid, err := rpc.PeekXID(dg.Payload); err == nil {
+		pc = t.pending.find(xid)
 	}
-	pc := t.pending[xid]
 	if pc == nil || pc.done.IsSet() {
-		return // late duplicate reply
+		if !dg.Duplicated {
+			dg.Payload.Free() // garbage, or a late duplicate reply
+		}
+		return
 	}
-	dec, err := decodeReply(dg.Payload)
+	msg := t.replies.chain()
+	if dg.Duplicated {
+		dg.Payload.AppendRange(msg, 0, dg.Len())
+	} else {
+		msg.AppendChain(dg.Payload)
+	}
+	dec, err := t.replies.decode(msg)
 	if err != nil {
 		return
 	}
+	xid := pc.xid
 	rtt := t.env.Now() - pc.sentAt
 	if t.cfg.Dynamic {
 		// Karn's rule: only time unambiguous (non-retried) replies.
@@ -301,7 +319,7 @@ func (t *UDP) receive(dg *netsim.Datagram) {
 }
 
 // timerLoop is the NFS client timer: every tick it scans pending requests
-// and retransmits the expired in XID order (see byXID), recomputing deadlines
+// and retransmits the expired in XID order (see pendingTable), recomputing deadlines
 // from the freshest estimates (unless the ablation pins them at send time).
 // While nothing is pending the timer parks and keeps its tick phase, which
 // the per-tick deadline refresh depends on.
@@ -312,14 +330,13 @@ func (t *UDP) timerLoop(p *sim.Proc) {
 		parkWhileIdle(p, t.wake, NFSTick, func() bool { return len(t.pending) == 0 && !t.closed })
 		now := p.Now()
 		expired = expired[:0]
-		for xid, pc := range t.pending {
+		for _, pc := range t.pending {
 			if !pc.done.IsSet() && now >= t.deadlineOf(pc) {
-				expired = append(expired, xid)
+				expired = append(expired, pc.xid)
 			}
 		}
-		slices.Sort(expired)
 		for _, xid := range expired {
-			pc := t.pending[xid]
+			pc := t.pending.find(xid)
 			if pc == nil || pc.done.IsSet() {
 				continue // answered while an earlier retransmission was going out
 			}

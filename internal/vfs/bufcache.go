@@ -12,10 +12,7 @@
 // slower lookups).
 package vfs
 
-import (
-	"container/list"
-	"fmt"
-)
+import "fmt"
 
 // BlockSize is the NFS transfer and buffer size used throughout.
 const BlockSize = 8192
@@ -45,7 +42,7 @@ type Buf struct {
 	Dirty              bool
 	DirtyOff, DirtyEnd int
 
-	elem *list.Element // LRU position
+	prev, next *Buf // LRU neighbours, toward the most and the least recent
 }
 
 // EnsureData allocates the data block if absent.
@@ -148,7 +145,7 @@ type BufCache struct {
 	// ChainedLookup selects the vnode-chained search discipline.
 	ChainedLookup bool
 
-	lru    *list.List // front = most recent; values are *Buf
+	lru    Buf // sentinel: lru.next is the most recent buffer, lru.prev the least
 	index  map[BufKey]*Buf
 	chains map[uint64][]*Buf // per-vnode buffer chains
 	free   [][]byte          // pages of clean buffers that left, for Insert
@@ -157,19 +154,33 @@ type BufCache struct {
 
 // NewBufCache returns a cache holding at most capacity buffers.
 func NewBufCache(capacity int, chained bool) *BufCache {
-	return &BufCache{
+	c := &BufCache{
 		Capacity:      capacity,
 		ChainedLookup: chained,
-		lru:           list.New(),
 		index:         make(map[BufKey]*Buf),
 		chains:        make(map[uint64][]*Buf),
 	}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
+}
+
+// pushFront links b in as the most recent buffer.
+func (c *BufCache) pushFront(b *Buf) {
+	b.prev, b.next = &c.lru, c.lru.next
+	b.next.prev = b
+	c.lru.next = b
+}
+
+// unlink takes b out of the LRU list.
+func (c *BufCache) unlink(b *Buf) {
+	b.prev.next, b.next.prev = b.next, b.prev
+	b.prev, b.next = nil, nil
 }
 
 func vnKey(k BufKey) uint64 { return uint64(k.Vnode)<<32 | uint64(k.Gen) }
 
 // Len returns the number of resident buffers.
-func (c *BufCache) Len() int { return c.lru.Len() }
+func (c *BufCache) Len() int { return len(c.index) }
 
 // Lookup finds a resident buffer, reporting how many buffers the search
 // examined under the configured discipline. It refreshes LRU position on a
@@ -190,10 +201,10 @@ func (c *BufCache) Lookup(k BufKey) (b *Buf, scanned int) {
 	} else {
 		// Linear scan of the global LRU list, the way a cache without
 		// per-vnode chains must search.
-		for e := c.lru.Front(); e != nil; e = e.Next() {
+		for e := c.lru.next; e != &c.lru; e = e.next {
 			scanned++
-			if e.Value.(*Buf).Key == k {
-				b = e.Value.(*Buf)
+			if e.Key == k {
+				b = e
 				break
 			}
 		}
@@ -201,7 +212,8 @@ func (c *BufCache) Lookup(k BufKey) (b *Buf, scanned int) {
 	c.Stats.Scanned += scanned
 	if b != nil {
 		c.Stats.Hits++
-		c.lru.MoveToFront(b.elem)
+		c.unlink(b)
+		c.pushFront(b)
 	} else {
 		c.Stats.Misses++
 	}
@@ -219,7 +231,7 @@ func (c *BufCache) Insert(k BufKey) (b *Buf, victim *Buf) {
 	if c.index[k] != nil {
 		panic("vfs: Insert of resident block " + fmt.Sprint(k))
 	}
-	if c.lru.Len() >= c.Capacity {
+	if len(c.index) >= c.Capacity {
 		victim = c.evictLRU()
 	}
 	b = &Buf{Key: k}
@@ -227,7 +239,7 @@ func (c *BufCache) Insert(k BufKey) (b *Buf, victim *Buf) {
 		b.Data, c.free = c.free[n-1], c.free[:n-1]
 		clear(b.Data)
 	}
-	b.elem = c.lru.PushFront(b)
+	c.pushFront(b)
 	c.index[k] = b
 	vk := vnKey(k)
 	c.chains[vk] = append(c.chains[vk], b)
@@ -236,11 +248,10 @@ func (c *BufCache) Insert(k BufKey) (b *Buf, victim *Buf) {
 
 // evictLRU removes the least recently used buffer and returns it.
 func (c *BufCache) evictLRU() *Buf {
-	e := c.lru.Back()
-	if e == nil {
+	b := c.lru.prev
+	if b == &c.lru {
 		return nil
 	}
-	b := e.Value.(*Buf)
 	c.remove(b)
 	c.Stats.Evictions++
 	return b
@@ -254,7 +265,7 @@ func (c *BufCache) remove(b *Buf) {
 		c.free = append(c.free, b.Data)
 		b.Data = nil
 	}
-	c.lru.Remove(b.elem)
+	c.unlink(b)
 	delete(c.index, b.Key)
 	vk := vnKey(b.Key)
 	chain := c.chains[vk]

@@ -1,7 +1,5 @@
 package vfs
 
-import "container/list"
-
 // DefaultNameCacheCap matches the scale of the 4.3BSD Reno kernel's
 // name-cache (a few hundred entries on a small machine).
 const DefaultNameCacheCap = 512
@@ -29,7 +27,8 @@ type ncEntry struct {
 	vn   uint32
 	vgen uint32
 	neg  bool // negative entry: name known absent
-	elem *list.Element
+
+	prev, next *ncEntry // LRU neighbours, toward the most and the least recent
 }
 
 // NameCache is the VFS name lookup cache: (directory, component) → vnode.
@@ -43,22 +42,42 @@ type NameCache struct {
 	Capacity int
 
 	entries map[ncKey]*ncEntry
-	lru     *list.List
+	lru     ncEntry // sentinel: lru.next is the most recent entry, lru.prev the least
 	Stats   NameCacheStats
 }
 
 // NewNameCache returns an enabled cache with Reno's defaults.
 func NewNameCache() *NameCache {
-	return &NameCache{
+	nc := &NameCache{
 		Enabled:  true,
 		Capacity: DefaultNameCacheCap,
 		entries:  make(map[ncKey]*ncEntry),
-		lru:      list.New(),
 	}
+	nc.lru.prev, nc.lru.next = &nc.lru, &nc.lru
+	return nc
+}
+
+// pushFront links e in as the most recent entry.
+func (nc *NameCache) pushFront(e *ncEntry) {
+	e.prev, e.next = &nc.lru, nc.lru.next
+	e.next.prev = e
+	nc.lru.next = e
+}
+
+// unlink takes e out of the LRU list.
+func (nc *NameCache) unlink(e *ncEntry) {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+}
+
+// drop forgets e.
+func (nc *NameCache) drop(e *ncEntry) {
+	nc.unlink(e)
+	delete(nc.entries, e.key)
 }
 
 // Len returns the number of cached entries.
-func (nc *NameCache) Len() int { return nc.lru.Len() }
+func (nc *NameCache) Len() int { return len(nc.entries) }
 
 // Lookup consults the cache. found=false means a miss; found=true with
 // neg=true means the name is cached as non-existent.
@@ -77,7 +96,8 @@ func (nc *NameCache) Lookup(dir, dgen uint32, name string) (vn, vgen uint32, neg
 		nc.Stats.Misses++
 		return 0, 0, false, false
 	}
-	nc.lru.MoveToFront(e.elem)
+	nc.unlink(e)
+	nc.pushFront(e)
 	nc.Stats.Hits++
 	if e.neg {
 		nc.Stats.NegHits++
@@ -104,17 +124,19 @@ func (nc *NameCache) enter(dir, dgen uint32, name string, vn, vgen uint32, neg b
 	k := ncKey{dir, dgen, name}
 	if e := nc.entries[k]; e != nil {
 		e.vn, e.vgen, e.neg = vn, vgen, neg
-		nc.lru.MoveToFront(e.elem)
+		nc.unlink(e)
+		nc.pushFront(e)
 		return
 	}
-	if nc.lru.Len() >= nc.Capacity {
-		back := nc.lru.Back()
-		old := back.Value.(*ncEntry)
-		nc.lru.Remove(back)
-		delete(nc.entries, old.key)
+	var e *ncEntry
+	if len(nc.entries) >= nc.Capacity && nc.lru.prev != &nc.lru {
+		e = nc.lru.prev // the evicted entry is the new one's record
+		nc.drop(e)
+	} else {
+		e = &ncEntry{}
 	}
-	e := &ncEntry{key: k, vn: vn, vgen: vgen, neg: neg}
-	e.elem = nc.lru.PushFront(e)
+	*e = ncEntry{key: k, vn: vn, vgen: vgen, neg: neg}
+	nc.pushFront(e)
 	nc.entries[k] = e
 }
 
@@ -122,8 +144,7 @@ func (nc *NameCache) enter(dir, dgen uint32, name string, vn, vgen uint32, neg b
 func (nc *NameCache) Remove(dir, dgen uint32, name string) {
 	k := ncKey{dir, dgen, name}
 	if e := nc.entries[k]; e != nil {
-		nc.lru.Remove(e.elem)
-		delete(nc.entries, k)
+		nc.drop(e)
 	}
 }
 
@@ -132,8 +153,7 @@ func (nc *NameCache) Remove(dir, dgen uint32, name string) {
 func (nc *NameCache) PurgeDir(dir, dgen uint32) {
 	for k, e := range nc.entries {
 		if k.dir == dir && k.gen == dgen {
-			nc.lru.Remove(e.elem)
-			delete(nc.entries, k)
+			nc.drop(e)
 		}
 	}
 }
@@ -141,10 +161,9 @@ func (nc *NameCache) PurgeDir(dir, dgen uint32) {
 // PurgeVnode drops translations resolving to the vnode (after it is
 // recycled).
 func (nc *NameCache) PurgeVnode(vn, vgen uint32) {
-	for k, e := range nc.entries {
+	for _, e := range nc.entries {
 		if !e.neg && e.vn == vn && e.vgen == vgen {
-			nc.lru.Remove(e.elem)
-			delete(nc.entries, k)
+			nc.drop(e)
 		}
 	}
 }
@@ -152,5 +171,5 @@ func (nc *NameCache) PurgeVnode(vn, vgen uint32) {
 // Flush empties the cache.
 func (nc *NameCache) Flush() {
 	nc.entries = make(map[ncKey]*ncEntry)
-	nc.lru.Init()
+	nc.lru.prev, nc.lru.next = &nc.lru, &nc.lru
 }

@@ -7,6 +7,7 @@ import (
 	"renonfs/internal/client"
 	"renonfs/internal/mbuf"
 	"renonfs/internal/memfs"
+	"renonfs/internal/netsim"
 	"renonfs/internal/sim"
 )
 
@@ -154,7 +155,7 @@ func RunAndrew(p *sim.Proc, m *client.Mount, files []TreeFile) (*AndrewResult, e
 
 	// exec charges one command spawn (fork+exec+loader).
 	exec := func() {
-		node.ChargeCPU(p, "exec", node.Model.Cost(execCPU))
+		node.ChargeCPU(p, netsim.BucketExec, node.Model.Cost(execCPU))
 	}
 
 	phase := func(i int, fn func() error) error {
@@ -284,7 +285,7 @@ func RunAndrew(p *sim.Proc, m *client.Mount, files []TreeFile) (*AndrewResult, e
 					total += n
 				}
 				in.Close(p)
-				node.ChargeCPU(p, "userwork", node.Model.CostBytes(scanCPUPerByte, total/2))
+				node.ChargeCPU(p, netsim.BucketUserWork, node.Model.CostBytes(scanCPUPerByte, total/2))
 			}
 		}
 		return nil
@@ -353,7 +354,7 @@ func RunAndrew(p *sim.Proc, m *client.Mount, files []TreeFile) (*AndrewResult, e
 				}
 				hdrBytes += hn
 			}
-			node.ChargeCPU(p, "compile", node.Model.CostBytes(compileCPUPerByte, n+hdrBytes/4))
+			node.ChargeCPU(p, netsim.BucketCompile, node.Model.CostBytes(compileCPUPerByte, n+hdrBytes/4))
 			// Object file ≈ 60% of the source size.
 			obj := TreeFile{Dir: f.Dir, Name: f.Name[:len(f.Name)-2] + ".o", Size: f.Size * 6 / 10}
 			out, err := m.Create(p, workPath(obj), 0644)
@@ -379,7 +380,7 @@ func RunAndrew(p *sim.Proc, m *client.Mount, files []TreeFile) (*AndrewResult, e
 			}
 			total += n
 		}
-		node.ChargeCPU(p, "link", node.Model.CostBytes(linkCPUPerByte, total))
+		node.ChargeCPU(p, netsim.BucketLink, node.Model.CostBytes(linkCPUPerByte, total))
 		bin, err := m.Create(p, "work/a.out", 0755)
 		if err != nil {
 			return err

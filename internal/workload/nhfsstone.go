@@ -101,6 +101,7 @@ type Nhfsstone struct {
 	files []nhFile
 	links []string // preloaded symlink names for readlink ops
 	temp  nhTemp
+	zeros [nfsproto.MaxData]byte // every WRITE's data, copied into its chain per encode
 }
 
 type nhFile struct {
@@ -155,6 +156,7 @@ func (n *Nhfsstone) Preload(p *sim.Proc) error {
 			return fmt.Errorf("preload create %s: %w", name, err)
 		}
 		res, err := nfsproto.DecodeDiropRes(d)
+		n.Tr.Release(d)
 		if err != nil || res.Status != nfsproto.OK {
 			return fmt.Errorf("preload create %s: %v %v", name, res, err)
 		}
@@ -172,7 +174,9 @@ func (n *Nhfsstone) Preload(p *sim.Proc) error {
 			if err != nil {
 				return fmt.Errorf("preload write: %w", err)
 			}
-			if wres, err := nfsproto.DecodeAttrRes(d); err != nil || wres.Status != nfsproto.OK {
+			wres, err := nfsproto.DecodeAttrRes(d)
+			n.Tr.Release(d)
+			if err != nil || wres.Status != nfsproto.OK {
 				return fmt.Errorf("preload write: %v %v", wres, err)
 			}
 		}
@@ -192,6 +196,7 @@ func (n *Nhfsstone) Preload(p *sim.Proc) error {
 				return fmt.Errorf("preload symlink: %w", err)
 			}
 			res, err := nfsproto.DecodeStatusRes(d)
+			n.Tr.Release(d)
 			if err != nil || (res.Status != nfsproto.OK && res.Status != nfsproto.ErrExist) {
 				// EXIST is fine: another client of a shared subtree made it.
 				return fmt.Errorf("preload symlink: %v %v", res, err)
@@ -312,14 +317,15 @@ func (pk Picker) Pick(rng *rand.Rand) uint32 {
 // issue sends one RPC of the given kind at a random file.
 func (n *Nhfsstone) issue(lp *sim.Proc, rng *rand.Rand, proc uint32) error {
 	f := n.files[rng.Intn(len(n.files))]
+	var d *xdr.Decoder
 	var err error
 	switch proc {
 	case nfsproto.ProcLookup:
-		_, err = n.Tr.Call(lp, nfsproto.ProcLookup, func(e *xdr.Encoder) {
+		d, err = n.Tr.Call(lp, nfsproto.ProcLookup, func(e *xdr.Encoder) {
 			(&nfsproto.DiropArgs{Dir: n.Root, Name: f.name}).Encode(e)
 		})
 	case nfsproto.ProcGetattr:
-		_, err = n.Tr.Call(lp, nfsproto.ProcGetattr, func(e *xdr.Encoder) {
+		d, err = n.Tr.Call(lp, nfsproto.ProcGetattr, func(e *xdr.Encoder) {
 			(&nfsproto.GetattrArgs{File: f.fh}).Encode(e)
 		})
 	case nfsproto.ProcRead:
@@ -327,15 +333,17 @@ func (n *Nhfsstone) issue(lp *sim.Proc, rng *rand.Rand, proc uint32) error {
 		if n.Cfg.FileSize < nfsproto.MaxData {
 			count = uint32(n.Cfg.FileSize)
 		}
-		var d *xdr.Decoder
 		d, err = n.Tr.Call(lp, nfsproto.ProcRead, func(e *xdr.Encoder) {
 			(&nfsproto.ReadArgs{File: f.fh, Offset: 0, Count: count}).Encode(e)
 		})
 		if err == nil {
-			_, err = nfsproto.DecodeReadRes(d)
+			var res *nfsproto.ReadRes
+			if res, err = nfsproto.DecodeReadRes(d); err == nil && res.Data != nil {
+				res.Data.Free()
+			}
 		}
 	case nfsproto.ProcReaddir:
-		_, err = n.Tr.Call(lp, nfsproto.ProcReaddir, func(e *xdr.Encoder) {
+		d, err = n.Tr.Call(lp, nfsproto.ProcReaddir, func(e *xdr.Encoder) {
 			(&nfsproto.ReaddirArgs{Dir: n.Root, Cookie: 0, Count: 4096}).Encode(e)
 		})
 	case nfsproto.ProcWrite:
@@ -346,8 +354,7 @@ func (n *Nhfsstone) issue(lp *sim.Proc, rng *rand.Rand, proc uint32) error {
 		if count == 0 {
 			count = 512
 		}
-		data := make([]byte, count)
-		var d *xdr.Decoder
+		data := n.zeros[:count]
 		d, err = n.Tr.Call(lp, nfsproto.ProcWrite, func(e *xdr.Encoder) {
 			(&nfsproto.WriteArgs{File: f.fh, Offset: 0, Data: chainOf(data)}).Encode(e)
 		})
@@ -357,7 +364,7 @@ func (n *Nhfsstone) issue(lp *sim.Proc, rng *rand.Rand, proc uint32) error {
 	case nfsproto.ProcSetattr:
 		attr := nfsproto.NewSattr()
 		attr.Mode = 0644
-		_, err = n.Tr.Call(lp, nfsproto.ProcSetattr, func(e *xdr.Encoder) {
+		d, err = n.Tr.Call(lp, nfsproto.ProcSetattr, func(e *xdr.Encoder) {
 			(&nfsproto.SetattrArgs{File: f.fh, Attr: attr}).Encode(e)
 		})
 	case nfsproto.ProcReadlink:
@@ -365,13 +372,15 @@ func (n *Nhfsstone) issue(lp *sim.Proc, rng *rand.Rand, proc uint32) error {
 			return nil
 		}
 		link := n.links[rng.Intn(len(n.links))]
-		var d *xdr.Decoder
 		d, err = n.Tr.Call(lp, nfsproto.ProcLookup, func(e *xdr.Encoder) {
 			(&nfsproto.DiropArgs{Dir: n.Root, Name: link}).Encode(e)
 		})
 		if err == nil {
-			if res, derr := nfsproto.DecodeDiropRes(d); derr == nil && res.Status == nfsproto.OK {
-				_, err = n.Tr.Call(lp, nfsproto.ProcReadlink, func(e *xdr.Encoder) {
+			res, derr := nfsproto.DecodeDiropRes(d)
+			n.Tr.Release(d)
+			d = nil
+			if derr == nil && res.Status == nfsproto.OK {
+				d, err = n.Tr.Call(lp, nfsproto.ProcReadlink, func(e *xdr.Encoder) {
 					(&nfsproto.GetattrArgs{File: res.File}).Encode(e)
 				})
 			}
@@ -381,7 +390,7 @@ func (n *Nhfsstone) issue(lp *sim.Proc, rng *rand.Rand, proc uint32) error {
 		name := fmt.Sprintf("nhtmp%05d", n.temp.next)
 		attr := nfsproto.NewSattr()
 		attr.Mode = 0644
-		_, err = n.Tr.Call(lp, nfsproto.ProcCreate, func(e *xdr.Encoder) {
+		d, err = n.Tr.Call(lp, nfsproto.ProcCreate, func(e *xdr.Encoder) {
 			(&nfsproto.CreateArgs{Where: nfsproto.DiropArgs{Dir: n.Root, Name: name}, Attr: attr}).Encode(e)
 		})
 		if err == nil {
@@ -393,17 +402,20 @@ func (n *Nhfsstone) issue(lp *sim.Proc, rng *rand.Rand, proc uint32) error {
 		}
 		name := n.temp.name
 		n.temp.name = ""
-		_, err = n.Tr.Call(lp, nfsproto.ProcRemove, func(e *xdr.Encoder) {
+		d, err = n.Tr.Call(lp, nfsproto.ProcRemove, func(e *xdr.Encoder) {
 			(&nfsproto.DiropArgs{Dir: n.Root, Name: name}).Encode(e)
 		})
 	case nfsproto.ProcStatfs:
-		_, err = n.Tr.Call(lp, nfsproto.ProcStatfs, func(e *xdr.Encoder) {
+		d, err = n.Tr.Call(lp, nfsproto.ProcStatfs, func(e *xdr.Encoder) {
 			(&nfsproto.GetattrArgs{File: n.Root}).Encode(e)
 		})
 	default:
-		_, err = n.Tr.Call(lp, nfsproto.ProcGetattr, func(e *xdr.Encoder) {
+		d, err = n.Tr.Call(lp, nfsproto.ProcGetattr, func(e *xdr.Encoder) {
 			(&nfsproto.GetattrArgs{File: f.fh}).Encode(e)
 		})
+	}
+	if d != nil {
+		n.Tr.Release(d)
 	}
 	return err
 }

@@ -106,7 +106,8 @@ func (e *Encoder) PutString(s string) {
 // Decoder reads XDR items from an mbuf chain. The mbuf Dissector is embedded
 // by value (one allocation, inline straddle scratch included).
 type Decoder struct {
-	d mbuf.Dissector
+	d   mbuf.Dissector
+	src *mbuf.Chain
 	// MaxItem bounds variable-length items to guard against garbage
 	// lengths; zero means the package default (1 MiB).
 	MaxItem int
@@ -117,13 +118,16 @@ const defaultMaxItem = 1 << 20
 // NewDecoder returns a Decoder reading from the start of c.
 func NewDecoder(c *mbuf.Chain) *Decoder {
 	d := &Decoder{}
-	d.d.Reset(c)
+	d.Reset(c)
 	return d
 }
 
 // Reset re-points the decoder at the start of c for reuse without
 // allocation.
-func (d *Decoder) Reset(c *mbuf.Chain) { d.d.Reset(c) }
+func (d *Decoder) Reset(c *mbuf.Chain) { d.d.Reset(c); d.src = c }
+
+// Source returns the chain the decoder was last pointed at.
+func (d *Decoder) Source() *mbuf.Chain { return d.src }
 
 // Remaining returns the number of unread bytes.
 func (d *Decoder) Remaining() int { return d.d.Remaining() }
@@ -239,6 +243,28 @@ func (d *Decoder) OpaqueView() (*mbuf.Chain, error) {
 		}
 	}
 	return c, nil
+}
+
+// OpaqueTo decodes variable-length opaque data into dst and returns its
+// length: the copy a caller that keeps the bytes makes anyway, taken from
+// the source chain without a view. Data longer than dst is an error.
+func (d *Decoder) OpaqueTo(dst []byte) (int, error) {
+	n, err := d.Uint32()
+	if err != nil {
+		return 0, err
+	}
+	if int(n) > len(dst) {
+		return 0, fmt.Errorf("%w: opaque length %d past %d", ErrBadValue, n, len(dst))
+	}
+	if err := d.d.CopyOut(dst[:n]); err != nil {
+		return 0, err
+	}
+	if pad := Pad(int(n)) - int(n); pad > 0 {
+		if err := d.d.Skip(pad); err != nil {
+			return 0, err
+		}
+	}
+	return int(n), nil
 }
 
 // String decodes an XDR string.

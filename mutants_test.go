@@ -38,7 +38,7 @@ var mutants = []struct {
 		"		if ev := e.peek(); e.queued.Load() > 0 && (ev == nil || ev.when > wall) {",
 		"./internal/sim", "TestPostRunsWhileBehind"},
 	{"internal/server/frontends.go",
-		"				if !j.keep {",
+		"				if !j.dg.Duplicated {",
 		"				if j.req != nil {",
 		"./internal/server", "TestDuplicatedRequestServedTwice"},
 	{"internal/metrics/histogram.go",
@@ -111,6 +111,22 @@ var mutants = []struct {
 		"			if probe.pending() == 0 && (!owned || nread >= maxBatch) {",
 		"			if !owned || nread >= maxBatch {",
 		"./internal/nfsnet", "TestSpanPipelineConcurrent"},
+	// Recycled records: a reply handed back frees the message its decoder
+	// reads, so it goes back only once the READ data is copied out; a
+	// duplicated frame's copy holds the datagram; a recycled datagram comes
+	// back clean.
+	{"internal/client/io.go",
+		"		res, n, err := nfsproto.DecodeReadResTo(d, page[off:])\n		m.tr.Release(d)\n",
+		"		m.tr.Release(d)\n		res, n, err := nfsproto.DecodeReadResTo(d, page[off:])\n",
+		"./internal/client", "TestRandomizedIOAgainstModel"},
+	{"internal/netsim/link.go",
+		"			pk.dg.refs++ // the copy may deliver the datagram a second time\n",
+		"",
+		"./internal/netsim", "TestDuplicateHoldsRecycledDatagram"},
+	{"internal/netsim/net.go",
+		"	*dg = Datagram{home: home}",
+		"	*dg = Datagram{home: home, Corrupted: dg.Corrupted}",
+		"./internal/netsim", "TestRecycledDatagramCarriesNoFault"},
 }
 
 // TestMutants plants each mutant through go test -overlay (the working

@@ -15,8 +15,9 @@ import (
 
 // rigCall is one kind of back-to-back call loop through a Rig.
 type rigCall struct {
-	kind renonfs.TransportKind
-	read bool // an 8 KB READ of a preloaded file, else a GETATTR of the root
+	kind  renonfs.TransportKind
+	read  bool // an 8 KB READ of a preloaded file
+	write bool // an 8 KB WRITE over it; neither: a GETATTR of the root
 }
 
 // rigLoop is what rigCalls measured over its last n calls.
@@ -29,14 +30,15 @@ type rigLoop struct {
 // rigCalls runs warm+n calls of one kind through a fresh Rig, one after
 // another in one simulated process, and returns the rig (for its server
 // registry) and what the last n cost: client transport, simulated network
-// and server core together.
+// and server core together. Each reply is handed back once it arrives, as
+// the simulated clients do.
 func rigCalls(t *testing.T, c rigCall, warm, n int) (*renonfs.Rig, rigLoop) {
 	t.Helper()
 	r := renonfs.NewRig(renonfs.RigConfig{Seed: 1})
 	t.Cleanup(r.Close)
 	root := r.Server.RootFH()
 	proc, args := uint32(nfsproto.ProcGetattr), (&nfsproto.GetattrArgs{File: root}).Encode
-	if c.read {
+	if c.read || c.write {
 		f, err := r.FS.Create(nil, r.FS.Root(), "data", 0644)
 		if err == nil {
 			err = r.FS.WriteAt(nil, f, 0, make([]byte, 8192), 0)
@@ -44,7 +46,13 @@ func rigCalls(t *testing.T, c rigCall, warm, n int) (*renonfs.Rig, rigLoop) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		proc, args = nfsproto.ProcRead, (&nfsproto.ReadArgs{File: r.FS.FH(f), Count: 8192}).Encode
+		fh := r.FS.FH(f)
+		proc, args = nfsproto.ProcRead, (&nfsproto.ReadArgs{File: fh, Count: 8192}).Encode
+		if data := make([]byte, 8192); c.write {
+			proc, args = nfsproto.ProcWrite, func(e *xdr.Encoder) {
+				(&nfsproto.WriteArgs{File: fh, Data: mbuf.FromBytes(data)}).Encode(e)
+			}
+		}
 	}
 	var ms runtime.MemStats
 	var before uint64
@@ -64,10 +72,12 @@ func rigCalls(t *testing.T, c rigCall, warm, n int) (*renonfs.Rig, rigLoop) {
 				before = ms.Mallocs
 				w0 = r.Env.Counts()
 			}
-			if _, err := tr.Call(p, proc, args); err != nil {
+			d, err := tr.Call(p, proc, args)
+			if err != nil {
 				t.Errorf("call %d: %v", i, err)
 				return
 			}
+			tr.Release(d)
 			done++
 			loop.maxQueued = max(loop.maxQueued, r.Env.Counts().Queued)
 		}
