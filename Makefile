@@ -52,8 +52,11 @@ mutants:
 loc:
 	@{ find internal cmd -name '*.go' ! -name '*_test.go'; ls *.go | grep -v _test.go; } | xargs cat | wc -l
 
+# Then the mbuf Append + Free loop at one and two CPUs, counting nothing and
+# counting into a registry (not a gate: ns/op on a shared VM is not steady).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime 1x ./...
+	$(GO) test -run '^$$' -bench=AppendFreeParallel -benchmem -cpu 1,2 ./internal/mbuf
 
 # One iteration of every benchmark plus the deterministic regression gates:
 # per-call allocation and copy budgets (a LOOKUP through the byte entry

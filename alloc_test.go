@@ -365,7 +365,7 @@ func TestAllocBudgetFastPath(t *testing.T) {
 // TestReadReplyZeroCopy pins the headline property: serving a contiguous
 // 8 KB READ moves no payload bytes on the server side. The reply loans the
 // file's blocks into the chain (AppendExt) and the XDR layer reserves header
-// fields in place, so mbuf.Stats.CopiedBytes must not advance across
+// fields in place, so the mbuf.copied_bytes count must not advance across
 // HandleCall. (The client-side CopyTo/Bytes of the payload still copies, as
 // a real NIC DMA would; only the server path is required to be copy-free.)
 func TestReadReplyZeroCopy(t *testing.T) {
@@ -378,9 +378,11 @@ func TestReadReplyZeroCopy(t *testing.T) {
 	rpc.EncodeCall(req, &rpc.Call{XID: 99, Prog: nfsproto.Program, Vers: nfsproto.Version, Proc: nfsproto.ProcRead})
 	(&nfsproto.ReadArgs{File: fh, Offset: 0, Count: 8192}).Encode(xdr.NewEncoder(req))
 
-	before := mbuf.Stats.CopiedBytes.Load()
+	reg := metrics.NewRegistry()
+	mbuf.CountInto(reg)
 	rep := s.HandleCall(nil, "zero-copy-peer", req)
-	copied := mbuf.Stats.CopiedBytes.Load() - before
+	mbuf.CountInto(nil)
+	copied := reg.Counter("mbuf.copied_bytes").Value()
 
 	if rep == nil {
 		t.Fatal("nil READ reply")
@@ -396,8 +398,7 @@ func TestReadReplyZeroCopy(t *testing.T) {
 	if err != nil || res.Status != nfsproto.OK || res.Data.Len() != 8192 {
 		t.Fatalf("READ: err %v status %v len %d", err, res.Status, res.Data.Len())
 	}
-	loaned := mbuf.Stats.LoanedBytes.Load()
-	if loaned == 0 {
+	if loaned := reg.Counter("mbuf.loaned_bytes").Value(); loaned == 0 {
 		t.Error("READ reply loaned no bytes; expected the file blocks on loan")
 	}
 	res.Data.Free()

@@ -41,6 +41,7 @@ import (
 	"os/signal"
 	"strings"
 
+	"renonfs/internal/mbuf"
 	"renonfs/internal/memfs"
 	"renonfs/internal/metrics"
 	"renonfs/internal/nfsnet"
@@ -79,6 +80,7 @@ func main() {
 	}
 	opts.Readers = *readers
 	srv := server.New(fs, opts)
+	mbuf.CountInto(srv.Metrics) // the copy traffic §3 of the paper is about
 	for _, path := range strings.Split(*exports, ",") {
 		if path != "" {
 			srv.Export(path)
@@ -127,13 +129,12 @@ func writeTrace(path string, s *nfsnet.Server) error {
 	return metrics.WriteChromeTrace(f, s.Stages().Ring().Slowest(), nfsproto.ProcName)
 }
 
-// snapshot refreshes the lazily published metrics — the mbuf pool/copy
-// counters, the lease table size, the nfsd-pool gauge and the lockstat site
-// counters — and copies the registry. It reads atomics only, so it runs
-// concurrently with request handling without locking.
+// snapshot refreshes the lazily published metrics — the lease table size,
+// the nfsd-pool gauge and the lockstat site counters — and copies the
+// registry. It reads atomics only, so it runs concurrently with request
+// handling without locking.
 func snapshot(s *nfsnet.Server) *metrics.Snapshot {
 	srv := s.Core()
-	srv.PublishMbufStats()
 	srv.PublishLeaseStats()
 	s.PublishStats()
 	return srv.Metrics.Snapshot()

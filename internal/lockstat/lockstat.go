@@ -136,7 +136,7 @@ func Since(before []Stat) []Stat {
 
 // Publish mirrors every site into reg as lock.<site>.contended and
 // lock.<site>.wait_us counters (the nfsd stats endpoint calls this before
-// each snapshot, like PublishMbufStats).
+// each snapshot).
 func Publish(reg *metrics.Registry) {
 	for _, st := range Stats() {
 		reg.Counter("lock." + st.Name + ".contended").Store(st.Contended)

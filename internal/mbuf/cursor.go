@@ -32,7 +32,7 @@ func (b *Builder) Chain() *Chain { return b.c }
 
 // Next reserves n contiguous bytes at the end of the chain and returns the
 // slice to fill in — the nfsm_build contract. Fields larger than a cluster
-// are rejected; callers append bulk data with Chain.Append/AppendCluster.
+// are rejected; callers append bulk data with Chain.Append/AppendExt.
 func (b *Builder) Next(n int) []byte {
 	if n > ClBytes {
 		panic(fmt.Sprintf("mbuf: Builder.Next(%d) exceeds cluster size", n))
@@ -62,7 +62,7 @@ func (b *Builder) Next(n int) []byte {
 func (b *Builder) WriteBytes(p []byte) {
 	if len(p) <= MLen {
 		copy(b.Next(len(p)), p)
-		Stats.CopiedBytes.Add(int64(len(p)))
+		count(copiedBytes, len(p))
 		return
 	}
 	b.c.Append(p)
@@ -150,7 +150,7 @@ func (d *Dissector) Next(n int) ([]byte, error) {
 		got += take
 		d.off += take
 	}
-	Stats.CopiedBytes.Add(int64(n))
+	count(copiedBytes, n)
 	d.remain -= n
 	return out, nil
 }
@@ -206,7 +206,7 @@ func (d *Dissector) CopyOut(dst []byte) error {
 		d.off += take
 		d.remain -= take
 	}
-	Stats.CopiedBytes.Add(int64(n))
+	count(copiedBytes, n)
 	return nil
 }
 

@@ -15,12 +15,17 @@
 // file block — can be loaned into a chain without copying via AppendExt, the
 // analogue of BSD cluster loaning.
 //
-// The package keeps global counters of memory-to-memory copy traffic, pool
-// behaviour and loaned bytes so the experiments in §3 of the paper (copy
-// avoidance) can be observed directly.
+// The package counts memory-to-memory copy traffic, pool behaviour and
+// loaned bytes into the registry CountInto names, so the experiments in §3
+// of the paper (copy avoidance) can be observed directly. A process that
+// names none counts nothing.
 package mbuf
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"renonfs/internal/metrics"
+)
 
 const (
 	// MLen is the data capacity of a small mbuf (BSD: MSIZE minus header).
@@ -29,59 +34,54 @@ const (
 	ClBytes = 2048
 )
 
-// Counters aggregates package-wide copy and allocation statistics.
-type Counters struct {
-	// CopiedBytes counts bytes moved by memory-to-memory copies performed
-	// by this package (linearization, boundary-straddling reads, FromBytes).
-	CopiedBytes atomic.Int64
-	// SmallAllocs and ClusterAllocs count mbuf allocations by kind
-	// (including pool hits; PoolMisses counts the ones that reached the Go
-	// allocator).
-	SmallAllocs   atomic.Int64
-	ClusterAllocs atomic.Int64
-	// PoolHits and PoolMisses count free-list behaviour of the small and
-	// cluster allocators.
-	PoolHits   atomic.Int64
-	PoolMisses atomic.Int64
-	// LoanedBytes counts bytes of external storage grafted into chains by
-	// AppendExt without copying (the cluster-loaning path).
-	LoanedBytes atomic.Int64
+// Indexes into counts. Copied bytes are memory-to-memory
+// copies (linearization, boundary-straddling reads, FromBytes, memfs's
+// copy-on-write); small and cluster allocations include pool hits, and
+// pool misses count the ones that reached the Go allocator; loaned bytes
+// are external storage grafted into chains by AppendExt without copying.
+const (
+	copiedBytes = iota
+	smallAllocs
+	clusterAllocs
+	poolHits
+	poolMisses
+	loanedBytes
+	numCounts
+)
+
+var countNames = [numCounts]string{
+	"mbuf.copied_bytes", "mbuf.small_allocs", "mbuf.cluster_allocs",
+	"mbuf.pool_hits", "mbuf.pool_misses", "mbuf.loaned_bytes",
 }
 
-// Stats is the package-wide counter instance.
-var Stats Counters
+type counts [numCounts]*metrics.Counter
 
-// Reset zeroes all counters.
-func (c *Counters) Reset() {
-	c.CopiedBytes.Store(0)
-	c.SmallAllocs.Store(0)
-	c.ClusterAllocs.Store(0)
-	c.PoolHits.Store(0)
-	c.PoolMisses.Store(0)
-	c.LoanedBytes.Store(0)
+// into holds the counters of the registry the package adds to; nil counts
+// nothing.
+var into atomic.Pointer[counts]
+
+// CountInto makes the package add its counts to reg's mbuf.* counters from
+// now on, and a nil reg (the default) stops counting. Counts are
+// process-wide, so one registry — nfsd's, or a test's own — holds them.
+func CountInto(reg *metrics.Registry) {
+	if reg == nil {
+		into.Store(nil)
+		return
+	}
+	var c counts
+	for i, name := range countNames {
+		c[i] = reg.Counter(name)
+	}
+	into.Store(&c)
 }
 
-// StatsSnapshot is a plain-value copy of the package counters, for metrics
-// export (nfsd -stats, nfsstat) and test assertions.
-type StatsSnapshot struct {
-	CopiedBytes   int64
-	SmallAllocs   int64
-	ClusterAllocs int64
-	PoolHits      int64
-	PoolMisses    int64
-	LoanedBytes   int64
-}
+// CountCopy counts n bytes copied outside the package, the way its own
+// copies are counted (memfs's copy-on-write block replace).
+func CountCopy(n int) { count(copiedBytes, n) }
 
-// Snapshot reads every counter atomically (each value individually, the
-// nfsstat guarantee).
-func (c *Counters) Snapshot() StatsSnapshot {
-	return StatsSnapshot{
-		CopiedBytes:   c.CopiedBytes.Load(),
-		SmallAllocs:   c.SmallAllocs.Load(),
-		ClusterAllocs: c.ClusterAllocs.Load(),
-		PoolHits:      c.PoolHits.Load(),
-		PoolMisses:    c.PoolMisses.Load(),
-		LoanedBytes:   c.LoanedBytes.Load(),
+func count(i, n int) {
+	if c := into.Load(); c != nil {
+		c[i].Add(int64(n))
 	}
 }
 
@@ -223,7 +223,7 @@ func (c *Chain) appendMbuf(m *Mbuf) {
 // Append copies b onto the end of the chain, allocating clusters for bulk
 // data and small mbufs for short tails, the way sosend does.
 func (c *Chain) Append(b []byte) {
-	Stats.CopiedBytes.Add(int64(len(b)))
+	count(copiedBytes, len(b))
 	for len(b) > 0 {
 		var m *Mbuf
 		if len(b) > MLen {
@@ -238,14 +238,6 @@ func (c *Chain) Append(b []byte) {
 	}
 }
 
-// AppendCluster grafts an externally produced, cluster-sized buffer onto the
-// chain without copying — the analogue of lending a buffer-cache page to the
-// network code. The caller must not modify b afterwards.
-func (c *Chain) AppendCluster(b []byte) {
-	Stats.ClusterAllocs.Add(1)
-	c.appendExt(b)
-}
-
 // AppendExt loans caller-owned storage into the chain without copying: the
 // Go analogue of BSD external-storage mbufs (cluster loaning). The chain
 // references b directly, so the lender must keep b stable until every chain
@@ -256,7 +248,7 @@ func (c *Chain) AppendExt(b []byte) {
 	if len(b) == 0 {
 		return
 	}
-	Stats.LoanedBytes.Add(int64(len(b)))
+	count(loanedBytes, len(b))
 	c.appendExt(b)
 }
 
@@ -345,7 +337,7 @@ func (c *Chain) MoveFront(dst *Chain, n int) {
 // Prepend inserts b before the existing data (m_prepend): used for RPC
 // record marks and lower-layer headers.
 func (c *Chain) Prepend(b []byte) {
-	Stats.CopiedBytes.Add(int64(len(b)))
+	count(copiedBytes, len(b))
 	var m *Mbuf
 	if len(b) <= MLen {
 		m = newSmall()
@@ -378,7 +370,7 @@ func (c *Chain) Bytes() []byte {
 	for m := c.head; m != nil; m = m.next {
 		out = append(out, m.Data()...)
 	}
-	Stats.CopiedBytes.Add(int64(c.length))
+	count(copiedBytes, c.length)
 	return out
 }
 
@@ -389,7 +381,7 @@ func (c *Chain) CopyTo(dst []byte) int {
 	for m := c.head; m != nil; m = m.next {
 		n += copy(dst[n:], m.Data())
 	}
-	Stats.CopiedBytes.Add(int64(n))
+	count(copiedBytes, n)
 	return n
 }
 

@@ -44,14 +44,14 @@ func putHdr(m *Mbuf) {
 // newSmall allocates a small mbuf, preferring the free list. A miss
 // allocates the header and its storage as one object, as newCluster does.
 func newSmall() *Mbuf {
-	Stats.SmallAllocs.Add(1)
+	count(smallAllocs, 1)
 	if v := smallPool.Get(); v != nil {
-		Stats.PoolHits.Add(1)
+		count(poolHits, 1)
 		m := v.(*Mbuf)
 		m.refs.Store(1)
 		return m
 	}
-	Stats.PoolMisses.Add(1)
+	count(poolMisses, 1)
 	s := &struct {
 		m    Mbuf
 		data [MLen]byte
@@ -64,14 +64,14 @@ func newSmall() *Mbuf {
 
 // newCluster allocates a cluster mbuf, preferring the free list.
 func newCluster() *Mbuf {
-	Stats.ClusterAllocs.Add(1)
+	count(clusterAllocs, 1)
 	if v := clusterPool.Get(); v != nil {
-		Stats.PoolHits.Add(1)
+		count(poolHits, 1)
 		m := v.(*Mbuf)
 		m.refs.Store(1)
 		return m
 	}
-	Stats.PoolMisses.Add(1)
+	count(poolMisses, 1)
 	s := &struct {
 		m    Mbuf
 		data [ClBytes]byte
@@ -139,7 +139,7 @@ func (c *Cache) getCluster() *Mbuf {
 // AppendTo copies b onto the end of ch like Chain.Append, drawing storage
 // from the cache.
 func (c *Cache) AppendTo(ch *Chain, b []byte) {
-	Stats.CopiedBytes.Add(int64(len(b)))
+	count(copiedBytes, len(b))
 	for len(b) > 0 {
 		var m *Mbuf
 		if len(b) > MLen {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+
+	"renonfs/internal/metrics"
 )
 
 // TestPoolRecyclesStorage: a build/free cycle returns mbufs to the free
@@ -19,12 +21,11 @@ func TestPoolRecyclesStorage(t *testing.T) {
 		t.Fatalf("freed chain not empty: len=%d segs=%d", c.Len(), c.Segments())
 	}
 
-	Stats.Reset()
+	n := counting(t)
 	c2 := FromBytes(payload)
 	defer c2.Free()
-	snap := Stats.Snapshot()
-	if snap.PoolHits == 0 {
-		t.Fatalf("second pass had no pool hits (misses=%d)", snap.PoolMisses)
+	if n[poolHits].Value() == 0 {
+		t.Fatalf("second pass had no pool hits (misses=%d)", n[poolMisses].Value())
 	}
 	if got := c2.Bytes(); !bytes.Equal(got, payload) {
 		t.Fatal("round trip mismatch on recycled storage")
@@ -87,20 +88,23 @@ func TestViewOfViewChasesRootOwner(t *testing.T) {
 	v2.Free()
 }
 
-// TestAppendExtLoansWithoutCopy: loaned storage is referenced, not copied,
-// and never returns to the pools.
+// TestAppendExtLoansWithoutCopy: loaned storage is referenced, not copied
+// and not allocated, counts as cluster storage, and never returns to the
+// pools.
 func TestAppendExtLoansWithoutCopy(t *testing.T) {
-	Stats.Reset()
+	n := counting(t)
 	page := bytes.Repeat([]byte{0x77}, 8192)
 	c := &Chain{}
 	c.AppendExt(page[:4096])
 	c.AppendExt(page[4096:])
-	snap := Stats.Snapshot()
-	if snap.CopiedBytes != 0 {
-		t.Fatalf("AppendExt copied %d bytes, want 0", snap.CopiedBytes)
+	if got := n[copiedBytes].Value(); got != 0 {
+		t.Fatalf("AppendExt copied %d bytes, want 0", got)
 	}
-	if snap.LoanedBytes != 8192 {
-		t.Fatalf("LoanedBytes = %d, want 8192", snap.LoanedBytes)
+	if got := n[loanedBytes].Value(); got != 8192 {
+		t.Fatalf("LoanedBytes = %d, want 8192", got)
+	}
+	if got := n[clusterAllocs].Value() + n[smallAllocs].Value(); got != 0 {
+		t.Fatalf("AppendExt allocated %d mbufs, want 0", got)
 	}
 	// The chain aliases the page.
 	page[0] = 0x11
@@ -125,7 +129,7 @@ func TestWrapIsUncounted(t *testing.T) {
 		t.Fatal("wrapping no bytes grew the chain")
 	}
 	for round := byte(0); round < 2; round++ {
-		Stats.Reset()
+		n := counting(t)
 		buf[200] = round
 		c.Wrap(buf)
 		if c.Len() != len(buf) || c.Segments() != 1 {
@@ -145,9 +149,10 @@ func TestWrapIsUncounted(t *testing.T) {
 		if !c.Empty() {
 			t.Fatal("Free left the wrapped chain non-empty")
 		}
-		snap := Stats.Snapshot()
-		if snap.CopiedBytes != 0 || snap.LoanedBytes != 0 || snap.ClusterAllocs != 0 || snap.SmallAllocs != 0 {
-			t.Fatalf("wrap moved counters: %+v", snap)
+		for i, c := range n {
+			if c.Value() != 0 {
+				t.Fatalf("wrap moved %s by %d", countNames[i], c.Value())
+			}
 		}
 	}
 }
@@ -157,7 +162,7 @@ func TestWrapIsUncounted(t *testing.T) {
 func TestDissectorNextChainZeroCopy(t *testing.T) {
 	payload := bytes.Repeat([]byte{0x42}, 3*ClBytes)
 	c := FromBytes(payload)
-	Stats.Reset()
+	n := counting(t)
 	d := NewDissector(c)
 	if err := d.Skip(10); err != nil {
 		t.Fatal(err)
@@ -166,7 +171,7 @@ func TestDissectorNextChainZeroCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := Stats.CopiedBytes.Load(); got != 0 {
+	if got := n[copiedBytes].Value(); got != 0 {
 		t.Fatalf("NextChain copied %d bytes, want 0", got)
 	}
 	if view.Len() != 2*ClBytes {
@@ -252,12 +257,12 @@ func TestCacheFromBytesRoundTrip(t *testing.T) {
 // TestCacheBatchRefill verifies the point of the Cache: the shared pools
 // are touched once per CacheBatch allocations, not once per mbuf.
 func TestCacheBatchRefill(t *testing.T) {
-	Stats.Reset()
+	n := counting(t)
 	var cache Cache
 	defer cache.Drain()
 	one := []byte{0xaa}
 	chains := []*Chain{cache.FromBytes(one)}
-	if got := Stats.SmallAllocs.Load(); got != CacheBatch {
+	if got := n[smallAllocs].Value(); got != CacheBatch {
 		t.Fatalf("first allocation pulled %d smalls from the pools, want one batch of %d",
 			got, CacheBatch)
 	}
@@ -265,19 +270,19 @@ func TestCacheBatchRefill(t *testing.T) {
 	for i := 1; i < CacheBatch; i++ {
 		chains = append(chains, cache.FromBytes(one))
 	}
-	if got := Stats.SmallAllocs.Load(); got != CacheBatch {
+	if got := n[smallAllocs].Value(); got != CacheBatch {
 		t.Fatalf("draining the cached batch still hit the pools: %d allocs, want %d",
 			got, CacheBatch)
 	}
 	// Allocation CacheBatch+1 triggers the next refill.
 	chains = append(chains, cache.FromBytes(one))
-	if got := Stats.SmallAllocs.Load(); got != 2*CacheBatch {
+	if got := n[smallAllocs].Value(); got != 2*CacheBatch {
 		t.Fatalf("refill pulled %d smalls total, want %d", got, 2*CacheBatch)
 	}
 	// Clusters batch independently.
 	big := make([]byte, MLen+1)
 	chains = append(chains, cache.FromBytes(big))
-	if got := Stats.ClusterAllocs.Load(); got != CacheBatch {
+	if got := n[clusterAllocs].Value(); got != CacheBatch {
 		t.Fatalf("first cluster allocation pulled %d from the pools, want %d",
 			got, CacheBatch)
 	}
@@ -294,9 +299,9 @@ func TestCacheDrainRecyclesParkedStorage(t *testing.T) {
 	c := cache.FromBytes([]byte{1}) // parks CacheBatch-1 smalls in the cache
 	c.Free()
 	cache.Drain()
-	Stats.Reset()
+	n := counting(t)
 	c2 := FromBytes([]byte{2}) // package-level: straight from the shared pool
-	if hits := Stats.PoolHits.Load(); hits != 1 {
+	if hits := n[poolHits].Value(); hits != 1 {
 		t.Fatalf("allocation after Drain missed the pool (hits=%d): drained storage was stranded", hits)
 	}
 	c2.Free()
@@ -307,4 +312,27 @@ func TestCacheDrainRecyclesParkedStorage(t *testing.T) {
 	}
 	c3.Free()
 	cache.Drain()
+}
+
+// BenchmarkAppendFreeParallel runs a 200-byte Append + Free on every
+// goroutine RunParallel starts, counting nothing (the simulator's case)
+// and counting into a registry (nfsd's). make bench runs it at -cpu 1,2:
+// the counted case's counters are shared by every goroutine.
+func BenchmarkAppendFreeParallel(b *testing.B) {
+	payload := make([]byte, 200)
+	for _, name := range []string{"uncounted", "counted"} {
+		b.Run(name, func(b *testing.B) {
+			if name == "counted" {
+				CountInto(metrics.NewRegistry())
+				defer CountInto(nil)
+			}
+			b.RunParallel(func(pb *testing.PB) {
+				for pb.Next() {
+					var c Chain
+					c.Append(payload)
+					c.Free()
+				}
+			})
+		})
+	}
 }

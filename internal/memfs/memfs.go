@@ -36,9 +36,10 @@ import (
 	"renonfs/internal/vfs"
 )
 
-// Contention sites for the two memfs lock populations (process-global, like
-// mbuf.Stats): the namespace RW lock and the per-inode data/meta locks —
-// both named suspects in the multicore scaling hunt.
+// Contention sites for the two memfs lock populations (process-global: every
+// memfs instance in the process shares them): the namespace RW lock and the
+// per-inode data/meta locks — both named suspects in the multicore scaling
+// hunt.
 var (
 	treeSite  = lockstat.NewSite("memfs.tree")
 	inodeSite = lockstat.NewSite("memfs.inode")
@@ -692,7 +693,7 @@ func (fs *FS) writableBlock(n *Inode, b uint32) []byte {
 	if n.loaned[b] {
 		fresh := make([]byte, BlockSize)
 		copy(fresh, blk)
-		mbuf.Stats.CopiedBytes.Add(BlockSize)
+		mbuf.CountCopy(BlockSize)
 		n.blocks[b] = fresh
 		delete(n.loaned, b)
 		return fresh

@@ -32,8 +32,8 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Store sets the counter to v: used to mirror externally maintained
-// monotonic counters (e.g. the mbuf pool statistics) into a registry.
+// Store sets the counter to v: lockstat uses it to mirror its per-site
+// contention counts into a registry.
 func (c *Counter) Store(v int64) { c.v.Store(v) }
 
 // Value returns the current count.

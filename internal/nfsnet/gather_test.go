@@ -20,8 +20,16 @@ import (
 )
 
 // Gather-send tests: reply chains leave the socket as iovecs (DESIGN.md
-// §3.4). They read the package-wide mbuf.Stats, so none of them may run in
-// parallel with another test that moves mbufs.
+// §3.4). They read mbuf's counts, which every chain in the process adds to,
+// so none of them may run in parallel with another test that moves mbufs.
+
+// countMbufs points mbuf's counts at reg, as nfsd does, until the test ends,
+// and returns the named mbuf.* counter's reader.
+func countMbufs(t *testing.T, reg *metrics.Registry) func(name string) int64 {
+	mbuf.CountInto(reg)
+	t.Cleanup(func() { mbuf.CountInto(nil) })
+	return func(name string) int64 { return reg.Counter("mbuf." + name).Value() }
+}
 
 // callChain builds one NFS call as an mbuf chain.
 func callChain(xid, proc uint32, args func(e *xdr.Encoder)) *mbuf.Chain {
@@ -78,11 +86,11 @@ func blockPattern(seed byte) []byte {
 
 // TestRealSocketReadZeroCopy is the ROADMAP gate on real sockets: once
 // warm, an 8 KB READ over loopback UDP and over loopback TCP moves no
-// payload byte in user space on the server. mbuf.Stats.CopiedBytes may
+// payload byte in user space on the server. The mbuf.copied_bytes count may
 // advance by no more than the request (the ~84-byte call, which a reader
 // that has to spill copies into mbufs; served in place it is wrapped, and
-// the wrap is not a loan either), LoanedBytes by exactly the block memfs
-// lent, and the payload must arrive intact. The client below is a bare socket
+// the wrap is not a loan either), mbuf.loaned_bytes by exactly the block
+// memfs lent, and the payload must arrive intact. The client below is a bare socket
 // speaking pre-encoded bytes — nfsnet.Client moves its messages through
 // mbufs in this same process and would pollute the counters.
 func TestRealSocketReadZeroCopy(t *testing.T) {
@@ -107,6 +115,7 @@ func TestRealSocketReadZeroCopy(t *testing.T) {
 		}
 	}
 	fh := fs.FH(f)
+	count := countMbufs(t, srv.Metrics)
 	s, err := Serve(srv, "127.0.0.1:0", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -143,13 +152,11 @@ func TestRealSocketReadZeroCopy(t *testing.T) {
 		for i := 0; i < warm; i++ {
 			roundTrip(uint32(1000+i), i%blocks)
 		}
-		before := mbuf.Stats.Snapshot()
+		copied, loaned := count("copied_bytes"), count("loaned_bytes")
 		for i := 0; i < ops; i++ {
 			roundTrip(uint32(2000+i), i%blocks)
 		}
-		after := mbuf.Stats.Snapshot()
-		copied := after.CopiedBytes - before.CopiedBytes
-		loaned := after.LoanedBytes - before.LoanedBytes
+		copied, loaned = count("copied_bytes")-copied, count("loaned_bytes")-loaned
 		t.Logf("%s: %d READs copied %d B/op, loaned %d B/op", name, ops, copied/ops, loaned/ops)
 		if copied > ops*reqMax {
 			t.Errorf("%s: server copied %d bytes over %d READs (%d B/op), want <= %d B/op (the request only)",
@@ -252,6 +259,7 @@ func TestRealSocketWriteZeroCopy(t *testing.T) {
 		t.Fatal(err)
 	}
 	fh := fs.FH(f)
+	count := countMbufs(t, srv.Metrics)
 	s, err := Serve(srv, "127.0.0.1:0", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -276,13 +284,11 @@ func TestRealSocketWriteZeroCopy(t *testing.T) {
 	for i := 0; i < warm; i++ {
 		udpRoundTrip(t, uc, reqs[0][i%blocks], buf, uint32(1000+i))
 	}
-	before := mbuf.Stats.Snapshot()
+	copied, clusters := count("copied_bytes"), count("cluster_allocs")
 	for i := 0; i < ops; i++ {
 		udpRoundTrip(t, uc, reqs[1][i%blocks], buf, uint32(2000+i))
 	}
-	after := mbuf.Stats.Snapshot()
-	copied := after.CopiedBytes - before.CopiedBytes
-	clusters := after.ClusterAllocs - before.ClusterAllocs
+	copied, clusters = count("copied_bytes")-copied, count("cluster_allocs")-clusters
 	t.Logf("udp: %d WRITEs copied %d B/op, drew %d clusters", ops, copied/ops, clusters)
 	if copied > ops*repMax {
 		t.Errorf("server copied %d bytes over %d WRITEs (%d B/op), want <= %d B/op (the reply only)",
@@ -431,9 +437,9 @@ func TestStagedLoanSurvivesOverwrite(t *testing.T) {
 	conn, sink, dst := udpPair(t)
 	b, _ := testBatch(conn, false)
 
-	loaned := mbuf.Stats.LoanedBytes.Load()
+	count := countMbufs(t, srv.Metrics)
 	rep, _ := coreCall(t, srv, 1, nfsproto.ProcRead, readArgs)
-	if got := mbuf.Stats.LoanedBytes.Load() - loaned; got != memfs.BlockSize {
+	if got := count("loaned_bytes"); got != memfs.BlockSize {
 		t.Fatalf("READ reply loaned %d bytes, want the %d-byte block", got, memfs.BlockSize)
 	}
 	var sp metrics.Span
@@ -514,9 +520,9 @@ func TestPartialSendMopUp(t *testing.T) {
 		sp.Reset(time.Now())
 		b.addChain(chains[i], dst, &sp)
 	}
-	copied := mbuf.Stats.CopiedBytes.Load()
+	count := countMbufs(t, metrics.NewRegistry())
 	b.flush()
-	copied = mbuf.Stats.CopiedBytes.Load() - copied
+	copied := count("copied_bytes")
 
 	// The mop-up linearized the chains the raw writer left: all but the
 	// first where sendmmsg exists, every one elsewhere.

@@ -288,19 +288,6 @@ func (s *Server) Calls() int64 {
 	return n
 }
 
-// PublishMbufStats mirrors the mbuf package's pool/copy counters into the
-// server registry so the nfsd -stats endpoint and nfsstat report the copy
-// traffic §3 of the paper is about.
-func (s *Server) PublishMbufStats() {
-	ms := mbuf.Stats.Snapshot()
-	s.Metrics.Counter("mbuf.copied_bytes").Store(ms.CopiedBytes)
-	s.Metrics.Counter("mbuf.small_allocs").Store(ms.SmallAllocs)
-	s.Metrics.Counter("mbuf.cluster_allocs").Store(ms.ClusterAllocs)
-	s.Metrics.Counter("mbuf.pool_hits").Store(ms.PoolHits)
-	s.Metrics.Counter("mbuf.pool_misses").Store(ms.PoolMisses)
-	s.Metrics.Counter("mbuf.loaned_bytes").Store(ms.LoanedBytes)
-}
-
 // AttachNode binds the server to a simulated host for CPU accounting.
 func (s *Server) AttachNode(n *netsim.Node) { s.Node = n }
 

@@ -35,6 +35,7 @@ import (
 
 	"renonfs/internal/mbuf"
 	"renonfs/internal/netsim"
+	"renonfs/internal/rtt"
 	"renonfs/internal/sim"
 )
 
@@ -284,14 +285,13 @@ type Conn struct {
 	inRecov   bool
 	sendCond  *sim.Cond
 
-	// RTT estimation (A = srtt, D = rttvar).
-	srtt, rttvar sim.Time
-	rto          sim.Time
-	backoff      int
-	timing       bool
-	timedSeq     uint64
-	timedAt      sim.Time
-	rtxDeadline  sim.Time // zero when unarmed
+	// RTT estimation (A + 4D).
+	est         rtt.Estimator
+	backoff     int
+	timing      bool
+	timedSeq    uint64
+	timedAt     sim.Time
+	rtxDeadline sim.Time // zero when unarmed
 
 	// Receive state: in-order data goes to rcvQ as the segments' own
 	// chains, out-of-order data waits in ooo.
@@ -320,7 +320,7 @@ func newConn(st *Stack, localPort int, remote netsim.NodeID, remotePort int, q *
 		established: sim.NewEvent(st.env),
 		mss:         mtu - 34 - 20, // framing/IP + TCP headers
 		iss:         uint64(st.env.Rand().Intn(1 << 20)),
-		rto:         3 * time.Second, // pre-sample default, per BSD
+		est:         rtt.Estimator{Factor: 4},
 		backoff:     1,
 		rwnd:        RcvWindow,
 		ooo:         make(map[uint64]chunk),
@@ -598,15 +598,10 @@ func (c *Conn) armTimer(now sim.Time) {
 	}
 }
 
+// curRTO is A + 4D (3 s before any sample, per BSD) backed off, then
+// clamped to [MinRTO, MaxRTO].
 func (c *Conn) curRTO() sim.Time {
-	r := c.rto * sim.Time(c.backoff)
-	if r < MinRTO {
-		r = MinRTO
-	}
-	if r > MaxRTO {
-		r = MaxRTO
-	}
-	return r
+	return min(max(c.est.RTO(3*time.Second)*sim.Time(c.backoff), MinRTO), MaxRTO)
 }
 
 // flight returns the number of unacknowledged bytes in transit.
@@ -766,22 +761,6 @@ func (c *Conn) slowTimeout() {
 	// output() will retransmit and re-arm with the backed-off RTO.
 }
 
-// updateRTT folds one round-trip sample into the Jacobson estimator.
-func (c *Conn) updateRTT(sample sim.Time) {
-	if c.srtt == 0 {
-		c.srtt = sample
-		c.rttvar = sample / 2
-	} else {
-		delta := sample - c.srtt
-		c.srtt += delta / 8
-		if delta < 0 {
-			delta = -delta
-		}
-		c.rttvar += (delta - c.rttvar) / 4
-	}
-	c.rto = c.srtt + 4*c.rttvar
-}
-
 // RTO returns the current retransmit timeout (A + 4D, clamped).
 func (c *Conn) RTO() sim.Time { return c.curRTO() }
 
@@ -800,7 +779,7 @@ func (c *Conn) processAck(m *seg, payloadLen int) {
 		}
 		// New data acknowledged.
 		if c.timing && ack > c.timedSeq {
-			c.updateRTT(c.env.Now() - c.timedAt)
+			c.est.Sample(c.env.Now() - c.timedAt)
 			c.timing = false
 		}
 		acked := int(ack - c.sndUna)

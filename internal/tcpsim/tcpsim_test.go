@@ -8,6 +8,7 @@ import (
 
 	"renonfs/internal/mbuf"
 	"renonfs/internal/netsim"
+	"renonfs/internal/rtt"
 	"renonfs/internal/sim"
 )
 
@@ -264,28 +265,31 @@ func TestThroughputRespectsBandwidth(t *testing.T) {
 }
 
 func TestRTTEstimator(t *testing.T) {
-	c := &Conn{rto: 3 * time.Second}
-	c.updateRTT(100 * ms)
-	if c.srtt != 100*ms || c.rttvar != 50*ms {
-		t.Fatalf("first sample: srtt=%v rttvar=%v", c.srtt, c.rttvar)
+	c := &Conn{est: rtt.Estimator{Factor: 4}}
+	if r := c.curRTOForTest(); r != 3*time.Second {
+		t.Fatalf("rto before any sample = %v, want the 3s BSD default", r)
 	}
-	if c.rto != 100*ms+4*50*ms {
-		t.Fatalf("rto = %v, want A+4D = 300ms", c.rto)
+	c.est.Sample(100 * ms)
+	if c.est.SRTT != 100*ms || c.est.RTTVar != 50*ms {
+		t.Fatalf("first sample: srtt=%v rttvar=%v", c.est.SRTT, c.est.RTTVar)
+	}
+	if r := c.est.RTO(0); r != 100*ms+4*50*ms {
+		t.Fatalf("rto = %v, want A+4D = 300ms", r)
 	}
 	// Repeated identical samples shrink the variance toward zero.
 	for i := 0; i < 50; i++ {
-		c.updateRTT(100 * ms)
+		c.est.Sample(100 * ms)
 	}
-	if c.srtt < 95*ms || c.srtt > 105*ms {
-		t.Fatalf("srtt drifted: %v", c.srtt)
+	if c.est.SRTT < 95*ms || c.est.SRTT > 105*ms {
+		t.Fatalf("srtt drifted: %v", c.est.SRTT)
 	}
-	if c.rttvar > 5*ms {
-		t.Fatalf("rttvar did not converge: %v", c.rttvar)
+	if c.est.RTTVar > 5*ms {
+		t.Fatalf("rttvar did not converge: %v", c.est.RTTVar)
 	}
 	// A spike raises both the mean and the deviation.
 	before := c.curRTOForTest()
-	c.updateRTT(2 * time.Second)
-	if c.rto <= before {
+	c.est.Sample(2 * time.Second)
+	if c.curRTOForTest() <= before {
 		t.Fatal("RTO did not react to an RTT spike")
 	}
 }

@@ -101,46 +101,6 @@ type Transport interface {
 	Close()
 }
 
-// estimator is the Jacobson mean/deviation pair (A and D in the paper)
-// for one RPC class.
-type estimator struct {
-	srtt   sim.Time
-	rttvar sim.Time
-	valid  bool
-	factor sim.Time // RTO = A + factor*D
-}
-
-// sample folds in one round-trip measurement.
-func (e *estimator) sample(rtt sim.Time) {
-	if !e.valid {
-		e.srtt = rtt
-		e.rttvar = rtt / 2
-		e.valid = true
-		return
-	}
-	delta := rtt - e.srtt
-	e.srtt += delta / 8
-	if delta < 0 {
-		delta = -delta
-	}
-	e.rttvar += (delta - e.rttvar) / 4
-}
-
-// rto returns A + factor*D, or def before any sample, clamped.
-func (e *estimator) rto(def, min, max sim.Time) sim.Time {
-	r := def
-	if e.valid {
-		r = e.srtt + e.factor*e.rttvar
-	}
-	if r < min {
-		r = min
-	}
-	if r > max {
-		r = max
-	}
-	return r
-}
-
 // buildCall encodes a full RPC CALL message onto c, appending the arguments
 // through the transport's own encoder enc.
 func buildCall(enc *xdr.Encoder, c *mbuf.Chain, xid, prog, vers, proc uint32, args func(e *xdr.Encoder)) *mbuf.Chain {

@@ -8,6 +8,7 @@ import (
 	"renonfs/internal/netsim"
 	"renonfs/internal/nfsproto"
 	"renonfs/internal/rpc"
+	"renonfs/internal/rtt"
 	"renonfs/internal/sim"
 	"renonfs/internal/xdr"
 )
@@ -85,7 +86,7 @@ type UDP struct {
 	replies replies
 	enc     xdr.Encoder // builds every call message
 	msg     mbuf.Chain  // into this chain, which the socket's Send empties
-	est     [NumClasses]estimator
+	est     [NumClasses]rtt.Estimator
 	cwnd    float64
 	waiters *sim.Cond
 	wake    *sim.Cond // ends the timer's idle park (parkWhileIdle)
@@ -137,7 +138,7 @@ func newUDP(env *sim.Env, sock netsim.Endpoint, name string, cfg UDPConfig) *UDP
 		if c.Big() {
 			f = sim.Time(cfg.BigFactor)
 		}
-		t.est[c].factor = f
+		t.est[c].Factor = f
 	}
 	t.sock.Queue().Serve(t.receive)
 	env.Spawn(name+".udprpc-timer", t.timerLoop)
@@ -152,8 +153,13 @@ func (t *UDP) Env() *sim.Env { return t.env }
 
 // Estimator exposes (A, D, RTO) for a class, for traces and tests.
 func (t *UDP) Estimator(c Class) (srtt, rttvar, rto sim.Time) {
-	e := &t.est[c]
-	return e.srtt, e.rttvar, e.rto(t.cfg.Timeo, MinRTO, MaxRTO)
+	return t.est[c].SRTT, t.est[c].RTTVar, t.classRTO(c)
+}
+
+// classRTO is class c's A + factor*D, or the mount timeout before any
+// sample, clamped to [MinRTO, MaxRTO].
+func (t *UDP) classRTO(c Class) sim.Time {
+	return min(max(t.est[c].RTO(t.cfg.Timeo), MinRTO), MaxRTO)
 }
 
 // Cwnd returns the current congestion window (requests).
@@ -186,7 +192,7 @@ func (t *UDP) rtoFor(c Class) sim.Time {
 	}
 	switch c {
 	case ClassGetattr, ClassLookup, ClassRead, ClassWrite:
-		return t.est[c].rto(t.cfg.Timeo, MinRTO, MaxRTO)
+		return t.classRTO(c)
 	default:
 		// Infrequent, mostly non-idempotent RPCs keep the conservative
 		// mount constant.
@@ -304,7 +310,7 @@ func (t *UDP) receive(dg *netsim.Datagram) {
 		if !pc.retried {
 			switch pc.class {
 			case ClassGetattr, ClassLookup, ClassRead, ClassWrite:
-				t.est[pc.class].sample(rtt)
+				t.est[pc.class].Sample(rtt)
 			}
 		}
 		// Congestion window opens by one request per window's worth of

@@ -7,9 +7,9 @@ import (
 	"renonfs/internal/metrics"
 )
 
-// Per-kind contention sites, shared by every cache instance in the process
-// (the way mbuf.Stats is process-global): the scaling hunt wants "how much
-// time do nfsds spend waiting on buf-cache stripes", not a per-server split.
+// Per-kind contention sites, shared by every cache instance in the process:
+// the scaling hunt wants "how much time do nfsds spend waiting on buf-cache
+// stripes", not a per-server split.
 var (
 	bufSite  = lockstat.NewSite("vfs.bufcache")
 	nameSite = lockstat.NewSite("vfs.namecache")

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"renonfs/internal/mbuf"
+	"renonfs/internal/metrics"
 )
 
 func TestPad(t *testing.T) {
@@ -109,19 +110,21 @@ func TestFixedOpaqueAlignment(t *testing.T) {
 }
 
 func TestOpaqueChainZeroCopy(t *testing.T) {
-	mbuf.Stats.Reset()
+	reg := metrics.NewRegistry()
+	mbuf.CountInto(reg)
+	defer mbuf.CountInto(nil)
 	payload := &mbuf.Chain{}
 	page := make([]byte, 2048)
 	for i := range page {
 		page[i] = byte(i)
 	}
-	payload.AppendCluster(page)
+	payload.AppendExt(page)
 
 	c := &mbuf.Chain{}
 	e := NewEncoder(c)
 	e.PutOpaqueChain(payload)
 	// Only the 4-byte length should have been materialized by copying.
-	if copied := mbuf.Stats.CopiedBytes.Load(); copied > 16 {
+	if copied := reg.Counter("mbuf.copied_bytes").Value(); copied > 16 {
 		t.Fatalf("PutOpaqueChain copied %d bytes", copied)
 	}
 	d := NewDecoder(c)

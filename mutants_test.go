@@ -127,6 +127,11 @@ var mutants = []struct {
 		"	*dg = Datagram{home: home}",
 		"	*dg = Datagram{home: home, Corrupted: dg.Corrupted}",
 		"./internal/netsim", "TestRecycledDatagramCarriesNoFault"},
+	// A READ reply lends the file block; a copy of it is what §3 removed.
+	{"internal/memfs/memfs.go",
+		"			c.AppendExt(blk[bo : bo+nn])",
+		"			c.Append(blk[bo : bo+nn])",
+		".", "TestReadReplyZeroCopy"},
 }
 
 // TestMutants plants each mutant through go test -overlay (the working
