@@ -65,7 +65,7 @@ bench:
 # no-consistency bound. Timing comparisons belong to
 # `bash benchmark/run.sh -compare`, not here. The simulation kernel's budgets
 # ride on the first line: a Sleep (parked or not), a queue ping-pong round
-# trip, a RecvTimeout (timed out or woken), a contended Resource.Use,
+# trip, a WaitTimeout (timed out or woken), a contended Resource.Use,
 # callbacks due now, a park behind due callbacks and a Cond Wait/Broadcast
 # cycle each allocate 0, with its Sleep and queue benchmarks, and so does a
 # ChargeCPU; an 8 KB UDP datagram across a simulated link allocates nothing

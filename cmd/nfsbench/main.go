@@ -65,7 +65,6 @@ func main() {
 		fleetRPS       = flag.String("fleet-rps", "150,250,350,500,750,1000,2000", "comma list of offered aggregate RPS (the load curve's x axis)")
 		fleetScenarios = flag.String("fleet-scenarios", "flashcrowd,remountherd,retransmitstorm", "comma list of hostile scenario scripts (empty: curve only)")
 		fleetReal      = flag.Bool("fleet-real", false, "drive real UDP sockets (internal/nfsnet) instead of the simulator")
-		fleetStrict    = flag.Bool("fleet-strict", true, "strict exactly-once audit; violations exit 1")
 		fleetTimeout   = flag.Duration("fleet-timeout", time.Second, "pending-call expiry in -fleet mode")
 		fleetSLO       = flag.String("fleet-slo", "", "SLO spec, e.g. p50=5ms,p99=50ms,p999=250ms,timeouts=0.01 (empty: knee-finding defaults)")
 	)
@@ -121,7 +120,7 @@ func main() {
 		ok := runFleet(fleet.Config{
 			Seed: *seed, Clients: *fleetClients, Shards: *fleetShards,
 			Warmup: *warmup, Horizon: *dur, Timeout: *fleetTimeout,
-			Strict: *fleetStrict, Readers: *readers,
+			Strict: true, Readers: *readers,
 		}, rates, kinds, *fleetReal, slo)
 		if !ok {
 			os.Exit(1)

@@ -40,11 +40,6 @@ func (s *UDPSocket) Recv(p *sim.Proc) (*Datagram, bool) {
 	return s.rq.Recv(p)
 }
 
-// RecvTimeout blocks until a datagram arrives or d elapses.
-func (s *UDPSocket) RecvTimeout(p *sim.Proc, d sim.Time) (*Datagram, bool) {
-	return s.rq.RecvTimeout(p, d)
-}
-
 // Queue exposes the receive queue for select-style servers.
 func (s *UDPSocket) Queue() *sim.Queue[*Datagram] { return s.rq }
 

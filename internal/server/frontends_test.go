@@ -51,7 +51,7 @@ func TestDuplicatedRequestServedTwice(t *testing.T) {
 		(&nfsproto.ReadArgs{File: fs.FH(f), Count: 512}).Encode(xdr.NewEncoder(call))
 		sock.Send(p, tb.Server.ID, NFSPort, call)
 		for {
-			dg, ok := sock.RecvTimeout(p, time.Second)
+			dg, ok := sock.Recv(p)
 			if !ok {
 				return
 			}

@@ -38,9 +38,6 @@ func (f *FIFO[T]) Pop() (v T) {
 	return v
 }
 
-// remove deletes the i-th live entry, keeping the others in order.
-func (f *FIFO[T]) remove(i int) { f.buf = slices.Delete(f.buf, f.head+i, f.head+i+1) }
-
 // waiter is one listed wait: process p's wait number gen. A wait is open
 // while it is p's current one; the wake-up or the timeout that comes first
 // closes it, so exactly one of them resumes p and an entry left behind in a
@@ -72,18 +69,17 @@ func (w waiter) fire(e *Env) bool {
 func (e *Env) expireAt(when Time, w waiter) { e.push(event{when: when, p: w.p, gen: w.gen}) }
 
 // Queue is an unbounded FIFO of items passed between processes. Send never
-// blocks; Recv blocks until an item is available. A Queue may also be
-// closed, after which Recv returns immediately with ok=false once drained.
-// Instead of processes, one callback may consume it (Serve, or Notify for a
-// consumer that stops between items).
+// blocks. A Queue may also be closed, after which Send refuses items. It
+// has one of two kinds of consumer: processes that block in Recv, which
+// returns ok=false once the closed queue is drained, or one callback,
+// Notify's (Serve is the Notify consumer that takes every item as it comes).
 type Queue[T any] struct {
 	env     *Env
 	name    string
 	items   FIFO[T]
 	waiters FIFO[waiter]
-	drain   func() // the callback consumer, bound once so scheduling it allocates nothing
-	busy    bool   // drain is scheduled or running, or a Notify consumer has not called Idle
-	notify  bool   // drain is a Notify consumer: Close wakes it
+	drain   func() // the Notify consumer, bound once so scheduling it allocates nothing
+	busy    bool   // drain is scheduled or running: it has not called Idle
 	closed  bool
 }
 
@@ -110,36 +106,33 @@ func (q *Queue[T]) Send(v T) bool {
 	return true
 }
 
-// Serve makes fn the queue's only consumer, in place of a process that loops
-// on Recv and handles each item without blocking, and schedules the same
-// events that process would: a Send that finds the consumer idle schedules
-// one drain at that instant, where the process's resume would go, and the
-// drain hands fn every item queued until none is left, those fn itself sends
-// included. fn runs as a callback and must not block. Call Serve before the
-// first Send; nothing may Recv from the queue.
+// Serve makes fn the queue's Notify consumer for a process that loops on
+// Recv and handles each item without blocking: each drain hands fn every
+// item queued until none is left, those fn itself sends included, and then
+// parks. fn runs as a callback and must not block.
 func (q *Queue[T]) Serve(fn func(v T)) {
-	q.drain = func() {
-		for q.items.Len() > 0 {
-			fn(q.items.Pop())
+	q.Notify(func() {
+		for v, ok := q.TryRecv(); ok; v, ok = q.TryRecv() {
+			fn(v)
 		}
-		q.busy = false
-	}
+		q.Idle()
+	})
 }
 
-// Notify makes fn the queue's only consumer in place of a process that, unlike
-// a Serve callback, may stop between two items to wait for something else —
-// a CPU charge, a timer — and go on where it stopped. It is that process in
-// all but name. A Send, a Close or a Wake that finds it idle marks it busy
-// and schedules fn at that instant, where the process's resume would go;
-// from then until fn calls Idle, which is the process parking in Recv, a Send
-// only queues its item. fn takes items with TryRecv, must not block, and
-// schedules its own continuation when it stops busy. Call Notify before the
-// first Send; nothing may Recv from the queue.
-func (q *Queue[T]) Notify(fn func()) { q.drain, q.notify = fn, true }
+// Notify makes fn the queue's only consumer in place of a process that may
+// stop between two items to wait for something else — a CPU charge, a
+// timer — and go on where it stopped. It is that process in all but name. A
+// Send, a Close or a Wake that finds it idle marks it busy and schedules fn
+// at that instant, where the process's resume would go; from then until fn
+// calls Idle, which is the process parking in Recv, a Send only queues its
+// item. fn takes items with TryRecv, must not block, and schedules its own
+// continuation when it stops busy. Call Notify before the first Send;
+// nothing may Recv from the queue.
+func (q *Queue[T]) Notify(fn func()) { q.drain = fn }
 
-// Wake schedules the idle callback consumer at the current instant, as a
-// Send does without an item, and reports whether it was idle. It is the
-// wake-up that is not an item: a Notify consumer's start, or its timeout.
+// Wake schedules the idle Notify consumer at the current instant, as a Send
+// does without an item, and reports whether it was idle. It is the wake-up
+// that is not an item: the consumer's start, or its timeout.
 func (q *Queue[T]) Wake() bool {
 	if q.busy {
 		return false
@@ -164,8 +157,9 @@ func (q *Queue[T]) TryRecv() (v T, ok bool) {
 // Closed reports whether the queue was closed.
 func (q *Queue[T]) Closed() bool { return q.closed }
 
-// Close marks the queue closed and wakes all waiters, a Notify consumer
-// included. Items already queued may still be drained by Recv or TryRecv.
+// Close marks the queue closed and wakes its consumer: every parked Recv,
+// or the idle Notify consumer. Items already queued may still be drained by
+// Recv or TryRecv.
 func (q *Queue[T]) Close() {
 	if q.closed {
 		return
@@ -175,7 +169,7 @@ func (q *Queue[T]) Close() {
 		w.fire(q.env)
 	}
 	q.waiters = FIFO[waiter]{}
-	if q.notify {
+	if q.drain != nil {
 		q.Wake()
 	}
 }
@@ -200,29 +194,6 @@ func (q *Queue[T]) Recv(p *Proc) (v T, ok bool) {
 		}
 		q.waiters.Push(p.await())
 		p.park()
-	}
-}
-
-// RecvTimeout is Recv with a deadline d from now. ok is false on timeout or
-// close with no item.
-func (q *Queue[T]) RecvTimeout(p *Proc, d Time) (v T, ok bool) {
-	deadline := q.env.now + d
-	for {
-		if q.items.Len() > 0 {
-			return q.items.Pop(), true
-		}
-		if q.closed || q.env.now >= deadline {
-			return v, false
-		}
-		w := p.await()
-		q.env.expireAt(deadline, w)
-		q.waiters.Push(w)
-		p.park()
-		if q.env.now >= deadline { // the timeout may have won: w is still listed
-			if i := slices.Index(q.waiters.live(), w); i >= 0 {
-				q.waiters.remove(i)
-			}
-		}
 	}
 }
 

@@ -49,67 +49,66 @@ func TestRunHorizon(t *testing.T) {
 }
 
 // A wait's timeout that lost the race stays in the heap, but it belongs to
-// that wait's number: a RecvTimeout woken by a Send before its deadline,
+// that wait's number: a WaitTimeout woken by a Set before its deadline,
 // followed by a second wait of the same process, is not woken by the first
 // wait's timeout.
 func TestStaleTimeoutWakesNoLaterWait(t *testing.T) {
 	e := New(1)
 	defer e.Close()
-	q := NewQueue[int](e, "q")
+	ev := NewEvent(e)
 	c := NewCond(e)
-	var got int
+	var got bool
 	var woke Time = -1
-	e.Spawn("recv", func(p *Proc) {
-		got, _ = q.RecvTimeout(p, 10*ms)
+	e.Spawn("wait", func(p *Proc) {
+		got = ev.WaitTimeout(p, 10*ms)
 		c.Wait(p) // parked across the first wait's deadline
 		woke = p.Now()
 	})
-	e.At(5*ms, func() { q.Send(7) })
+	e.At(5*ms, ev.Set)
 	e.At(20*ms, c.Broadcast)
 	e.RunAll()
-	if got != 7 || woke != 20*ms {
-		t.Fatalf("RecvTimeout = %d, then the Cond wait woke at %v; want 7, then 20ms", got, woke)
+	if !got || woke != 20*ms {
+		t.Fatalf("WaitTimeout = %v, then the Cond wait woke at %v; want true, then 20ms", got, woke)
 	}
-	if n := q.waiters.Len(); n != 0 {
-		t.Fatalf("%d queue waiters left", n)
+	if n := len(ev.waiters); n != 0 {
+		t.Fatalf("%d event waiters left", n)
 	}
 }
 
 // A stale timeout is not an event: when it is the last one in the heap,
-// RunAll leaves the clock at the Send that closed its wait.
+// RunAll leaves the clock at the Set that closed its wait.
 func TestStaleTimeoutLeavesClock(t *testing.T) {
 	e := New(1)
 	defer e.Close()
-	q := NewQueue[int](e, "q")
-	e.Spawn("recv", func(p *Proc) { q.RecvTimeout(p, 10*ms) })
-	e.At(5*ms, func() { q.Send(7) })
+	ev := NewEvent(e)
+	e.Spawn("wait", func(p *Proc) { ev.WaitTimeout(p, 10*ms) })
+	e.At(5*ms, ev.Set)
 	if end := e.RunAll(); end != 5*ms {
 		t.Fatalf("RunAll ended at %v, want 5ms", end)
 	}
 }
 
-// A Send and a deadline at the same virtual instant: the one with the
+// A Set and a deadline at the same virtual instant: the one with the
 // smaller seq closes the wait, the other finds it closed and does nothing,
-// and the process resumes exactly once. Either way the item is there when it
+// and the process resumes exactly once. Either way the event is set when it
 // runs.
 func TestSendAndDeadlineSameInstant(t *testing.T) {
 	for _, sendFirst := range []bool{true, false} {
 		e := New(1)
-		q := NewQueue[int](e, "q")
-		var recv *Proc
-		var got int
+		ev := NewEvent(e)
+		var waiter *Proc
 		var ok bool
 		wakes := 0
 		openAtSend := false
 		send := func() {
-			openAtSend = recv.wait != 0
-			q.Send(7)
+			openAtSend = waiter.wait != 0
+			ev.Set()
 		}
 		if sendFirst {
 			e.At(10*ms, send) // seq before the deadline's
 		}
-		recv = e.Spawn("recv", func(p *Proc) {
-			got, ok = q.RecvTimeout(p, 10*ms)
+		waiter = e.Spawn("wait", func(p *Proc) {
+			ok = ev.WaitTimeout(p, 10*ms)
 			wakes++
 			NewCond(e).Wait(p) // a second resume would return from here
 			wakes++
@@ -122,13 +121,13 @@ func TestSendAndDeadlineSameInstant(t *testing.T) {
 		}
 		e.RunAll()
 		if openAtSend != sendFirst {
-			t.Errorf("sendFirst=%v: wait open when the Send ran = %v", sendFirst, openAtSend)
+			t.Errorf("sendFirst=%v: wait open when the Set ran = %v", sendFirst, openAtSend)
 		}
-		if wakes != 1 || got != 7 || !ok {
-			t.Errorf("sendFirst=%v: %d resumes, RecvTimeout = %d, %v; want 1, 7, true", sendFirst, wakes, got, ok)
+		if wakes != 1 || !ok {
+			t.Errorf("sendFirst=%v: %d resumes, WaitTimeout = %v; want 1, true", sendFirst, wakes, ok)
 		}
-		if n := q.waiters.Len(); n != 0 {
-			t.Errorf("sendFirst=%v: %d queue waiters left", sendFirst, n)
+		if n := len(ev.waiters); n != 0 {
+			t.Errorf("sendFirst=%v: %d event waiters left", sendFirst, n)
 		}
 		e.Close()
 	}
@@ -189,31 +188,6 @@ func TestQueueSendRecv(t *testing.T) {
 	e.RunAll()
 	if len(got) != 3 || got[0] != 10 || got[1] != 20 || got[2] != 30 {
 		t.Fatalf("got %v", got)
-	}
-}
-
-func TestQueueRecvTimeout(t *testing.T) {
-	e := New(1)
-	defer e.Close()
-	q := NewQueue[int](e, "q")
-	var timedOut, received bool
-	e.Spawn("recv", func(p *Proc) {
-		if _, ok := q.RecvTimeout(p, 10*ms); ok {
-			t.Error("expected timeout")
-		}
-		timedOut = true
-		if v, ok := q.RecvTimeout(p, 100*ms); !ok || v != 7 {
-			t.Errorf("RecvTimeout = %v,%v", v, ok)
-		}
-		received = true
-	})
-	e.Spawn("send", func(p *Proc) {
-		p.Sleep(30 * ms)
-		q.Send(7)
-	})
-	e.RunAll()
-	if !timedOut || !received {
-		t.Fatalf("timedOut=%v received=%v", timedOut, received)
 	}
 }
 
@@ -582,7 +556,7 @@ func allocsPerPass(e *Env) float64 {
 	})
 }
 
-// No allocation for a RecvTimeout that times out or one a Send wakes (whose
+// No allocation for a WaitTimeout that times out or one a Set wakes (whose
 // timeout stays in the heap, stale, until its deadline), a contended
 // Resource.Use, callbacks due at the instant they are scheduled (the ready
 // FIFO reuses its array), a sleeper whose park runs the callbacks due before
@@ -593,26 +567,28 @@ func TestAllocBudgetWaits(t *testing.T) {
 		name  string
 		start func(e *Env)
 	}{
-		{"RecvTimeout that times out", func(e *Env) {
-			q := NewQueue[int](e, "q")
-			e.Spawn("recv", func(p *Proc) {
+		{"WaitTimeout that times out", func(e *Env) {
+			ev := NewEvent(e)
+			e.Spawn("wait", func(p *Proc) {
 				for {
-					q.RecvTimeout(p, ms/3)
+					ev.WaitTimeout(p, ms/3)
 				}
 			})
 		}},
-		{"RecvTimeout that a Send wakes", func(e *Env) {
-			ping, pong := NewQueue[int](e, "ping"), NewQueue[int](e, "pong")
+		{"WaitTimeout that a Set wakes", func(e *Env) {
+			ping, pong := NewEvent(e), NewEvent(e)
 			e.Spawn("echo", func(p *Proc) {
 				for {
-					v, _ := ping.RecvTimeout(p, 10*ms)
-					pong.Send(v)
+					ping.WaitTimeout(p, 10*ms)
+					ping.Reset(e)
+					pong.Set()
 				}
 			})
 			e.Spawn("pinger", func(p *Proc) {
-				for i := 0; ; i++ {
-					ping.Send(i)
-					pong.RecvTimeout(p, 10*ms)
+				for {
+					ping.Set()
+					pong.WaitTimeout(p, 10*ms)
+					pong.Reset(e)
 					p.Sleep(ms / 4)
 				}
 			})
@@ -1128,99 +1104,18 @@ func TestParkStopsAtHorizon(t *testing.T) {
 	}
 }
 
-// Property: a Serve consumer is a process that loops on Recv, event for
-// event. One seeded schedule of Sends (two at once, or several callbacks at
-// one instant), Stops and a Close, interleaved with bystander callbacks
-// that look again behind whatever is ready, runs against each under the
-// same Run horizons. What each consumes and when, what the bystanders see,
-// and where every Run stops are the same, and the Serve consumer schedules
-// one event wherever the process's resume was: the Recv loop's only extra
-// events are its spawn and its wake-up on Close.
-func TestServeMatchesRecvLoop(t *testing.T) {
-	type rec struct {
-		at   Time
-		v, n int
-	}
-	type result struct {
-		consumed, seen, marks []rec
-		events                uint64
-	}
-	f := func(ops, cuts []uint8) bool {
-		run := func(serve bool) (r result) {
-			e := New(1)
-			defer e.Close()
-			q := NewQueue[int](e, "q")
-			consume := func(v int) { r.consumed = append(r.consumed, rec{e.Now(), v, 0}) }
-			extra := uint64(0)
-			if serve {
-				q.Serve(consume)
-			} else {
-				extra++ // the spawn
-				e.Spawn("consumer", func(p *Proc) {
-					for {
-						v, ok := q.Recv(p)
-						if !ok {
-							return
-						}
-						consume(v)
-					}
-				})
-			}
-			look := func(i int) { r.seen = append(r.seen, rec{e.Now(), i, len(r.consumed)}) }
-			var at Time
-			for i, op := range ops {
-				at += Time(op%3) * ms / 2 // a zero puts several ops at one instant
-				switch op / 3 % 16 {
-				case 0, 1, 2, 3, 4:
-					e.At(at, func() { q.Send(2 * i); q.Send(2*i + 1) })
-				case 5, 6, 7, 8:
-					e.At(at, func() { q.Send(2 * i) })
-				case 9, 10, 11, 12:
-					e.At(at, func() {
-						look(i)
-						e.At(e.Now(), func() { look(-i) })
-					})
-				case 13, 14:
-					e.At(at, e.Stop)
-				default:
-					e.At(at, func() {
-						if !serve && !q.closed && q.waiters.Len() > 0 {
-							extra++ // the Recv loop's wake-up
-						}
-						q.Close()
-					})
-				}
-			}
-			var h Time
-			for _, c := range cuts {
-				h += Time(c%8) * ms / 2
-				now := e.Run(h)
-				r.marks = append(r.marks, rec{now, len(r.consumed), len(r.seen)})
-			}
-			now := e.RunAll()
-			r.marks = append(r.marks, rec{now, len(r.consumed), len(r.seen)})
-			r.events = e.seq - extra
-			return r
-		}
-		a, b := run(false), run(true)
-		return slices.Equal(a.consumed, b.consumed) && slices.Equal(a.seen, b.seen) &&
-			slices.Equal(a.marks, b.marks) && a.events == b.events
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: a Notify consumer is a process that loops on Recv and, after
-// some items, sleeps before its next Recv — event for event. The consumer
-// stops where the process parks: after an item, with Advance refused, it
-// schedules its own continuation for the wake-up; with the queue empty it
-// calls Idle; and it ends at a Close. One seeded schedule of Sends, Stops
-// and a Close, with bystanders looking again behind whatever is ready, runs
-// against each under the same Run horizons: what each consumes and when,
-// what the bystanders see and where every Run stops are the same, the
-// process's only extra event is its spawn, and the consumer never switches
-// into a process.
+// some items, sleeps before its next Recv — event for event — and a Serve
+// consumer is one that never sleeps. The Notify consumer stops where the
+// process parks: after an item, with Advance refused, it schedules its own
+// continuation for the wake-up; with the queue empty it calls Idle; and it
+// ends at a Close. One seeded schedule of Sends (two at once, or several
+// callbacks at one instant), Stops and a Close, with bystanders looking
+// again behind whatever is ready, runs against each under the same Run
+// horizons, once with naps and once without, where Serve joins as a third
+// consumer: what each consumes and when, what the bystanders see and where
+// every Run stops are the same, the process's only extra event is its
+// spawn, and the callback consumers never switch into a process.
 func TestNotifyMatchesRecvLoop(t *testing.T) {
 	type rec struct {
 		at   Time
@@ -1230,15 +1125,26 @@ func TestNotifyMatchesRecvLoop(t *testing.T) {
 		consumed, seen, marks []rec
 		events                uint64
 	}
-	nap := func(v int) Time { return Time(v%4) * ms / 4 } // 0: no stop
+	const (
+		process = iota
+		notify
+		serve
+	)
 	f := func(ops, cuts []uint8) bool {
-		run := func(notify bool) (r result) {
+		run := func(kind int, napping bool) (r result) {
+			nap := func(v int) Time { // 0: no stop
+				if !napping {
+					return 0
+				}
+				return Time(v%4) * ms / 4
+			}
 			e := New(1)
 			defer e.Close()
 			q := NewQueue[int](e, "q")
 			consume := func(v int) { r.consumed = append(r.consumed, rec{e.Now(), v, 0}) }
 			spawned := uint64(0)
-			if notify {
+			switch kind {
+			case notify:
 				var drain func()
 				drain = func() {
 					for {
@@ -1257,7 +1163,9 @@ func TestNotifyMatchesRecvLoop(t *testing.T) {
 					}
 				}
 				q.Notify(drain)
-			} else {
+			case serve:
+				q.Serve(consume)
+			default:
 				spawned = 1
 				e.Spawn("consumer", func(p *Proc) {
 					for {
@@ -1275,7 +1183,7 @@ func TestNotifyMatchesRecvLoop(t *testing.T) {
 			look := func(i int) { r.seen = append(r.seen, rec{e.Now(), i, len(r.consumed)}) }
 			var at Time
 			for i, op := range ops {
-				at += Time(op%3) * ms / 2
+				at += Time(op%3) * ms / 2 // a zero puts several ops at one instant
 				switch op / 3 % 16 {
 				case 0, 1, 2, 3, 4:
 					e.At(at, func() { q.Send(2 * i); q.Send(2*i + 1) })
@@ -1301,15 +1209,23 @@ func TestNotifyMatchesRecvLoop(t *testing.T) {
 			now := e.RunAll()
 			r.marks = append(r.marks, rec{now, len(r.consumed), len(r.seen)})
 			w := e.Counts()
-			if notify && w.Switches != 0 {
-				t.Errorf("a Notify consumer switched into a process %d times", w.Switches)
+			if kind != process && w.Switches != 0 {
+				t.Errorf("a callback consumer switched into a process %d times", w.Switches)
 			}
 			r.events = w.Events - spawned
 			return r
 		}
-		a, b := run(false), run(true)
-		return slices.Equal(a.consumed, b.consumed) && slices.Equal(a.seen, b.seen) &&
-			slices.Equal(a.marks, b.marks) && a.events == b.events
+		same := func(a, b result) bool {
+			return slices.Equal(a.consumed, b.consumed) && slices.Equal(a.seen, b.seen) &&
+				slices.Equal(a.marks, b.marks) && a.events == b.events
+		}
+		for _, napping := range []bool{true, false} {
+			a := run(process, napping)
+			if !same(a, run(notify, napping)) || !napping && !same(a, run(serve, false)) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -1317,25 +1233,12 @@ func TestNotifyMatchesRecvLoop(t *testing.T) {
 }
 
 // A wait that times out takes its waiter with it: after 10,000 timed-out
-// RecvTimeouts or WaitTimeouts none is listed, and a later Send or Set still
-// reaches the process.
+// WaitTimeouts none is listed, and a later Set still reaches the process.
 func TestTimedOutWaitLeavesNoWaiter(t *testing.T) {
 	const n = 10000
 	e := New(1)
 	defer e.Close()
-	q := NewQueue[int](e, "q")
 	ev := NewEvent(e)
-	e.Spawn("recv", func(p *Proc) {
-		for range n {
-			q.RecvTimeout(p, ms)
-		}
-		if got := q.waiters.Len(); got != 0 {
-			t.Errorf("%d queue waiters after %d timeouts", got, n)
-		}
-		if v, ok := q.RecvTimeout(p, time.Second); !ok || v != 7 {
-			t.Errorf("RecvTimeout after the timeouts = %v, %v", v, ok)
-		}
-	})
 	e.Spawn("wait", func(p *Proc) {
 		for range n {
 			ev.WaitTimeout(p, ms)
@@ -1349,29 +1252,24 @@ func TestTimedOutWaitLeavesNoWaiter(t *testing.T) {
 	})
 	e.Spawn("send", func(p *Proc) {
 		p.Sleep(n*ms + ms/2)
-		q.Send(7)
 		ev.Set()
 	})
 	e.RunAll()
 }
 
 // Property: a fifo is a slice with pops from the front, whatever mix of
-// pushes, pops and removals drains, compacts and regrows its array.
+// pushes and pops drains, compacts and regrows its array.
 func TestFifoMatchesSlice(t *testing.T) {
 	f := func(ops []uint8) bool {
 		var q FIFO[int]
 		var model []int
 		for i, op := range ops {
 			switch {
-			case op%4 == 0 && len(model) > 0:
+			case op%2 == 0 && len(model) > 0:
 				if q.Pop() != model[0] {
 					return false
 				}
 				model = model[1:]
-			case op%4 == 1 && len(model) > 0:
-				k := int(op/4) % len(model)
-				q.remove(k)
-				model = slices.Delete(model, k, k+1)
 			default:
 				q.Push(i)
 				model = append(model, i)

@@ -16,11 +16,13 @@
 // Notify consumer (input, then output, then the wait), its segments' CPU
 // charges step through a netsim.Tx, and its slow timeout is one timer event
 // on the connection's own 500 ms phase. A listener demultiplexes as its
-// port queue's consumer too, and a reader takes the stream through Serve as
+// port queue's consumer too. The two ends an application holds are callbacks
+// as well: Listener.Serve hands over each connection as its handshake
+// completes, and Conn.Serve hands the reader the stream as the segments' own
 // chains, with no copy. Each event falls where the process this replaces
 // would have resumed, so no simulated event moves. Only the calls that wait
-// for the peer or for buffer space — Dial's handshake, Send, Recv, Accept —
-// take a process.
+// for the peer or for buffer space — Dial's handshake and Send — take a
+// process.
 //
 // Deliberate simplifications, none of which affect the §4 comparisons:
 // delayed ACKs piggyback or flush on the slow timeout (not a dedicated
@@ -169,15 +171,9 @@ func (st *Stack) Listen(port int) *Listener {
 	return l
 }
 
-// Accept blocks until a connection completes its handshake.
-func (l *Listener) Accept(p *sim.Proc) (*Conn, bool) {
-	return l.acceptQ.Recv(p)
-}
-
-// Serve hands each connection that completes its handshake to fn, in place
-// of a process that loops on Accept. fn runs as an event callback and must
-// not block. Call it before the first connection arrives; nothing may
-// Accept afterwards.
+// Serve hands each connection that completes its handshake to fn, where a
+// process looping on accept would take it. fn runs as an event callback and
+// must not block. Call it before the first connection arrives.
 func (l *Listener) Serve(fn func(c *Conn)) { l.acceptQ.Serve(fn) }
 
 // run is the port queue's consumer: it demultiplexes arriving segments to
@@ -375,9 +371,6 @@ func (c *Conn) WaitEstablished(p *sim.Proc) error {
 	return nil
 }
 
-// MSS returns the negotiated (path-MTU derived) maximum segment size.
-func (c *Conn) MSS() int { return c.mss }
-
 // kick wakes the connection; multiple kicks coalesce.
 func (c *Conn) kick() {
 	if !c.kicked {
@@ -400,28 +393,15 @@ func (c *Conn) Send(p *sim.Proc, data *mbuf.Chain) error {
 	return nil
 }
 
-// Recv returns the next chunk of in-order stream data, as a copy; ok is
-// false at EOF (peer closed) or after Abort.
-func (c *Conn) Recv(p *sim.Proc) ([]byte, bool) {
-	ch, ok := c.rcvQ.Recv(p)
-	if !ok {
-		return nil, false
-	}
-	b := ch.data.Bytes()
-	c.consumed(ch)
-	return b, true
-}
-
-// Serve makes fn and eof the connection's reader, in place of a process
-// that loops on Recv: fn gets each chunk of in-order stream data, a chain
+// Serve makes fn and eof the connection's reader, where a process looping
+// on receive would be: fn gets each chunk of in-order stream data, a chain
 // whose mbufs it must take (AppendChain) or free before it returns, since
 // the segment the chain lives in recycles then; eof runs once the stream
 // has ended and its data is read (the peer closed, or an abort). fn
 // returning false stops the reader for good, as that process returning
-// would. Both run as event callbacks
-// and must not block. The reader starts at the current instant, where a
-// spawned process would, with whatever data arrived before. Nothing may
-// Recv afterwards.
+// would. Both run as event callbacks and must not block. The reader starts
+// at the current instant, where a spawned process would, with whatever data
+// arrived before.
 func (c *Conn) Serve(fn func(data *mbuf.Chain) bool, eof func()) {
 	c.rcvQ.Notify(func() {
 		for {
@@ -957,11 +937,15 @@ func (c *Conn) handle(dg *netsim.Datagram) (handed bool) {
 	if m.FIN {
 		finSeq := m.Seq + uint64(payloadLen)
 		if finSeq == c.rcvNxt && !c.finRcvd {
+			// The FIN is acknowledged before the connection closes, as
+			// 4.3BSD acknowledges it on the way into TIME_WAIT: output's
+			// maybeFinish closes it once the ACK is sent. Closing here
+			// would leave the peer retransmitting its FIN to an unbound
+			// port for as long as the run lasts.
 			c.rcvNxt++
 			c.finRcvd = true
 			c.rcvQ.Close()
 			c.needAck = true
-			c.maybeFinish()
 		} else if finSeq < c.rcvNxt {
 			c.needAck = true // duplicate FIN
 		}

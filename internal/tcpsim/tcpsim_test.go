@@ -32,26 +32,34 @@ func testbed(t *testing.T, seed int64, topo netsim.Topology, mutate func(cfg *ne
 	return env, NewStack(a), NewStack(b)
 }
 
+// stream is a connection's reader on Serve: the bytes it read, and the
+// instant its stream ended (eof).
+type stream struct {
+	got []byte
+	eof bool
+	end sim.Time
+}
+
+// read makes s the reader of c.
+func (s *stream) read(c *Conn) {
+	c.Serve(func(data *mbuf.Chain) bool {
+		s.got = append(s.got, data.Bytes()...)
+		data.Free()
+		return true
+	}, func() { s.eof, s.end = true, c.env.Now() })
+}
+
+// accept serves l and returns the stream its connection is read into.
+func accept(l *Listener) *stream {
+	s := &stream{}
+	l.Serve(s.read)
+	return s
+}
+
 // transfer sends payload a->b and returns what b received.
 func transfer(t *testing.T, env *sim.Env, sa, sb *Stack, payload []byte, horizon sim.Time) []byte {
 	t.Helper()
-	l := sb.Listen(2049)
-	var got []byte
-	done := false
-	env.Spawn("rx", func(p *sim.Proc) {
-		c, ok := l.Accept(p)
-		if !ok {
-			return
-		}
-		for {
-			b, ok := c.Recv(p)
-			if !ok {
-				break
-			}
-			got = append(got, b...)
-		}
-		done = true
-	})
+	rx := accept(sb.Listen(2049))
 	env.Spawn("tx", func(p *sim.Proc) {
 		c, err := sa.Dial(p, sb.Node().ID, 2049)
 		if err != nil {
@@ -64,10 +72,10 @@ func transfer(t *testing.T, env *sim.Env, sa, sb *Stack, payload []byte, horizon
 		c.Close()
 	})
 	env.Run(horizon)
-	if !done {
-		t.Fatalf("receiver never saw EOF (got %d/%d bytes)", len(got), len(payload))
+	if !rx.eof {
+		t.Fatalf("receiver never saw EOF (got %d/%d bytes)", len(rx.got), len(payload))
 	}
-	return got
+	return rx.got
 }
 
 func pattern(n int) []byte {
@@ -101,23 +109,7 @@ func TestTransferUnderLoss(t *testing.T) {
 		cfg.LossProb = 0.05
 	})
 	payload := pattern(100 * 1024)
-	l := sb.Listen(2049)
-	var got []byte
-	var rxConn *Conn
-	env.Spawn("rx", func(p *sim.Proc) {
-		c, ok := l.Accept(p)
-		if !ok {
-			return
-		}
-		rxConn = c
-		for {
-			b, ok := c.Recv(p)
-			if !ok {
-				return
-			}
-			got = append(got, b...)
-		}
-	})
+	rx := accept(sb.Listen(2049))
 	var txConn *Conn
 	env.Spawn("tx", func(p *sim.Proc) {
 		c, err := sa.Dial(p, sb.Node().ID, 2049)
@@ -130,13 +122,12 @@ func TestTransferUnderLoss(t *testing.T) {
 		c.Close()
 	})
 	env.Run(10 * time.Minute)
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("loss recovery failed: got %d bytes, want %d", len(got), len(payload))
+	if !bytes.Equal(rx.got, payload) {
+		t.Fatalf("loss recovery failed: got %d bytes, want %d", len(rx.got), len(payload))
 	}
 	if txConn.Stats.Retransmits == 0 {
 		t.Fatal("no retransmissions under 5% loss")
 	}
-	_ = rxConn
 }
 
 func TestFastRetransmitFires(t *testing.T) {
@@ -144,18 +135,7 @@ func TestFastRetransmitFires(t *testing.T) {
 		cfg.LossProb = 0.02
 	})
 	payload := pattern(300 * 1024)
-	l := sb.Listen(2049)
-	env.Spawn("rx", func(p *sim.Proc) {
-		c, ok := l.Accept(p)
-		if !ok {
-			return
-		}
-		for {
-			if _, ok := c.Recv(p); !ok {
-				return
-			}
-		}
-	})
+	accept(sb.Listen(2049))
 	var txConn *Conn
 	env.Spawn("tx", func(p *sim.Proc) {
 		c, err := sa.Dial(p, sb.Node().ID, 2049)
@@ -174,38 +154,33 @@ func TestFastRetransmitFires(t *testing.T) {
 
 func TestBidirectional(t *testing.T) {
 	env, sa, sb := testbed(t, 7, netsim.TopoLAN, nil)
-	l := sb.Listen(2049)
 	req := pattern(5000)
 	var gotReq, gotResp []byte
-	env.Spawn("server", func(p *sim.Proc) {
-		c, ok := l.Accept(p)
-		if !ok {
-			return
-		}
-		for len(gotReq) < len(req) {
-			b, ok := c.Recv(p)
-			if !ok {
-				return
+	sb.Listen(2049).Serve(func(c *Conn) {
+		c.Serve(func(data *mbuf.Chain) bool {
+			gotReq = append(gotReq, data.Bytes()...)
+			data.Free()
+			if len(gotReq) < len(req) {
+				return true
 			}
-			gotReq = append(gotReq, b...)
-		}
-		c.Send(p, mbuf.FromBytes([]byte("response!")))
-		c.Close()
+			env.Spawn("reply", func(p *sim.Proc) {
+				c.Send(p, mbuf.FromBytes([]byte("response!")))
+				c.Close()
+			})
+			return false
+		}, func() {})
 	})
 	env.Spawn("client", func(p *sim.Proc) {
 		c, err := sa.Dial(p, sb.Node().ID, 2049)
 		if err != nil {
 			return
 		}
+		c.Serve(func(data *mbuf.Chain) bool {
+			gotResp = append(gotResp, data.Bytes()...)
+			data.Free()
+			return true
+		}, c.Close)
 		c.Send(p, mbuf.FromBytes(req))
-		for {
-			b, ok := c.Recv(p)
-			if !ok {
-				break
-			}
-			gotResp = append(gotResp, b...)
-		}
-		c.Close()
 	})
 	env.Run(time.Minute)
 	if !bytes.Equal(gotReq, req) {
@@ -224,25 +199,7 @@ func TestThroughputRespectsBandwidth(t *testing.T) {
 	sa, sb := NewStack(tb.Client), NewStack(tb.Server)
 	payload := pattern(100 * 1024)
 	start := env.Now()
-	var end sim.Time
-	l := sb.Listen(2049)
-	env.Spawn("rx", func(p *sim.Proc) {
-		c, ok := l.Accept(p)
-		if !ok {
-			return
-		}
-		n := 0
-		for {
-			b, ok := c.Recv(p)
-			if !ok {
-				break
-			}
-			n += len(b)
-		}
-		if n == len(payload) {
-			end = p.Now()
-		}
-	})
+	rx := accept(sb.Listen(2049))
 	env.Spawn("tx", func(p *sim.Proc) {
 		c, err := sa.Dial(p, tb.Server.ID, 2049)
 		if err != nil {
@@ -252,10 +209,10 @@ func TestThroughputRespectsBandwidth(t *testing.T) {
 		c.Close()
 	})
 	env.Run(30 * time.Minute)
-	if end == 0 {
+	if !rx.eof || len(rx.got) != len(payload) {
 		t.Fatal("transfer never completed")
 	}
-	elapsed := end - start
+	elapsed := rx.end - start
 	if elapsed < 14*time.Second {
 		t.Fatalf("transfer finished in %v, faster than the line rate allows", elapsed)
 	}
@@ -325,18 +282,7 @@ func TestDialTimeout(t *testing.T) {
 
 func TestSendAfterCloseFails(t *testing.T) {
 	env, sa, sb := testbed(t, 17, netsim.TopoLAN, nil)
-	l := sb.Listen(2049)
-	env.Spawn("rx", func(p *sim.Proc) {
-		c, ok := l.Accept(p)
-		if !ok {
-			return
-		}
-		for {
-			if _, ok := c.Recv(p); !ok {
-				return
-			}
-		}
-	})
+	accept(sb.Listen(2049))
 	var sendErr error
 	env.Spawn("tx", func(p *sim.Proc) {
 		c, err := sa.Dial(p, sb.Node().ID, 2049)
@@ -358,19 +304,20 @@ func TestMSSFromPathMTU(t *testing.T) {
 	tb := netsim.Build(env, netsim.TopoSlow, netsim.NodeConfig{}, netsim.NodeConfig{})
 	sa := NewStack(tb.Client)
 	sb := NewStack(tb.Server)
-	l := sb.Listen(2049)
-	var mss int
-	env.Spawn("rx", func(p *sim.Proc) {
-		if c, ok := l.Accept(p); ok {
-			_ = c
-		}
+	var mss int // the largest segment the reader is handed
+	sb.Listen(2049).Serve(func(c *Conn) {
+		c.Serve(func(data *mbuf.Chain) bool {
+			mss = max(mss, data.Len())
+			data.Free()
+			return true
+		}, func() {})
 	})
 	env.Spawn("tx", func(p *sim.Proc) {
 		c, err := sa.Dial(p, tb.Server.ID, 2049)
 		if err != nil {
 			return
 		}
-		mss = c.MSS()
+		c.Send(p, mbuf.FromBytes(pattern(3000)))
 	})
 	env.Run(time.Minute)
 	if mss != 1006-20 {
@@ -390,21 +337,7 @@ func TestDeterministicTransfers(t *testing.T) {
 		nt.Connect(a, b, cfg)
 		nt.ComputeRoutes()
 		sa, sb := NewStack(a), NewStack(b)
-		l := sb.Listen(2049)
-		rx := 0
-		env.Spawn("rx", func(p *sim.Proc) {
-			c, ok := l.Accept(p)
-			if !ok {
-				return
-			}
-			for {
-				b, ok := c.Recv(p)
-				if !ok {
-					return
-				}
-				rx += len(b)
-			}
-		})
+		rx := accept(sb.Listen(2049))
 		var rtx int
 		env.Spawn("tx", func(p *sim.Proc) {
 			c, err := sa.Dial(p, b.ID, 2049)
@@ -416,7 +349,7 @@ func TestDeterministicTransfers(t *testing.T) {
 			rtx = c.Stats.Retransmits
 		})
 		env.Run(5 * time.Minute)
-		return rx, rtx
+		return len(rx.got), rtx
 	}
 	rx1, rtx1 := run()
 	rx2, rtx2 := run()
@@ -447,23 +380,7 @@ func TestStreamPropertyUnderRandomConditions(t *testing.T) {
 		nt.ComputeRoutes()
 		sa, sb := NewStack(a), NewStack(b)
 		payload := pattern(size)
-		l := sb.Listen(2049)
-		var got []byte
-		eof := false
-		env.Spawn("rx", func(p *sim.Proc) {
-			c, ok := l.Accept(p)
-			if !ok {
-				return
-			}
-			for {
-				bb, ok := c.Recv(p)
-				if !ok {
-					eof = true
-					return
-				}
-				got = append(got, bb...)
-			}
-		})
+		rx := accept(sb.Listen(2049))
 		env.Spawn("tx", func(p *sim.Proc) {
 			c, err := sa.Dial(p, b.ID, 2049)
 			if err != nil {
@@ -473,7 +390,7 @@ func TestStreamPropertyUnderRandomConditions(t *testing.T) {
 			c.Close()
 		})
 		env.Run(30 * time.Minute)
-		return eof && bytes.Equal(got, payload)
+		return rx.eof && bytes.Equal(rx.got, payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -484,22 +401,21 @@ func TestStreamPropertyUnderRandomConditions(t *testing.T) {
 // connection state (Abort sends nothing — the model of a server reboot),
 // our next transmission hits its listener as a segment for an unknown
 // connection. The listener must answer RST and that RST must tear our
-// endpoint down, so a caller blocked on Recv wakes instead of hanging
+// endpoint down, so our reader sees the stream end instead of waiting
 // forever.
 func TestResetOnForgottenConnection(t *testing.T) {
 	env, sa, sb := testbed(t, 7, 0, nil)
-	l := sb.Listen(2049)
 	var srv *Conn
-	env.Spawn("accept", func(p *sim.Proc) {
-		srv, _ = l.Accept(p)
-	})
-	var recvOK, sawReset bool
+	sb.Listen(2049).Serve(func(c *Conn) { srv = c })
+	var sawReset bool
+	rx := &stream{}
 	env.Spawn("client", func(p *sim.Proc) {
 		c, err := sa.Dial(p, sb.Node().ID, 2049)
 		if err != nil {
 			t.Errorf("dial: %v", err)
 			return
 		}
+		rx.read(c)
 		if err := c.Send(p, mbuf.FromBytes([]byte("ping"))); err != nil {
 			t.Errorf("send: %v", err)
 			return
@@ -511,14 +427,13 @@ func TestResetOnForgottenConnection(t *testing.T) {
 		_ = c.Send(p, mbuf.FromBytes([]byte("hello?")))
 		p.Sleep(5 * time.Second)
 		sawReset = c.state == stateClosed
-		_, recvOK = c.Recv(p)
 	})
 	env.Run(30 * time.Second)
 	if !sawReset {
 		t.Fatal("client connection not reset after peer forgot it")
 	}
-	if recvOK {
-		t.Fatal("Recv returned data on a reset connection")
+	if !rx.eof || len(rx.got) != 0 {
+		t.Fatalf("reader of a reset connection: eof %v, %d bytes; want eof and none", rx.eof, len(rx.got))
 	}
 }
 
@@ -527,14 +442,7 @@ func TestResetOnForgottenConnection(t *testing.T) {
 // exchange at most one reset.
 func TestNoRSTStorm(t *testing.T) {
 	env, sa, sb := testbed(t, 9, 0, nil)
-	l := sb.Listen(2049)
-	env.Spawn("accept", func(p *sim.Proc) {
-		for {
-			if _, ok := l.Accept(p); !ok {
-				return
-			}
-		}
-	})
+	sb.Listen(2049).Serve(func(*Conn) {})
 	env.Spawn("client", func(p *sim.Proc) {
 		c, err := sa.Dial(p, sb.Node().ID, 2049)
 		if err != nil {
@@ -562,18 +470,7 @@ func TestNoRSTStorm(t *testing.T) {
 // retransmission and the retransmit timer stopped, well before its RTO.
 func TestSlowTimeoutFlushesDelayedAck(t *testing.T) {
 	env, sa, sb := testbed(t, 19, netsim.TopoLAN, nil)
-	l := sb.Listen(2049)
-	env.Spawn("rx", func(p *sim.Proc) {
-		c, ok := l.Accept(p)
-		if !ok {
-			return
-		}
-		for {
-			if _, ok := c.Recv(p); !ok {
-				return
-			}
-		}
-	})
+	accept(sb.Listen(2049))
 	var c *Conn
 	var sentAt sim.Time
 	env.Spawn("tx", func(p *sim.Proc) {

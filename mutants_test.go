@@ -127,6 +127,16 @@ var mutants = []struct {
 		"	*dg = Datagram{home: home}",
 		"	*dg = Datagram{home: home, Corrupted: dg.Corrupted}",
 		"./internal/netsim", "TestRecycledDatagramCarriesNoFault"},
+	// Serve's drain must park its consumer, or no Send schedules it again.
+	{"internal/sim/queue.go",
+		"			fn(v)\n		}\n		q.Idle()\n",
+		"			fn(v)\n		}\n",
+		"./internal/sim", "TestNotifyMatchesRecvLoop"},
+	// A closed connection's slow timer stops with it.
+	{"internal/tcpsim/tcpsim.go",
+		"	if c.stage == stepDone {\n		return\n	}\n	if c.stage == stepWait {",
+		"	if c.stage == stepWait {",
+		".", "TestClosedTCPConnectionGoesQuiet"},
 	// A READ reply lends the file block; a copy of it is what §3 removed.
 	{"internal/memfs/memfs.go",
 		"			c.AppendExt(blk[bo : bo+nn])",

@@ -149,3 +149,50 @@ func TestTCPLoopWork(t *testing.T) {
 		}
 	}
 }
+
+// TestClosedTCPConnectionGoesQuiet: once a client closes its TCP transport,
+// the FIN exchange completes (the client acknowledges the server's FIN) and
+// both ends stop. Within 10 s the calls, the exchange, each closed
+// connection's last pending slow timeout and the transport's watchdog (a
+// 7.5 s sleep) have all run; in the minute after that the server sends no
+// segment, the client's node drops none at its unbound port, and the
+// simulation runs no event: no slow timer of a closed connection is left
+// running.
+func TestClosedTCPConnectionGoesQuiet(t *testing.T) {
+	r := renonfs.NewRig(renonfs.RigConfig{Seed: 1})
+	defer r.Close()
+	args := (&nfsproto.GetattrArgs{File: r.Server.RootFH()}).Encode
+	closed := false
+	r.Env.Spawn("caller", func(p *sim.Proc) {
+		tr, err := r.DialTransport(p, renonfs.TCP)
+		if err != nil {
+			t.Errorf("dial: %v", err)
+			return
+		}
+		for i := 0; i < 10; i++ {
+			d, err := tr.Call(p, nfsproto.ProcGetattr, args)
+			if err != nil {
+				t.Errorf("call %d: %v", i, err)
+				return
+			}
+			tr.Release(d)
+		}
+		tr.Close()
+		closed = true
+	})
+	r.Run(10 * time.Second)
+	if !closed {
+		t.Fatal("the caller never closed its transport")
+	}
+	sent, w := r.Net.Server.Stats.PktsOut, r.Env.Counts()
+	r.Run(70 * time.Second)
+	if n := r.Net.Server.Stats.PktsOut - sent; n != 0 {
+		t.Errorf("the server sent %d frames in the minute after the close, want 0", n)
+	}
+	if n := r.Net.Client.Stats.NoPortDrops; n != 0 {
+		t.Errorf("the client's node dropped %d segments at unbound ports, want 0", n)
+	}
+	if n := r.Env.Counts().Events - w.Events; n != 0 {
+		t.Errorf("%d events ran in the minute after the close, want 0", n)
+	}
+}
